@@ -241,26 +241,6 @@ func BenchmarkSec6B5BankScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed on one
-// mid-size compute application (not a paper artifact; a harness metric).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	app, err := AppByName("pb-mriq")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := VoltaV100()
-	cfg.NumSMs = 4
-	var instr int64
-	for i := 0; i < b.N; i++ {
-		r, err := Run(cfg, app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instr = r.Instructions
-	}
-	b.ReportMetric(float64(instr*int64(b.N))/b.Elapsed().Seconds(), "instr/s")
-}
-
 // BenchmarkTracingOverhead guards the internal/trace hot path. "disabled"
 // is the normal simulation with no tracer attached — every emission site
 // reduces to a nil check, and this sub-benchmark must stay within 2% of

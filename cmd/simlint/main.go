@@ -1,9 +1,8 @@
 // Command simlint runs the repository's custom static-analysis suite
 // (internal/analysis) over the module and exits non-zero on findings.
 // It is a tier-1 CI gate: the determinism, hot-path, trace-guard,
-// fault-flow, monitor-poll, CPI-ledger, fast-forward, and value-flow
-// (clock-taint, config-freeze, goroutine-sharing) invariants it
-// enforces are the source-level half of the guarantees
+// fault-flow, monitor-poll, CPI-ledger, fast-forward, and config-freeze
+// invariants it enforces are the source-level half of the guarantees
 // determinism_test.go and the harness chaos tests check dynamically.
 // See docs/STATIC_ANALYSIS.md.
 //

@@ -46,6 +46,7 @@ func TestExitErrorIsTwo(t *testing.T) {
 	}{
 		{"unloadable package pattern", []string{"./does-not-exist"}},
 		{"unknown analyzer", []string{"-analyzers", "nosuch", "testdata/clean"}},
+		{"deleted analyzer", []string{"-analyzers", "clocktaint", "testdata/clean"}},
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
 	}
 	for _, tc := range cases {
@@ -67,5 +68,25 @@ func TestJSONFindingsStillExitOne(t *testing.T) {
 	}
 	if !strings.Contains(stdout, `"analyzer":"hotpath"`) {
 		t.Errorf("JSON output missing analyzer field: %q", stdout)
+	}
+}
+
+// TestListPrintsRegistry pins the suite's size: one row per registered
+// analyzer, in report order.
+func TestListPrintsRegistry(t *testing.T) {
+	code, stdout, _ := runDriver(t, "-list")
+	if code != exitClean {
+		t.Fatalf("exit %d, want %d", code, exitClean)
+	}
+	want := []string{"determinism", "hotpath", "traceguard", "faultflow",
+		"monitorpoll", "cpiguard", "nexteventguard", "configfreeze"}
+	rows := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(rows) != len(want) {
+		t.Fatalf("-list printed %d rows, want %d:\n%s", len(rows), len(want), stdout)
+	}
+	for i, name := range want {
+		if !strings.HasPrefix(rows[i], name+" ") {
+			t.Errorf("row %d = %q, want analyzer %s", i, rows[i], name)
+		}
 	}
 }

@@ -7,7 +7,6 @@
 //	sweep -apps pb-mriq,rod-srad -configs gto,rba,fc
 //	sweep -suite cugraph -configs gto,rba,srr,shuffle,fc -sms 4
 //	sweep -sensitive -configs gto,rba > rba_study.csv
-//	sweep -apps pb-mriq,pb-sgemm -configs gto -profile -   # simulator profile (JSON)
 //	sweep -sensitive -checkpoint run.ckpt -diag diag/      # fault-tolerant campaign
 //
 // Config tokens: gto (baseline), lrr, rba, srr, shuffle, rba+shuffle,
@@ -32,11 +31,6 @@
 // invariant auditor every N cycles; a corrupted simulation dies as a
 // structured audit fault instead of producing silently wrong numbers.
 //
-// With -profile the sweep runs serially and emits a machine-readable
-// simulator-performance report instead of the CSV: per-app wall-clock,
-// simulated cycles/sec and instructions/sec, and heap allocations — the
-// baseline future performance work diffs against.
-//
 // With -metrics-addr the sweep serves live telemetry over HTTP for its
 // duration (docs/OBSERVABILITY.md): `curl $addr/metrics` returns
 // Prometheus-format counters and gauges — per-cell heartbeat progress,
@@ -58,7 +52,6 @@ import (
 
 	"repro"
 	"repro/internal/bench"
-	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
@@ -71,7 +64,6 @@ func main() {
 		sensitive = flag.Bool("sensitive", false, "run the Table III sensitive subset")
 		cfgsFlag  = flag.String("configs", "gto,rba", "comma-separated config tokens")
 		sms       = flag.Int("sms", 4, "number of SMs")
-		profile   = flag.String("profile", "", "write a simulator-performance JSON report to this file ('-' = stdout) instead of the CSV")
 		timeout   = flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = unlimited)")
 		maxCycles = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 		watchdog  = flag.Duration("watchdog", time.Second, "forward-progress watchdog interval (0 = disabled)")
@@ -108,26 +100,6 @@ func main() {
 		}
 		cfgs = append(cfgs, c)
 		names = append(names, tok)
-	}
-
-	if *profile != "" {
-		rep, err := exp.Profile(cfgs, names, apps)
-		if err != nil {
-			fatal(err)
-		}
-		out := os.Stdout
-		if *profile != "-" {
-			f, err := os.Create(*profile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := rep.WriteJSON(out); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	// Ctrl-C and SIGTERM cancel the sweep gracefully: completed cells are

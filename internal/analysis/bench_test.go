@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkSimlint measures a whole-module analysis pass — load,
-// type-check, all eleven analyzers — the same work `go run ./cmd/simlint
+// type-check, all eight analyzers — the same work `go run ./cmd/simlint
 // ./...` performs. CI runs it once as a smoke with a wall-clock budget
 // (see .github/workflows/ci.yml); the point is to keep the linter cheap
 // enough to sit in the tier-1 gate.
@@ -26,33 +26,13 @@ func BenchmarkSimlint(b *testing.B) {
 	}
 }
 
-// BenchmarkDataflow isolates the value-flow engine: one whole-module
-// taint closure under the clock-source spec, loader cost excluded. This
-// is the part of the v3 suite that scales with program size (fixpoint
-// passes over every function body), so it gets its own number.
-func BenchmarkDataflow(b *testing.B) {
-	pkgs, err := Load("repro/...")
-	if err != nil {
-		b.Fatalf("Load: %v", err)
-	}
-	prog := NewProgram(pkgs)
-	prog.CallGraph() // build outside the timed region
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := RunDataflow(prog, TaintSpec{Source: clockSource})
-		if d == nil {
-			b.Fatal("RunDataflow returned nil")
-		}
-	}
-}
-
 // simlintBudget is the CI wall-clock ceiling for one whole-module pass
 // of the full suite. The budget is generous on purpose: the gate exists
-// to catch an accidental fixpoint blow-up (a dataflow pass going
+// to catch an accidental blow-up (a call-graph traversal going
 // superlinear), not to tune constants.
 const simlintBudget = 30 * time.Second
 
-// TestSimlintBudget asserts the whole-module eleven-analyzer pass fits
+// TestSimlintBudget asserts the whole-module eight-analyzer pass fits
 // the CI budget, and logs the measured time so regressions are visible
 // in test output before they ever trip the ceiling.
 func TestSimlintBudget(t *testing.T) {

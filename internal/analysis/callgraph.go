@@ -96,13 +96,6 @@ type CGEdge struct {
 	// Cold marks a call site inside a panic-terminated branch — a cold
 	// invariant check, excluded from hot-path traversal.
 	Cold bool
-	// Dispatched marks an edge resolved by interface or function-value
-	// dispatch: one call site fans out to every name+signature-compatible
-	// candidate. Reachability wants that superset; value-flow analyses
-	// (dataflow.go) skip dispatched edges, because flowing a tainted
-	// receiver into every same-named method in the program drowns real
-	// flows in false ones.
-	Dispatched bool
 }
 
 // CallGraph is the program-wide graph. Nodes is deterministic: package
@@ -499,7 +492,7 @@ func (b *cgBuilder) resolve() {
 	}
 	for _, site := range b.ifaceCalls {
 		for _, impl := range implIndex[site.key] {
-			site.from.Out = append(site.from.Out, CGEdge{To: impl, Site: site.site, Cold: site.cold, Dispatched: true})
+			site.from.Out = append(site.from.Out, CGEdge{To: impl, Site: site.site, Cold: site.cold})
 		}
 	}
 	for _, key := range b.ifaceTaken {
@@ -511,7 +504,7 @@ func (b *cgBuilder) resolve() {
 	}
 	for _, site := range b.dynCalls {
 		for _, target := range b.taken[site.key] {
-			site.from.Out = append(site.from.Out, CGEdge{To: target, Site: site.site, Cold: site.cold, Dispatched: true})
+			site.from.Out = append(site.from.Out, CGEdge{To: target, Site: site.site, Cold: site.cold})
 		}
 	}
 }

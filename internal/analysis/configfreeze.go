@@ -34,17 +34,14 @@ import (
 //     (d.cfg = other, *p = other).
 //
 // Functions declared in config packages themselves and constructors
-// (New*/new*) are exempt — they run before the config is live. When
-// the engine's taint pass can show where the offending pointer was
-// obtained (&cfg escaping into a struct field, an alias chain of
-// pointer copies), the finding carries that value-flow chain.
+// (New*/new*) are exempt — they run before the config is live.
 var Configfreeze = &Analyzer{
 	Name: "configfreeze",
 	Doc: "flag writes into config-package structs after construction — " +
 		"through pointers, into configs embedded in live state, or to " +
 		"package-level config values; config is frozen once gpu.New " +
 		"copies it, and snapshot/resume identity depends on that",
-	RunProgram: runConfigfreeze,
+	Run: runConfigfreeze,
 }
 
 // configNamed returns the named config-package struct type behind t
@@ -85,53 +82,6 @@ func configExemptFunc(fd *ast.FuncDecl) bool {
 	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
 }
 
-// cfreeze lazily runs the dataflow engine with "&<config value>" as
-// the source, so violation reports can show where the pointer being
-// written through was obtained. Lazy because a clean tree (the normal
-// case) then never pays for the taint pass.
-type cfreeze struct {
-	prog *Program
-	d    *Dataflow
-}
-
-func (c *cfreeze) dataflow() *Dataflow {
-	if c.d == nil {
-		c.d = RunDataflow(c.prog, TaintSpec{Source: func(pkg *Package, n ast.Node) (string, bool) {
-			u, ok := n.(*ast.UnaryExpr)
-			if !ok || u.Op != token.AND {
-				return "", false
-			}
-			if named := configNamed(pkg.Info.TypeOf(u.X)); named != nil {
-				return "&" + named.Obj().Name() + " (config address taken)", true
-			}
-			return "", false
-		}})
-	}
-	return c.d
-}
-
-// chainFor renders the value-flow chain that delivered the written-
-// through base expression, "" when the engine has none.
-func (c *cfreeze) chainFor(pkg *Package, base ast.Expr) string {
-	switch b := ast.Unparen(base).(type) {
-	case *ast.Ident:
-		if obj := pkg.Info.Uses[b]; obj != nil {
-			if fl := c.dataflow().VarFlow(obj); fl != nil {
-				return fl.Chain()
-			}
-		}
-	case *ast.SelectorExpr:
-		if sf, ok := stateFieldOf(pkg.Info, b); ok {
-			if fl := c.dataflow().FieldFlow(sf); fl != nil {
-				return fl.Chain()
-			}
-		}
-	case *ast.StarExpr:
-		return c.chainFor(pkg, b.X)
-	}
-	return ""
-}
-
 // localConfigValue reports whether e is a plain identifier denoting a
 // function-local (or parameter/receiver), non-field variable holding a
 // config struct *by value* — the one write target Go's value
@@ -159,79 +109,70 @@ func localConfigValue(info *types.Info, e ast.Expr) bool {
 	return v.Pkg() == nil || v.Parent() != v.Pkg().Scope()
 }
 
-func runConfigfreeze(pp *ProgramPass) error {
-	c := &cfreeze{prog: pp.Prog}
-	report := func(pkg *Package, pos token.Pos, base ast.Expr, format string, args ...any) {
-		if chain := c.chainFor(pkg, base); chain != "" {
-			pp.ReportChainf(pkg, pos, chain, format+"; the written-through config was obtained via %s", append(args, chain)...)
-			return
-		}
-		pp.Reportf(pkg, pos, format, args...)
+func runConfigfreeze(p *Pass) error {
+	if configPkg(p.Pkg.Path) {
+		return nil // the type's own package: constructors and options live here
 	}
-	checkFieldWrite := func(pkg *Package, sel *ast.SelectorExpr, verb string) {
-		sf, ok := stateFieldOf(pkg.Info, sel)
+	info := p.Info()
+	checkFieldWrite := func(sel *ast.SelectorExpr, verb string) {
+		sf, ok := stateFieldOf(info, sel)
 		if !ok || !configPkg(sf.owner[:strings.LastIndexByte(sf.owner, '.')]) {
 			return
 		}
-		if localConfigValue(pkg.Info, sel.X) {
+		if localConfigValue(info, sel.X) {
 			return // building a private value copy: pre-construction idiom
 		}
 		short := sf.owner[strings.LastIndexByte(sf.owner, '.')+1:]
-		report(pkg, sel.Sel.Pos(), sel.X,
+		p.Reportf(sel.Sel.Pos(),
 			"config field %s.%s %s outside a constructor/option func — config is frozen after construction (snapshot/resume identity and every component's captured view depend on it); build the value before gpu.New or add an option method in the config package, or justify with //simlint:allow configfreeze",
 			short, sf.field, verb)
 	}
-	for _, pkg := range pp.Prog.Pkgs {
-		if configPkg(pkg.Path) {
-			continue // the type's own package: constructors and options live here
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || configExemptFunc(fd) {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.AssignStmt:
-						if n.Tok == token.DEFINE {
-							return true // := declares fresh locals, never writes shared state
+	for _, f := range p.Files() {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || configExemptFunc(fd) {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.DEFINE {
+						return true // := declares fresh locals, never writes shared state
+					}
+					for _, lhs := range n.Lhs {
+						l := ast.Unparen(lhs)
+						if sel, ok := l.(*ast.SelectorExpr); ok {
+							checkFieldWrite(sel, "written")
+							// Whole-struct replacement of an embedded config
+							// (d.cfg = other) — the field's owner is not a
+							// config struct, so checkFieldWrite won't see it.
+							if sf, ok := stateFieldOf(info, sel); ok &&
+								!configPkg(sf.owner[:strings.LastIndexByte(sf.owner, '.')]) &&
+								configNamed(info.TypeOf(sel)) != nil {
+								p.Reportf(sel.Sel.Pos(),
+									"whole config value %s.%s replaced outside a constructor/option func — every component captured the original at construction and snapshot/resume identity depends on it; construct a new GPU instead, or justify with //simlint:allow configfreeze",
+									sf.owner[strings.LastIndexByte(sf.owner, '.')+1:], sf.field)
+							}
+							continue
 						}
-						for _, lhs := range n.Lhs {
-							l := ast.Unparen(lhs)
-							if sel, ok := l.(*ast.SelectorExpr); ok {
-								checkFieldWrite(pkg, sel, "written")
-								// Whole-struct replacement of an embedded config
-								// (d.cfg = other) — the field's owner is not a
-								// config struct, so checkFieldWrite won't see it.
-								if sf, ok := stateFieldOf(pkg.Info, sel); ok &&
-									!configPkg(sf.owner[:strings.LastIndexByte(sf.owner, '.')]) &&
-									configNamed(pkg.Info.TypeOf(sel)) != nil {
-									report(pkg, sel.Sel.Pos(), sel.X,
-										"whole config value %s.%s replaced outside a constructor/option func — every component captured the original at construction and snapshot/resume identity depends on it; construct a new GPU instead, or justify with //simlint:allow configfreeze",
-										sf.owner[strings.LastIndexByte(sf.owner, '.')+1:], sf.field)
-								}
-								continue
-							}
-							if st, ok := l.(*ast.StarExpr); ok && configNamed(pkg.Info.TypeOf(st.X)) != nil {
-								report(pkg, st.Pos(), st.X,
-									"config value replaced through a pointer outside a constructor/option func — the pointee is the live, frozen config; construct a new GPU instead, or justify with //simlint:allow configfreeze")
-								continue
-							}
-							// Package-level config value reassigned wholesale.
-							if id, ok := l.(*ast.Ident); ok && configNamed(pkg.Info.TypeOf(id)) != nil && !localConfigValue(pkg.Info, id) {
-								report(pkg, id.Pos(), id,
-									"package-level config value %s replaced outside a constructor/option func — it is shared by everything that captured it; build configs as function-local values, or justify with //simlint:allow configfreeze", id.Name)
-							}
+						if st, ok := l.(*ast.StarExpr); ok && configNamed(info.TypeOf(st.X)) != nil {
+							p.Reportf(st.Pos(),
+								"config value replaced through a pointer outside a constructor/option func — the pointee is the live, frozen config; construct a new GPU instead, or justify with //simlint:allow configfreeze")
+							continue
 						}
-					case *ast.IncDecStmt:
-						if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-							checkFieldWrite(pkg, sel, "incremented")
+						// Package-level config value reassigned wholesale.
+						if id, ok := l.(*ast.Ident); ok && configNamed(info.TypeOf(id)) != nil && !localConfigValue(info, id) {
+							p.Reportf(id.Pos(),
+								"package-level config value %s replaced outside a constructor/option func — it is shared by everything that captured it; build configs as function-local values, or justify with //simlint:allow configfreeze", id.Name)
 						}
 					}
-					return true
-				})
-			}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						checkFieldWrite(sel, "incremented")
+					}
+				}
+				return true
+			})
 		}
 	}
 	return nil

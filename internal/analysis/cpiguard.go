@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -349,4 +350,28 @@ func baseSelector(e ast.Expr) *ast.SelectorExpr {
 			return nil
 		}
 	}
+}
+
+// stringLit unquotes a basic string literal expression.
+func stringLit(expr ast.Expr) (string, bool) {
+	bl, ok := ast.Unparen(expr).(*ast.BasicLit)
+	if !ok || bl.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(bl.Value)
+	return s, err == nil
+}
+
+// isMapStringString matches the ast of `map[string]string`.
+func isMapStringString(expr ast.Expr) bool {
+	mt, ok := expr.(*ast.MapType)
+	if !ok {
+		return false
+	}
+	k, ok := mt.Key.(*ast.Ident)
+	if !ok || k.Name != "string" {
+		return false
+	}
+	v, ok := mt.Value.(*ast.Ident)
+	return ok && v.Name == "string"
 }

@@ -133,38 +133,6 @@ func writeFixtureTree(t *testing.T, name string, files map[string]string) []*Pac
 	return pkgs
 }
 
-const ctDemoSrc = `package ctdemo
-
-import "time"
-
-//snapshot:state
-type engine struct {
-	clock int64
-}
-
-// stamp records the cycle the engine reached; the wall-clock duration
-// stays in the caller's (unsnapshotted) report.
-func (e *engine) stamp(cycle int64, start time.Time) time.Duration {
-	wall := time.Since(start)
-	e.clock = cycle
-	return wall
-}
-`
-
-func TestClocktaintCatchesReroutedClock(t *testing.T) {
-	wantClean(t, snippetDiags(t, "ctdemo", ctDemoSrc, Clocktaint))
-
-	// Route the wall-clock value into the snapshotted field instead of
-	// the simulated cycle: the resumed run would now disagree with the
-	// undisturbed one byte-for-byte.
-	store := "e.clock = cycle"
-	if !strings.Contains(ctDemoSrc, store) {
-		t.Fatal("demo source drifted: cycle store not found")
-	}
-	diags := snippetDiags(t, "ctdemo", strings.Replace(ctDemoSrc, store, "e.clock = int64(wall)", 1), Clocktaint)
-	wantFinding(t, diags, "snapshot:state field engine.clock")
-}
-
 var cfDemoFiles = map[string]string{
 	"config/config.go": `package config
 
@@ -211,41 +179,6 @@ func TestConfigfreezeCatchesUnfrozenWrite(t *testing.T) {
 		t.Fatalf("RunAnalyzers: %v", err)
 	}
 	wantFinding(t, diags, "config field GPU.NumSMs written outside a constructor/option func")
-}
-
-const gsDemoSrc = `package gsdemo
-
-import "sync"
-
-func sweep(n int) int {
-	total := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			total++
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return total
-}
-`
-
-func TestGoroutineshareCatchesDeletedLock(t *testing.T) {
-	wantClean(t, snippetDiags(t, "gsdemo", gsDemoSrc, Goroutineshare))
-
-	// Delete the Lock: the looped worker's increment is now the classic
-	// lost-update race and the guard must fire.
-	lock := "\t\t\tmu.Lock()\n"
-	if !strings.Contains(gsDemoSrc, lock) {
-		t.Fatal("demo source drifted: Lock not found")
-	}
-	diags := snippetDiags(t, "gsdemo", strings.Replace(gsDemoSrc, lock, "", 1), Goroutineshare)
-	wantFinding(t, diags, "unguarded increment of total")
 }
 
 func TestNexteventguardCatchesDeletedConsultation(t *testing.T) {

@@ -84,14 +84,11 @@ func TestGolden(t *testing.T) {
 		{"traceguard", Traceguard},
 		{"faultflow", Faultflow},
 		{"monitorpoll", Monitorpoll},
-		{"snapshotguard", Snapshotguard},
 		{"cpiguard", Cpiguard},
 		{"nexteventguard", Nexteventguard},
 		{"determinism_ip", Determinism},
 		{"hotpath_ip", Hotpath},
-		{"clocktaint", Clocktaint},
 		{"configfreeze", Configfreeze},
-		{"goroutineshare", Goroutineshare},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Nexteventguard is the static half of the idle-cycle fast-forward
@@ -55,9 +56,7 @@ type stateFieldDecl struct {
 }
 
 // collectStateFields gathers every field of every //snapshot:state
-// struct across the program, in declaration order. Shared by
-// nexteventguard (fast-forward consultation) and clocktaint (snapshot
-// fields as taint sinks).
+// struct across the program, in declaration order.
 //
 //simlint:cold -- runs once per lint invocation; "collect" here is not the per-cycle pipeline stage
 func collectStateFields(prog *Program) (map[stateField]*stateFieldDecl, []stateField) {
@@ -222,6 +221,20 @@ func scanFieldAccesses(n *CGNode, emit func(sf stateField, write bool)) {
 		}
 		return true
 	})
+}
+
+// hasStateMarker reports whether the comment group contains a
+// //snapshot:state directive line.
+func hasStateMarker(cg *ast.CommentGroup) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if strings.HasPrefix(strings.TrimSpace(c.Text), "//snapshot:state") {
+			return true
+		}
+	}
+	return false
 }
 
 // stateFieldOf resolves a selector to (owner struct, field) when it is

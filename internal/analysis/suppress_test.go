@@ -173,11 +173,11 @@ func tick() []int {
 }
 
 func setup() {
-	_ = 0 //simlint:allow goroutineshare
+	_ = 0 //simlint:allow monitorpoll
 }
 `, false)
 	if len(diags) != 0 {
-		t.Errorf("goroutineshare is not in the selection, got: %v", diags)
+		t.Errorf("monitorpoll is not in the selection, got: %v", diags)
 	}
 }
 

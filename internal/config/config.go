@@ -187,7 +187,7 @@ type GPU struct {
 	// NoFastForward disables the run loop's idle-cycle fast-forward: the
 	// event-driven skip over cycles in which no SM could issue, decode,
 	// dispatch, or write back. Fast-forward is provably inert — results
-	// are byte-identical either way (TestFastForwardDifferential) — so
+	// are byte-identical either way (TestFastForwardInert) — so
 	// the flag exists only as a debugging escape hatch and for
 	// differential testing; leave it false for speed.
 	NoFastForward bool

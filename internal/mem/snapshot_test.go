@@ -10,8 +10,7 @@ import (
 )
 
 // TestSnapshotCoverage fails when a state struct gains a field the
-// snapshot code does not mention — the dynamic side of the snapshotguard
-// analyzer's contract.
+// snapshot code does not mention.
 func TestSnapshotCoverage(t *testing.T) {
 	cases := []struct {
 		typ      reflect.Type

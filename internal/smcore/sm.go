@@ -459,7 +459,8 @@ func (sm *SM) Tick(now int64) {
 // returns t > now, then Tick(c) for every c in [now, t) would change
 // nothing except the stall/idle counters that FastForward replays in
 // bulk. The run loop's fast-forward leans on this for byte-identical
-// statistics; TestFastForwardDifferential enforces it end to end.
+// statistics; TestFastForwardInert and TestFastForwardByteIdentity
+// enforce it end to end, TestNextEventContractEveryCycle cycle by cycle.
 //
 //simlint:hotpath
 func (sm *SM) NextEvent(now int64) int64 {

@@ -7,9 +7,8 @@
 // stream — encoder and decoder must agree field-for-field, which is why
 // every encode site is mirrored by a Section tag (cheap self-description
 // that turns a drifted decoder into a loud error instead of silently
-// misaligned state), why each state-holding package keeps a field manifest
-// checked by Coverage, and why the snapshotguard analyzer
-// (docs/STATIC_ANALYSIS.md) refuses new struct fields that no snapshot
+// misaligned state) and why each state-holding package keeps a field
+// manifest whose Coverage test refuses new struct fields that no snapshot
 // code mentions. Any change to what is encoded must bump Version; old
 // snapshots are rejected, never migrated — a snapshot is a crash-recovery
 // artifact with the lifetime of one sweep, not an archival format.
@@ -22,6 +21,7 @@ import (
 	"io"
 	"reflect"
 	"sort"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -275,12 +275,12 @@ func (d *Decoder) Finish() error {
 
 // Coverage checks a package's snapshot field manifest against the real
 // struct: every field of typ (exported or not) must appear as a manifest
-// key, and every manifest key must name a live field. The value is
-// free-text documentation — "encoded", or "skip: <why the field need not
-// be serialized>". Each state-holding package keeps its manifests next to
+// key, every manifest key must name a live field, and every value must
+// begin with "encoded" or "skip:" (followed by why the field need not be
+// serialized). Each state-holding package keeps its manifests next to
 // its encode/decode code and asserts them in a completeness test, so
 // adding a struct field without deciding its snapshot fate fails the
-// build's test run (and the snapshotguard analyzer fails the lint run).
+// build's test run.
 func Coverage(typ reflect.Type, manifest map[string]string) error {
 	if typ.Kind() != reflect.Struct {
 		return fmt.Errorf("snapshot: Coverage wants a struct type, got %s", typ.Kind())
@@ -301,6 +301,9 @@ func Coverage(typ reflect.Type, manifest map[string]string) error {
 	for _, k := range keys {
 		if !live[k] {
 			return fmt.Errorf("snapshot: manifest entry %s.%s names no field — remove the stale entry", typ.Name(), k)
+		}
+		if v := manifest[k]; !strings.HasPrefix(v, "encoded") && !strings.HasPrefix(v, "skip:") {
+			return fmt.Errorf("snapshot: manifest entry %s.%s = %q decides nothing — the value must begin with \"encoded\" or \"skip: <reason>\"", typ.Name(), k, v)
 		}
 	}
 	return nil

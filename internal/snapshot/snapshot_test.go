@@ -170,8 +170,11 @@ func TestCoverage(t *testing.T) {
 	if err := Coverage(typ, map[string]string{"A": "encoded"}); err == nil || !strings.Contains(err.Error(), "state.b") {
 		t.Errorf("missing field not caught: %v", err)
 	}
-	if err := Coverage(typ, map[string]string{"A": "encoded", "b": "skip", "Gone": "encoded"}); err == nil || !strings.Contains(err.Error(), "Gone") {
+	if err := Coverage(typ, map[string]string{"A": "encoded", "b": "skip: scratch", "Gone": "encoded"}); err == nil || !strings.Contains(err.Error(), "Gone") {
 		t.Errorf("stale entry not caught: %v", err)
+	}
+	if err := Coverage(typ, map[string]string{"A": "encoded", "b": "todo"}); err == nil || !strings.Contains(err.Error(), `state.b = "todo"`) {
+		t.Errorf("malformed value not caught: %v", err)
 	}
 	if err := Coverage(reflect.TypeOf(42), nil); err == nil {
 		t.Error("non-struct type accepted")

@@ -19,6 +19,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -106,6 +107,9 @@ func (p *Profile) Kernel() *gpu.Kernel {
 		iters int64
 		flip  bool
 	}
+	// One kernel serves every configuration's cell of its app, and the
+	// harness runs those cells on parallel workers: the memo is shared.
+	var mu sync.Mutex
 	cache := make(map[key]*program.Program)
 	base := func(mult float64, flip bool) *program.Program {
 		iters := int64(float64(p.Iters)*mult + 0.5)
@@ -113,6 +117,8 @@ func (p *Profile) Kernel() *gpu.Kernel {
 			iters = 1
 		}
 		k := key{iters, flip}
+		mu.Lock()
+		defer mu.Unlock()
 		if prog, ok := cache[k]; ok {
 			return prog
 		}
