@@ -79,7 +79,7 @@ func TestListPrintsRegistry(t *testing.T) {
 		t.Fatalf("exit %d, want %d", code, exitClean)
 	}
 	want := []string{"determinism", "hotpath", "traceguard", "faultflow",
-		"monitorpoll", "cpiguard", "nexteventguard", "configfreeze"}
+		"monitorpoll", "cpiguard", "configfreeze"}
 	rows := strings.Split(strings.TrimSpace(stdout), "\n")
 	if len(rows) != len(want) {
 		t.Fatalf("-list printed %d rows, want %d:\n%s", len(rows), len(want), stdout)

@@ -6,20 +6,14 @@
 // The suite enforces the invariants the reproduction's headline numbers
 // rest on — bit-deterministic sweeps, an allocation-free cycle loop,
 // nil-guarded trace emission, structured fault propagation,
-// hang-supervision polling, a complete CPI ledger, fast-forward
-// consultation of every piece of ticked state, and a frozen config — at
-// the source level. Two engines carry the eight analyzers: the package
+// hang-supervision polling, a complete CPI ledger, and a frozen config —
+// at the source level. Two engines carry the seven analyzers: the package
 // loader (load.go) and the call graph (callgraph.go). A guard lives
 // here only when it catches a mistake no test in the tree does; the
 // audit behind that rule, and the dynamic oracle that stands in for
 // each guard deleted under it, is the table in docs/STATIC_ANALYSIS.md.
 //
-// Three comment directives tune the suite:
-//
-//	//snapshot:state
-//	    on a struct's doc comment declares it mutable device state:
-//	    every field the Tick path reads and mutates must be consulted
-//	    by a NextEvent (nexteventguard).
+// Two comment directives tune the suite:
 //
 //	//simlint:hotpath
 //	    on a function's doc comment marks it per-cycle, opting it into
@@ -61,7 +55,7 @@ type Analyzer struct {
 }
 
 // All is the registry of simlint's analyzers, in report order.
-var All = []*Analyzer{Determinism, Hotpath, Traceguard, Faultflow, Monitorpoll, Cpiguard, Nexteventguard, Configfreeze}
+var All = []*Analyzer{Determinism, Hotpath, Traceguard, Faultflow, Monitorpoll, Cpiguard, Configfreeze}
 
 // ByName resolves a subset of All from comma-separated names.
 func ByName(names string) ([]*Analyzer, error) {

@@ -115,7 +115,7 @@ func runConfigfreeze(p *Pass) error {
 	}
 	info := p.Info()
 	checkFieldWrite := func(sel *ast.SelectorExpr, verb string) {
-		sf, ok := stateFieldOf(info, sel)
+		sf, ok := structFieldOf(info, sel)
 		if !ok || !configPkg(sf.owner[:strings.LastIndexByte(sf.owner, '.')]) {
 			return
 		}
@@ -146,7 +146,7 @@ func runConfigfreeze(p *Pass) error {
 							// Whole-struct replacement of an embedded config
 							// (d.cfg = other) — the field's owner is not a
 							// config struct, so checkFieldWrite won't see it.
-							if sf, ok := stateFieldOf(info, sel); ok &&
+							if sf, ok := structFieldOf(info, sel); ok &&
 								!configPkg(sf.owner[:strings.LastIndexByte(sf.owner, '.')]) &&
 								configNamed(info.TypeOf(sel)) != nil {
 								p.Reportf(sel.Sel.Pos(),
@@ -176,4 +176,52 @@ func runConfigfreeze(p *Pass) error {
 		}
 	}
 	return nil
+}
+
+// structField identifies one field of a named struct across package
+// views.
+type structField struct {
+	owner string // pkgPath + "." + structName
+	field string
+}
+
+// structFieldOf resolves a selector to (owner struct, field) when it is
+// a struct field selection on a named type.
+func structFieldOf(info *types.Info, sel *ast.SelectorExpr) (structField, bool) {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return structField{}, false
+	}
+	recv := s.Recv()
+	if p, ok := recv.Underlying().(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	// Deep selections (a.b.c) attribute the field to the type that
+	// actually declares it.
+	if len(s.Index()) > 1 {
+		// Walk the embedding chain: Recv -> field path. Only the final
+		// field matters; its direct owner is the struct containing it.
+		t := recv
+		idx := s.Index()
+		for _, i := range idx[:len(idx)-1] {
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return structField{}, false
+			}
+			ft := st.Field(i).Type()
+			if p, ok := ft.Underlying().(*types.Pointer); ok {
+				ft = p.Elem()
+			}
+			t = ft
+		}
+		recv = t
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return structField{}, false
+	}
+	return structField{
+		owner: named.Obj().Pkg().Path() + "." + named.Obj().Name(),
+		field: sel.Sel.Name,
+	}, true
 }

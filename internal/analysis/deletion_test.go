@@ -89,28 +89,6 @@ func TestCpiguardCatchesDeletedSumTerm(t *testing.T) {
 	wantFinding(t, diags, "SubCore.StallCycles is classified cycle in cpiLedger but never read")
 }
 
-const neDemoSrc = `package nedemo
-
-//snapshot:state
-type engine struct {
-	fill int64
-}
-
-func (e *engine) Tick() {
-	e.fill++
-	if e.fill > 8 {
-		e.fill = 0
-	}
-}
-
-func (e *engine) NextEvent(now int64) int64 {
-	if e.fill > 0 {
-		return now + 1
-	}
-	return now + 8
-}
-`
-
 // writeFixtureTree materializes a multi-package fixture (relative path
 // → source) under a temp dir and loads it the fixture way; sub-packages
 // import each other as "fixture/<name>/<subdir>".
@@ -179,18 +157,4 @@ func TestConfigfreezeCatchesUnfrozenWrite(t *testing.T) {
 		t.Fatalf("RunAnalyzers: %v", err)
 	}
 	wantFinding(t, diags, "config field GPU.NumSMs written outside a constructor/option func")
-}
-
-func TestNexteventguardCatchesDeletedConsultation(t *testing.T) {
-	wantClean(t, snippetDiags(t, "nedemo", neDemoSrc, Nexteventguard))
-
-	// Replace the quiescence consultation with a fill-blind condition:
-	// the field still evolves on the Tick path but NextEvent can no
-	// longer see it, so fast-forward would skip cycles it must not.
-	consult := "if e.fill > 0 {"
-	if !strings.Contains(neDemoSrc, consult) {
-		t.Fatal("demo source drifted: consultation not found")
-	}
-	diags := snippetDiags(t, "nedemo", strings.Replace(neDemoSrc, consult, "if now%2 == 0 {", 1), Nexteventguard)
-	wantFinding(t, diags, "field engine.fill is read and mutated on the Tick path but never consulted by any NextEvent")
 }

@@ -85,7 +85,6 @@ func TestGolden(t *testing.T) {
 		{"faultflow", Faultflow},
 		{"monitorpoll", Monitorpoll},
 		{"cpiguard", Cpiguard},
-		{"nexteventguard", Nexteventguard},
 		{"determinism_ip", Determinism},
 		{"hotpath_ip", Hotpath},
 		{"configfreeze", Configfreeze},

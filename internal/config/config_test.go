@@ -114,8 +114,10 @@ func TestValidateCatchesViolations(t *testing.T) {
 		func(g *GPU) { g.SchedulersPerSubCore = 0 },
 		func(g *GPU) { g.MaxWarpsPerSM = 3 },
 		func(g *GPU) { g.MaxWarpsPerSM = 65 },
+		func(g *GPU) { g.MaxWarpsPerSM = 260 }, // 65 slots per sub-core
 		func(g *GPU) { g.WarpSize = 64 },
 		func(g *GPU) { g.BanksPerSubCore = 0 },
+		func(g *GPU) { g.BanksPerSubCore = 257 },
 		func(g *GPU) { g.CollectorUnitsPerSubCore = 0 },
 		func(g *GPU) { g.LineBytes = 100 },
 		func(g *GPU) { g.HashTableEntries = 5 },

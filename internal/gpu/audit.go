@@ -46,7 +46,7 @@ func (g *GPU) AuditCheck() []audit.Violation {
 }
 
 // ArmCorruptionForTest schedules a seeded state corruption of the given
-// kind ("scoreboard", "lease", or "mshr") to be applied at the next
+// kind ("scoreboard", "lease", "readyset", or "mshr") to be applied at the next
 // heartbeat — mid-kernel, exactly where real corruption would strike —
 // so tests can prove the armed auditor turns it into an AuditError.
 // Never call outside tests.
@@ -67,6 +67,9 @@ func (g *GPU) applyCorruption() {
 		}
 	case "lease":
 		g.sms[0].CorruptLeaseForTest()
+		g.corruptKind = ""
+	case "readyset":
+		g.sms[0].CorruptReadySetForTest()
 		g.corruptKind = ""
 	case "mshr":
 		g.hier.CorruptMSHRForTest(g.cycle)

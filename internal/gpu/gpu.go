@@ -71,8 +71,6 @@ func (k *Kernel) Validate(cfg *config.GPU) error {
 
 // GPU is a simulated device instance. A GPU is single-use per Run result:
 // Reset rebuilds state between applications.
-//
-//snapshot:state
 type GPU struct {
 	cfg   config.GPU
 	hier  *mem.Hierarchy
@@ -111,8 +109,6 @@ type GPU struct {
 // heartbeat granularity (monitorPeriod cycles), never per cycle, so the
 // enabled path stays off the critical loop and the disabled path is one
 // nil check per heartbeat.
-//
-//snapshot:state
 type devMetrics struct {
 	cycles  *metrics.Counter
 	instrs  *metrics.Counter
@@ -309,8 +305,6 @@ func (g *GPU) runLaunch(ls *launch) error {
 
 // launch is one RunConcurrent call's thread-block-scheduler state,
 // hoisted into a struct so the cycle loop itself allocates nothing.
-//
-//snapshot:state
 type launch struct {
 	kernels   []*Kernel
 	maxCycles int64

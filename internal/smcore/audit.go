@@ -62,6 +62,8 @@ func popcount(sb *[sbWords]uint64) int {
 //   - shmem: SM shared-memory free space vs active blocks' reservations.
 //   - lsu: queue bound and entry validity.
 //   - residency: per-block warp lifecycle counts (exited, at-barrier).
+//   - readyset: each sub-core's event-maintained ready set must equal the
+//     one a full scan of its slots derives from the warps.
 func (sm *SM) Audit() []audit.Violation {
 	var vs []audit.Violation
 	where := fmt.Sprintf("sm%d", sm.id)
@@ -233,6 +235,29 @@ func (sm *SM) Audit() []audit.Violation {
 			vs = append(vs, audit.Violationf("regbudget", sub,
 				"freeRegBytes=%d, hosted warps imply %d", sc.freeRegBytes, want))
 		}
+		if want := sc.scanReadySet(); want != sc.rs {
+			for _, m := range [...]struct {
+				name      string
+				got, want uint64
+			}{
+				{"active", sc.rs.active, want.active},
+				{"atBarrier", sc.rs.atBarrier, want.atBarrier},
+				{"finished", sc.rs.finished, want.finished},
+				{"ready", sc.rs.ready, want.ready},
+				{"hazard", sc.rs.hazard, want.hazard},
+				{"decode", sc.rs.decode, want.decode},
+				{"needCU", sc.rs.needCU, want.needCU},
+			} {
+				if m.got != m.want {
+					vs = append(vs, audit.Violationf("readyset", sub,
+						"%s mask %#x, but the warps imply %#x — a missed reclass", m.name, m.got, m.want))
+				}
+			}
+			if want.banks != sc.rs.banks {
+				vs = append(vs, audit.Violationf("readyset", sub,
+					"cached head source banks disagree with the warps' instruction buffers"))
+			}
+		}
 	}
 
 	// LSU bounds.
@@ -249,6 +274,26 @@ func (sm *SM) Audit() []audit.Violation {
 		}
 	}
 	return vs
+}
+
+// scanReadySet derives the sub-core's ready set from scratch: the full
+// slot scan the issue stage used to run every cycle, kept as the reference
+// the readyset law and the differential test hold the maintained set to.
+func (sc *SubCore) scanReadySet() readySet {
+	var rs readySet
+	for slot, wi := range sc.slots {
+		if wi >= 0 && int(wi) < len(sc.sm.warps) {
+			rs.set(slot, &sc.sm.warps[wi], sc.cfg.BanksPerSubCore)
+		}
+	}
+	return rs
+}
+
+// CorruptReadySetForTest seeds a guaranteed-detectable ready-set
+// inconsistency: slot 0 of sub-core 0 flips in the ready mask, whatever
+// its warp's state. Never call outside tests.
+func (sm *SM) CorruptReadySetForTest() {
+	sm.subcores[0].rs.ready ^= 1
 }
 
 // CorruptLeaseForTest seeds a collector lease inconsistency in sub-core 0
@@ -270,6 +315,8 @@ func (sm *SM) CorruptScoreboardForTest() bool {
 		for r := isa.Reg(0); r < 256; r++ {
 			if !w.SBPending(r) {
 				w.SBSet(r)
+				// Keep the corruption to the one law it targets.
+				sm.subcores[w.SubCore].reclass(int(w.SchedSlot))
 				return true
 			}
 		}

@@ -8,13 +8,10 @@ import (
 )
 
 // lsuEntry is one memory instruction queued at the SM-shared LSU.
-//
-//snapshot:state
 type lsuEntry struct {
 	warpIdx int32
 	subCore int8
-	//simlint:allow nexteventguard -- entry payload mutates only while queued; pending LSU entries make SM.NextEvent return now
-	in isa.Instr
+	in      isa.Instr
 }
 
 // LSU is the SM-shared load/store unit. All four sub-cores feed one LSU
@@ -22,16 +19,12 @@ type lsuEntry struct {
 // split. It admits cfg.LSUWidthPerSM instructions per cycle, serializes
 // their line transactions through a single coalescer port, and schedules
 // writebacks for loads.
-//
-//snapshot:state
 type LSU struct {
-	//simlint:allow nexteventguard -- back-pointer for writeback delivery; the SM's own quiescence is consulted directly
 	sm       *SM
 	queue    []lsuEntry
 	capacity int
 	portFree int64 // coalescer occupancy (1 transaction per cycle)
-	//simlint:allow nexteventguard -- trace wiring: emission is output-only and idle cycles emit no events
-	tr *trace.SMT
+	tr       *trace.SMT
 
 	// sharedBase sequences synthetic shared-memory "addresses" only for
 	// conflict-degree modeling.

@@ -33,15 +33,11 @@ type BlockSpec struct {
 func (b *BlockSpec) Warps() int { return len(b.Programs) }
 
 // block is a resident thread block's bookkeeping on an SM.
-//
-//snapshot:state
 type block struct {
-	active        bool
-	kernelBlockID int
-	warpsTotal    int
-	//simlint:allow nexteventguard -- advances only when a warp issues EXIT — impossible in a quiescent span
-	warpsExited int
-	//simlint:allow nexteventguard -- changes only on barrier arrival/release, both driven by warp issues
+	active         bool
+	kernelBlockID  int
+	warpsTotal     int
+	warpsExited    int
 	barrierWaiting int
 	warpIdxs       []int32
 	regsPerThread  int
@@ -54,8 +50,6 @@ type block struct {
 type subRoom struct{ slots, regs int }
 
 // wbEvent is a scheduled register writeback (execution or load return).
-//
-//snapshot:state
 type wbEvent struct {
 	cycle   int64
 	warpIdx int32
@@ -112,24 +106,19 @@ func (h *wbHeap) pop() wbEvent {
 
 // SM is one streaming multiprocessor: sub-cores, the shared LSU, resident
 // warps/blocks, and the warp→sub-core assigner.
-//
-//snapshot:state
 type SM struct {
-	id    int
-	cfg   *config.GPU
-	warps []Warp
-	//simlint:allow nexteventguard -- slot bookkeeping changes only at placement/retirement; retirement needs warp exits, placement is driven by the run loop itself
+	id       int
+	cfg      *config.GPU
+	warps    []Warp
 	blocks   []block
 	subcores []*SubCore
 	assigner core.Assigner
 	lsu      *LSU
-	//simlint:allow nexteventguard -- sub-component pointer; the hierarchy's own NextEvent is consulted by the device loop
-	hier *mem.Hierarchy
-	st   *stats.SM
-	run  *stats.Run
+	hier     *mem.Hierarchy
+	st       *stats.SM
+	run      *stats.Run
 
-	wb wbHeap
-	//simlint:allow nexteventguard -- changes only at block placement/retirement (see blocks)
+	wb         wbHeap
 	freeShmem  int
 	ageCounter int64
 	// rooms is CanAccept's reusable feasibility scratch.
@@ -139,22 +128,17 @@ type SM struct {
 	// cycles) must not allocate per visit.
 	auditSB [][sbWords]uint64
 	// residentWarps counts occupied warp slots (all states).
-	//simlint:allow nexteventguard -- occupancy tallies change only at placement/exit events, never across a quiescent span
-	residentWarps int
-	//simlint:allow nexteventguard -- occupancy tallies change only at placement/exit events (see residentWarps)
+	residentWarps  int
 	residentBlocks int
 	// liveWarps counts warps not yet exited; the SM is drained when 0 and
 	// no writebacks or LSU entries are pending.
-	//simlint:allow nexteventguard -- decrements only on warp exit, which requires an issue (see residentWarps)
 	liveWarps int
 
-	traceReads bool
-	//simlint:allow nexteventguard -- read-trace bookkeeping; FastForward appends the exact zero deltas the skipped ticks would have
+	traceReads  bool
 	lastRegRead int64
 
 	// tr is the observability handle for this SM; nil when the SM is not
 	// traced, which is the fast path every emission site branches on.
-	//simlint:allow nexteventguard -- trace wiring: emission is output-only and idle cycles emit no events
 	tr *trace.SMT
 }
 
@@ -305,6 +289,7 @@ func (sm *SM) Allocate(b *BlockSpec) error {
 		gid := b.FirstWarpGID + int64(wi)
 		resetWarp(&sm.warps[warpIdx], gid, int32(blkSlot), int8(scID), schedSlot, sm.ageCounter, prog)
 		sm.warps[warpIdx].BankOff = int16(regfile.SlotOffset(int(schedSlot), sm.cfg.BankSwizzle))
+		sc.reclass(int(schedSlot))
 		sm.ageCounter++
 		blk.warpIdxs = append(blk.warpIdxs, int32(warpIdx))
 		sm.residentWarps++
@@ -345,7 +330,7 @@ func (sm *SM) scheduleWriteback(cycle int64, warpIdx int32, reg isa.Reg, bank in
 // warpExited handles an EXIT issue: the warp stops fetching but keeps its
 // slot and registers until the whole block retires.
 func (sm *SM) warpExited(w *Warp) {
-	w.State = WarpFinished
+	sm.setState(w, WarpFinished)
 	sm.liveWarps--
 	blk := &sm.blocks[w.BlockSlot]
 	blk.warpsExited++
@@ -357,7 +342,7 @@ func (sm *SM) warpExited(w *Warp) {
 
 // warpAtBarrier handles a BAR issue.
 func (sm *SM) warpAtBarrier(w *Warp) {
-	w.State = WarpAtBarrier
+	sm.setState(w, WarpAtBarrier)
 	blk := &sm.blocks[w.BlockSlot]
 	blk.barrierWaiting++
 	sm.checkBarrierRelease(blk)
@@ -372,10 +357,18 @@ func (sm *SM) checkBarrierRelease(blk *block) {
 	}
 	blk.barrierWaiting = 0
 	for _, wi := range blk.warpIdxs {
-		if sm.warps[wi].State == WarpAtBarrier {
-			sm.warps[wi].State = WarpActive
+		if w := &sm.warps[wi]; w.State == WarpAtBarrier {
+			sm.setState(w, WarpActive)
 		}
 	}
+}
+
+// setState moves a resident warp to a new lifecycle state and reclassifies
+// its slot in the owning sub-core's ready set — which may not be the
+// sub-core whose issue caused the transition.
+func (sm *SM) setState(w *Warp, st WarpState) {
+	w.State = st
+	sm.subcores[w.SubCore].reclass(int(w.SchedSlot))
 }
 
 // retireBlock frees every resource the block held — the all-at-once
@@ -496,7 +489,7 @@ func (sm *SM) NextEvent(now int64) int64 {
 // covering the span when the SM is traced.
 func (sm *SM) FastForward(now, n int64) {
 	for _, sc := range sm.subcores {
-		sc.fastForward(now, n)
+		sc.fastForward(n)
 	}
 	if sm.traceReads {
 		for i := int64(0); i < n; i++ {

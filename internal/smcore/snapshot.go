@@ -76,6 +76,7 @@ var (
 		"sm":           "skip: parent wiring",
 		"slots":        "encoded",
 		"used":         "encoded",
+		"rs":           "skip: derived from warps, rebuilt on restore",
 		"sched":        "encoded (policy state word)",
 		"coll":         "encoded",
 		"eu":           "encoded (per-pipe next-free cycles; widths derived from config)",
@@ -231,6 +232,9 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 	for _, sc := range sm.subcores {
 		if err := sc.restoreState(d); err != nil {
 			return err
+		}
+		for slot := range sc.slots {
+			sc.reclass(slot)
 		}
 	}
 	return d.Err()
@@ -395,6 +399,9 @@ func (sc *SubCore) restoreState(d *snapshot.Decoder) error {
 	}
 	for i := range sc.slots {
 		sc.slots[i] = int32(d.Varint())
+		if wi := int(sc.slots[i]); wi < -1 || wi >= len(sc.sm.warps) {
+			return fmt.Errorf("smcore: snapshot sub-core slot %d holds warp %d of %d", i, wi, len(sc.sm.warps))
+		}
 	}
 	for class := range sc.eu {
 		np := d.Uvarint()

@@ -1,6 +1,8 @@
 package smcore
 
 import (
+	"math/bits"
+
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -13,11 +15,8 @@ import (
 // Volta sub-core has one 16-lane FP32 pipe; the hypothetical
 // fully-connected SM pools four of them, so lane budgets above the native
 // pipe width become additional dispatch ports rather than one wider pipe.
-//
-//snapshot:state
 type execUnit struct {
-	ii int64
-	//simlint:allow nexteventguard -- port busy-times advance only at issue; any issuable candidate makes quiescent() return false
+	ii    int64
 	ports []int64 // per-pipe next-free cycle
 }
 
@@ -58,38 +57,121 @@ func (e *execUnit) accept(now int64) {
 	panic("smcore: accept on busy execution unit")
 }
 
+// maxSlots is the widest sub-core the masks cover (config.Validate).
+const maxSlots = 64
+
+// readySet is a sub-core's issue-stage view of its warp slots: one bit per
+// scheduler slot in each mask, plus the head instruction's source banks
+// for the RBA score. It is derived state — a pure function of the slot
+// table and the warps, recomputed one slot at a time by SubCore.reclass at
+// exactly the events that can change a warp's eligibility (issue, a
+// writeback clearing a scoreboard bit, decode refill, barrier arrival and
+// release, exit, and slot host/release) — so the per-cycle stages read
+// masks instead of re-deriving every warp's state. SM.Audit's readyset law
+// recomputes it from scratch; snapshots do not carry it.
+type readySet struct {
+	// Lifecycle state of each occupied slot's warp; their union is the
+	// occupied slots.
+	active, atBarrier, finished uint64
+	// ready warps are active with a decoded, hazard-free head instruction:
+	// the scheduler's candidates. hazard warps have a decoded head blocked
+	// by the scoreboard (or an EXIT/BAR draining outstanding writes).
+	ready, hazard uint64
+	// decode warps are active with instruction-buffer room and program left.
+	decode uint64
+	// needCU marks ready warps whose head can only issue into a free
+	// collector unit: it reads registers and holds no stolen CU.
+	needCU uint64
+	// banks caches each ready warp's head source banks.
+	banks [maxSlots]srcBanks
+}
+
+// srcBanks lists the register banks of an instruction's valid sources.
+type srcBanks struct {
+	n uint8
+	b [3]uint8
+}
+
+// set recomputes slot's bits from its warp (nil = the slot is empty).
+func (rs *readySet) set(slot int, w *Warp, banks int) {
+	bit := uint64(1) << uint(slot)
+	rs.active &^= bit
+	rs.atBarrier &^= bit
+	rs.finished &^= bit
+	rs.ready &^= bit
+	rs.hazard &^= bit
+	rs.decode &^= bit
+	rs.needCU &^= bit
+	rs.banks[slot] = srcBanks{}
+	if w == nil {
+		return
+	}
+	switch w.State {
+	case WarpEmpty:
+		return
+	case WarpAtBarrier:
+		rs.atBarrier |= bit // acts only through other warps' issues
+		return
+	case WarpFinished:
+		rs.finished |= bit
+		return
+	}
+	rs.active |= bit
+	if w.IBufN < 2 && !w.Cursor.Done() {
+		rs.decode |= bit
+	}
+	if w.IBufN == 0 {
+		return
+	}
+	in := &w.IBuf[0]
+	// EXIT and BAR drain outstanding writes first.
+	drains := in.Op.IsExit() || in.Op.IsBarrier()
+	if !w.SBEmpty() && (drains || w.Hazard(in)) {
+		rs.hazard |= bit // cleared by a writeback, tracked in the wb heap
+		return
+	}
+	rs.ready |= bit
+	sb := &rs.banks[slot]
+	for _, src := range in.Srcs {
+		if src.Valid() {
+			sb.b[sb.n] = uint8(regfile.BankWithOffset(int(w.BankOff), src, banks))
+			sb.n++
+		}
+	}
+	// Mirrors tryIssue: EXIT, BAR, NOP and zero-source ops bypass the
+	// collector, and a stolen pre-allocation converts in place.
+	if sb.n > 0 && !drains && in.Op != isa.OpNOP && w.StolenCU < 0 {
+		rs.needCU |= bit
+	}
+}
+
 // SubCore is one partition of an SM: a warp scheduler (or several, for the
 // fully-connected model), a slice of the register file with its operand
 // collector, and private execution units.
-//
-//snapshot:state
 type SubCore struct {
 	id    int
 	cfg   *config.GPU
 	sm    *SM
 	slots []int32 // warp indices into sm.warps; -1 = empty
-	//simlint:allow nexteventguard -- slot occupancy changes only at host/release (block lifecycle), never across a quiescent span
-	used int
+	used  int
+
+	// rs is the event-maintained ready set over slots.
+	rs readySet
 
 	sched core.WarpScheduler
 	coll  *regfile.Collector
-	//simlint:allow nexteventguard -- execution units mutate only at issue (see execUnit.ports)
-	eu [isa.NumClasses]execUnit
+	eu    [isa.NumClasses]execUnit
 
 	// freeRegBytes tracks unallocated register-file capacity.
-	//simlint:allow nexteventguard -- register budget changes only at host/release (block lifecycle)
 	freeRegBytes int
 
 	st *stats.SubCore
 
 	// tr is the SM's observability handle (nil = not traced, fast path).
-	//simlint:allow nexteventguard -- trace wiring: emission is output-only and idle cycles emit no events
 	tr *trace.SMT
 
 	// scratch buffers reused across cycles.
-	//simlint:allow nexteventguard -- per-Tick scratch rebuilt each issue tick; carries no cross-cycle state
-	cands []core.Candidate
-	//simlint:allow nexteventguard -- per-Tick scratch rebuilt each issue tick; carries no cross-cycle state
+	cands   []core.Candidate
 	qlenBuf []int
 
 	// dispatchFn is the operand-collector dispatch callback, built once
@@ -97,10 +179,8 @@ type SubCore struct {
 	// cost one heap allocation per sub-core per cycle (simlint hotpath).
 	// dispNow/dispPorts carry the per-cycle arguments it closes over.
 	dispatchFn func(*regfile.CollectorUnit) bool
-	//simlint:allow nexteventguard -- per-Tick dispatch argument rewritten before every use; carries no cross-cycle state
-	dispNow int64
-	//simlint:allow nexteventguard -- per-Tick dispatch argument rewritten before every use; carries no cross-cycle state
-	dispPorts int
+	dispNow    int64
+	dispPorts  int
 }
 
 func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
@@ -113,6 +193,7 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 		coll:         regfile.NewCollector(cfg.CollectorUnitsPerSubCore, cfg.BanksPerSubCore, maxScoreDelay(cfg), st),
 		freeRegBytes: cfg.RegFileKBPerSubCore * 1024,
 		st:           st,
+		qlenBuf:      make([]int, cfg.BanksPerSubCore),
 	}
 	for i := range sc.slots {
 		sc.slots[i] = -1
@@ -187,6 +268,19 @@ func (sc *SubCore) release(slot int16, regsPerThread int) {
 	sc.slots[slot] = -1
 	sc.used--
 	sc.freeRegBytes += sc.regBytesPerWarp(regsPerThread)
+	sc.reclass(int(slot))
+}
+
+// reclass recomputes slot's ready-set bits from its warp. Every mutation
+// that can change a warp's eligibility calls it on the owning sub-core at
+// the mutation — barrier release and block retirement reach across
+// sub-cores mid-cycle, so it cannot be deferred to the owner's next tick.
+func (sc *SubCore) reclass(slot int) {
+	var w *Warp
+	if wi := sc.slots[slot]; wi >= 0 {
+		w = &sc.sm.warps[wi]
+	}
+	sc.rs.set(slot, w, sc.cfg.BanksPerSubCore)
 }
 
 // bankOf maps one register of a warp.
@@ -205,6 +299,10 @@ func (sc *SubCore) collectorTick(now int64) {
 	for _, wr := range sc.coll.GrantedWrites() {
 		w := &sc.sm.warps[wr.WarpIdx]
 		w.SBClear(wr.Reg)
+		// Only a hazard-blocked warp can change class on a cleared bit.
+		if sc.rs.hazard>>uint(w.SchedSlot)&1 != 0 {
+			sc.reclass(int(w.SchedSlot))
+		}
 	}
 }
 
@@ -237,85 +335,50 @@ func (sc *SubCore) dispatch(cu *regfile.CollectorUnit, now int64) bool {
 	return true
 }
 
-// issueCandidates fills sc.cands with ready warps and returns stall
-// bookkeeping for the cycle: howmany warps were resident, blocked at
-// barriers, hazard-blocked, or finished.
-type issueCensus struct {
-	resident  int
-	active    int
-	atBarrier int
-	finished  int
-	hazard    int
-	starved   int // active but instruction buffer empty
-}
-
+// buildCandidates fills sc.cands with the ready warps in ascending slot
+// order (stealTick depends on that order). When every collector unit is
+// taken, ready warps whose head needs one are left out and reported as
+// blockedCU instead: tryIssue would refuse each of them the same way,
+// collector units never free during the issue stage, and the flag is only
+// read when nothing issued — i.e. after every candidate was tried.
+//
 //simlint:hotpath
-func (sc *SubCore) buildCandidates(now int64) issueCensus {
+func (sc *SubCore) buildCandidates() (blockedCU bool) {
 	sc.cands = sc.cands[:0]
-	var cen issueCensus
-	banks := sc.cfg.BanksPerSubCore
+	m := sc.rs.ready
+	if m&sc.rs.needCU != 0 && sc.coll.FreeCU() < 0 {
+		blockedCU = true
+		m &^= sc.rs.needCU
+	}
+	if m == 0 {
+		return blockedCU
+	}
 	rba := sc.cfg.WarpScheduler == config.SchedRBA
 	if rba {
 		// Snapshot the arbiter queue lengths once per cycle (the RBA
 		// score tap, optionally through the delay line).
-		if cap(sc.qlenBuf) < banks {
-			sc.qlenBuf = make([]int, banks) //simlint:allow hotpath -- grow-once scratch buffer; amortized to zero per cycle
-		}
-		sc.qlenBuf = sc.qlenBuf[:banks]
 		delay := sc.cfg.RBAScoreLatency
-		for b := 0; b < banks; b++ {
+		for b := range sc.qlenBuf {
 			sc.qlenBuf[b] = sc.coll.DelayedQueueLen(b, delay)
 		}
 	}
-	for _, wi := range sc.slots {
-		if wi < 0 {
-			continue
-		}
-		cen.resident++
-		w := &sc.sm.warps[wi]
-		switch w.State {
-		case WarpAtBarrier:
-			cen.atBarrier++
-			continue
-		case WarpFinished:
-			cen.finished++
-			continue
-		}
-		cen.active++
-		if w.IBufN == 0 {
-			cen.starved++
-			continue
-		}
-		in := &w.IBuf[0]
-		if w.Hazard(in) {
-			cen.hazard++
-			continue
-		}
-		// EXIT and BAR drain outstanding writes first.
-		if (in.Op.IsExit() || in.Op.IsBarrier()) && !w.SBEmpty() {
-			cen.hazard++
-			continue
-		}
-		c := core.Candidate{Slot: int(w.SchedSlot), Age: w.Age}
+	for ; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		c := core.Candidate{Slot: slot, Age: sc.sm.warps[sc.slots[slot]].Age}
 		if rba {
 			// Sum the (possibly delayed) queue lengths of each source
 			// operand's bank from the per-cycle snapshot.
-			score := 0
-			off := int(w.BankOff)
-			for _, src := range in.Srcs {
-				if !src.Valid() {
-					continue
-				}
-				score += sc.qlenBuf[regfile.BankWithOffset(off, src, banks)]
+			sb := &sc.rs.banks[slot]
+			for _, b := range sb.b[:sb.n] {
+				c.Score += sc.qlenBuf[b]
 			}
-			if score > core.MaxScore {
-				score = core.MaxScore
+			if c.Score > core.MaxScore {
+				c.Score = core.MaxScore
 			}
-			c.Score = score
 		}
 		sc.cands = append(sc.cands, c)
 	}
-	return cen
+	return blockedCU
 }
 
 // warpAtSchedSlot resolves a scheduler slot back to the warp.
@@ -332,9 +395,8 @@ func (sc *SubCore) warpAtSchedSlot(slot int) *Warp {
 // lower-priority candidates when the top choice cannot issue (no free
 // collector unit, blocked pipe).
 func (sc *SubCore) issueTick(now int64) {
-	cen := sc.buildCandidates(now)
+	blockedCU := sc.buildCandidates()
 	issued := 0
-	blockedCU := false
 	blockedEU := false
 	blockedMem := false
 	for port := 0; port < sc.cfg.SchedulersPerSubCore; port++ {
@@ -394,18 +456,8 @@ func (sc *SubCore) issueTick(now int64) {
 		if blockedMem {
 			sc.st.MemEUBusy++
 		}
-	case cen.hazard > 0:
-		reason = stats.StallScoreboard
-	case cen.atBarrier > 0 && cen.active == 0:
-		reason = stats.StallBarrier
 	default:
-		reason = stats.StallNoWarp
-		if sc.sm.residentWarps == 0 {
-			sc.st.SMIdleCycles++
-		}
-		if cen.resident > 0 && cen.finished == cen.resident {
-			sc.st.IdleAllFinished++
-		}
+		reason = sc.idleReason(1)
 	}
 	sc.st.StallCycles[reason]++
 	if sc.tr != nil {
@@ -413,74 +465,49 @@ func (sc *SubCore) issueTick(now int64) {
 	}
 }
 
+// idleReason attributes n cycles in which no warp was a candidate and
+// books the idle sub-counters that refine StallNoWarp; the caller charges
+// the returned bucket. One body serves the ticked path and fast-forward,
+// so the two cannot drift.
+func (sc *SubCore) idleReason(n int64) stats.StallReason {
+	rs := &sc.rs
+	switch {
+	case rs.hazard != 0:
+		return stats.StallScoreboard
+	case rs.atBarrier != 0 && rs.active == 0:
+		return stats.StallBarrier
+	}
+	if sc.sm.residentWarps == 0 {
+		sc.st.SMIdleCycles += n
+	}
+	if rs.finished != 0 && rs.active|rs.atBarrier == 0 {
+		sc.st.IdleAllFinished += n
+	}
+	return stats.StallNoWarp
+}
+
 // quiescent reports whether ticking this sub-core at now would mutate
-// nothing except stall accounting. It mirrors the candidate filter of
-// buildCandidates plus the decode refill condition: a sub-core is
-// quiescent when its collector has no event (no queued reads/writes, no
-// dispatchable unit) and no active warp could decode or issue. With no
-// candidates the scheduler's Pick is never consulted, so scheduler
+// nothing except stall accounting: no warp could issue or decode, and the
+// collector has no event (no queued reads/writes, no dispatchable unit).
+// With no candidates the scheduler's Pick is never consulted, so scheduler
 // state is untouched too — the property that makes skipped cycles
 // byte-identical for GTO, LRR, and RBA alike.
 //
 //simlint:hotpath
 func (sc *SubCore) quiescent(now int64) bool {
-	if sc.coll.NextEvent(now) <= now {
-		return false
-	}
-	for _, wi := range sc.slots {
-		if wi < 0 {
-			continue
-		}
-		w := &sc.sm.warps[wi]
-		if w.State != WarpActive {
-			continue // barrier/finished warps act only via other warps' issues
-		}
-		if w.IBufN < 2 && !w.Cursor.Done() {
-			return false // decodeTick would refill the buffer
-		}
-		if w.IBufN == 0 {
-			continue // cursor done, buffer drained: nothing left to do
-		}
-		in := &w.IBuf[0]
-		if w.Hazard(in) {
-			continue // cleared by a writeback, tracked in the wb heap
-		}
-		if (in.Op.IsExit() || in.Op.IsBarrier()) && !w.SBEmpty() {
-			continue // drains via outstanding writebacks
-		}
-		return false // an issuable candidate: the scheduler would act
-	}
-	return true
+	return sc.rs.ready == 0 && sc.rs.decode == 0 && sc.coll.NextEvent(now) > now
 }
 
 // fastForward replays what n quiescent issueTicks would have charged:
-// the no-candidate branch of the stall-attribution switch, n times, plus
-// the collector's clock and queue-length ring. The census is recomputed
-// through buildCandidates so the attribution logic cannot drift from the
-// ticked path; finding an issuable candidate here means the caller's
-// NextEvent contract was violated, which is a simulator bug worth dying
-// loudly for (the differential test would otherwise just report drift).
-func (sc *SubCore) fastForward(now, n int64) {
-	cen := sc.buildCandidates(now)
-	if len(sc.cands) > 0 {
+// the no-candidate stall attribution, n times, plus the collector's clock
+// and queue-length ring. A ready warp here means the caller's NextEvent
+// contract was violated, which is a simulator bug worth dying loudly for
+// (the differential test would otherwise just report drift).
+func (sc *SubCore) fastForward(n int64) {
+	if sc.rs.ready != 0 {
 		panic("smcore: fast-forward over a sub-core with issuable candidates")
 	}
-	var reason stats.StallReason
-	switch {
-	case cen.hazard > 0:
-		reason = stats.StallScoreboard
-	case cen.atBarrier > 0 && cen.active == 0:
-		reason = stats.StallBarrier
-	default:
-		reason = stats.StallNoWarp
-		if sc.sm.residentWarps == 0 {
-			sc.st.SMIdleCycles += n
-		}
-		if cen.resident > 0 && cen.finished == cen.resident {
-			sc.st.IdleAllFinished += n
-		}
-	}
-	sc.st.StallCycles[reason] += n
+	sc.st.StallCycles[sc.idleReason(n)] += n
 	sc.coll.FastForward(n)
 }
 
@@ -564,13 +591,15 @@ func (sc *SubCore) slotIndex(w *Warp) int32 { return sc.slots[w.SchedSlot] }
 func (sc *SubCore) consume(w *Warp) {
 	w.IBuf[0] = w.IBuf[1]
 	w.IBufN--
+	sc.reclass(int(w.SchedSlot))
 }
 
-// stealTick pre-allocates a free collector unit with the
-// highest-priority remaining candidate whose instruction reads registers,
-// so its operands are fetched using otherwise-idle bank cycles —
-// register bank stealing [36]. Runs after issueTick; sc.cands holds the
-// candidates not issued this cycle.
+// stealTick pre-allocates a free collector unit with the first leftover
+// candidate, in sc.cands order, whose instruction reads registers, so its
+// operands are fetched using otherwise-idle bank cycles — register bank
+// stealing [36]. Runs after issueTick; sc.cands holds the candidates the
+// scheduler never picked this cycle: ascending slot order, perturbed by
+// issueTick's swap-removes.
 func (sc *SubCore) stealTick() {
 	cuIdx := sc.coll.FreeCU()
 	if cuIdx < 0 {
@@ -587,6 +616,7 @@ func (sc *SubCore) stealTick() {
 		}
 		sc.coll.Allocate(cuIdx, sc.slotIndex(w), int32(w.SchedSlot), in, int(w.BankOff), true)
 		w.StolenCU = int8(cuIdx)
+		sc.reclass(cand.Slot)
 		return
 	}
 }
@@ -594,19 +624,15 @@ func (sc *SubCore) stealTick() {
 // decodeTick refills instruction buffers (ideal front-end: the paper's
 // effects are entirely in the issue/operand/execute back-end).
 func (sc *SubCore) decodeTick() {
-	for _, wi := range sc.slots {
-		if wi < 0 {
-			continue
-		}
-		w := &sc.sm.warps[wi]
-		if w.State != WarpActive {
-			continue
-		}
+	for m := sc.rs.decode; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		w := &sc.sm.warps[sc.slots[slot]]
 		for w.IBufN < 2 && !w.Cursor.Done() {
 			in, _ := w.Cursor.Next()
 			w.IBuf[w.IBufN] = in
 			w.IBufN++
 		}
+		sc.reclass(slot)
 	}
 }
 

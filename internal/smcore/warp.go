@@ -31,8 +31,6 @@ const (
 const sbWords = 4 // scoreboard bitset covers 256 architectural registers
 
 // Warp is a resident warp's hardware state on an SM.
-//
-//snapshot:state
 type Warp struct {
 	// State is the lifecycle state.
 	State WarpState
@@ -59,14 +57,11 @@ type Warp struct {
 	sbCount int16
 	// StolenCU is the collector unit holding a bank-stealing
 	// pre-allocation for this warp's IBuf[0], or -1.
-	//simlint:allow nexteventguard -- set and cleared within issue/writeback activity, which the wb heap and CU state report
 	StolenCU int8
 	// MemCounter sequences this warp's memory accesses for address
 	// synthesis.
-	//simlint:allow nexteventguard -- moves only at issue and writeback completion, both events NextEvent reports
 	MemCounter int64
 	// rng is the warp-private xorshift state for PatRandom addresses.
-	//simlint:allow nexteventguard -- RBA sampling stream draws only when the scheduler issues; quiescent spans draw nothing
 	rng uint64
 }
 

@@ -29,7 +29,7 @@ import (
 // Version is the snapshot format version. Bump it whenever the set or
 // order of encoded fields changes anywhere in the machine state; decoding
 // rejects every other version.
-const Version = 1
+const Version = 2
 
 // magic identifies a snapshot stream; the trailing byte leaves room to
 // change the container (not the payload schema) without colliding.
