@@ -70,22 +70,22 @@ func (k *Kernel) Validate(cfg *config.GPU) error {
 }
 
 // GPU is a simulated device instance. A GPU is single-use per Run result:
-// Reset rebuilds state between applications.
+// Reset rebuilds state between applications. Its own mutable state is the
+// embedded gpuState; the SMs, the hierarchy, the statistics and an
+// in-flight launch carry theirs.
 type GPU struct {
-	cfg   config.GPU
-	hier  *mem.Hierarchy
-	sms   []*smcore.SM
-	run   *stats.Run
-	cycle int64
-	// ffCycles counts cycles skipped by the idle-cycle fast-forward
-	// (diagnostic; see FastForwardedCycles).
-	ffCycles int64
+	cfg  config.GPU
+	hier *mem.Hierarchy
+	sms  []*smcore.SM
+	run  *stats.Run
 
+	gpuState
+
+	// traceReads and issueBucket are how the device was armed (TraceReads,
+	// TraceIssue) before the run; a snapshot records them only to refuse a
+	// restore target armed differently.
 	traceReads  bool
 	issueBucket int
-	issuePrev   []int64
-	issueAccum  []uint32
-	issueFill   int
 
 	tracer *trace.Tracer
 	mon    *Monitor
@@ -102,6 +102,20 @@ type GPU struct {
 	curLaunch   *launch
 	pending     *resumedLaunch
 	corruptKind string
+}
+
+// gpuState is the device-level state a snapshot carries: plain data only,
+// walked whole by snapshot.State (snapshot.go).
+type gpuState struct {
+	cycle int64
+	// ffCycles counts cycles skipped by the idle-cycle fast-forward
+	// (diagnostic; see FastForwardedCycles).
+	ffCycles int64
+	// The issue-timeline sampler (TraceIssue): per-sub-core watermarks and
+	// the partly filled bucket. Empty when issue tracing is not armed.
+	issuePrev  []int64  `snap:"fixed"`
+	issueAccum []uint32 `snap:"fixed"`
+	issueFill  int
 }
 
 // devMetrics holds the device's live-telemetry handles plus the
@@ -304,42 +318,63 @@ func (g *GPU) runLaunch(ls *launch) error {
 }
 
 // launch is one RunConcurrent call's thread-block-scheduler state,
-// hoisted into a struct so the cycle loop itself allocates nothing.
+// hoisted into a struct so the cycle loop itself allocates nothing. The
+// embedded launchState is what a snapshot carries; the rest is the kernel
+// batch itself (a workload artifact, rebound by Restore) and values
+// recomputed from it.
 type launch struct {
-	kernels   []*Kernel
-	maxCycles int64
-	deadline  int64
-	// nextBlock[i] is the next unplaced block of kernels[i]; specs[i]
-	// caches its materialized BlockSpec until that block places, so the
-	// per-cycle placement probe does not rebuild the program slice.
-	nextBlock []int
-	specs     []*smcore.BlockSpec
-	gidOffset []int64
-	// kPtr/smPtr are the round-robin cursors over kernels and SMs.
+	kernels []*Kernel
+	launchState
+	// specs[i] caches the materialized BlockSpec of kernels[i]'s next
+	// block until that block places, so the per-cycle placement probe does
+	// not rebuild the program slice.
+	specs       []*smcore.BlockSpec
+	gidOffset   []int64
 	totalLeft   int
 	totalBlocks int
-	kPtr, smPtr int
-	// startCycles/startInstr are the device watermarks at launch start,
-	// for the KernelStats delta (and they ride snapshots, so a resumed
-	// launch finalizes the identical entry).
-	startCycles int64
-	startInstr  int64
 	// err carries a placement fault out of the loop (stopFault).
 	err error
+}
+
+// launchState is the launch's mutable state: plain data only, walked whole
+// by snapshot.State (snapshot.go).
+type launchState struct {
+	maxCycles int64
+	// deadline is an absolute cycle, so a resumed run faults at the
+	// identical point.
+	deadline int64
+	// nextBlock[i] is the next unplaced block of kernels[i].
+	nextBlock []int `snap:"fixed"`
+	// kPtr/smPtr are the round-robin cursors over kernels and SMs.
+	kPtr, smPtr int
+	// startCycles/startInstr are the device watermarks at launch start,
+	// for the KernelStats delta (they ride snapshots, so a resumed launch
+	// finalizes the identical entry).
+	startCycles int64
+	startInstr  int64
+	// idleStreak counts the issueless cycles since the last issue and
+	// nextProbe is the streak at which cycleLoop next tries a fast-forward.
+	// Neither can change a statistic, but they decide which idle cycles are
+	// skipped rather than ticked — what ffCycles counts, and when the MSHRs
+	// retire completed fills — so a resumed launch continues the schedule.
+	idleStreak, nextProbe int64
 }
 
 // newLaunch sizes the launch bookkeeping — the only allocations of a
 // RunConcurrent call outside block materialization.
 func (g *GPU) newLaunch(kernels []*Kernel, maxCycles int64) *launch {
 	ls := &launch{
-		kernels:     kernels,
-		maxCycles:   maxCycles,
-		deadline:    g.cycle + maxCycles,
-		nextBlock:   make([]int, len(kernels)),
-		specs:       make([]*smcore.BlockSpec, len(kernels)),
-		gidOffset:   make([]int64, len(kernels)),
-		startCycles: g.cycle,
-		startInstr:  g.run.Instructions,
+		kernels: kernels,
+		launchState: launchState{
+			maxCycles:   maxCycles,
+			deadline:    g.cycle + maxCycles,
+			nextBlock:   make([]int, len(kernels)),
+			startCycles: g.cycle,
+			startInstr:  g.run.Instructions,
+			nextProbe:   ffProbeAfter,
+		},
+		specs:     make([]*smcore.BlockSpec, len(kernels)),
+		gidOffset: make([]int64, len(kernels)),
 	}
 	// Kernel-wide warp IDs must not collide across concurrent kernels;
 	// offset each kernel's GID space.
@@ -425,8 +460,18 @@ const ffProbeAfter = 8
 
 func (g *GPU) cycleLoop(ls *launch) loopStop {
 	ff := !g.cfg.NoFastForward
-	idleStreak, nextProbe := int64(0), int64(ffProbeAfter)
 	for {
+		// Idle-cycle fast-forward, once the device has gone ffProbeAfter
+		// cycles without issuing — purely a cost filter: on cycles that
+		// issued work the device is certainly hot, and short gaps are not
+		// worth a device-wide next-event scan. The probe sits at the top of
+		// the iteration, after the previous one's heartbeat, so a launch
+		// resumed from that heartbeat's snapshot probes where this one does.
+		if ff && ls.idleStreak >= ls.nextProbe {
+			if stop, stopped := g.fastForward(ls); stopped {
+				return stop
+			}
+		}
 		if g.tracer != nil {
 			// Publish the cycle before any stage emits events.
 			g.tracer.SetNow(g.cycle)
@@ -457,30 +502,14 @@ func (g *GPU) cycleLoop(ls *launch) loopStop {
 		if g.cycle >= ls.deadline {
 			return stopDeadline
 		}
+		if g.run.Instructions != instrBefore {
+			ls.idleStreak, ls.nextProbe = 0, ffProbeAfter
+		} else if ff {
+			ls.idleStreak++
+		}
 		if g.cycle&(monitorPeriod-1) == 0 {
 			if stop, stopped := g.heartbeat(ls); stopped {
 				return stop
-			}
-		}
-		// Idle-cycle fast-forward. The issue-streak guard is purely a cost
-		// filter: on cycles that issued work the device is certainly hot,
-		// and short gaps are not worth a device-wide next-event scan.
-		if g.run.Instructions != instrBefore {
-			idleStreak, nextProbe = 0, ffProbeAfter
-		} else if ff {
-			idleStreak++
-			if idleStreak >= nextProbe {
-				stop, stopped, skipped := g.fastForward(ls)
-				if stopped {
-					return stop
-				}
-				if skipped {
-					// Spans often chain across a wake (e.g. a heartbeat
-					// boundary cap): retry immediately.
-					nextProbe = idleStreak + 1
-				} else {
-					nextProbe = idleStreak * 2
-				}
 			}
 		}
 	}
@@ -551,16 +580,22 @@ func (g *GPU) placeBlocks(ls *launch) bool {
 // monitor cadence, metrics flushes, and cancellation latency) and at
 // the deadline (so CycleLimitError fires at the identical cycle the
 // ticked loop would report). The skipped span's accounting is replayed
-// in bulk by skipTo. Returns stopped=true when the skip landed on the
-// deadline or observed a cancel, and skipped=true when any cycles were
-// skipped (the probe-backoff signal).
+// in bulk by skipTo. It books the next probe either way — before the
+// heartbeat a skip may land on, so a snapshot taken there carries it —
+// and returns stopped=true when the skip landed on the deadline or
+// observed a cancel.
 //
 //simlint:hotpath
-func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped, skipped bool) {
+func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped bool) {
 	wake := g.nextWake(g.cycle)
 	if wake <= g.cycle {
-		return stopDone, false, false // something is hot after all; keep ticking
+		// Something is hot after all; keep ticking, and back off.
+		ls.nextProbe = ls.idleStreak * 2
+		return stopDone, false
 	}
+	// Spans often chain across a wake (e.g. a heartbeat boundary cap):
+	// retry on the next idle cycle.
+	ls.nextProbe = ls.idleStreak + 1
 	if b := (g.cycle &^ (monitorPeriod - 1)) + monitorPeriod; b < wake {
 		wake = b
 	}
@@ -572,14 +607,12 @@ func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped, skipped bool) {
 	// cannot change across a quiescent span, so only deadline and
 	// heartbeat need re-checking.
 	if g.cycle >= ls.deadline {
-		return stopDeadline, true, true
+		return stopDeadline, true
 	}
 	if g.cycle&(monitorPeriod-1) == 0 {
-		if st, stopped := g.heartbeat(ls); stopped {
-			return st, true, true
-		}
+		return g.heartbeat(ls)
 	}
-	return stopDone, false, true
+	return stopDone, false
 }
 
 // heartbeat runs the per-monitorPeriod supervision duties shared by the

@@ -11,55 +11,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Snapshot field manifests, checked by TestSnapshotCoverage via
-// snapshot.Coverage (see docs/ROBUSTNESS.md for the format).
-var (
-	gpuManifest = map[string]string{
-		"cfg":         "encoded (canonical JSON fingerprint, compared on restore)",
-		"hier":        "encoded",
-		"sms":         "encoded",
-		"run":         "encoded (canonical JSON; restored element-wise to preserve the SMs' stats pointers)",
-		"cycle":       "encoded",
-		"ffCycles":    "encoded",
-		"traceReads":  "encoded (validated: resume requires the same tracing arming)",
-		"issueBucket": "encoded (validated: resume requires the same tracing arming)",
-		"issuePrev":   "encoded when issue tracing is armed",
-		"issueAccum":  "encoded when issue tracing is armed",
-		"issueFill":   "encoded when issue tracing is armed",
-		"tracer":      "skip: observability wiring, reattached via SetTracer",
-		"mon":         "skip: supervision wiring, reattached via SetMonitor",
-		"met":         "skip: telemetry wiring; watermarks re-anchored on restore",
-		"auditEvery":  "skip: audit policy, taken from the restore target's config",
-		"auditNext":   "skip: derived; audits re-arm from the restored cycle",
-		"snapFn":      "skip: harness wiring, reattached via SetSnapshotHook",
-		"curLaunch":   "encoded (as the launch section, when a launch is in flight)",
-		"pending":     "skip: restore-side handoff to ContinueKernels, never live at snapshot time",
-		"corruptKind": "skip: test-only arming, never live in production snapshots",
-	}
-	launchManifest = map[string]string{
-		"kernels":     "encoded (batch size only; kernels are workload artifacts, rebound by Restore)",
-		"maxCycles":   "encoded",
-		"deadline":    "encoded (absolute cycle, so the resumed run faults at the identical point)",
-		"nextBlock":   "encoded",
-		"specs":       "skip: materialized-spec cache, rebuilt deterministically from nextBlock",
-		"gidOffset":   "skip: recomputed from the rebound kernel batch",
-		"totalLeft":   "skip: recomputed from nextBlock",
-		"totalBlocks": "skip: recomputed from the rebound kernel batch",
-		"kPtr":        "encoded",
-		"smPtr":       "encoded",
-		"startCycles": "encoded",
-		"startInstr":  "encoded",
-		"err":         "skip: faulted launches never reach a snapshot boundary",
-	}
-	devMetricsManifest = map[string]string{
-		"cycles":    "skip: telemetry handle",
-		"instrs":    "skip: telemetry handle",
-		"kernels":   "skip: telemetry handle",
-		"lastCycle": "skip: watermark, re-anchored on restore",
-		"lastInstr": "skip: watermark, re-anchored on restore",
-	}
-)
-
 // SetSnapshotHook attaches fn to the run loop's heartbeat: every
 // monitorPeriod cycles the hook may call WriteSnapshot on the quiescent
 // device (between cycles, every conservation law intact). A hook error
@@ -79,45 +30,28 @@ func (g *GPU) Cycle() int64 { return g.cycle }
 // frame is deterministic: equal states serialize to equal bytes.
 func (g *GPU) WriteSnapshot(w io.Writer) error {
 	e := snapshot.NewEncoder()
-	e.Section("gpu")
 	cfgJSON, err := json.Marshal(g.cfg)
 	if err != nil {
 		return fmt.Errorf("gpu: snapshot config: %w", err)
-	}
-	e.Bytes(cfgJSON)
-	e.Varint(g.cycle)
-	e.Varint(g.ffCycles)
-	e.Bool(g.traceReads)
-	e.Int(g.issueBucket)
-	if g.issueBucket > 0 {
-		e.Int(g.issueFill)
-		for _, v := range g.issuePrev {
-			e.Varint(v)
-		}
-		for _, v := range g.issueAccum {
-			e.Uvarint(uint64(v))
-		}
 	}
 	runJSON, err := json.Marshal(g.run)
 	if err != nil {
 		return fmt.Errorf("gpu: snapshot stats: %w", err)
 	}
+	// What the restore target is compared against comes first: the
+	// configuration fingerprint and the tracing arming.
+	e.Bytes(cfgJSON)
+	e.Bool(g.traceReads)
+	e.Varint(int64(g.issueBucket))
+	e.State(&g.gpuState)
 	e.Bytes(runJSON)
+	// The in-flight batch's size, 0 between launches; the kernels
+	// themselves are workload artifacts, rebound by Restore.
 	if ls := g.curLaunch; ls != nil {
-		e.Bool(true)
-		e.Section("launch")
 		e.Uvarint(uint64(len(ls.kernels)))
-		e.Varint(ls.maxCycles)
-		e.Varint(ls.deadline)
-		e.Varint(ls.startCycles)
-		e.Varint(ls.startInstr)
-		e.Int(ls.kPtr)
-		e.Int(ls.smPtr)
-		for _, nb := range ls.nextBlock {
-			e.Int(nb)
-		}
+		e.State(&ls.launchState)
 	} else {
-		e.Bool(false)
+		e.Uvarint(0)
 	}
 	g.hier.EncodeState(e)
 	for _, sm := range g.sms {
@@ -138,52 +72,44 @@ func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	if err != nil {
 		return err
 	}
-	d.Section("gpu")
 	wantCfg, err := json.Marshal(g.cfg)
 	if err != nil {
 		return fmt.Errorf("gpu: restore config: %w", err)
 	}
-	gotCfg := d.Bytes()
+	gotCfg, tr, ib := d.Bytes(), d.Bool(), int(d.Varint())
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if string(gotCfg) != string(wantCfg) {
-		return fmt.Errorf("gpu: snapshot was taken on a different configuration (%s, this device is %s)",
-			jsonName(gotCfg), g.cfg.Name)
+		return fmt.Errorf("gpu: snapshot was taken on a different configuration than this device's (%s)", g.cfg.Name)
 	}
-	g.cycle = d.Varint()
-	g.ffCycles = d.Varint()
-	if tr := d.Bool(); tr != g.traceReads {
+	if tr != g.traceReads {
 		return fmt.Errorf("gpu: snapshot register-read tracing %v, this device %v — arm TraceReads identically before Restore", tr, g.traceReads)
 	}
-	if ib := d.Int(); ib != g.issueBucket {
+	if ib != g.issueBucket {
 		return fmt.Errorf("gpu: snapshot issue tracing bucket %d, this device %d — arm TraceIssue identically before Restore", ib, g.issueBucket)
 	}
-	if g.issueBucket > 0 {
-		g.issueFill = d.Int()
-		for i := range g.issuePrev {
-			g.issuePrev[i] = d.Varint()
-		}
-		for i := range g.issueAccum {
-			g.issueAccum[i] = uint32(d.Uvarint())
-		}
-	}
-	if err := g.restoreRun(d.Bytes()); err != nil {
+	d.State(&g.gpuState)
+	runJSON, nk := d.Bytes(), d.Len()
+	if err := d.Err(); err != nil {
 		return err
 	}
-	if err := d.Err(); err != nil {
+	if g.issueFill < 0 || g.issueFill > max(g.issueBucket-1, 0) {
+		return fmt.Errorf("gpu: snapshot issue-sampler fill %d outside its %d-cycle bucket", g.issueFill, g.issueBucket)
+	}
+	if err := g.restoreRun(runJSON); err != nil {
 		return err
 	}
 	g.pending = nil
 	progFor := smcore.ProgramResolver(func(gid int64) (*program.Program, error) {
 		return nil, fmt.Errorf("gpu: snapshot holds resident warp %d but no kernel was in flight", gid)
 	})
-	if d.Bool() {
-		ls, err := g.decodeLaunch(d, ks)
+	if nk > 0 {
+		ls, err := g.decodeLaunch(d, ks, nk)
 		if err != nil {
 			return err
 		}
-		g.pending = &resumedLaunch{ls: ls, next: len(g.run.Kernels) + len(ls.kernels)}
+		g.pending = &resumedLaunch{ls: ls, next: len(g.run.Kernels) + nk}
 		progFor = resolverFor(ls)
 	}
 	if err := g.hier.RestoreState(d); err != nil {
@@ -234,21 +160,10 @@ func (g *GPU) restoreRun(runJSON []byte) error {
 	return nil
 }
 
-// decodeLaunch rebuilds the in-flight launch from the snapshot plus the
-// caller's kernel sequence: completed launches are counted off the
-// restored stats, the next len-of-batch kernels are the in-flight batch.
-func (g *GPU) decodeLaunch(d *snapshot.Decoder, ks []*Kernel) (*launch, error) {
-	d.Section("launch")
-	nk := int(d.Uvarint())
-	maxCycles := d.Varint()
-	deadline := d.Varint()
-	startCycles := d.Varint()
-	startInstr := d.Varint()
-	kPtr := d.Int()
-	smPtr := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
+// decodeLaunch rebuilds the in-flight launch of nk kernels from the
+// snapshot plus the caller's kernel sequence: completed launches are
+// counted off the restored stats, the next nk kernels are the batch.
+func (g *GPU) decodeLaunch(d *snapshot.Decoder, ks []*Kernel, nk int) (*launch, error) {
 	done := len(g.run.Kernels)
 	if done+nk > len(ks) {
 		return nil, fmt.Errorf("gpu: snapshot is mid-launch %d..%d of the application, but only %d kernels were supplied",
@@ -258,24 +173,24 @@ func (g *GPU) decodeLaunch(d *snapshot.Decoder, ks []*Kernel) (*launch, error) {
 	if err := g.validateLaunch(batch); err != nil {
 		return nil, err
 	}
-	ls := g.newLaunch(batch, maxCycles)
-	ls.deadline = deadline
-	ls.startCycles = startCycles
-	ls.startInstr = startInstr
-	if kPtr < 0 || kPtr >= nk || smPtr < 0 || smPtr >= len(g.sms) {
-		return nil, fmt.Errorf("gpu: snapshot scheduler cursors (kernel %d, SM %d) out of range", kPtr, smPtr)
+	ls := g.newLaunch(batch, 0)
+	d.State(&ls.launchState)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	ls.kPtr, ls.smPtr = kPtr, smPtr
+	if ls.kPtr < 0 || ls.kPtr >= nk || ls.smPtr < 0 || ls.smPtr >= len(g.sms) {
+		return nil, fmt.Errorf("gpu: snapshot scheduler cursors (kernel %d, SM %d) out of range", ls.kPtr, ls.smPtr)
+	}
+	// totalLeft is derived from the restored placement cursors.
 	ls.totalLeft = 0
 	for i, k := range batch {
-		nb := d.Int()
+		nb := ls.nextBlock[i]
 		if nb < 0 || nb > k.Blocks {
 			return nil, fmt.Errorf("gpu: snapshot places %d blocks of kernel %s, grid has %d", nb, k.Name, k.Blocks)
 		}
-		ls.nextBlock[i] = nb
 		ls.totalLeft += k.Blocks - nb
 	}
-	return ls, d.Err()
+	return ls, nil
 }
 
 // resolverFor maps kernel-wide warp GIDs back to instruction streams
@@ -330,16 +245,4 @@ func (g *GPU) ContinueKernels(ks []*Kernel, maxCycles int64) error {
 type resumedLaunch struct {
 	ls   *launch
 	next int
-}
-
-// jsonName extracts the Name field from a config JSON fingerprint for
-// error messages; the raw fingerprint would drown the message.
-func jsonName(cfgJSON []byte) string {
-	var v struct {
-		Name string
-	}
-	if err := json.Unmarshal(cfgJSON, &v); err != nil || v.Name == "" {
-		return "unknown"
-	}
-	return v.Name
 }

@@ -4,30 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/program"
-	"repro/internal/snapshot"
 )
-
-func TestSnapshotCoverage(t *testing.T) {
-	cases := []struct {
-		typ      reflect.Type
-		manifest map[string]string
-	}{
-		{reflect.TypeOf(GPU{}), gpuManifest},
-		{reflect.TypeOf(launch{}), launchManifest},
-		{reflect.TypeOf(devMetrics{}), devMetricsManifest},
-	}
-	for _, c := range cases {
-		if err := snapshot.Coverage(c.typ, c.manifest); err != nil {
-			t.Errorf("%s: %v", c.typ.Name(), err)
-		}
-	}
-}
 
 // snapApp is a three-kernel application exercising every state family a
 // snapshot must carry: global/shared/const memory in flight, barriers,
@@ -81,59 +63,110 @@ func captureAt(g *GPU, target int64) *[]byte {
 	return &snap
 }
 
-// resumeInert proves restore-then-run is byte-identical to the
-// uninterrupted run for the given configuration and snapshot cycle.
-func resumeInert(t *testing.T, cfg config.GPU, snapCycle int64) {
-	t.Helper()
-	ks := snapApp()
+// barrierApp is barrier-heavy: every trip of every warp ends in a block-wide
+// barrier, the warps of a block do uneven work before it (so arrivals spread
+// over time and across sub-cores), and a quarter of them exit at once and
+// sit finished in their slots while the rest keep meeting.
+func barrierApp() []*Kernel {
+	progs := make([]*program.Program, 4)
+	for i := range progs {
+		b := program.NewBuilder()
+		if i < 3 {
+			b.Loop(120, func(lb *program.Builder) {
+				for j := 0; j <= 3*i; j++ {
+					lb.FMA(isa.Reg(4+j%4), isa.Reg(4+j%4), 1, 2)
+				}
+				lb.LDS(9, 4, isa.MemTrait{Footprint: 1 << 12, StrideBytes: 4})
+				lb.Bar()
+			})
+		}
+		progs[i] = b.MustBuild()
+	}
+	return []*Kernel{{Name: "barrier", Blocks: 10, WarpsPerBlock: 16, RegsPerThread: 16, SharedMemPerBlock: 8192,
+		WarpProgram: func(b, w int) *program.Program { return progs[(b+w)%4] }}}
+}
 
-	golden, err := New(cfg)
+// frameOf serializes the device as it stands.
+func frameOf(t *testing.T, g *GPU) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// resumeInert cuts the application at every heartbeat and proves each
+// restore-then-run byte-identical to the uninterrupted run — in its
+// statistics and in the frame the drained device encodes to. The second
+// comparison is what stands in for a field ledger: whatever the run mutates
+// and a later cycle depends on must either be in a state struct (then a
+// resumed device ends with the same bytes) or be rebuilt on restore (then
+// it ends with the same statistics); a mutable field that is neither makes
+// some cut diverge.
+func resumeInert(t *testing.T, cfg config.GPU, ks []*Kernel) {
+	t.Helper()
+	plain, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := golden.RunKernels(ks, 0); err != nil {
+	if err := plain.RunKernels(ks, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := runJSON(t, golden)
+	want, wantFrame := runJSON(t, plain), frameOf(t, plain)
 
 	interrupted, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := captureAt(interrupted, snapCycle)
+	var cuts [][]byte
+	interrupted.SetSnapshotHook(func(g *GPU) error {
+		cuts = append(cuts, frameOf(t, g))
+		return nil
+	})
 	if err := interrupted.RunKernels(ks, 0); err != nil {
 		t.Fatal(err)
 	}
-	if *snap == nil {
-		t.Fatalf("no heartbeat at or past cycle %d; app finished at %d", snapCycle, interrupted.Cycle())
+	if len(cuts) < 4 {
+		t.Fatalf("only %d heartbeats in %d cycles; the app is too short to cut", len(cuts), interrupted.Cycle())
 	}
 	// The interrupted run, left to finish, must itself be unperturbed by
 	// the snapshot hook.
-	if got := runJSON(t, interrupted); !bytes.Equal(got, want) {
-		t.Fatal("taking a snapshot perturbed the run")
+	if !bytes.Equal(runJSON(t, interrupted), want) || !bytes.Equal(frameOf(t, interrupted), wantFrame) {
+		t.Fatal("taking snapshots perturbed the run")
 	}
 
-	resumed, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for i, cut := range cuts {
+		resumed, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Restore(bytes.NewReader(cut), ks); err != nil {
+			t.Fatalf("cut %d: Restore: %v", i, err)
+		}
+		at := resumed.Cycle()
+		if vs := resumed.AuditCheck(); len(vs) != 0 {
+			t.Fatalf("cut at cycle %d: audit violations on the restored device: %v", at, vs)
+		}
+		if err := resumed.ContinueKernels(ks, 0); err != nil {
+			t.Fatalf("cut at cycle %d: ContinueKernels: %v", at, err)
+		}
+		if got := runJSON(t, resumed); !bytes.Equal(got, want) {
+			t.Fatalf("cut at cycle %d: resumed run diverged from uninterrupted run\nwant %s\ngot  %s", at, want, got)
+		}
+		if !bytes.Equal(frameOf(t, resumed), wantFrame) {
+			t.Fatalf("cut at cycle %d: statistics match, but the drained device encodes to a different frame", at)
+		}
 	}
-	if err := resumed.Restore(bytes.NewReader(*snap), ks); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if vs := resumed.AuditCheck(); len(vs) != 0 {
-		t.Fatalf("audit violations on the restored device: %v", vs)
-	}
-	if err := resumed.ContinueKernels(ks, 0); err != nil {
-		t.Fatalf("ContinueKernels: %v", err)
-	}
-	if got := runJSON(t, resumed); !bytes.Equal(got, want) {
-		t.Fatalf("resumed run diverged from uninterrupted run\nwant %s\ngot  %s", want, got)
-	}
+	t.Logf("%d cuts over %d cycles", len(cuts), interrupted.Cycle())
 }
 
 func TestSnapshotResumeInert(t *testing.T) {
 	base := config.VoltaV100()
 	base.NumSMs = 2
+	// The apps fit in far less; a full 6 MB L2 only makes each of the
+	// hundred-odd frames slower to encode.
+	base.L2KB = 384
 	rba := base.WithScheduler(config.SchedRBA).WithBankStealing()
 	for _, tc := range []struct {
 		name string
@@ -143,9 +176,8 @@ func TestSnapshotResumeInert(t *testing.T) {
 		{"rba-stealing", rba},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, at := range []int64{1, 5_000} {
-				resumeInert(t, tc.cfg, at)
-			}
+			t.Run("mem-mix", func(t *testing.T) { resumeInert(t, tc.cfg, snapApp()) })
+			t.Run("barrier", func(t *testing.T) { resumeInert(t, tc.cfg, barrierApp()) })
 		})
 	}
 }

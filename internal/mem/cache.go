@@ -7,14 +7,22 @@
 package mem
 
 // Cache is a set-associative, write-through, no-write-allocate cache with
-// LRU replacement, tracking only tags (the simulator carries no data).
+// LRU replacement, tracking only tags (the simulator carries no data). The
+// shape fields are fixed at construction; the embedded cacheState is what
+// changes as it runs.
 type Cache struct {
 	sets      int
 	assoc     int
 	lineShift uint
-	tags      []uint64 // sets*assoc entries; 0 = invalid (tag+1 stored)
-	use       []int64  // LRU timestamps
-	clock     int64
+	cacheState
+}
+
+// cacheState is a cache's mutable state: plain data only, carried whole by
+// snapshot.State (snapshot.go).
+type cacheState struct {
+	tags  []uint64 `snap:"fixed"` // sets*assoc entries; 0 = invalid (tag+1 stored)
+	use   []int64  `snap:"fixed"` // LRU timestamps
+	clock int64
 
 	// Hits and Misses count read lookups.
 	Hits, Misses int64
@@ -39,8 +47,10 @@ func NewCache(capacityKB, assoc, lineBytes int) *Cache {
 		sets:      sets,
 		assoc:     assoc,
 		lineShift: shift,
-		tags:      make([]uint64, sets*assoc),
-		use:       make([]int64, sets*assoc),
+		cacheState: cacheState{
+			tags: make([]uint64, sets*assoc),
+			use:  make([]int64, sets*assoc),
+		},
 	}
 }
 

@@ -12,10 +12,16 @@ import (
 // channel for lineBytes/bytesPerCycle cycles and waits behind earlier
 // traffic.
 type bwChannel struct {
+	cycPerLine int64
+	fracNum    int64 // fractional accumulation when bytes/cycle > line
+	fracDen    int64
+	bwState
+}
+
+// bwState is a channel's mutable state (plain data, carried by
+// snapshot.State); the rates above derive from the configuration.
+type bwState struct {
 	nextFree    int64
-	cycPerLine  int64
-	fracNum     int64 // fractional accumulation when bytes/cycle > line
-	fracDen     int64
 	fracPending int64
 }
 

@@ -1,188 +1,72 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/snapshot"
 )
 
-// Snapshot field manifests (checked by TestSnapshotCoverage against the
-// real structs via snapshot.Coverage): every field is either encoded below
-// or carries an explicit reason it need not be. Adding a field without
-// updating a manifest fails the completeness test; changing what is
-// encoded requires a snapshot.Version bump.
-var (
-	hierarchyManifest = map[string]string{
-		"cfg":          "skip: restore target is built from the same validated config",
-		"l1":           "encoded",
-		"l1m":          "encoded",
-		"l2":           "encoded",
-		"l2m":          "encoded",
-		"l2ch":         "encoded",
-		"drch":         "encoded",
-		"L1HitLatency": "encoded",
-	}
-	cacheManifest = map[string]string{
-		"sets":      "skip: derived from config at construction",
-		"assoc":     "skip: derived from config at construction",
-		"lineShift": "skip: derived from config at construction",
-		"tags":      "encoded",
-		"use":       "encoded",
-		"clock":     "encoded",
-		"Hits":      "encoded",
-		"Misses":    "encoded",
-	}
-	mshrManifest = map[string]string{
-		"pending": "encoded (sorted by line for byte-determinism)",
-		"byDone":  "skip: derived from pending, rebuilt on restore",
-	}
-	bwChannelManifest = map[string]string{
-		"nextFree":    "encoded",
-		"cycPerLine":  "skip: derived from config at construction",
-		"fracNum":     "skip: derived from config at construction",
-		"fracDen":     "skip: derived from config at construction",
-		"fracPending": "encoded",
-	}
-)
-
 // EncodeState serializes the memory system's mutable state: cache tag
 // arrays and LRU clocks, outstanding MSHR fills, and bandwidth-channel
-// occupancy. Structural shape (set counts, channel rates) is derived from
-// the configuration and re-created on restore.
+// occupancy. Structural shape (set counts, channel rates) derives from the
+// configuration and is re-created on restore, not carried.
 func (h *Hierarchy) EncodeState(e *snapshot.Encoder) {
-	e.Section("mem")
-	e.Varint(h.L1HitLatency)
-	e.Uvarint(uint64(len(h.l1)))
-	for _, c := range h.l1 {
-		c.encodeState(e)
+	for i, c := range h.l1 {
+		fills := h.l1m[i].fills()
+		e.State(&c.cacheState, &fills)
 	}
-	for _, m := range h.l1m {
-		m.encodeState(e)
-	}
-	h.l2.encodeState(e)
-	h.l2m.encodeState(e)
-	h.l2ch.encodeState(e)
-	h.drch.encodeState(e)
+	fills := h.l2m.fills()
+	e.State(&h.l2.cacheState, &fills, &h.l2ch.bwState, &h.drch.bwState)
 }
 
 // RestoreState decodes into a hierarchy freshly built from the same
-// configuration, validating shape so a snapshot from a different machine
-// fails loudly.
+// configuration; the walker checks the cache shapes, so a snapshot from a
+// different machine fails loudly.
 func (h *Hierarchy) RestoreState(d *snapshot.Decoder) error {
-	d.Section("mem")
-	h.L1HitLatency = d.Varint()
-	n := d.Uvarint()
+	var fills []fill
+	for i, c := range h.l1 {
+		d.State(&c.cacheState, &fills)
+		h.l1m[i].restore(fills)
+	}
+	d.State(&h.l2.cacheState, &fills, &h.l2ch.bwState, &h.drch.bwState)
+	h.l2m.restore(fills)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if int(n) != len(h.l1) {
-		return fmt.Errorf("mem: snapshot has %d L1 caches, this config has %d", n, len(h.l1))
-	}
-	for _, c := range h.l1 {
-		if err := c.restoreState(d); err != nil {
-			return err
+	for _, ch := range []*bwChannel{h.l2ch, h.drch} {
+		if ch.fracPending < 0 || (ch.fracDen > 0 && ch.fracPending >= ch.fracDen) ||
+			(ch.cycPerLine > 0 && ch.fracPending != 0) {
+			return fmt.Errorf("mem: snapshot channel fracPending %d out of range for this config", ch.fracPending)
 		}
-	}
-	for _, m := range h.l1m {
-		if err := m.restoreState(d); err != nil {
-			return err
-		}
-	}
-	if err := h.l2.restoreState(d); err != nil {
-		return err
-	}
-	if err := h.l2m.restoreState(d); err != nil {
-		return err
-	}
-	if err := h.l2ch.restoreState(d); err != nil {
-		return err
-	}
-	return h.drch.restoreState(d)
-}
-
-func (c *Cache) encodeState(e *snapshot.Encoder) {
-	e.Section("cache")
-	e.Uvarint(uint64(len(c.tags)))
-	for _, t := range c.tags {
-		e.Uvarint(t)
-	}
-	for _, u := range c.use {
-		e.Varint(u)
-	}
-	e.Varint(c.clock)
-	e.Varint(c.Hits)
-	e.Varint(c.Misses)
-}
-
-func (c *Cache) restoreState(d *snapshot.Decoder) error {
-	d.Section("cache")
-	n := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if int(n) != len(c.tags) {
-		return fmt.Errorf("mem: snapshot cache has %d ways, this config has %d", n, len(c.tags))
-	}
-	for i := range c.tags {
-		c.tags[i] = d.Uvarint()
-	}
-	for i := range c.use {
-		c.use[i] = d.Varint()
-	}
-	c.clock = d.Varint()
-	c.Hits = d.Varint()
-	c.Misses = d.Varint()
-	return d.Err()
-}
-
-func (m *mshr) encodeState(e *snapshot.Encoder) {
-	e.Section("mshr")
-	lines := make([]uint64, 0, len(m.pending))
-	//simlint:allow determinism -- keys are collected then sorted before encoding
-	for line := range m.pending {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	e.Uvarint(uint64(len(lines)))
-	for _, line := range lines {
-		e.Uvarint(line)
-		e.Varint(m.pending[line])
-	}
-}
-
-func (m *mshr) restoreState(d *snapshot.Decoder) error {
-	d.Section("mshr")
-	n := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	m.pending = make(map[uint64]int64, n)
-	m.byDone = m.byDone[:0]
-	for i := uint64(0); i < n; i++ {
-		line, done := d.Uvarint(), d.Varint()
-		m.pending[line] = done
-		m.byDone.push(fill{done: done, line: line})
-	}
-	return d.Err()
-}
-
-func (ch *bwChannel) encodeState(e *snapshot.Encoder) {
-	e.Section("bwch")
-	e.Varint(ch.nextFree)
-	e.Varint(ch.fracPending)
-}
-
-func (ch *bwChannel) restoreState(d *snapshot.Decoder) error {
-	d.Section("bwch")
-	ch.nextFree = d.Varint()
-	ch.fracPending = d.Varint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if ch.fracPending < 0 || (ch.fracDen > 0 && ch.fracPending >= ch.fracDen) ||
-		(ch.cycPerLine > 0 && ch.fracPending != 0) {
-		return fmt.Errorf("mem: snapshot channel fracPending %d out of range for this config", ch.fracPending)
 	}
 	return nil
+}
+
+// fills returns the pending fills as a frame carries them: one row per
+// line, ascending, so equal MSHR states give equal bytes whatever order
+// their misses arrived in. The rows are read off the completion heap —
+// every pending fill has one there; stale rows and duplicates are dropped —
+// because ranging over the map would visit them in no fixed order.
+func (m *mshr) fills() []fill {
+	rows := make([]fill, 0, len(m.pending))
+	for _, r := range m.byDone {
+		if done, ok := m.pending[r.line]; ok && done == r.done {
+			rows = append(rows, r)
+		}
+	}
+	slices.SortFunc(rows, func(a, b fill) int { return cmp.Compare(a.line, b.line) })
+	return slices.Compact(rows) // same line and both live: identical rows
+}
+
+// restore replaces the MSHR's contents with decoded rows, rebuilding the
+// map and the completion heap together.
+func (m *mshr) restore(rows []fill) {
+	m.pending = make(map[uint64]int64, len(rows))
+	m.byDone = m.byDone[:0]
+	for _, r := range rows {
+		m.pending[r.line] = r.done
+		m.byDone.push(r)
+	}
 }

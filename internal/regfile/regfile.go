@@ -108,25 +108,17 @@ type CollectorUnit struct {
 func (c *CollectorUnit) Ready() bool { return c.Valid && c.Pending == 0 }
 
 // Collector is the operand collector + arbitration unit of one sub-core.
+// Its mutable state is the embedded collectorState; the fields declared
+// here are shape, wiring and scratch.
 type Collector struct {
-	cus   []CollectorUnit
+	collectorState
 	banks int
 
-	// queues[b] holds read requests waiting on bank b, FIFO.
-	queues [][]readReq
-	// writes[b] holds writeback requests for bank b, FIFO, priority.
-	writes [][]WriteReq
-
-	// granted writes this cycle, exposed to the sub-core.
+	// granted writes this cycle, exposed to the sub-core and consumed by it
+	// within the same cycle: empty between cycles.
 	grantedW []WriteReq
 
-	// qlenHist is a ring of per-bank normal-read queue lengths, one entry
-	// per cycle, supporting the RBA score-update delay study (VI-B4).
-	qlenHist [][]int16
-	histPos  int
-
-	cycle int64
-	st    *stats.SubCore
+	st *stats.SubCore
 
 	// auditRefs is Audit's reusable per-CU reference-count scratch: the
 	// periodic invariant sweep must not allocate per visit.
@@ -138,6 +130,23 @@ type Collector struct {
 	trSub int8
 }
 
+// collectorState is everything about a collector that changes as it runs
+// and must survive a snapshot: plain data only, carried whole by
+// snapshot.State (snapshot.go). The fixed tags are the shape NewCollector
+// built: CU count, banks, score-delay ring.
+type collectorState struct {
+	cus []CollectorUnit `snap:"fixed"`
+	// queues[b] holds read requests waiting on bank b, FIFO.
+	queues [][]readReq `snap:"fixed"`
+	// writes[b] holds writeback requests for bank b, FIFO, priority.
+	writes [][]WriteReq `snap:"fixed"`
+	// qlenHist is a ring of per-bank normal-read queue lengths, one entry
+	// per cycle, supporting the RBA score-update delay study (VI-B4).
+	qlenHist [][]int16 `snap:"fixed,fixed"`
+	histPos  int
+	cycle    int64
+}
+
 // NewCollector builds a collector with numCUs units over numBanks banks.
 // scoreDelay is the maximum queue-length tap delay that will be requested
 // (the history ring is sized for it).
@@ -146,11 +155,13 @@ func NewCollector(numCUs, numBanks, scoreDelay int, st *stats.SubCore) *Collecto
 		panic(fmt.Sprintf("regfile: invalid collector shape %d CUs, %d banks", numCUs, numBanks))
 	}
 	c := &Collector{
-		cus:    make([]CollectorUnit, numCUs),
-		banks:  numBanks,
-		queues: make([][]readReq, numBanks),
-		writes: make([][]WriteReq, numBanks),
-		st:     st,
+		collectorState: collectorState{
+			cus:    make([]CollectorUnit, numCUs),
+			queues: make([][]readReq, numBanks),
+			writes: make([][]WriteReq, numBanks),
+		},
+		banks: numBanks,
+		st:    st,
 	}
 	c.qlenHist = make([][]int16, scoreDelay+1)
 	for i := range c.qlenHist {

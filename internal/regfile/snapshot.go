@@ -3,160 +3,25 @@ package regfile
 import (
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/snapshot"
-)
-
-// Snapshot field manifests, checked by TestSnapshotCoverage via
-// snapshot.Coverage. Every struct field is either encoded below or carries
-// the reason it need not be; changing the encoded set requires a
-// snapshot.Version bump.
-var (
-	collectorManifest = map[string]string{
-		"cus":       "encoded",
-		"banks":     "skip: derived from config at construction",
-		"queues":    "encoded",
-		"writes":    "encoded",
-		"grantedW":  "skip: consumed by the sub-core within the same cycle; snapshots are taken between cycles, restored empty",
-		"qlenHist":  "encoded (feeds RBA's delayed score tap; must be bit-exact)",
-		"histPos":   "encoded",
-		"cycle":     "encoded",
-		"st":        "skip: stats pointer rewired by the owning sub-core",
-		"tr":        "skip: tracer wiring, reattached via SetTracer",
-		"trSub":     "skip: tracer wiring, reattached via SetTracer",
-		"auditRefs": "skip: Audit scratch, rewritten before every use",
-	}
-	collectorUnitManifest = map[string]string{
-		"Valid":      "encoded",
-		"WarpIdx":    "encoded",
-		"SchedSlot":  "encoded",
-		"Instr":      "encoded",
-		"Pending":    "encoded",
-		"Stolen":     "encoded",
-		"AllocCycle": "encoded",
-		"tried":      "skip: per-Tick scratch, false between cycles",
-	}
-	readReqManifest = map[string]string{
-		"cu":     "encoded",
-		"stolen": "encoded",
-	}
-	writeReqManifest = map[string]string{
-		"WarpIdx": "encoded",
-		"Reg":     "encoded",
-		"Bank":    "skip: equals the owning queue index, rebuilt on restore",
-	}
 )
 
 // EncodeState serializes the collector's full mutable state: every staged
 // collector unit, the per-bank read and write queues, and the
 // queue-length history ring that feeds RBA's delayed score tap.
-func (c *Collector) EncodeState(e *snapshot.Encoder) {
-	e.Section("coll")
-	e.Uvarint(uint64(len(c.cus)))
-	for i := range c.cus {
-		u := &c.cus[i]
-		e.Bool(u.Valid)
-		e.Varint(int64(u.WarpIdx))
-		e.Varint(int64(u.SchedSlot))
-		e.Instr(&u.Instr)
-		e.Varint(int64(u.Pending))
-		e.Bool(u.Stolen)
-		e.Varint(u.AllocCycle)
-	}
-	e.Uvarint(uint64(c.banks))
-	for b := 0; b < c.banks; b++ {
-		e.Uvarint(uint64(len(c.queues[b])))
-		for _, r := range c.queues[b] {
-			e.Varint(int64(r.cu))
-			e.Bool(r.stolen)
-		}
-		e.Uvarint(uint64(len(c.writes[b])))
-		for _, w := range c.writes[b] {
-			e.Varint(int64(w.WarpIdx))
-			e.Uvarint(uint64(w.Reg))
-		}
-	}
-	e.Uvarint(uint64(len(c.qlenHist)))
-	for _, row := range c.qlenHist {
-		for _, v := range row {
-			e.Varint(int64(v))
-		}
-	}
-	e.Int(c.histPos)
-	e.Varint(c.cycle)
-}
+func (c *Collector) EncodeState(e *snapshot.Encoder) { e.State(&c.collectorState) }
 
 // RestoreState decodes into a collector freshly built with the same shape
-// (CU count, banks, score-delay ring), validating that shape first.
+// (CU count, banks, score-delay ring); the walker checks that shape.
 func (c *Collector) RestoreState(d *snapshot.Decoder) error {
-	d.Section("coll")
-	nCU := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if int(nCU) != len(c.cus) {
-		return fmt.Errorf("regfile: snapshot has %d CUs, this config has %d", nCU, len(c.cus))
-	}
-	for i := range c.cus {
-		u := &c.cus[i]
-		u.Valid = d.Bool()
-		u.WarpIdx = int32(d.Varint())
-		u.SchedSlot = int32(d.Varint())
-		u.Instr = d.Instr()
-		u.Pending = int8(d.Varint())
-		u.Stolen = d.Bool()
-		u.AllocCycle = d.Varint()
-		u.tried = false
-	}
-	nBank := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if int(nBank) != c.banks {
-		return fmt.Errorf("regfile: snapshot has %d banks, this config has %d", nBank, c.banks)
-	}
-	for b := 0; b < c.banks; b++ {
-		nr := int(d.Uvarint())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		c.queues[b] = c.queues[b][:0]
-		for i := 0; i < nr; i++ {
-			c.queues[b] = append(c.queues[b], readReq{cu: int8(d.Varint()), stolen: d.Bool()})
-		}
-		nw := int(d.Uvarint())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		c.writes[b] = c.writes[b][:0]
-		for i := 0; i < nw; i++ {
-			c.writes[b] = append(c.writes[b], WriteReq{
-				WarpIdx: int32(d.Varint()),
-				Reg:     isa.Reg(d.Uvarint()),
-				Bank:    int8(b),
-			})
-		}
-	}
-	nh := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if int(nh) != len(c.qlenHist) {
-		return fmt.Errorf("regfile: snapshot history ring holds %d rows, this config %d", nh, len(c.qlenHist))
-	}
-	for _, row := range c.qlenHist {
-		for b := range row {
-			row[b] = int16(d.Varint())
-		}
-	}
-	c.histPos = d.Int()
-	c.cycle = d.Varint()
+	d.State(&c.collectorState)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if c.histPos < 0 || c.histPos >= len(c.qlenHist) {
 		return fmt.Errorf("regfile: snapshot histPos %d out of ring [0,%d)", c.histPos, len(c.qlenHist))
 	}
+	// Granted writes never outlive the cycle that granted them.
 	c.grantedW = c.grantedW[:0]
 	return nil
 }

@@ -10,23 +10,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-func TestSnapshotCoverage(t *testing.T) {
-	cases := []struct {
-		typ      reflect.Type
-		manifest map[string]string
-	}{
-		{reflect.TypeOf(Collector{}), collectorManifest},
-		{reflect.TypeOf(CollectorUnit{}), collectorUnitManifest},
-		{reflect.TypeOf(readReq{}), readReqManifest},
-		{reflect.TypeOf(WriteReq{}), writeReqManifest},
-	}
-	for _, c := range cases {
-		if err := snapshot.Coverage(c.typ, c.manifest); err != nil {
-			t.Errorf("%s: %v", c.typ.Name(), err)
-		}
-	}
-}
-
 // loadCollector stages a deterministic mix of instructions, writes, and
 // partial grants so every piece of collector state is non-trivial.
 func loadCollector(c *Collector, ticks int) []string {

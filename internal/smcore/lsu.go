@@ -20,10 +20,9 @@ type lsuEntry struct {
 // their line transactions through a single coalescer port, and schedules
 // writebacks for loads.
 type LSU struct {
-	sm       *SM
-	queue    []lsuEntry
+	sm *SM
+	lsuState
 	capacity int
-	portFree int64 // coalescer occupancy (1 transaction per cycle)
 	tr       *trace.SMT
 
 	// sharedBase sequences synthetic shared-memory "addresses" only for
@@ -32,6 +31,13 @@ type LSU struct {
 		shared   int64
 		constant int64
 	}
+}
+
+// lsuState is the LSU's mutable state: plain data only, walked whole by
+// snapshot.State (snapshot.go).
+type lsuState struct {
+	queue    []lsuEntry
+	portFree int64 // coalescer occupancy (1 transaction per cycle)
 }
 
 func newLSU(sm *SM, capacity int) *LSU {

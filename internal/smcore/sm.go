@@ -105,12 +105,12 @@ func (h *wbHeap) pop() wbEvent {
 }
 
 // SM is one streaming multiprocessor: sub-cores, the shared LSU, resident
-// warps/blocks, and the warp→sub-core assigner.
+// warps/blocks, and the warp→sub-core assigner. Its own mutable state is the
+// warp table and the embedded smState; the rest is wiring and scratch.
 type SM struct {
 	id       int
 	cfg      *config.GPU
 	warps    []Warp
-	blocks   []block
 	subcores []*SubCore
 	assigner core.Assigner
 	lsu      *LSU
@@ -118,43 +118,53 @@ type SM struct {
 	st       *stats.SM
 	run      *stats.Run
 
-	wb         wbHeap
-	freeShmem  int
-	ageCounter int64
+	smState
+
 	// rooms is CanAccept's reusable feasibility scratch.
 	rooms []subRoom
 	// auditSB is Audit's reusable expected-scoreboard scratch: the
 	// periodic invariant sweep (gpu heartbeat, every monitorPeriod
 	// cycles) must not allocate per visit.
 	auditSB [][sbWords]uint64
-	// residentWarps counts occupied warp slots (all states).
-	residentWarps  int
-	residentBlocks int
-	// liveWarps counts warps not yet exited; the SM is drained when 0 and
-	// no writebacks or LSU entries are pending.
-	liveWarps int
 
-	traceReads  bool
-	lastRegRead int64
+	traceReads bool
 
 	// tr is the observability handle for this SM; nil when the SM is not
 	// traced, which is the fast path every emission site branches on.
 	tr *trace.SMT
 }
 
+// smState is the SM-level state a snapshot carries beside the warp table:
+// plain data only, walked whole by snapshot.State (snapshot.go).
+type smState struct {
+	blocks     []block `snap:"fixed"`
+	wb         wbHeap
+	freeShmem  int
+	ageCounter int64
+	// residentWarps counts occupied warp slots (all states).
+	residentWarps  int
+	residentBlocks int
+	// liveWarps counts warps not yet exited; the SM is drained when 0 and
+	// no writebacks or LSU entries are pending.
+	liveWarps   int
+	lastRegRead int64
+}
+
 // NewSM builds SM id for a validated config, wiring it to the shared
 // memory hierarchy and the run's stats.
 func NewSM(id int, cfg *config.GPU, hier *mem.Hierarchy, run *stats.Run) *SM {
 	sm := &SM{
-		id:        id,
-		cfg:       cfg,
-		warps:     make([]Warp, cfg.MaxWarpsPerSM),
-		blocks:    make([]block, cfg.MaxBlocksPerSM),
-		hier:      hier,
-		st:        &run.SMs[id],
-		run:       run,
-		assigner:  core.NewAssigner(cfg.SubCoreAssign, cfg.SubCoresPerSM, cfg.HashTableEntries, cfg.Seed, id),
-		freeShmem: cfg.SharedMemKBPerSM * 1024,
+		id:       id,
+		cfg:      cfg,
+		warps:    make([]Warp, cfg.MaxWarpsPerSM),
+		hier:     hier,
+		st:       &run.SMs[id],
+		run:      run,
+		assigner: core.NewAssigner(cfg.SubCoreAssign, cfg.SubCoresPerSM, cfg.HashTableEntries, cfg.Seed, id),
+		smState: smState{
+			blocks:    make([]block, cfg.MaxBlocksPerSM),
+			freeShmem: cfg.SharedMemKBPerSM * 1024,
+		},
 	}
 	sm.lsu = newLSU(sm, cfg.LSUQueue)
 	for i := 0; i < cfg.SubCoresPerSM; i++ {
@@ -372,7 +382,10 @@ func (sm *SM) setState(w *Warp, st WarpState) {
 }
 
 // retireBlock frees every resource the block held — the all-at-once
-// deallocation that makes sub-core imbalance expensive.
+// deallocation that makes sub-core imbalance expensive. The freed block
+// slot is zeroed, not just marked: a free slot holding its last occupant's
+// residue would make equal machine states snapshot differently. (Free warp
+// slots may keep theirs: a snapshot carries occupied warps only.)
 func (sm *SM) retireBlock(blk *block) {
 	for _, wi := range blk.warpIdxs {
 		w := &sm.warps[wi]
@@ -381,12 +394,12 @@ func (sm *SM) retireBlock(blk *block) {
 		sm.residentWarps--
 	}
 	sm.freeShmem += blk.sharedBytes
-	blk.active = false
 	sm.residentBlocks--
 	sm.st.BlocksCompleted++
 	if sm.tr != nil {
 		sm.tr.Emit(trace.KBlockRetire, -1, -1, int32(blk.kernelBlockID), 0)
 	}
+	*blk = block{}
 }
 
 // Tick advances the SM one cycle. Stages run back-to-front so results

@@ -2,9 +2,13 @@ package smcore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -13,27 +17,6 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
-
-func TestSMSnapshotCoverage(t *testing.T) {
-	cases := []struct {
-		typ      reflect.Type
-		manifest map[string]string
-	}{
-		{reflect.TypeOf(SM{}), smManifest},
-		{reflect.TypeOf(Warp{}), warpManifest},
-		{reflect.TypeOf(block{}), blockManifest},
-		{reflect.TypeOf(wbEvent{}), wbEventManifest},
-		{reflect.TypeOf(SubCore{}), subCoreManifest},
-		{reflect.TypeOf(execUnit{}), execUnitManifest},
-		{reflect.TypeOf(LSU{}), lsuManifest},
-		{reflect.TypeOf(lsuEntry{}), lsuEntryManifest},
-	}
-	for _, c := range cases {
-		if err := snapshot.Coverage(c.typ, c.manifest); err != nil {
-			t.Errorf("%s: %v", c.typ.Name(), err)
-		}
-	}
-}
 
 // memMixProg exercises every in-flight-writer source the audit models:
 // global and shared loads (LSU + writeback heap), constant loads, FMA
@@ -194,6 +177,69 @@ func TestSMRestoreShapeMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("restore into a 32-warp-slot SM from a 64-slot snapshot succeeded")
+	}
+}
+
+// TestSMRestoreRefusesHostileLengths is the regression test for unbounded
+// decoded lengths: a CRC-valid frame whose writeback-heap length said 2^27
+// used to make RestoreState append 2^27 zero events (52 s, 3.4 GB) before
+// reporting the bad varint that followed. Every zero byte of an idle SM's
+// frame — each empty collection's length among them — is replaced in turn by
+// the varint 2^27; each variant must come back promptly and small, and the
+// ones that hit a length must be refused as such.
+func TestSMRestoreRefusesHostileLengths(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	build := func() *SM { return NewSM(0, &cfg, mem.NewHierarchy(cfg), stats.NewRun(1, cfg.SubCoresPerSM)) }
+	e := snapshot.NewEncoder()
+	build().EncodeState(e)
+	var buf bytes.Buffer
+	if err := e.Finish(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := snapshot.Payload(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := binary.AppendUvarint(nil, 1<<27)
+	noProg := func(int64) (*program.Program, error) { return fmaProg(1), nil }
+	var refused []time.Duration
+	for i, b := range payload {
+		if b != 0 {
+			continue
+		}
+		hostile := append(append(append([]byte(nil), payload[:i]...), huge...), payload[i+1:]...)
+		d, err := snapshot.NewDecoder(bytes.NewReader(snapshot.Frame(hostile)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := build()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		err = sm.RestoreState(d, noProg)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil && strings.Contains(err.Error(), "exceeds") {
+			refused = append(refused, took)
+		}
+		// One second is a scheduling hiccup on a shared runner at worst; the
+		// bug was fifty.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 || took > time.Second {
+			t.Fatalf("payload byte %d = 2^27: RestoreState took %v and allocated %d bytes (err %v)", i, took, grew, err)
+		}
+	}
+	// smFrame.Warps, the writeback heap, the LSU queue, and per sub-core two
+	// read and two write queues.
+	if want := 3 + 4*cfg.SubCoresPerSM; len(refused) < want {
+		t.Fatalf("%d variants were refused as over-long lengths, want at least %d", len(refused), want)
+	}
+	slices.Sort(refused)
+	if med := refused[len(refused)/2]; med > 10*time.Millisecond {
+		t.Fatalf("refusing an over-long length took %v at the median, want under 10ms", med)
 	}
 }
 

@@ -16,8 +16,14 @@ import (
 // fully-connected SM pools four of them, so lane budgets above the native
 // pipe width become additional dispatch ports rather than one wider pipe.
 type execUnit struct {
-	ii    int64
-	ports []int64 // per-pipe next-free cycle
+	ii int64 // initiation interval, from the configured lane count
+	euState
+}
+
+// euState is an execution unit's mutable state (plain data, walked by
+// snapshot.State): each pipe's next-free cycle.
+type euState struct {
+	ports []int64 `snap:"fixed"`
 }
 
 func newExecUnit(lanes, pipeWidth int) execUnit {
@@ -32,10 +38,12 @@ func newExecUnit(lanes, pipeWidth int) execUnit {
 	if lanes < pipeWidth {
 		w = lanes
 	}
-	return execUnit{
-		ii:    int64(isa.InitiationInterval(w)),
-		ports: make([]int64, n),
-	}
+	return pipes(int64(isa.InitiationInterval(w)), n)
+}
+
+// pipes builds a unit of n idle pipes with initiation interval ii.
+func pipes(ii int64, n int) execUnit {
+	return execUnit{ii: ii, euState: euState{ports: make([]int64, n)}}
 }
 
 func (e *execUnit) ready(now int64) bool {
@@ -149,11 +157,11 @@ func (rs *readySet) set(slot int, w *Warp, banks int) {
 // fully-connected model), a slice of the register file with its operand
 // collector, and private execution units.
 type SubCore struct {
-	id    int
-	cfg   *config.GPU
-	sm    *SM
-	slots []int32 // warp indices into sm.warps; -1 = empty
-	used  int
+	id  int
+	cfg *config.GPU
+	sm  *SM
+
+	subCoreState
 
 	// rs is the event-maintained ready set over slots.
 	rs readySet
@@ -161,9 +169,6 @@ type SubCore struct {
 	sched core.WarpScheduler
 	coll  *regfile.Collector
 	eu    [isa.NumClasses]execUnit
-
-	// freeRegBytes tracks unallocated register-file capacity.
-	freeRegBytes int
 
 	st *stats.SubCore
 
@@ -183,17 +188,29 @@ type SubCore struct {
 	dispPorts  int
 }
 
+// subCoreState is the sub-core's own mutable state — the scheduler, the
+// collector and the execution units carry theirs: plain data only, walked
+// whole by snapshot.State (snapshot.go).
+type subCoreState struct {
+	slots []int32 `snap:"fixed"` // warp indices into sm.warps; -1 = empty
+	used  int
+	// freeRegBytes tracks unallocated register-file capacity.
+	freeRegBytes int
+}
+
 func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 	sc := &SubCore{
-		id:           id,
-		cfg:          cfg,
-		sm:           sm,
-		slots:        make([]int32, cfg.WarpsPerSubCore()),
-		sched:        core.NewWarpScheduler(cfg.WarpScheduler),
-		coll:         regfile.NewCollector(cfg.CollectorUnitsPerSubCore, cfg.BanksPerSubCore, maxScoreDelay(cfg), st),
-		freeRegBytes: cfg.RegFileKBPerSubCore * 1024,
-		st:           st,
-		qlenBuf:      make([]int, cfg.BanksPerSubCore),
+		id:  id,
+		cfg: cfg,
+		sm:  sm,
+		subCoreState: subCoreState{
+			slots:        make([]int32, cfg.WarpsPerSubCore()),
+			freeRegBytes: cfg.RegFileKBPerSubCore * 1024,
+		},
+		sched:   core.NewWarpScheduler(cfg.WarpScheduler),
+		coll:    regfile.NewCollector(cfg.CollectorUnitsPerSubCore, cfg.BanksPerSubCore, maxScoreDelay(cfg), st),
+		st:      st,
+		qlenBuf: make([]int, cfg.BanksPerSubCore),
 	}
 	for i := range sc.slots {
 		sc.slots[i] = -1
@@ -207,10 +224,10 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 	if tensors < 1 {
 		tensors = 1
 	}
-	sc.eu[isa.ClassTensor] = execUnit{ii: 4, ports: make([]int64, tensors)}
+	sc.eu[isa.ClassTensor] = pipes(4, tensors)
 	// The MEM "unit" is an issue port into the SM-shared LSU; its real
 	// acceptance check is the LSU queue's, applied at dispatch.
-	sc.eu[isa.ClassMEM] = execUnit{ii: 1, ports: make([]int64, 1)}
+	sc.eu[isa.ClassMEM] = pipes(1, 1)
 	sc.dispatchFn = func(cu *regfile.CollectorUnit) bool {
 		if sc.dispPorts <= 0 {
 			return false

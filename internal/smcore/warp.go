@@ -30,8 +30,18 @@ const (
 
 const sbWords = 4 // scoreboard bitset covers 256 architectural registers
 
-// Warp is a resident warp's hardware state on an SM.
+// Warp is a resident warp's hardware state on an SM: the plain-data
+// warpState plus the cursor into its program.
 type Warp struct {
+	warpState
+	// Cursor walks the warp's program. A snapshot carries its position
+	// only; the program is a workload artifact, rebound on restore.
+	Cursor program.Cursor
+}
+
+// warpState is a warp's state minus the cursor: plain data only, carried
+// whole by snapshot.State (snapshot.go).
+type warpState struct {
 	// State is the lifecycle state.
 	State WarpState
 	// GID is the kernel-wide warp index (block * warpsPerBlock + lane),
@@ -46,8 +56,6 @@ type Warp struct {
 	BankOff   int16
 	// Age is the SM-wide allocation order; GTO/RBA tie-break on it.
 	Age int64
-	// Cursor walks the warp's program.
-	Cursor program.Cursor
 	// IBuf is the 2-entry instruction buffer; IBufN is its fill level.
 	IBuf  [2]isa.Instr
 	IBufN int8
@@ -128,14 +136,16 @@ func (w *Warp) NextRand() uint64 {
 // resetWarp prepares a slot for a new warp.
 func resetWarp(w *Warp, gid int64, blockSlot int32, subCore int8, schedSlot int16, age int64, prog *program.Program) {
 	*w = Warp{
-		State:     WarpActive,
-		GID:       gid,
-		BlockSlot: blockSlot,
-		SubCore:   subCore,
-		SchedSlot: schedSlot,
-		Age:       age,
-		Cursor:    prog.Cursor(),
-		StolenCU:  -1,
-		rng:       uint64(gid)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
+		warpState: warpState{
+			State:     WarpActive,
+			GID:       gid,
+			BlockSlot: blockSlot,
+			SubCore:   subCore,
+			SchedSlot: schedSlot,
+			Age:       age,
+			StolenCU:  -1,
+			rng:       uint64(gid)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
+		},
+		Cursor: prog.Cursor(),
 	}
 }

@@ -4,14 +4,14 @@
 //
 // The format is deliberately dumb: a fixed magic, a format version, a
 // varint-encoded payload, and a CRC-32C trailer. There is no schema in the
-// stream — encoder and decoder must agree field-for-field, which is why
-// every encode site is mirrored by a Section tag (cheap self-description
-// that turns a drifted decoder into a loud error instead of silently
-// misaligned state) and why each state-holding package keeps a field
-// manifest whose Coverage test refuses new struct fields that no snapshot
-// code mentions. Any change to what is encoded must bump Version; old
-// snapshots are rejected, never migrated — a snapshot is a crash-recovery
-// artifact with the lifetime of one sweep, not an archival format.
+// stream. Each state-holding component keeps its mutable fields in one
+// plain-data state struct, and one reflective walker (State, walk.go)
+// encodes and decodes those structs field by field in declaration order,
+// so the two directions cannot drift apart and a field added to a state
+// struct is carried without further code. Any change to a state struct must
+// bump Version; old snapshots are rejected, never migrated — a snapshot is a
+// crash-recovery artifact with the lifetime of one sweep, not an archival
+// format.
 package snapshot
 
 import (
@@ -19,17 +19,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"reflect"
-	"sort"
-	"strings"
-
-	"repro/internal/isa"
 )
 
-// Version is the snapshot format version. Bump it whenever the set or
-// order of encoded fields changes anywhere in the machine state; decoding
-// rejects every other version.
-const Version = 2
+// Version is the snapshot format version. Bump it whenever the set, order
+// or type of the fields in any state struct changes; decoding rejects every
+// other version.
+const Version = 3
 
 // magic identifies a snapshot stream; the trailing byte leaves room to
 // change the container (not the payload schema) without colliding.
@@ -42,6 +37,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Encoders are single-use.
 type Encoder struct {
 	buf []byte
+	err error // set by State on a value it cannot carry; reported by Finish
 }
 
 // NewEncoder returns an empty Encoder.
@@ -52,9 +48,6 @@ func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
 // Varint appends a zigzag-encoded signed varint.
 func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
-
-// Int appends an int as a signed varint.
-func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
 
 // Bool appends a bool as one byte.
 func (e *Encoder) Bool(b bool) {
@@ -71,46 +64,25 @@ func (e *Encoder) Bytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Section appends a named section marker. Decoders verify the tag, so a
-// drifted field layout fails at the next section boundary with both names
-// in the error instead of decoding garbage.
-func (e *Encoder) Section(tag string) { e.String(tag) }
-
-// Instr appends a full instruction descriptor.
-func (e *Encoder) Instr(in *isa.Instr) {
-	e.Uvarint(uint64(in.Op))
-	e.Uvarint(uint64(in.Dst))
-	for _, s := range in.Srcs {
-		e.Uvarint(uint64(s))
+// Finish frames the payload and writes the complete snapshot to w.
+func (e *Encoder) Finish(w io.Writer) error {
+	if e.err != nil {
+		return e.err
 	}
-	e.Uvarint(uint64(in.Mem.Pattern))
-	e.Uvarint(uint64(in.Mem.Footprint))
-	e.Uvarint(uint64(in.Mem.StrideBytes))
-	e.Bool(in.Mem.Shared)
-	e.Uvarint(uint64(in.Mem.Divergence))
+	_, err := w.Write(Frame(e.buf))
+	return err
 }
 
-// Len returns the current payload size in bytes.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// Finish frames the payload and writes the complete snapshot to w:
+// Frame wraps a payload in the snapshot container:
 // magic | uvarint version | uvarint payload-length | payload | crc32c(LE),
 // with the checksum covering everything before it.
-func (e *Encoder) Finish(w io.Writer) error {
-	framed := make([]byte, 0, len(e.buf)+24)
+func Frame(payload []byte) []byte {
+	framed := make([]byte, 0, len(payload)+24)
 	framed = append(framed, magic[:]...)
 	framed = binary.AppendUvarint(framed, Version)
-	framed = binary.AppendUvarint(framed, uint64(len(e.buf)))
-	framed = append(framed, e.buf...)
-	framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(framed, castagnoli))
-	_, err := w.Write(framed)
-	return err
+	framed = binary.AppendUvarint(framed, uint64(len(payload)))
+	framed = append(framed, payload...)
+	return binary.LittleEndian.AppendUint32(framed, crc32.Checksum(framed, castagnoli))
 }
 
 // Decoder reads back a snapshot produced by Encoder.Finish. NewDecoder
@@ -131,10 +103,20 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
-	if len(all) < len(magic)+2+4 {
-		return nil, fmt.Errorf("snapshot: truncated frame (%d bytes)", len(all))
+	payload, err := Payload(all)
+	if err != nil {
+		return nil, err
 	}
-	body, tail := all[:len(all)-4], all[len(all)-4:]
+	return &Decoder{buf: payload}, nil
+}
+
+// Payload verifies a frame's container (checksum, magic, version, length)
+// and returns the payload it carries, aliasing frame.
+func Payload(frame []byte) ([]byte, error) {
+	if len(frame) < len(magic)+2+4 {
+		return nil, fmt.Errorf("snapshot: truncated frame (%d bytes)", len(frame))
+	}
+	body, tail := frame[:len(frame)-4], frame[len(frame)-4:]
 	if got, want := binary.LittleEndian.Uint32(tail), crc32.Checksum(body, castagnoli); got != want {
 		return nil, fmt.Errorf("snapshot: checksum mismatch (stored %08x, computed %08x) — file corrupt or torn", got, want)
 	}
@@ -158,7 +140,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if uint64(len(rest)) != plen {
 		return nil, fmt.Errorf("snapshot: payload length %d, header promises %d", len(rest), plen)
 	}
-	return &Decoder{buf: rest}, nil
+	return rest, nil
 }
 
 func (d *Decoder) fail(format string, args ...any) {
@@ -195,8 +177,18 @@ func (d *Decoder) Varint() int64 {
 	return v
 }
 
-// Int reads an int.
-func (d *Decoder) Int() int { return int(d.Varint()) }
+// Len reads the length of a variable-size collection. Every element costs
+// at least one payload byte, so a length beyond the bytes that remain is
+// corrupt; it is refused here, before a caller sizes an allocation or a
+// loop by it.
+func (d *Decoder) Len() int {
+	n := d.Uvarint()
+	if left := len(d.buf) - d.off; d.err == nil && n > uint64(left) {
+		d.fail("length %d exceeds the %d payload bytes left", n, left)
+		return 0
+	}
+	return int(n)
+}
 
 // Bool reads a bool.
 func (d *Decoder) Bool() bool {
@@ -232,33 +224,6 @@ func (d *Decoder) Bytes() []byte {
 	return out
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.Bytes()) }
-
-// Section reads a section marker and verifies it matches tag.
-func (d *Decoder) Section(tag string) {
-	got := d.String()
-	if d.err == nil && got != tag {
-		d.fail("section %q, want %q — snapshot layout drift", got, tag)
-	}
-}
-
-// Instr reads an instruction descriptor.
-func (d *Decoder) Instr() isa.Instr {
-	var in isa.Instr
-	in.Op = isa.Op(d.Uvarint())
-	in.Dst = isa.Reg(d.Uvarint())
-	for i := range in.Srcs {
-		in.Srcs[i] = isa.Reg(d.Uvarint())
-	}
-	in.Mem.Pattern = isa.Pattern(d.Uvarint())
-	in.Mem.Footprint = uint32(d.Uvarint())
-	in.Mem.StrideBytes = uint32(d.Uvarint())
-	in.Mem.Shared = d.Bool()
-	in.Mem.Divergence = uint8(d.Uvarint())
-	return in
-}
-
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
@@ -269,42 +234,6 @@ func (d *Decoder) Finish() error {
 	}
 	if d.off != len(d.buf) {
 		return fmt.Errorf("snapshot: %d trailing payload bytes — snapshot layout drift", len(d.buf)-d.off)
-	}
-	return nil
-}
-
-// Coverage checks a package's snapshot field manifest against the real
-// struct: every field of typ (exported or not) must appear as a manifest
-// key, every manifest key must name a live field, and every value must
-// begin with "encoded" or "skip:" (followed by why the field need not be
-// serialized). Each state-holding package keeps its manifests next to
-// its encode/decode code and asserts them in a completeness test, so
-// adding a struct field without deciding its snapshot fate fails the
-// build's test run.
-func Coverage(typ reflect.Type, manifest map[string]string) error {
-	if typ.Kind() != reflect.Struct {
-		return fmt.Errorf("snapshot: Coverage wants a struct type, got %s", typ.Kind())
-	}
-	live := make(map[string]bool, typ.NumField())
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		live[name] = true
-		if _, ok := manifest[name]; !ok {
-			return fmt.Errorf("snapshot: %s.%s is not in the snapshot manifest — encode it and bump snapshot.Version, or record an explicit \"skip: ...\" entry", typ.Name(), name)
-		}
-	}
-	keys := make([]string, 0, len(manifest))
-	for k := range manifest {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !live[k] {
-			return fmt.Errorf("snapshot: manifest entry %s.%s names no field — remove the stale entry", typ.Name(), k)
-		}
-		if v := manifest[k]; !strings.HasPrefix(v, "encoded") && !strings.HasPrefix(v, "skip:") {
-			return fmt.Errorf("snapshot: manifest entry %s.%s = %q decides nothing — the value must begin with \"encoded\" or \"skip: <reason>\"", typ.Name(), k, v)
-		}
 	}
 	return nil
 }

@@ -4,32 +4,21 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/isa"
 )
 
 func TestRoundTrip(t *testing.T) {
 	e := NewEncoder()
-	e.Section("hdr")
 	e.Uvarint(0)
 	e.Uvarint(1<<63 + 12345)
 	e.Varint(-1)
 	e.Varint(1 << 40)
-	e.Int(-987654321)
 	e.Bool(true)
 	e.Bool(false)
 	e.Bytes([]byte{})
 	e.Bytes([]byte{0, 255, 7})
-	e.String("warp state")
-	in := isa.MakeLoad(isa.OpLDG, 4, 2, isa.MemTrait{
-		Pattern: isa.PatStrided, Footprint: 1 << 20, StrideBytes: 64,
-		Shared: true, Divergence: 9,
-	})
-	e.Instr(&in)
-	e.Section("tail")
+	e.Bytes([]byte("warp state"))
 
 	var buf bytes.Buffer
 	if err := e.Finish(&buf); err != nil {
@@ -40,7 +29,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDecoder: %v", err)
 	}
-	d.Section("hdr")
 	if got := d.Uvarint(); got != 0 {
 		t.Errorf("Uvarint = %d, want 0", got)
 	}
@@ -53,9 +41,6 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.Varint(); got != 1<<40 {
 		t.Errorf("Varint = %d", got)
 	}
-	if got := d.Int(); got != -987654321 {
-		t.Errorf("Int = %d", got)
-	}
 	if !d.Bool() || d.Bool() {
 		t.Errorf("Bool round-trip failed")
 	}
@@ -65,13 +50,9 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.Bytes(); !bytes.Equal(got, []byte{0, 255, 7}) {
 		t.Errorf("Bytes = %v", got)
 	}
-	if got := d.String(); got != "warp state" {
-		t.Errorf("String = %q", got)
+	if got := d.Bytes(); string(got) != "warp state" {
+		t.Errorf("Bytes = %q", got)
 	}
-	if got := d.Instr(); got != in {
-		t.Errorf("Instr = %+v, want %+v", got, in)
-	}
-	d.Section("tail")
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -80,7 +61,7 @@ func TestRoundTrip(t *testing.T) {
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
 	e := NewEncoder()
-	e.Section("s")
+	e.Bool(true)
 	e.Varint(42)
 	var buf bytes.Buffer
 	if err := e.Finish(&buf); err != nil {
@@ -129,55 +110,15 @@ func TestDecoderRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-func TestSectionMismatch(t *testing.T) {
-	d, err := NewDecoder(bytes.NewReader(encodeSample(t)))
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
-	}
-	d.Section("wrong")
-	if d.Err() == nil || !strings.Contains(d.Err().Error(), "layout drift") {
-		t.Fatalf("Err = %v, want section mismatch", d.Err())
-	}
-	// Sticky: further reads keep the first error.
-	d.Varint()
-	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), "section") {
-		t.Fatalf("Finish = %v, want sticky section error", err)
-	}
-}
-
 func TestTrailingPayloadFails(t *testing.T) {
 	d, err := NewDecoder(bytes.NewReader(encodeSample(t)))
 	if err != nil {
 		t.Fatalf("NewDecoder: %v", err)
 	}
-	d.Section("s")
+	d.Bool()
 	// Varint deliberately unread.
 	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("Finish = %v, want trailing-bytes error", err)
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	type state struct {
-		A int
-		b string //nolint:unused // exists to exercise unexported coverage
-	}
-	typ := reflect.TypeOf(state{})
-
-	if err := Coverage(typ, map[string]string{"A": "encoded", "b": "skip: scratch"}); err != nil {
-		t.Errorf("complete manifest rejected: %v", err)
-	}
-	if err := Coverage(typ, map[string]string{"A": "encoded"}); err == nil || !strings.Contains(err.Error(), "state.b") {
-		t.Errorf("missing field not caught: %v", err)
-	}
-	if err := Coverage(typ, map[string]string{"A": "encoded", "b": "skip: scratch", "Gone": "encoded"}); err == nil || !strings.Contains(err.Error(), "Gone") {
-		t.Errorf("stale entry not caught: %v", err)
-	}
-	if err := Coverage(typ, map[string]string{"A": "encoded", "b": "todo"}); err == nil || !strings.Contains(err.Error(), `state.b = "todo"`) {
-		t.Errorf("malformed value not caught: %v", err)
-	}
-	if err := Coverage(reflect.TypeOf(42), nil); err == nil {
-		t.Error("non-struct type accepted")
 	}
 }
 
