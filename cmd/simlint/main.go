@@ -1,8 +1,7 @@
 // Command simlint runs the repository's custom static-analysis suite
 // (internal/analysis) over the module and exits non-zero on findings.
-// It is a tier-1 CI gate: the determinism, hot-path, trace-guard,
-// fault-flow, monitor-poll, CPI-ledger, fast-forward, and config-freeze
-// invariants it enforces are the source-level half of the guarantees
+// It is a tier-1 CI gate: the determinism and fault-flow rules it
+// enforces are the source-level half of the guarantees
 // determinism_test.go and the harness chaos tests check dynamically.
 // See docs/STATIC_ANALYSIS.md.
 //
@@ -10,10 +9,10 @@
 //
 //	go run ./cmd/simlint ./...                 # whole module
 //	go run ./cmd/simlint ./internal/smcore     # one package
-//	go run ./cmd/simlint -analyzers hotpath ./...
+//	go run ./cmd/simlint -analyzers determinism ./...
 //	go run ./cmd/simlint -json ./...           # machine-readable findings
 //	go run ./cmd/simlint -strict-allow ./...   # also flag stale //simlint:allow
-//	go run ./cmd/simlint internal/analysis/testdata/src/hotpath
+//	go run ./cmd/simlint internal/analysis/testdata/src/faultflow
 //
 // A directory argument under a testdata tree (which the go tool
 // ignores) is loaded as a standalone fixture tree — the same path the
@@ -46,7 +45,6 @@ type jsonDiag struct {
 	Column   int    `json:"column"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Chain    string `json:"chain,omitempty"`
 }
 
 // Exit codes, documented in the package comment and asserted by
@@ -140,7 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Column:   d.Pos.Column,
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
-				Chain:    d.Chain,
 			}
 			if err := enc.Encode(jd); err != nil {
 				fmt.Fprintln(stderr, err)

@@ -31,7 +31,7 @@ func TestExitFindingsIsOne(t *testing.T) {
 	if code != exitFindings {
 		t.Fatalf("dirty fixture: exit %d, want %d (stderr: %s)", code, exitFindings, stderr)
 	}
-	if !strings.Contains(stdout, "hotpath") {
+	if !strings.Contains(stdout, "determinism") {
 		t.Errorf("findings output does not name the analyzer: %q", stdout)
 	}
 	if !strings.Contains(stderr, "finding(s)") {
@@ -46,7 +46,7 @@ func TestExitErrorIsTwo(t *testing.T) {
 	}{
 		{"unloadable package pattern", []string{"./does-not-exist"}},
 		{"unknown analyzer", []string{"-analyzers", "nosuch", "testdata/clean"}},
-		{"deleted analyzer", []string{"-analyzers", "clocktaint", "testdata/clean"}},
+		{"deleted analyzer", []string{"-analyzers", "traceguard", "testdata/clean"}},
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
 	}
 	for _, tc := range cases {
@@ -66,7 +66,7 @@ func TestJSONFindingsStillExitOne(t *testing.T) {
 	if code != exitFindings {
 		t.Fatalf("exit %d, want %d", code, exitFindings)
 	}
-	if !strings.Contains(stdout, `"analyzer":"hotpath"`) {
+	if !strings.Contains(stdout, `"analyzer":"determinism"`) {
 		t.Errorf("JSON output missing analyzer field: %q", stdout)
 	}
 }
@@ -78,8 +78,7 @@ func TestListPrintsRegistry(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("exit %d, want %d", code, exitClean)
 	}
-	want := []string{"determinism", "hotpath", "traceguard", "faultflow",
-		"monitorpoll", "cpiguard", "configfreeze"}
+	want := []string{"determinism", "faultflow"}
 	rows := strings.Split(strings.TrimSpace(stdout), "\n")
 	if len(rows) != len(want) {
 		t.Fatalf("-list printed %d rows, want %d:\n%s", len(rows), len(want), stdout)

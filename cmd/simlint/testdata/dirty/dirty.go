@@ -1,10 +1,12 @@
 // Package dirty is a driver-test fixture with exactly one guaranteed
-// finding: a per-cycle function that heap-allocates, which the hotpath
-// analyzer flags wherever it appears. The exit-code contract test
-// asserts simlint returns 1 on it.
+// finding: a wall-clock read, which the determinism analyzer flags in
+// every fixture. The exit-code contract test asserts simlint returns 1
+// on it.
 package dirty
 
-// tick carries a hot stage word, so the allocation below is a finding.
-func tick() []int {
-	return make([]int, 8)
+import "time"
+
+// stamp reads the wall clock: the finding.
+func stamp() time.Time {
+	return time.Now()
 }

@@ -43,33 +43,114 @@ import (
 	"repro/internal/trace"
 )
 
+// cfgFlags are the flags that shape the device configuration.
+type cfgFlags struct {
+	fc, steal, noFF         *bool
+	sched, assign, cfgFile  *string
+	sms, cus, banks, rbaLat *int
+	auditEv                 *int64
+}
+
+func registerCfgFlags(fs *flag.FlagSet) *cfgFlags {
+	return &cfgFlags{
+		fc:      fs.Bool("fc", false, "use the fully-connected SM model (not with -config-file)"),
+		sched:   fs.String("sched", "gto", "warp scheduler: gto, lrr, rba"),
+		assign:  fs.String("assign", "rr", "sub-core assignment: rr, srr, shuffle"),
+		sms:     fs.Int("sms", 4, "number of SMs (with -config-file: only when given)"),
+		cus:     fs.Int("cus", 0, "collector units per sub-core (0 = default)"),
+		banks:   fs.Int("banks", 0, "register banks per sub-core (0 = default)"),
+		steal:   fs.Bool("steal", false, "enable register bank stealing"),
+		rbaLat:  fs.Int("rba-latency", 0, "RBA score-update latency in cycles"),
+		cfgFile: fs.String("config-file", "", "JSON file of configuration overrides (base: VoltaV100)"),
+		noFF:    fs.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)"),
+		auditEv: fs.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the run as a structured audit fault (0 = off)"),
+	}
+}
+
+// config assembles the device configuration from the parsed flags: the
+// base (VoltaV100, -fc, or -config-file), then each override. A flag left
+// at its default never overwrites what a config file says.
+func (f *cfgFlags) config(fs *flag.FlagSet) (config.GPU, error) {
+	given := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
+
+	cfg := repro.VoltaV100()
+	if *f.fc {
+		cfg = repro.FullyConnected()
+	}
+	if *f.cfgFile != "" {
+		if *f.fc {
+			return cfg, fmt.Errorf("-fc cannot be combined with -config-file: the file's base is VoltaV100; set the fully-connected fields in it")
+		}
+		r, err := os.Open(*f.cfgFile)
+		if err != nil {
+			return cfg, err
+		}
+		cfg, err = config.FromJSON(r)
+		r.Close()
+		if err != nil {
+			return cfg, err
+		}
+	}
+	if *f.cfgFile == "" || given["sms"] {
+		cfg = cfg.WithSMs(*f.sms)
+	}
+	switch *f.sched {
+	case "gto":
+	case "lrr":
+		cfg = cfg.WithScheduler(repro.SchedLRR)
+	case "rba":
+		cfg = cfg.WithScheduler(repro.SchedRBA)
+	default:
+		return cfg, fmt.Errorf("unknown scheduler %q", *f.sched)
+	}
+	switch *f.assign {
+	case "rr":
+	case "srr":
+		cfg = cfg.WithAssign(repro.AssignSRR)
+	case "shuffle":
+		cfg = cfg.WithAssign(repro.AssignShuffle)
+	default:
+		return cfg, fmt.Errorf("unknown assignment %q", *f.assign)
+	}
+	if *f.cus > 0 {
+		cfg = cfg.WithCUs(*f.cus)
+	}
+	if *f.banks > 0 {
+		cfg = cfg.WithBanks(*f.banks)
+	}
+	if *f.steal {
+		cfg = cfg.WithBankStealing()
+	}
+	if *f.noFF {
+		cfg = cfg.WithNoFastForward()
+	}
+	if *f.auditEv > 0 {
+		cfg = cfg.WithAudit(*f.auditEv)
+	}
+	if given["rba-latency"] {
+		cfg.RBAScoreLatency = *f.rbaLat
+	}
+	return cfg, nil
+}
+
 func main() {
+	cf := registerCfgFlags(flag.CommandLine)
 	var (
 		appName  = flag.String("app", "pb-mriq", "application name (see -list)")
 		list     = flag.Bool("list", false, "list applications and exit")
-		fc       = flag.Bool("fc", false, "use the fully-connected SM model")
-		sched    = flag.String("sched", "gto", "warp scheduler: gto, lrr, rba")
-		assign   = flag.String("assign", "rr", "sub-core assignment: rr, srr, shuffle")
-		sms      = flag.Int("sms", 4, "number of SMs")
-		cus      = flag.Int("cus", 0, "collector units per sub-core (0 = default)")
-		banks    = flag.Int("banks", 0, "register banks per sub-core (0 = default)")
-		steal    = flag.Bool("steal", false, "enable register bank stealing")
-		rbaLat   = flag.Int("rba-latency", 0, "RBA score-update latency in cycles")
 		trc      = flag.Bool("trace", false, "trace register-file reads/cycle on SM 0 and print a sparkline")
 		timeline = flag.Bool("timeline", false, "print per-sub-core issue timelines for SM 0 (imbalance view)")
 		chrome   = flag.String("chrome-trace", "", "write SM 0's event stream as Chrome trace-event JSON to this file")
 		jsonOut  = flag.Bool("json", false, "dump the full run statistics as JSON instead of the text report")
 		sample   = flag.Int("sample", 0, "counter sampling period in cycles (0 = per flag defaults)")
 		ringCap  = flag.Int("ring", 0, "event ring capacity for -chrome-trace (0 = default; ring keeps the last N events)")
-		cfgFile  = flag.String("config-file", "", "JSON file of configuration overrides (base: VoltaV100)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
 		maxCyc   = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 		metAddr  = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
-		noFF     = flag.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)")
 		snapDir  = flag.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory (resume with -resume-snapshots)")
 		snapEvr  = flag.Int64("snapshot-interval", 0, "simulated-cycle period between periodic snapshots (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
 		resumeS  = flag.Bool("resume-snapshots", false, "resume an interrupted run mid-kernel from its -snapshot-dir frame (byte-identical results)")
-		auditEv  = flag.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the run as a structured audit fault (0 = off)")
 	)
 	flag.Parse()
 
@@ -92,56 +173,10 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := repro.VoltaV100()
-	if *fc {
-		cfg = repro.FullyConnected()
+	cfg, err := cf.config(flag.CommandLine)
+	if err != nil {
+		fatal(err)
 	}
-	if *cfgFile != "" {
-		f, err := os.Open(*cfgFile)
-		if err != nil {
-			fatal(err)
-		}
-		cfg, err = config.FromJSON(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	}
-	cfg = cfg.WithSMs(*sms)
-	switch *sched {
-	case "gto":
-	case "lrr":
-		cfg = cfg.WithScheduler(repro.SchedLRR)
-	case "rba":
-		cfg = cfg.WithScheduler(repro.SchedRBA)
-	default:
-		fatal(fmt.Errorf("unknown scheduler %q", *sched))
-	}
-	switch *assign {
-	case "rr":
-	case "srr":
-		cfg = cfg.WithAssign(repro.AssignSRR)
-	case "shuffle":
-		cfg = cfg.WithAssign(repro.AssignShuffle)
-	default:
-		fatal(fmt.Errorf("unknown assignment %q", *assign))
-	}
-	if *cus > 0 {
-		cfg = cfg.WithCUs(*cus)
-	}
-	if *banks > 0 {
-		cfg = cfg.WithBanks(*banks)
-	}
-	if *steal {
-		cfg = cfg.WithBankStealing()
-	}
-	if *noFF {
-		cfg = cfg.WithNoFastForward()
-	}
-	if *auditEv > 0 {
-		cfg = cfg.WithAudit(*auditEv)
-	}
-	cfg.RBAScoreLatency = *rbaLat
 
 	// The sampled counter time-series (internal/trace) drives -trace,
 	// -timeline, and the counter tracks of -chrome-trace. -trace needs

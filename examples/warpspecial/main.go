@@ -14,6 +14,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/plot"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 // producerProgram streams cache-resident tiles into shared memory and
@@ -77,17 +78,21 @@ func main() {
 		{"SRR (paper)", base.WithAssign(repro.AssignSRR)},
 		{"Shuffle (paper)", base.WithAssign(repro.AssignShuffle)},
 	} {
+		// The tracer's counter sampler (internal/trace) records SM 0's
+		// per-sub-core issue counts every 32 cycles.
+		d.cfg.TraceSamplePeriod = 32
 		g, err := repro.NewGPU(d.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		g.TraceIssue(32)
+		tr := trace.New(trace.OptionsFor(&d.cfg, 0))
+		g.SetTracer(tr)
 		if err := g.RunKernel(kernel, 0); err != nil {
 			log.Fatal(err)
 		}
 		r := g.Run()
 		fmt.Printf("%s: %d cycles, issue CoV %.2f\n", d.name, r.Cycles, r.IssueCoV())
-		for sc, series := range r.IssueTimeline {
+		for sc, series := range tr.Counters().IssueBySub {
 			vals := make([]float64, len(series))
 			for i, v := range series {
 				vals[i] = float64(v)

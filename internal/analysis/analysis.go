@@ -3,29 +3,20 @@
 // golang.org/x/tools/go/analysis, implemented on the standard library
 // only so the linter builds offline with zero dependencies.
 //
-// The suite enforces the invariants the reproduction's headline numbers
-// rest on — bit-deterministic sweeps, an allocation-free cycle loop,
-// nil-guarded trace emission, structured fault propagation,
-// hang-supervision polling, a complete CPI ledger, and a frozen config —
-// at the source level. Two engines carry the seven analyzers: the package
-// loader (load.go) and the call graph (callgraph.go). A guard lives
-// here only when it catches a mistake no test in the tree does; the
-// audit behind that rule, and the dynamic oracle that stands in for
-// each guard deleted under it, is the table in docs/STATIC_ANALYSIS.md.
+// The suite pins two invariants at the source level — bit-deterministic
+// simulation and structured fault propagation — as per-package passes
+// over the package loader (load.go). A guard lives here only when it
+// catches a mistake no test in the tree does; the audit behind that
+// rule, and the dynamic oracle that stands in for each guard deleted
+// under it, is the table in docs/STATIC_ANALYSIS.md.
 //
-// Two comment directives tune the suite:
-//
-//	//simlint:hotpath
-//	    on a function's doc comment marks it per-cycle, opting it into
-//	    the hotpath analyzer even when its name does not match the
-//	    hot-name pattern.
+// One comment directive tunes the suite:
 //
 //	//simlint:allow <analyzer>[,<analyzer>...] -- <reason>
 //	    suppresses findings. On its own line (or trailing the offending
 //	    line) it covers that line and the next; inside a function's doc
 //	    comment it covers the whole function. The "-- reason" tail is
-//	    required by convention so every suppression is justified in
-//	    place.
+//	    required: a directive without one is itself a finding.
 package analysis
 
 import (
@@ -37,8 +28,7 @@ import (
 	"strings"
 )
 
-// Analyzer is one named pass, either per-package (Run) or whole-program
-// (RunProgram, which sees every loaded package plus the call graph).
+// Analyzer is one named per-package pass.
 type Analyzer struct {
 	// Name is the analyzer's identifier, used in reports and in
 	// //simlint:allow directives.
@@ -47,15 +37,10 @@ type Analyzer struct {
 	Doc string
 	// Run reports findings on the pass's package via Pass.Reportf.
 	Run func(*Pass) error
-	// RunProgram, when set, runs once over the whole loaded program
-	// instead of once per package; Run is ignored. Interprocedural
-	// analyzers live here: ProgramPass.Prog.CallGraph() is the shared,
-	// lazily built call graph.
-	RunProgram func(*ProgramPass) error
 }
 
 // All is the registry of simlint's analyzers, in report order.
-var All = []*Analyzer{Determinism, Hotpath, Traceguard, Faultflow, Monitorpoll, Cpiguard, Configfreeze}
+var All = []*Analyzer{Determinism, Faultflow}
 
 // ByName resolves a subset of All from comma-separated names.
 func ByName(names string) ([]*Analyzer, error) {
@@ -88,11 +73,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Chain is the call chain an interprocedural finding was discovered
-	// through ("issueTick → tryIssue → helper"); empty for direct
-	// findings. The chain is already part of Message for human output —
-	// this field carries it structured for -json consumers.
-	Chain string
 }
 
 func (d Diagnostic) String() string {
@@ -106,9 +86,6 @@ type Pass struct {
 	diags    []Diagnostic
 }
 
-// Fset returns the package's file set.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
-
 // Files returns the package's parsed files.
 func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
 
@@ -121,57 +98,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Pkg.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// WithStack walks every file of the pass's package, calling fn with each
-// node and the stack of its ancestors (stack[0] is the *ast.File,
-// stack[len-1] is n itself). Returning false prunes the subtree.
-func (p *Pass) WithStack(fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			if !fn(n, stack) {
-				// Pruned subtrees get no closing nil from Inspect; pop now.
-				stack = stack[:len(stack)-1]
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// ProgramPass is one program-level analyzer's view of every loaded
-// package plus the shared call graph.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-	diags    []Diagnostic
-}
-
-// Reportf records a finding at pos, which must belong to pkg's file set.
-func (pp *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	pp.diags = append(pp.diags, Diagnostic{
-		Pos:      pkg.Fset.Position(pos),
-		Analyzer: pp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportChainf records an interprocedural finding with its discovery
-// chain (the chain should also appear in the formatted message; this
-// keeps it structured for -json output).
-func (pp *ProgramPass) ReportChainf(pkg *Package, pos token.Pos, chain, format string, args ...any) {
-	pp.diags = append(pp.diags, Diagnostic{
-		Pos:      pkg.Fset.Position(pos),
-		Analyzer: pp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
 	})
 }
 
@@ -193,7 +119,6 @@ func RunAnalyzersStrict(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, e
 
 func runAnalyzers(pkgs []*Package, analyzers []*Analyzer, strict bool) ([]Diagnostic, error) {
 	sup := buildSuppressions(pkgs)
-	prog := NewProgram(pkgs)
 	ran := map[string]bool{}
 	var out []Diagnostic
 	keep := func(diags []Diagnostic) {
@@ -205,14 +130,6 @@ func runAnalyzers(pkgs []*Package, analyzers []*Analyzer, strict bool) ([]Diagno
 	}
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		if a.RunProgram != nil {
-			pp := &ProgramPass{Analyzer: a, Prog: prog}
-			if err := a.RunProgram(pp); err != nil {
-				return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
-			}
-			keep(pp.diags)
-			continue
-		}
 		for _, pkg := range pkgs {
 			pass := &Pass{Analyzer: a, Pkg: pkg}
 			if err := a.Run(pass); err != nil {
@@ -292,16 +209,6 @@ func funcFor(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isBuiltin reports whether the call is to the named builtin.
-func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
-}
-
 // recvNamed returns the name of a method's receiver type (dereferenced),
 // "" for non-methods.
 func recvNamed(f *types.Func) string {
@@ -324,18 +231,4 @@ func recvNamed(f *types.Func) string {
 func fromPkg(f *types.Func, pkgPath string) bool {
 	return f != nil && f.Pkg() != nil &&
 		(f.Pkg().Path() == pkgPath || strings.HasSuffix(f.Pkg().Path(), "/"+pkgPath))
-}
-
-// endsInPanic reports whether the block's last statement is a call to
-// the panic builtin — the marker of a cold invariant-violation branch.
-func endsInPanic(info *types.Info, b *ast.BlockStmt) bool {
-	if b == nil || len(b.List) == 0 {
-		return false
-	}
-	es, ok := b.List[len(b.List)-1].(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	return ok && isBuiltin(info, call, "panic")
 }

@@ -5,34 +5,13 @@ import (
 	"time"
 )
 
-// BenchmarkSimlint measures a whole-module analysis pass — load,
-// type-check, all eight analyzers — the same work `go run ./cmd/simlint
-// ./...` performs. CI runs it once as a smoke with a wall-clock budget
-// (see .github/workflows/ci.yml); the point is to keep the linter cheap
-// enough to sit in the tier-1 gate.
-func BenchmarkSimlint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pkgs, err := Load("repro/...")
-		if err != nil {
-			b.Fatalf("Load: %v", err)
-		}
-		diags, err := RunAnalyzers(pkgs, All)
-		if err != nil {
-			b.Fatalf("RunAnalyzers: %v", err)
-		}
-		if len(diags) != 0 {
-			b.Fatalf("tree is not simlint-clean: %v", diags[0])
-		}
-	}
-}
-
 // simlintBudget is the CI wall-clock ceiling for one whole-module pass
-// of the full suite. The budget is generous on purpose: the gate exists
-// to catch an accidental blow-up (a call-graph traversal going
-// superlinear), not to tune constants.
+// of the full suite — the same work `go run ./cmd/simlint ./...` performs.
+// The budget is generous on purpose: the gate exists to catch an
+// accidental blow-up in loading, not to tune constants.
 const simlintBudget = 30 * time.Second
 
-// TestSimlintBudget asserts the whole-module eight-analyzer pass fits
+// TestSimlintBudget asserts the whole-module pass fits
 // the CI budget, and logs the measured time so regressions are visible
 // in test output before they ever trip the ceiling.
 func TestSimlintBudget(t *testing.T) {

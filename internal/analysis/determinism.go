@@ -2,35 +2,32 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// determinismScope names the packages whose results feed simulation
-// state, stats aggregation, or exported experiment tables — exactly the
-// code whose byte-determinism the reproduction's claims depend on
-// (TestDeterminism / TestDeterministicTelemetry are the dynamic side of
-// this contract).
-var determinismScope = []string{
-	"internal/gpu",
-	"internal/smcore",
-	"internal/regfile",
-	"internal/core",
-	"internal/stats",
-	"internal/exp",
+// determinismExempt names the packages under repro/internal/ that are
+// outside the rule: the harness, metrics and bench layers read the wall
+// clock by design (timeouts, pacing, telemetry, host-speed fields — none
+// of it reaches simulated state, which the resume and checkpoint identity
+// tests prove), plot only renders, and the linter is not simulator code.
+var determinismExempt = []string{
+	"internal/harness",
+	"internal/metrics",
+	"internal/bench",
+	"internal/plot",
+	"internal/analysis",
 }
 
-// determinismInScope decides whether a package's own lines are scanned
-// directly. Fixture packages count as in scope so golden tests exercise
-// the analyzer — except fixture sub-packages named "helper", which
-// model out-of-scope code that scope code calls into (the
-// interprocedural propagation path).
+// determinismInScope reports whether a package's lines are scanned: every
+// other package under repro/internal/ — the simulator, its statistics,
+// workloads and experiment tables, whose output must be byte-identical
+// across runs — and any fixture.
 func determinismInScope(p *Package) bool {
 	if p.Fixture {
-		return !strings.HasSuffix(p.Path, "/helper")
+		return true
 	}
-	return pathIn(p.Path, determinismScope)
+	return strings.HasPrefix(p.Path, "repro/internal/") && !pathIn(p.Path, determinismExempt)
 }
 
 // Determinism flags the three classic sources of run-to-run divergence
@@ -38,149 +35,52 @@ func determinismInScope(p *Package) bool {
 // clock reads, and the process-global math/rand stream (whose sequence
 // depends on whatever else consumed it). Seeded *rand.Rand instances
 // (rand.New(rand.NewSource(seed))) are the sanctioned alternative.
-//
-// Since v2 the pass is interprocedural: the same primitives in
-// out-of-scope packages are reported too when the function containing
-// them is reachable, through the call graph, from any function of a
-// scope package — a time.Now wrapped in a helper one package over is
-// exactly as nondeterministic as an inline one. The diagnostic carries
-// the call chain that reaches the site.
+// TestDeterminism and the identity tests are the dynamic side of the
+// contract; the analyzer covers the lines no test runs twice.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flag map iteration, time.Now/Since, and global math/rand use in " +
-		"packages whose output must be bit-deterministic across identical " +
-		"runs, and in any code those packages transitively call",
-	RunProgram: runDeterminism,
+		"packages whose output must be bit-deterministic across identical runs",
+	Run: runDeterminism,
 }
 
-// detPrimitive is one nondeterminism source found in a body.
-type detPrimitive struct {
-	pos token.Pos
-	// what the site is, phrased to splice into both the direct and the
-	// reached-via-chain message forms.
-	what string
-	fix  string
-}
-
-// scanDetPrimitives collects the nondeterminism primitives under root.
-// When pruneLits is true, nested function literals are skipped (they
-// are separate call-graph nodes scanned on their own).
-func scanDetPrimitives(info *types.Info, pkg *Package, root ast.Node, pruneLits bool) []detPrimitive {
-	var out []detPrimitive
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if pruneLits && n != root {
-				return false
-			}
-		case *ast.RangeStmt:
-			t := info.TypeOf(n.X)
-			if t == nil {
-				return true
-			}
-			if _, ok := t.Underlying().(*types.Map); ok {
-				out = append(out, detPrimitive{
-					pos:  n.Pos(),
-					what: "range over " + types.TypeString(t, types.RelativeTo(pkg.Types)) + ": map iteration order is nondeterministic",
-					fix:  "iterate sorted keys instead",
-				})
-			}
-		case *ast.CallExpr:
-			fn := funcFor(info, n)
-			if fn == nil {
-				return true
-			}
-			switch {
-			case fromPkg(fn, "time") && (fn.Name() == "Now" || fn.Name() == "Since"):
-				out = append(out, detPrimitive{
-					pos:  n.Pos(),
-					what: "time." + fn.Name() + ": wall-clock reads diverge between identical runs",
-					fix:  "derive timing from simulated cycles",
-				})
-			case fromPkg(fn, "math/rand") || fromPkg(fn, "math/rand/v2"):
-				if recvNamed(fn) != "" {
-					return true // methods on a seeded *rand.Rand are fine
-				}
-				if fn.Name() == "New" || fn.Name() == "NewSource" {
-					return true // constructing a seeded stream
-				}
-				out = append(out, detPrimitive{
-					pos:  n.Pos(),
-					what: "global math/rand." + fn.Name() + ": the shared stream's sequence depends on unrelated consumers",
-					fix:  "use a seeded rand.New(rand.NewSource(seed))",
-				})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-func runDeterminism(pp *ProgramPass) error {
-	// Direct scan: every line of every in-scope package, including
-	// package-level initializers.
-	for _, pkg := range pp.Prog.Pkgs {
-		if !determinismInScope(pkg) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, prim := range scanDetPrimitives(pkg.Info, pkg, f, false) {
-				pp.Reportf(pkg, prim.pos, "%s and this package feeds simulation state or exported results; %s", prim.what, prim.fix)
-			}
-		}
-	}
-
-	// Interprocedural propagation: primitives in out-of-scope functions
-	// that scope code transitively calls.
-	g := pp.Prog.CallGraph()
-	var roots []*CGNode
-	for _, n := range g.Nodes {
-		if determinismInScope(n.Pkg) {
-			roots = append(roots, n)
-		}
-	}
-	if len(roots) == 0 {
+func runDeterminism(p *Pass) error {
+	if !determinismInScope(p.Pkg) {
 		return nil
 	}
-	reach := g.Reach(roots, ReachOpts{})
-	scanned := map[*CGNode]bool{}
-	var scanReached func(n *CGNode, chain string)
-	scanReached = func(n *CGNode, chain string) {
-		if scanned[n] {
-			return
-		}
-		scanned[n] = true
-		for _, prim := range scanDetPrimitives(n.Pkg.Info, n.Pkg, n.Body(), true) {
-			pp.ReportChainf(n.Pkg, prim.pos, chain,
-				"%s, and this code is reached from deterministic simulation code (%s); %s or justify with //simlint:allow determinism",
-				prim.what, chain, prim.fix)
-		}
-		// A literal created in a reached function may run through code the
-		// graph cannot see (sort.Slice comparators, stdlib callbacks): treat
-		// it as reached unless it has its own reach entry (then it is
-		// scanned with its own, more precise chain).
-		ast.Inspect(n.Body(), func(x ast.Node) bool {
-			fl, ok := x.(*ast.FuncLit)
-			if !ok {
-				return true
+	info := p.Info()
+	for _, f := range p.Files() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				t := info.TypeOf(n.X)
+				if t == nil {
+					return true
+				}
+				if _, ok := t.Underlying().(*types.Map); ok {
+					p.Reportf(n.Pos(), "range over %s: map iteration order is nondeterministic and this package feeds simulation state or exported results; iterate sorted keys instead",
+						types.TypeString(t, types.RelativeTo(p.Pkg.Types)))
+				}
+			case *ast.CallExpr:
+				fn := funcFor(info, n)
+				if fn == nil {
+					return true
+				}
+				switch {
+				case fromPkg(fn, "time") && (fn.Name() == "Now" || fn.Name() == "Since"):
+					p.Reportf(n.Pos(), "time.%s: wall-clock reads diverge between identical runs and this package feeds simulation state or exported results; derive timing from simulated cycles", fn.Name())
+				case fromPkg(fn, "math/rand") || fromPkg(fn, "math/rand/v2"):
+					if recvNamed(fn) != "" {
+						return true // methods on a seeded *rand.Rand are fine
+					}
+					if fn.Name() == "New" || fn.Name() == "NewSource" {
+						return true // constructing a seeded stream
+					}
+					p.Reportf(n.Pos(), "global math/rand.%s: the shared stream's sequence depends on unrelated consumers and this package feeds simulation state or exported results; use a seeded rand.New(rand.NewSource(seed))", fn.Name())
+				}
 			}
-			if lit := g.LitNode(fl); lit != nil && reach[lit] == nil {
-				scanReached(lit, chain+" → "+lit.Name)
-			}
-			// Either way the literal's body is handled by its own node's
-			// scan; don't descend.
-			return false
+			return true
 		})
-	}
-	for _, n := range g.Nodes {
-		if determinismInScope(n.Pkg) {
-			continue // direct scan covered it
-		}
-		step := reach[n]
-		if step == nil || step.Prev == nil {
-			continue
-		}
-		scanReached(n, Chain(reach, n))
 	}
 	return nil
 }

@@ -80,14 +80,7 @@ func TestGolden(t *testing.T) {
 		analyzer *Analyzer
 	}{
 		{"determinism", Determinism},
-		{"hotpath", Hotpath},
-		{"traceguard", Traceguard},
 		{"faultflow", Faultflow},
-		{"monitorpoll", Monitorpoll},
-		{"cpiguard", Cpiguard},
-		{"determinism_ip", Determinism},
-		{"hotpath_ip", Hotpath},
-		{"configfreeze", Configfreeze},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -130,11 +123,11 @@ func TestGolden(t *testing.T) {
 
 // TestByName covers the driver's -analyzers selector.
 func TestByName(t *testing.T) {
-	got, err := ByName("determinism, hotpath")
+	got, err := ByName("determinism, faultflow")
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
 	}
-	if len(got) != 2 || got[0] != Determinism || got[1] != Hotpath {
+	if len(got) != 2 || got[0] != Determinism || got[1] != Faultflow {
 		t.Fatalf("ByName returned %v", got)
 	}
 	if _, err := ByName("nosuch"); err == nil {

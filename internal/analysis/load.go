@@ -128,83 +128,39 @@ func Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadFixture loads a testdata fixture tree — the root directory plus
-// every subdirectory containing Go files, each as its own package —
-// which the go tool ignores by design. Sub-packages get synthetic
-// import paths "fixture/<root>/<subdir>" and may import each other by
-// those paths; everything else a fixture imports (including this
-// module's own internal packages) resolves via `go list -export`. The
-// root package is first in the returned slice.
+// LoadFixture loads one testdata fixture directory — which the go tool
+// ignores by design — as a package with the synthetic import path
+// "fixture/<dir>". Everything the fixture imports (including this
+// module's own internal packages) resolves via `go list -export`.
 func LoadFixture(dir string) ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		entries, err := os.ReadDir(p)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-				dirs = append(dirs, p)
-				return nil
-			}
-		}
-		return nil
-	})
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: fixture %s: %w", dir, err)
 	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("analysis: fixture %s: no Go files", dir)
-	}
-	sort.Strings(dirs) // root first (shortest path), subdirs in name order
-
 	fset := token.NewFileSet()
-	root := "fixture/" + filepath.Base(dir)
-	byPath := map[string]*fixtureDir{}
-	paths := make([]string, 0, len(dirs))
+	var asts []*ast.File
 	importSet := map[string]bool{}
-	for _, d := range dirs {
-		rel, err := filepath.Rel(dir, d)
+	for _, e := range entries { // ReadDir sorts by name
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		af, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: fixture %s: %w", d, err)
+			return nil, fmt.Errorf("analysis: parse fixture: %w", err)
 		}
-		path := root
-		if rel != "." {
-			path = root + "/" + filepath.ToSlash(rel)
-		}
-		fd := &fixtureDir{dir: d, path: path}
-		entries, err := os.ReadDir(d)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: fixture %s: %w", d, err)
-		}
-		var files []string
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-				files = append(files, filepath.Join(d, e.Name()))
-			}
-		}
-		sort.Strings(files)
-		for _, f := range files {
-			af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
+		asts = append(asts, af)
+		for _, spec := range af.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
-				return nil, fmt.Errorf("analysis: parse fixture: %w", err)
+				return nil, fmt.Errorf("analysis: fixture import %s: %w", spec.Path.Value, err)
 			}
-			fd.asts = append(fd.asts, af)
-			for _, spec := range af.Imports {
-				p, err := strconv.Unquote(spec.Path.Value)
-				if err != nil {
-					return nil, fmt.Errorf("analysis: fixture import %s: %w", spec.Path.Value, err)
-				}
-				if p != "unsafe" && !strings.HasPrefix(p, "fixture/") {
-					importSet[p] = true
-				}
+			if p != "unsafe" {
+				importSet[p] = true
 			}
 		}
-		byPath[path] = fd
-		paths = append(paths, path)
+	}
+	if len(asts) == 0 {
+		return nil, fmt.Errorf("analysis: fixture %s: no Go files", dir)
 	}
 	exports := map[string]string{}
 	if len(importSet) > 0 {
@@ -225,69 +181,12 @@ func LoadFixture(dir string) ([]*Package, error) {
 			}
 		}
 	}
-	imp := &fixtureImporter{
-		fset:     fset,
-		byPath:   byPath,
-		fallback: exportImporter(fset, exports),
-	}
-	// Check sibling-importable sub-packages on demand via the importer,
-	// then every remaining package; root ends up first.
-	out := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		pkg, err := imp.check(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// fixtureDir is one directory of a fixture tree during loading.
-type fixtureDir struct {
-	dir, path string
-	asts      []*ast.File
-	pkg       *Package
-	checking  bool
-}
-
-// fixtureImporter resolves "fixture/..." imports to sibling fixture
-// packages (type-checking them on demand) and everything else via
-// export data.
-type fixtureImporter struct {
-	fset     *token.FileSet
-	byPath   map[string]*fixtureDir
-	fallback types.Importer
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	if fd := fi.byPath[path]; fd != nil {
-		pkg, err := fi.check(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return fi.fallback.Import(path)
-}
-
-func (fi *fixtureImporter) check(path string) (*Package, error) {
-	fd := fi.byPath[path]
-	if fd.pkg != nil {
-		return fd.pkg, nil
-	}
-	if fd.checking {
-		return nil, fmt.Errorf("analysis: fixture import cycle through %s", path)
-	}
-	fd.checking = true
-	pkg, err := typeCheckFiles(fi.fset, fi, fd.path, fd.dir, fd.asts)
-	fd.checking = false
+	pkg, err := typeCheckFiles(fset, exportImporter(fset, exports), "fixture/"+filepath.Base(dir), dir, asts)
 	if err != nil {
 		return nil, err
 	}
 	pkg.Fixture = true
-	fd.pkg = pkg
-	return pkg, nil
+	return []*Package{pkg}, nil
 }
 
 func typeCheck(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -8,16 +10,37 @@ import (
 // Edge cases of the suppression layer: directive placement (same line
 // vs the line above vs the doc comment), several analyzers waived by
 // one directive, several directives on one line, and the reasonless
-// rejection. The snippet is designed so the hotpath analyzer fires on
-// every `tick*` function unless a directive covers the allocation.
+// rejection. The snippets are designed so the faultflow analyzer fires
+// on every recover() unless a directive covers it.
 
-func suppressDiags(t *testing.T, src string, strict bool) []Diagnostic {
+// writeSnippet materializes a one-file package under a temp dir and loads
+// it the fixture way.
+func writeSnippet(t *testing.T, name, src string) []*Package {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+".go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadFixture(dir)
+	if err != nil {
+		t.Fatalf("LoadFixture: %v", err)
+	}
+	return pkgs
+}
+
+func suppressDiags(t *testing.T, src string, strict bool, analyzers ...*Analyzer) []Diagnostic {
 	t.Helper()
 	run := RunAnalyzers
 	if strict {
 		run = RunAnalyzersStrict
 	}
-	diags, err := run(writeSnippet(t, "supdemo", src), []*Analyzer{Hotpath, Determinism})
+	if len(analyzers) == 0 {
+		analyzers = []*Analyzer{Faultflow, Determinism}
+	}
+	diags, err := run(writeSnippet(t, "supdemo", src), analyzers)
 	if err != nil {
 		t.Fatalf("run analyzers: %v", err)
 	}
@@ -37,26 +60,26 @@ func countByAnalyzer(diags []Diagnostic, name string) int {
 func TestAllowSameLineAndLineAbove(t *testing.T) {
 	diags := suppressDiags(t, `package supdemo
 
-func tickSame() []int {
-	return make([]int, 8) //simlint:allow hotpath -- fixture: same-line placement
+func tickSame() any {
+	return recover() //simlint:allow faultflow -- fixture: same-line placement
 }
 
-func tickAbove() []int {
-	//simlint:allow hotpath -- fixture: line-above placement
-	return make([]int, 8)
+func tickAbove() any {
+	//simlint:allow faultflow -- fixture: line-above placement
+	return recover()
 }
 
-func tickUncovered() []int {
-	//simlint:allow hotpath -- fixture: two lines above, out of coverage
+func tickUncovered() any {
+	//simlint:allow faultflow -- fixture: two lines above, out of coverage
 
-	return make([]int, 8)
+	return recover()
 }
 `, false)
-	if n := countByAnalyzer(diags, "hotpath"); n != 1 {
-		t.Errorf("want exactly the uncovered allocation flagged, got %d: %v", n, diags)
+	if n := countByAnalyzer(diags, "faultflow"); n != 1 {
+		t.Errorf("want exactly the uncovered recover flagged, got %d: %v", n, diags)
 	}
 	for _, d := range diags {
-		if d.Analyzer == "hotpath" && d.Pos.Line != 15 {
+		if d.Analyzer == "faultflow" && d.Pos.Line != 15 {
 			t.Errorf("finding at line %d, want the uncovered site at 15: %s", d.Pos.Line, d)
 		}
 	}
@@ -65,12 +88,12 @@ func tickUncovered() []int {
 func TestAllowDocCommentCoversWholeFunc(t *testing.T) {
 	diags := suppressDiags(t, `package supdemo
 
-// tick allocates twice; the doc-comment directive covers both.
+// tick recovers twice; the doc-comment directive covers both.
 //
-//simlint:allow hotpath -- fixture: whole-declaration coverage
-func tick() ([]int, []int) {
-	a := make([]int, 8)
-	b := make([]int, 8)
+//simlint:allow faultflow -- fixture: whole-declaration coverage
+func tick() (any, any) {
+	a := recover()
+	b := recover()
 	return a, b
 }
 `, false)
@@ -80,14 +103,14 @@ func tick() ([]int, []int) {
 }
 
 func TestAllowMultipleNamesOneDirective(t *testing.T) {
-	// One directive waives two analyzers on the same line: a hot-path
-	// allocation whose size comes from a determinism violation.
+	// One directive waives two analyzers on the same line: a foreign
+	// recover next to a wall-clock read.
 	diags := suppressDiags(t, `package supdemo
 
 import "time"
 
-func tick() []int {
-	return make([]int, time.Now().Second()) //simlint:allow hotpath, determinism -- fixture: one directive, two analyzers
+func tick() (any, time.Time) {
+	return recover(), time.Now() //simlint:allow faultflow, determinism -- fixture: one directive, two analyzers
 }
 `, false)
 	if len(diags) != 0 {
@@ -102,16 +125,16 @@ func TestAllowMultipleDirectivesPerLine(t *testing.T) {
 
 import "time"
 
-func tick() []int {
-	//simlint:allow hotpath -- fixture: stacked directive one
+func tick() (any, time.Time) {
+	//simlint:allow faultflow -- fixture: stacked directive one
 	//simlint:allow determinism -- fixture: stacked directive two
-	return make([]int, time.Now().Second())
+	return recover(), time.Now()
 }
 `, false)
-	// The hotpath directive sits two lines above the site — out of its
-	// line+next coverage — so exactly the hotpath finding survives.
-	if n := countByAnalyzer(diags, "hotpath"); n != 1 {
-		t.Errorf("want 1 hotpath finding (directive out of range), got %d: %v", n, diags)
+	// The faultflow directive sits two lines above the site — out of its
+	// line+next coverage — so exactly the faultflow finding survives.
+	if n := countByAnalyzer(diags, "faultflow"); n != 1 {
+		t.Errorf("want 1 faultflow finding (directive out of range), got %d: %v", n, diags)
 	}
 	if n := countByAnalyzer(diags, "determinism"); n != 0 {
 		t.Errorf("determinism directive is in range, got %d findings: %v", n, diags)
@@ -121,22 +144,22 @@ func tick() []int {
 func TestAllowEmptyReasonRejected(t *testing.T) {
 	diags := suppressDiags(t, `package supdemo
 
-func tickBare() []int {
-	return make([]int, 8) //simlint:allow hotpath
+func tickBare() any {
+	return recover() //simlint:allow faultflow
 }
 
-func tickDashes() []int {
-	return make([]int, 8) //simlint:allow hotpath --
+func tickDashes() any {
+	return recover() //simlint:allow faultflow --
 }
 
-func tickReasoned() []int {
-	return make([]int, 8) //simlint:allow hotpath -- fixture: a proper reason
+func tickReasoned() any {
+	return recover() //simlint:allow faultflow -- fixture: a proper reason
 }
 `, false)
 	// The reasonless directives still suppress their findings (one
 	// problem at a time) but are themselves reported.
-	if n := countByAnalyzer(diags, "hotpath"); n != 0 {
-		t.Errorf("suppression should still apply, got %d hotpath findings: %v", n, diags)
+	if n := countByAnalyzer(diags, "faultflow"); n != 0 {
+		t.Errorf("suppression should still apply, got %d faultflow findings: %v", n, diags)
 	}
 	if n := countByAnalyzer(diags, "allow"); n != 2 {
 		t.Errorf("want both reasonless directives reported, got %d: %v", n, diags)
@@ -153,8 +176,8 @@ func TestAllowEmptyReasonReportedOncePerComment(t *testing.T) {
 
 import "time"
 
-func tick() []int {
-	return make([]int, time.Now().Second()) //simlint:allow hotpath, determinism
+func tick() (any, time.Time) {
+	return recover(), time.Now() //simlint:allow faultflow, determinism
 }
 `, false)
 	if n := countByAnalyzer(diags, "allow"); n != 1 {
@@ -168,16 +191,16 @@ func TestAllowEmptyReasonOutsideSelectionIgnored(t *testing.T) {
 	// whose findings it could actually be suppressing.
 	diags := suppressDiags(t, `package supdemo
 
-func tick() []int {
-	return make([]int, 8) //simlint:allow hotpath -- fixture: reasoned
+func tick() any {
+	return recover() //simlint:allow faultflow -- fixture: reasoned
 }
 
 func setup() {
-	_ = 0 //simlint:allow monitorpoll
+	_ = 0 //simlint:allow determinism
 }
-`, false)
+`, false, Faultflow)
 	if len(diags) != 0 {
-		t.Errorf("monitorpoll is not in the selection, got: %v", diags)
+		t.Errorf("determinism is not in the selection, got: %v", diags)
 	}
 }
 
@@ -186,8 +209,8 @@ func TestStrictAllowStillReportsStale(t *testing.T) {
 	// directive is silent normally and reported under strict.
 	src := `package supdemo
 
-func setup() []int {
-	return make([]int, 8) //simlint:allow hotpath -- fixture: nothing fires in a cold func
+func setup() int {
+	return 8 //simlint:allow faultflow -- fixture: nothing fires here
 }
 `
 	if diags := suppressDiags(t, src, false); len(diags) != 0 {

@@ -21,7 +21,7 @@ import "fmt"
 type Violation struct {
 	// Rule names the invariant family that failed: "scoreboard", "lease",
 	// "mshr", "occupancy", "regbudget", "shmem", "lsu", "channel", "cpi",
-	// "residency".
+	// "residency", "readyset", "config".
 	Rule string
 	// Where locates the component, e.g. "sm2/sub1/warp13" or "l1m[0]".
 	Where string

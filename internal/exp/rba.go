@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 	"repro/internal/power"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -139,31 +141,36 @@ func Fig14() (*Table, error) {
 			Base().WithScheduler(config.SchedRBA),
 			FC(),
 		} {
-			g, err := newTracedGPU(c)
+			// The tracer's counter sampler at period 1 is the per-cycle
+			// series: granted (warp-wide) reads on SM 0 each cycle.
+			c.TraceSamplePeriod = 1
+			g, err := gpu.New(c)
 			if err != nil {
 				return nil, err
 			}
+			tr := trace.New(trace.OptionsFor(&c, 0))
+			g.SetTracer(tr)
 			if err := g.RunKernels(app.Kernels, 0); err != nil {
 				return nil, err
 			}
-			r := g.Run()
 			// Trim the idle head/tail (SM0 waiting on other SMs to
 			// finish) so the mean reflects the application region, as the
 			// paper's single-SM timelines do.
-			trace := r.ReadsPerCycle
-			for len(trace) > 0 && trace[0] == 0 {
-				trace = trace[1:]
+			reads := tr.Counters().RFReads
+			for len(reads) > 0 && reads[0] == 0 {
+				reads = reads[1:]
 			}
-			for len(trace) > 0 && trace[len(trace)-1] == 0 {
-				trace = trace[:len(trace)-1]
+			for len(reads) > 0 && reads[len(reads)-1] == 0 {
+				reads = reads[:len(reads)-1]
 			}
 			low := 0
-			vals := make([]float64, len(trace))
+			vals := make([]float64, len(reads))
 			var sum float64
-			for i, v := range trace {
-				vals[i] = float64(v)
-				sum += float64(v)
-				if v <= 85 {
+			for i, v := range reads {
+				// 4-byte register reads, Fig 14's unit.
+				vals[i] = float64(int(v) * c.WarpSize)
+				sum += vals[i]
+				if vals[i] <= 85 {
 					low++
 				}
 			}

@@ -79,17 +79,6 @@ func runAppRaw(cfg config.GPU, app workloads.App) (*stats.Run, error) {
 	return g.Run(), nil
 }
 
-// newTracedGPU builds a device with the Fig. 14 per-cycle register-read
-// trace armed on SM 0.
-func newTracedGPU(cfg config.GPU) (*gpu.GPU, error) {
-	g, err := gpu.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g.TraceReads(true)
-	return g, nil
-}
-
 // RunKernelOn simulates a single standalone kernel (microbenchmarks).
 func RunKernelOn(cfg config.GPU, k *gpu.Kernel) (*stats.Run, error) {
 	g, err := gpu.New(cfg)

@@ -15,8 +15,8 @@ type AuditError struct {
 	// Cycle is the simulation cycle the audit ran at.
 	Cycle int64
 	// Violations are the broken conservation laws, in deterministic
-	// device order (SMs by index, then the memory hierarchy, then the
-	// CPI stack).
+	// device order (SMs by index, then the memory hierarchy, the CPI
+	// stack, the configuration).
 	Violations []audit.Violation
 }
 
@@ -30,8 +30,11 @@ func (e *AuditError) Error() string {
 
 // AuditCheck re-derives the device's conservation laws and returns every
 // violation: per-SM scoreboard/lease/occupancy/budget invariants, memory
-// hierarchy MSHR/cache/channel invariants, and the CPI-stack identity
-// (every sub-core's attributed cycles sum exactly to the device cycles).
+// hierarchy MSHR/cache/channel invariants, the CPI-stack identity (every
+// sub-core's attributed cycles sum exactly to the device cycles), and the
+// frozen configuration (the config every component reads still equals the
+// one New validated — components size themselves from it at construction,
+// and snapshot/resume identity assumes it never moves).
 // Read-only and safe between cycles; an empty result is a healthy device.
 func (g *GPU) AuditCheck() []audit.Violation {
 	var vs []audit.Violation
@@ -42,11 +45,14 @@ func (g *GPU) AuditCheck() []audit.Violation {
 	if err := g.run.CheckCPI(); err != nil {
 		vs = append(vs, audit.Violationf("cpi", "device", "%v", err))
 	}
+	if g.cfg != g.cfgAtNew {
+		vs = append(vs, audit.Violationf("config", "device", "the configuration every component reads was written after construction: it no longer equals the one New validated"))
+	}
 	return vs
 }
 
 // ArmCorruptionForTest schedules a seeded state corruption of the given
-// kind ("scoreboard", "lease", "readyset", or "mshr") to be applied at the next
+// kind ("scoreboard", "lease", "readyset", "mshr", or "config") to be applied at the next
 // heartbeat — mid-kernel, exactly where real corruption would strike —
 // so tests can prove the armed auditor turns it into an AuditError.
 // Never call outside tests.
@@ -73,6 +79,9 @@ func (g *GPU) applyCorruption() {
 		g.corruptKind = ""
 	case "mshr":
 		g.hier.CorruptMSHRForTest(g.cycle)
+		g.corruptKind = ""
+	case "config":
+		g.cfg.RBAScoreLatency++
 		g.corruptKind = ""
 	default:
 		panic(fmt.Sprintf("gpu: unknown test corruption kind %q", g.corruptKind))

@@ -23,17 +23,13 @@ func memLatencyProgram(n int) *program.Program {
 }
 
 // ffDiffRun runs the same kernel on cfg with fast-forward enabled and
-// disabled, with every per-cycle side channel turned on (register-read
-// trace, issue timeline), and returns both devices and errors.
-func ffDiffRun(t *testing.T, cfg config.GPU, mk func() *Kernel, maxCycles int64) (fast, slow *GPU, fastErr, slowErr error) {
+// disabled, each device carrying a tracer whose counter sampler — the one
+// per-cycle side channel outside stats.Run — runs at the given period, and
+// returns both devices and errors.
+func ffDiffRun(t *testing.T, cfg config.GPU, period int, mk func() *Kernel, maxCycles int64) (fast, slow *GPU, fastErr, slowErr error) {
 	t.Helper()
 	run := func(c config.GPU) (*GPU, error) {
-		g, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.TraceReads(true)
-		g.TraceIssue(100)
+		g := tracedGPU(t, c, period)
 		return g, g.RunKernel(mk(), maxCycles)
 	}
 	fast, fastErr = run(cfg)
@@ -41,11 +37,28 @@ func ffDiffRun(t *testing.T, cfg config.GPU, mk func() *Kernel, maxCycles int64)
 	return fast, slow, fastErr, slowErr
 }
 
+// sameCounters requires the two devices' sampled series to be equal column
+// for column: Tracer.SampleRange must record over a skipped span exactly
+// what per-cycle MaybeSample calls would have. (The event streams differ by
+// design: one KFastForward per skip instead of a KStall per cycle.)
+func sameCounters(t *testing.T, fast, slow *GPU) {
+	t.Helper()
+	fc, sc := fast.Tracer().Counters(), slow.Tracer().Counters()
+	if fc.Samples() == 0 {
+		t.Fatal("the sampler recorded nothing")
+	}
+	if !reflect.DeepEqual(fc, sc) {
+		t.Errorf("sampled counters diverge at period %d: %d samples skipped vs %d ticked", fc.Period, fc.Samples(), sc.Samples())
+	}
+}
+
 // TestFastForwardByteIdentity: the tentpole invariant. On a memory-bound
 // kernel under every warp scheduler, the complete statistics object —
-// cycles, CPI stacks, occupancy, bank counters, read trace, issue
-// timeline — must be deeply identical with fast-forward on and off, and
-// the fast path must actually have skipped cycles.
+// cycles, CPI stacks, occupancy, bank counters — and the tracer's sampled
+// counter series (per cycle, and at a period that divides neither the
+// heartbeat nor the skipped spans) must be deeply identical with
+// fast-forward on and off, and the fast path must actually have skipped
+// cycles.
 func TestFastForwardByteIdentity(t *testing.T) {
 	base := config.VoltaV100()
 	base.NumSMs = 2
@@ -63,23 +76,25 @@ func TestFastForwardByteIdentity(t *testing.T) {
 			WarpProgram: func(b, w int) *program.Program { return p }}
 	}
 	for _, tc := range cfgs {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			fast, slow, fe, se := ffDiffRun(t, tc.cfg, mk, 0)
-			if fe != nil || se != nil {
-				t.Fatalf("run errors: ff=%v off=%v", fe, se)
-			}
-			if fast.FastForwardedCycles() == 0 {
-				t.Fatal("fast-forward never engaged on a memory-bound kernel")
-			}
-			if slow.FastForwardedCycles() != 0 {
-				t.Fatal("NoFastForward device still skipped cycles")
-			}
-			if !reflect.DeepEqual(fast.Run(), slow.Run()) {
-				t.Errorf("stats diverge:\n ff:  %+v\n off: %+v", fast.Run(), slow.Run())
-			}
-			if err := fast.Run().CheckCPI(); err != nil {
-				t.Errorf("CPI stack broken after fast-forward: %v", err)
+			for _, period := range []int{1, 100} {
+				fast, slow, fe, se := ffDiffRun(t, tc.cfg, period, mk, 0)
+				if fe != nil || se != nil {
+					t.Fatalf("run errors: ff=%v off=%v", fe, se)
+				}
+				if fast.FastForwardedCycles() == 0 {
+					t.Fatal("fast-forward never engaged on a memory-bound kernel")
+				}
+				if slow.FastForwardedCycles() != 0 {
+					t.Fatal("NoFastForward device still skipped cycles")
+				}
+				if !reflect.DeepEqual(fast.Run(), slow.Run()) {
+					t.Errorf("stats diverge:\n ff:  %+v\n off: %+v", fast.Run(), slow.Run())
+				}
+				sameCounters(t, fast, slow)
+				if err := fast.Run().CheckCPI(); err != nil {
+					t.Errorf("CPI stack broken after fast-forward: %v", err)
+				}
 			}
 		})
 	}
@@ -171,7 +186,7 @@ func TestFastForwardDeadlineIdentity(t *testing.T) {
 			WarpProgram: func(b, w int) *program.Program { return p }}
 	}
 	const limit = 3000
-	fast, slow, fe, se := ffDiffRun(t, tinyCfg(), mk, limit)
+	fast, slow, fe, se := ffDiffRun(t, tinyCfg(), 100, mk, limit)
 	var fcle, scle *CycleLimitError
 	if !errors.As(fe, &fcle) || !errors.As(se, &scle) {
 		t.Fatalf("expected CycleLimitError from both runs, got ff=%v off=%v", fe, se)
@@ -189,6 +204,7 @@ func TestFastForwardDeadlineIdentity(t *testing.T) {
 	if !reflect.DeepEqual(fast.Run(), slow.Run()) {
 		t.Errorf("stats diverge at the deadline")
 	}
+	sameCounters(t, fast, slow)
 }
 
 // TestFastForwardArmedCancelIdentity: a cancellation armed before launch

@@ -79,13 +79,12 @@ type GPU struct {
 	sms  []*smcore.SM
 	run  *stats.Run
 
-	gpuState
+	// cfgAtNew is the validated configuration New was given. Every SM holds
+	// &g.cfg, so a write through any of them after construction shows as
+	// cfg != cfgAtNew — the auditor's `config` law (audit.go).
+	cfgAtNew config.GPU
 
-	// traceReads and issueBucket are how the device was armed (TraceReads,
-	// TraceIssue) before the run; a snapshot records them only to refuse a
-	// restore target armed differently.
-	traceReads  bool
-	issueBucket int
+	gpuState
 
 	tracer *trace.Tracer
 	mon    *Monitor
@@ -111,11 +110,6 @@ type gpuState struct {
 	// ffCycles counts cycles skipped by the idle-cycle fast-forward
 	// (diagnostic; see FastForwardedCycles).
 	ffCycles int64
-	// The issue-timeline sampler (TraceIssue): per-sub-core watermarks and
-	// the partly filled bucket. Empty when issue tracing is not armed.
-	issuePrev  []int64  `snap:"fixed"`
-	issueAccum []uint32 `snap:"fixed"`
-	issueFill  int
 }
 
 // devMetrics holds the device's live-telemetry handles plus the
@@ -137,7 +131,7 @@ func New(cfg config.GPU) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &GPU{cfg: cfg, auditEvery: cfg.AuditEvery}
+	g := &GPU{cfg: cfg, cfgAtNew: cfg, auditEvery: cfg.AuditEvery}
 	g.reset()
 	return g, nil
 }
@@ -150,9 +144,6 @@ func (g *GPU) reset() {
 		g.sms = append(g.sms, smcore.NewSM(i, &g.cfg, g.hier, g.run))
 	}
 	g.cycle = 0
-	if g.traceReads {
-		g.sms[0].TraceReads(true)
-	}
 	if g.tracer != nil {
 		for _, sm := range g.sms {
 			sm.SetTracer(g.tracer)
@@ -210,47 +201,6 @@ func (g *GPU) flushMetrics() {
 	m.lastCycle, m.lastInstr = g.cycle, g.run.Instructions
 }
 
-// TraceReads enables the Fig. 14 per-cycle register-read trace on SM 0.
-// Call before RunKernel.
-func (g *GPU) TraceReads(on bool) {
-	g.traceReads = on
-	g.sms[0].TraceReads(on)
-}
-
-// TraceIssue enables per-sub-core issue-timeline sampling on SM 0:
-// instructions issued per sub-core are accumulated into buckets of the
-// given cycle width (the sub-core imbalance visualization). Call before
-// RunKernel.
-func (g *GPU) TraceIssue(bucketCycles int) {
-	if bucketCycles < 1 {
-		bucketCycles = 1
-	}
-	g.issueBucket = bucketCycles
-	g.run.IssueBucket = bucketCycles
-	n := g.cfg.SubCoresPerSM
-	g.issuePrev = make([]int64, n)
-	g.issueAccum = make([]uint32, n)
-	g.run.IssueTimeline = make([][]uint32, n)
-}
-
-// sampleIssue accumulates SM 0's per-sub-core issue deltas.
-func (g *GPU) sampleIssue() {
-	sm0 := &g.run.SMs[0]
-	for i := range sm0.SubCores {
-		cur := sm0.SubCores[i].Issued
-		g.issueAccum[i] += uint32(cur - g.issuePrev[i])
-		g.issuePrev[i] = cur
-	}
-	g.issueFill++
-	if g.issueFill >= g.issueBucket {
-		for i := range g.issueAccum {
-			g.run.IssueTimeline[i] = append(g.run.IssueTimeline[i], g.issueAccum[i])
-			g.issueAccum[i] = 0
-		}
-		g.issueFill = 0
-	}
-}
-
 // Config returns the device configuration.
 func (g *GPU) Config() config.GPU { return g.cfg }
 
@@ -277,8 +227,6 @@ func (g *GPU) RunKernel(k *Kernel, maxCycles int64) error {
 // The run loop fast-forwards over provably-inert cycle spans (see
 // cycleLoop and docs/ARCHITECTURE.md's "Performance" section) unless
 // config.NoFastForward is set; statistics are byte-identical either way.
-//
-//simlint:hotpath
 func (g *GPU) RunConcurrent(kernels []*Kernel, maxCycles int64) error {
 	if err := g.validateLaunch(kernels); err != nil {
 		return err
@@ -296,8 +244,6 @@ func (g *GPU) RunConcurrent(kernels []*Kernel, maxCycles int64) error {
 // stats entry. Shared by the fresh path (RunConcurrent) and the
 // snapshot-resume path (ContinueKernels), which must not re-run
 // ResetForKernel or restart the launch bookkeeping.
-//
-//simlint:cold
 func (g *GPU) runLaunch(ls *launch) error {
 	g.curLaunch = ls
 	defer func() { g.curLaunch = nil }()
@@ -390,8 +336,6 @@ func (g *GPU) newLaunch(kernels []*Kernel, maxCycles int64) *launch {
 
 // validateLaunch rejects a malformed kernel set before any state is
 // touched. Once per launch, not per cycle.
-//
-//simlint:cold
 func (g *GPU) validateLaunch(kernels []*Kernel) error {
 	if len(kernels) == 0 {
 		return fmt.Errorf("gpu: no kernels to run")
@@ -447,8 +391,8 @@ func (g *GPU) launchError(stop loopStop, ls *launch) error {
 // ticks, sampling, and the post-cycle drain/deadline/heartbeat checks —
 // plus the idle-cycle fast-forward that skips spans in which no SM can
 // make progress. Everything on this path must stay allocation-free
-// (simlint hotpath; the loop runs tens of millions of iterations per
-// sweep cell).
+// (TestCycleLoopZeroAlloc; the loop runs tens of millions of iterations
+// per sweep cell).
 // ffProbeAfter is how many consecutive issueless cycles the loop waits
 // before probing for a fast-forward. Probes are not free (a device-wide
 // next-event scan), and spans worth skipping are long; failed probes
@@ -487,9 +431,6 @@ func (g *GPU) cycleLoop(ls *launch) loopStop {
 		}
 		g.run.OccupancySum += int64(occ)
 		g.run.OccupancySamples += int64(len(g.sms))
-		if g.issueBucket > 0 {
-			g.sampleIssue()
-		}
 		if g.tracer != nil {
 			g.tracer.MaybeSample(g.cycle, g.sms[g.tracer.CounterSM()])
 		}
@@ -527,8 +468,6 @@ func (g *GPU) cycleLoop(ls *launch) loopStop {
 // idempotence the fast-forward path relies on when it skips the passes
 // the ticked loop would have run. Returns false on a placement fault
 // (ls.err is set).
-//
-//simlint:hotpath
 func (g *GPU) placeBlocks(ls *launch) bool {
 	for ls.totalLeft > 0 {
 		placedAny := false
@@ -584,8 +523,6 @@ func (g *GPU) placeBlocks(ls *launch) bool {
 // heartbeat a skip may land on, so a snapshot taken there carries it —
 // and returns stopped=true when the skip landed on the deadline or
 // observed a cancel.
-//
-//simlint:hotpath
 func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped bool) {
 	wake := g.nextWake(g.cycle)
 	if wake <= g.cycle {
@@ -627,8 +564,6 @@ func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped bool) {
 // and a restarted process resumes exactly where the SIGTERM/watchdog
 // kill landed. A hook failure during cancellation is swallowed — the
 // cancel is the fault the caller must see.
-//
-//simlint:cold
 func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
 	g.flushMetrics()
 	canceled := g.mon.beat(g.cycle)
@@ -661,8 +596,6 @@ func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
 // The memory-system events never initiate SM work by themselves (the
 // hierarchy is analytic), so including them only shortens skips — a
 // conservative bound, never a correctness requirement.
-//
-//simlint:hotpath
 func (g *GPU) nextWake(now int64) int64 {
 	wake := mem.NeverCycle
 	for _, sm := range g.sms {
@@ -682,10 +615,10 @@ func (g *GPU) nextWake(now int64) int64 {
 
 // skipTo bulk-charges cycles [g.cycle, wake) and jumps the clock. Every
 // per-cycle side channel the ticked loop feeds — CPI-stack stall
-// buckets, occupancy sums, issue-timeline buckets, counter samples, the
-// register-read trace — advances by exactly what the skipped ticks
-// would have produced, which is what keeps stats.Run byte-identical
-// with fast-forward on or off.
+// buckets, occupancy sums, the tracer's counter samples — advances by
+// exactly what the skipped ticks would have produced, which is what
+// keeps stats.Run and the sampled series byte-identical with
+// fast-forward on or off.
 func (g *GPU) skipTo(wake int64) {
 	n := wake - g.cycle
 	if g.tracer != nil {
@@ -702,36 +635,12 @@ func (g *GPU) skipTo(wake int64) {
 	// retire only on issue activity), so the per-cycle sums scale.
 	g.run.OccupancySum += int64(occ) * n
 	g.run.OccupancySamples += n * int64(len(g.sms))
-	if g.issueBucket > 0 {
-		g.skipIssueSamples(n)
-	}
 	if g.tracer != nil {
 		g.tracer.SampleRange(g.cycle, wake, g.sms[g.tracer.CounterSM()])
 	}
 	g.ffCycles += n
 	g.cycle = wake
 	g.run.Cycles = g.cycle
-}
-
-// skipIssueSamples advances the issue-timeline sampler across n skipped
-// cycles. Per-cycle issue deltas are zero over a quiescent span, so
-// only bucket-boundary flushes matter: the pre-skip partial accumulation
-// flushes into its bucket at the exact cycle the ticked loop would have
-// flushed it, and wholly-skipped buckets record zero.
-func (g *GPU) skipIssueSamples(n int64) {
-	for n > 0 {
-		room := int64(g.issueBucket - g.issueFill)
-		if n < room {
-			g.issueFill += int(n)
-			return
-		}
-		n -= room
-		for i := range g.issueAccum {
-			g.run.IssueTimeline[i] = append(g.run.IssueTimeline[i], g.issueAccum[i])
-			g.issueAccum[i] = 0
-		}
-		g.issueFill = 0
-	}
 }
 
 // FastForwardedCycles returns how many cycles the idle-cycle
@@ -743,8 +652,6 @@ func (g *GPU) FastForwardedCycles() int64 { return g.ffCycles }
 // blockSpec materializes block b of kernel k; gidOffset displaces the
 // kernel's warp-GID space under concurrent execution. Called once per
 // placed block: the launch caches the spec until placement succeeds.
-//
-//simlint:cold
 func (g *GPU) blockSpec(k *Kernel, b int, gidOffset int64) *smcore.BlockSpec {
 	progs := make([]*program.Program, k.WarpsPerBlock)
 	for w := range progs {

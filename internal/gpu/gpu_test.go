@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 // fmaProgram: n independent-chain FMAs (ilp parallel chains) then exit.
@@ -50,6 +51,19 @@ func fmaThenBarProgram(n, ilp int) *program.Program {
 func tinyCfg() config.GPU {
 	g := config.VoltaV100()
 	g.NumSMs = 1
+	return g
+}
+
+// tracedGPU builds a device for cfg with a tracer on SM 0 whose counter
+// sampler runs every period cycles (0 = events only, no sampler).
+func tracedGPU(tb testing.TB, cfg config.GPU, period int) *GPU {
+	tb.Helper()
+	cfg.TraceSamplePeriod = period
+	g, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.SetTracer(trace.New(trace.OptionsFor(&cfg, 0)))
 	return g
 }
 
@@ -318,21 +332,32 @@ func TestMonitorCancel(t *testing.T) {
 	mon := new(Monitor)
 	g.SetMonitor(mon)
 
+	// The cap turns a lost monitor poll into a failure within seconds: the
+	// kernel cannot finish under it, and the canceller gives up once the
+	// run has returned instead of waiting for a heartbeat that never comes.
+	const maxCycles = 2 << 20
+	returned := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		// Wait until the loop has demonstrably made progress, then kill it.
 		for mon.Cycle() == 0 {
-			time.Sleep(100 * time.Microsecond)
+			select {
+			case <-returned:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
 		}
 		mon.Cancel("watchdog: no forward progress")
 	}()
-	err = g.RunKernel(k, 0)
+	err = g.RunKernel(k, maxCycles)
+	close(returned)
 	<-done
 
 	var ce *CancelError
 	if !errors.As(err, &ce) {
-		t.Fatalf("expected *CancelError, got %T (%v)", err, err)
+		t.Fatalf("expected *CancelError, got %T (%v): the cycle loop ran %d cycles (heartbeat published: %d) without observing the monitor's cancel",
+			err, err, g.Cycle(), mon.Cycle())
 	}
 	if ce.Kernel != "hung" || ce.Reason != "watchdog: no forward progress" {
 		t.Errorf("CancelError = %+v", ce)
@@ -387,24 +412,30 @@ func TestRunKernelsSequence(t *testing.T) {
 	}
 }
 
+// TestTraceReads: at period 1 the tracer's counter sampler is the Fig. 14
+// per-cycle register-read series — one sample per cycle, summing to SM 0's
+// granted reads.
 func TestTraceReads(t *testing.T) {
 	p := fmaProgram(64, 2)
 	k := &Kernel{Name: "trace", Blocks: 1, WarpsPerBlock: 8, RegsPerThread: 8,
 		WarpProgram: func(b, w int) *program.Program { return p }}
-	g, err := New(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.TraceReads(true)
+	g := tracedGPU(t, tinyCfg(), 1)
 	if err := g.RunKernel(k, 0); err != nil {
 		t.Fatal(err)
 	}
-	r := g.Run()
-	if int64(len(r.ReadsPerCycle)) != r.Cycles {
-		t.Fatalf("trace length %d != cycles %d", len(r.ReadsPerCycle), r.Cycles)
+	r, c := g.Run(), g.Tracer().Counters()
+	if int64(c.Samples()) != r.Cycles {
+		t.Fatalf("trace length %d != cycles %d", c.Samples(), r.Cycles)
 	}
-	if r.MeanReadsPerCycle() <= 0 {
-		t.Error("no reads traced")
+	var sampled, granted int64
+	for _, v := range c.RFReads {
+		sampled += int64(v)
+	}
+	for i := range r.SMs[0].SubCores {
+		granted += r.SMs[0].SubCores[i].RegReads
+	}
+	if sampled == 0 || sampled != granted {
+		t.Errorf("sampled reads %d, SM 0 granted %d", sampled, granted)
 	}
 }
 

@@ -156,26 +156,25 @@ func TestConcurrentKernelsInterleave(t *testing.T) {
 	}
 }
 
-// TestTraceIssueTimeline: the per-sub-core issue timeline must cover the
-// run and sum to SM 0's issued instructions (full buckets only).
+// TestTraceIssueTimeline: the sampler's per-sub-core issue series must
+// cover the run and sum to SM 0's issued instructions (whole periods only).
 func TestTraceIssueTimeline(t *testing.T) {
 	p := fmaProgram(128, 4)
 	k := &Kernel{Name: "tl", Blocks: 4, WarpsPerBlock: 8, RegsPerThread: 16,
 		WarpProgram: func(b, w int) *program.Program { return p }}
-	g, err := New(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.TraceIssue(16)
+	g := tracedGPU(t, tinyCfg(), 16)
 	if err := g.RunKernel(k, 0); err != nil {
 		t.Fatal(err)
 	}
-	r := g.Run()
-	if len(r.IssueTimeline) != 4 {
-		t.Fatalf("timeline sub-cores = %d, want 4", len(r.IssueTimeline))
+	r, c := g.Run(), g.Tracer().Counters()
+	if len(c.IssueBySub) != 4 {
+		t.Fatalf("timeline sub-cores = %d, want 4", len(c.IssueBySub))
+	}
+	if want := int((r.Cycles + 15) / 16); c.Samples() != want {
+		t.Errorf("%d samples over %d cycles, want %d", c.Samples(), r.Cycles, want)
 	}
 	var bucketed int64
-	for _, series := range r.IssueTimeline {
+	for _, series := range c.IssueBySub {
 		for _, v := range series {
 			bucketed += int64(v)
 		}
@@ -184,11 +183,8 @@ func TestTraceIssueTimeline(t *testing.T) {
 	for i := range r.SMs[0].SubCores {
 		issued += r.SMs[0].SubCores[i].Issued
 	}
-	// The trailing partial bucket may be unflushed.
+	// The trailing partial period is never sampled.
 	if bucketed > issued || issued-bucketed > 4*16*4 {
 		t.Errorf("bucketed %d vs issued %d", bucketed, issued)
-	}
-	if r.IssueBucket != 16 {
-		t.Errorf("IssueBucket = %d, want 16", r.IssueBucket)
 	}
 }

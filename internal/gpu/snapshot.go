@@ -39,10 +39,8 @@ func (g *GPU) WriteSnapshot(w io.Writer) error {
 		return fmt.Errorf("gpu: snapshot stats: %w", err)
 	}
 	// What the restore target is compared against comes first: the
-	// configuration fingerprint and the tracing arming.
+	// configuration fingerprint.
 	e.Bytes(cfgJSON)
-	e.Bool(g.traceReads)
-	e.Varint(int64(g.issueBucket))
 	e.State(&g.gpuState)
 	e.Bytes(runJSON)
 	// The in-flight batch's size, 0 between launches; the kernels
@@ -76,26 +74,17 @@ func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	if err != nil {
 		return fmt.Errorf("gpu: restore config: %w", err)
 	}
-	gotCfg, tr, ib := d.Bytes(), d.Bool(), int(d.Varint())
+	gotCfg := d.Bytes()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if string(gotCfg) != string(wantCfg) {
 		return fmt.Errorf("gpu: snapshot was taken on a different configuration than this device's (%s)", g.cfg.Name)
 	}
-	if tr != g.traceReads {
-		return fmt.Errorf("gpu: snapshot register-read tracing %v, this device %v — arm TraceReads identically before Restore", tr, g.traceReads)
-	}
-	if ib != g.issueBucket {
-		return fmt.Errorf("gpu: snapshot issue tracing bucket %d, this device %d — arm TraceIssue identically before Restore", ib, g.issueBucket)
-	}
 	d.State(&g.gpuState)
 	runJSON, nk := d.Bytes(), d.Len()
 	if err := d.Err(); err != nil {
 		return err
-	}
-	if g.issueFill < 0 || g.issueFill > max(g.issueBucket-1, 0) {
-		return fmt.Errorf("gpu: snapshot issue-sampler fill %d outside its %d-cycle bucket", g.issueFill, g.issueBucket)
 	}
 	if err := g.restoreRun(runJSON); err != nil {
 		return err

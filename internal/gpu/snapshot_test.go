@@ -273,28 +273,35 @@ func TestSnapshotRejectsWorkloadMismatch(t *testing.T) {
 	}
 }
 
+// TestAuditedRunIsCleanAndUnperturbed: a healthy run passes every law at
+// every heartbeat, and auditing changes nothing. The second cell runs RBA
+// with a non-default score latency, so a write to the shared configuration
+// after construction (the SMs hold a pointer to it) trips the `config` law.
 func TestAuditedRunIsCleanAndUnperturbed(t *testing.T) {
-	cfg := config.VoltaV100()
-	cfg.NumSMs = 2
+	base := config.VoltaV100()
+	base.NumSMs = 2
+	stale := base.WithScheduler(config.SchedRBA)
+	stale.RBAScoreLatency = 5
 	ks := snapApp()
+	for _, cfg := range []config.GPU{base, stale} {
+		plain, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.RunKernels(ks, 0); err != nil {
+			t.Fatal(err)
+		}
 
-	plain, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.RunKernels(ks, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	audited, err := New(cfg.WithAudit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audited.RunKernels(ks, 0); err != nil {
-		t.Fatalf("audited run faulted: %v", err)
-	}
-	if !bytes.Equal(runJSON(t, plain), runJSON(t, audited)) {
-		t.Fatal("arming the auditor changed the simulation results")
+		audited, err := New(cfg.WithAudit(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := audited.RunKernels(ks, 0); err != nil {
+			t.Fatalf("%s: audited run faulted: %v", cfg.Name, err)
+		}
+		if !bytes.Equal(runJSON(t, plain), runJSON(t, audited)) {
+			t.Fatalf("%s: arming the auditor changed the simulation results", cfg.Name)
+		}
 	}
 }
 
@@ -304,6 +311,7 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 		{"lease", "lease"},
 		{"readyset", "readyset"},
 		{"mshr", "mshr"},
+		{"config", "config"},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
 			cfg := config.VoltaV100()

@@ -112,7 +112,6 @@ func (e CellErrors) Err() error {
 		return nil
 	}
 	cells := make([]Cell, 0, len(e))
-	//simlint:allow determinism -- keys are collected then sorted before any ordered use
 	for c := range e {
 		cells = append(cells, c)
 	}

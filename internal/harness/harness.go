@@ -358,7 +358,8 @@ func runCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName str
 	if maxCycles <= 0 {
 		maxCycles = gpu.DefaultMaxCycles
 	}
-	//simlint:allow determinism -- wall-clock telemetry: per-cell runtime feeds the sweep's progress metrics, never simulated state or result tables
+	// Wall-clock telemetry: per-cell runtime feeds the sweep's progress
+	// metrics, never simulated state or result tables.
 	start := time.Now()
 	run, fault := runCellOnce(ctx, cfg, app, cfgName, opt, maxCycles, opt.ResumeSnapshots)
 	if fault != nil && fault.Kind == FaultDeadline && opt.RetryFactor >= 0 {
@@ -380,7 +381,6 @@ func runCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName str
 			fault.Retried = true
 		}
 	}
-	//simlint:allow determinism -- wall-clock telemetry: per-cell runtime feeds the sweep's progress metrics, never simulated state or result tables
 	wall := time.Since(start).Seconds()
 	if fault != nil {
 		opt.sm.cellFaulted(fault.Kind)

@@ -8,8 +8,7 @@ import (
 
 // sweepMetrics bundles the harness's registered telemetry handles. A
 // nil *sweepMetrics is the disabled state; every use site guards on it
-// (the same nil-guard contract simlint's traceguard analyzer enforces
-// for trace emission).
+// (the same nil-guard contract as trace emission).
 type sweepMetrics struct {
 	reg *metrics.Registry
 

@@ -61,7 +61,6 @@ func newCellSnapshotter(opt Options, app, cfgName string, mon *gpu.Monitor) *cel
 		mon:      mon,
 		sm:       opt.sm,
 		logf:     opt.logf,
-		//simlint:allow determinism -- wall-interval snapshot pacing is deliberately wall-clock (kill-9 resilience); frame contents stay cycle-deterministic
 		lastWall: time.Now(),
 	}
 }
@@ -80,7 +79,8 @@ func (c *cellSnapshotter) hook(g *gpu.GPU) error {
 	if !due && c.interval > 0 && g.Cycle() >= c.nextCycle {
 		due = true
 	}
-	//simlint:allow determinism -- wall-interval snapshot pacing is deliberately wall-clock (kill-9 resilience); frame contents stay cycle-deterministic
+	// Wall-interval pacing is deliberately wall-clock (kill-9 resilience);
+	// frame contents stay cycle-deterministic.
 	if !due && c.wall > 0 && time.Since(c.lastWall) >= c.wall {
 		due = true
 	}
@@ -94,7 +94,6 @@ func (c *cellSnapshotter) hook(g *gpu.GPU) error {
 		return nil
 	}
 	c.nextCycle = g.Cycle() + c.interval
-	//simlint:allow determinism -- wall-interval snapshot pacing is deliberately wall-clock (kill-9 resilience); frame contents stay cycle-deterministic
 	c.lastWall = time.Now()
 	c.sm.snapshotWrote()
 	return nil

@@ -282,8 +282,6 @@ const NeverCycle = int64(math.MaxInt64)
 // to completion cycles immediately), so these events never *initiate*
 // work by themselves — the device loop takes the min with the SM events
 // only to bound fast-forward skips conservatively.
-//
-//simlint:hotpath
 func (h *Hierarchy) NextEvent(now int64) int64 {
 	next := NeverCycle
 	if h.l2ch.nextFree > now && h.l2ch.nextFree < next {

@@ -8,9 +8,10 @@
 //  1. Disabled must be near-free. Every registration method is safe on a
 //     nil *Registry and returns a nil handle; call sites guard the
 //     handle (`if c != nil { c.Inc() }`) so a run without -metrics-addr
-//     pays exactly one predictable branch per site. simlint's traceguard
-//     analyzer enforces the guard statically, and
-//     BenchmarkMetricsOverhead certifies the cost dynamically.
+//     pays exactly one predictable branch per site. Handle methods
+//     dereference their receiver, so a missing guard is a nil panic in
+//     every test that runs without a registry;
+//     BenchmarkMetricsOverhead certifies the cost.
 //  2. The hot path is atomic, not locked. Handle updates (Counter.Add,
 //     Gauge.Set, Histogram.Observe) are single atomic operations safe
 //     for concurrent sweep workers; the registry mutex is only taken at

@@ -238,8 +238,6 @@ func (c *Collector) Allocate(cu int, warpIdx, schedSlot int32, in isa.Instr, ban
 // EnqueueWrite queues a writeback. Writebacks have priority over reads at
 // their bank; the caller clears the scoreboard entry when the write shows
 // up in GrantedWrites.
-//
-//simlint:hotpath
 func (c *Collector) EnqueueWrite(w WriteReq) {
 	if int(w.Bank) < 0 || int(w.Bank) >= c.banks {
 		panic(fmt.Sprintf("regfile: write to bank %d of %d", w.Bank, c.banks))
@@ -425,8 +423,6 @@ const neverCycle = int64(math.MaxInt64)
 // collector reports no event, skipped Ticks would have been no-ops
 // (grant-less, dispatch-less) except for the clock and queue-length
 // ring, which FastForward replays exactly.
-//
-//simlint:hotpath
 func (c *Collector) NextEvent(now int64) int64 {
 	for b := 0; b < c.banks; b++ {
 		if len(c.queues[b]) > 0 || len(c.writes[b]) > 0 {

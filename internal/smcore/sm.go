@@ -61,8 +61,8 @@ type wbEvent struct {
 // wbHeap is a min-heap of writeback events ordered by cycle. It is a
 // typed binary heap rather than container/heap because push/pop run on
 // the per-cycle path: container/heap's interface{} Push/Pop boxes every
-// wbEvent (one allocation per scheduled writeback, flagged by
-// simlint's hotpath analyzer).
+// wbEvent (one allocation per scheduled writeback, which fails
+// TestCycleLoopZeroAlloc).
 type wbHeap []wbEvent
 
 func (h *wbHeap) push(e wbEvent) {
@@ -127,8 +127,6 @@ type SM struct {
 	// cycles) must not allocate per visit.
 	auditSB [][sbWords]uint64
 
-	traceReads bool
-
 	// tr is the observability handle for this SM; nil when the SM is not
 	// traced, which is the fast path every emission site branches on.
 	tr *trace.SMT
@@ -146,8 +144,7 @@ type smState struct {
 	residentBlocks int
 	// liveWarps counts warps not yet exited; the SM is drained when 0 and
 	// no writebacks or LSU entries are pending.
-	liveWarps   int
-	lastRegRead int64
+	liveWarps int
 }
 
 // NewSM builds SM id for a validated config, wiring it to the shared
@@ -173,10 +170,6 @@ func NewSM(id int, cfg *config.GPU, hier *mem.Hierarchy, run *stats.Run) *SM {
 	sm.rooms = make([]subRoom, len(sm.subcores))
 	return sm
 }
-
-// TraceReads enables the per-cycle register-read trace (Fig. 14); only
-// meaningful on SM 0 of a run.
-func (sm *SM) TraceReads(on bool) { sm.traceReads = on }
 
 // SetTracer attaches the observability layer: the SM keeps its emission
 // handle (nil when this SM is not traced) and forwards it to the LSU and
@@ -219,8 +212,6 @@ func (sm *SM) TraceCounters(s *trace.CounterSample) {
 // CanAccept runs on the per-cycle path (the block scheduler probes every
 // SM each cycle while blocks are pending), hence the reusable rooms
 // scratch instead of a per-call allocation.
-//
-//simlint:hotpath
 func (sm *SM) CanAccept(b *BlockSpec) bool {
 	if sm.residentBlocks >= len(sm.blocks) {
 		return false
@@ -259,8 +250,6 @@ func (sm *SM) CanAccept(b *BlockSpec) bool {
 // space when the designated one is full — counted, since the hash table
 // in hardware is constructed so this cannot happen for balanced shapes).
 // Call only after CanAccept. Runs once per placed block, not per cycle.
-//
-//simlint:cold
 func (sm *SM) Allocate(b *BlockSpec) error {
 	if !sm.CanAccept(b) {
 		return fmt.Errorf("smcore: SM %d cannot accept block %d", sm.id, b.KernelBlockID)
@@ -430,19 +419,6 @@ func (sm *SM) Tick(now int64) {
 	for _, sc := range sm.subcores {
 		sc.decodeTick()
 	}
-	// 6. Per-cycle register-read trace (Fig. 14).
-	if sm.traceReads {
-		var total int64
-		for _, sc := range sm.subcores {
-			total += sc.st.RegReads
-		}
-		delta := (total - sm.lastRegRead) * int64(sm.cfg.WarpSize)
-		sm.lastRegRead = total
-		if delta > 65535 {
-			delta = 65535
-		}
-		sm.run.ReadsPerCycle = append(sm.run.ReadsPerCycle, uint16(delta))
-	}
 	// Account active cycles.
 	if sm.residentWarps > 0 {
 		for _, sc := range sm.subcores {
@@ -467,8 +443,6 @@ func (sm *SM) Tick(now int64) {
 // bulk. The run loop's fast-forward leans on this for byte-identical
 // statistics; TestFastForwardInert and TestFastForwardByteIdentity
 // enforce it end to end, TestNextEventContractEveryCycle cycle by cycle.
-//
-//simlint:hotpath
 func (sm *SM) NextEvent(now int64) int64 {
 	next := mem.NeverCycle
 	if len(sm.wb) > 0 {
@@ -497,19 +471,11 @@ func (sm *SM) NextEvent(now int64) int64 {
 // exact counters n Ticks would have accumulated given NextEvent(now)
 // reported no event before now+n. Stall attribution per sub-core
 // replays issueTick's no-candidate decision; collector clocks and RBA
-// queue-length rings advance bit-exactly; the per-cycle register-read
-// trace (Fig. 14) appends its zero deltas. Emits one KFastForward event
+// queue-length rings advance bit-exactly. Emits one KFastForward event
 // covering the span when the SM is traced.
 func (sm *SM) FastForward(now, n int64) {
 	for _, sc := range sm.subcores {
 		sc.fastForward(n)
-	}
-	if sm.traceReads {
-		for i := int64(0); i < n; i++ {
-			// RegReads is static across a quiescent span, so every skipped
-			// cycle's delta is zero.
-			sm.run.ReadsPerCycle = append(sm.run.ReadsPerCycle, 0)
-		}
 	}
 	if sm.residentWarps > 0 {
 		for _, sc := range sm.subcores {

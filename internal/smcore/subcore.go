@@ -181,7 +181,7 @@ type SubCore struct {
 
 	// dispatchFn is the operand-collector dispatch callback, built once
 	// at construction: allocating a fresh closure in collectorTick would
-	// cost one heap allocation per sub-core per cycle (simlint hotpath).
+	// cost one heap allocation per sub-core per cycle (TestCycleLoopZeroAlloc).
 	// dispNow/dispPorts carry the per-cycle arguments it closes over.
 	dispatchFn func(*regfile.CollectorUnit) bool
 	dispNow    int64
@@ -358,8 +358,6 @@ func (sc *SubCore) dispatch(cu *regfile.CollectorUnit, now int64) bool {
 // blockedCU instead: tryIssue would refuse each of them the same way,
 // collector units never free during the issue stage, and the flag is only
 // read when nothing issued — i.e. after every candidate was tried.
-//
-//simlint:hotpath
 func (sc *SubCore) buildCandidates() (blockedCU bool) {
 	sc.cands = sc.cands[:0]
 	m := sc.rs.ready
@@ -509,8 +507,6 @@ func (sc *SubCore) idleReason(n int64) stats.StallReason {
 // With no candidates the scheduler's Pick is never consulted, so scheduler
 // state is untouched too — the property that makes skipped cycles
 // byte-identical for GTO, LRR, and RBA alike.
-//
-//simlint:hotpath
 func (sc *SubCore) quiescent(now int64) bool {
 	return sc.rs.ready == 0 && sc.rs.decode == 0 && sc.coll.NextEvent(now) > now
 }

@@ -85,35 +85,6 @@ func (s *CPIStack) Shares() [NumCPIComponents]float64 {
 	return out
 }
 
-// cpiLedger classifies every SubCore counter and every StallReason for
-// the cpiguard analyzer (docs/STATIC_ANALYSIS.md): "cycle..." entries
-// are terms of the CPI == cycles identity and must be read in
-// (*SubCore).CPI; "event: <reason>" entries are occurrence counters
-// whose cycle cost is attributed elsewhere (the reason says where).
-// Adding a SubCore field or a StallReason without classifying it here
-// is a simlint finding — exactly the silent drift CheckCPI can only
-// catch when a workload happens to drive the new counter.
-var cpiLedger = map[string]string{
-	// Stack terms: read in CPI(), summed by CheckCPI against Run.Cycles.
-	"IssueCycles":  "cycle: the CPIIssue slice",
-	"ConflictNoCU": "cycle: the CPIBankConflict slice, carved from StallNoCU",
-	"MemNoCU":      "cycle: CPIMemory term, the LSU-backpressure subset of StallNoCU",
-	"MemEUBusy":    "cycle: CPIMemory term, the memory-port subset of StallEUBusy",
-	"SMIdleCycles": "cycle: the CPIIdle slice, carved from StallNoWarp",
-	"StallCycles":  "cycle: per-reason buckets; every non-issued cycle lands in exactly one",
-
-	// Occurrence counters: outside the cycles identity by design.
-	"Issued":          "event: instruction count (Fig 17's CoV numerator), not a cycle bucket",
-	"Cycles":          "event: active-cycle tally cross-checked against Run.Cycles by the auditor, not a stack term",
-	"BankConflicts":   "event: delayed-read occurrences; their cycle cost is attributed via ConflictNoCU",
-	"RegReads":        "event: granted 32-wide reads (Fig 14 utilization), not a cycle bucket",
-	"RegWrites":       "event: writeback count, not a cycle bucket",
-	"IdleAllFinished": "event: diagnostic subset of StallNoWarp cycles (Section III-B pathology); its cycles are already in CPIImbalance/CPIIdle",
-
-	// Stall reasons CPI never indexes directly.
-	"StallNone": "event: marks an issued cycle at attribution time; those cycles enter the stack as IssueCycles",
-}
-
 // CPI derives the sub-core's CPI stack from its counters. The refined
 // counters (ConflictNoCU, MemNoCU, MemEUBusy, SMIdleCycles) are strict
 // subsets of their StallCycles buckets, so the residuals are never

@@ -131,14 +131,6 @@ type Run struct {
 	// sampled every cycle on every SM (one sample per SM per cycle).
 	OccupancySum     int64
 	OccupancySamples int64
-	// ReadsPerCycle, when tracing was enabled, holds the aggregate
-	// 4-byte register reads each cycle on SM 0 (Fig 14).
-	ReadsPerCycle []uint16
-	// IssueTimeline, when issue tracing was enabled, holds per-sub-core
-	// instructions issued on SM 0 per bucket of IssueBucket cycles —
-	// the raw material for visualizing sub-core imbalance over time.
-	IssueTimeline [][]uint32
-	IssueBucket   int
 }
 
 // MeanOccupancy returns the average resident warps per SM, over all SMs
@@ -246,19 +238,6 @@ func (r *Run) TotalRegReads() int64 {
 		}
 	}
 	return t
-}
-
-// MeanReadsPerCycle returns the average over the traced reads-per-cycle
-// series, in 4-byte-read units (the red line in Fig 14).
-func (r *Run) MeanReadsPerCycle() float64 {
-	if len(r.ReadsPerCycle) == 0 {
-		return 0
-	}
-	var s int64
-	for _, v := range r.ReadsPerCycle {
-		s += int64(v)
-	}
-	return float64(s) / float64(len(r.ReadsPerCycle))
 }
 
 // CoV returns the coefficient of variation (population stddev / mean)

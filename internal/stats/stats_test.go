@@ -122,17 +122,6 @@ func TestZeroCycleIPC(t *testing.T) {
 	}
 }
 
-func TestReadsPerCycleStats(t *testing.T) {
-	r := &Run{ReadsPerCycle: []uint16{0, 10, 20, 30}}
-	if got := r.MeanReadsPerCycle(); !almost(got, 15) {
-		t.Errorf("MeanReadsPerCycle = %v", got)
-	}
-	var empty Run
-	if empty.MeanReadsPerCycle() != 0 {
-		t.Error("empty trace mean must be 0")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := Histogram([]uint16{0, 1, 2, 3, 255, 128}, 4, 255)
 	var total int64

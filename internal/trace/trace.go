@@ -7,7 +7,8 @@
 //  1. Disabled tracing must be provably cheap. Every emission site in the
 //     simulator guards on a nil handle (`if tr != nil`), so a run without
 //     a tracer pays one predictable branch per site — measured under 2%
-//     of total runtime by BenchmarkTracingOverhead.
+//     of total runtime by BenchmarkTracingOverhead. Emit dereferences its
+//     receiver, so a missing guard is a nil panic in every untraced test.
 //  2. Enabled tracing must not allocate per event. Events are fixed-size
 //     structs appended to per-SM ring buffers. With no Sink attached the
 //     ring is a flight recorder (the last RingCap events survive); with a
@@ -20,8 +21,9 @@
 // Counter sampling records, every SamplePeriod cycles on one designated
 // SM: resident warps, LSU queue depth, register-file read throughput,
 // per-sub-core occupancy and issue rate, and per-bank arbiter queue
-// depths. This generalizes the earlier one-off SM-0 "trace"/"timeline"
-// code paths.
+// depths. It is the simulator's only time-series path: Fig. 14's
+// reads-per-cycle series is the RFReads column at period 1, the
+// sub-core issue timeline the IssueBySub columns.
 //
 // WriteChrome (chrome.go) exports both streams as Chrome trace-event JSON
 // (SM -> process, sub-core -> thread) loadable in ui.perfetto.dev.
