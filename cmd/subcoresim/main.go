@@ -148,9 +148,8 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
 		maxCyc   = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 		metAddr  = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
-		snapDir  = flag.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory (resume with -resume-snapshots)")
+		snapDir  = flag.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory; a run whose frame is already there resumes from it, with byte-identical results")
 		snapEvr  = flag.Int64("snapshot-interval", 0, "simulated-cycle period between periodic snapshots (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
-		resumeS  = flag.Bool("resume-snapshots", false, "resume an interrupted run mid-kernel from its -snapshot-dir frame (byte-identical results)")
 	)
 	flag.Parse()
 
@@ -202,10 +201,9 @@ func main() {
 	}
 
 	// The run executes under the fault-tolerant harness: -timeout kills a
-	// wall-clock overrun, -max-cycles caps simulated cycles (with one
-	// retry at a raised cap), and a watchdog kills a livelocked model; a
-	// simulator panic is reported as a structured fault instead of a
-	// crash (docs/ROBUSTNESS.md).
+	// wall-clock overrun, -max-cycles caps simulated cycles, and a
+	// watchdog kills a livelocked model; a simulator panic is reported as
+	// a structured fault instead of a crash (docs/ROBUSTNESS.md).
 	ctx, cancelRun := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancelRun()
 	hopt := harness.Options{
@@ -214,7 +212,6 @@ func main() {
 		WatchdogInterval: time.Second,
 		SnapshotDir:      *snapDir,
 		SnapshotInterval: *snapEvr,
-		ResumeSnapshots:  *resumeS,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -25,18 +25,16 @@
 //
 // With -snapshot-dir, each in-flight cell additionally persists its full
 // mid-kernel device state — periodically under -snapshot-interval, and
-// always on a graceful shutdown signal — and a restart with
-// -resume-snapshots continues those cells mid-kernel with byte-identical
-// final statistics (docs/ROBUSTNESS.md). -audit N arms the runtime
+// always on a graceful shutdown signal — and a restart on the same
+// directory continues those cells mid-kernel with byte-identical final
+// statistics (docs/ROBUSTNESS.md). -audit N arms the runtime
 // invariant auditor every N cycles; a corrupted simulation dies as a
 // structured audit fault instead of producing silently wrong numbers.
 //
 // With -metrics-addr the sweep serves live telemetry over HTTP for its
 // duration (docs/OBSERVABILITY.md): `curl $addr/metrics` returns
 // Prometheus-format counters and gauges — per-cell heartbeat progress,
-// faults by kind, the aggregated CPI stack — and /debug/vars the same
-// as JSON. With -bench-out the completed matrix is also written as a
-// BENCH_<date>.json performance baseline for cmd/benchdiff.
+// faults by kind, the aggregated CPI stack.
 package main
 
 import (
@@ -51,7 +49,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/bench"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
@@ -71,11 +68,9 @@ func main() {
 		ckpt      = flag.String("checkpoint", "", "append completed cells to this JSONL file and resume from it")
 		diag      = flag.String("diag", "", "write flight-recorder dumps for faulted cells to this directory")
 		metricsAt = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
-		benchOut  = flag.String("bench-out", "", "write the completed matrix as a performance baseline JSON (for benchdiff)")
 		noFF      = flag.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)")
-		snapDir   = flag.String("snapshot-dir", "", "persist per-cell mid-kernel device snapshots to this directory (resume with -resume-snapshots)")
+		snapDir   = flag.String("snapshot-dir", "", "persist per-cell mid-kernel device snapshots to this directory; cells whose frame is already there resume from it, with results byte-identical to uninterrupted runs")
 		snapEvery = flag.Int64("snapshot-interval", 0, "simulated-cycle period between periodic snapshots (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
-		resumeSnp = flag.Bool("resume-snapshots", false, "resume interrupted cells mid-kernel from their -snapshot-dir frames (results are byte-identical to uninterrupted runs)")
 		auditEv   = flag.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the cell as a structured audit fault (0 = off)")
 	)
 	flag.Parse()
@@ -104,9 +99,9 @@ func main() {
 
 	// Ctrl-C and SIGTERM cancel the sweep gracefully: completed cells are
 	// already in the checkpoint, and with -snapshot-dir each in-flight
-	// cell writes a final mid-kernel frame on its way down — a re-run
-	// with -resume-snapshots continues those cells where the signal
-	// landed instead of re-simulating them.
+	// cell writes a final mid-kernel frame on its way down — a re-run on
+	// the same directory continues those cells where the signal landed
+	// instead of re-simulating them.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
@@ -132,7 +127,6 @@ func main() {
 		DiagDir:          *diag,
 		SnapshotDir:      *snapDir,
 		SnapshotInterval: *snapEvery,
-		ResumeSnapshots:  *resumeSnp,
 		Metrics:          reg,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -140,14 +134,6 @@ func main() {
 	})
 	if err != nil {
 		fatal(err)
-	}
-
-	if *benchOut != "" {
-		b := bench.FromResult(res, apps, names, time.Now().UTC().Format(time.RFC3339))
-		if err := b.WriteFile(*benchOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "sweep: wrote %d-cell baseline to %s\n", len(b.Cells), *benchOut)
 	}
 
 	fmt.Print("app,config,cycles,instructions,ipc,bank_conflicts,issue_cov\n")

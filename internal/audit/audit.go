@@ -20,8 +20,8 @@ import "fmt"
 // trusted.
 type Violation struct {
 	// Rule names the invariant family that failed: "scoreboard", "lease",
-	// "mshr", "occupancy", "regbudget", "shmem", "lsu", "channel", "cpi",
-	// "residency", "readyset", "config".
+	// "mshr", "occupancy", "regbudget", "shmem", "lsu", "channel", "cache",
+	// "cpi", "residency", "readyset", "config".
 	Rule string
 	// Where locates the component, e.g. "sm2/sub1/warp13" or "l1m[0]".
 	Where string

@@ -16,8 +16,7 @@ const (
 	// FaultError: the cell returned an ordinary error (bad kernel,
 	// invalid configuration, injected error).
 	FaultError
-	// FaultDeadline: the cell hit its simulated-cycle cap, including the
-	// bounded retry at a raised cap.
+	// FaultDeadline: the cell hit its simulated-cycle cap.
 	FaultDeadline
 	// FaultWatchdog: the forward-progress watchdog observed a stalled
 	// heartbeat (livelocked or hung cell) and killed it.
@@ -67,9 +66,6 @@ type SimFault struct {
 	// DumpPath is the flight-recorder diagnostics file written for this
 	// fault ("" when diagnostics were not armed).
 	DumpPath string
-	// Retried reports the cell was re-run once at a raised cycle cap
-	// before being declared faulted.
-	Retried bool
 }
 
 // Error implements error.
@@ -81,9 +77,6 @@ func (f *SimFault) Error() string {
 		fmt.Fprintf(&b, ": panic: %v", f.PanicValue)
 	case f.Err != nil:
 		fmt.Fprintf(&b, ": %v", f.Err)
-	}
-	if f.Retried {
-		b.WriteString(" (after retry at raised cycle cap)")
 	}
 	if f.DumpPath != "" {
 		fmt.Fprintf(&b, " [diagnostics: %s]", f.DumpPath)

@@ -3,7 +3,7 @@
 // matrix, and at that scale one simulator invariant panic, livelocked
 // cell, or runaway kernel must not cost the whole campaign.
 //
-// Four pillars:
+// Five pillars:
 //
 //  1. Panic isolation — every (application, configuration) cell runs
 //     under recover(); a simulator panic becomes a structured *SimFault
@@ -14,8 +14,7 @@
 //  2. Cancellation and watchdog — a context plus per-cell wall-clock
 //     timeout and a forward-progress watchdog reading the gpu.Monitor
 //     heartbeat, so hung or livelocked cells die in wall-clock time
-//     instead of burning out a cycle cap. Cells killed by the simulated
-//     cycle cap get one bounded retry at a raised cap.
+//     instead of burning out the simulated-cycle cap.
 //  3. Checkpoint/resume — completed cells stream to an append-only JSONL
 //     checkpoint; a resumed sweep skips them and re-runs only the
 //     faulted/killed/missing cells (checkpoint.go).
@@ -39,6 +38,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -61,10 +61,6 @@ type Options struct {
 	// MaxCycles caps each kernel's simulated cycles
 	// (0 = gpu.DefaultMaxCycles).
 	MaxCycles int64
-	// RetryFactor raises the cycle cap for the single retry of a
-	// deadline-killed cell (0 = DefaultRetryFactor; negative disables
-	// the retry).
-	RetryFactor int64
 	// WatchdogInterval is the forward-progress sampling period: a cell
 	// whose heartbeat does not advance for two consecutive intervals is
 	// killed (0 disables the watchdog).
@@ -79,25 +75,17 @@ type Options struct {
 	DiagDir string
 	// SnapshotDir arms mid-kernel state snapshots (snapshot.go): each
 	// cell persists its full device state to <dir>/<app>__<config>.snap
-	// on the cadences below, plus a final frame when the cell is canceled
-	// (SIGTERM, watchdog, timeout) — so an interrupted sweep restarted
-	// with ResumeSnapshots continues each cell mid-kernel with
-	// byte-identical final statistics ("" = no snapshots).
+	// every SnapshotInterval cycles, plus a final frame when the cell is
+	// canceled (SIGTERM, watchdog, timeout). A cell that finds its frame
+	// there resumes from it mid-kernel with byte-identical final
+	// statistics; a frame that fails to restore (version, config, or
+	// workload drift) is discarded and the cell restarts fresh
+	// ("" = no snapshots).
 	SnapshotDir string
 	// SnapshotInterval is the simulated-cycle period between periodic
-	// snapshots (rounded up to the device heartbeat; 0 = no cycle-driven
-	// snapshots). With both intervals zero, only the final
-	// cancellation frame is written.
+	// snapshots (rounded up to the device heartbeat; 0 = only the final
+	// cancellation frame is written).
 	SnapshotInterval int64
-	// SnapshotWall is the wall-clock period between periodic snapshots
-	// (0 = no wall-driven snapshots). Useful when cells' cycle rates
-	// vary wildly: it bounds re-simulation time lost to a kill -9, which
-	// skips the cancellation frame.
-	SnapshotWall time.Duration
-	// ResumeSnapshots resumes each cell from its SnapshotDir frame when
-	// one exists. A frame that fails to restore (version, config, or
-	// workload drift) is discarded and the cell restarts fresh.
-	ResumeSnapshots bool
 	// Adapt, when non-nil, derives the cell's device configuration from
 	// the sweep configuration and the application (exp.DeviceFor's
 	// per-suite memory scaling).
@@ -112,7 +100,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives live sweep telemetry: per-cell
 	// heartbeat gauges (a hung cell shows as a stalled
-	// sweep_cell_heartbeat_cycle), completion/fault/retry/checkpoint
+	// sweep_cell_heartbeat_cycle), completion/fault/checkpoint/snapshot
 	// counters, aggregated CPI-stack cycles, and the devices' cycle and
 	// instruction totals (nil = no telemetry, the guarded fast path).
 	Metrics *metrics.Registry
@@ -121,10 +109,6 @@ type Options struct {
 	// Metrics, nil when telemetry is off.
 	sm *sweepMetrics
 }
-
-// DefaultRetryFactor multiplies the cycle cap for the bounded retry of a
-// deadline-killed cell.
-const DefaultRetryFactor = 4
 
 // watchdogStallIntervals is how many consecutive unchanged heartbeat
 // samples the watchdog tolerates before killing a cell: two, so a cell
@@ -154,9 +138,8 @@ type Result struct {
 	Resumed, Executed int
 	// Wall is the per-cell wall-clock simulation time in seconds,
 	// indexed like Runs. Zero for resumed and faulted cells. Wall time
-	// is the one nondeterministic cell datum — the bench baseline
-	// (internal/bench) records it as informational throughput and
-	// excludes it from regression comparison.
+	// is the one nondeterministic cell datum: it reaches no result table,
+	// checkpoint or metric — `go run ./benchmark` reads it to time cells.
 	Wall [][]float64
 }
 
@@ -312,18 +295,12 @@ dispatch:
 // sortFaults orders faults by (app, config) so reports are deterministic
 // regardless of worker scheduling.
 func sortFaults(fs []*SimFault) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && faultLess(fs[j], fs[j-1]); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
+	sort.Slice(fs, func(i, j int) bool {
+		if fs[i].App != fs[j].App {
+			return fs[i].App < fs[j].App
 		}
-	}
-}
-
-func faultLess(a, b *SimFault) bool {
-	if a.App != b.App {
-		return a.App < b.App
-	}
-	return a.Config < b.Config
+		return fs[i].Config < fs[j].Config
+	})
 }
 
 // RunOne executes a single (configuration, application) cell under the
@@ -349,58 +326,32 @@ func RunOne(ctx context.Context, cfg config.GPU, app workloads.App, opt Options)
 	return run, fault
 }
 
-// runCell runs one cell, retrying once at a raised cycle cap if the
-// first attempt died on the simulated-cycle deadline. It accounts the
-// cell's terminal outcome (completion or fault, plus any retry) to the
-// sweep metrics and returns the wall-clock seconds spent simulating.
+// runCell runs one cell, accounts its outcome (completion or fault) to
+// the sweep metrics and returns the wall-clock seconds spent simulating.
 func runCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName string, opt Options) (*stats.Run, float64, *SimFault) {
-	maxCycles := opt.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = gpu.DefaultMaxCycles
-	}
-	// Wall-clock telemetry: per-cell runtime feeds the sweep's progress
-	// metrics, never simulated state or result tables.
+	// Wall-clock telemetry: per-cell runtime feeds Result.Wall, never
+	// simulated state or result tables.
 	start := time.Now()
-	run, fault := runCellOnce(ctx, cfg, app, cfgName, opt, maxCycles, opt.ResumeSnapshots)
-	if fault != nil && fault.Kind == FaultDeadline && opt.RetryFactor >= 0 {
-		factor := opt.RetryFactor
-		if factor == 0 {
-			factor = DefaultRetryFactor
-		}
-		opt.logf("harness: %s on %s hit the %d-cycle cap; retrying once at %d",
-			app.Name, cfgName, maxCycles, maxCycles*factor)
-		opt.sm.retried()
-		// The frame written during the capped attempt carries the old
-		// absolute deadline; resuming it would re-fault immediately, so the
-		// retry starts fresh.
-		if opt.SnapshotDir != "" {
-			os.Remove(snapPath(opt.SnapshotDir, app.Name, cfgName))
-		}
-		run, fault = runCellOnce(ctx, cfg, app, cfgName, opt, maxCycles*factor, false)
-		if fault != nil {
-			fault.Retried = true
-		}
-	}
+	run, fault := superviseCell(ctx, cfg, app, cfgName, opt)
 	wall := time.Since(start).Seconds()
 	if fault != nil {
 		opt.sm.cellFaulted(fault.Kind)
-		return run, wall, fault
+	} else {
+		opt.sm.cellDone(run)
 	}
-	opt.sm.cellDone(run)
-	return run, wall, nil
+	return run, wall, fault
 }
 
-// runCellOnce is one supervised attempt at a cell. resume allows the
-// attempt to continue from an existing snapshot frame (the retry path
-// disables it, since a raised cycle cap invalidates the frame's
-// deadline).
-func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName string, opt Options, maxCycles int64, resume bool) (run *stats.Run, fault *SimFault) {
+// superviseCell simulates one cell under the supervisor, panic isolation
+// and the snapshot hook, continuing from the cell's snapshot frame when
+// one exists.
+func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName string, opt Options) (run *stats.Run, fault *SimFault) {
 	mon := &gpu.Monitor{}
 	stop := supervise(ctx, mon, opt)
 	defer stop()
-	// Live progress: the heartbeat gauge reads this attempt's monitor at
-	// scrape time (a retry re-points it at the fresh monitor).
-	opt.sm.watchCell(app.Name, cfgName, mon)
+	// Live progress: the heartbeat gauge reads this cell's monitor at
+	// scrape time, and goes away with the cell.
+	defer opt.sm.watchCell(app.Name, cfgName, mon)()
 
 	// Flight recorder: a small SM-0 ring whose tail is dumped on fault.
 	tr := opt.Tracer
@@ -472,7 +423,7 @@ func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName
 	// half-mutated the device, so the fresh path rebuilds it.
 	snap := newCellSnapshotter(opt, app.Name, cfgName, mon)
 	resumed := false
-	if snap != nil && resume {
+	if snap != nil {
 		ok, rerr := snap.tryResume(g, app.Kernels)
 		if rerr != nil {
 			opt.logf("harness: %s on %s: snapshot unusable, restarting fresh: %v", app.Name, cfgName, rerr)
@@ -500,9 +451,9 @@ func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName
 	}
 	runErr := error(nil)
 	if resumed {
-		runErr = g.ContinueKernels(app.Kernels, maxCycles)
+		runErr = g.ContinueKernels(app.Kernels, opt.MaxCycles)
 	} else {
-		runErr = g.RunKernels(app.Kernels, maxCycles)
+		runErr = g.RunKernels(app.Kernels, opt.MaxCycles)
 	}
 	if runErr != nil {
 		f := &SimFault{Cycle: mon.Cycle(), Err: runErr}
@@ -512,6 +463,9 @@ func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName
 		switch {
 		case errors.As(runErr, &cle):
 			f.Kind = FaultDeadline
+			// A frame carries the absolute deadline its launch died on:
+			// resumed, even under a raised cap, it re-faults at that cycle.
+			snap.discard()
 		case errors.As(runErr, &ce):
 			f.Kind = kindForReason(ce.Reason)
 			f.Cycle = ce.Cycle
@@ -625,12 +579,15 @@ func writeDump(opt Options, app, cfgName string, f *SimFault, tr *trace.Tracer) 
 		return ""
 	}
 	base := filepath.Join(opt.DiagDir, sanitize(app)+"__"+sanitize(cfgName))
+	tracePath := ""
 	if tr != nil {
 		if tf, err := os.Create(base + ".trace.json"); err == nil {
 			werr := trace.WriteChrome(tf, tr)
 			cerr := tf.Close()
 			if werr != nil || cerr != nil {
 				os.Remove(base + ".trace.json")
+			} else {
+				tracePath = base + ".trace.json"
 			}
 		}
 	}
@@ -650,13 +607,12 @@ func writeDump(opt Options, app, cfgName string, f *SimFault, tr *trace.Tracer) 
 		PanicValue string `json:"panic,omitempty"`
 		Stack      string `json:"stack,omitempty"`
 		Trace      string `json:"trace,omitempty"`
-		Retried    bool   `json:"retried,omitempty"`
 	}{
-		App:     app,
-		Config:  cfgName,
-		Kind:    f.Kind.String(),
-		Cycle:   f.Cycle,
-		Retried: f.Retried,
+		App:    app,
+		Config: cfgName,
+		Kind:   f.Kind.String(),
+		Cycle:  f.Cycle,
+		Trace:  tracePath,
 	}
 	if f.Err != nil {
 		rec.Error = f.Err.Error()
@@ -666,9 +622,6 @@ func writeDump(opt Options, app, cfgName string, f *SimFault, tr *trace.Tracer) 
 	}
 	if len(f.Stack) > 0 {
 		rec.Stack = string(f.Stack)
-	}
-	if tr != nil {
-		rec.Trace = base + ".trace.json"
 	}
 	enc := json.NewEncoder(df)
 	enc.SetIndent("", "  ")

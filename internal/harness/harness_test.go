@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -111,47 +112,44 @@ func TestContextCancelKill(t *testing.T) {
 	}
 }
 
-// A deadline-killed cell is retried once at a raised cap; if the raise is
-// enough, the sweep sees a clean run.
-func TestDeadlineRetrySucceeds(t *testing.T) {
-	cfg, app := testCfg("base"), testApp("capped", 200)
+// A cell that outruns the simulated-cycle cap dies as a deadline fault at
+// the cap — not at a multiple of it — and unwraps to the typed error. Its
+// periodic frame carries that deadline, so it is discarded: a re-run
+// under a raised cap starts fresh and completes.
+func TestDeadlineFault(t *testing.T) {
+	cfg, app := testCfg("base"), testApp("capped", 2000)
 	ref, fault := RunOne(context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
-	var logs []string
-	run, fault := RunOne(context.Background(), cfg, app, Options{
-		MaxCycles: ref.Cycles / 2, // first attempt must die on the cap
-		Logf:      func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
-	})
-	if fault != nil {
-		t.Fatalf("retry at %dx cap should have completed the cell: %v", DefaultRetryFactor, fault)
+	const limit = 4096
+	if ref.Cycles <= limit {
+		t.Fatalf("reference run is %d cycles; the test needs a cell longer than the %d-cycle cap", ref.Cycles, limit)
 	}
-	if run.Cycles != ref.Cycles {
-		t.Errorf("retried run = %d cycles, want %d (same simulation)", run.Cycles, ref.Cycles)
-	}
-	if len(logs) == 0 || !strings.Contains(strings.Join(logs, "\n"), "retrying once") {
-		t.Errorf("retry was not logged: %q", logs)
-	}
-}
+	opt := Options{MaxCycles: limit, SnapshotDir: t.TempDir(), SnapshotInterval: 1024}
 
-// With the retry disabled (RetryFactor < 0) the deadline fault surfaces
-// directly; with a too-small factor the fault is marked Retried.
-func TestDeadlineRetryBounds(t *testing.T) {
-	cfg, app := testCfg("base"), testApp("capped", 2000)
-
-	_, fault := RunOne(context.Background(), cfg, app, Options{MaxCycles: 64, RetryFactor: -1})
-	if fault == nil || fault.Kind != FaultDeadline || fault.Retried {
-		t.Fatalf("fault = %v, want un-retried deadline", fault)
+	_, fault = RunOne(context.Background(), cfg, app, opt)
+	if fault == nil || fault.Kind != FaultDeadline {
+		t.Fatalf("fault = %v, want a deadline fault", fault)
 	}
 	var cle *gpu.CycleLimitError
 	if !errors.As(fault, &cle) {
 		t.Fatalf("deadline fault must unwrap to *gpu.CycleLimitError, got %v", fault)
 	}
+	if cle.MaxCycles != limit || fault.Cycle > limit {
+		t.Errorf("cell died under a %d-cycle cap at heartbeat %d, want the %d-cycle cap", cle.MaxCycles, fault.Cycle, limit)
+	}
+	if _, err := os.Stat(snapPath(opt.SnapshotDir, app.Name, cfg.Name)); !os.IsNotExist(err) {
+		t.Errorf("deadline-faulted cell kept a frame that can only re-fault: %v", err)
+	}
 
-	_, fault = RunOne(context.Background(), cfg, app, Options{MaxCycles: 64, RetryFactor: 2})
-	if fault == nil || fault.Kind != FaultDeadline || !fault.Retried {
-		t.Fatalf("fault = %v, want deadline marked Retried", fault)
+	opt.MaxCycles = 0
+	run, fault := RunOne(context.Background(), cfg, app, opt)
+	if fault != nil {
+		t.Fatalf("re-run under the default cap faulted: %v", fault)
+	}
+	if run.Cycles != ref.Cycles {
+		t.Errorf("re-run = %d cycles, want %d (same simulation)", run.Cycles, ref.Cycles)
 	}
 }
 
@@ -190,7 +188,7 @@ func TestCellErrorsErr(t *testing.T) {
 	}
 }
 
-// TestChaosSweep is the end-to-end proof of all four pillars: a sweep
+// TestChaosSweep is the end-to-end proof of the pillars: a sweep
 // with one injected panic, one injected hang, and one injected error
 // completes, reports exactly those three cells as structured faults with
 // the right classifications and diagnostics, and a re-run against the
@@ -210,6 +208,11 @@ func TestChaosSweep(t *testing.T) {
 			"app2/cfgA": InjectError,
 		}),
 		Logf: t.Logf,
+	}
+	// A directory squats on the hung cell's trace file, so that one
+	// flight-recorder write fails.
+	if err := os.MkdirAll(filepath.Join(opt.DiagDir, "app1__cfgB.trace.json"), 0o755); err != nil {
+		t.Fatal(err)
 	}
 
 	res, err := Run(context.Background(), cfgs, nil, apps, opt)
@@ -253,7 +256,8 @@ func TestChaosSweep(t *testing.T) {
 			}
 		}
 	}
-	// The panic and watchdog cells wrote flight-recorder diagnostics.
+	// The panic and watchdog cells wrote flight-recorder diagnostics, and
+	// a fault record names a trace file only if that file was written.
 	for _, f := range res.Faults {
 		if f.Kind == FaultError {
 			continue // injected before the cell starts; nothing to record
@@ -262,8 +266,21 @@ func TestChaosSweep(t *testing.T) {
 			t.Errorf("%s on %s: no diagnostics dump", f.App, f.Config)
 			continue
 		}
-		if _, err := os.Stat(f.DumpPath); err != nil {
+		raw, err := os.ReadFile(f.DumpPath)
+		if err != nil {
 			t.Errorf("dump %s: %v", f.DumpPath, err)
+			continue
+		}
+		var rec struct{ Trace string }
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Errorf("dump %s: %v", f.DumpPath, err)
+		}
+		if f.Kind == FaultWatchdog {
+			if rec.Trace != "" {
+				t.Errorf("%s on %s: fault record points at trace %q, which was never written", f.App, f.Config, rec.Trace)
+			}
+		} else if st, err := os.Stat(rec.Trace); err != nil || !st.Mode().IsRegular() {
+			t.Errorf("%s on %s: recorded trace %q is not a file: %v", f.App, f.Config, rec.Trace, err)
 		}
 	}
 

@@ -15,13 +15,11 @@ type sweepMetrics struct {
 	cellsTotal   *metrics.Gauge
 	cellsDone    *metrics.Counter
 	cellsResumed *metrics.Counter
-	retries      *metrics.Counter
 	ckptWrites   *metrics.Counter
 	snapWrites   *metrics.Counter
 	snapResumes  *metrics.Counter
 	faults       [numFaultKinds]*metrics.Counter
 	cpi          [stats.NumCPIComponents]*metrics.Counter
-	cellIPC      *metrics.Histogram
 }
 
 // newSweepMetrics registers the harness metric families on reg; nil reg
@@ -37,8 +35,6 @@ func newSweepMetrics(reg *metrics.Registry) *sweepMetrics {
 		"cells simulated to completion this run")
 	m.cellsResumed = reg.Counter("sweep_cells_resumed_total",
 		"cells restored from the checkpoint instead of re-simulated")
-	m.retries = reg.Counter("sweep_retries_total",
-		"deadline-killed cells re-run once at a raised cycle cap")
 	m.ckptWrites = reg.Counter("sweep_checkpoint_writes_total",
 		"cells appended to the JSONL checkpoint")
 	m.snapWrites = reg.Counter("sweep_snapshot_writes_total",
@@ -54,34 +50,32 @@ func newSweepMetrics(reg *metrics.Registry) *sweepMetrics {
 			"top-down CPI stack: sub-core cycles attributed to each cause, summed over completed cells",
 			metrics.L("component", c.String()))
 	}
-	m.cellIPC = reg.Histogram("sweep_cell_ipc",
-		"distribution of per-cell device IPC over completed cells",
-		[]float64{0.25, 0.5, 1, 2, 4, 8, 16})
 	return m
 }
 
-// watchCell registers (or re-points, on retry) the cell's live-progress
-// gauge at its monitor: the gauge reads the last heartbeat cycle at
-// scrape time, so a hung cell is visible as a stalled value.
-func (m *sweepMetrics) watchCell(app, cfgName string, mon *gpu.Monitor) {
+// watchCell registers the cell's live-progress gauge at its monitor:
+// the gauge reads the last heartbeat cycle at scrape time, so a hung
+// cell is visible as a stalled value. The returned function drops the
+// series; the caller runs it when the cell ends, so the registry holds
+// one series per in-flight cell and no closure outlives its monitor.
+func (m *sweepMetrics) watchCell(app, cfgName string, mon *gpu.Monitor) (unwatch func()) {
 	if m == nil {
-		return
+		return func() {}
 	}
-	m.reg.GaugeFunc("sweep_cell_heartbeat_cycle",
+	return m.reg.GaugeFunc("sweep_cell_heartbeat_cycle",
 		"last monitor heartbeat cycle per live cell (stalled value = hung cell)",
 		func() float64 { return float64(mon.Cycle()) },
 		metrics.L("app", app), metrics.L("config", cfgName))
 }
 
 // cellDone accounts one successfully completed cell: the completion
-// counter, its IPC observation, and its CPI stack folded into the
-// device-wide attribution totals.
+// counter, and its CPI stack folded into the device-wide attribution
+// totals.
 func (m *sweepMetrics) cellDone(run *stats.Run) {
 	if m == nil {
 		return
 	}
 	m.cellsDone.Inc()
-	m.cellIPC.Observe(run.IPC())
 	st := run.CPIStack()
 	for c, v := range st {
 		m.cpi[c].Add(v)
@@ -94,14 +88,6 @@ func (m *sweepMetrics) cellFaulted(k FaultKind) {
 		return
 	}
 	m.faults[k].Inc()
-}
-
-// retried accounts one bounded deadline retry.
-func (m *sweepMetrics) retried() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
 }
 
 // checkpointWrote accounts one checkpoint append.

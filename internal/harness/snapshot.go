@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/gpu"
 )
@@ -12,10 +11,10 @@ import (
 // Cell snapshotting (docs/ROBUSTNESS.md): when Options.SnapshotDir is
 // set, each cell periodically persists its full mid-kernel device state
 // (gpu.WriteSnapshot) to <dir>/<app>__<config>.snap, and writes a final
-// frame on the heartbeat that observes a cancellation — so a SIGTERM'd,
-// watchdog-killed, or timed-out sweep can be restarted with
-// Options.ResumeSnapshots and each interrupted cell continues from its
-// last frame instead of re-simulating from cycle zero. Snapshot resume
+// frame on the heartbeat that observes a cancellation — so when a
+// SIGTERM'd, watchdog-killed, or timed-out sweep is restarted on the same
+// directory, each interrupted cell continues from its last frame
+// instead of re-simulating from cycle zero. Snapshot resume
 // is exact: the restored run's statistics are byte-identical to an
 // uninterrupted run (gpu's TestSnapshotResumeInert), so resuming never
 // perturbs a study's numbers.
@@ -33,22 +32,20 @@ func snapPath(dir, app, cfgName string) string {
 }
 
 // cellSnapshotter is one cell's snapshot policy, driven from the gpu
-// heartbeat hook. Not safe for concurrent use; each supervised attempt
+// heartbeat hook. Not safe for concurrent use; each supervised cell
 // owns its instance.
 type cellSnapshotter struct {
 	path     string
-	interval int64         // simulated-cycle period, 0 = no cycle policy
-	wall     time.Duration // wall-clock period, 0 = no wall policy
-	mon      *gpu.Monitor  // canceled monitor => write a final frame
+	interval int64        // simulated-cycle period, 0 = final frame only
+	mon      *gpu.Monitor // canceled monitor => write a final frame
 	sm       *sweepMetrics
 	logf     func(format string, args ...any)
 
 	nextCycle int64
-	lastWall  time.Time
 	disabled  bool // set after a write failure; snapshots stop, the run continues
 }
 
-// newCellSnapshotter builds the attempt's snapshotter, nil when
+// newCellSnapshotter builds the cell's snapshotter, nil when
 // snapshotting is off.
 func newCellSnapshotter(opt Options, app, cfgName string, mon *gpu.Monitor) *cellSnapshotter {
 	if opt.SnapshotDir == "" {
@@ -57,17 +54,15 @@ func newCellSnapshotter(opt Options, app, cfgName string, mon *gpu.Monitor) *cel
 	return &cellSnapshotter{
 		path:     snapPath(opt.SnapshotDir, app, cfgName),
 		interval: opt.SnapshotInterval,
-		wall:     opt.SnapshotWall,
 		mon:      mon,
 		sm:       opt.sm,
 		logf:     opt.logf,
-		lastWall: time.Now(),
 	}
 }
 
 // hook is the gpu heartbeat snapshot hook: write a frame when the cycle
-// interval or wall-clock period has elapsed, and always when the cell is
-// being canceled (the final frame a restart resumes from). Write
+// interval has elapsed, and always when the cell is being canceled (the
+// final frame a restart resumes from). Write
 // failures disable further snapshots instead of killing a healthy
 // simulation — losing resumability is strictly better than losing the
 // cell.
@@ -75,16 +70,7 @@ func (c *cellSnapshotter) hook(g *gpu.GPU) error {
 	if c.disabled {
 		return nil
 	}
-	due := c.mon.Canceled()
-	if !due && c.interval > 0 && g.Cycle() >= c.nextCycle {
-		due = true
-	}
-	// Wall-interval pacing is deliberately wall-clock (kill-9 resilience);
-	// frame contents stay cycle-deterministic.
-	if !due && c.wall > 0 && time.Since(c.lastWall) >= c.wall {
-		due = true
-	}
-	if !due {
+	if !c.mon.Canceled() && (c.interval <= 0 || g.Cycle() < c.nextCycle) {
 		return nil
 	}
 	if err := c.write(g); err != nil {
@@ -94,7 +80,6 @@ func (c *cellSnapshotter) hook(g *gpu.GPU) error {
 		return nil
 	}
 	c.nextCycle = g.Cycle() + c.interval
-	c.lastWall = time.Now()
 	c.sm.snapshotWrote()
 	return nil
 }
@@ -143,8 +128,8 @@ func (c *cellSnapshotter) tryResume(g *gpu.GPU, ks []*gpu.Kernel) (bool, error) 
 	return true, nil
 }
 
-// discard removes the cell's frame (after success, or before a retry
-// whose cycle cap differs from the one baked into the frame's deadline).
+// discard removes the cell's frame: after success, when it does not
+// restore, and after a deadline fault.
 func (c *cellSnapshotter) discard() {
 	if c == nil {
 		return

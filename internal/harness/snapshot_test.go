@@ -27,12 +27,14 @@ func runStatsJSON(t *testing.T, r any) string {
 }
 
 // A canceled cell writes a final snapshot frame on its last heartbeat,
-// and a restarted run with ResumeSnapshots continues mid-kernel to the
+// and a restarted run on the same directory continues mid-kernel to the
 // exact statistics an uninterrupted run produces. This is the SIGTERM
 // drain path end to end: signal → context cancel → final frame →
-// restart → resume.
+// restart → resume. The context is canceled before the cell starts, so
+// the frame lands on the first 1,024-cycle heartbeat; the app only has
+// to outlast that.
 func TestCanceledCellResumesFromFinalSnapshot(t *testing.T) {
-	cfg, app := testCfg("base"), testApp("snap", 500_000)
+	cfg, app := testCfg("base"), testApp("snap", 2_000)
 	dir := t.TempDir()
 
 	golden, fault := RunOne(context.Background(), cfg, app, Options{})
@@ -58,10 +60,9 @@ func TestCanceledCellResumesFromFinalSnapshot(t *testing.T) {
 	}
 
 	run, fault = RunOne(context.Background(), cfg, app, Options{
-		SnapshotDir:     dir,
-		ResumeSnapshots: true,
-		Metrics:         reg,
-		Logf:            t.Logf,
+		SnapshotDir: dir,
+		Metrics:     reg,
+		Logf:        t.Logf,
 	})
 	if fault != nil {
 		t.Fatalf("resumed cell faulted: %v", fault)
@@ -125,9 +126,8 @@ func TestCorruptSnapshotFallsBackFresh(t *testing.T) {
 	}
 	var logs []string
 	run, fault := RunOne(context.Background(), cfg, app, Options{
-		SnapshotDir:     dir,
-		ResumeSnapshots: true,
-		Logf:            func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
+		SnapshotDir: dir,
+		Logf:        func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
 	})
 	if fault != nil {
 		t.Fatalf("fresh fallback faulted: %v", fault)
@@ -175,8 +175,8 @@ func TestInjectCorruptBecomesAuditFault(t *testing.T) {
 // A sweep with snapshots armed behaves identically to one without: the
 // chaos injections (including state corruption) classify correctly, the
 // healthy cells complete, and the injector's one-shot semantics mean a
-// re-run with ResumeSnapshots heals every fault — resuming the corrupt
-// cell's clean frame where one was left, or restarting fresh.
+// re-run heals every fault — resuming the corrupt cell's clean frame
+// where one was left, or restarting fresh.
 func TestChaosSweepWithSnapshots(t *testing.T) {
 	cfgs := []config.GPU{testCfg("cfgA"), testCfg("cfgB")}
 	apps := []workloads.App{testApp("app0", 20_000), testApp("app1", 20_000)}
@@ -194,7 +194,6 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 		WatchdogInterval: wd,
 		SnapshotDir:      filepath.Join(dir, "snaps"),
 		SnapshotInterval: 2048,
-		ResumeSnapshots:  true,
 		CheckpointPath:   filepath.Join(dir, "chaos.ckpt"),
 		Injector: InjectFault(map[string]Injection{
 			"app0/cfgA": InjectCorrupt,

@@ -16,7 +16,6 @@ type serSnap struct {
 	key string
 	c   *Counter
 	g   *Gauge
-	h   *Histogram
 	fn  func() float64
 }
 
@@ -24,7 +23,6 @@ type famSnap struct {
 	name   string
 	help   string
 	typ    metricType
-	bounds []float64
 	series []serSnap
 }
 
@@ -36,9 +34,9 @@ func (r *Registry) snapshot() []famSnap {
 	r.mu.Lock()
 	out := make([]famSnap, 0, len(r.fams))
 	for _, f := range r.fams {
-		fs := famSnap{name: f.name, help: f.help, typ: f.typ, bounds: f.bounds}
+		fs := famSnap{name: f.name, help: f.help, typ: f.typ}
 		for _, s := range f.series {
-			fs.series = append(fs.series, serSnap{key: s.key, c: s.c, g: s.g, h: s.h, fn: s.fn})
+			fs.series = append(fs.series, serSnap{key: s.key, c: s.c, g: s.g, fn: s.fn})
 		}
 		sort.Slice(fs.series, func(i, j int) bool { return fs.series[i].key < fs.series[j].key })
 		out = append(out, fs)
@@ -46,19 +44,6 @@ func (r *Registry) snapshot() []famSnap {
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// value resolves a scalar series to its current value.
-func (s *serSnap) value() float64 {
-	switch {
-	case s.fn != nil:
-		return s.fn()
-	case s.c != nil:
-		return float64(s.c.Value())
-	case s.g != nil:
-		return s.g.Value()
-	}
-	return 0
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
@@ -78,62 +63,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteByte('\n')
 		for i := range f.series {
 			s := &f.series[i]
-			if f.typ == typeHistogram {
-				writeHistogram(bw, f.name, s)
-				continue
-			}
 			bw.WriteString(f.name)
 			bw.WriteString(s.key)
 			bw.WriteByte(' ')
-			if s.c != nil && s.fn == nil {
+			switch {
+			case s.fn != nil:
+				bw.WriteString(formatFloat(s.fn()))
+			case s.c != nil:
 				bw.WriteString(strconv.FormatInt(s.c.Value(), 10))
-			} else {
-				bw.WriteString(formatFloat(s.value()))
+			default:
+				bw.WriteString(formatFloat(s.g.Value()))
 			}
 			bw.WriteByte('\n')
 		}
 	}
 	return bw.Flush()
-}
-
-// writeHistogram renders one histogram series: cumulative _bucket lines
-// plus _sum and _count.
-func writeHistogram(bw *bufio.Writer, name string, s *serSnap) {
-	var cum int64
-	for i := 0; i <= len(s.h.bounds); i++ {
-		le := "+Inf"
-		if i < len(s.h.bounds) {
-			le = formatFloat(s.h.bounds[i])
-		}
-		cum += s.h.buckets[i].Load()
-		bw.WriteString(name)
-		bw.WriteString("_bucket")
-		bw.WriteString(withLabel(s.key, "le", le))
-		bw.WriteByte(' ')
-		bw.WriteString(strconv.FormatInt(cum, 10))
-		bw.WriteByte('\n')
-	}
-	bw.WriteString(name)
-	bw.WriteString("_sum")
-	bw.WriteString(s.key)
-	bw.WriteByte(' ')
-	bw.WriteString(formatFloat(s.h.Sum()))
-	bw.WriteByte('\n')
-	bw.WriteString(name)
-	bw.WriteString("_count")
-	bw.WriteString(s.key)
-	bw.WriteByte(' ')
-	bw.WriteString(strconv.FormatInt(s.h.Count(), 10))
-	bw.WriteByte('\n')
-}
-
-// withLabel appends one label to a rendered label key.
-func withLabel(key, name, value string) string {
-	extra := name + `="` + escapeLabel(value) + `"`
-	if key == "" {
-		return "{" + extra + "}"
-	}
-	return key[:len(key)-1] + "," + extra + "}"
 }
 
 // formatFloat renders a float the way Prometheus clients do: shortest
@@ -162,65 +106,4 @@ func escapeHelp(h string) string {
 		}
 	}
 	return string(out)
-}
-
-// WriteJSON renders the registry as /debug/vars-style JSON: an object
-// keyed by family name (sorted), each carrying type, help, and its
-// series with parsed label maps. Rendered by hand so output stays
-// byte-deterministic without an intermediate map.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteByte('{')
-	for fi, f := range r.snapshot() {
-		if fi > 0 {
-			bw.WriteByte(',')
-		}
-		bw.WriteString(strconv.Quote(f.name))
-		bw.WriteString(`:{"type":`)
-		bw.WriteString(strconv.Quote(f.typ.String()))
-		bw.WriteString(`,"help":`)
-		bw.WriteString(strconv.Quote(f.help))
-		bw.WriteString(`,"series":[`)
-		for si := range f.series {
-			if si > 0 {
-				bw.WriteByte(',')
-			}
-			s := &f.series[si]
-			bw.WriteString(`{"labels":`)
-			bw.WriteString(strconv.Quote(s.key))
-			if f.typ == typeHistogram {
-				bw.WriteString(`,"count":`)
-				bw.WriteString(strconv.FormatInt(s.h.Count(), 10))
-				bw.WriteString(`,"sum":`)
-				writeJSONFloat(bw, s.h.Sum())
-				bw.WriteString(`,"buckets":[`)
-				var cum int64
-				for i := 0; i <= len(s.h.bounds); i++ {
-					if i > 0 {
-						bw.WriteByte(',')
-					}
-					cum += s.h.buckets[i].Load()
-					bw.WriteString(strconv.FormatInt(cum, 10))
-				}
-				bw.WriteByte(']')
-			} else {
-				bw.WriteString(`,"value":`)
-				writeJSONFloat(bw, s.value())
-			}
-			bw.WriteByte('}')
-		}
-		bw.WriteString(`]}`)
-	}
-	bw.WriteString("}\n")
-	return bw.Flush()
-}
-
-// writeJSONFloat writes a float as a JSON number; non-finite values
-// (not representable in JSON) render as strings.
-func writeJSONFloat(bw *bufio.Writer, v float64) {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		bw.WriteString(strconv.Quote(formatFloat(v)))
-		return
-	}
-	bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 }

@@ -8,25 +8,20 @@ import (
 
 // Handler returns the telemetry endpoint multiplexer:
 //
-//	/metrics     Prometheus text exposition format
-//	/debug/vars  the same registry as JSON
-//	/            a one-line index
+//	/metrics  Prometheus text exposition format
+//	/         a one-line index
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		r.WriteJSON(w)
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprintln(w, "simulator telemetry: /metrics (Prometheus text), /debug/vars (JSON)")
+		fmt.Fprintln(w, "simulator telemetry: /metrics (Prometheus text)")
 	})
 	return mux
 }

@@ -1,6 +1,6 @@
-// Package metrics is the simulator's live telemetry registry: counters,
-// gauges, and fixed-bucket histograms exposed over HTTP in Prometheus
-// text exposition and /debug/vars-style JSON (expose.go, http.go).
+// Package metrics is the simulator's live telemetry registry: counters
+// and gauges exposed over HTTP in the Prometheus text exposition format
+// (expose.go, http.go).
 //
 // The package is stdlib-only and built around the same cost contract as
 // internal/trace:
@@ -13,9 +13,9 @@
 //     every test that runs without a registry;
 //     BenchmarkMetricsOverhead certifies the cost.
 //  2. The hot path is atomic, not locked. Handle updates (Counter.Add,
-//     Gauge.Set, Histogram.Observe) are single atomic operations safe
-//     for concurrent sweep workers; the registry mutex is only taken at
-//     registration and scrape time.
+//     Gauge.Set) are single atomic operations safe for concurrent sweep
+//     workers; the registry mutex is only taken at registration and
+//     scrape time.
 //  3. Scrapes are deterministic. Families and series render in sorted
 //     order, so two identical runs produce byte-identical scrapes — the
 //     property that lets CI diff telemetry like any other output.
@@ -62,53 +62,8 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + d
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram counts observations into fixed cumulative buckets
-// (Prometheus `le` semantics: bucket i counts observations <= bound i,
-// with an implicit +Inf bucket).
-type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Int64 // len(bounds)+1; last is +Inf
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// Observe records one value. NaN observations are dropped (they would
-// poison the sum).
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		s := math.Float64frombits(old) + v
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(s)) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // metricType discriminates family kinds in the registry and exposition.
 type metricType uint8
@@ -116,28 +71,21 @@ type metricType uint8
 const (
 	typeCounter metricType = iota
 	typeGauge
-	typeHistogram
 )
 
 func (t metricType) String() string {
-	switch t {
-	case typeCounter:
+	if t == typeCounter {
 		return "counter"
-	case typeGauge:
-		return "gauge"
-	default:
-		return "histogram"
 	}
+	return "gauge"
 }
 
 // series is one (family, label set) time series.
 type series struct {
-	labels []Label // sorted by name
-	key    string  // rendered `{a="x",...}` or ""
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
-	fn     func() float64 // gauge-func, evaluated at scrape time
+	key string // rendered `{a="x",...}`, labels sorted by name, or ""
+	c   *Counter
+	g   *Gauge
+	fn  func() float64 // gauge-func, evaluated at scrape time
 }
 
 // family is one metric name with its type, help, and series.
@@ -145,7 +93,6 @@ type family struct {
 	name   string
 	help   string
 	typ    metricType
-	bounds []float64 // histogram families only
 	series map[string]*series
 }
 
@@ -168,7 +115,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, typeCounter, nil, labels).c
+	return r.lookup(name, help, typeCounter, labels).c
 }
 
 // Gauge registers (or finds) a gauge series and returns its handle; nil
@@ -177,41 +124,32 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, typeGauge, nil, labels).g
+	return r.lookup(name, help, typeGauge, labels).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
-// time. Re-registering the same (name, labels) replaces fn — a retried
-// sweep cell re-points its progress gauge at the fresh monitor. fn must
-// be safe to call concurrently with the measured code.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	s := r.lookup(name, help, typeGauge, nil, labels)
-	r.mu.Lock()
-	s.fn = fn
-	r.mu.Unlock()
-}
-
-// Histogram registers (or finds) a histogram series over the given
-// cumulative upper bounds (sorted ascending; +Inf is implicit) and
-// returns its handle; nil when the registry is nil.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+// time and returns the function that drops the series again (nil when
+// the registry is nil) — a series that reads a live object must not
+// outlive it. Re-registering the same (name, labels) replaces fn. fn
+// must be safe to call concurrently with the measured code.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) (drop func()) {
 	if r == nil {
 		return nil
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %s bounds not strictly ascending", name))
-		}
+	s := r.lookup(name, help, typeGauge, labels)
+	r.mu.Lock()
+	s.fn = fn
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		delete(r.fams[name].series, s.key)
+		r.mu.Unlock()
 	}
-	return r.lookup(name, help, typeHistogram, bounds, labels).h
 }
 
 // lookup finds or creates the (family, series) pair. Type mismatches on
 // an existing name are programmer errors and panic.
-func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, labels []Label) *series {
+func (r *Registry) lookup(name, help string, typ metricType, labels []Label) *series {
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -228,7 +166,7 @@ func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, l
 	defer r.mu.Unlock()
 	f := r.fams[name]
 	if f == nil {
-		f = &family{name: name, help: help, typ: typ, bounds: bounds, series: map[string]*series{}}
+		f = &family{name: name, help: help, typ: typ, series: map[string]*series{}}
 		r.fams[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.typ, typ))
@@ -237,16 +175,11 @@ func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, l
 	if s != nil {
 		return s
 	}
-	s = &series{labels: sorted, key: key}
-	switch typ {
-	case typeCounter:
+	s = &series{key: key}
+	if typ == typeCounter {
 		s.c = &Counter{}
-	case typeGauge:
+	} else {
 		s.g = &Gauge{}
-	case typeHistogram:
-		h := &Histogram{bounds: f.bounds}
-		h.buckets = make([]atomic.Int64, len(f.bounds)+1)
-		s.h = h
 	}
 	f.series[key] = s
 	return s

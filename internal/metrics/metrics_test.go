@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -20,10 +19,9 @@ func TestNilRegistry(t *testing.T) {
 	if g := r.Gauge("b", "h"); g != nil {
 		t.Fatal("nil registry returned a gauge")
 	}
-	if h := r.Histogram("c", "h", []float64{1}); h != nil {
-		t.Fatal("nil registry returned a histogram")
+	if drop := r.GaugeFunc("d", "h", func() float64 { return 1 }); drop != nil {
+		t.Fatal("nil registry returned a drop function")
 	}
-	r.GaugeFunc("d", "h", func() float64 { return 1 })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus on nil registry: %v", err)
@@ -67,39 +65,22 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.Counter("bad name", "h")
 }
 
-// TestHistogramBuckets checks le-bucket assignment and the cumulative
-// rendering.
-func TestHistogramBuckets(t *testing.T) {
+// TestGaugeFuncDrop: the function GaugeFunc returns removes that series
+// from the exposition and nothing else.
+func TestGaugeFuncDrop(t *testing.T) {
 	r := New()
-	h := r.Histogram("lat", "h", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 106 {
-		t.Fatalf("sum = %v, want 106", h.Sum())
-	}
+	dropA := r.GaugeFunc("live", "h", func() float64 { return 1 }, L("cell", "a"))
+	r.GaugeFunc("live", "h", func() float64 { return 2 }, L("cell", "b"))
+	dropA()
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		`lat_bucket{le="1"} 2`, // 0.5, 1 (le is inclusive)
-		`lat_bucket{le="2"} 3`, // +1.5
-		`lat_bucket{le="4"} 4`, // +3
-		`lat_bucket{le="+Inf"} 5`,
-		`lat_sum 106`,
-		`lat_count 5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %q:\n%s", want, out)
-		}
+	if out := buf.String(); strings.Contains(out, `cell="a"`) || !strings.Contains(out, `live{cell="b"} 2`) {
+		t.Fatalf("drop removed the wrong series:\n%s", out)
 	}
 }
 
 // TestScrapeDeterministic: two registries fed identically (in different
-// orders) scrape byte-identically, in both formats.
+// orders) scrape byte-identically.
 func TestScrapeDeterministic(t *testing.T) {
 	build := func(order []int) *Registry {
 		r := New()
@@ -110,27 +91,17 @@ func TestScrapeDeterministic(t *testing.T) {
 			case 1:
 				r.Gauge("aa", "first name last", L("b", "2"), L("a", "1")).Set(3.5)
 			case 2:
-				r.Histogram("mm", "middle", []float64{1, 10}).Observe(4)
-			case 3:
 				r.GaugeFunc("fn", "computed", func() float64 { return 42 })
 			}
 		}
 		return r
 	}
-	a, b := build([]int{0, 1, 2, 3}), build([]int{3, 2, 1, 0})
-	var pa, pb, ja, jb bytes.Buffer
+	a, b := build([]int{0, 1, 2}), build([]int{2, 1, 0})
+	var pa, pb bytes.Buffer
 	a.WritePrometheus(&pa)
 	b.WritePrometheus(&pb)
-	a.WriteJSON(&ja)
-	b.WriteJSON(&jb)
 	if pa.String() != pb.String() {
 		t.Errorf("Prometheus scrapes differ:\n%s\n---\n%s", pa.String(), pb.String())
-	}
-	if ja.String() != jb.String() {
-		t.Errorf("JSON scrapes differ:\n%s\n---\n%s", ja.String(), jb.String())
-	}
-	if !json.Valid(ja.Bytes()) {
-		t.Errorf("WriteJSON produced invalid JSON:\n%s", ja.String())
 	}
 	// Label sets render sorted by name regardless of call order.
 	if !strings.Contains(pa.String(), `aa{a="1",b="2"} 3.5`) {
@@ -142,7 +113,6 @@ func TestScrapeDeterministic(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := New()
 	c := r.Counter("n_total", "h")
-	h := r.Histogram("v", "h", []float64{10})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -150,16 +120,12 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				h.Observe(1)
 			}
 		}()
 	}
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
-	}
-	if h.Count() != 8000 || h.Sum() != 8000 {
-		t.Fatalf("histogram count=%d sum=%v, want 8000/8000", h.Count(), h.Sum())
 	}
 }
 
@@ -193,13 +159,5 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(body, "live 9") {
 		t.Errorf("/metrics missing gauge-func:\n%s", body)
-	}
-
-	body, ct = get("/debug/vars")
-	if !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("/debug/vars content type = %q", ct)
-	}
-	if !json.Valid([]byte(body)) {
-		t.Errorf("/debug/vars not valid JSON:\n%s", body)
 	}
 }
