@@ -149,7 +149,7 @@ func main() {
 		maxCyc   = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 		metAddr  = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
 		snapDir  = flag.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory; a run whose frame is already there resumes from it, with byte-identical results")
-		snapEvr  = flag.Int64("snapshot-interval", 0, "simulated-cycle period between periodic snapshots (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
+		snapEvr  = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in ticked device cycles: simulated cycles less those the whole device slept through (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
 	)
 	flag.Parse()
 

@@ -70,7 +70,7 @@ func main() {
 		metricsAt = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
 		noFF      = flag.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)")
 		snapDir   = flag.String("snapshot-dir", "", "persist per-cell mid-kernel device snapshots to this directory; cells whose frame is already there resume from it, with results byte-identical to uninterrupted runs")
-		snapEvery = flag.Int64("snapshot-interval", 0, "simulated-cycle period between periodic snapshots (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
+		snapEvery = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in ticked device cycles: simulated cycles less those the whole device slept through (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
 		auditEv   = flag.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the cell as a structured audit fault (0 = off)")
 	)
 	flag.Parse()

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -8,6 +9,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/snapshot"
+	"repro/internal/trace"
 )
 
 // memLatencyProgram: dependent divergent global loads — long DRAM
@@ -38,9 +41,9 @@ func ffDiffRun(t *testing.T, cfg config.GPU, period int, mk func() *Kernel, maxC
 }
 
 // sameCounters requires the two devices' sampled series to be equal column
-// for column: Tracer.SampleRange must record over a skipped span exactly
-// what per-cycle MaybeSample calls would have. (The event streams differ by
-// design: one KFastForward per skip instead of a KStall per cycle.)
+// for column: Tracer.SampleRange must record over a jumped span exactly
+// what its per-cycle calls would have. (The event streams differ by
+// design: one KFastForward per slept span instead of a KStall per cycle.)
 func sameCounters(t *testing.T, fast, slow *GPU) {
 	t.Helper()
 	fc, sc := fast.Tracer().Counters(), slow.Tracer().Counters()
@@ -238,6 +241,112 @@ func TestFastForwardArmedCancelIdentity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fce, sce) {
 		t.Errorf("CancelError diverges:\n ff:  %+v\n off: %+v", fce, sce)
+	}
+}
+
+// twinFrame is the device's frame less the two values that differ between
+// the fast-forward twins by design: the configuration (NoFastForward
+// itself) and the count of cycles no SM ticked on. Like WriteSnapshot it
+// wants synced SMs: it is called from the heartbeat hook and after the run.
+func twinFrame(t *testing.T, g *GPU) []byte {
+	t.Helper()
+	e := snapshot.NewEncoder()
+	e.Varint(g.cycle)
+	e.Bytes(runJSON(t, g))
+	if ls := g.curLaunch; ls != nil {
+		e.State(&ls.launchState)
+	}
+	g.hier.EncodeState(e)
+	for _, sm := range g.sms {
+		sm.EncodeState(e)
+	}
+	var buf bytes.Buffer
+	if err := e.Finish(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFastForwardUnevenSMs: SMs that sleep and wake on their own clocks
+// must leave the device exactly where ticking every SM every cycle does —
+// in the statistics, in the sampled counters, and in the frame of every
+// heartbeat (so a sleeping SM's deferred counters are charged before
+// anything encodes them).
+//
+// "two-blocks" is idle_latency's shape: two small dependent-load blocks
+// on four SMs, two of which never hold a warp and the other two asleep on
+// DRAM most of the time, out of step with each other.
+//
+// "place-after-retire" is the cross-SM wake hazard. Each block reserves a
+// whole SM's shared memory, so the grid's later blocks wait for an SM to
+// retire one; chains of three lengths stagger the retirements. A block
+// retires at some cycle c while every other SM sleeps on a load and the
+// retiring SM itself has nothing left: nothing inside any SM has an event
+// at c+1, yet the thread-block scheduler must place the next block there,
+// as the ticked loop does. A loop that decides its jump before retrying
+// placement puts the block on the SM late and every later cycle shifts.
+func TestFastForwardUnevenSMs(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 4
+	chains := []*program.Program{memLatencyProgram(24), memLatencyProgram(40), memLatencyProgram(33)}
+	for _, tc := range []struct {
+		name string
+		k    Kernel
+	}{
+		{"two-blocks", Kernel{Blocks: 2, WarpsPerBlock: 3, RegsPerThread: 16,
+			WarpProgram: func(b, w int) *program.Program { return chains[(b+w)%3] }}},
+		{"place-after-retire", Kernel{Blocks: 14, WarpsPerBlock: 2, RegsPerThread: 16,
+			SharedMemPerBlock: cfg.SharedMemKBPerSM * 1024,
+			WarpProgram:       func(b, w int) *program.Program { return chains[b%3] }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(c config.GPU) (*GPU, [][]byte) {
+				g := tracedGPU(t, c, 100)
+				var frames [][]byte
+				g.SetSnapshotHook(func(g *GPU) error {
+					frames = append(frames, twinFrame(t, g))
+					return nil
+				})
+				k := tc.k
+				k.Name = tc.name
+				if err := g.RunKernel(&k, 0); err != nil {
+					t.Fatal(err)
+				}
+				return g, append(frames, twinFrame(t, g))
+			}
+			fast, fastFrames := run(cfg)
+			slow, slowFrames := run(cfg.WithNoFastForward())
+			if ff, n := fast.FastForwardedCycles(), fast.Run().Cycles; ff*2 < n {
+				t.Fatalf("only %d of %d cycles passed with every SM asleep; the kernel no longer leaves the SMs idle", ff, n)
+			}
+			if !reflect.DeepEqual(fast.Run(), slow.Run()) {
+				t.Errorf("stats diverge:\n ff:  %+v\n off: %+v", fast.Run(), slow.Run())
+			}
+			sameCounters(t, fast, slow)
+			if len(fastFrames) < 4 || len(fastFrames) != len(slowFrames) {
+				t.Fatalf("%d heartbeat frames with fast-forward, %d without", len(fastFrames), len(slowFrames))
+			}
+			for i := range fastFrames {
+				if !bytes.Equal(fastFrames[i], slowFrames[i]) {
+					t.Fatalf("heartbeat %d of %d: the device encodes differently than its always-awake twin", i+1, len(fastFrames))
+				}
+			}
+			// The traced SM reports each slept span once, [Cycle-A, Cycle),
+			// when it ends: spans in order, none overlapping.
+			spans, end := 0, int64(0)
+			for _, e := range fast.Tracer().Events(0) {
+				if e.Kind != trace.KFastForward {
+					continue
+				}
+				if from := e.Cycle - int64(e.A); e.A < 1 || from < end {
+					t.Fatalf("slept span [%d,%d) overlaps the one ending at %d", from, e.Cycle, end)
+				}
+				spans, end = spans+1, e.Cycle
+			}
+			if spans == 0 {
+				t.Error("the traced SM slept but emitted no KFastForward event")
+			}
+		})
 	}
 }
 

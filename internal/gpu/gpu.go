@@ -63,8 +63,17 @@ func (k *Kernel) Validate(cfg *config.GPU) error {
 		return fmt.Errorf("kernel %s: nil WarpProgram", k.Name)
 	}
 	// A single warp must fit one sub-core's register file.
-	if k.RegsPerThread*cfg.WarpSize*4 > cfg.RegFileKBPerSubCore*1024 {
+	perSub := cfg.RegFileKBPerSubCore * 1024 / (k.RegsPerThread * cfg.WarpSize * 4)
+	if perSub == 0 {
 		return fmt.Errorf("kernel %s: %d regs/thread exceeds a sub-core register file", k.Name, k.RegsPerThread)
+	}
+	// And the whole block must fit an empty SM — SM.CanAccept's first fit
+	// over identical empty sub-cores — or it would wait for room until the
+	// cycle limit.
+	perSub = min(perSub, cfg.WarpsPerSubCore())
+	if k.WarpsPerBlock > perSub*cfg.SubCoresPerSM {
+		return fmt.Errorf("kernel %s: %d warps/block at %d regs/thread fits no SM: a sub-core holds %d such warps (%d slots, %d KB registers), an SM %d",
+			k.Name, k.WarpsPerBlock, k.RegsPerThread, perSub, cfg.WarpsPerSubCore(), cfg.RegFileKBPerSubCore, perSub*cfg.SubCoresPerSM)
 	}
 	return nil
 }
@@ -107,8 +116,8 @@ type GPU struct {
 // walked whole by snapshot.State (snapshot.go).
 type gpuState struct {
 	cycle int64
-	// ffCycles counts cycles skipped by the idle-cycle fast-forward
-	// (diagnostic; see FastForwardedCycles).
+	// ffCycles counts device cycles on which no SM ticked (diagnostic; see
+	// FastForwardedCycles).
 	ffCycles int64
 }
 
@@ -224,9 +233,10 @@ func (g *GPU) RunKernel(k *Kernel, maxCycles int64) error {
 // with diverse execution-unit demands, and diverse register-capacity
 // demands, pinned to sub-cores.
 //
-// The run loop fast-forwards over provably-inert cycle spans (see
+// The run loop ticks an SM only at the cycles it has an event (see
 // cycleLoop and docs/ARCHITECTURE.md's "Performance" section) unless
-// config.NoFastForward is set; statistics are byte-identical either way.
+// config.NoFastForward keeps every SM awake every cycle; statistics are
+// byte-identical either way.
 func (g *GPU) RunConcurrent(kernels []*Kernel, maxCycles int64) error {
 	if err := g.validateLaunch(kernels); err != nil {
 		return err
@@ -247,7 +257,9 @@ func (g *GPU) RunConcurrent(kernels []*Kernel, maxCycles int64) error {
 func (g *GPU) runLaunch(ls *launch) error {
 	g.curLaunch = ls
 	defer func() { g.curLaunch = nil }()
-	if stop := g.cycleLoop(ls); stop != stopDone {
+	stop := g.cycleLoop(ls)
+	g.syncSMs() // statistics are read from here on, whatever stopped the loop
+	if stop != stopDone {
 		return g.launchError(stop, ls)
 	}
 	g.harvestCacheStats()
@@ -298,12 +310,6 @@ type launchState struct {
 	// finalizes the identical entry).
 	startCycles int64
 	startInstr  int64
-	// idleStreak counts the issueless cycles since the last issue and
-	// nextProbe is the streak at which cycleLoop next tries a fast-forward.
-	// Neither can change a statistic, but they decide which idle cycles are
-	// skipped rather than ticked — what ffCycles counts, and when the MSHRs
-	// retire completed fills — so a resumed launch continues the schedule.
-	idleStreak, nextProbe int64
 }
 
 // newLaunch sizes the launch bookkeeping — the only allocations of a
@@ -317,7 +323,6 @@ func (g *GPU) newLaunch(kernels []*Kernel, maxCycles int64) *launch {
 			nextBlock:   make([]int, len(kernels)),
 			startCycles: g.cycle,
 			startInstr:  g.run.Instructions,
-			nextProbe:   ffProbeAfter,
 		},
 		specs:     make([]*smcore.BlockSpec, len(kernels)),
 		gidOffset: make([]int64, len(kernels)),
@@ -387,66 +392,68 @@ func (g *GPU) launchError(stop loopStop, ls *launch) error {
 	return nil
 }
 
-// cycleLoop is the device's per-cycle engine: block placement, SM
-// ticks, sampling, and the post-cycle drain/deadline/heartbeat checks —
-// plus the idle-cycle fast-forward that skips spans in which no SM can
-// make progress. Everything on this path must stay allocation-free
-// (TestCycleLoopZeroAlloc; the loop runs tens of millions of iterations
-// per sweep cell).
-// ffProbeAfter is how many consecutive issueless cycles the loop waits
-// before probing for a fast-forward. Probes are not free (a device-wide
-// next-event scan), and spans worth skipping are long; failed probes
-// back off multiplicatively so a stalled-but-hot phase (writebacks and
-// collections in flight, nothing issuing) pays O(log n) probes, not one
-// per cycle. Probe timing only affects which cycles get skipped — skips
-// are inert — so statistics are identical for any schedule.
-const ffProbeAfter = 8
-
+// cycleLoop is the device's one clock. Each iteration offers pending blocks
+// to the SMs, ticks the SMs whose wake cycle has come, and advances the
+// clock: by one cycle when any SM ticked, and otherwise straight to the
+// earliest of the SMs' wakes, the next heartbeat boundary (monitor cadence,
+// metrics flushes and cancellation latency are those of a ticked loop) and
+// the deadline (CycleLimitError fires at the identical cycle). A sleeping
+// SM's time-indexed counters are charged when it next ticks or is synced
+// (SM.Sync); what the loop itself feeds per cycle — occupancy sums, the
+// tracer's counter samples — reads only fields a sleep cannot change, and
+// scales over a jumped span. config.NoFastForward keeps every SM awake, the
+// reference the identity tests compare against. Everything on this path
+// must stay allocation-free (TestCycleLoopZeroAlloc; the loop runs tens of
+// millions of iterations per sweep cell).
+//
+// Only two things wake an SM from outside: a block placed on it, and —
+// for the placement itself — a block retiring anywhere while blocks are
+// pending, which is why placement is retried at the head of every
+// iteration, before the jump is decided: a retire at cycle c frees room the
+// thread-block scheduler must see at c+1, even if every SM then sleeps.
+// Barrier release is intra-SM, and nothing comes from memory: the hierarchy
+// is analytic, and completions already sit in the SM's writeback heap.
 func (g *GPU) cycleLoop(ls *launch) loopStop {
-	ff := !g.cfg.NoFastForward
+	allAwake := g.cfg.NoFastForward
 	for {
-		// Idle-cycle fast-forward, once the device has gone ffProbeAfter
-		// cycles without issuing — purely a cost filter: on cycles that
-		// issued work the device is certainly hot, and short gaps are not
-		// worth a device-wide next-event scan. The probe sits at the top of
-		// the iteration, after the previous one's heartbeat, so a launch
-		// resumed from that heartbeat's snapshot probes where this one does.
-		if ff && ls.idleStreak >= ls.nextProbe {
-			if stop, stopped := g.fastForward(ls); stopped {
-				return stop
-			}
-		}
+		now := g.cycle
 		if g.tracer != nil {
 			// Publish the cycle before any stage emits events.
-			g.tracer.SetNow(g.cycle)
+			g.tracer.SetNow(now)
 		}
 		if ls.totalLeft > 0 && !g.placeBlocks(ls) {
 			return stopFault
 		}
-		instrBefore := g.run.Instructions
-		occ := 0
+		occ, ticked, wake := 0, false, mem.NeverCycle
 		for _, sm := range g.sms {
-			sm.Tick(g.cycle)
+			if allAwake || sm.Wake() <= now {
+				sm.Tick(now)
+				ticked = true
+			}
 			occ += sm.ResidentWarps()
+			wake = min(wake, sm.Wake())
 		}
-		g.run.OccupancySum += int64(occ)
-		g.run.OccupancySamples += int64(len(g.sms))
+		n := int64(1)
+		if !ticked {
+			// Residency is constant while every SM sleeps (blocks place and
+			// retire only on issue activity), so the per-cycle sums scale.
+			n = min(wake, (now|(monitorPeriod-1))+1, ls.deadline) - now
+			g.ffCycles += n
+		}
+		g.run.OccupancySum += int64(occ) * n
+		g.run.OccupancySamples += int64(len(g.sms)) * n
 		if g.tracer != nil {
-			g.tracer.MaybeSample(g.cycle, g.sms[g.tracer.CounterSM()])
+			g.tracer.SampleRange(now, now+n, g.sms[g.tracer.CounterSM()])
 		}
-		g.cycle++
+		g.cycle += n
 		g.run.Cycles = g.cycle
 
-		if ls.totalLeft == 0 && g.drained() {
+		// Drained: no SM has an event left and none holds warps.
+		if ls.totalLeft == 0 && wake == mem.NeverCycle && occ == 0 {
 			return stopDone
 		}
 		if g.cycle >= ls.deadline {
 			return stopDeadline
-		}
-		if g.run.Instructions != instrBefore {
-			ls.idleStreak, ls.nextProbe = 0, ffProbeAfter
-		} else if ff {
-			ls.idleStreak++
 		}
 		if g.cycle&(monitorPeriod-1) == 0 {
 			if stop, stopped := g.heartbeat(ls); stopped {
@@ -465,9 +472,9 @@ func (g *GPU) cycleLoop(ls *launch) loopStop {
 // outright on the first unplaceable block). A fully failed round
 // restores kPtr (and the SM cursor returns to its start by walking
 // whole laps), so a stalled scheduler pass mutates nothing — the
-// idempotence the fast-forward path relies on when it skips the passes
-// the ticked loop would have run. Returns false on a placement fault
-// (ls.err is set).
+// idempotence the loop relies on when it jumps over the passes a ticked
+// loop would have run. A sleeping SM is synced to the current cycle before
+// it takes a block. Returns false on a placement fault (ls.err is set).
 func (g *GPU) placeBlocks(ls *launch) bool {
 	for ls.totalLeft > 0 {
 		placedAny := false
@@ -488,6 +495,7 @@ func (g *GPU) placeBlocks(ls *launch) bool {
 				sm := g.sms[ls.smPtr]
 				ls.smPtr = (ls.smPtr + 1) % len(g.sms)
 				if sm.CanAccept(spec) {
+					sm.Sync(g.cycle)
 					if err := sm.Allocate(spec); err != nil {
 						ls.err = err
 						return false
@@ -513,50 +521,12 @@ func (g *GPU) placeBlocks(ls *launch) bool {
 	return true
 }
 
-// fastForward attempts an idle-cycle skip from the current cycle: when
-// every SM's next event lies strictly in the future, jump straight to
-// the earliest one — capped at the next heartbeat boundary (preserving
-// monitor cadence, metrics flushes, and cancellation latency) and at
-// the deadline (so CycleLimitError fires at the identical cycle the
-// ticked loop would report). The skipped span's accounting is replayed
-// in bulk by skipTo. It books the next probe either way — before the
-// heartbeat a skip may land on, so a snapshot taken there carries it —
-// and returns stopped=true when the skip landed on the deadline or
-// observed a cancel.
-func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped bool) {
-	wake := g.nextWake(g.cycle)
-	if wake <= g.cycle {
-		// Something is hot after all; keep ticking, and back off.
-		ls.nextProbe = ls.idleStreak * 2
-		return stopDone, false
-	}
-	// Spans often chain across a wake (e.g. a heartbeat boundary cap):
-	// retry on the next idle cycle.
-	ls.nextProbe = ls.idleStreak + 1
-	if b := (g.cycle &^ (monitorPeriod - 1)) + monitorPeriod; b < wake {
-		wake = b
-	}
-	if ls.deadline < wake {
-		wake = ls.deadline
-	}
-	g.skipTo(wake)
-	// Post-skip checks mirror the ticked loop's order exactly. Drain
-	// cannot change across a quiescent span, so only deadline and
-	// heartbeat need re-checking.
-	if g.cycle >= ls.deadline {
-		return stopDeadline, true
-	}
-	if g.cycle&(monitorPeriod-1) == 0 {
-		return g.heartbeat(ls)
-	}
-	return stopDone, false
-}
-
-// heartbeat runs the per-monitorPeriod supervision duties shared by the
-// ticked loop and the fast-forward wake path: metrics flush, monitor
-// beat/cancel poll, the runtime invariant auditor (config.AuditEvery),
-// and the harness's snapshot hook. Deliberately not on the per-cycle
-// path — everything here may allocate.
+// heartbeat runs the per-monitorPeriod supervision duties: sync every SM
+// (the auditor and the snapshot hook read the counters a sleeping SM
+// defers, and a frame must not depend on who slept), metrics flush,
+// monitor beat/cancel poll, the runtime invariant auditor
+// (config.AuditEvery), and the harness's snapshot hook. Deliberately not
+// on the per-cycle path — everything here may allocate.
 //
 // The snapshot hook also runs on the heartbeat that observes a
 // cancellation, before the loop stops: the device is still mid-launch
@@ -565,6 +535,7 @@ func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped bool) {
 // kill landed. A hook failure during cancellation is swallowed — the
 // cancel is the fault the caller must see.
 func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
+	g.syncSMs()
 	g.flushMetrics()
 	canceled := g.mon.beat(g.cycle)
 	if !canceled {
@@ -591,62 +562,21 @@ func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
 	return stopDone, false
 }
 
-// nextWake computes the device-wide next-event cycle: the min over all
-// SMs' NextEvent and the memory system's, or now when any SM is hot.
-// The memory-system events never initiate SM work by themselves (the
-// hierarchy is analytic), so including them only shortens skips — a
-// conservative bound, never a correctness requirement.
-func (g *GPU) nextWake(now int64) int64 {
-	wake := mem.NeverCycle
+// syncSMs charges every sleeping SM's deferred cycles up to the device
+// clock.
+func (g *GPU) syncSMs() {
+	if g.tracer != nil {
+		g.tracer.SetNow(g.cycle) // the KFastForward events carry the sync cycle
+	}
 	for _, sm := range g.sms {
-		e := sm.NextEvent(now)
-		if e <= now {
-			return now
-		}
-		if e < wake {
-			wake = e
-		}
+		sm.Sync(g.cycle)
 	}
-	if e := g.hier.NextEvent(now); e > now && e < wake {
-		wake = e
-	}
-	return wake
 }
 
-// skipTo bulk-charges cycles [g.cycle, wake) and jumps the clock. Every
-// per-cycle side channel the ticked loop feeds — CPI-stack stall
-// buckets, occupancy sums, the tracer's counter samples — advances by
-// exactly what the skipped ticks would have produced, which is what
-// keeps stats.Run and the sampled series byte-identical with
-// fast-forward on or off.
-func (g *GPU) skipTo(wake int64) {
-	n := wake - g.cycle
-	if g.tracer != nil {
-		// The KFastForward events emitted below carry the first skipped
-		// cycle; the next loop iteration republishes the wake cycle.
-		g.tracer.SetNow(g.cycle)
-	}
-	occ := 0
-	for _, sm := range g.sms {
-		sm.FastForward(g.cycle, n)
-		occ += sm.ResidentWarps()
-	}
-	// Residency is constant across a quiescent span (blocks place and
-	// retire only on issue activity), so the per-cycle sums scale.
-	g.run.OccupancySum += int64(occ) * n
-	g.run.OccupancySamples += n * int64(len(g.sms))
-	if g.tracer != nil {
-		g.tracer.SampleRange(g.cycle, wake, g.sms[g.tracer.CounterSM()])
-	}
-	g.ffCycles += n
-	g.cycle = wake
-	g.run.Cycles = g.cycle
-}
-
-// FastForwardedCycles returns how many cycles the idle-cycle
-// fast-forward has skipped over the device's lifetime. Diagnostic only —
-// deliberately not part of stats.Run, which must stay byte-identical
-// with fast-forward on or off.
+// FastForwardedCycles returns how many device cycles passed with no SM
+// ticked over the device's lifetime. Diagnostic only — deliberately not
+// part of stats.Run, which must stay byte-identical with
+// config.NoFastForward on or off.
 func (g *GPU) FastForwardedCycles() int64 { return g.ffCycles }
 
 // blockSpec materializes block b of kernel k; gidOffset displaces the
@@ -664,15 +594,6 @@ func (g *GPU) blockSpec(k *Kernel, b int, gidOffset int64) *smcore.BlockSpec {
 		SharedMemBytes: k.SharedMemPerBlock,
 		FirstWarpGID:   gidOffset + int64(b)*int64(k.WarpsPerBlock),
 	}
-}
-
-func (g *GPU) drained() bool {
-	for _, sm := range g.sms {
-		if !sm.Drained() {
-			return false
-		}
-	}
-	return true
 }
 
 func (g *GPU) harvestCacheStats() {

@@ -123,6 +123,24 @@ func TestKernelValidate(t *testing.T) {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
+	// A block no empty SM can hold: at 200 registers a warp takes 25,600 B,
+	// two fit a 64 KB sub-core file and eight the SM. Each warp fits and 32
+	// warps are within the SM's slots, so only the first-fit over sub-cores
+	// refuses it — at launch, not after waiting out the cycle limit.
+	k := good
+	k.WarpsPerBlock, k.RegsPerThread = 32, 200
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.RunKernel(&k, 0)
+	var cle *CycleLimitError
+	if err == nil || errors.As(err, &cle) || !strings.Contains(err.Error(), "a sub-core holds 2 such warps") {
+		t.Errorf("unplaceable block: want a validation error naming the per-sub-core limit, got %v", err)
+	}
+	if g.Cycle() != 0 {
+		t.Errorf("unplaceable block simulated %d cycles before it was refused", g.Cycle())
+	}
 }
 
 func TestScoreboardSerializesDependentChain(t *testing.T) {

@@ -29,6 +29,7 @@ func (g *GPU) Cycle() int64 { return g.cycle }
 // from the snapshot hook (mid-kernel) or between RunKernel calls. The
 // frame is deterministic: equal states serialize to equal bytes.
 func (g *GPU) WriteSnapshot(w io.Writer) error {
+	g.syncSMs()
 	e := snapshot.NewEncoder()
 	cfgJSON, err := json.Marshal(g.cfg)
 	if err != nil {
@@ -104,9 +105,14 @@ func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	if err := g.hier.RestoreState(d); err != nil {
 		return err
 	}
-	for _, sm := range g.sms {
+	for i, sm := range g.sms {
 		if err := sm.RestoreState(d, progFor); err != nil {
 			return err
+		}
+		// A frame is written from synced SMs: each one's clock is the
+		// device's.
+		if sm.Synced() != g.cycle {
+			return fmt.Errorf("gpu: snapshot SM %d's clock reads cycle %d, the device's %d", i, sm.Synced(), g.cycle)
 		}
 	}
 	if err := d.Finish(); err != nil {
@@ -169,6 +175,10 @@ func (g *GPU) decodeLaunch(d *snapshot.Decoder, ks []*Kernel, nk int) (*launch, 
 	}
 	if ls.kPtr < 0 || ls.kPtr >= nk || ls.smPtr < 0 || ls.smPtr >= len(g.sms) {
 		return nil, fmt.Errorf("gpu: snapshot scheduler cursors (kernel %d, SM %d) out of range", ls.kPtr, ls.smPtr)
+	}
+	// The loop stops on reaching the deadline, before any hook runs.
+	if ls.deadline <= g.cycle {
+		return nil, fmt.Errorf("gpu: snapshot launch deadline %d is not ahead of its cycle %d", ls.deadline, g.cycle)
 	}
 	// totalLeft is derived from the restored placement cursors.
 	ls.totalLeft = 0

@@ -75,16 +75,18 @@ type Options struct {
 	DiagDir string
 	// SnapshotDir arms mid-kernel state snapshots (snapshot.go): each
 	// cell persists its full device state to <dir>/<app>__<config>.snap
-	// every SnapshotInterval cycles, plus a final frame when the cell is
-	// canceled (SIGTERM, watchdog, timeout). A cell that finds its frame
-	// there resumes from it mid-kernel with byte-identical final
+	// every SnapshotInterval ticked cycles, plus a final frame when the
+	// cell is canceled (SIGTERM, watchdog, timeout). A cell that finds its
+	// frame there resumes from it mid-kernel with byte-identical final
 	// statistics; a frame that fails to restore (version, config, or
 	// workload drift) is discarded and the cell restarts fresh
 	// ("" = no snapshots).
 	SnapshotDir string
-	// SnapshotInterval is the simulated-cycle period between periodic
-	// snapshots (rounded up to the device heartbeat; 0 = only the final
-	// cancellation frame is written).
+	// SnapshotInterval is the period between periodic snapshots, counted in
+	// ticked device cycles — simulated cycles less the ones the whole
+	// device slept through, which cost the host almost nothing — and
+	// rounded up to the device heartbeat. The cell's first heartbeat always
+	// writes a frame; 0 = only the final cancellation frame is written.
 	SnapshotInterval int64
 	// Adapt, when non-nil, derives the cell's device configuration from
 	// the sweep configuration and the application (exp.DeviceFor's

@@ -36,13 +36,13 @@ func snapPath(dir, app, cfgName string) string {
 // owns its instance.
 type cellSnapshotter struct {
 	path     string
-	interval int64        // simulated-cycle period, 0 = final frame only
+	interval int64        // ticked-cycle period, 0 = final frame only
 	mon      *gpu.Monitor // canceled monitor => write a final frame
 	sm       *sweepMetrics
 	logf     func(format string, args ...any)
 
-	nextCycle int64
-	disabled  bool // set after a write failure; snapshots stop, the run continues
+	nextTicked int64 // ticked-cycle count the next periodic frame is due at
+	disabled   bool  // set after a write failure; snapshots stop, the run continues
 }
 
 // newCellSnapshotter builds the cell's snapshotter, nil when
@@ -60,17 +60,21 @@ func newCellSnapshotter(opt Options, app, cfgName string, mon *gpu.Monitor) *cel
 	}
 }
 
-// hook is the gpu heartbeat snapshot hook: write a frame when the cycle
-// interval has elapsed, and always when the cell is being canceled (the
-// final frame a restart resumes from). Write
-// failures disable further snapshots instead of killing a healthy
-// simulation — losing resumability is strictly better than losing the
-// cell.
+// hook is the gpu heartbeat snapshot hook: write a frame on the cell's
+// first heartbeat and then whenever the device has ticked through another
+// interval of cycles, and always when the cell is being canceled (the
+// final frame a restart resumes from). The interval counts the cycles on
+// which some SM ticked, not the ones the device slept through: those cost
+// the host next to nothing, so a frame per interval of them would cost
+// more than re-simulating the stretch it saves. Write failures disable
+// further snapshots instead of killing a healthy simulation — losing
+// resumability is strictly better than losing the cell.
 func (c *cellSnapshotter) hook(g *gpu.GPU) error {
 	if c.disabled {
 		return nil
 	}
-	if !c.mon.Canceled() && (c.interval <= 0 || g.Cycle() < c.nextCycle) {
+	ticked := g.Cycle() - g.FastForwardedCycles()
+	if !c.mon.Canceled() && (c.interval <= 0 || ticked < c.nextTicked) {
 		return nil
 	}
 	if err := c.write(g); err != nil {
@@ -79,7 +83,7 @@ func (c *cellSnapshotter) hook(g *gpu.GPU) error {
 			c.path, g.Cycle(), err)
 		return nil
 	}
-	c.nextCycle = g.Cycle() + c.interval
+	c.nextTicked = ticked + c.interval
 	c.sm.snapshotWrote()
 	return nil
 }

@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/metrics"
+	"repro/internal/program"
 	"repro/internal/workloads"
 )
 
@@ -83,29 +85,47 @@ func TestCanceledCellResumesFromFinalSnapshot(t *testing.T) {
 }
 
 // Periodic cycle-interval snapshots are written during a healthy run and
-// discarded on completion, leaving the snapshot directory empty.
+// discarded on completion, leaving the snapshot directory empty. The
+// interval counts ticked cycles: a cell that sleeps through most of its
+// simulated cycles (one dependent-load chain, asleep on DRAM nine cycles in
+// ten) writes its first-heartbeat frame and then far fewer than one per
+// interval of simulated cycles.
 func TestPeriodicSnapshotsWrittenAndDiscarded(t *testing.T) {
-	cfg, app := testCfg("base"), testApp("periodic", 20_000)
-	dir := t.TempDir()
-	reg := metrics.New()
-	run, fault := RunOne(context.Background(), cfg, app, Options{
-		SnapshotDir:      dir,
-		SnapshotInterval: 2048,
-		Metrics:          reg,
+	b := program.NewBuilder()
+	b.Loop(400, func(lb *program.Builder) {
+		lb.LDG(4, 1, isa.MemTrait{Pattern: isa.PatRandom, Footprint: 1 << 26, Divergence: 4})
+		lb.FMA(5, 4, 4, 5)
 	})
-	if fault != nil || run == nil {
-		t.Fatalf("run=%v fault=%v", run, fault)
-	}
-	m := newSweepMetrics(reg)
-	if m.snapWrites.Value() == 0 {
-		t.Error("no periodic snapshot frames written")
-	}
-	left, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("snapshot dir not cleaned after success: %v", left)
+	chain := b.MustBuild()
+	sleepy := workloads.App{Name: "sleepy", Suite: "test", Kernels: []*gpu.Kernel{{
+		Name: "chain", Blocks: 1, WarpsPerBlock: 2, RegsPerThread: 8,
+		WarpProgram: func(b, w int) *program.Program { return chain }}}}
+	const interval = 2048
+	for _, tc := range []struct {
+		app     workloads.App
+		maxRate float64 // frames per interval of simulated cycles, at most
+	}{{testApp("periodic", 20_000), 1.01}, {sleepy, 0.3}} {
+		dir := t.TempDir()
+		reg := metrics.New()
+		run, fault := RunOne(context.Background(), testCfg("base"), tc.app, Options{
+			SnapshotDir:      dir,
+			SnapshotInterval: interval,
+			Metrics:          reg,
+		})
+		if fault != nil || run == nil {
+			t.Fatalf("%s: run=%v fault=%v", tc.app.Name, run, fault)
+		}
+		frames := newSweepMetrics(reg).snapWrites.Value()
+		if most := 1 + int64(tc.maxRate*float64(run.Cycles)/interval); frames < 1 || frames > most {
+			t.Errorf("%s: %d periodic frames over %d cycles, want 1..%d", tc.app.Name, frames, run.Cycles, most)
+		}
+		left, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Errorf("%s: snapshot dir not cleaned after success: %v", tc.app.Name, left)
+		}
 	}
 }
 

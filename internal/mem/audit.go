@@ -23,12 +23,12 @@ func (h *Hierarchy) Audit() []audit.Violation {
 	return h.l2.auditInto(vs, "l2")
 }
 
-// auditInto checks the MSHR's fast-forward bound: the completion heap may
+// auditInto checks the MSHR's next-event bound: the completion heap may
 // carry stale rows (they only make its top early), but every pending fill
 // must have its row — a heap whose top lies above the earliest pending
-// fill, or that is empty while fills are pending, would let the
-// fast-forward skip past a completion. The min over the map is
-// order-independent, so the direct iteration stays deterministic.
+// fill, or that is empty while fills are pending, would have NextEvent
+// report past a completion and insert never retire it. The min over the
+// map is order-independent, so the direct iteration stays deterministic.
 func (m *mshr) auditInto(vs []audit.Violation, where string) []audit.Violation {
 	if len(m.pending) == 0 {
 		return vs
@@ -46,7 +46,7 @@ func (m *mshr) auditInto(vs []audit.Violation, where string) []audit.Violation {
 	}
 	if top > min {
 		vs = append(vs, audit.Violationf("mshr", where,
-			"completion heap top %d exceeds earliest pending fill %d across %d entries — fast-forward could overshoot a completion",
+			"completion heap top %d exceeds earliest pending fill %d across %d entries — NextEvent would overshoot a completion",
 			top, min, len(m.pending)))
 	}
 	return vs

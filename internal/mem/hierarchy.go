@@ -72,24 +72,16 @@ func (ch *bwChannel) serve(now int64) int64 {
 	return ch.nextFree + 1
 }
 
-// queueDelay reports how many cycles a new request at time now would wait
-// before service begins.
-func (ch *bwChannel) queueDelay(now int64) int64 {
-	if ch.nextFree <= now {
-		return 0
-	}
-	return ch.nextFree - now
-}
-
 // mshr tracks outstanding line fills so that misses to an in-flight line
 // merge instead of consuming bandwidth twice.
 type mshr struct {
 	pending map[uint64]int64 // line -> completion cycle
-	// byDone orders the fills by completion so the fast-forward probe reads
-	// the earliest one off the top instead of walking the map. It holds a
-	// row for every pending entry, plus stale rows — the entry was deleted
-	// by lookup or overwritten by a later fill — which are dropped when
-	// they surface. Derived from pending: rebuilt on restore.
+	// byDone orders the fills by completion so retiring the completed ones
+	// and NextEvent read the earliest off the top instead of walking the
+	// map. It holds a row for every pending entry, plus stale rows — the
+	// entry was deleted by lookup or overwritten by a later fill — which
+	// are dropped when they surface. Derived from pending: rebuilt on
+	// restore.
 	byDone fillHeap
 }
 
@@ -176,9 +168,10 @@ func (m *mshr) lookup(line uint64, now int64) (int64, bool) {
 	return done, true
 }
 
-// insert records a fill issued at now. It retires completed fills first:
-// an MSHR that is rarely probed by nextEvent would otherwise keep a heap
-// row for every miss it ever took.
+// insert records a fill issued at now. It retires completed fills first —
+// the device loop never probes nextEvent, so this is where the map and the
+// heap shed the misses that have landed, at cycles that depend on the
+// access stream alone and not on which cycles any SM slept through.
 func (m *mshr) insert(line uint64, done, now int64) {
 	m.nextEvent(now)
 	m.pending[line] = done
@@ -280,8 +273,9 @@ const NeverCycle = int64(math.MaxInt64)
 // freeing, or an outstanding MSHR fill completing. It returns NeverCycle
 // when nothing is in flight. The hierarchy is analytic (accesses resolve
 // to completion cycles immediately), so these events never *initiate*
-// work by themselves — the device loop takes the min with the SM events
-// only to bound fast-forward skips conservatively.
+// work by themselves: every completion already sits in the requesting
+// SM's writeback heap, and the device loop does not ask. The benchmark's
+// layer driver does.
 func (h *Hierarchy) NextEvent(now int64) int64 {
 	next := NeverCycle
 	if h.l2ch.nextFree > now && h.l2ch.nextFree < next {
@@ -299,16 +293,6 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 		}
 	}
 	return next
-}
-
-// CongestionDelay estimates current memory-system backpressure for the
-// LSU's admission decision.
-func (h *Hierarchy) CongestionDelay(now int64) int64 {
-	d := h.l2ch.queueDelay(now)
-	if dd := h.drch.queueDelay(now); dd > d {
-		d = dd
-	}
-	return d
 }
 
 // Transactions returns how many 128-byte line transactions a warp-wide

@@ -135,9 +135,6 @@ func TestDRAMBandwidthQueueing(t *testing.T) {
 		}
 		prev = done
 	}
-	if h.CongestionDelay(0) == 0 {
-		t.Error("saturated DRAM should report congestion")
-	}
 }
 
 // TestBWChannelServeContract pins serve's completion contract on both

@@ -4,10 +4,16 @@ import "repro/internal/audit"
 
 // Audit re-derives the collector's lease conservation law: every occupied
 // collector unit's Pending count must equal the number of queued bank
-// reads that reference it, and no queued read may reference a free unit.
+// reads that reference it, no queued read may reference a free unit, and
+// the maintained busy count — what Tick's idle path and NextEvent trust —
+// must equal a recount of the queues and staged units.
 // where prefixes violation locations (e.g. "sm0/sub1").
 func (c *Collector) Audit(where string) []audit.Violation {
 	var vs []audit.Violation
+	if n := c.countBusy(); n != c.busy {
+		vs = append(vs, audit.Violationf("lease", where,
+			"busy count %d but %d reads, writebacks and staged units are held — an idle tick would skip them", c.busy, n))
+	}
 	// Reusable scratch: the audit runs periodically from the device
 	// heartbeat and must not allocate per sweep.
 	if cap(c.auditRefs) < len(c.cus) {
@@ -63,4 +69,5 @@ func (c *Collector) ForEachQueuedWrite(fn func(WriteReq)) {
 // outside tests.
 func (c *Collector) CorruptLeaseForTest() {
 	c.queues[0] = append(c.queues[0], readReq{cu: 0})
+	c.busy++
 }

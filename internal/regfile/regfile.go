@@ -114,6 +114,12 @@ type Collector struct {
 	collectorState
 	banks int
 
+	// busy counts what makes a Tick do work: queued reads, queued
+	// writebacks and staged non-stolen units. Derived from collectorState
+	// (countBusy): maintained at every mutation, rebuilt on restore, and
+	// re-derived by Audit.
+	busy int
+
 	// granted writes this cycle, exposed to the sub-core and consumed by it
 	// within the same cycle: empty between cycles.
 	grantedW []WriteReq
@@ -183,6 +189,10 @@ func (c *Collector) Banks() int { return c.banks }
 // NumCUs returns the collector-unit count.
 func (c *Collector) NumCUs() int { return len(c.cus) }
 
+// Cycle returns the collector's clock: the number of cycles it has been
+// ticked or fast-forwarded through.
+func (c *Collector) Cycle() int64 { return c.cycle }
+
 // CU returns the i-th collector unit for inspection.
 func (c *Collector) CU(i int) *CollectorUnit { return &c.cus[i] }
 
@@ -194,17 +204,6 @@ func (c *Collector) FreeCU() int {
 		}
 	}
 	return -1
-}
-
-// FreeCUCount returns how many collector units are free.
-func (c *Collector) FreeCUCount() int {
-	n := 0
-	for i := range c.cus {
-		if !c.cus[i].Valid {
-			n++
-		}
-	}
-	return n
 }
 
 // Allocate fills collector unit cu with an instruction from warpIdx whose
@@ -225,14 +224,26 @@ func (c *Collector) Allocate(cu int, warpIdx, schedSlot int32, in isa.Instr, ban
 		Stolen:     stolen,
 		AllocCycle: c.cycle,
 	}
+	if !stolen {
+		c.busy++
+	}
 	for _, s := range in.Srcs {
 		if !s.Valid() {
 			continue
 		}
 		b := BankWithOffset(bankOff, s, c.banks)
 		u.Pending++
+		c.busy++
 		c.queues[b] = append(c.queues[b], readReq{cu: int8(cu), stolen: stolen})
 	}
+}
+
+// Unsteal converts collector unit cu's bank-stealing pre-allocation into a
+// normal issue: the operands are already (being) read, and from now on the
+// unit dispatches like any other.
+func (c *Collector) Unsteal(cu int) {
+	c.cus[cu].Stolen = false
+	c.busy++
 }
 
 // EnqueueWrite queues a writeback. Writebacks have priority over reads at
@@ -243,6 +254,7 @@ func (c *Collector) EnqueueWrite(w WriteReq) {
 		panic(fmt.Sprintf("regfile: write to bank %d of %d", w.Bank, c.banks))
 	}
 	c.writes[w.Bank] = append(c.writes[w.Bank], w)
+	c.busy++
 }
 
 // GrantedWrites returns the writebacks granted by the last Tick. The
@@ -322,8 +334,17 @@ func (c *Collector) DelayedQueueLen(b, delay int) int {
 //
 // Requests left waiting behind a granted access on the same port are
 // counted as bank conflicts.
+//
+// With nothing queued and no non-stolen unit staged (busy == 0) none of the
+// three steps can act — a fully collected stolen unit waits for formal
+// issue — so only the clock and the ring advance, without walking banks or
+// collector units.
 func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 	c.grantedW = c.grantedW[:0]
+	if c.busy == 0 {
+		c.FastForward(1)
+		return
+	}
 	for b := 0; b < c.banks; b++ {
 		// Write port.
 		if len(c.writes[b]) > 0 {
@@ -331,6 +352,7 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 			c.grantedW = append(c.grantedW, w)
 			copy(c.writes[b], c.writes[b][1:])
 			c.writes[b] = c.writes[b][:len(c.writes[b])-1]
+			c.busy--
 			if c.st != nil {
 				c.st.RegWrites++
 				c.st.BankConflicts += int64(len(c.writes[b]))
@@ -354,6 +376,7 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 		if gi >= 0 {
 			r := c.queues[b][gi]
 			c.queues[b] = append(c.queues[b][:gi], c.queues[b][gi+1:]...)
+			c.busy--
 			u := &c.cus[r.cu]
 			u.Pending--
 			if u.Pending < 0 {
@@ -391,6 +414,9 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 		c.cus[best].tried = true
 		if dispatch(&c.cus[best]) {
 			c.cus[best].Valid = false
+			if !c.cus[best].Stolen {
+				c.busy--
+			}
 		}
 	}
 	for i := range c.cus {
@@ -416,53 +442,56 @@ const neverCycle = int64(math.MaxInt64)
 // collector state: now when any bank has a queued read or writeback
 // (grants fire every cycle) or a non-stolen collector unit is staged
 // (it dispatches, or blocks attributably, every cycle), and neverCycle
-// otherwise. A *stolen* pre-allocation with all operands collected is
-// inert: it converts only at formal issue, which requires an issuable
-// warp — the sub-core's own quiescence check covers that. This is the
-// contract the run loop's idle-cycle fast-forward relies on: when every
-// collector reports no event, skipped Ticks would have been no-ops
-// (grant-less, dispatch-less) except for the clock and queue-length
-// ring, which FastForward replays exactly.
+// otherwise — one test of the maintained busy count. A *stolen*
+// pre-allocation with all operands collected is inert: it converts only at
+// formal issue, which requires an issuable warp — the sub-core's own
+// quiescence check covers that. This is the contract a sleeping SM relies
+// on: while every collector reports no event, the Ticks it did not run
+// would have been no-ops (grant-less, dispatch-less) except for the clock
+// and queue-length ring, which FastForward replays exactly.
 func (c *Collector) NextEvent(now int64) int64 {
-	for b := 0; b < c.banks; b++ {
-		if len(c.queues[b]) > 0 || len(c.writes[b]) > 0 {
-			return now
-		}
-	}
-	for i := range c.cus {
-		u := &c.cus[i]
-		if u.Valid && !u.Stolen {
-			return now
-		}
+	if c.busy > 0 {
+		return now
 	}
 	return neverCycle
+}
+
+// countBusy re-derives busy from the queues and collector units.
+func (c *Collector) countBusy() int {
+	n := 0
+	for b := 0; b < c.banks; b++ {
+		n += len(c.queues[b]) + len(c.writes[b])
+	}
+	for i := range c.cus {
+		if c.cus[i].Valid && !c.cus[i].Stolen {
+			n++
+		}
+	}
+	return n
 }
 
 // FastForward advances the collector's clock by n quiescent cycles,
 // replaying exactly what n Ticks would have done given NextEvent
 // reported no event: no grants, no dispatches, only the cycle counter
 // and the queue-length history ring advancing (the ring feeds RBA's
-// delayed score tap, so it must stay bit-exact across a skip).
+// delayed score tap, so it must stay bit-exact across a sleep). Every
+// queue is empty, so each replayed slot records zeros.
 func (c *Collector) FastForward(n int64) {
-	ring := int64(len(c.qlenHist))
-	steps := n
-	if steps > ring {
-		steps = ring // older slots would be overwritten anyway
+	if c.busy != 0 {
+		panic("regfile: fast-forward over a collector with work queued")
 	}
-	for i := int64(0); i < steps; i++ {
+	ring := int64(len(c.qlenHist))
+	for i := min(n, ring); i > 0; i-- { // older slots would be overwritten anyway
 		c.histPos++
 		if c.histPos == len(c.qlenHist) {
 			c.histPos = 0
 		}
-		snap := c.qlenHist[c.histPos]
-		for b := 0; b < c.banks; b++ {
-			snap[b] = int16(c.QueueLen(b))
-		}
+		clear(c.qlenHist[c.histPos])
 	}
 	if n > ring {
-		// All slots now hold the current snapshot; land histPos where n
-		// single-cycle advances would have left it.
-		c.histPos = int((int64(c.histPos) + n - steps) % ring)
+		// All slots now hold zeros; land histPos where n single-cycle
+		// advances would have left it.
+		c.histPos = int((int64(c.histPos) + n - ring) % ring)
 	}
 	c.cycle += n
 }

@@ -53,13 +53,13 @@ func TestBankOfSwizzled(t *testing.T) {
 func TestAllocateAndCollect(t *testing.T) {
 	st := &stats.SubCore{}
 	c := NewCollector(2, 2, 0, st)
-	if c.FreeCU() != 0 || c.FreeCUCount() != 2 {
+	if c.FreeCU() != 0 {
 		t.Fatal("fresh collector must have all CUs free")
 	}
 	// FMA R4 <- R1,R2,R3 at slot 0 with 2 banks: R1->b1, R2->b0, R3->b1.
 	in := isa.MakeFMA(4, 1, 2, 3)
 	c.Allocate(0, 7, 0, in, offOf(0), false)
-	if c.FreeCUCount() != 1 {
+	if c.FreeCU() != 1 {
 		t.Error("CU not marked occupied")
 	}
 	if c.QueueLen(0) != 1 || c.QueueLen(1) != 2 {

@@ -23,5 +23,7 @@ func (c *Collector) RestoreState(d *snapshot.Decoder) error {
 	}
 	// Granted writes never outlive the cycle that granted them.
 	c.grantedW = c.grantedW[:0]
+	// The busy count is derived: rebuild it from the restored queues.
+	c.busy = c.countBusy()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -120,5 +121,12 @@ func TestAuditCatchesSeededLeaseCorruption(t *testing.T) {
 	}
 	if vs[0].Rule != "lease" {
 		t.Fatalf("violation rule = %q, want lease (%v)", vs[0].Rule, vs[0])
+	}
+	// A busy count that lost a request: the idle tick path would skip it.
+	c = NewCollector(2, 2, 0, nil)
+	loadCollector(c, 7)
+	c.busy--
+	if vs := c.Audit("t"); len(vs) != 1 || !strings.Contains(vs[0].Detail, "busy count") {
+		t.Fatalf("busy count off by one: want exactly the busy-count violation, got %v", vs)
 	}
 }

@@ -12,7 +12,9 @@ import (
 
 // FuzzSMExecution decodes arbitrary bytes into a program + block shape
 // and asserts the SM's global invariants: it always drains, issues
-// exactly the dynamic instruction count, and restores every resource.
+// exactly the dynamic instruction count, and restores every resource —
+// and that an SM ticked only at its wake cycles matches one ticked every
+// cycle (wakeTwin), under GTO or RBA by a spare bit of the warp byte.
 func FuzzSMExecution(f *testing.F) {
 	f.Add([]byte{4, 8, 1, 2, 3, 0, 1, 2}, uint8(4), uint8(16))
 	f.Add([]byte{2, 0, 0}, uint8(1), uint8(8))
@@ -86,5 +88,10 @@ func FuzzSMExecution(f *testing.F) {
 				t.Fatal("sub-core resources leaked")
 			}
 		}
+		sched := config.SchedGTO
+		if warps&16 != 0 {
+			sched = config.SchedRBA
+		}
+		wakeTwin(t, lockstepCfg(t, sched), p, nw, rpt, false)
 	})
 }

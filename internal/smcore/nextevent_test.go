@@ -11,15 +11,17 @@ import (
 	"repro/internal/stats"
 )
 
-// TestNextEventContractEveryCycle holds NextEvent to its contract at
-// every cycle, not only where the device loop happens to probe it. The
-// run loop backs off for 8 issueless cycles before asking, so the
-// end-to-end fast-forward identity tests never see a NextEvent that is
-// wrong only in the first cycles of a quiescent span (a decode refill
-// pending, a collector unit staged but not yet reading). Here two
-// identical SMs run in lockstep: A skips every cycle NextEvent calls
-// idle with FastForward(c, 1), B ticks them all. The encoded machine
-// state must match after each skipped cycle and the statistics at drain.
+// TestNextEventContractEveryCycle holds NextEvent — and the wake / sync
+// contract built on it — to its word at every cycle, not only where the
+// device loop happens to sleep. Two identical SMs run side by side: B is
+// ticked every cycle, A only at the cycles its Wake names. Each program
+// runs twice. First A is synced after every cycle it sleeps and its
+// encoded machine state must equal B's there — a NextEvent that is wrong
+// only in the first cycles of a quiescent span (a decode refill pending, a
+// collector unit staged but not yet reading) fails at that cycle. Then A
+// is left alone until it wakes, as the device loop leaves it, and the
+// whole span is charged in one Sync before the states are compared.
+// Statistics must match at drain, and A must have slept.
 //
 // Two programs: memMixProg with eight warps covers the writeback heap,
 // the LSU port and barriers; sfuChainProg with one warp leaves a collected
@@ -28,8 +30,19 @@ import (
 func TestNextEventContractEveryCycle(t *testing.T) {
 	for _, sched := range []config.WarpSched{config.SchedGTO, config.SchedRBA} {
 		t.Run(sched.String(), func(t *testing.T) {
-			t.Run("mem-mix", func(t *testing.T) { nextEventLockstep(t, sched, memMixProg(6), 8) })
-			t.Run("sfu-chain", func(t *testing.T) { nextEventLockstep(t, sched, sfuChainProg(20), 1) })
+			for _, tc := range []struct {
+				name  string
+				prog  *program.Program
+				warps int
+			}{{"mem-mix", memMixProg(6), 8}, {"sfu-chain", sfuChainProg(20), 1}} {
+				t.Run(tc.name, func(t *testing.T) {
+					for _, eachCycle := range []bool{true, false} {
+						if wakeTwin(t, lockstepCfg(t, sched), tc.prog, tc.warps, 16, eachCycle) == 0 {
+							t.Fatal("the wake-driven SM never slept; the workload no longer exercises the contract")
+						}
+					}
+				})
+			}
 		})
 	}
 }
@@ -46,7 +59,8 @@ func sfuChainProg(trips int) *program.Program {
 	return b.MustBuild()
 }
 
-func nextEventLockstep(t *testing.T, sched config.WarpSched, prog *program.Program, warps int) {
+// lockstepCfg is a one-SM V100 under sched.
+func lockstepCfg(t testing.TB, sched config.WarpSched) config.GPU {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1
 	cfg.WarpScheduler = sched
@@ -56,6 +70,15 @@ func nextEventLockstep(t *testing.T, sched config.WarpSched, prog *program.Progr
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return cfg
+}
+
+// wakeTwin runs one block of warps × prog on two SMs — B ticked every
+// cycle, A only at its wake cycles — and fails on the first difference in
+// encoded state (after each slept cycle when eachCycle, else after each
+// slept span) or in the drained statistics. It returns how many cycles A
+// slept.
+func wakeTwin(t testing.TB, cfg config.GPU, prog *program.Program, warps, regs int, eachCycle bool) int {
 	progs := make([]*program.Program, warps)
 	for i := range progs {
 		progs[i] = prog
@@ -64,35 +87,44 @@ func nextEventLockstep(t *testing.T, sched config.WarpSched, prog *program.Progr
 		run := stats.NewRun(1, cfg.SubCoresPerSM)
 		hier := mem.NewHierarchy(cfg)
 		sm := NewSM(0, &cfg, hier, run)
-		if err := sm.Allocate(specOf(progs, 16, 4096)); err != nil {
+		if err := sm.Allocate(specOf(progs, regs, 4096)); err != nil {
 			t.Fatal(err)
 		}
 		return sm, hier, run
 	}
 	a, hierA, runA := build()
 	b, hierB, runB := build()
+	// same syncs A to cycle c and requires the twins' machine state equal.
+	same := func(c int64) {
+		a.Sync(c)
+		if !bytes.Equal(snapSMState(t, a, hierA), snapSMState(t, b, hierB)) {
+			t.Fatalf("cycle %d: the SM slept on NextEvent's word, but ticking those cycles changed machine state", c)
+		}
+	}
 
-	skipped := 0
-	for c := int64(0); !b.Drained(); c++ {
-		if c > 20000 {
+	slept := 0
+	c := int64(0)
+	for ; !b.Drained(); c++ {
+		if c > 500000 {
 			t.Fatal("SM did not drain; raise the cycle bound")
 		}
-		b.Tick(c)
-		if a.NextEvent(c) <= c {
+		if a.Wake() <= c {
+			if a.Synced() < c {
+				same(c)
+			}
 			a.Tick(c)
+			b.Tick(c)
 			continue
 		}
-		a.FastForward(c, 1)
-		skipped++
-		if !bytes.Equal(snapSMState(t, a, hierA), snapSMState(t, b, hierB)) {
-			t.Fatalf("cycle %d: NextEvent reported no event, but ticking the cycle changed machine state", c)
+		b.Tick(c)
+		slept++
+		if eachCycle {
+			same(c + 1)
 		}
 	}
-	if skipped == 0 {
-		t.Fatal("no cycle was skipped; the workload no longer exercises the contract")
-	}
+	same(c)
 	if !a.Drained() {
-		t.Fatal("ticked SM drained but the fast-forwarded one did not")
+		t.Fatal("ticked SM drained but the wake-driven one did not")
 	}
 	ja, err := json.Marshal(runA)
 	if err != nil {
@@ -103,7 +135,7 @@ func nextEventLockstep(t *testing.T, sched config.WarpSched, prog *program.Progr
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ja, jb) {
-		t.Fatalf("statistics diverged after %d single-cycle skips:\nskipped: %s\nticked:  %s", skipped, ja, jb)
+		t.Fatalf("statistics diverged after %d slept cycles:\nwake-driven: %s\nticked:      %s", slept, ja, jb)
 	}
-	t.Logf("%d single-cycle skips", skipped)
+	return slept
 }

@@ -61,6 +61,11 @@ func checkReadySets(t *testing.T, sm *SM, cycle int64) {
 		if want := sc.scanReadySet(); want != sc.rs {
 			t.Fatalf("cycle %d sub-core %d: maintained ready set %+v, full scan gives %+v", cycle, sc.id, sc.rs, want)
 		}
+		// The collector's busy count is the same kind of derived state: its
+		// audit recounts it (with stealing on, across Unsteal too).
+		if vs := sc.coll.Audit("sub"); len(vs) != 0 {
+			t.Fatalf("cycle %d sub-core %d: %v", cycle, sc.id, vs)
+		}
 	}
 }
 

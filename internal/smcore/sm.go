@@ -120,6 +120,13 @@ type SM struct {
 
 	smState
 
+	// The SM's own clock. synced is the first cycle not yet accounted:
+	// Tick and Sync charge [synced, now) in bulk. wake is NextEvent as of
+	// synced — the next cycle a Tick could do more than stall accounting;
+	// a caller may leave the SM unticked until then. Both are derived (the
+	// collectors carry the clock) and rebuilt by RestoreState.
+	synced, wake int64
+
 	// rooms is CanAccept's reusable feasibility scratch.
 	rooms []subRoom
 	// auditSB is Audit's reusable expected-scoreboard scratch: the
@@ -168,6 +175,7 @@ func NewSM(id int, cfg *config.GPU, hier *mem.Hierarchy, run *stats.Run) *SM {
 		sm.subcores = append(sm.subcores, newSubCore(i, cfg, sm, &run.SMs[id].SubCores[i]))
 	}
 	sm.rooms = make([]subRoom, len(sm.subcores))
+	sm.wake = mem.NeverCycle // empty: nothing to do until a block arrives
 	return sm
 }
 
@@ -249,7 +257,10 @@ func (sm *SM) CanAccept(b *BlockSpec) bool {
 // the assignment policy (falling back to the least-loaded sub-core with
 // space when the designated one is full — counted, since the hash table
 // in hardware is constructed so this cannot happen for balanced shapes).
-// Call only after CanAccept. Runs once per placed block, not per cycle.
+// Call only after CanAccept, and on an SM that may have slept only after
+// Sync: the slept cycles are charged against the residency they ran under.
+// The SM is awake from the cycle it is synced to. Runs once per placed
+// block, not per cycle.
 func (sm *SM) Allocate(b *BlockSpec) error {
 	if !sm.CanAccept(b) {
 		return fmt.Errorf("smcore: SM %d cannot accept block %d", sm.id, b.KernelBlockID)
@@ -295,6 +306,7 @@ func (sm *SM) Allocate(b *BlockSpec) error {
 		sm.liveWarps++
 	}
 	sm.residentBlocks++
+	sm.wake = sm.synced
 	if sm.tr != nil {
 		sm.tr.Emit(trace.KBlockPlace, -1, -1, int32(b.KernelBlockID), int32(b.Warps()))
 	}
@@ -391,9 +403,12 @@ func (sm *SM) retireBlock(blk *block) {
 	*blk = block{}
 }
 
-// Tick advances the SM one cycle. Stages run back-to-front so results
+// Tick runs cycle now, first charging any cycles [synced, now) the caller
+// left unticked (Sync). A caller that ticks every cycle and one that ticks
+// only at Wake leave identical state. Stages run back-to-front so results
 // produced this cycle are visible no earlier than the next.
 func (sm *SM) Tick(now int64) {
+	sm.Sync(now)
 	// 1. Writeback events whose time has come enter the bank write ports.
 	for len(sm.wb) > 0 && sm.wb[0].cycle <= now {
 		e := sm.wb.pop()
@@ -425,7 +440,38 @@ func (sm *SM) Tick(now int64) {
 			sc.st.Cycles++
 		}
 	}
+	sm.synced = now + 1
+	sm.wake = sm.NextEvent(sm.synced)
 }
+
+// Sync charges the unticked cycles [synced, now) in bulk: the exact
+// counters that many Ticks would have accumulated, given the caller ticked
+// at every Wake. Stall attribution per sub-core replays issueTick's
+// no-candidate decision; active-cycle counts, collector clocks and RBA
+// queue-length rings advance bit-exactly. Everything that reads those
+// counters or encodes the SM calls it first. Emits one KFastForward event
+// covering the span when the SM is traced.
+func (sm *SM) Sync(now int64) {
+	n := now - sm.synced
+	if n <= 0 {
+		return
+	}
+	for _, sc := range sm.subcores {
+		sc.fastForward(n)
+	}
+	sm.synced = now
+	if sm.tr != nil {
+		sm.tr.Emit(trace.KFastForward, -1, -1, int32(n), 0)
+	}
+}
+
+// Wake returns the next cycle the SM needs a Tick: NextEvent as of the
+// last Tick, or the synced cycle after an Allocate. mem.NeverCycle means
+// nothing inside the SM will ever wake it.
+func (sm *SM) Wake() int64 { return sm.wake }
+
+// Synced returns the first cycle the SM has not yet accounted.
+func (sm *SM) Synced() int64 { return sm.synced }
 
 // NextEvent returns the earliest cycle at or after now at which ticking
 // this SM could mutate state (beyond pure per-cycle stall accounting):
@@ -439,10 +485,10 @@ func (sm *SM) Tick(now int64) {
 //
 // The contract (docs/ARCHITECTURE.md, "Performance"): if NextEvent(now)
 // returns t > now, then Tick(c) for every c in [now, t) would change
-// nothing except the stall/idle counters that FastForward replays in
-// bulk. The run loop's fast-forward leans on this for byte-identical
-// statistics; TestFastForwardInert and TestFastForwardByteIdentity
-// enforce it end to end, TestNextEventContractEveryCycle cycle by cycle.
+// nothing except the stall/idle counters that Sync replays in bulk. The
+// device loop's per-SM sleep leans on this for byte-identical statistics;
+// TestFastForwardInert and TestFastForwardByteIdentity enforce it end to
+// end, TestNextEventContractEveryCycle cycle by cycle.
 func (sm *SM) NextEvent(now int64) int64 {
 	next := mem.NeverCycle
 	if len(sm.wb) > 0 {
@@ -465,26 +511,6 @@ func (sm *SM) NextEvent(now int64) int64 {
 		}
 	}
 	return next
-}
-
-// FastForward bulk-charges n quiescent cycles starting at now: the
-// exact counters n Ticks would have accumulated given NextEvent(now)
-// reported no event before now+n. Stall attribution per sub-core
-// replays issueTick's no-candidate decision; collector clocks and RBA
-// queue-length rings advance bit-exactly. Emits one KFastForward event
-// covering the span when the SM is traced.
-func (sm *SM) FastForward(now, n int64) {
-	for _, sc := range sm.subcores {
-		sc.fastForward(n)
-	}
-	if sm.residentWarps > 0 {
-		for _, sc := range sm.subcores {
-			sc.st.Cycles += n
-		}
-	}
-	if sm.tr != nil {
-		sm.tr.Emit(trace.KFastForward, -1, -1, int32(n), 0)
-	}
 }
 
 // Drained reports whether the SM holds no work: no resident warps, no

@@ -37,7 +37,7 @@ type warpFrame struct {
 // (lifecycle, scoreboard, instruction buffer, cursor position, RNG),
 // resident-block bookkeeping, the writeback heap, the LSU queue, and each
 // sub-core (scheduler state, occupancy, execution-port timing, operand
-// collector).
+// collector). Sync first: a frame carries no unticked cycles.
 func (sm *SM) EncodeState(e *snapshot.Encoder) {
 	f := smFrame{Assigner: sm.assigner.State(), Warps: make([]warpFrame, 0, sm.residentWarps)}
 	for i := range sm.warps {
@@ -108,6 +108,10 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			sc.reclass(slot)
 		}
 	}
+	// The SM's clock is derived too: the collectors carry it, and a frame
+	// is written from a synced SM.
+	sm.synced = sm.subcores[0].coll.Cycle()
+	sm.wake = sm.NextEvent(sm.synced)
 	return nil
 }
 

@@ -37,7 +37,7 @@ func memMixProg(trips int) *program.Program {
 
 // snapSMState frames the hierarchy and SM state together, as the gpu
 // layer does, so the restored SM sees identical memory timing.
-func snapSMState(t *testing.T, sm *SM, hier *mem.Hierarchy) []byte {
+func snapSMState(t testing.TB, sm *SM, hier *mem.Hierarchy) []byte {
 	t.Helper()
 	e := snapshot.NewEncoder()
 	hier.EncodeState(e)

@@ -410,6 +410,13 @@ func (sc *SubCore) warpAtSchedSlot(slot int) *Warp {
 // lower-priority candidates when the top choice cannot issue (no free
 // collector unit, blocked pipe).
 func (sc *SubCore) issueTick(now int64) {
+	if sc.rs.ready == 0 {
+		// No candidates: nothing to build or pick, and stealTick finds no
+		// leftovers.
+		sc.cands = sc.cands[:0]
+		sc.chargeStall(sc.idleReason(1))
+		return
+	}
 	blockedCU := sc.buildCandidates()
 	issued := 0
 	blockedEU := false
@@ -474,6 +481,11 @@ func (sc *SubCore) issueTick(now int64) {
 	default:
 		reason = sc.idleReason(1)
 	}
+	sc.chargeStall(reason)
+}
+
+// chargeStall books one non-issue cycle to its stall bucket.
+func (sc *SubCore) chargeStall(reason stats.StallReason) {
 	sc.st.StallCycles[reason]++
 	if sc.tr != nil {
 		sc.tr.Emit(trace.KStall, int8(sc.id), -1, int32(reason), 0)
@@ -501,26 +513,30 @@ func (sc *SubCore) idleReason(n int64) stats.StallReason {
 	return stats.StallNoWarp
 }
 
-// quiescent reports whether ticking this sub-core at now would mutate
-// nothing except stall accounting: no warp could issue or decode, and the
+// quiescent reports whether ticking this sub-core would mutate nothing
+// except stall accounting: no warp could issue or decode, and the
 // collector has no event (no queued reads/writes, no dispatchable unit).
 // With no candidates the scheduler's Pick is never consulted, so scheduler
-// state is untouched too — the property that makes skipped cycles
+// state is untouched too — the property that makes slept cycles
 // byte-identical for GTO, LRR, and RBA alike.
 func (sc *SubCore) quiescent(now int64) bool {
 	return sc.rs.ready == 0 && sc.rs.decode == 0 && sc.coll.NextEvent(now) > now
 }
 
-// fastForward replays what n quiescent issueTicks would have charged:
-// the no-candidate stall attribution, n times, plus the collector's clock
-// and queue-length ring. A ready warp here means the caller's NextEvent
-// contract was violated, which is a simulator bug worth dying loudly for
-// (the differential test would otherwise just report drift).
+// fastForward replays what n quiescent cycles of SM.Tick would have
+// charged this sub-core: the no-candidate stall attribution, n times, the
+// active-cycle count, and the collector's clock and queue-length ring. A
+// ready warp here means the caller's NextEvent contract was violated,
+// which is a simulator bug worth dying loudly for (the differential test
+// would otherwise just report drift).
 func (sc *SubCore) fastForward(n int64) {
 	if sc.rs.ready != 0 {
 		panic("smcore: fast-forward over a sub-core with issuable candidates")
 	}
 	sc.st.StallCycles[sc.idleReason(n)] += n
+	if sc.sm.residentWarps > 0 {
+		sc.st.Cycles += n
+	}
 	sc.coll.FastForward(n)
 }
 
@@ -551,8 +567,7 @@ func (sc *SubCore) tryIssue(w *Warp, now int64) (ok, noCU, euBusy, memBusy bool)
 	// A bank-stealing pre-allocation for this very instruction converts
 	// to a normal issue: operands are already (being) read.
 	if w.StolenCU >= 0 {
-		cu := sc.coll.CU(int(w.StolenCU))
-		cu.Stolen = false
+		sc.coll.Unsteal(int(w.StolenCU))
 		w.StolenCU = -1
 		if in.Dst.Valid() {
 			w.SBSet(in.Dst)

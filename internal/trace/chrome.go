@@ -133,11 +133,12 @@ func writeChromeEvent(cw *chromeWriter, e *Event, banks int) {
 		cw.eventf(`{"name":"retire block %d","cat":"block","ph":"i","s":"p","ts":%d,"pid":%d,"tid":%d}`,
 			e.A, ts, pid, tidBlocks)
 	case KFastForward:
-		// One span covering the whole skipped stretch, on the blocks track
-		// (an SM-level event): in Perfetto the gaps between activity read
-		// as explicit "fast-forward" slices instead of silence.
+		// One span covering the whole slept stretch, which ends at the
+		// event's cycle, on the blocks track (an SM-level event): in
+		// Perfetto the gaps between activity read as explicit
+		// "fast-forward" slices instead of silence.
 		cw.eventf(`{"name":"fast-forward","cat":"ff","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"cycles":%d}}`,
-			ts, maxI32(e.A, 1), pid, tidBlocks, e.A)
+			ts-int64(e.A), maxI32(e.A, 1), pid, tidBlocks, e.A)
 	default:
 		cw.eventf(`{"name":%q,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{"a":%d,"b":%d,"warp":%d}}`,
 			e.Kind.String(), ts, pid, e.Sub, e.A, e.B, e.Warp)

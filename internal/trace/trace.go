@@ -67,11 +67,13 @@ const (
 	// KBlockRetire: a thread block retired, freeing all its resources at
 	// once. A = kernel block id.
 	KBlockRetire
-	// KFastForward: the device loop skipped a span of provably-inert
-	// cycles (idle-cycle fast-forward). A = the number of cycles skipped;
-	// the event's Cycle is the first skipped cycle. One event per traced
-	// SM per skip replaces the per-cycle KStall stream the ticked loop
-	// would have emitted over the span.
+	// KFastForward: the SM slept through a span of provably-inert cycles —
+	// the device loop did not tick it — and has now charged them in bulk.
+	// A = the number of cycles slept; the event's Cycle is the one the SM
+	// woke or was synced at (a heartbeat, a block placement, the end of the
+	// launch), so the span is [Cycle-A, Cycle). One event per traced SM per
+	// slept span replaces the per-cycle KStall stream an always-ticked SM
+	// would have emitted over it.
 	KFastForward
 
 	NumKinds
@@ -403,10 +405,10 @@ func (t *Tracer) Counters() *Counters {
 func (t *Tracer) CounterSM() int { return t.opt.CounterSM }
 
 // SampleRange records the counter samples falling in cycles [from, to):
-// the device loop's fast-forward path calls it in place of per-cycle
-// MaybeSample calls when it skips a span. The skipped span is quiescent
-// by construction, so every sample in it sees the same counter values a
-// ticked loop would have observed.
+// the device loop calls it once per iteration, over the one cycle it ticked
+// or the span it jumped. In a jumped span every SM sleeps, and the sampled
+// fields are ones a sleep cannot change, so every sample in it sees the
+// counter values a ticked loop would have observed.
 func (t *Tracer) SampleRange(from, to int64, src CounterSource) {
 	c := t.counters
 	if c == nil {
@@ -415,17 +417,13 @@ func (t *Tracer) SampleRange(from, to int64, src CounterSource) {
 	p := int64(c.Period)
 	first := from + (p-from%p)%p // first multiple of p at or after from
 	for cyc := first; cyc < to; cyc += p {
-		t.MaybeSample(cyc, src)
+		t.sample(cyc, src)
 	}
 }
 
-// MaybeSample records a counter sample when cycle lands on the sampling
-// period. The device loop calls it every cycle with the designated SM.
-func (t *Tracer) MaybeSample(cycle int64, src CounterSource) {
+// sample records one counter sample at cycle, a multiple of the period.
+func (t *Tracer) sample(cycle int64, src CounterSource) {
 	c := t.counters
-	if c == nil || cycle%int64(c.Period) != 0 {
-		return
-	}
 	s := &t.scratch
 	s.Occupancy, s.LSUQueue, s.RFReadsTotal = 0, 0, 0
 	src.TraceCounters(s)
