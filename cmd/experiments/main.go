@@ -6,12 +6,13 @@
 //	experiments fig9 fig17      # run specific experiments
 //	experiments all             # run everything, paper order
 //	experiments -format csv fig12 > fig12.csv
-//	experiments -format json fig13
+//	experiments -format json fig13   # or md
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,10 +23,15 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	format := flag.String("format", "text", "output format: text, csv, json")
+	format := flag.String("format", "text", "output format: text, csv, json, md")
 	timeout := flag.Duration("timeout", 0, "per-sweep-cell wall-clock budget (0 = unlimited)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 	flag.Parse()
+	// Reject a format no table renders before simulating anything.
+	if err := new(exp.Table).RenderAs(io.Discard, *format); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 
 	// Experiment sweeps execute on the fault-tolerant harness; these
 	// knobs bound each (app, config) cell of every experiment run below.
@@ -72,6 +78,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	// Figures share cells (the same design on the same application), and
+	// each is simulated once per process.
+	simulated, reused := exp.SweepCells()
+	fmt.Fprintf(os.Stderr, "[%d sweep cells simulated, %d reused]\n", simulated, reused)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d/%d experiment(s) failed\n", failed, len(ids))
 		os.Exit(1)

@@ -7,7 +7,7 @@ import "testing"
 // the cheap mitigations); EU diversity is visible; register capacity is
 // second-order under balanced placement.
 func TestSec1EffectsShape(t *testing.T) {
-	tbl, err := Sec1Effects()
+	tbl, err := ByID("sec1effects")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,29 +32,12 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// jsonTable is the stable JSON shape of a Table.
-type jsonTable struct {
-	ID      string    `json:"id"`
-	Title   string    `json:"title"`
-	Columns []string  `json:"columns"`
-	Rows    []jsonRow `json:"rows"`
-	Notes   []string  `json:"notes,omitempty"`
-}
-
-type jsonRow struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
-}
-
-// RenderJSON writes the table as a JSON document.
+// RenderJSON writes the table as a JSON document (the shape is Table's
+// and Row's json tags).
 func (t *Table) RenderJSON(w io.Writer) error {
-	jt := jsonTable{ID: t.ID, Title: t.Title, Columns: t.Columns, Notes: t.Notes}
-	for _, r := range t.Rows {
-		jt.Rows = append(jt.Rows, jsonRow{Name: r.Label, Values: r.Values})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(jt)
+	return enc.Encode(t)
 }
 
 // RenderMarkdown writes the table as a GitHub-flavored markdown table
@@ -106,13 +89,16 @@ type RunJSON struct {
 	Run *stats.Run `json:"run"`
 }
 
-// NewRunJSON assembles the export shape for one run.
-func NewRunJSON(appName, cfgName string, r *stats.Run) *RunJSON {
+// WriteRunJSON writes one run's full statistics as indented JSON — the
+// machinery behind `subcoresim -json`.
+func WriteRunJSON(w io.Writer, appName, cfgName string, r *stats.Run) error {
 	stalls := make(map[string]int64, int(stats.NumStallReasons)-1)
 	for reason := stats.StallReason(1); reason < stats.NumStallReasons; reason++ {
 		stalls[reason.String()] = r.TotalStalls(reason)
 	}
-	return &RunJSON{
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(RunJSON{
 		App:           appName,
 		Config:        cfgName,
 		IPC:           r.IPC(),
@@ -122,15 +108,7 @@ func NewRunJSON(appName, cfgName string, r *stats.Run) *RunJSON {
 		MeanOccupancy: r.MeanOccupancy(),
 		Stalls:        stalls,
 		Run:           r,
-	}
-}
-
-// WriteRunJSON writes one run's full statistics as indented JSON — the
-// machinery behind `subcoresim -json`.
-func WriteRunJSON(w io.Writer, appName, cfgName string, r *stats.Run) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(NewRunJSON(appName, cfgName, r))
+	})
 }
 
 // RenderAs dispatches on format: "text" (default), "csv", "json", or

@@ -5,58 +5,55 @@ import (
 	"math"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 	"repro/internal/isa"
+	"repro/internal/power"
+	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// Fig3 reproduces Figure 3: the FMA microbenchmark's slowdown under the
+// fig3 reproduces Figure 3: the FMA microbenchmark's slowdown under the
 // three Fig. 4 thread-block layouts, on a partitioned (Volta/Ampere-like)
 // and a monolithic (Kepler-like) SM. Each value is execution time
 // normalized to the baseline layout on the same device. Paper: the
 // unbalanced layout runs 3.9x slower on the A100 and ~1x on Kepler.
-func Fig3() (*Table, error) {
+func fig3(id string) (*Table, error) {
 	const fmas = 1024
-	devices := []struct {
-		label string
-		cfg   config.GPU
-	}{
+	devices := []design{
 		{"partitioned(volta/ampere)", Base()},
 		{"monolithic(kepler)", scale(config.KeplerLike())},
 	}
 	t := &Table{
-		ID:      "fig3",
+		ID:      id,
 		Title:   "FMA microbenchmark: execution time normalized to the baseline layout",
 		Columns: []string{"baseline", "balanced", "unbalanced"},
 	}
 	for _, d := range devices {
 		var times [3]float64
 		for li, layout := range []workloads.FMALayout{workloads.FMABaseline, workloads.FMABalanced, workloads.FMAUnbalanced} {
-			r, err := RunKernelOn(d.cfg, workloads.FMAMicro(layout, fmas))
+			r, err := runKernels(d.cfg, nil, workloads.FMAMicro(layout, fmas))
 			if err != nil {
 				return nil, err
 			}
 			times[li] = float64(r.Cycles)
 		}
-		t.AddRow(d.label, 1.0, times[1]/times[0], times[2]/times[0])
+		t.AddRow(d.name, 1.0, times[1]/times[0], times[2]/times[0])
 	}
 	t.Note("paper: unbalanced is 3.9x on A100, ~3.5x on V100, ~1x on Kepler; balanced ~1x everywhere")
 	return t, nil
 }
 
-// Fig8 reproduces Figure 8: performance of the unbalanced FMA kernel as
+// fig8 reproduces Figure 8: performance of the unbalanced FMA kernel as
 // the imbalance magnitude scales, for each sub-core assignment design
 // (speedup over round robin at the same scale). Paper: SRR balances the
 // 1-in-4 pattern perfectly; Shuffle's randomization is increasingly
 // suboptimal as imbalance grows but still far ahead of round robin.
-func Fig8() (*Table, error) {
+func fig8(id string) (*Table, error) {
 	scales := []int{1, 2, 4, 8}
-	cfgs := []config.GPU{
-		Base(),
-		Base().WithAssign(config.AssignSRR),
-		Base().WithAssign(config.AssignShuffle),
-	}
+	cfgs := []config.GPU{Base(), srr.cfg, shuffle.cfg}
 	t := &Table{
-		ID:      "fig8",
+		ID:      id,
 		Title:   "Unbalanced FMA as imbalance scales: speedup vs round robin",
 		Columns: []string{"srr", "shuffle"},
 	}
@@ -64,13 +61,13 @@ func Fig8() (*Table, error) {
 		k := workloads.FMAImbalanceScaled(sc)
 		var cycles [3]int64
 		for ci, cfg := range cfgs {
-			r, err := RunKernelOn(cfg, k)
+			r, err := runKernels(cfg, nil, k)
 			if err != nil {
 				return nil, err
 			}
 			cycles[ci] = r.Cycles
 		}
-		t.AddRow(rowLabel("scale", sc),
+		t.AddRow(fmt.Sprintf("scale=%d", sc),
 			Speedup(cycles[0], cycles[1]),
 			Speedup(cycles[0], cycles[2]))
 	}
@@ -116,15 +113,15 @@ func referenceCycles(variant int, cfg config.GPU) float64 {
 	return perSubCore/tp + ramp
 }
 
-// Sec5CU reproduces the Section V collector-unit validation: cycle counts
+// sec5CU reproduces the Section V collector-unit validation: cycle counts
 // of the seven RF-stress microbenchmarks simulated with 1-4 CUs per
 // sub-core, scored by mean absolute error against the silicon stand-in.
 // Paper: 2 CUs/sub-core minimizes MAE at 16.2%; the worst configuration
 // errs by 43%.
-func Sec5CU() (*Table, error) {
+func sec5CU(id string) (*Table, error) {
 	cus := []int{1, 2, 3, 4}
 	t := &Table{
-		ID:      "sec5cu",
+		ID:      id,
 		Title:   "RF-stress microbenchmarks: simulated/reference cycle ratio per CU count",
 		Columns: []string{"1cu", "2cu", "3cu", "4cu"},
 	}
@@ -133,7 +130,7 @@ func Sec5CU() (*Table, error) {
 		row := make([]float64, len(cus))
 		for ci, n := range cus {
 			cfg := Base().WithCUs(n)
-			r, err := RunKernelOn(cfg, workloads.RFStressMicro(v))
+			r, err := runKernels(cfg, nil, workloads.RFStressMicro(v))
 			if err != nil {
 				return nil, err
 			}
@@ -146,68 +143,135 @@ func Sec5CU() (*Table, error) {
 	}
 	mae := make([]float64, len(cus))
 	for ci := range cus {
-		var s float64
-		for _, e := range errs[ci] {
-			s += e
-		}
-		mae[ci] = s / float64(len(errs[ci]))
+		mae[ci] = stats.Mean(errs[ci])
 	}
 	t.AddRow("MAE", mae...)
 	t.Note("paper: 2 CUs/sub-core gives the lowest MAE (16.2%%) against silicon; worst config 43%%")
 	return t, nil
 }
 
-// All runs every experiment and returns the tables in paper order.
-func All() ([]*Table, error) {
-	type fn struct {
-		name string
-		f    func() (*Table, error)
+// sec1Effects quantifies the four orthogonal partitioning effects of
+// Section I with targeted microbenchmarks, reporting the fully-connected
+// SM's speedup over the partitioned baseline for each, plus the cheap
+// mitigation the paper proposes where one exists. The paper's finding:
+// effects 1 (bank conflicts) and 2 (issue imbalance) dominate in
+// practice; 3 (EU diversity) and 4 (register capacity) are real but
+// second-order for most workloads.
+func sec1Effects(id string) (*Table, error) {
+	t := &Table{
+		ID:      id,
+		Title:   "The four partitioning effects: fully-connected speedup and proposed mitigation",
+		Columns: []string{"fully-connected", "mitigation"},
 	}
-	fns := []fn{
-		{"sec1effects", Sec1Effects},
-		{"fig1", Fig1}, {"fig3", Fig3}, {"fig8", Fig8}, {"fig9", Fig9},
-		{"fig10", Fig10}, {"fig11", Fig11}, {"fig12", Fig12},
-		{"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15},
-		{"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18},
-		{"sec5cu", Sec5CU}, {"sec6b4", Sec6B4}, {"sec6b5", Sec6B5},
-		{"abl-sched", AblSched}, {"abl-table", AblTableSize},
-		{"abl-swizzle", AblSwizzle}, {"abl-partition", AblPartition},
+	fat, thin := workloads.RegCapacityPair()
+	effects := []struct {
+		label      string
+		kernels    []*gpu.Kernel
+		mitigation config.GPU
+	}{
+		{"1:bank-conflicts", []*gpu.Kernel{workloads.BankConflictMicro()}, rba.cfg},
+		{"2:issue-imbalance", []*gpu.Kernel{workloads.FMAMicro(workloads.FMAUnbalanced, 1024)}, srr.cfg},
+		{"3:eu-diversity", []*gpu.Kernel{workloads.EUDiverseMicro()}, srr.cfg},
+		// No cheap mitigation is proposed for effect 4; its column repeats
+		// the baseline.
+		{"4:register-capacity", []*gpu.Kernel{fat, thin}, Base()},
 	}
-	var out []*Table
-	for _, e := range fns {
-		tbl, err := e.f()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.name, err)
+	for _, e := range effects {
+		var cycles [3]int64
+		for ci, cfg := range []config.GPU{Base(), FC(), e.mitigation} {
+			r, err := runTogether(cfg, e.kernels...)
+			if err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", e.label, cfg.Name, err)
+			}
+			cycles[ci] = r.Cycles
 		}
-		out = append(out, tbl)
+		t.AddRow(e.label, Speedup(cycles[0], cycles[1]), Speedup(cycles[0], cycles[2]))
 	}
-	return out, nil
+	t.Note("mitigations: RBA for effect 1, SRR for effects 2-3; effect 4 has no cheap fix (column = 1.0)")
+	t.Note("paper: effects 1 and 2 account for the majority of sub-core performance loss in practice")
+	t.Note("effect 4 measures ~1.0 here: round-robin placement keeps per-sub-core occupancy balanced, so")
+	t.Note("fragmentation rarely strands capacity — matching the paper's finding that effects 3-4 are second-order")
+	return t, nil
 }
 
-// ByID runs one experiment by identifier.
-func ByID(id string) (*Table, error) {
-	m := map[string]func() (*Table, error){
-		"sec1effects": Sec1Effects,
-		"fig1":        Fig1, "fig3": Fig3, "fig8": Fig8, "fig9": Fig9,
-		"fig10": Fig10, "fig11": Fig11, "fig12": Fig12, "fig13": Fig13,
-		"fig14": Fig14, "fig15": Fig15, "fig16": Fig16, "fig17": Fig17,
-		"fig18": Fig18, "sec5cu": Sec5CU, "sec6b4": Sec6B4, "sec6b5": Sec6B5,
-		"abl-sched": AblSched, "abl-table": AblTableSize,
-		"abl-swizzle": AblSwizzle, "abl-partition": AblPartition,
+// fig13 reproduces Figure 13: normalized area and power of CU scaling
+// versus the RBA additions (analytical model standing in for the paper's
+// 45nm synthesis — see internal/power). Paper: 4 CUs cost +27% area and
+// +60% power; RBA costs ~1% of each.
+func fig13(id string) (*Table, error) {
+	t := &Table{
+		ID:      id,
+		Title:   "Area and power vs baseline (2 CUs + 2 banks + scheduler)",
+		Columns: []string{"area", "power"},
 	}
-	f, ok := m[id]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown experiment %q", id)
+	designs := []struct {
+		label string
+		d     power.Design
+	}{
+		{"2cu(base)", power.Design{CUs: 2, Banks: 2}},
+		{"4cu", power.Design{CUs: 4, Banks: 2}},
+		{"8cu", power.Design{CUs: 8, Banks: 2}},
+		{"16cu", power.Design{CUs: 16, Banks: 2}},
+		{"rba", power.Design{CUs: 2, Banks: 2, RBA: true}},
 	}
-	return f()
+	for _, d := range designs {
+		a, p := power.Relative(d.d)
+		t.AddRow(d.label, a, p)
+	}
+	t.Note("paper: 4 CUs => 1.27x area, 1.60x power; RBA => ~1.01x both")
+	return t, nil
 }
 
-// IDs lists the experiment identifiers in paper order.
-func IDs() []string {
-	return []string{
-		"sec1effects",
-		"fig1", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-		"fig14", "fig15", "fig16", "fig17", "fig18", "sec5cu", "sec6b4", "sec6b5",
-		"abl-sched", "abl-table", "abl-swizzle", "abl-partition",
+// fig14 reproduces Figure 14: per-cycle register-file read utilization of
+// pb-mriq and rod-srad under GTO, RBA, and fully-connected. The paper
+// plots full timelines; we report the summary statistics that carry its
+// conclusions — mean reads/cycle (the red line) and the fraction of
+// low-utilization cycles (<= 85 reads).
+func fig14(id string) (*Table, error) {
+	t := &Table{
+		ID:      id,
+		Title:   "Register-file reads per cycle on SM0 (mean / %cycles<=85 / p95)",
+		Columns: []string{"mean", "low-frac", "p95"},
 	}
+	for _, name := range []string{"pb-mriq", "rod-srad"} {
+		app, err := workloads.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range []config.GPU{Base(), rba.cfg, FC()} {
+			// The tracer's counter sampler at period 1 is the per-cycle
+			// series: granted (warp-wide) reads on SM 0 each cycle.
+			c.TraceSamplePeriod = 1
+			tr := trace.New(trace.OptionsFor(&c, 0))
+			if _, err := runKernels(c, tr, app.Kernels...); err != nil {
+				return nil, err
+			}
+			// Trim the idle head/tail (SM0 waiting on other SMs to
+			// finish) so the mean reflects the application region, as the
+			// paper's single-SM timelines do.
+			reads := tr.Counters().RFReads
+			for len(reads) > 0 && reads[0] == 0 {
+				reads = reads[1:]
+			}
+			for len(reads) > 0 && reads[len(reads)-1] == 0 {
+				reads = reads[:len(reads)-1]
+			}
+			low := 0
+			vals := make([]float64, len(reads))
+			for i, v := range reads {
+				// 4-byte register reads, Fig 14's unit.
+				vals[i] = float64(int(v) * c.WarpSize)
+				if vals[i] <= 85 {
+					low++
+				}
+			}
+			frac := 0.0
+			if len(vals) > 0 {
+				frac = float64(low) / float64(len(vals))
+			}
+			t.AddRow(fmt.Sprintf("%s/%s", name, c.Name), stats.Mean(vals), frac, stats.Percentile(vals, 95))
+		}
+	}
+	t.Note("paper: RBA raises rod-srad mean reads/cycle from 22.2 to 27.1, above fully-connected's 23.4")
+	return t, nil
 }

@@ -1,7 +1,7 @@
 // Package exp reproduces every table and figure of the paper's evaluation
-// (Section VI). Each Fig*/Sec* function runs the required configurations
-// over the required workloads and returns a Table whose rows mirror the
-// published artifact. EXPERIMENTS.md records paper-vs-measured values.
+// (Section VI). The registry (experiments.go) lists them; ByID runs one
+// and returns a Table whose rows mirror the published artifact.
+// EXPERIMENTS.md records paper-vs-measured values.
 //
 // Experiments run on a scaled-down device (4 SMs instead of 80, with
 // DRAM/L2 bandwidth scaled proportionally) so that full 112-application
@@ -12,12 +12,14 @@ package exp
 
 import (
 	"context"
-	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -61,77 +63,138 @@ func DeviceFor(cfg config.GPU, app workloads.App) config.GPU {
 	return cfg
 }
 
-// RunApp simulates one application on one configuration (adapted per
-// suite, see DeviceFor) and returns its statistics.
-func RunApp(cfg config.GPU, app workloads.App) (*stats.Run, error) {
-	cfg = DeviceFor(cfg, app)
-	return runAppRaw(cfg, app)
-}
-
-func runAppRaw(cfg config.GPU, app workloads.App) (*stats.Run, error) {
+// runKernels simulates a sequential kernel list on a fresh device, with
+// tr attached when non-nil. With runTogether it is the only place the
+// micro and traced figures build a device; sweep cells go through sweep.
+func runKernels(cfg config.GPU, tr *trace.Tracer, ks ...*gpu.Kernel) (*stats.Run, error) {
 	g, err := gpu.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.RunKernels(app.Kernels, 0); err != nil {
-		return nil, fmt.Errorf("%s on %s: %w", app.Name, cfg.Name, err)
+	if tr != nil {
+		g.SetTracer(tr)
 	}
-	return g.Run(), nil
-}
-
-// RunKernelOn simulates a single standalone kernel (microbenchmarks).
-func RunKernelOn(cfg config.GPU, k *gpu.Kernel) (*stats.Run, error) {
-	g, err := gpu.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.RunKernel(k, 0); err != nil {
+	if err := g.RunKernels(ks, 0); err != nil {
 		return nil, err
 	}
 	return g.Run(), nil
 }
 
-// SweepOpts is the harness configuration Sweep/SweepRuns execute under.
+// runTogether simulates a concurrent kernel set (separate streams,
+// launched together) on a fresh device.
+func runTogether(cfg config.GPU, ks ...*gpu.Kernel) (*stats.Run, error) {
+	g, err := gpu.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.RunConcurrent(ks, 0); err != nil {
+		return nil, err
+	}
+	return g.Run(), nil
+}
+
+// SweepOpts is the harness configuration sweep cells execute under.
 // The zero value runs unsupervised (no timeout, default cycle cap);
 // binaries set it once at startup from their flags (-timeout,
 // -max-cycles) before running experiments.
 var SweepOpts harness.Options
 
-// Sweep simulates every app on every configuration in parallel and
-// returns cycles[app][cfg]. The paper's figures need every cell, so any
-// faulted cell aborts with an aggregated error.
-func Sweep(cfgs []config.GPU, apps []workloads.App) ([][]int64, error) {
-	runs, cellErrs, err := SweepRuns(cfgs, apps)
-	if err == nil {
-		err = cellErrs.Err()
-	}
-	if err != nil {
-		return nil, err
-	}
-	cycles := make([][]int64, len(apps))
-	for i := range apps {
-		cycles[i] = make([]int64, len(cfgs))
-		for j := range cfgs {
-			cycles[i][j] = runs[i][j].Cycles
-		}
-	}
-	return cycles, nil
+// design is one named configuration of a study. The name labels the
+// configuration in fault records; it is not part of a cell's identity.
+type design struct {
+	name string
+	cfg  config.GPU
 }
 
-// SweepRuns is Sweep keeping the full per-run statistics. It executes
-// the matrix on the fault-tolerant harness (internal/harness): a cell
-// that panics, livelocks, or errors is reported in the returned
-// CellErrors — and left nil in the matrix — instead of crashing the
-// sweep or aborting the remaining cells. Callers must check the error
-// map (or harness.CellErrors.Err) before dereferencing cells.
-func SweepRuns(cfgs []config.GPU, apps []workloads.App) ([][]*stats.Run, harness.CellErrors, error) {
-	opt := SweepOpts
-	opt.Adapt = DeviceFor
-	res, err := harness.Run(context.Background(), cfgs, nil, apps, opt)
-	if err != nil {
-		return nil, nil, err
+// cellKey identifies what a sweep cell simulates: the device the cell
+// runs on (after DeviceFor, Name cleared) and the application. Two
+// designs that differ in any modelled field have different keys; two
+// that differ only in label share one.
+type cellKey struct {
+	cfg config.GPU
+	app string
+}
+
+func keyOf(cfg config.GPU, app workloads.App) cellKey {
+	cfg = DeviceFor(cfg, app)
+	cfg.Name = ""
+	return cellKey{cfg, app.Name}
+}
+
+// memo holds every sweep cell completed in this process. The simulator
+// is deterministic (TestDeterminism, the benchmark's sim_digest), so a
+// cell a second figure asks for is the cell the first one ran: the
+// paper's figures are projections of one matrix, and `experiments all`
+// would otherwise simulate 47% of its cells twice. It lives here and not
+// in the harness because `go run ./benchmark` times harness.Run and must
+// keep simulating every cell it is handed.
+var memo = struct {
+	sync.Mutex
+	runs              map[cellKey]*stats.Run
+	simulated, reused int
+}{runs: map[cellKey]*stats.Run{}}
+
+// SweepCells reports how many sweep cells this process has simulated and
+// how many it served from an earlier experiment's run instead.
+func SweepCells() (simulated, reused int) {
+	memo.Lock()
+	defer memo.Unlock()
+	return memo.simulated, memo.reused
+}
+
+// sweep returns runs[app][design], simulating only the cells the process
+// has not completed before — the single place a sweep cell is simulated.
+// Missing cells run on the fault-tolerant harness (internal/harness) as
+// one sub-matrix: the designs with a missing cell × the apps with one.
+// The paper's figures need every cell, so a faulted cell (never stored)
+// fails the sweep with the harness's aggregated error.
+func sweep(designs []design, apps []workloads.App) ([][]*stats.Run, error) {
+	var cfgs []config.GPU
+	var names []string
+	var todo []workloads.App
+	memo.Lock()
+	missing := func(d design, a workloads.App) bool { return memo.runs[keyOf(d.cfg, a)] == nil }
+	for _, d := range designs {
+		if slices.ContainsFunc(apps, func(a workloads.App) bool { return missing(d, a) }) {
+			cfgs, names = append(cfgs, d.cfg), append(names, d.name)
+		}
 	}
-	return res.Runs, res.Errs, nil
+	for _, a := range apps {
+		if slices.ContainsFunc(designs, func(d design) bool { return missing(d, a) }) {
+			todo = append(todo, a)
+		}
+	}
+	memo.Unlock()
+
+	res := &harness.Result{}
+	if len(todo) > 0 {
+		opt := SweepOpts
+		opt.Adapt = DeviceFor
+		var err error
+		if res, err = harness.Run(context.Background(), cfgs, names, todo, opt); err != nil {
+			return nil, err
+		}
+	}
+
+	memo.Lock()
+	defer memo.Unlock()
+	memo.simulated += res.Executed
+	memo.reused += len(apps)*len(designs) - res.Executed
+	for i, a := range todo {
+		for j, cfg := range cfgs {
+			if r := res.Runs[i][j]; r != nil { // only completed cells are stored
+				memo.runs[keyOf(cfg, a)] = r
+			}
+		}
+	}
+	runs := make([][]*stats.Run, len(apps))
+	for i, a := range apps {
+		runs[i] = make([]*stats.Run, len(designs))
+		for j, d := range designs {
+			runs[i][j] = memo.runs[keyOf(d.cfg, a)]
+		}
+	}
+	return runs, res.Errs.Err()
 }
 
 // Speedup converts (baseline, variant) cycle counts to a speedup factor.

@@ -11,23 +11,24 @@ import (
 // Row is one labeled row of an experiment table.
 type Row struct {
 	// Label names the row (application, design point, query...).
-	Label string
+	Label string `json:"name"`
 	// Values align with the table's Columns.
-	Values []float64
+	Values []float64 `json:"values"`
 }
 
-// Table is one reproduced figure or table.
+// Table is one reproduced figure or table. The json tags are RenderJSON's
+// stable shape.
 type Table struct {
 	// ID is the experiment identifier, e.g. "fig9".
-	ID string
+	ID string `json:"id"`
 	// Title describes the artifact.
-	Title string
+	Title string `json:"title"`
 	// Columns name the value columns.
-	Columns []string
+	Columns []string `json:"columns"`
 	// Rows hold the data.
-	Rows []Row
+	Rows []Row `json:"rows"`
 	// Notes carry comparisons to the paper's reported numbers.
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 }
 
 // AddRow appends a row.
@@ -40,44 +41,13 @@ func (t *Table) Note(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Column returns the values of one column across all rows.
-func (t *Table) Column(name string) ([]float64, error) {
-	idx := -1
-	for i, c := range t.Columns {
-		if c == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("exp: table %s has no column %q", t.ID, name)
-	}
-	out := make([]float64, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		if idx < len(r.Values) {
-			out = append(out, r.Values[idx])
-		}
-	}
-	return out, nil
-}
-
 // GeoMeanRow appends a geometric-mean summary row across all current rows.
-func (t *Table) GeoMeanRow(label string) {
-	vals := make([]float64, len(t.Columns))
-	for c := range t.Columns {
-		col := make([]float64, 0, len(t.Rows))
-		for _, r := range t.Rows {
-			if c < len(r.Values) {
-				col = append(col, r.Values[c])
-			}
-		}
-		vals[c] = stats.GeoMean(col)
-	}
-	t.AddRow(label, vals...)
-}
+func (t *Table) GeoMeanRow(label string) { t.summaryRow(label, stats.GeoMean) }
 
 // MeanRow appends an arithmetic-mean summary row.
-func (t *Table) MeanRow(label string) {
+func (t *Table) MeanRow(label string) { t.summaryRow(label, stats.Mean) }
+
+func (t *Table) summaryRow(label string, of func([]float64) float64) {
 	vals := make([]float64, len(t.Columns))
 	for c := range t.Columns {
 		col := make([]float64, 0, len(t.Rows))
@@ -86,7 +56,7 @@ func (t *Table) MeanRow(label string) {
 				col = append(col, r.Values[c])
 			}
 		}
-		vals[c] = stats.Mean(col)
+		vals[c] = of(col)
 	}
 	t.AddRow(label, vals...)
 }

@@ -3,12 +3,15 @@ package harness
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
+	"repro/internal/config"
 	"repro/internal/stats"
 )
 
@@ -17,7 +20,10 @@ import (
 // rewriting) means a crash can lose at most the record being written —
 // the loader tolerates a torn final line — and a resumed sweep can keep
 // appending to the same file. Only successful cells are recorded, so
-// resume re-runs exactly the faulted/killed/missing ones.
+// resume re-runs exactly the faulted/killed/missing ones. A record is
+// resumed only into the cell it was simulated for: it carries a
+// fingerprint of the device configuration it ran on, so the same app and
+// config label at another -sms, -config-file or flag set re-runs.
 
 // ckptRecord is one checkpoint line.
 type ckptRecord struct {
@@ -26,14 +32,31 @@ type ckptRecord struct {
 	// App and Config name the cell.
 	App    string `json:"app"`
 	Config string `json:"config"`
+	// Cfg is cfgFingerprint of the device configuration the cell ran on.
+	Cfg string `json:"cfg"`
 	// Run is the cell's full statistics.
 	Run *stats.Run `json:"run"`
 }
 
-const ckptVersion = 1
+// ckptVersion 2 added Cfg; a v1 record says nothing about the device it
+// ran on and is refused like any other unknown version.
+const ckptVersion = 2
 
-// ckptKey keys completed cells by identity.
-func ckptKey(app, config string) string { return app + "\x00" + config }
+// ckptKey keys completed cells by identity: the labels and what was
+// simulated under them.
+func ckptKey(app, config, cfgFP string) string { return app + "\x00" + config + "\x00" + cfgFP }
+
+// cfgFingerprint digests a cell's device configuration (after
+// Options.Adapt): a hash of the same JSON a snapshot frame is compared
+// against in gpu.Restore, so records stay small.
+func cfgFingerprint(cfg config.GPU) (string, error) {
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		return "", fmt.Errorf("harness: checkpoint config fingerprint: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8]), nil
+}
 
 // checkpointWriter streams completed cells to the checkpoint file.
 // Safe for concurrent use by sweep workers.
@@ -103,10 +126,10 @@ func repairTail(f *os.File) error {
 
 // Write appends one completed cell. Encoder output ends with a newline,
 // so each call emits exactly one JSONL record.
-func (w *checkpointWriter) Write(app, config string, run *stats.Run) error {
+func (w *checkpointWriter) Write(app, config, cfgFP string, run *stats.Run) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.enc.Encode(ckptRecord{V: ckptVersion, App: app, Config: config, Run: run})
+	return w.enc.Encode(ckptRecord{V: ckptVersion, App: app, Config: config, Cfg: cfgFP, Run: run})
 }
 
 // Close closes the underlying file.
@@ -155,7 +178,7 @@ func readCheckpoint(r io.Reader) (map[string]*stats.Run, error) {
 			continue
 		}
 		if rec.V != ckptVersion {
-			return nil, fmt.Errorf("harness: checkpoint line %d: unsupported version %d", lineNo, rec.V)
+			return nil, fmt.Errorf("harness: checkpoint line %d: unsupported version %d (this build reads and writes %d; start a new file)", lineNo, rec.V, ckptVersion)
 		}
 		if rec.Run == nil {
 			pendingErr = fmt.Errorf("harness: checkpoint line %d: record without run", lineNo)
@@ -163,7 +186,7 @@ func readCheckpoint(r io.Reader) (map[string]*stats.Run, error) {
 		}
 		// Last record wins: a cell re-run after a fault overwrites the
 		// earlier entry.
-		out[ckptKey(rec.App, rec.Config)] = rec.Run
+		out[ckptKey(rec.App, rec.Config, rec.Cfg)] = rec.Run
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("harness: read checkpoint: %w", err)

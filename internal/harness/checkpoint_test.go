@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/gpu"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 func ckptPath(t *testing.T) string {
@@ -20,10 +24,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", &stats.Run{Cycles: 100, Instructions: 400}); err != nil {
+	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100, Instructions: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appB", "rba", &stats.Run{Cycles: 200}); err != nil {
+	if err := w.Write("appB", "rba", "fp", &stats.Run{Cycles: 200}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -37,11 +41,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(done) != 2 {
 		t.Fatalf("loaded %d cells, want 2", len(done))
 	}
-	a := done[ckptKey("appA", "gto")]
+	a := done[ckptKey("appA", "gto", "fp")]
 	if a == nil || a.Cycles != 100 || a.Instructions != 400 {
 		t.Errorf("appA/gto = %+v, want Cycles=100 Instructions=400", a)
 	}
-	if b := done[ckptKey("appB", "rba")]; b == nil || b.Cycles != 200 {
+	if b := done[ckptKey("appB", "rba", "fp")]; b == nil || b.Cycles != 200 {
 		t.Errorf("appB/rba = %+v, want Cycles=200", b)
 	}
 }
@@ -64,7 +68,7 @@ func TestCheckpointTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", &stats.Run{Cycles: 100}); err != nil {
+	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -74,7 +78,7 @@ func TestCheckpointTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":1,"app":"appB","config":"rba","run":{"Cyc`); err != nil {
+	if _, err := f.WriteString(`{"v":2,"app":"appB","config":"rba","run":{"Cyc`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -83,7 +87,7 @@ func TestCheckpointTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn final line must be tolerated, got %v", err)
 	}
-	if len(done) != 1 || done[ckptKey("appA", "gto")] == nil {
+	if len(done) != 1 || done[ckptKey("appA", "gto", "fp")] == nil {
 		t.Fatalf("loaded %d cells, want just appA/gto", len(done))
 	}
 }
@@ -94,7 +98,7 @@ func TestCheckpointTornFinalLine(t *testing.T) {
 func TestCheckpointCorruptMiddleLine(t *testing.T) {
 	path := ckptPath(t)
 	content := "not json at all\n" +
-		`{"v":1,"app":"appA","config":"gto","run":{"Cycles":1}}` + "\n"
+		`{"v":2,"app":"appA","config":"gto","run":{"Cycles":1}}` + "\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestCheckpointAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", &stats.Run{Cycles: 100}); err != nil {
+	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -136,7 +140,7 @@ func TestCheckpointAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":1,"app":"appB","config":"rba","run":{"Cyc`); err != nil {
+	if _, err := f.WriteString(`{"v":2,"app":"appB","config":"rba","run":{"Cyc`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -146,7 +150,7 @@ func TestCheckpointAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appB", "rba", &stats.Run{Cycles: 200}); err != nil {
+	if err := w.Write("appB", "rba", "fp", &stats.Run{Cycles: 200}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -160,10 +164,10 @@ func TestCheckpointAppendAfterTornTail(t *testing.T) {
 	if len(done) != 2 {
 		t.Fatalf("loaded %d cells, want 2", len(done))
 	}
-	if a := done[ckptKey("appA", "gto")]; a == nil || a.Cycles != 100 {
+	if a := done[ckptKey("appA", "gto", "fp")]; a == nil || a.Cycles != 100 {
 		t.Errorf("appA/gto = %+v, want Cycles=100", a)
 	}
-	if b := done[ckptKey("appB", "rba")]; b == nil || b.Cycles != 200 {
+	if b := done[ckptKey("appB", "rba", "fp")]; b == nil || b.Cycles != 200 {
 		t.Errorf("appB/rba = %+v, want Cycles=200 (the re-appended record)", b)
 	}
 }
@@ -172,7 +176,7 @@ func TestCheckpointAppendAfterTornTail(t *testing.T) {
 // truncates to empty; a healthy file is untouched byte for byte.
 func TestCheckpointRepairTailEdgeCases(t *testing.T) {
 	path := ckptPath(t)
-	if err := os.WriteFile(path, []byte(`{"v":1,"app":"a"`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"v":2,"app":"a"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w, err := openCheckpoint(path)
@@ -184,7 +188,7 @@ func TestCheckpointRepairTailEdgeCases(t *testing.T) {
 		t.Fatalf("newline-free file should repair to empty, got %q (%v)", b, err)
 	}
 
-	healthy := `{"v":1,"app":"appA","config":"gto","run":{"Cycles":1}}` + "\n"
+	healthy := `{"v":2,"app":"appA","config":"gto","run":{"Cycles":1}}` + "\n"
 	if err := os.WriteFile(path, []byte(healthy), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestCheckpointLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", &stats.Run{Cycles: 100}); err != nil {
+	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -217,7 +221,7 @@ func TestCheckpointLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", &stats.Run{Cycles: 300}); err != nil {
+	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 300}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -228,7 +232,47 @@ func TestCheckpointLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := done[ckptKey("appA", "gto")]; got == nil || got.Cycles != 300 {
+	if got := done[ckptKey("appA", "gto", "fp")]; got == nil || got.Cycles != 300 {
 		t.Fatalf("resumed cell = %+v, want the newer record (Cycles=300)", got)
+	}
+}
+
+// A record resumes only into the cell it was simulated for. The same app
+// and config label on a different device (here NumSMs 2, then 4 — `sweep
+// -sms`) must execute, not print the other device's cycles; going back to
+// the first device finds its record again.
+func TestCheckpointResumesByDeviceNotLabel(t *testing.T) {
+	opt := Options{CheckpointPath: ckptPath(t)}
+	// Eight blocks, so that 2 and 4 SMs finish at different cycles.
+	p := workloads.Profile{Name: "app", Blocks: 8, WarpsPerBlock: 4, RegsPerThread: 8, Iters: 100, ILP: 2, FMAs: 4}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	apps := []workloads.App{{Name: p.Name, Suite: "test", Kernels: []*gpu.Kernel{p.Kernel()}}}
+	run := func(sms int) *Result {
+		t.Helper()
+		cfg := testCfg("gto")
+		cfg.NumSMs = sms
+		res, err := Run(context.Background(), []config.GPU{cfg}, nil, apps, opt)
+		if err != nil || !res.Complete() {
+			t.Fatalf("%d SMs: %v, faults %v", sms, err, res.Errs.Err())
+		}
+		return res
+	}
+	two := run(2)
+	four := run(4)
+	if four.Executed != 1 || four.Resumed != 0 {
+		t.Fatalf("4 SMs after 2 under one label: executed %d, resumed %d; want 1, 0", four.Executed, four.Resumed)
+	}
+	if four.Runs[0][0].Cycles == two.Runs[0][0].Cycles {
+		t.Fatalf("both devices report %d cycles; the test needs them to differ", two.Runs[0][0].Cycles)
+	}
+	for _, sms := range []int{2, 4} {
+		if again := run(sms); again.Resumed != 1 || again.Executed != 0 {
+			t.Errorf("%d SMs again: resumed %d, executed %d; want 1, 0", sms, again.Resumed, again.Executed)
+		}
+	}
+	if got := run(2).Runs[0][0].Cycles; got != two.Runs[0][0].Cycles {
+		t.Errorf("2-SM cell resumed as %d cycles, simulated %d", got, two.Runs[0][0].Cycles)
 	}
 }

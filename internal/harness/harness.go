@@ -178,16 +178,30 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 	}
 	opt.sm = newSweepMetrics(opt.Metrics)
 
-	// Checkpoint: restore completed cells, then append new ones.
+	adapt := func(c Cell) config.GPU {
+		if opt.Adapt != nil {
+			return opt.Adapt(cfgs[c.Cfg], apps[c.App])
+		}
+		return cfgs[c.Cfg]
+	}
+
+	// Checkpoint: restore completed cells, then append new ones. A record
+	// is restored only into a cell with its device fingerprint.
 	var ckpt *checkpointWriter
+	var cfgFP [][]string // [app][config], set when checkpointing
 	if opt.CheckpointPath != "" {
 		done, err := loadCheckpoint(opt.CheckpointPath)
 		if err != nil {
 			return nil, err
 		}
+		cfgFP = make([][]string, len(apps))
 		for i, app := range apps {
+			cfgFP[i] = make([]string, len(cfgs))
 			for j := range cfgs {
-				if run, ok := done[ckptKey(app.Name, names[j])]; ok {
+				if cfgFP[i][j], err = cfgFingerprint(adapt(Cell{App: i, Cfg: j})); err != nil {
+					return nil, err
+				}
+				if run, ok := done[ckptKey(app.Name, names[j], cfgFP[i][j])]; ok {
 					res.Runs[i][j] = run
 					res.Resumed++
 				}
@@ -242,11 +256,7 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 		go func() {
 			defer wg.Done()
 			for c := range jobs {
-				cfg := cfgs[c.Cfg]
-				if opt.Adapt != nil {
-					cfg = opt.Adapt(cfg, apps[c.App])
-				}
-				run, wall, fault := runCell(ctx, cfg, apps[c.App], names[c.Cfg], opt)
+				run, wall, fault := runCell(ctx, adapt(c), apps[c.App], names[c.Cfg], opt)
 				mu.Lock()
 				res.Executed++
 				if fault != nil {
@@ -261,7 +271,7 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 				res.Wall[c.App][c.Cfg] = wall
 				mu.Unlock()
 				if ckpt != nil {
-					if err := ckpt.Write(apps[c.App].Name, names[c.Cfg], run); err != nil {
+					if err := ckpt.Write(apps[c.App].Name, names[c.Cfg], cfgFP[c.App][c.Cfg], run); err != nil {
 						mu.Lock()
 						if ckptErr == nil {
 							ckptErr = err
