@@ -411,7 +411,7 @@ func (g GPU) Validate() error {
 		{g.SubCoresPerSM < 1 || g.MaxWarpsPerSM/g.SubCoresPerSM <= 64, "at most 64 warp slots per sub-core (the scheduler's ready set is one 64-bit mask per class)"},
 		{g.WarpSize == 32, "WarpSize must be 32"},
 		{g.BanksPerSubCore >= 1 && g.BanksPerSubCore <= 256, "BanksPerSubCore must be in [1, 256]"},
-		{g.CollectorUnitsPerSubCore >= 1, "CollectorUnitsPerSubCore must be >= 1"},
+		{g.CollectorUnitsPerSubCore >= 1 && g.CollectorUnitsPerSubCore <= 64, "CollectorUnitsPerSubCore must be in [1, 64] (the collector's free-unit set is one 64-bit mask)"},
 		{g.DispatchPortsPerSubCore >= 1, "DispatchPortsPerSubCore must be >= 1"},
 		{g.FP32LanesPerSubCore >= 1, "FP32LanesPerSubCore must be >= 1"},
 		{g.LSUWidthPerSM >= 1, "LSUWidthPerSM must be >= 1"},

@@ -119,6 +119,7 @@ func TestValidateCatchesViolations(t *testing.T) {
 		func(g *GPU) { g.BanksPerSubCore = 0 },
 		func(g *GPU) { g.BanksPerSubCore = 257 },
 		func(g *GPU) { g.CollectorUnitsPerSubCore = 0 },
+		func(g *GPU) { g.CollectorUnitsPerSubCore = 65 }, // CU indices past the free-unit mask
 		func(g *GPU) { g.LineBytes = 100 },
 		func(g *GPU) { g.HashTableEntries = 5 },
 		func(g *GPU) { g.RBAScoreLatency = -1 },

@@ -6,16 +6,22 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/config"
 	"repro/internal/isa"
 )
 
+// MaxSlots is the widest warp PC table a scheduler serves: its ready set is
+// one 64-bit mask (config.Validate holds sub-cores to it).
+const MaxSlots = 64
+
 // Candidate is a ready warp instruction presented to the warp scheduler:
 // decoded, free of scoreboard hazards, and not parked at a barrier.
 type Candidate struct {
-	// Slot is the warp's slot in this scheduler's warp PC table.
+	// Slot is the warp's slot in this scheduler's warp PC table, in
+	// [0, MaxSlots) and distinct within one candidate list.
 	Slot int
 	// Age orders warps by allocation time (smaller = older). GTO and RBA
 	// break ties oldest-first.
@@ -31,8 +37,16 @@ type Candidate struct {
 type WarpScheduler interface {
 	// Name returns the figure label for the policy.
 	Name() string
-	// Pick returns the index into cands of the warp to issue, or -1 if
-	// cands is empty. Pick must not retain cands.
+	// PickReady returns the slot to issue among the set bits of ready, or
+	// -1 if none is set — the comparator beside the ready bits (Fig. 6),
+	// and each policy's one definition of its order. age[s] is slot s's
+	// allocation order and score[s] its RBA score (read by RBA alone), both
+	// read under set bits only; a tie on every field goes to the lowest
+	// slot (resident warps never tie: ages are unique per SM).
+	PickReady(ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uint8) int
+	// Pick is PickReady over a candidate list, for the benchmark's core
+	// driver and the policy tests (the simulator passes masks): the index
+	// into cands of the warp to issue, or -1 if cands is empty.
 	Pick(cands []Candidate) int
 	// NotifyIssued records that the warp in the given scheduler slot
 	// issued, for policies with issue history (GTO's greedy slot, LRR's
@@ -71,24 +85,25 @@ type GTO struct {
 // Name implements WarpScheduler.
 func (g *GTO) Name() string { return "GTO" }
 
-// Pick implements WarpScheduler.
-func (g *GTO) Pick(cands []Candidate) int {
-	if len(cands) == 0 {
-		return -1
+// PickReady implements WarpScheduler.
+func (g *GTO) PickReady(ready uint64, age *[MaxSlots]int64, _ *[MaxSlots]uint8) int {
+	if g.haveLast && ready>>uint(g.last)&1 != 0 {
+		return g.last
 	}
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if g.haveLast && cands[i].Slot == g.last {
-			return i
+	best := -1
+	for m := ready; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m) & (MaxSlots - 1) // the mask spares the bounds checks
+		if best < 0 || age[s] < age[best] {
+			best = s
 		}
-		if cands[i].Age < cands[best].Age {
-			best = i
-		}
-	}
-	if g.haveLast && cands[0].Slot == g.last {
-		return 0
 	}
 	return best
+}
+
+// Pick implements WarpScheduler.
+func (g *GTO) Pick(cands []Candidate) int {
+	var l candList
+	return l.index(g.PickReady(l.load(cands)))
 }
 
 // NotifyIssued implements WarpScheduler.
@@ -120,25 +135,23 @@ type LRR struct {
 // Name implements WarpScheduler.
 func (l *LRR) Name() string { return "LRR" }
 
-// Pick implements WarpScheduler.
-func (l *LRR) Pick(cands []Candidate) int {
-	if len(cands) == 0 {
+// PickReady implements WarpScheduler: the first ready slot at or past the
+// rotation pointer, else — the pointer has passed them all — the lowest.
+func (l *LRR) PickReady(ready uint64, _ *[MaxSlots]int64, _ *[MaxSlots]uint8) int {
+	if ready == 0 {
 		return -1
 	}
-	best := -1
-	bestKey := 1 << 30
-	for i, c := range cands {
-		// Distance from the rotation pointer, wrapping at a generous slot
-		// bound; candidates are sparse so we rank by modular distance.
-		d := c.Slot - l.next
-		if d < 0 {
-			d += 1 << 16
-		}
-		if d < bestKey {
-			bestKey, best = d, i
-		}
+	// A pointer at or beyond MaxSlots shifts the whole mask out: wrap.
+	if ahead := ready &^ (1<<uint(l.next) - 1); ahead != 0 {
+		return bits.TrailingZeros64(ahead)
 	}
-	return best
+	return bits.TrailingZeros64(ready)
+}
+
+// Pick implements WarpScheduler.
+func (l *LRR) Pick(cands []Candidate) int {
+	var cl candList
+	return cl.index(l.PickReady(cl.load(cands)))
 }
 
 // NotifyIssued implements WarpScheduler.
@@ -170,19 +183,22 @@ const MaxScore = 1<<ScoreBits - 1
 // Name implements WarpScheduler.
 func (r *RBA) Name() string { return "RBA" }
 
-// Pick implements WarpScheduler.
-func (r *RBA) Pick(cands []Candidate) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].Score < cands[best].Score ||
-			(cands[i].Score == cands[best].Score && cands[i].Age < cands[best].Age) {
-			best = i
+// PickReady implements WarpScheduler.
+func (r *RBA) PickReady(ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uint8) int {
+	best := -1
+	for m := ready; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m) & (MaxSlots - 1)
+		if best < 0 || score[s] < score[best] || (score[s] == score[best] && age[s] < age[best]) {
+			best = s
 		}
 	}
 	return best
+}
+
+// Pick implements WarpScheduler.
+func (r *RBA) Pick(cands []Candidate) int {
+	var l candList
+	return l.index(r.PickReady(l.load(cands)))
 }
 
 // NotifyIssued implements WarpScheduler.
@@ -196,6 +212,33 @@ func (r *RBA) State() uint64 { return 0 }
 
 // SetState implements WarpScheduler.
 func (r *RBA) SetState(uint64) {}
+
+// candList spreads a candidate list into PickReady's arguments and maps the
+// chosen slot back to its list index. It lives on the caller's stack: every
+// Pick calls its own policy's PickReady directly, so nothing escapes.
+type candList struct {
+	ready uint64
+	age   [MaxSlots]int64
+	score [MaxSlots]uint8
+	at    [MaxSlots]uint8
+}
+
+func (l *candList) load(cands []Candidate) (uint64, *[MaxSlots]int64, *[MaxSlots]uint8) {
+	for i, c := range cands {
+		l.ready |= 1 << uint(c.Slot)
+		l.age[c.Slot] = c.Age
+		l.score[c.Slot] = uint8(min(c.Score, MaxScore))
+		l.at[c.Slot] = uint8(i)
+	}
+	return l.ready, &l.age, &l.score
+}
+
+func (l *candList) index(slot int) int {
+	if slot < 0 {
+		return -1
+	}
+	return int(l.at[slot])
+}
 
 // Score computes an instruction's RBA score: for each source operand, add
 // the length of the request queue of the bank the operand resides in

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/config"
@@ -151,5 +152,85 @@ func TestRBAPrefersIdleBanks(t *testing.T) {
 	g := &GTO{}
 	if i := g.Pick([]Candidate{congested, idle}); i != 0 {
 		t.Error("GTO should pick by age")
+	}
+}
+
+// documentedPick is the policies' order as their doc comments state it,
+// written as a ranking over a whole candidate list rather than as a scan:
+// the oracle both entry points are held to.
+func documentedPick(s WarpScheduler, cands []Candidate) int {
+	rank := func(c Candidate) [2]int64 {
+		switch p := s.(type) {
+		case *GTO:
+			if p.haveLast && c.Slot == p.last {
+				return [2]int64{-1, 0} // greedy: the last issuer, while ready
+			}
+			return [2]int64{0, c.Age} // then oldest
+		case *LRR:
+			if c.Slot >= p.next {
+				return [2]int64{0, int64(c.Slot)} // at or past the pointer, in slot order
+			}
+			return [2]int64{1, int64(c.Slot)} // then wrapped
+		default:
+			return [2]int64{int64(c.Score), c.Age} // RBA: {score, ~age}
+		}
+	}
+	best, bestRank := -1, [2]int64{}
+	for i, c := range cands {
+		if r := rank(c); best < 0 || r[0] < bestRank[0] || (r[0] == bestRank[0] && r[1] < bestRank[1]) {
+			best, bestRank = i, r
+		}
+	}
+	return best
+}
+
+// TestPickReadyMatchesPickOnLists is the differential property behind the
+// single comparator: for random ready sets of 1–64 slots with distinct ages
+// (as resident warps have), random scores and a random issue history, the
+// mask-native PickReady, the list adapter Pick — handed the candidates in
+// shuffled order — and the documented order agree on the slot, and keep
+// agreeing as picked slots are spent one by one (the issue stage's
+// fall-through), some of them issuing and moving the policy's history.
+func TestPickReadyMatchesPickOnLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, policy := range []config.WarpSched{config.SchedGTO, config.SchedLRR, config.SchedRBA} {
+		s := NewWarpScheduler(policy)
+		for trial := 0; trial < 400; trial++ {
+			var (
+				ready uint64
+				age   [MaxSlots]int64
+				score [MaxSlots]uint8
+				cands []Candidate
+			)
+			ages := rng.Perm(4 * MaxSlots)
+			for _, slot := range rng.Perm(MaxSlots)[:1+rng.Intn(MaxSlots)] {
+				ready |= 1 << uint(slot)
+				age[slot] = int64(ages[slot])
+				score[slot] = uint8(rng.Intn(MaxScore + 1))
+				cands = append(cands, Candidate{Slot: slot, Age: age[slot], Score: int(score[slot])})
+			}
+			s.Reset()
+			for n := rng.Intn(3); n > 0; n-- {
+				s.NotifyIssued(rng.Intn(MaxSlots))
+			}
+			for len(cands) > 0 {
+				slot := s.PickReady(ready, &age, &score)
+				i, want := s.Pick(cands), documentedPick(s, cands)
+				if i < 0 || cands[i].Slot != slot || cands[want].Slot != slot {
+					t.Fatalf("%s trial %d, %d candidates left: PickReady chose slot %d, Pick %v, the documented order %v",
+						s.Name(), trial, len(cands), slot, cands[i], cands[want])
+				}
+				// Spend the pick the way the issue stage and the old list did.
+				ready &^= 1 << uint(slot)
+				cands[i] = cands[len(cands)-1]
+				cands = cands[:len(cands)-1]
+				if rng.Intn(3) == 0 {
+					s.NotifyIssued(slot)
+				}
+			}
+			if s.PickReady(0, &age, &score) != -1 || s.Pick(nil) != -1 {
+				t.Fatalf("%s: an empty ready set must pick -1", s.Name())
+			}
+		}
 	}
 }

@@ -5,14 +5,28 @@ import "repro/internal/audit"
 // Audit re-derives the collector's lease conservation law: every occupied
 // collector unit's Pending count must equal the number of queued bank
 // reads that reference it, no queued read may reference a free unit, and
-// the maintained busy count — what Tick's idle path and NextEvent trust —
-// must equal a recount of the queues and staged units.
+// the maintained summary — the busy count Tick's idle path and NextEvent
+// trust, the free-unit set the issue stage allocates from, the per-bank
+// normal-read counts behind the arbiter tap — must equal a recount of the
+// queues and units.
 // where prefixes violation locations (e.g. "sm0/sub1").
 func (c *Collector) Audit(where string) []audit.Violation {
 	var vs []audit.Violation
-	if n := c.countBusy(); n != c.busy {
+	want := &c.auditWant
+	c.derive(want)
+	if want.busy != c.busy {
 		vs = append(vs, audit.Violationf("lease", where,
-			"busy count %d but %d reads, writebacks and staged units are held — an idle tick would skip them", c.busy, n))
+			"busy count %d but %d reads, writebacks and staged units are held — an idle tick would skip them", c.busy, want.busy))
+	}
+	if want.free != c.free {
+		vs = append(vs, audit.Violationf("lease", where,
+			"free-unit set %#x but the units say %#x — the issue stage would allocate an occupied unit or never see a free one", c.free, want.free))
+	}
+	for b, n := range want.normal {
+		if n != c.normal[b] {
+			vs = append(vs, audit.Violationf("lease", where,
+				"bank %d normal-read count %d but %d are queued — RBA would score against a queue that is not there", b, c.normal[b], n))
+		}
 	}
 	// Reusable scratch: the audit runs periodically from the device
 	// heartbeat and must not allocate per sweep.
@@ -69,5 +83,7 @@ func (c *Collector) ForEachQueuedWrite(fn func(WriteReq)) {
 // outside tests.
 func (c *Collector) CorruptLeaseForTest() {
 	c.queues[0] = append(c.queues[0], readReq{cu: 0})
+	// Counted like a real read: the reference counts alone are off.
 	c.busy++
+	c.normal[0]++
 }

@@ -18,6 +18,7 @@ package regfile
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -59,6 +60,9 @@ func SlotOffset(warpSlot int, swizzle bool) int {
 func BankWithOffset(off int, reg isa.Reg, banks int) int {
 	if banks <= 1 {
 		return 0
+	}
+	if banks&(banks-1) == 0 {
+		return (int(reg) + off) & (banks - 1) // every shipped shape: no divide
 	}
 	return (int(reg) + off) % banks
 }
@@ -114,11 +118,7 @@ type Collector struct {
 	collectorState
 	banks int
 
-	// busy counts what makes a Tick do work: queued reads, queued
-	// writebacks and staged non-stolen units. Derived from collectorState
-	// (countBusy): maintained at every mutation, rebuilt on restore, and
-	// re-derived by Audit.
-	busy int
+	derived
 
 	// granted writes this cycle, exposed to the sub-core and consumed by it
 	// within the same cycle: empty between cycles.
@@ -126,14 +126,29 @@ type Collector struct {
 
 	st *stats.SubCore
 
-	// auditRefs is Audit's reusable per-CU reference-count scratch: the
-	// periodic invariant sweep must not allocate per visit.
+	// Audit's reusable scratch, per-CU reference counts and the recounted
+	// summary: the periodic invariant sweep must not allocate per visit.
 	auditRefs []int
+	auditWant derived
 
 	// tr emits bank-grant trace events when the SM is traced (nil
 	// otherwise — the disabled fast path); trSub is the owning sub-core.
 	tr    *trace.SMT
 	trSub int8
+}
+
+// derived answers, in O(1), what the issue stage and Tick ask every cycle.
+// It is a function of collectorState (derive): maintained at every
+// mutation, rebuilt on restore, and re-derived by Audit.
+type derived struct {
+	// busy counts what makes a Tick do work: queued reads, queued
+	// writebacks and staged non-stolen units.
+	busy int
+	// free has bit i set while collector unit i is unoccupied.
+	free uint64
+	// normal[b] counts the normal (non-stolen) reads queued at bank b: the
+	// arbiter's queue length, RBA's score input.
+	normal []int
 }
 
 // collectorState is everything about a collector that changes as it runs
@@ -153,11 +168,12 @@ type collectorState struct {
 	cycle    int64
 }
 
-// NewCollector builds a collector with numCUs units over numBanks banks.
-// scoreDelay is the maximum queue-length tap delay that will be requested
-// (the history ring is sized for it).
+// NewCollector builds a collector with numCUs units (at most 64: the free
+// set is one mask) over numBanks banks. scoreDelay is the maximum
+// queue-length tap delay that will be requested (the history ring is sized
+// for it).
 func NewCollector(numCUs, numBanks, scoreDelay int, st *stats.SubCore) *Collector {
-	if numCUs < 1 || numBanks < 1 {
+	if numCUs < 1 || numCUs > 64 || numBanks < 1 {
 		panic(fmt.Sprintf("regfile: invalid collector shape %d CUs, %d banks", numCUs, numBanks))
 	}
 	c := &Collector{
@@ -166,8 +182,10 @@ func NewCollector(numCUs, numBanks, scoreDelay int, st *stats.SubCore) *Collecto
 			queues: make([][]readReq, numBanks),
 			writes: make([][]WriteReq, numBanks),
 		},
-		banks: numBanks,
-		st:    st,
+		banks:     numBanks,
+		derived:   derived{free: 1<<uint(numCUs) - 1, normal: make([]int, numBanks)},
+		auditWant: derived{normal: make([]int, numBanks)},
+		st:        st,
 	}
 	c.qlenHist = make([][]int16, scoreDelay+1)
 	for i := range c.qlenHist {
@@ -183,9 +201,6 @@ func (c *Collector) SetTracer(h *trace.SMT, sub int8) {
 	c.trSub = sub
 }
 
-// Banks returns the bank count.
-func (c *Collector) Banks() int { return c.banks }
-
 // NumCUs returns the collector-unit count.
 func (c *Collector) NumCUs() int { return len(c.cus) }
 
@@ -196,14 +211,12 @@ func (c *Collector) Cycle() int64 { return c.cycle }
 // CU returns the i-th collector unit for inspection.
 func (c *Collector) CU(i int) *CollectorUnit { return &c.cus[i] }
 
-// FreeCU returns the index of a free collector unit, or -1.
+// FreeCU returns the index of the lowest free collector unit, or -1.
 func (c *Collector) FreeCU() int {
-	for i := range c.cus {
-		if !c.cus[i].Valid {
-			return i
-		}
+	if c.free == 0 {
+		return -1
 	}
-	return -1
+	return bits.TrailingZeros64(c.free)
 }
 
 // Allocate fills collector unit cu with an instruction from warpIdx whose
@@ -224,6 +237,7 @@ func (c *Collector) Allocate(cu int, warpIdx, schedSlot int32, in isa.Instr, ban
 		Stolen:     stolen,
 		AllocCycle: c.cycle,
 	}
+	c.free &^= 1 << uint(cu)
 	if !stolen {
 		c.busy++
 	}
@@ -234,13 +248,17 @@ func (c *Collector) Allocate(cu int, warpIdx, schedSlot int32, in isa.Instr, ban
 		b := BankWithOffset(bankOff, s, c.banks)
 		u.Pending++
 		c.busy++
+		if !stolen {
+			c.normal[b]++
+		}
 		c.queues[b] = append(c.queues[b], readReq{cu: int8(cu), stolen: stolen})
 	}
 }
 
 // Unsteal converts collector unit cu's bank-stealing pre-allocation into a
-// normal issue: the operands are already (being) read, and from now on the
-// unit dispatches like any other.
+// normal issue: the operands are already (being) read — reads of it still
+// queued stay stolen, idle-cycle traffic the arbiter tap does not count —
+// and from now on the unit dispatches like any other.
 func (c *Collector) Unsteal(cu int) {
 	c.cus[cu].Stolen = false
 	c.busy++
@@ -263,26 +281,16 @@ func (c *Collector) GrantedWrites() []WriteReq { return c.grantedW }
 
 // QueueLen returns the current number of *normal* (non-stolen) read
 // requests waiting at bank b — the quantity summed into RBA scores.
-func (c *Collector) QueueLen(b int) int {
-	n := 0
-	for _, r := range c.queues[b] {
-		if !r.stolen {
-			n++
-		}
-	}
-	return n
-}
+func (c *Collector) QueueLen(b int) int { return c.normal[b] }
 
 // Backlogged reports whether any bank has a queued normal (non-stolen)
 // read — the signature the issue stage uses to attribute a
 // no-free-collector-unit stall to bank conflicts rather than plain CU
 // exhaustion (the CPI stack's bank-conflict component).
 func (c *Collector) Backlogged() bool {
-	for b := range c.queues {
-		for i := range c.queues[b] {
-			if !c.queues[b][i].stolen {
-				return true
-			}
+	for _, n := range c.normal {
+		if n > 0 {
+			return true
 		}
 	}
 	return false
@@ -350,8 +358,7 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 		if len(c.writes[b]) > 0 {
 			w := c.writes[b][0]
 			c.grantedW = append(c.grantedW, w)
-			copy(c.writes[b], c.writes[b][1:])
-			c.writes[b] = c.writes[b][:len(c.writes[b])-1]
+			c.writes[b] = popAt(c.writes[b], 0)
 			c.busy--
 			if c.st != nil {
 				c.st.RegWrites++
@@ -361,21 +368,18 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 				c.tr.Emit(trace.KBankWrite, c.trSub, w.WarpIdx, int32(b), 0)
 			}
 		}
-		// Read port: oldest normal read first; stolen reads only when the
-		// port would otherwise idle.
-		gi := -1
-		for i, r := range c.queues[b] {
-			if !r.stolen {
-				gi = i
-				break
+		// Read port: oldest normal read first; with only stolen requests
+		// present the port is idle, and the oldest of them steals it.
+		if q := c.queues[b]; len(q) > 0 {
+			gi := 0
+			if c.normal[b] > 0 {
+				for q[gi].stolen {
+					gi++
+				}
+				c.normal[b]--
 			}
-		}
-		if gi == -1 && len(c.queues[b]) > 0 {
-			gi = 0 // only stolen requests present: port is idle, steal it
-		}
-		if gi >= 0 {
-			r := c.queues[b][gi]
-			c.queues[b] = append(c.queues[b][:gi], c.queues[b][gi+1:]...)
+			r := q[gi]
+			c.queues[b] = popAt(q, gi)
 			c.busy--
 			u := &c.cus[r.cu]
 			u.Pending--
@@ -384,11 +388,7 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 			}
 			if c.st != nil {
 				c.st.RegReads++
-				for _, rr := range c.queues[b] {
-					if !rr.stolen {
-						c.st.BankConflicts++
-					}
-				}
+				c.st.BankConflicts += int64(c.normal[b])
 			}
 			if c.tr != nil {
 				c.tr.Emit(trace.KBankRead, c.trSub, u.WarpIdx, int32(b), int32(r.cu))
@@ -414,6 +414,7 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 		c.cus[best].tried = true
 		if dispatch(&c.cus[best]) {
 			c.cus[best].Valid = false
+			c.free |= 1 << uint(best)
 			if !c.cus[best].Stolen {
 				c.busy--
 			}
@@ -430,7 +431,7 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 	}
 	snap := c.qlenHist[c.histPos]
 	for b := 0; b < c.banks; b++ {
-		snap[b] = int16(c.QueueLen(b))
+		snap[b] = int16(c.normal[b])
 	}
 	c.cycle++
 }
@@ -456,18 +457,38 @@ func (c *Collector) NextEvent(now int64) int64 {
 	return neverCycle
 }
 
-// countBusy re-derives busy from the queues and collector units.
-func (c *Collector) countBusy() int {
-	n := 0
-	for b := 0; b < c.banks; b++ {
-		n += len(c.queues[b]) + len(c.writes[b])
+// popAt removes q[i], keeping FIFO order. Most grants take a queue's only
+// entry; a plain loop moves the few small ones behind it for less than a
+// memmove call costs.
+func popAt[T any](q []T, i int) []T {
+	last := len(q) - 1
+	for ; i < last; i++ {
+		q[i] = q[i+1]
 	}
-	for i := range c.cus {
-		if c.cus[i].Valid && !c.cus[i].Stolen {
-			n++
+	return q[:last]
+}
+
+// derive recounts the maintained summary from collectorState into d: the
+// reference restore installs and Audit compares with.
+func (c *Collector) derive(d *derived) {
+	d.busy, d.free = 0, 0
+	for b := 0; b < c.banks; b++ {
+		d.busy += len(c.queues[b]) + len(c.writes[b])
+		d.normal[b] = 0
+		for _, r := range c.queues[b] {
+			if !r.stolen {
+				d.normal[b]++
+			}
 		}
 	}
-	return n
+	for i := range c.cus {
+		switch u := &c.cus[i]; {
+		case !u.Valid:
+			d.free |= 1 << uint(i)
+		case !u.Stolen:
+			d.busy++
+		}
+	}
 }
 
 // FastForward advances the collector's clock by n quiescent cycles,
@@ -499,15 +520,5 @@ func (c *Collector) FastForward(n int64) {
 // Drained reports whether no collector unit is occupied and no request is
 // queued — used by tests and by the sub-core's completion check.
 func (c *Collector) Drained() bool {
-	for i := range c.cus {
-		if c.cus[i].Valid {
-			return false
-		}
-	}
-	for b := 0; b < c.banks; b++ {
-		if len(c.queues[b]) > 0 || len(c.writes[b]) > 0 {
-			return false
-		}
-	}
-	return true
+	return c.busy == 0 && bits.OnesCount64(c.free) == len(c.cus)
 }

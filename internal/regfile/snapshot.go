@@ -23,7 +23,8 @@ func (c *Collector) RestoreState(d *snapshot.Decoder) error {
 	}
 	// Granted writes never outlive the cycle that granted them.
 	c.grantedW = c.grantedW[:0]
-	// The busy count is derived: rebuild it from the restored queues.
-	c.busy = c.countBusy()
+	// The maintained counts are derived: rebuild them from the restored
+	// queues and units.
+	c.derive(&c.derived)
 	return nil
 }

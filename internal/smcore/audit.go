@@ -62,8 +62,9 @@ func popcount(sb *[sbWords]uint64) int {
 //   - shmem: SM shared-memory free space vs active blocks' reservations.
 //   - lsu: queue bound and entry validity.
 //   - residency: per-block warp lifecycle counts (exited, at-barrier).
-//   - readyset: each sub-core's event-maintained ready set must equal the
-//     one a full scan of its slots derives from the warps.
+//   - readyset: each sub-core's event-maintained ready set — masks, and the
+//     ages and source banks the scheduler reads beside them — must equal
+//     the one a full scan of its slots derives from the warps.
 func (sm *SM) Audit() []audit.Violation {
 	var vs []audit.Violation
 	where := fmt.Sprintf("sm%d", sm.id)
@@ -256,6 +257,10 @@ func (sm *SM) Audit() []audit.Violation {
 			if want.banks != sc.rs.banks {
 				vs = append(vs, audit.Violationf("readyset", sub,
 					"cached head source banks disagree with the warps' instruction buffers"))
+			}
+			if want.age != sc.rs.age {
+				vs = append(vs, audit.Violationf("readyset", sub,
+					"cached ages disagree with the ready warps' — the scheduler would order them wrongly"))
 			}
 		}
 	}

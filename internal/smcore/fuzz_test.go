@@ -14,11 +14,15 @@ import (
 // and asserts the SM's global invariants: it always drains, issues
 // exactly the dynamic instruction count, and restores every resource —
 // and that an SM ticked only at its wake cycles matches one ticked every
-// cycle (wakeTwin), under GTO or RBA by a spare bit of the warp byte.
+// cycle (wakeTwin). The warp byte's spare bits draw the warp scheduler
+// (GTO, LRR, RBA) and bank stealing, so both checks run the issue stage
+// under every policy.
 func FuzzSMExecution(f *testing.F) {
 	f.Add([]byte{4, 8, 1, 2, 3, 0, 1, 2}, uint8(4), uint8(16))
 	f.Add([]byte{2, 0, 0}, uint8(1), uint8(8))
 	f.Add([]byte{9, 4, 4, 4, 2, 2, 1, 3, 0, 1}, uint8(12), uint8(32))
+	f.Add([]byte{0, 4, 0, 6, 1, 8, 0, 4, 5, 0, 0, 6}, uint8(15|1<<4), uint8(16))      // LRR
+	f.Add([]byte{0, 4, 0, 6, 1, 8, 0, 4, 5, 0, 0, 6}, uint8(15|2<<4|1<<6), uint8(16)) // RBA + stealing
 	f.Fuzz(func(t *testing.T, code []byte, warps, regs uint8) {
 		nw := int(warps%16) + 1
 		rpt := int(regs%48) + 8
@@ -48,8 +52,9 @@ func FuzzSMExecution(f *testing.F) {
 		}
 		p := b.MustBuild()
 
-		cfg := config.VoltaV100()
-		cfg.NumSMs = 1
+		sched := [...]config.WarpSched{config.SchedGTO, config.SchedLRR, config.SchedRBA}[int(warps>>4&3)%3]
+		cfg := lockstepCfg(t, sched)
+		cfg.BankStealing = warps>>6&1 != 0
 		run := stats.NewRun(1, cfg.SubCoresPerSM)
 		sm := NewSM(0, &cfg, mem.NewHierarchy(cfg), run)
 
@@ -88,10 +93,6 @@ func FuzzSMExecution(f *testing.F) {
 				t.Fatal("sub-core resources leaked")
 			}
 		}
-		sched := config.SchedGTO
-		if warps&16 != 0 {
-			sched = config.SchedRBA
-		}
-		wakeTwin(t, lockstepCfg(t, sched), p, nw, rpt, false)
+		wakeTwin(t, cfg, p, nw, rpt, false)
 	})
 }

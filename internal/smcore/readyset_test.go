@@ -1,6 +1,10 @@
 package smcore
 
 import (
+	"bytes"
+	"math/bits"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -61,8 +65,9 @@ func checkReadySets(t *testing.T, sm *SM, cycle int64) {
 		if want := sc.scanReadySet(); want != sc.rs {
 			t.Fatalf("cycle %d sub-core %d: maintained ready set %+v, full scan gives %+v", cycle, sc.id, sc.rs, want)
 		}
-		// The collector's busy count is the same kind of derived state: its
-		// audit recounts it (with stealing on, across Unsteal too).
+		// The collector's maintained counts — busy, the free-unit set, the
+		// per-bank normal reads — are the same kind of derived state: its
+		// audit recounts them (with stealing on, across Unsteal too).
 		if vs := sc.coll.Audit("sub"); len(vs) != 0 {
 			t.Fatalf("cycle %d sub-core %d: %v", cycle, sc.id, vs)
 		}
@@ -153,5 +158,63 @@ func TestReadySetRebuiltOnRestore(t *testing.T) {
 		}
 		a.Tick(c)
 		b.Tick(c)
+	}
+}
+
+// TestLeftoversMatchSwapRemoveList holds stealTick's reconstructed order to
+// the list the issue stage used to carry: candidates appended in ascending
+// slot order, every pick — issued or refused — removed by moving the last
+// entry into its place. For 1, 2 and 4 schedulers per sub-core and random
+// pick/fail sequences, the two must agree entry for entry.
+func TestLeftoversMatchSwapRemoveList(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, ports := range []int{1, 2, 4} {
+		for trial := 0; trial < 500; trial++ {
+			issuable := rng.Uint64() & rng.Uint64()
+			if trial%50 == 0 {
+				issuable = ^uint64(0) >> uint(rng.Intn(maxSlots)) // dense, up to all 64 slots
+			}
+			var list, spent []uint8 // list is the reference model
+			for m := issuable; m != 0; m &= m - 1 {
+				list = append(list, uint8(bits.TrailingZeros64(m)))
+			}
+			for port := 0; port < ports; port++ {
+				for len(list) > 0 {
+					pick := rng.Intn(len(list)) // any policy's choice
+					spent = append(spent, list[pick])
+					list[pick] = list[len(list)-1]
+					list = list[:len(list)-1]
+					if rng.Intn(3) == 0 {
+						break // issued: this port is done
+					}
+				}
+			}
+			var got [maxSlots]uint8
+			n := leftovers(issuable, spent, &got)
+			if !bytes.Equal(got[:n], list) {
+				t.Fatalf("%d ports, issuable %#x, spent %v: leftovers %v, the swap-remove list held %v",
+					ports, issuable, spent, got[:n], list)
+			}
+		}
+	}
+}
+
+// TestAuditCatchesStaleAge seeds the one ready-set drift no mask shows: a
+// ready slot's cached age off by one. The readyset law must name it.
+func TestAuditCatchesStaleAge(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 1
+	sm, _, _ := readySetSM(t, &cfg, 8)
+	for c := int64(0); c < 20; c++ {
+		sm.Tick(c)
+	}
+	rs := &sm.subcores[0].rs
+	if rs.ready == 0 {
+		t.Fatal("no ready warp to corrupt; move the cycle")
+	}
+	rs.age[bits.TrailingZeros64(rs.ready)]++
+	vs := sm.Audit()
+	if len(vs) != 1 || vs[0].Rule != "readyset" || !strings.Contains(vs[0].Detail, "ages") {
+		t.Fatalf("want exactly the readyset age violation, got %v", vs)
 	}
 }

@@ -46,31 +46,25 @@ func pipes(ii int64, n int) execUnit {
 	return execUnit{ii: ii, euState: euState{ports: make([]int64, n)}}
 }
 
-func (e *execUnit) ready(now int64) bool {
-	for _, p := range e.ports {
+// tryAccept starts an op on the first idle pipe and reports whether one
+// took it.
+func (e *execUnit) tryAccept(now int64) bool {
+	for i, p := range e.ports {
 		if p <= now {
+			e.ports[i] = now + e.ii
 			return true
 		}
 	}
 	return false
 }
 
-func (e *execUnit) accept(now int64) {
-	for i, p := range e.ports {
-		if p <= now {
-			e.ports[i] = now + e.ii
-			return
-		}
-	}
-	panic("smcore: accept on busy execution unit")
-}
-
 // maxSlots is the widest sub-core the masks cover (config.Validate).
-const maxSlots = 64
+const maxSlots = core.MaxSlots
 
 // readySet is a sub-core's issue-stage view of its warp slots: one bit per
-// scheduler slot in each mask, plus the head instruction's source banks
-// for the RBA score. It is derived state — a pure function of the slot
+// scheduler slot in each mask, plus what the scheduler's comparator reads
+// of a ready warp — its age, and its head instruction's source banks for
+// the RBA score. It is derived state — a pure function of the slot
 // table and the warps, recomputed one slot at a time by SubCore.reclass at
 // exactly the events that can change a warp's eligibility (issue, a
 // writeback clearing a scoreboard bit, decode refill, barrier arrival and
@@ -90,15 +84,17 @@ type readySet struct {
 	// needCU marks ready warps whose head can only issue into a free
 	// collector unit: it reads registers and holds no stolen CU.
 	needCU uint64
-	// banks caches each ready warp's head source banks.
+	// banks caches each ready warp's head source banks, age its Warp.Age:
+	// the scheduler reads these beside the ready bits, not the warp table.
 	banks [maxSlots]srcBanks
+	age   [maxSlots]int64
 }
 
-// srcBanks lists the register banks of an instruction's valid sources.
-type srcBanks struct {
-	n uint8
-	b [3]uint8
-}
+// srcBanks holds the register bank of each source operand of an
+// instruction. An unused operand slot holds the sub-core's bank count — one
+// past the last bank, whose queue length reads as zero (SubCore.qlenBuf) —
+// so a score is three loads and no branch.
+type srcBanks [3]uint16
 
 // set recomputes slot's bits from its warp (nil = the slot is empty).
 func (rs *readySet) set(slot int, w *Warp, banks int) {
@@ -111,6 +107,7 @@ func (rs *readySet) set(slot int, w *Warp, banks int) {
 	rs.decode &^= bit
 	rs.needCU &^= bit
 	rs.banks[slot] = srcBanks{}
+	rs.age[slot] = 0
 	if w == nil {
 		return
 	}
@@ -139,16 +136,18 @@ func (rs *readySet) set(slot int, w *Warp, banks int) {
 		return
 	}
 	rs.ready |= bit
+	rs.age[slot] = w.Age
 	sb := &rs.banks[slot]
-	for _, src := range in.Srcs {
+	for i, src := range in.Srcs {
+		b := banks // no operand: the always-idle bank past the last
 		if src.Valid() {
-			sb.b[sb.n] = uint8(regfile.BankWithOffset(int(w.BankOff), src, banks))
-			sb.n++
+			b = regfile.BankWithOffset(int(w.BankOff), src, banks)
 		}
+		sb[i] = uint16(b)
 	}
 	// Mirrors tryIssue: EXIT, BAR, NOP and zero-source ops bypass the
 	// collector, and a stolen pre-allocation converts in place.
-	if sb.n > 0 && !drains && in.Op != isa.OpNOP && w.StolenCU < 0 {
+	if in.HasSrc() && !drains && in.Op != isa.OpNOP && w.StolenCU < 0 {
 		rs.needCU |= bit
 	}
 }
@@ -175,9 +174,16 @@ type SubCore struct {
 	// tr is the SM's observability handle (nil = not traced, fast path).
 	tr *trace.SMT
 
-	// scratch buffers reused across cycles.
-	cands   []core.Candidate
-	qlenBuf []int
+	// Per-cycle scratch of the issue stage. qlenBuf is the arbiter tap: one
+	// entry per bank and a last one that stays zero (srcBanks); score holds
+	// each candidate's RBA score against it (RBA only). issuable is the mask
+	// the scheduler picked from and spent the slots it picked, in order —
+	// what stealTick needs to tell which candidates were left over.
+	qlenBuf  []int
+	score    [maxSlots]uint8
+	issuable uint64
+	spent    [maxSlots]uint8
+	nSpent   int
 
 	// dispatchFn is the operand-collector dispatch callback, built once
 	// at construction: allocating a fresh closure in collectorTick would
@@ -210,7 +216,7 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 		sched:   core.NewWarpScheduler(cfg.WarpScheduler),
 		coll:    regfile.NewCollector(cfg.CollectorUnitsPerSubCore, cfg.BanksPerSubCore, maxScoreDelay(cfg), st),
 		st:      st,
-		qlenBuf: make([]int, cfg.BanksPerSubCore),
+		qlenBuf: make([]int, cfg.BanksPerSubCore+1),
 	}
 	for i := range sc.slots {
 		sc.slots[i] = -1
@@ -300,11 +306,6 @@ func (sc *SubCore) reclass(slot int) {
 	sc.rs.set(slot, w, sc.cfg.BanksPerSubCore)
 }
 
-// bankOf maps one register of a warp.
-func (sc *SubCore) bankOf(w *Warp, r isa.Reg) int {
-	return regfile.BankWithOffset(int(w.BankOff), r, sc.cfg.BanksPerSubCore)
-}
-
 // collectorTick advances the operand collector: bank grants, writeback
 // grants (which clear scoreboards), and dispatch of ready collector units
 // into execution units or the LSU, bounded by the sub-core's dispatch
@@ -337,14 +338,12 @@ func (sc *SubCore) dispatch(cu *regfile.CollectorUnit, now int64) bool {
 		}
 		return true
 	}
-	u := &sc.eu[class]
-	if !u.ready(now) {
+	if !sc.eu[class].tryAccept(now) {
 		return false
 	}
-	u.accept(now)
 	if in.Dst.Valid() {
 		w := &sc.sm.warps[cu.WarpIdx]
-		sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), cu.WarpIdx, in.Dst, int8(sc.bankOf(w, in.Dst)), sc.id)
+		sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), cu.WarpIdx, in.Dst, bankOfWarpReg(sc, w, in.Dst), sc.id)
 	}
 	if sc.tr != nil {
 		sc.tr.Emit(trace.KDispatch, int8(sc.id), cu.WarpIdx, int32(in.Op), 0)
@@ -352,97 +351,71 @@ func (sc *SubCore) dispatch(cu *regfile.CollectorUnit, now int64) bool {
 	return true
 }
 
-// buildCandidates fills sc.cands with the ready warps in ascending slot
-// order (stealTick depends on that order). When every collector unit is
-// taken, ready warps whose head needs one are left out and reported as
-// blockedCU instead: tryIssue would refuse each of them the same way,
-// collector units never free during the issue stage, and the flag is only
-// read when nothing issued — i.e. after every candidate was tried.
-func (sc *SubCore) buildCandidates() (blockedCU bool) {
-	sc.cands = sc.cands[:0]
-	m := sc.rs.ready
-	if m&sc.rs.needCU != 0 && sc.coll.FreeCU() < 0 {
-		blockedCU = true
-		m &^= sc.rs.needCU
-	}
-	if m == 0 {
-		return blockedCU
-	}
-	rba := sc.cfg.WarpScheduler == config.SchedRBA
-	if rba {
-		// Snapshot the arbiter queue lengths once per cycle (the RBA
-		// score tap, optionally through the delay line).
-		delay := sc.cfg.RBAScoreLatency
-		for b := range sc.qlenBuf {
-			sc.qlenBuf[b] = sc.coll.DelayedQueueLen(b, delay)
-		}
+// scoreReady fills sc.score for the slots of m: each source operand adds
+// its bank's arbiter queue length — snapshotted once per cycle, optionally
+// through the delay line — saturating at core.MaxScore.
+func (sc *SubCore) scoreReady(m uint64) {
+	delay := sc.cfg.RBAScoreLatency
+	q := sc.qlenBuf
+	for b := range q[:len(q)-1] {
+		q[b] = sc.coll.DelayedQueueLen(b, delay)
 	}
 	for ; m != 0; m &= m - 1 {
 		slot := bits.TrailingZeros64(m)
-		c := core.Candidate{Slot: slot, Age: sc.sm.warps[sc.slots[slot]].Age}
-		if rba {
-			// Sum the (possibly delayed) queue lengths of each source
-			// operand's bank from the per-cycle snapshot.
-			sb := &sc.rs.banks[slot]
-			for _, b := range sb.b[:sb.n] {
-				c.Score += sc.qlenBuf[b]
-			}
-			if c.Score > core.MaxScore {
-				c.Score = core.MaxScore
-			}
-		}
-		sc.cands = append(sc.cands, c)
+		sb := &sc.rs.banks[slot]
+		sc.score[slot] = uint8(min(q[sb[0]]+q[sb[1]]+q[sb[2]], core.MaxScore))
 	}
-	return blockedCU
-}
-
-// warpAtSchedSlot resolves a scheduler slot back to the warp.
-func (sc *SubCore) warpAtSchedSlot(slot int) *Warp {
-	wi := sc.slots[slot]
-	if wi < 0 {
-		panic("smcore: candidate for empty slot")
-	}
-	return &sc.sm.warps[wi]
 }
 
 // issueTick runs the scheduler(s): up to SchedulersPerSubCore instructions
 // issue per cycle, each from a distinct warp, falling through to
 // lower-priority candidates when the top choice cannot issue (no free
-// collector unit, blocked pipe).
+// collector unit, blocked pipe). The scheduler picks straight from the
+// ready mask; a picked slot, issued or not, is spent for the cycle.
+//
+// When every collector unit is taken, ready warps whose head needs one are
+// masked out up front and reported as blockedCU instead: tryIssue would
+// refuse each of them the same way, collector units never free during the
+// issue stage, and the flag is only read when nothing issued — i.e. after
+// every candidate was tried.
 func (sc *SubCore) issueTick(now int64) {
-	if sc.rs.ready == 0 {
-		// No candidates: nothing to build or pick, and stealTick finds no
-		// leftovers.
-		sc.cands = sc.cands[:0]
+	m := sc.rs.ready
+	if m == 0 {
+		sc.issuable, sc.nSpent = 0, 0 // no candidates: stealTick finds no leftovers
 		sc.chargeStall(sc.idleReason(1))
 		return
 	}
-	blockedCU := sc.buildCandidates()
+	blockedCU := false
+	if m&sc.rs.needCU != 0 && sc.coll.FreeCU() < 0 {
+		blockedCU = true
+		m &^= sc.rs.needCU
+	}
+	sc.issuable, sc.nSpent = m, 0
+	if m&(m-1) != 0 && sc.cfg.WarpScheduler == config.SchedRBA {
+		sc.scoreReady(m) // two or more candidates: a lone one wins unscored
+	}
 	issued := 0
 	blockedEU := false
 	blockedMem := false
 	for port := 0; port < sc.cfg.SchedulersPerSubCore; port++ {
-		for len(sc.cands) > 0 {
-			pick := sc.sched.Pick(sc.cands)
-			if pick < 0 {
-				break
-			}
-			cand := sc.cands[pick]
-			// Remove the candidate (issue or skip, it is spent this cycle).
-			sc.cands[pick] = sc.cands[len(sc.cands)-1]
-			sc.cands = sc.cands[:len(sc.cands)-1]
-			w := sc.warpAtSchedSlot(cand.Slot)
+		for m != 0 {
+			slot := sc.sched.PickReady(m, &sc.rs.age, &sc.score)
+			m &^= 1 << uint(slot)
+			sc.spent[sc.nSpent] = uint8(slot)
+			sc.nSpent++
 			// Captured before tryIssue: an EXIT can retire the block and
 			// clear the slot before the event is emitted.
-			wIdx, op := sc.slots[cand.Slot], w.IBuf[0].Op
+			wIdx := sc.slots[slot]
+			w := &sc.sm.warps[wIdx]
+			op := w.IBuf[0].Op
 			ok, cu, euBusy, memBusy := sc.tryIssue(w, now)
 			if ok {
-				sc.sched.NotifyIssued(cand.Slot)
+				sc.sched.NotifyIssued(slot)
 				sc.st.Issued++
 				sc.sm.run.Instructions++
 				issued++
 				if sc.tr != nil {
-					sc.tr.Emit(trace.KIssue, int8(sc.id), wIdx, int32(op), int32(cand.Slot))
+					sc.tr.Emit(trace.KIssue, int8(sc.id), wIdx, int32(op), int32(slot))
 				}
 				break
 			}
@@ -596,13 +569,11 @@ func (sc *SubCore) issueDirect(w *Warp, in *isa.Instr, now int64) (ok, noCU, euB
 			return false, false, false, true
 		}
 	} else if class != isa.ClassNone {
-		u := &sc.eu[class]
-		if !u.ready(now) {
+		if !sc.eu[class].tryAccept(now) {
 			return false, false, true, false
 		}
-		u.accept(now)
 		if in.Dst.Valid() {
-			sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), sc.slotIndex(w), in.Dst, int8(sc.bankOf(w, in.Dst)), sc.id)
+			sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), sc.slotIndex(w), in.Dst, bankOfWarpReg(sc, w, in.Dst), sc.id)
 		}
 	}
 	if in.Dst.Valid() {
@@ -622,19 +593,42 @@ func (sc *SubCore) consume(w *Warp) {
 	sc.reclass(int(w.SchedSlot))
 }
 
+// leftovers lists, into out, the slots of issuable the scheduler did not
+// spend, in the order a candidate list would hold them: ascending slots,
+// each spent pick removed by moving the last entry into its place. Which
+// leftover steals is this order's first eligible one, and fig10's
+// bank-steal column is pinned to it. Returns the count.
+func leftovers(issuable uint64, spent []uint8, out *[maxSlots]uint8) int {
+	n := 0
+	for m := issuable; m != 0; m &= m - 1 {
+		out[n] = uint8(bits.TrailingZeros64(m))
+		n++
+	}
+	for _, s := range spent {
+		i := 0
+		for out[i] != s {
+			i++
+		}
+		n--
+		out[i] = out[n]
+	}
+	return n
+}
+
 // stealTick pre-allocates a free collector unit with the first leftover
-// candidate, in sc.cands order, whose instruction reads registers, so its
-// operands are fetched using otherwise-idle bank cycles — register bank
-// stealing [36]. Runs after issueTick; sc.cands holds the candidates the
-// scheduler never picked this cycle: ascending slot order, perturbed by
-// issueTick's swap-removes.
+// candidate whose instruction reads registers, so its operands are fetched
+// using otherwise-idle bank cycles — register bank stealing [36]. Runs
+// after issueTick, and is the one consumer of an ordered candidate list:
+// it materialises that order (leftovers) from issueTick's record.
 func (sc *SubCore) stealTick() {
 	cuIdx := sc.coll.FreeCU()
 	if cuIdx < 0 {
 		return
 	}
-	for _, cand := range sc.cands {
-		w := sc.warpAtSchedSlot(cand.Slot)
+	var order [maxSlots]uint8
+	n := leftovers(sc.issuable, sc.spent[:sc.nSpent], &order)
+	for _, slot := range order[:n] {
+		w := &sc.sm.warps[sc.slots[slot]]
 		if w.StolenCU >= 0 || w.IBufN == 0 {
 			continue
 		}
@@ -644,7 +638,7 @@ func (sc *SubCore) stealTick() {
 		}
 		sc.coll.Allocate(cuIdx, sc.slotIndex(w), int32(w.SchedSlot), in, int(w.BankOff), true)
 		w.StolenCU = int8(cuIdx)
-		sc.reclass(cand.Slot)
+		sc.reclass(int(slot))
 		return
 	}
 }
