@@ -332,19 +332,25 @@ func TestFastForwardUnevenSMs(t *testing.T) {
 				}
 			}
 			// The traced SM reports each slept span once, [Cycle-A, Cycle),
-			// when it ends: spans in order, none overlapping.
-			spans, end := 0, int64(0)
+			// when it ends: spans in order, none overlapping — the SM's own
+			// (Sub -1) and, on its own track, each sleeping sub-core's.
+			var spans [1 + 4]int
+			var end [1 + 4]int64
 			for _, e := range fast.Tracer().Events(0) {
 				if e.Kind != trace.KFastForward {
 					continue
 				}
-				if from := e.Cycle - int64(e.A); e.A < 1 || from < end {
-					t.Fatalf("slept span [%d,%d) overlaps the one ending at %d", from, e.Cycle, end)
+				who := 1 + e.Sub
+				if from := e.Cycle - int64(e.A); e.A < 1 || from < end[who] {
+					t.Fatalf("sub %d: slept span [%d,%d) overlaps the one ending at %d", e.Sub, from, e.Cycle, end[who])
 				}
-				spans, end = spans+1, e.Cycle
+				spans[who], end[who] = spans[who]+1, e.Cycle
 			}
-			if spans == 0 {
+			if spans[0] == 0 {
 				t.Error("the traced SM slept but emitted no KFastForward event")
+			}
+			if spans[1]+spans[2]+spans[3]+spans[4] == 0 {
+				t.Error("no sub-core of the traced SM reported a slept span")
 			}
 		})
 	}

@@ -201,16 +201,18 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 	cfgs := []config.GPU{testCfg("cfgA"), testCfg("cfgB")}
 	apps := []workloads.App{testApp("app0", 20_000), testApp("app1", 20_000)}
 	dir := t.TempDir()
-	// These cells run long enough (20k cycles each, 4 workers) that on a
-	// small or loaded machine the race detector's slowdown can starve a
-	// healthy cell past a tight forward-progress deadline; widen it so
-	// only the injected hang ever trips the watchdog.
-	wd := 50 * time.Millisecond
+	// The watchdog is a wall-clock deadline on forward progress, and these
+	// cells fsync a frame every 2048 cycles: 4 workers at 50 ms on a loaded
+	// 2-core box once starved a healthy cell past it. Two workers and 250 ms
+	// (a second under the race detector's slowdown) leave healthy cells
+	// room; the injected hang never beats, so it trips the watchdog at any
+	// interval.
+	wd := 250 * time.Millisecond
 	if raceEnabled {
 		wd = time.Second
 	}
 	opt := Options{
-		Workers:          4,
+		Workers:          2,
 		WatchdogInterval: wd,
 		SnapshotDir:      filepath.Join(dir, "snaps"),
 		SnapshotInterval: 2048,

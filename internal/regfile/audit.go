@@ -7,8 +7,8 @@ import "repro/internal/audit"
 // reads that reference it, no queued read may reference a free unit, and
 // the maintained summary — the busy count Tick's idle path and NextEvent
 // trust, the free-unit set the issue stage allocates from, the per-bank
-// normal-read counts behind the arbiter tap — must equal a recount of the
-// queues and units.
+// normal-read counts behind the arbiter tap, the ready mask dispatch picks
+// from — must equal a recount of the queues and units.
 // where prefixes violation locations (e.g. "sm0/sub1").
 func (c *Collector) Audit(where string) []audit.Violation {
 	var vs []audit.Violation
@@ -21,6 +21,10 @@ func (c *Collector) Audit(where string) []audit.Violation {
 	if want.free != c.free {
 		vs = append(vs, audit.Violationf("lease", where,
 			"free-unit set %#x but the units say %#x — the issue stage would allocate an occupied unit or never see a free one", c.free, want.free))
+	}
+	if want.ready != c.ready {
+		vs = append(vs, audit.Violationf("lease", where,
+			"ready mask %#x but the fully collected units are %#x — a unit would dispatch uncollected or never", c.ready, want.ready))
 	}
 	for b, n := range want.normal {
 		if n != c.normal[b] {

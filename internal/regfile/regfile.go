@@ -100,11 +100,8 @@ type CollectorUnit struct {
 	// Stolen marks a bank-stealing pre-allocation: its reads only use
 	// otherwise-idle bank cycles and it never blocks normal traffic.
 	Stolen bool
-	// AllocCycle records when the CU was filled (for stats/debug).
+	// AllocCycle records when the CU was filled: dispatch order.
 	AllocCycle int64
-
-	// tried marks the CU as having attempted dispatch this cycle.
-	tried bool
 }
 
 // Ready reports whether all operands are collected and the instruction
@@ -149,6 +146,8 @@ type derived struct {
 	// normal[b] counts the normal (non-stolen) reads queued at bank b: the
 	// arbiter's queue length, RBA's score input.
 	normal []int
+	// ready has bit i set while unit i is Ready: Tick's dispatch candidates.
+	ready uint64
 }
 
 // collectorState is everything about a collector that changes as it runs
@@ -162,7 +161,8 @@ type collectorState struct {
 	// writes[b] holds writeback requests for bank b, FIFO, priority.
 	writes [][]WriteReq `snap:"fixed"`
 	// qlenHist is a ring of per-bank normal-read queue lengths, one entry
-	// per cycle, supporting the RBA score-update delay study (VI-B4).
+	// per cycle of tap delay (none without a delayed tap), supporting the
+	// RBA score-update delay study (VI-B4).
 	qlenHist [][]int16 `snap:"fixed,fixed"`
 	histPos  int
 	cycle    int64
@@ -170,11 +170,11 @@ type collectorState struct {
 
 // NewCollector builds a collector with numCUs units (at most 64: the free
 // set is one mask) over numBanks banks. scoreDelay is the maximum
-// queue-length tap delay that will be requested (the history ring is sized
-// for it).
+// queue-length tap delay that will be requested: the history ring holds that
+// many cycles, so zero means no ring and nothing to keep per cycle.
 func NewCollector(numCUs, numBanks, scoreDelay int, st *stats.SubCore) *Collector {
-	if numCUs < 1 || numCUs > 64 || numBanks < 1 {
-		panic(fmt.Sprintf("regfile: invalid collector shape %d CUs, %d banks", numCUs, numBanks))
+	if numCUs < 1 || numCUs > 64 || numBanks < 1 || scoreDelay < 0 {
+		panic(fmt.Sprintf("regfile: invalid collector shape %d CUs, %d banks, score delay %d", numCUs, numBanks, scoreDelay))
 	}
 	c := &Collector{
 		collectorState: collectorState{
@@ -187,7 +187,7 @@ func NewCollector(numCUs, numBanks, scoreDelay int, st *stats.SubCore) *Collecto
 		auditWant: derived{normal: make([]int, numBanks)},
 		st:        st,
 	}
-	c.qlenHist = make([][]int16, scoreDelay+1)
+	c.qlenHist = make([][]int16, scoreDelay)
 	for i := range c.qlenHist {
 		c.qlenHist[i] = make([]int16, numBanks)
 	}
@@ -253,6 +253,9 @@ func (c *Collector) Allocate(cu int, warpIdx, schedSlot int32, in isa.Instr, ban
 		}
 		c.queues[b] = append(c.queues[b], readReq{cu: int8(cu), stolen: stolen})
 	}
+	if u.Pending == 0 {
+		c.ready |= 1 << uint(cu)
+	}
 }
 
 // Unsteal converts collector unit cu's bank-stealing pre-allocation into a
@@ -301,9 +304,8 @@ func (c *Collector) Backlogged() bool {
 // read but the LSU would not accept it, so CU exhaustion with quiet
 // banks is memory backpressure (the CPI stack's memory component).
 func (c *Collector) BlockedOnMem() bool {
-	for i := range c.cus {
-		u := &c.cus[i]
-		if u.Valid && u.Pending == 0 && !u.Stolen && u.Instr.Op.UnitOf() == isa.ClassMEM {
+	for m := c.ready; m != 0; m &= m - 1 {
+		if u := &c.cus[bits.TrailingZeros64(m)]; !u.Stolen && u.Instr.Op.UnitOf() == isa.ClassMEM {
 			return true
 		}
 	}
@@ -311,20 +313,18 @@ func (c *Collector) BlockedOnMem() bool {
 }
 
 // DelayedQueueLen returns the bank-b queue length as observed delay
-// cycles ago (0 = current). Requests older than the ring's capacity
-// saturate to the oldest recorded value.
+// cycles ago (0 = current). Delays beyond the ring's capacity saturate to
+// the oldest recorded value; with no ring every delay reads the live length.
 func (c *Collector) DelayedQueueLen(b, delay int) int {
+	delay = min(delay, len(c.qlenHist))
 	if delay <= 0 {
 		return c.QueueLen(b)
 	}
 	// The snapshot at histPos was recorded during the current cycle's
 	// Tick (before the issue stage reads it), so delay d maps to ring
-	// offset d-1. Delays beyond the ring saturate.
-	if delay > len(c.qlenHist)-1 {
-		delay = len(c.qlenHist) - 1
-	}
+	// offset d-1.
 	idx := c.histPos - (delay - 1)
-	for idx < 0 {
+	if idx < 0 {
 		idx += len(c.qlenHist)
 	}
 	return int(c.qlenHist[idx][b])
@@ -338,7 +338,7 @@ func (c *Collector) DelayedQueueLen(b, delay int) int {
 //     would otherwise idle.
 //  2. Ready collector units attempt dispatch through the dispatch
 //     callback (true = the execution unit accepted); dispatched CUs free.
-//  3. The per-bank queue-length snapshot is recorded for delayed taps.
+//  3. The per-bank queue-length snapshot is recorded for a delayed tap.
 //
 // Requests left waiting behind a granted access on the same port are
 // counted as bank conflicts.
@@ -386,6 +386,9 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 			if u.Pending < 0 {
 				panic("regfile: operand granted for an empty collector unit")
 			}
+			if u.Pending == 0 {
+				c.ready |= 1 << uint(r.cu)
+			}
 			if c.st != nil {
 				c.st.RegReads++
 				c.st.BankConflicts += int64(c.normal[b])
@@ -396,44 +399,49 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 		}
 	}
 
-	// Dispatch ready CUs, oldest allocation first (the priority logic of
-	// the baseline design). A CU whose execution unit cannot accept this
-	// cycle stays staged; younger CUs bound for other units still get
-	// their own dispatch ports.
-	for remaining := len(c.cus); remaining > 0; remaining-- {
-		best := -1
-		for i := range c.cus {
-			if c.cus[i].Ready() && !c.cus[i].tried &&
-				(best == -1 || c.cus[i].AllocCycle < c.cus[best].AllocCycle) {
+	// Dispatch collected units, oldest allocation first (the priority logic
+	// of the baseline design; the lowest unit on a tie). A unit whose
+	// execution unit cannot accept this cycle stays staged; younger units
+	// bound for other execution units still get their own dispatch ports.
+	for m := c.ready; m != 0; {
+		best := bits.TrailingZeros64(m)
+		for o := m & (m - 1); o != 0; o &= o - 1 {
+			if i := bits.TrailingZeros64(o); c.cus[i].AllocCycle < c.cus[best].AllocCycle {
 				best = i
 			}
 		}
-		if best == -1 {
-			break
-		}
-		c.cus[best].tried = true
+		m &^= 1 << uint(best)
 		if dispatch(&c.cus[best]) {
 			c.cus[best].Valid = false
 			c.free |= 1 << uint(best)
+			c.ready &^= 1 << uint(best)
 			if !c.cus[best].Stolen {
 				c.busy--
 			}
 		}
 	}
-	for i := range c.cus {
-		c.cus[i].tried = false
-	}
+	c.advance(1)
+}
 
-	// Record queue lengths for delayed RBA taps.
-	c.histPos++
-	if c.histPos == len(c.qlenHist) {
-		c.histPos = 0
+// advance moves the clock n cycles on and, when a delayed tap exists,
+// records the queue lengths — unchanged over the n cycles — in the ring.
+func (c *Collector) advance(n int64) {
+	c.cycle += n
+	ring := int64(len(c.qlenHist))
+	for i := min(n, ring); i > 0; i-- { // older slots would be overwritten anyway
+		c.histPos++
+		if c.histPos == len(c.qlenHist) {
+			c.histPos = 0
+		}
+		for b, q := range c.normal {
+			c.qlenHist[c.histPos][b] = int16(q)
+		}
 	}
-	snap := c.qlenHist[c.histPos]
-	for b := 0; b < c.banks; b++ {
-		snap[b] = int16(c.normal[b])
+	if n > ring && ring > 0 {
+		// Every slot holds the same lengths; land histPos where n
+		// single-cycle advances would have left it.
+		c.histPos = int((int64(c.histPos) + n - ring) % ring)
 	}
-	c.cycle++
 }
 
 // neverCycle is the NextEvent sentinel for "no intrinsic future event".
@@ -471,7 +479,7 @@ func popAt[T any](q []T, i int) []T {
 // derive recounts the maintained summary from collectorState into d: the
 // reference restore installs and Audit compares with.
 func (c *Collector) derive(d *derived) {
-	d.busy, d.free = 0, 0
+	d.busy, d.free, d.ready = 0, 0, 0
 	for b := 0; b < c.banks; b++ {
 		d.busy += len(c.queues[b]) + len(c.writes[b])
 		d.normal[b] = 0
@@ -482,11 +490,15 @@ func (c *Collector) derive(d *derived) {
 		}
 	}
 	for i := range c.cus {
-		switch u := &c.cus[i]; {
+		u := &c.cus[i]
+		switch {
 		case !u.Valid:
 			d.free |= 1 << uint(i)
 		case !u.Stolen:
 			d.busy++
+		}
+		if u.Ready() {
+			d.ready |= 1 << uint(i)
 		}
 	}
 }
@@ -494,27 +506,14 @@ func (c *Collector) derive(d *derived) {
 // FastForward advances the collector's clock by n quiescent cycles,
 // replaying exactly what n Ticks would have done given NextEvent
 // reported no event: no grants, no dispatches, only the cycle counter
-// and the queue-length history ring advancing (the ring feeds RBA's
-// delayed score tap, so it must stay bit-exact across a sleep). Every
-// queue is empty, so each replayed slot records zeros.
+// and — where a delayed tap exists — the queue-length history ring
+// advancing (it feeds RBA's delayed score, so it must stay bit-exact
+// across a sleep). Every queue is empty, so each replayed slot records zeros.
 func (c *Collector) FastForward(n int64) {
 	if c.busy != 0 {
 		panic("regfile: fast-forward over a collector with work queued")
 	}
-	ring := int64(len(c.qlenHist))
-	for i := min(n, ring); i > 0; i-- { // older slots would be overwritten anyway
-		c.histPos++
-		if c.histPos == len(c.qlenHist) {
-			c.histPos = 0
-		}
-		clear(c.qlenHist[c.histPos])
-	}
-	if n > ring {
-		// All slots now hold zeros; land histPos where n single-cycle
-		// advances would have left it.
-		c.histPos = int((int64(c.histPos) + n - ring) % ring)
-	}
-	c.cycle += n
+	c.advance(n)
 }
 
 // Drained reports whether no collector unit is occupied and no request is

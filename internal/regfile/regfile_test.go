@@ -1,6 +1,9 @@
 package regfile
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -283,5 +286,112 @@ func TestOneGrantPerPortProperty(t *testing.T) {
 			t.Fatalf("cycle %d granted %d writes on 2 banks", cyc, writes)
 		}
 		prevReads, prevWrites = st.RegReads, st.RegWrites
+	}
+}
+
+// TestDelayedQueueLenAnyRing defines the tap on every ring: delay d reads
+// the length recorded d-1 ticks before the last one, a delay past the ring
+// reads its oldest slot, and without a ring (scoreDelay 0: nothing was ever
+// going to ask) every delay reads the live length. The ring-less column is
+// the collector benchmark/internal/drivers builds; DelayedQueueLen(0, 1)
+// on it used to index past a one-slot ring.
+func TestDelayedQueueLenAnyRing(t *testing.T) {
+	for _, ring := range []int{0, 1, 3} {
+		c := NewCollector(6, 1, ring, nil)
+		for i := 0; i < 6; i++ {
+			c.Allocate(i, int32(i), int32(i), isa.Make1(isa.OpMOV, 4, 0), 0, false)
+		}
+		var seen []int // queue length at the end of each tick
+		for i := 0; i < 4; i++ {
+			c.Tick(func(*CollectorUnit) bool { return true })
+			seen = append(seen, c.QueueLen(0))
+		}
+		for delay := 0; delay <= 5; delay++ {
+			want := c.QueueLen(0)
+			if d := min(delay, ring); d > 0 {
+				want = seen[len(seen)-d]
+			}
+			if got := c.DelayedQueueLen(0, delay); got != want {
+				t.Errorf("ring %d, delay %d: read %d, want %d (lengths per tick %v)", ring, delay, got, want, seen)
+			}
+		}
+	}
+}
+
+// TestRingIsInert feeds a ring-less collector and a ring-carrying one the
+// same random stream — allocations (some stolen, some converted later),
+// writebacks, a dispatch port that refuses memory ops now and then, idle
+// stretches fast-forwarded — and requires them to agree on everything but
+// the delayed tap: grants, dispatch order, conflicts, queue lengths, drain.
+func TestRingIsInert(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type side struct {
+		c    *Collector
+		st   stats.SubCore
+		log  []string
+		deny bool
+	}
+	var bare, ringed side
+	bare.c = NewCollector(4, 2, 0, &bare.st)
+	ringed.c = NewCollector(4, 2, 5, &ringed.st)
+	sides := []*side{&bare, &ringed}
+	stolen := -1 // the unit holding a stolen pre-allocation, if any
+	for cyc := 0; cyc < 4000; cyc++ {
+		alloc, steal, write, deny := rng.Intn(3) > 0, rng.Intn(4) == 0, rng.Intn(3) == 0, rng.Intn(5) == 0
+		reg, convert := isa.Reg(rng.Intn(16)), rng.Intn(6) == 0
+		idle := int64(rng.Intn(40))
+		steal = steal && stolen < 0
+		nextStolen := stolen
+		for _, s := range sides {
+			c := s.c
+			if convert && stolen >= 0 {
+				c.Unsteal(stolen)
+				nextStolen = -1
+			}
+			if cu := c.FreeCU(); alloc && cu >= 0 {
+				in := isa.MakeFMA(4, reg, reg+1, reg+3)
+				if cyc%5 == 0 {
+					in = isa.MakeLoad(isa.OpLDG, 4, reg, isa.MemTrait{Pattern: isa.PatCoalesced})
+				}
+				c.Allocate(cu, int32(cyc), int32(cyc%16), in, cyc%2, steal)
+				if steal {
+					nextStolen = cu
+				}
+			}
+			if write {
+				c.EnqueueWrite(WriteReq{WarpIdx: int32(cyc), Reg: reg, Bank: int8(cyc % 2)})
+			}
+			s.deny = deny
+			c.Tick(func(u *CollectorUnit) bool {
+				if u.Stolen || s.deny && u.Instr.Op.UnitOf() == isa.ClassMEM {
+					return false
+				}
+				s.log = append(s.log, fmt.Sprintf("%d:d%d", cyc, u.WarpIdx))
+				return true
+			})
+			for _, w := range c.GrantedWrites() {
+				s.log = append(s.log, fmt.Sprintf("%d:w%d", cyc, w.WarpIdx))
+			}
+			if c.NextEvent(c.Cycle()) > c.Cycle() && idle > 0 {
+				c.FastForward(idle)
+			}
+			if vs := c.Audit("t"); len(vs) != 0 {
+				t.Fatalf("cycle %d: %v", cyc, vs)
+			}
+		}
+		stolen = nextStolen
+		a, b := bare.c, ringed.c
+		if !slices.Equal(bare.log, ringed.log) {
+			t.Fatalf("cycle %d: grant/dispatch streams diverge:\nno ring: %v\nring:    %v", cyc, bare.log, ringed.log)
+		}
+		if bare.st != ringed.st || a.Cycle() != b.Cycle() || a.Drained() != b.Drained() ||
+			a.QueueLen(0) != b.QueueLen(0) || a.QueueLen(1) != b.QueueLen(1) {
+			t.Fatalf("cycle %d: the ring changed the collector: stats %+v vs %+v, clock %d vs %d, drained %t vs %t",
+				cyc, bare.st, ringed.st, a.Cycle(), b.Cycle(), a.Drained(), b.Drained())
+		}
+		bare.log, ringed.log = bare.log[:0], ringed.log[:0]
+	}
+	if bare.st.BankConflicts == 0 || bare.st.RegReads == 0 {
+		t.Fatalf("the stream never contended: %+v", bare.st)
 	}
 }

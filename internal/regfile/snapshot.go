@@ -7,8 +7,8 @@ import (
 )
 
 // EncodeState serializes the collector's full mutable state: every staged
-// collector unit, the per-bank read and write queues, and the
-// queue-length history ring that feeds RBA's delayed score tap.
+// collector unit, the per-bank read and write queues, and — when a delayed
+// tap exists — the queue-length history ring that feeds it.
 func (c *Collector) EncodeState(e *snapshot.Encoder) { e.State(&c.collectorState) }
 
 // RestoreState decodes into a collector freshly built with the same shape
@@ -18,7 +18,7 @@ func (c *Collector) RestoreState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if c.histPos < 0 || c.histPos >= len(c.qlenHist) {
+	if c.histPos < 0 || c.histPos >= max(len(c.qlenHist), 1) {
 		return fmt.Errorf("regfile: snapshot histPos %d out of ring [0,%d)", c.histPos, len(c.qlenHist))
 	}
 	// Granted writes never outlive the cycle that granted them.

@@ -134,6 +134,7 @@ func TestAuditCatchesSeededLeaseCorruption(t *testing.T) {
 		{func(c *Collector) { c.busy-- }, "busy count"}, // the idle tick path would skip a request
 		{func(c *Collector) { c.free ^= 1 }, "free-unit set"},
 		{func(c *Collector) { c.normal[1]++ }, "normal-read count"},
+		{func(c *Collector) { c.ready ^= 1 }, "ready mask"}, // a unit would dispatch uncollected, or never
 	} {
 		c = NewCollector(2, 2, 0, nil)
 		loadCollector(c, 7)

@@ -64,7 +64,9 @@ func popcount(sb *[sbWords]uint64) int {
 //   - residency: per-block warp lifecycle counts (exited, at-barrier).
 //   - readyset: each sub-core's event-maintained ready set — masks, and the
 //     ages and source banks the scheduler reads beside them — must equal
-//     the one a full scan of its slots derives from the warps.
+//     the one a full scan of its slots derives from the warps; a sleeping
+//     sub-core must be quiescent, and no sub-core's clock may lead the SM's
+//     or, awake, lag it.
 func (sm *SM) Audit() []audit.Violation {
 	var vs []audit.Violation
 	where := fmt.Sprintf("sm%d", sm.id)
@@ -235,6 +237,17 @@ func (sm *SM) Audit() []audit.Violation {
 		if want := sm.cfg.RegFileKBPerSubCore*1024 - regUsed; want != sc.freeRegBytes {
 			vs = append(vs, audit.Violationf("regbudget", sub,
 				"freeRegBytes=%d, hosted warps imply %d", sc.freeRegBytes, want))
+		}
+		// Sleep is derived from the ready set: only a quiescent sub-core may
+		// be skipped, its clock behind the SM's; an awake one keeps step.
+		if sc.asleep && !sc.quiescent(sm.synced) {
+			vs = append(vs, audit.Violationf("readyset", sub,
+				"asleep with work to do (ready %#x, decode %#x, collector drained: %t) — Tick would skip it",
+				sc.rs.ready, sc.rs.decode, sc.coll.Drained()))
+		}
+		if c := sc.coll.Cycle(); c > sm.synced || c < sm.synced && !sc.asleep {
+			vs = append(vs, audit.Violationf("readyset", sub,
+				"clock reads cycle %d (asleep: %t), the SM's %d — cycles would be charged twice or never", c, sc.asleep, sm.synced))
 		}
 		if want := sc.scanReadySet(); want != sc.rs {
 			for _, m := range [...]struct {

@@ -28,8 +28,20 @@ import (
 // unit waiting on the 8-cycle SFU pipe while its warp is hazard-blocked,
 // so only the collector's staged-unit term keeps NextEvent honest there.
 func TestNextEventContractEveryCycle(t *testing.T) {
-	for _, sched := range []config.WarpSched{config.SchedGTO, config.SchedRBA} {
-		t.Run(sched.String(), func(t *testing.T) {
+	for _, sc := range []struct {
+		name    string
+		sched   config.WarpSched
+		latency int
+	}{
+		{"GTO", config.SchedGTO, 0},
+		{"RBA", config.SchedRBA, 0},
+		// Only a delayed score tap gives the collectors a queue-length ring,
+		// and a sleep must land it where the skipped ticks would have.
+		{"RBA-lat5", config.SchedRBA, 5},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := lockstepCfg(t, sc.sched)
+			cfg.RBAScoreLatency = sc.latency
 			for _, tc := range []struct {
 				name  string
 				prog  *program.Program
@@ -37,7 +49,7 @@ func TestNextEventContractEveryCycle(t *testing.T) {
 			}{{"mem-mix", memMixProg(6), 8}, {"sfu-chain", sfuChainProg(20), 1}} {
 				t.Run(tc.name, func(t *testing.T) {
 					for _, eachCycle := range []bool{true, false} {
-						if wakeTwin(t, lockstepCfg(t, sched), tc.prog, tc.warps, 16, eachCycle) == 0 {
+						if wakeTwin(t, cfg, tc.prog, tc.warps, 16, eachCycle) == 0 {
 							t.Fatal("the wake-driven SM never slept; the workload no longer exercises the contract")
 						}
 					}
@@ -73,31 +85,60 @@ func lockstepCfg(t testing.TB, sched config.WarpSched) config.GPU {
 	return cfg
 }
 
+// twin is one side of a twin-SM comparison: an SM with one block placed,
+// its hierarchy and its statistics.
+type twin struct {
+	*SM
+	hier *mem.Hierarchy
+	run  *stats.Run
+}
+
+func newTwin(t testing.TB, cfg config.GPU, spec *BlockSpec) twin {
+	run := stats.NewRun(1, cfg.SubCoresPerSM)
+	hier := mem.NewHierarchy(cfg)
+	sm := NewSM(0, &cfg, hier, run)
+	if err := sm.Allocate(spec); err != nil {
+		t.Fatal(err)
+	}
+	return twin{sm, hier, run}
+}
+
+// sameState syncs both twins to cycle c (sleeping sub-cores lag even when
+// their SM does not) and reports whether their machine state is equal.
+func sameState(t testing.TB, a, b twin, c int64) bool {
+	a.Sync(c)
+	b.Sync(c)
+	return bytes.Equal(snapSMState(t, a.SM, a.hier), snapSMState(t, b.SM, b.hier))
+}
+
+// sameStats reports whether the twins' statistics are equal, and both.
+func sameStats(t testing.TB, a, b twin) (bool, []byte, []byte) {
+	ja, err := json.Marshal(a.run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b.run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb), ja, jb
+}
+
 // wakeTwin runs one block of warps × prog on two SMs — B ticked every
 // cycle, A only at its wake cycles — and fails on the first difference in
 // encoded state (after each slept cycle when eachCycle, else after each
-// slept span) or in the drained statistics. It returns how many cycles A
-// slept.
+// slept span) or in the drained statistics. B is built with NoFastForward,
+// so none of its sub-cores ever sleeps either: the reference shares neither
+// level of the mechanism it checks. It returns how many cycles A slept.
 func wakeTwin(t testing.TB, cfg config.GPU, prog *program.Program, warps, regs int, eachCycle bool) int {
 	progs := make([]*program.Program, warps)
 	for i := range progs {
 		progs[i] = prog
 	}
-	build := func() (*SM, *mem.Hierarchy, *stats.Run) {
-		run := stats.NewRun(1, cfg.SubCoresPerSM)
-		hier := mem.NewHierarchy(cfg)
-		sm := NewSM(0, &cfg, hier, run)
-		if err := sm.Allocate(specOf(progs, regs, 4096)); err != nil {
-			t.Fatal(err)
-		}
-		return sm, hier, run
-	}
-	a, hierA, runA := build()
-	b, hierB, runB := build()
-	// same syncs A to cycle c and requires the twins' machine state equal.
+	a := newTwin(t, cfg, specOf(progs, regs, 4096))
+	b := newTwin(t, cfg.WithNoFastForward(), specOf(progs, regs, 4096))
 	same := func(c int64) {
-		a.Sync(c)
-		if !bytes.Equal(snapSMState(t, a, hierA), snapSMState(t, b, hierB)) {
+		if !sameState(t, a, b, c) {
 			t.Fatalf("cycle %d: the SM slept on NextEvent's word, but ticking those cycles changed machine state", c)
 		}
 	}
@@ -126,15 +167,7 @@ func wakeTwin(t testing.TB, cfg config.GPU, prog *program.Program, warps, regs i
 	if !a.Drained() {
 		t.Fatal("ticked SM drained but the wake-driven one did not")
 	}
-	ja, err := json.Marshal(runA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(runB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja, jb) {
+	if ok, ja, jb := sameStats(t, a, b); !ok {
 		t.Fatalf("statistics diverged after %d slept cycles:\nwake-driven: %s\nticked:      %s", slept, ja, jb)
 	}
 	return slept

@@ -259,11 +259,14 @@ func (sm *SM) CanAccept(b *BlockSpec) bool {
 // in hardware is constructed so this cannot happen for balanced shapes).
 // Call only after CanAccept, and on an SM that may have slept only after
 // Sync: the slept cycles are charged against the residency they ran under.
-// The SM is awake from the cycle it is synced to. Runs once per placed
-// block, not per cycle.
+// The SM, and every sub-core of it, is awake from the cycle it is synced to.
+// Runs once per placed block, not per cycle.
 func (sm *SM) Allocate(b *BlockSpec) error {
 	if !sm.CanAccept(b) {
 		return fmt.Errorf("smcore: SM %d cannot accept block %d", sm.id, b.KernelBlockID)
+	}
+	for _, sc := range sm.subcores {
+		sc.wake(sm.synced)
 	}
 	blkSlot := -1
 	for i := range sm.blocks {
@@ -340,36 +343,56 @@ func (sm *SM) scheduleWriteback(cycle int64, warpIdx int32, reg isa.Reg, bank in
 
 // warpExited handles an EXIT issue: the warp stops fetching but keeps its
 // slot and registers until the whole block retires.
-func (sm *SM) warpExited(w *Warp) {
+func (sm *SM) warpExited(w *Warp, now int64) {
 	sm.setState(w, WarpFinished)
 	sm.liveWarps--
 	blk := &sm.blocks[w.BlockSlot]
 	blk.warpsExited++
-	sm.checkBarrierRelease(blk)
+	sm.checkBarrierRelease(blk, w, now)
 	if blk.warpsExited == blk.warpsTotal {
+		sm.wakeSleepers(w, now)
 		sm.retireBlock(blk)
 	}
 }
 
 // warpAtBarrier handles a BAR issue.
-func (sm *SM) warpAtBarrier(w *Warp) {
+func (sm *SM) warpAtBarrier(w *Warp, now int64) {
 	sm.setState(w, WarpAtBarrier)
 	blk := &sm.blocks[w.BlockSlot]
 	blk.barrierWaiting++
-	sm.checkBarrierRelease(blk)
+	sm.checkBarrierRelease(blk, w, now)
 }
 
 // checkBarrierRelease opens the barrier once every non-exited warp of the
-// block has arrived (exited warps no longer participate).
-func (sm *SM) checkBarrierRelease(blk *block) {
+// block has arrived (exited warps no longer participate); w just did.
+func (sm *SM) checkBarrierRelease(blk *block, w *Warp, now int64) {
 	alive := blk.warpsTotal - blk.warpsExited
 	if blk.barrierWaiting == 0 || blk.barrierWaiting < alive {
 		return
 	}
+	sm.wakeSleepers(w, now)
 	blk.barrierWaiting = 0
 	for _, wi := range blk.warpIdxs {
 		if w := &sm.warps[wi]; w.State == WarpAtBarrier {
 			sm.setState(w, WarpActive)
+		}
+	}
+}
+
+// wakeSleepers wakes every sleeping sub-core mid-cycle, before warp w's issue
+// at cycle now reaches into other sub-cores (barrier release and block
+// retirement reclass their slots and change residentWarps). A sleeper is
+// charged, under the state it slept in, its span, this cycle's collector
+// stage and — if its turn to issue is already past — this cycle's stall.
+func (sm *SM) wakeSleepers(w *Warp, now int64) {
+	for _, sc := range sm.subcores {
+		if !sc.asleep {
+			continue
+		}
+		sc.wake(now)
+		sc.coll.FastForward(1)
+		if sc.id < int(w.SubCore) {
+			sc.chargeStall(sc.idleReason(1))
 		}
 	}
 }
@@ -404,15 +427,22 @@ func (sm *SM) retireBlock(blk *block) {
 }
 
 // Tick runs cycle now, first charging any cycles [synced, now) the caller
-// left unticked (Sync). A caller that ticks every cycle and one that ticks
-// only at Wake leave identical state. Stages run back-to-front so results
-// produced this cycle are visible no earlier than the next.
+// left unticked. A caller that ticks every cycle and one that ticks only at
+// Wake leave identical state. Stages run back-to-front so results produced
+// this cycle are visible no earlier than the next, and skip a sleeping
+// sub-core until a writeback, Allocate or wakeSleepers wakes it.
 func (sm *SM) Tick(now int64) {
-	sm.Sync(now)
+	if now > sm.synced {
+		sm.sync(now, false)
+	}
 	// 1. Writeback events whose time has come enter the bank write ports.
 	for len(sm.wb) > 0 && sm.wb[0].cycle <= now {
 		e := sm.wb.pop()
-		sm.subcores[e.subCore].coll.EnqueueWrite(regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: e.bank})
+		sc := sm.subcores[e.subCore]
+		if sc.asleep {
+			sc.wake(now)
+		}
+		sc.coll.EnqueueWrite(regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: e.bank})
 		if sm.tr != nil {
 			sm.tr.Emit(trace.KWriteback, e.subCore, e.warpIdx, int32(e.reg), int32(e.bank))
 		}
@@ -421,47 +451,57 @@ func (sm *SM) Tick(now int64) {
 	sm.lsu.tick(now)
 	// 3. Operand collection, dispatch, and write-port grants.
 	for _, sc := range sm.subcores {
-		sc.collectorTick(now)
+		if !sc.asleep {
+			sc.collectorTick(now)
+		}
 	}
 	// 4. Issue.
 	for _, sc := range sm.subcores {
+		if sc.asleep {
+			continue
+		}
 		sc.issueTick(now)
 		if sm.cfg.BankStealing {
 			sc.stealTick()
 		}
 	}
-	// 5. Decode/fetch.
+	// 5. Decode/fetch, the active-cycle count, and sleep for the quiescent.
 	for _, sc := range sm.subcores {
+		if sc.asleep {
+			continue
+		}
 		sc.decodeTick()
-	}
-	// Account active cycles.
-	if sm.residentWarps > 0 {
-		for _, sc := range sm.subcores {
+		if sm.residentWarps > 0 {
 			sc.st.Cycles++
 		}
+		sc.rest(now)
 	}
 	sm.synced = now + 1
 	sm.wake = sm.NextEvent(sm.synced)
 }
 
-// Sync charges the unticked cycles [synced, now) in bulk: the exact
-// counters that many Ticks would have accumulated, given the caller ticked
-// at every Wake. Stall attribution per sub-core replays issueTick's
-// no-candidate decision; active-cycle counts, collector clocks and RBA
-// queue-length rings advance bit-exactly. Everything that reads those
-// counters or encodes the SM calls it first. Emits one KFastForward event
-// covering the span when the SM is traced.
-func (sm *SM) Sync(now int64) {
-	n := now - sm.synced
-	if n <= 0 {
-		return
-	}
+// Sync charges the unticked cycles up to now in bulk — the SM's [synced,
+// now), a sleeping sub-core's longer span — with the exact counters that
+// many Ticks would have accumulated, given the caller ticked at every Wake.
+// Stall attribution per sub-core replays issueTick's no-candidate decision;
+// active-cycle counts, collector clocks and RBA queue-length rings advance
+// bit-exactly. Everything that reads those counters or encodes the SM calls
+// it first. Emits one KFastForward event covering the SM's span when the SM
+// is traced.
+func (sm *SM) Sync(now int64) { sm.sync(now, true) }
+
+// sync is Sync; Tick's (sleepers false) leaves sleeping sub-cores behind.
+func (sm *SM) sync(now int64, sleepers bool) {
 	for _, sc := range sm.subcores {
-		sc.fastForward(n)
+		if sleepers || !sc.asleep {
+			sc.fastForward(now)
+		}
 	}
-	sm.synced = now
-	if sm.tr != nil {
-		sm.tr.Emit(trace.KFastForward, -1, -1, int32(n), 0)
+	if n := now - sm.synced; n > 0 {
+		sm.synced = now
+		if sm.tr != nil {
+			sm.tr.Emit(trace.KFastForward, -1, -1, int32(n), 0)
+		}
 	}
 }
 
@@ -506,7 +546,7 @@ func (sm *SM) NextEvent(now int64) int64 {
 		}
 	}
 	for _, sc := range sm.subcores {
-		if !sc.quiescent(now) {
+		if !sc.asleep && !sc.quiescent(now) {
 			return now
 		}
 	}

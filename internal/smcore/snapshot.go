@@ -107,6 +107,12 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			}
 			sc.reclass(slot)
 		}
+		// So is sleep; and a frame is written from a synced SM, so no
+		// sub-core's clock lags another's.
+		sc.rest(sc.coll.Cycle())
+		if c0, c := sm.subcores[0].coll.Cycle(), sc.coll.Cycle(); c != c0 {
+			return fmt.Errorf("smcore: snapshot sub-core %d's clock reads cycle %d, sub-core 0's %d", sc.id, c, c0)
+		}
 	}
 	// The SM's clock is derived too: the collectors carry it, and a frame
 	// is written from a synced SM.

@@ -165,6 +165,11 @@ type SubCore struct {
 	// rs is the event-maintained ready set over slots.
 	rs readySet
 
+	// asleep takes the sub-core out of SM.Tick's loops from a tick it ends
+	// quiescent (rest) until a wake; its collector's clock shows how long.
+	// Derived: asleep implies quiescent.
+	asleep bool
+
 	sched core.WarpScheduler
 	coll  *regfile.Collector
 	eu    [isa.NumClasses]execUnit
@@ -214,7 +219,7 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 			freeRegBytes: cfg.RegFileKBPerSubCore * 1024,
 		},
 		sched:   core.NewWarpScheduler(cfg.WarpScheduler),
-		coll:    regfile.NewCollector(cfg.CollectorUnitsPerSubCore, cfg.BanksPerSubCore, maxScoreDelay(cfg), st),
+		coll:    regfile.NewCollector(cfg.CollectorUnitsPerSubCore, cfg.BanksPerSubCore, cfg.RBAScoreLatency, st),
 		st:      st,
 		qlenBuf: make([]int, cfg.BanksPerSubCore+1),
 	}
@@ -248,13 +253,6 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 		return true
 	}
 	return sc
-}
-
-func maxScoreDelay(cfg *config.GPU) int {
-	if cfg.RBAScoreLatency > 0 {
-		return cfg.RBAScoreLatency
-	}
-	return 1
 }
 
 // regBytesPerWarp returns the register-file bytes a warp of the given
@@ -496,21 +494,40 @@ func (sc *SubCore) quiescent(now int64) bool {
 	return sc.rs.ready == 0 && sc.rs.decode == 0 && sc.coll.NextEvent(now) > now
 }
 
-// fastForward replays what n quiescent cycles of SM.Tick would have
-// charged this sub-core: the no-candidate stall attribution, n times, the
-// active-cycle count, and the collector's clock and queue-length ring. A
-// ready warp here means the caller's NextEvent contract was violated,
-// which is a simulator bug worth dying loudly for (the differential test
-// would otherwise just report drift).
-func (sc *SubCore) fastForward(n int64) {
+// fastForward charges the quiescent cycles [the collector's clock, now) this
+// sub-core was not ticked with what SM.Tick would have: the no-candidate
+// stall attribution, the active-cycle count, and the collector's clock and
+// queue-length ring. A ready warp here means the NextEvent or wake contract
+// was violated, which is a simulator bug worth dying loudly for (the
+// differential test would otherwise just report drift).
+func (sc *SubCore) fastForward(now int64) {
+	n := now - sc.coll.Cycle()
+	if n <= 0 {
+		return
+	}
 	if sc.rs.ready != 0 {
 		panic("smcore: fast-forward over a sub-core with issuable candidates")
 	}
-	sc.st.StallCycles[sc.idleReason(n)] += n
+	reason := sc.idleReason(n)
+	sc.st.StallCycles[reason] += n
 	if sc.sm.residentWarps > 0 {
 		sc.st.Cycles += n
 	}
 	sc.coll.FastForward(n)
+	if sc.tr != nil && sc.asleep {
+		sc.tr.Emit(trace.KFastForward, int8(sc.id), -1, int32(n), int32(reason))
+	}
+}
+
+// wake brings the sub-core's clock to now and puts it back in Tick's loops.
+func (sc *SubCore) wake(now int64) {
+	sc.fastForward(now)
+	sc.asleep = false
+}
+
+// rest lets a quiescent sub-core sleep — never under NoFastForward.
+func (sc *SubCore) rest(now int64) {
+	sc.asleep = !sc.cfg.NoFastForward && sc.quiescent(now)
 }
 
 // tryIssue attempts to issue warp w's IBuf[0]. Returns ok, plus which
@@ -522,11 +539,11 @@ func (sc *SubCore) tryIssue(w *Warp, now int64) (ok, noCU, euBusy, memBusy bool)
 	switch {
 	case in.Op.IsExit():
 		sc.consume(w)
-		sc.sm.warpExited(w)
+		sc.sm.warpExited(w, now)
 		return true, false, false, false
 	case in.Op.IsBarrier():
 		sc.consume(w)
-		sc.sm.warpAtBarrier(w)
+		sc.sm.warpAtBarrier(w, now)
 		return true, false, false, false
 	case in.Op == isa.OpNOP:
 		sc.consume(w)

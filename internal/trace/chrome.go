@@ -134,11 +134,16 @@ func writeChromeEvent(cw *chromeWriter, e *Event, banks int) {
 			e.A, ts, pid, tidBlocks)
 	case KFastForward:
 		// One span covering the whole slept stretch, which ends at the
-		// event's cycle, on the blocks track (an SM-level event): in
-		// Perfetto the gaps between activity read as explicit
-		// "fast-forward" slices instead of silence.
-		cw.eventf(`{"name":"fast-forward","cat":"ff","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"cycles":%d}}`,
-			ts-int64(e.A), maxI32(e.A, 1), pid, tidBlocks, e.A)
+		// event's cycle: in Perfetto the gaps between activity read as
+		// explicit slices instead of silence. The SM's span goes on the
+		// blocks track; a sub-core's on its own, named for the stall bucket
+		// the per-cycle stall slices it replaces would have carried.
+		tid, name := tidBlocks, "fast-forward"
+		if e.Sub >= 0 {
+			tid, name = int(e.Sub), "asleep:"+stats.StallReason(e.B).String()
+		}
+		cw.eventf(`{"name":%q,"cat":"ff","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"cycles":%d}}`,
+			name, ts-int64(e.A), maxI32(e.A, 1), pid, tid, e.A)
 	default:
 		cw.eventf(`{"name":%q,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{"a":%d,"b":%d,"warp":%d}}`,
 			e.Kind.String(), ts, pid, e.Sub, e.A, e.B, e.Warp)

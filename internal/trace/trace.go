@@ -73,7 +73,10 @@ const (
 	// woke or was synced at (a heartbeat, a block placement, the end of the
 	// launch), so the span is [Cycle-A, Cycle). One event per traced SM per
 	// slept span replaces the per-cycle KStall stream an always-ticked SM
-	// would have emitted over it.
+	// would have emitted over it. With Sub ≥ 0 the sleeper is that sub-core,
+	// skipped inside an SM that kept ticking (or slept less long): one event
+	// per span it was not ticked, B = the stats.StallReason every cycle of
+	// the span was charged to.
 	KFastForward
 
 	NumKinds
