@@ -63,7 +63,7 @@ func registerCfgFlags(fs *flag.FlagSet) *cfgFlags {
 		rbaLat:  fs.Int("rba-latency", 0, "RBA score-update latency in cycles"),
 		cfgFile: fs.String("config-file", "", "JSON file of configuration overrides (base: VoltaV100)"),
 		noFF:    fs.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)"),
-		auditEv: fs.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the run as a structured audit fault (0 = off)"),
+		auditEv: fs.Int64("audit", 0, "run the runtime invariant auditor on the first heartbeat and then every N cycles of work (one is every sub-core of the device awake for a cycle); violations fault the run as a structured audit fault (0 = off)"),
 	}
 }
 
@@ -149,7 +149,7 @@ func main() {
 		maxCyc   = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 		metAddr  = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
 		snapDir  = flag.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory; a run whose frame is already there resumes from it, with byte-identical results")
-		snapEvr  = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in ticked device cycles: simulated cycles less those the whole device slept through (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
+		snapEvr  = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in cycles of work: one is every sub-core of the device awake for a cycle, so sleeping sub-cores and slept cycles do not count (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
 	)
 	flag.Parse()
 

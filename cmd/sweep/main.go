@@ -28,7 +28,7 @@
 // always on a graceful shutdown signal — and a restart on the same
 // directory continues those cells mid-kernel with byte-identical final
 // statistics (docs/ROBUSTNESS.md). -audit N arms the runtime
-// invariant auditor every N cycles; a corrupted simulation dies as a
+// invariant auditor every N cycles of work; a corrupted simulation dies as a
 // structured audit fault instead of producing silently wrong numbers.
 //
 // With -metrics-addr the sweep serves live telemetry over HTTP for its
@@ -70,8 +70,8 @@ func main() {
 		metricsAt = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
 		noFF      = flag.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)")
 		snapDir   = flag.String("snapshot-dir", "", "persist per-cell mid-kernel device snapshots to this directory; cells whose frame is already there resume from it, with results byte-identical to uninterrupted runs")
-		snapEvery = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in ticked device cycles: simulated cycles less those the whole device slept through (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
-		auditEv   = flag.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the cell as a structured audit fault (0 = off)")
+		snapEvery = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in cycles of work: one is every sub-core of the device awake for a cycle, so sleeping sub-cores and slept cycles do not count (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
+		auditEv   = flag.Int64("audit", 0, "run the runtime invariant auditor on the first heartbeat and then every N cycles of work (one is every sub-core of the device awake for a cycle); violations fault the cell as a structured audit fault (0 = off)")
 	)
 	flag.Parse()
 

@@ -176,12 +176,17 @@ type GPU struct {
 	// run loop re-derives the device's conservation laws — scoreboard vs
 	// in-flight writers, collector leases vs bank reservations, MSHR
 	// bookkeeping, occupancy and register/scratchpad budgets, the CPI
-	// stack — at least every AuditEvery cycles, surfacing any violation as
-	// a structured *gpu.AuditError instead of silent state corruption.
-	// Audits run at heartbeat boundaries, so the effective cadence is
-	// AuditEvery rounded up to the next heartbeat (1024 cycles). 0
-	// disables auditing (the production fast path). Auditing never mutates
-	// state: results are byte-identical on or off.
+	// stack — on the device's first heartbeat and then every AuditEvery
+	// cycles of work, surfacing any violation as a structured
+	// *gpu.AuditError instead of silent state corruption. A cycle of work
+	// (gpu.WorkCycles) is one cycle of every sub-core awake: a device cycle
+	// when nothing sleeps, a sixteenth of one when one sub-core of sixteen
+	// ran, nothing while the device sleeps — so an audit is paced by what the
+	// simulation costs the host, and a state nothing touched is not audited
+	// twice. Audits run at heartbeat boundaries (every 1024 device cycles),
+	// so the cadence rounds up to the next one. 0 disables auditing (the
+	// production fast path). Auditing never mutates state: results are
+	// byte-identical on or off.
 	AuditEvery int64
 
 	// NoFastForward disables the run loop's idle-cycle fast-forward: the
@@ -369,9 +374,9 @@ func (g GPU) WithNoFastForward() GPU {
 }
 
 // WithAudit returns a copy with the runtime invariant auditor armed at
-// the given cycle cadence (rounded up to heartbeat granularity at run
-// time). The Name is deliberately untouched: auditing observes the same
-// machine without perturbing it.
+// the given cadence in cycles of work (AuditEvery; rounded up to heartbeat
+// granularity at run time). The Name is deliberately untouched: auditing
+// observes the same machine without perturbing it.
 func (g GPU) WithAudit(everyCycles int64) GPU {
 	g.AuditEvery = everyCycles
 	return g

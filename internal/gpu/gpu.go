@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/smcore"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -99,14 +100,16 @@ type GPU struct {
 	mon    *Monitor
 	met    *devMetrics
 
-	// auditEvery/auditNext drive the runtime invariant auditor
-	// (config.AuditEvery; audit.go). snapFn is the harness's snapshot
-	// hook; curLaunch exposes the active launch to WriteSnapshot; pending
-	// carries a restored mid-kernel launch until ContinueKernels picks it
-	// up (snapshot.go). corruptKind arms a test-only heartbeat corruption.
+	// auditEvery/auditNext drive the runtime invariant auditor, in
+	// WorkCycles (config.AuditEvery; audit.go). snapFn is the harness's
+	// snapshot hook and enc WriteSnapshot's encoder; curLaunch exposes the
+	// active launch to WriteSnapshot; pending carries a restored mid-kernel
+	// launch until ContinueKernels picks it up (snapshot.go). corruptKind
+	// arms a test-only heartbeat corruption.
 	auditEvery  int64
 	auditNext   int64
 	snapFn      func(*GPU) error
+	enc         snapshot.Encoder
 	curLaunch   *launch
 	pending     *resumedLaunch
 	corruptKind string
@@ -542,8 +545,8 @@ func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
 		if g.corruptKind != "" {
 			g.applyCorruption()
 		}
-		if g.auditEvery > 0 && g.cycle >= g.auditNext {
-			g.auditNext = g.cycle + g.auditEvery
+		if g.auditEvery > 0 && g.WorkCycles() >= g.auditNext {
+			g.auditNext = g.WorkCycles() + g.auditEvery
 			if vs := g.AuditCheck(); len(vs) > 0 {
 				ls.err = &AuditError{Cycle: g.cycle, Violations: vs}
 				return stopFault, true
@@ -571,6 +574,19 @@ func (g *GPU) syncSMs() {
 	for _, sm := range g.sms {
 		sm.Sync(g.cycle)
 	}
+}
+
+// WorkCycles is the clock the guard is paced by (config.AuditEvery, the
+// harness's frames): the sub-core cycles the SMs ran awake over the device's
+// sub-core count — ticked cycles when nothing sleeps, a sixteenth of one
+// when one sub-core of sixteen ran. What the host paid for, unlike a device
+// cycle; counted from zero by every device, restored ones included.
+func (g *GPU) WorkCycles() int64 {
+	var n int64
+	for _, sm := range g.sms {
+		n += sm.Work()
+	}
+	return n / int64(len(g.sms)*g.cfg.SubCoresPerSM)
 }
 
 // FastForwardedCycles returns how many device cycles passed with no SM

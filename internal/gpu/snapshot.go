@@ -30,7 +30,8 @@ func (g *GPU) Cycle() int64 { return g.cycle }
 // frame is deterministic: equal states serialize to equal bytes.
 func (g *GPU) WriteSnapshot(w io.Writer) error {
 	g.syncSMs()
-	e := snapshot.NewEncoder()
+	e := &g.enc // one per device: only its first frame grows the buffer
+	e.Reset()
 	cfgJSON, err := json.Marshal(g.cfg)
 	if err != nil {
 		return fmt.Errorf("gpu: snapshot config: %w", err)

@@ -2,13 +2,16 @@ package gpu
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/snapshot"
 )
 
 // snapApp is a three-kernel application exercising every state family a
@@ -302,6 +305,101 @@ func TestAuditedRunIsCleanAndUnperturbed(t *testing.T) {
 		if !bytes.Equal(runJSON(t, plain), runJSON(t, audited)) {
 			t.Fatalf("%s: arming the auditor changed the simulation results", cfg.Name)
 		}
+	}
+}
+
+// TestFrameBytesUnchanged pins the frame format across the encode diet (one
+// Encoder per device reused across frames, the container built around the
+// payload in place): a fixed mid-kernel state and the drained device must
+// hash to what the parent commit's encoder — a fresh buffer per frame, the
+// container assembled by snapshot.Frame's copy — wrote for them, a second
+// frame from the same, now used, Encoder must be the same bytes, and the
+// container must still be snapshot.Frame's. Re-pin the hashes with any change
+// that moves snapshot.Version or the stats/config JSON a frame carries.
+func TestFrameBytesUnchanged(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 4
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mid, again []byte
+	g.SetSnapshotHook(func(g *GPU) error {
+		if mid == nil && g.Cycle() >= 4096 {
+			mid, again = frameOf(t, g), frameOf(t, g)
+		}
+		return nil
+	})
+	if err := g.RunKernels(snapApp(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mid, again) {
+		t.Error("the same state encoded twice through one Encoder gave different frames")
+	}
+	for _, tc := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"mid-kernel", "eff787e9c874e2624fc6bc047716b0eaacbee0b38b58499746c3549f6f9828e3", mid},
+		{"drained", "ea62874ec7f1218cd5d0475ea2266c5ad7f09420ca4e2c3ad3849ff48f6f4b00", frameOf(t, g)},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(tc.frame)); got != tc.want {
+			t.Errorf("%s frame (%d bytes) hashes to %s, the parent's to %s", tc.name, len(tc.frame), got, tc.want)
+		}
+		payload, err := snapshot.Payload(tc.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapshot.Frame(payload), tc.frame) {
+			t.Errorf("%s: the in-place container differs from snapshot.Frame's", tc.name)
+		}
+	}
+}
+
+// TestAuditPacedByWork: the auditor runs on the first heartbeat and then once
+// per AuditEvery cycles of *work* (WorkCycles), not of device time. The launch
+// is idle_latency's shape — two three-warp dependent-load blocks on four SMs,
+// so at most six of sixteen sub-cores are ever awake and all of them sleep on
+// DRAM most of the time — where a device-cycle cadence audits, dozens of
+// times over, a state almost nothing has touched. An audit is seen from the
+// snapshot hook, which runs right after it: auditNext moved.
+func TestAuditPacedByWork(t *testing.T) {
+	const every = 4096
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 4
+	chain := memLatencyProgram(9000)
+	k := &Kernel{Name: "chains", Blocks: 2, WarpsPerBlock: 3, RegsPerThread: 16,
+		WarpProgram: func(b, w int) *program.Program { return chain }}
+	g, err := New(cfg.WithAudit(every))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var audits, heartbeats, lastNext, firstAudit int64
+	g.SetSnapshotHook(func(g *GPU) error {
+		heartbeats++
+		if g.auditNext != lastNext {
+			if lastNext = g.auditNext; audits == 0 {
+				firstAudit = heartbeats
+			}
+			audits++
+		}
+		return nil
+	})
+	if err := g.RunKernel(k, 0); err != nil {
+		t.Fatal(err)
+	}
+	work, cycles := g.WorkCycles(), g.Cycle()
+	if firstAudit != 1 {
+		t.Errorf("first audit on heartbeat %d, want the first", firstAudit)
+	}
+	// A heartbeat spans at most monitorPeriod cycles of work, so successive
+	// audits lie between every and every+monitorPeriod apart on that clock.
+	if lo, hi := 1+work/(every+monitorPeriod), 1+work/every; audits < lo || audits > hi {
+		t.Errorf("%d audits over %d cycles of work, want %d..%d", audits, work, lo, hi)
+	}
+	if work < 2*every || audits*8 > cycles/every {
+		t.Errorf("%d audits, %d cycles of work, %d device cycles: the launch should cost several audits and a small fraction of one per %d device cycles",
+			audits, work, cycles, every)
 	}
 }
 

@@ -75,7 +75,7 @@ type Options struct {
 	DiagDir string
 	// SnapshotDir arms mid-kernel state snapshots (snapshot.go): each
 	// cell persists its full device state to <dir>/<app>__<config>.snap
-	// every SnapshotInterval ticked cycles, plus a final frame when the
+	// every SnapshotInterval cycles of work, plus a final frame when the
 	// cell is canceled (SIGTERM, watchdog, timeout). A cell that finds its
 	// frame there resumes from it mid-kernel with byte-identical final
 	// statistics; a frame that fails to restore (version, config, or
@@ -83,8 +83,9 @@ type Options struct {
 	// ("" = no snapshots).
 	SnapshotDir string
 	// SnapshotInterval is the period between periodic snapshots, counted in
-	// ticked device cycles — simulated cycles less the ones the whole
-	// device slept through, which cost the host almost nothing — and
+	// cycles of work (gpu.WorkCycles: one is every sub-core of the device
+	// awake for a cycle, so a stretch most of the device sleeps through,
+	// which costs the host almost nothing, counts for almost nothing) and
 	// rounded up to the device heartbeat. The cell's first heartbeat always
 	// writes a frame; 0 = only the final cancellation frame is written.
 	SnapshotInterval int64
@@ -434,6 +435,7 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 	// A frame that does not restore is discarded — Restore may have
 	// half-mutated the device, so the fresh path rebuilds it.
 	snap := newCellSnapshotter(opt, app.Name, cfgName, mon)
+	defer snap.settle() // no way out of the cell leaves a frame half-written
 	resumed := false
 	if snap != nil {
 		ok, rerr := snap.tryResume(g, app.Kernels)

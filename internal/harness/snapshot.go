@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,10 +20,12 @@ import (
 // uninterrupted run (gpu's TestSnapshotResumeInert), so resuming never
 // perturbs a study's numbers.
 //
-// Frames are written atomically (temp file + rename), so a kill -9 in
+// Frames are written atomically (temp file + fsync + rename), so a kill -9 in
 // the middle of a snapshot write leaves the previous intact frame, never
-// a torn one. A cell that completes deletes its frame; a frame whose
-// restore fails (version/config/workload drift, truncation) is deleted
+// a torn one. The simulation goroutine only encodes: the file steps run on a
+// writer goroutine, one frame in flight at a time, and every way out of the
+// cell waits for it (settle). A cell that completes deletes its frame; a frame
+// whose restore fails (version/config/workload drift, truncation) is deleted
 // and the cell restarts fresh — a stale snapshot can slow a resume down
 // but can never wedge or corrupt it.
 
@@ -36,13 +39,23 @@ func snapPath(dir, app, cfgName string) string {
 // owns its instance.
 type cellSnapshotter struct {
 	path     string
-	interval int64        // ticked-cycle period, 0 = final frame only
+	interval int64        // period in gpu.WorkCycles, 0 = final frame only
 	mon      *gpu.Monitor // canceled monitor => write a final frame
 	sm       *sweepMetrics
 	logf     func(format string, args ...any)
+	persist  func(path string, frame []byte) error // persistFrame, or a test's
 
-	nextTicked int64 // ticked-cycle count the next periodic frame is due at
-	disabled   bool  // set after a write failure; snapshots stop, the run continues
+	nextWork int64 // work-cycle count the next periodic frame is due at
+	disabled bool  // set after a write failure; snapshots stop, the run continues
+
+	// bufs are the encode targets, used in turn: the writer goroutine reads
+	// the one handed off last until done carries its result (cycle is that
+	// frame's, for the log line).
+	bufs     [2]bytes.Buffer
+	frames   int
+	inFlight bool
+	cycle    int64
+	done     chan error
 }
 
 // newCellSnapshotter builds the cell's snapshotter, nil when
@@ -57,60 +70,86 @@ func newCellSnapshotter(opt Options, app, cfgName string, mon *gpu.Monitor) *cel
 		mon:      mon,
 		sm:       opt.sm,
 		logf:     opt.logf,
+		persist:  persistFrame,
+		done:     make(chan error, 1),
 	}
 }
 
-// hook is the gpu heartbeat snapshot hook: write a frame on the cell's
-// first heartbeat and then whenever the device has ticked through another
-// interval of cycles, and always when the cell is being canceled (the
-// final frame a restart resumes from). The interval counts the cycles on
-// which some SM ticked, not the ones the device slept through: those cost
-// the host next to nothing, so a frame per interval of them would cost
-// more than re-simulating the stretch it saves. Write failures disable
-// further snapshots instead of killing a healthy simulation — losing
-// resumability is strictly better than losing the cell.
+// hook is the gpu heartbeat snapshot hook: encode a frame on the cell's
+// first heartbeat and then whenever the device has done another interval of
+// work, and always when the cell is being canceled (the final frame a
+// restart resumes from), and hand it to a writer goroutine once the previous
+// frame's has finished. The interval counts gpu.WorkCycles, not device
+// cycles: a cycle most of the device slept through costs the host next to
+// nothing, so a frame per interval of those would cost more than
+// re-simulating the stretch it saves. Write failures disable further
+// snapshots instead of killing a healthy simulation — losing resumability is
+// strictly better than losing the cell.
 func (c *cellSnapshotter) hook(g *gpu.GPU) error {
-	if c.disabled {
+	work := g.WorkCycles()
+	if c.disabled || !c.mon.Canceled() && (c.interval <= 0 || work < c.nextWork) {
 		return nil
 	}
-	ticked := g.Cycle() - g.FastForwardedCycles()
-	if !c.mon.Canceled() && (c.interval <= 0 || ticked < c.nextTicked) {
+	buf := &c.bufs[c.frames%2]
+	buf.Reset()
+	err := g.WriteSnapshot(buf)
+	if c.settle(); c.disabled {
 		return nil
 	}
-	if err := c.write(g); err != nil {
-		c.disabled = true
-		c.logf("harness: snapshot %s failed at cycle %d (snapshots disabled for this cell): %v",
-			c.path, g.Cycle(), err)
+	if err != nil {
+		c.fail(g.Cycle(), err)
 		return nil
 	}
-	c.nextTicked = ticked + c.interval
-	c.sm.snapshotWrote()
+	c.frames++
+	c.nextWork = work + c.interval
+	c.inFlight, c.cycle = true, g.Cycle()
+	go func(frame []byte) { c.done <- c.persist(c.path, frame) }(buf.Bytes())
 	return nil
 }
 
-// write persists one frame atomically: the new frame replaces the old
-// only after it is fully on disk.
-func (c *cellSnapshotter) write(g *gpu.GPU) error {
-	tmp := c.path + ".tmp"
+// settle waits for the frame in flight, if any, and accounts for it. Called
+// before the next hand-off, by discard, and when the cell ends however it
+// ends: nothing is half-written, and nothing reappears, after it returns.
+func (c *cellSnapshotter) settle() {
+	if c == nil || !c.inFlight {
+		return
+	}
+	c.inFlight = false
+	if err := <-c.done; err != nil {
+		c.fail(c.cycle, err)
+		return
+	}
+	c.sm.snapshotWrote()
+}
+
+func (c *cellSnapshotter) fail(cycle int64, err error) {
+	c.disabled = true
+	c.logf("harness: snapshot %s failed at cycle %d (snapshots disabled for this cell): %v",
+		c.path, cycle, err)
+}
+
+// persistFrame makes one frame durable: the new frame replaces the old only
+// after it is fully on disk.
+func persistFrame(path string, frame []byte) error {
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := g.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(frame)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	return os.Rename(tmp, c.path)
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // tryResume restores the device from the cell's snapshot file. Returns
@@ -138,6 +177,7 @@ func (c *cellSnapshotter) discard() {
 	if c == nil {
 		return
 	}
+	c.settle()
 	os.Remove(c.path)
 	os.Remove(c.path + ".tmp")
 }

@@ -84,12 +84,14 @@ func TestCanceledCellResumesFromFinalSnapshot(t *testing.T) {
 	}
 }
 
-// Periodic cycle-interval snapshots are written during a healthy run and
-// discarded on completion, leaving the snapshot directory empty. The
-// interval counts ticked cycles: a cell that sleeps through most of its
-// simulated cycles (one dependent-load chain, asleep on DRAM nine cycles in
-// ten) writes its first-heartbeat frame and then far fewer than one per
-// interval of simulated cycles.
+// Periodic snapshots are written during a healthy run and discarded on
+// completion, leaving the snapshot directory empty. The interval counts cycles
+// of work (gpu.WorkCycles). The dense cell has eight warps on the four
+// sub-cores of its one SM, all awake nearly every cycle: it writes what an
+// interval of device cycles would. The sleepy cell is two warps, each one
+// dependent-load chain: at most two of the four sub-cores are ever awake, and
+// those sleep on DRAM nine cycles in ten, so after its first-heartbeat frame
+// it owes one frame per interval of a twentieth of its simulated cycles.
 func TestPeriodicSnapshotsWrittenAndDiscarded(t *testing.T) {
 	b := program.NewBuilder()
 	b.Loop(400, func(lb *program.Builder) {
@@ -102,9 +104,18 @@ func TestPeriodicSnapshotsWrittenAndDiscarded(t *testing.T) {
 		WarpProgram: func(b, w int) *program.Program { return chain }}}}
 	const interval = 2048
 	for _, tc := range []struct {
-		app     workloads.App
-		maxRate float64 // frames per interval of simulated cycles, at most
-	}{{testApp("periodic", 20_000), 1.01}, {sleepy, 0.3}} {
+		app      workloads.App
+		min, max func(cycles int64) int64 // frames, for a run of that many cycles
+	}{
+		// Paced by ticked device cycles this cell wrote 156 frames, one per
+		// interval of its 320,026 cycles: the same, give or take one.
+		{testApp("periodic", 20_000),
+			func(c int64) int64 { return c/interval - 1 },
+			func(c int64) int64 { return c/interval + 1 }},
+		{sleepy,
+			func(int64) int64 { return 1 },
+			func(c int64) int64 { return 1 + c/20/interval }},
+	} {
 		dir := t.TempDir()
 		reg := metrics.New()
 		run, fault := RunOne(context.Background(), testCfg("base"), tc.app, Options{
@@ -116,14 +127,10 @@ func TestPeriodicSnapshotsWrittenAndDiscarded(t *testing.T) {
 			t.Fatalf("%s: run=%v fault=%v", tc.app.Name, run, fault)
 		}
 		frames := newSweepMetrics(reg).snapWrites.Value()
-		if most := 1 + int64(tc.maxRate*float64(run.Cycles)/interval); frames < 1 || frames > most {
-			t.Errorf("%s: %d periodic frames over %d cycles, want 1..%d", tc.app.Name, frames, run.Cycles, most)
+		if least, most := tc.min(run.Cycles), tc.max(run.Cycles); frames < least || frames > most {
+			t.Errorf("%s: %d periodic frames over %d cycles, want %d..%d", tc.app.Name, frames, run.Cycles, least, most)
 		}
-		left, err := filepath.Glob(filepath.Join(dir, "*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(left) != 0 {
+		if left := dirEntries(t, dir); len(left) != 0 {
 			t.Errorf("%s: snapshot dir not cleaned after success: %v", tc.app.Name, left)
 		}
 	}
@@ -255,11 +262,7 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 		t.Errorf("resume: resumed %d, executed %d; want 2, 2", res2.Resumed, res2.Executed)
 	}
 	// Completed cells discard their frames; nothing lingers.
-	left, err := filepath.Glob(filepath.Join(dir, "snaps", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
+	if left := dirEntries(t, filepath.Join(dir, "snaps")); len(left) != 0 {
 		t.Errorf("snapshot frames left after a complete sweep: %v", left)
 	}
 }

@@ -192,6 +192,8 @@ type Hierarchy struct {
 	l2m  *mshr
 	l2ch *bwChannel
 	drch *bwChannel
+	// fills is EncodeState's reusable MSHR-rows scratch.
+	fills []fill
 
 	// L1HitLatency is the load-use latency on an L1 hit (Volta ~28).
 	L1HitLatency int64

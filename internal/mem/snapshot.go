@@ -14,11 +14,11 @@ import (
 // configuration and is re-created on restore, not carried.
 func (h *Hierarchy) EncodeState(e *snapshot.Encoder) {
 	for i, c := range h.l1 {
-		fills := h.l1m[i].fills()
-		e.State(&c.cacheState, &fills)
+		h.fills = h.l1m[i].fills(h.fills[:0])
+		e.State(&c.cacheState, &h.fills)
 	}
-	fills := h.l2m.fills()
-	e.State(&h.l2.cacheState, &fills, &h.l2ch.bwState, &h.drch.bwState)
+	h.fills = h.l2m.fills(h.fills[:0])
+	e.State(&h.l2.cacheState, &h.fills, &h.l2ch.bwState, &h.drch.bwState)
 }
 
 // RestoreState decodes into a hierarchy freshly built from the same
@@ -44,13 +44,12 @@ func (h *Hierarchy) RestoreState(d *snapshot.Decoder) error {
 	return nil
 }
 
-// fills returns the pending fills as a frame carries them: one row per
+// fills appends to rows the pending fills as a frame carries them: one row per
 // line, ascending, so equal MSHR states give equal bytes whatever order
 // their misses arrived in. The rows are read off the completion heap —
 // every pending fill has one there; stale rows and duplicates are dropped —
 // because ranging over the map would visit them in no fixed order.
-func (m *mshr) fills() []fill {
-	rows := make([]fill, 0, len(m.pending))
+func (m *mshr) fills(rows []fill) []fill {
 	for _, r := range m.byDone {
 		if done, ok := m.pending[r.line]; ok && done == r.done {
 			rows = append(rows, r)

@@ -88,7 +88,7 @@ func TestMSHRFrameIsCanonical(t *testing.T) {
 	a.nextEvent(10)
 	encode := func(m *mshr) []byte {
 		e := snapshot.NewEncoder()
-		fills := m.fills()
+		fills := m.fills(nil)
 		e.State(&fills)
 		var buf bytes.Buffer
 		if err := e.Finish(&buf); err != nil {

@@ -126,6 +126,9 @@ type SM struct {
 	// a caller may leave the SM unticked until then. Both are derived (the
 	// collectors carry the clock) and rebuilt by RestoreState.
 	synced, wake int64
+	// work counts the sub-cores Tick found awake: what the SM has cost the
+	// host, in sub-core cycles. Derived; a restored SM starts from zero.
+	work int64
 
 	// rooms is CanAccept's reusable feasibility scratch.
 	rooms []subRoom
@@ -470,6 +473,7 @@ func (sm *SM) Tick(now int64) {
 		if sc.asleep {
 			continue
 		}
+		sm.work++
 		sc.decodeTick()
 		if sm.residentWarps > 0 {
 			sc.st.Cycles++
@@ -512,6 +516,9 @@ func (sm *SM) Wake() int64 { return sm.wake }
 
 // Synced returns the first cycle the SM has not yet accounted.
 func (sm *SM) Synced() int64 { return sm.synced }
+
+// Work returns how many sub-core cycles the SM has run awake.
+func (sm *SM) Work() int64 { return sm.work }
 
 // NextEvent returns the earliest cycle at or after now at which ticking
 // this SM could mutate state (beyond pure per-cycle stall accounting):

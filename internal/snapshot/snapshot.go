@@ -33,15 +33,25 @@ var magic = [8]byte{'S', 'U', 'B', 'C', 'S', 'N', 'P', 1}
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Encoder accumulates a snapshot payload in memory; Finish frames it with
-// the magic, version, length, and CRC-32C trailer and writes it out.
-// Encoders are single-use.
+// the magic, version, length, and CRC-32C trailer and writes it out. An
+// Encoder carries one frame per Reset, and keeps its buffer across them.
 type Encoder struct {
-	buf []byte
-	err error // set by State on a value it cannot carry; reported by Finish
+	buf []byte // headroom bytes for Finish's header, then the payload
+	err error  // set by State on a value it cannot carry; reported by Finish
 }
 
+// headroom is the longest container header: the magic and two uvarints.
+const headroom = len(magic) + 2*binary.MaxVarintLen64
+
 // NewEncoder returns an empty Encoder.
-func NewEncoder() *Encoder { return &Encoder{buf: make([]byte, 0, 4096)} }
+func NewEncoder() *Encoder {
+	e := new(Encoder)
+	e.Reset()
+	return e
+}
+
+// Reset empties the Encoder, a zero one included, for another frame.
+func (e *Encoder) Reset() { e.buf, e.err = append(e.buf[:0], make([]byte, headroom)...), nil }
 
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -64,12 +74,19 @@ func (e *Encoder) Bytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// Finish frames the payload and writes the complete snapshot to w.
+// Finish frames the payload and writes the complete snapshot to w. The
+// container (see Frame) is built around the payload where it lies: the
+// header ends where the payload starts, the checksum follows it.
 func (e *Encoder) Finish(w io.Writer) error {
 	if e.err != nil {
 		return e.err
 	}
-	_, err := w.Write(Frame(e.buf))
+	var hdr [headroom]byte
+	h := appendHeader(hdr[:0], len(e.buf)-headroom)
+	start := headroom - len(h)
+	copy(e.buf[start:], h)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.Checksum(e.buf[start:], castagnoli))
+	_, err := w.Write(e.buf[start:])
 	return err
 }
 
@@ -77,12 +94,15 @@ func (e *Encoder) Finish(w io.Writer) error {
 // magic | uvarint version | uvarint payload-length | payload | crc32c(LE),
 // with the checksum covering everything before it.
 func Frame(payload []byte) []byte {
-	framed := make([]byte, 0, len(payload)+24)
-	framed = append(framed, magic[:]...)
-	framed = binary.AppendUvarint(framed, Version)
-	framed = binary.AppendUvarint(framed, uint64(len(payload)))
+	framed := appendHeader(make([]byte, 0, headroom+len(payload)+4), len(payload))
 	framed = append(framed, payload...)
 	return binary.LittleEndian.AppendUint32(framed, crc32.Checksum(framed, castagnoli))
+}
+
+// appendHeader appends the container header of a payload of n bytes.
+func appendHeader(dst []byte, n int) []byte {
+	dst = binary.AppendUvarint(append(dst, magic[:]...), Version)
+	return binary.AppendUvarint(dst, uint64(n))
 }
 
 // Decoder reads back a snapshot produced by Encoder.Finish. NewDecoder

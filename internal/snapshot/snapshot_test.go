@@ -58,6 +58,36 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderReuse: Finish builds the container around the payload where it
+// lies, so its bytes must be Frame's — at every width of the length field —
+// and a Reset Encoder, zero or used, must keep nothing of the frame before:
+// not its payload (a shorter frame follows a longer one), not its checksum,
+// not its State refusal.
+func TestEncoderReuse(t *testing.T) {
+	var e Encoder // the zero value is usable after Reset
+	for _, n := range []int{0, 1, 127, 128, 70_000, 300, 16_384, 5} {
+		payload := bytes.Repeat([]byte{byte(n), 0xA5}, n)[:n]
+		e.Reset()
+		e.buf = append(e.buf, payload...)
+		var buf bytes.Buffer
+		if err := e.Finish(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), Frame(payload)) {
+			t.Fatalf("payload of %d bytes: Finish wrote %d bytes that differ from Frame's %d", n, buf.Len(), len(Frame(payload)))
+		}
+	}
+	e.Reset()
+	e.State(&struct{ M map[int]int }{})
+	if err := e.Finish(&bytes.Buffer{}); err == nil {
+		t.Fatal("Finish accepted a refused State")
+	}
+	e.Reset()
+	if err := e.Finish(&bytes.Buffer{}); err != nil {
+		t.Fatalf("Reset kept the refusal: %v", err)
+	}
+}
+
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
 	e := NewEncoder()
