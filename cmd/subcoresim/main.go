@@ -5,25 +5,33 @@
 // Usage:
 //
 //	subcoresim -app pb-mriq
-//	subcoresim -app tpcU-q8 -assign srr -sms 20
-//	subcoresim -app rod-srad -sched rba -cus 4
+//	subcoresim -app tpcU-q8 -config srr -sms 20
+//	subcoresim -app rod-srad -config rba+4cu
+//	subcoresim -app rod-srad -config-file dev.json -config lat5+rba
 //	subcoresim -app pb-mriq -chrome-trace out.json   # open in ui.perfetto.dev
 //	subcoresim -app pb-mriq -json > run.json         # full stats for scripting
 //	subcoresim -list
 //
+// -config is a design in the grammar of internal/config's package comment
+// (cmd/sweep's -configs reads the same): an optional preset, then +-joined
+// modifiers. On top of -config-file the modifiers override what the file
+// says and an absent one changes nothing.
+//
 // Observability (internal/trace): -chrome-trace records SM 0's structured
 // event stream (issue, stalls, bank grants, LSU, writebacks, block
-// lifecycle) plus sampled counters and exports Chrome trace-event JSON;
-// -trace and -timeline print terminal sparklines from the same sampled
-// counter series. -metrics-addr serves live telemetry over HTTP for the
-// run's duration (`curl $addr/metrics`, docs/OBSERVABILITY.md): cycle
-// and instruction counters updated at the monitor heartbeat, so a hung
-// run shows as a stalled gauge. The text report ends with the top-down
-// CPI stack (internal/stats): every sub-core cycle attributed to
-// exactly one cause.
+// lifecycle) in a ring of the last 65,536 events — stderr says so when the
+// run emitted more — plus sampled counters, and exports Chrome trace-event
+// JSON; -trace and -timeline print terminal sparklines from the sampled
+// counters alone, no ring armed. -metrics-addr serves live telemetry over
+// HTTP for the run's duration (`curl $addr/metrics`,
+// docs/OBSERVABILITY.md): cycle and instruction counters updated at the
+// monitor heartbeat, so a hung run shows as a stalled gauge. The text
+// report ends with the top-down CPI stack (internal/stats): every
+// sub-core cycle attributed to exactly one cause.
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -45,93 +53,49 @@ import (
 
 // cfgFlags are the flags that shape the device configuration.
 type cfgFlags struct {
-	fc, steal, noFF         *bool
-	sched, assign, cfgFile  *string
-	sms, cus, banks, rbaLat *int
-	auditEv                 *int64
+	design, cfgFile *string
+	sms             *int
+	noFF            *bool
+	auditEv         *int64
 }
 
 func registerCfgFlags(fs *flag.FlagSet) *cfgFlags {
 	return &cfgFlags{
-		fc:      fs.Bool("fc", false, "use the fully-connected SM model (not with -config-file)"),
-		sched:   fs.String("sched", "gto", "warp scheduler: gto, lrr, rba"),
-		assign:  fs.String("assign", "rr", "sub-core assignment: rr, srr, shuffle"),
-		sms:     fs.Int("sms", 4, "number of SMs (with -config-file: only when given)"),
-		cus:     fs.Int("cus", 0, "collector units per sub-core (0 = default)"),
-		banks:   fs.Int("banks", 0, "register banks per sub-core (0 = default)"),
-		steal:   fs.Bool("steal", false, "enable register bank stealing"),
-		rbaLat:  fs.Int("rba-latency", 0, "RBA score-update latency in cycles"),
+		design:  fs.String("config", "", "design point: [v100|fc] then +-joined modifiers gto|lrr|rba, rr|srr|shuffle, steal, Ncu, Nbank, latN (e.g. rba+4cu); with -config-file, modifiers only"),
+		sms:     fs.Int("sms", 0, "number of SMs (0 = 4, or what -config-file says)"),
 		cfgFile: fs.String("config-file", "", "JSON file of configuration overrides (base: VoltaV100)"),
 		noFF:    fs.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)"),
 		auditEv: fs.Int64("audit", 0, "run the runtime invariant auditor on the first heartbeat and then every N cycles of work (one is every sub-core of the device awake for a cycle); violations fault the run as a structured audit fault (0 = off)"),
 	}
 }
 
-// config assembles the device configuration from the parsed flags: the
-// base (VoltaV100, -fc, or -config-file), then each override. A flag left
-// at its default never overwrites what a config file says.
-func (f *cfgFlags) config(fs *flag.FlagSet) (config.GPU, error) {
-	given := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
-
-	cfg := repro.VoltaV100()
-	if *f.fc {
-		cfg = repro.FullyConnected()
+// machine is the device the flags name: the design at -sms SMs, or
+// -config-file with -sms and the design's modifiers applied on top.
+func (f *cfgFlags) machine() (config.GPU, error) {
+	if *f.cfgFile == "" {
+		return config.Design(*f.design, cmp.Or(*f.sms, 4))
 	}
-	if *f.cfgFile != "" {
-		if *f.fc {
-			return cfg, fmt.Errorf("-fc cannot be combined with -config-file: the file's base is VoltaV100; set the fully-connected fields in it")
-		}
-		r, err := os.Open(*f.cfgFile)
-		if err != nil {
-			return cfg, err
-		}
-		cfg, err = config.FromJSON(r)
-		r.Close()
-		if err != nil {
-			return cfg, err
-		}
+	r, err := os.Open(*f.cfgFile)
+	if err != nil {
+		return config.GPU{}, err
 	}
-	if *f.cfgFile == "" || given["sms"] {
+	defer r.Close()
+	cfg, err := config.FromJSON(r)
+	if err != nil {
+		return cfg, err
+	}
+	if *f.sms != 0 {
 		cfg = cfg.WithSMs(*f.sms)
 	}
-	switch *f.sched {
-	case "gto":
-	case "lrr":
-		cfg = cfg.WithScheduler(repro.SchedLRR)
-	case "rba":
-		cfg = cfg.WithScheduler(repro.SchedRBA)
-	default:
-		return cfg, fmt.Errorf("unknown scheduler %q", *f.sched)
-	}
-	switch *f.assign {
-	case "rr":
-	case "srr":
-		cfg = cfg.WithAssign(repro.AssignSRR)
-	case "shuffle":
-		cfg = cfg.WithAssign(repro.AssignShuffle)
-	default:
-		return cfg, fmt.Errorf("unknown assignment %q", *f.assign)
-	}
-	if *f.cus > 0 {
-		cfg = cfg.WithCUs(*f.cus)
-	}
-	if *f.banks > 0 {
-		cfg = cfg.WithBanks(*f.banks)
-	}
-	if *f.steal {
-		cfg = cfg.WithBankStealing()
-	}
-	if *f.noFF {
-		cfg = cfg.WithNoFastForward()
-	}
-	if *f.auditEv > 0 {
-		cfg = cfg.WithAudit(*f.auditEv)
-	}
-	if given["rba-latency"] {
-		cfg.RBAScoreLatency = *f.rbaLat
-	}
-	return cfg, nil
+	return cfg.WithModifiers(*f.design)
+}
+
+// config assembles the configuration from the parsed flags: the machine,
+// then how it is run.
+func (f *cfgFlags) config() (config.GPU, error) {
+	cfg, err := f.machine()
+	cfg.NoFastForward, cfg.AuditEvery = *f.noFF, *f.auditEv
+	return cfg, err
 }
 
 func main() {
@@ -144,7 +108,6 @@ func main() {
 		chrome   = flag.String("chrome-trace", "", "write SM 0's event stream as Chrome trace-event JSON to this file")
 		jsonOut  = flag.Bool("json", false, "dump the full run statistics as JSON instead of the text report")
 		sample   = flag.Int("sample", 0, "counter sampling period in cycles (0 = per flag defaults)")
-		ringCap  = flag.Int("ring", 0, "event ring capacity for -chrome-trace (0 = default; ring keeps the last N events)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
 		maxCyc   = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 		metAddr  = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
@@ -172,7 +135,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg, err := cf.config(flag.CommandLine)
+	cfg, err := cf.config()
 	if err != nil {
 		fatal(err)
 	}
@@ -180,24 +143,18 @@ func main() {
 	// The sampled counter time-series (internal/trace) drives -trace,
 	// -timeline, and the counter tracks of -chrome-trace. -trace needs
 	// per-cycle resolution; the timeline and Perfetto views default to
-	// the historical 32-cycle bucket.
+	// the historical 32-cycle bucket. Only -chrome-trace needs the event
+	// ring: the sparklines run on the sampler alone.
 	needTracer := *trc || *timeline || *chrome != ""
-	period := *sample
-	if period <= 0 && needTracer {
+	topt := trace.OptionsFor(&cfg, 0)
+	if topt.SamplePeriod = *sample; topt.SamplePeriod <= 0 {
+		topt.SamplePeriod = 32
 		if *trc {
-			period = 1
-		} else {
-			period = 32
+			topt.SamplePeriod = 1
 		}
 	}
-	if needTracer {
-		cfg.TraceSamplePeriod = period
-		if *ringCap > 0 {
-			cfg.TraceRingCap = *ringCap
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
+	if *chrome != "" {
+		topt.RingCap = trace.DefaultRingCap
 	}
 
 	// The run executes under the fault-tolerant harness: -timeout kills a
@@ -218,7 +175,7 @@ func main() {
 	}
 	var tr *trace.Tracer
 	if needTracer {
-		tr = trace.New(trace.OptionsFor(&cfg, 0))
+		tr = trace.New(topt)
 		hopt.Tracer = tr
 	}
 	if *metAddr != "" {
@@ -263,6 +220,10 @@ func main() {
 		}
 		if !*jsonOut {
 			fmt.Printf("\nwrote Chrome trace to %s (open in ui.perfetto.dev)\n", *chrome)
+		}
+		if lost := tr.Overwritten(0); lost > 0 {
+			fmt.Fprintf(os.Stderr, "subcoresim: %s kept the last %d of %d events of SM 0 (the ring lapped; the counter tracks cover the whole run)\n",
+				*chrome, topt.RingCap, int64(topt.RingCap)+lost)
 		}
 	}
 

@@ -18,12 +18,13 @@ func configFor(t *testing.T, args ...string) (config.GPU, error) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return cf.config(fs)
+	return cf.config()
 }
 
-// TestFlagDefaultsDoNotClobberConfigFile: -sms and -rba-latency override a
-// config file only when given; their defaults (4 and 0) used to overwrite
-// the file's values silently, and -fc was silently discarded.
+// TestFlagDefaultsDoNotClobberConfigFile: on top of a config file -sms and
+// the design's modifiers override only what they name; an absent one leaves
+// the file's value (the defaults 4 SMs and score latency 0 used to overwrite
+// it silently), and a preset, which would discard the file, is refused.
 func TestFlagDefaultsDoNotClobberConfigFile(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "cfg.json")
 	if err := os.WriteFile(file, []byte(`{"NumSMs": 8, "RBAScoreLatency": 5, "WarpScheduler": 2}`), 0o644); err != nil {
@@ -38,27 +39,43 @@ func TestFlagDefaultsDoNotClobberConfigFile(t *testing.T) {
 		t.Errorf("file values lost: NumSMs %d, RBAScoreLatency %d, scheduler %v", cfg.NumSMs, cfg.RBAScoreLatency, cfg.WarpScheduler)
 	}
 
-	cfg, err = configFor(t, "-config-file", file, "-sms", "2", "-rba-latency", "0")
+	cfg, err = configFor(t, "-config-file", file, "-sms", "2", "-config", "lat0+4cu")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NumSMs != 2 || cfg.RBAScoreLatency != 0 {
-		t.Errorf("given flags must override the file: NumSMs %d, RBAScoreLatency %d", cfg.NumSMs, cfg.RBAScoreLatency)
+	if cfg.NumSMs != 2 || cfg.RBAScoreLatency != 0 || cfg.CollectorUnitsPerSubCore != 4 {
+		t.Errorf("given flags must override the file: NumSMs %d, RBAScoreLatency %d, CUs %d", cfg.NumSMs, cfg.RBAScoreLatency, cfg.CollectorUnitsPerSubCore)
+	}
+	if cfg.WarpScheduler != config.SchedRBA {
+		t.Errorf("an absent modifier changed the file's scheduler to %v", cfg.WarpScheduler)
 	}
 
-	if _, err := configFor(t, "-config-file", file, "-fc"); err == nil || !strings.Contains(err.Error(), "-fc") {
-		t.Errorf("-fc with -config-file: got %v, want a refusal", err)
+	if _, err := configFor(t, "-config-file", file, "-config", "fc+rba"); err == nil || !strings.Contains(err.Error(), `preset "fc"`) {
+		t.Errorf("a preset with -config-file: got %v, want a refusal", err)
 	}
 
-	// Without a file the flag defaults are the configuration.
+	// Without a file the design is the configuration.
 	cfg, err = configFor(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NumSMs != 4 || cfg.RBAScoreLatency != 0 {
-		t.Errorf("defaults: NumSMs %d, RBAScoreLatency %d, want 4 and 0", cfg.NumSMs, cfg.RBAScoreLatency)
+	if want := config.VoltaV100().WithSMs(4); cfg != want {
+		t.Errorf("defaults: %+v, want %+v", cfg, want)
 	}
-	if fc, err := configFor(t, "-fc"); err != nil || fc.SubCoresPerSM != 1 {
-		t.Errorf("-fc: %d sub-cores per SM (%v), want the monolithic SM", fc.SubCoresPerSM, err)
+	if fc, err := configFor(t, "-config", "fc+srr+steal", "-sms", "2"); err != nil || fc.SubCoresPerSM != 1 ||
+		fc.NumSMs != 2 || fc.SubCoreAssign != config.AssignSRR || !fc.BankStealing {
+		t.Errorf("-config fc+srr+steal -sms 2: %+v (%v), want the monolithic SM with both modifiers", fc, err)
+	}
+	if _, err := configFor(t, "-config", "gto+rba"); err == nil {
+		t.Error("-config gto+rba accepted")
+	}
+
+	// The run mode rides on top and is not the machine.
+	watched, err := configFor(t, "-config", "rba+4cu", "-audit", "4096", "-no-fastforward")
+	if err != nil || watched.AuditEvery != 4096 || !watched.NoFastForward {
+		t.Fatalf("-audit -no-fastforward: %+v (%v)", watched, err)
+	}
+	if plain, _ := configFor(t, "-config", "4cu+rba"); plain.Machine() != watched.Machine() {
+		t.Error("the run-mode flags changed the machine")
 	}
 }

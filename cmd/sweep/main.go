@@ -6,11 +6,13 @@
 //
 //	sweep -apps pb-mriq,rod-srad -configs gto,rba,fc
 //	sweep -suite cugraph -configs gto,rba,srr,shuffle,fc -sms 4
-//	sweep -sensitive -configs gto,rba > rba_study.csv
+//	sweep -sensitive -configs gto,rba+shuffle,fc+rba,rba+4bank,lat5+rba > rba_study.csv
 //	sweep -sensitive -checkpoint run.ckpt -diag diag/      # fault-tolerant campaign
 //
-// Config tokens: gto (baseline), lrr, rba, srr, shuffle, rba+shuffle,
-// rba+srr, fc, fc+rba, steal, Ncu (e.g. 4cu), Nbank (e.g. 4bank).
+// Each -configs entry is a design in the grammar of internal/config's
+// package comment (subcoresim's -config reads the same). The entry, as
+// typed, labels the design in the CSV, the checkpoint and the snapshot
+// files, so each must be unique.
 //
 // The matrix executes on the fault-tolerant harness (internal/harness,
 // docs/ROBUSTNESS.md): cells run in parallel under panic isolation, a
@@ -19,9 +21,11 @@
 // stderr — with a flight-recorder dump under -diag when set — and the
 // remaining cells keep running; the exit status is 1 if any cell
 // faulted. With -checkpoint, completed cells stream to an append-only
-// JSONL file and a re-run with the same flags resumes, re-running only
-// the missing/faulted cells. Interrupting with Ctrl-C or SIGTERM
-// checkpoints cleanly.
+// JSONL file and a re-run on the same apps, designs and -sms resumes,
+// re-running only the missing/faulted cells; how the run is watched
+// (-audit, -no-fastforward, -timeout, …) may differ between the two
+// (docs/ROBUSTNESS.md). Interrupting with Ctrl-C or SIGTERM checkpoints
+// cleanly.
 //
 // With -snapshot-dir, each in-flight cell additionally persists its full
 // mid-kernel device state — periodically under -snapshot-interval, and
@@ -43,12 +47,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro"
+	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
@@ -59,7 +63,7 @@ func main() {
 		appsFlag  = flag.String("apps", "", "comma-separated application names")
 		suite     = flag.String("suite", "", "run a whole suite")
 		sensitive = flag.Bool("sensitive", false, "run the Table III sensitive subset")
-		cfgsFlag  = flag.String("configs", "gto,rba", "comma-separated config tokens")
+		cfgsFlag  = flag.String("configs", "gto,rba", "comma-separated designs: [v100|fc] then +-joined modifiers gto|lrr|rba, rr|srr|shuffle, steal, Ncu, Nbank, latN (e.g. gto,rba+4cu,fc+srr)")
 		sms       = flag.Int("sms", 4, "number of SMs")
 		timeout   = flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = unlimited)")
 		maxCycles = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
@@ -83,16 +87,11 @@ func main() {
 	var names []string
 	for _, tok := range strings.Split(*cfgsFlag, ",") {
 		tok = strings.TrimSpace(tok)
-		c, err := parseConfig(tok, *sms)
+		c, err := config.Design(tok, *sms)
 		if err != nil {
 			fatal(err)
 		}
-		if *noFF {
-			c = c.WithNoFastForward()
-		}
-		if *auditEv > 0 {
-			c = c.WithAudit(*auditEv)
-		}
+		c.NoFastForward, c.AuditEvery = *noFF, *auditEv
 		cfgs = append(cfgs, c)
 		names = append(names, tok)
 	}
@@ -189,45 +188,6 @@ func selectApps(list, suite string, sensitive bool) ([]repro.App, error) {
 	default:
 		return repro.Workloads()
 	}
-}
-
-func parseConfig(tok string, sms int) (repro.Config, error) {
-	base := repro.VoltaV100().WithSMs(sms)
-	switch tok {
-	case "gto", "base", "":
-		return base, nil
-	case "lrr":
-		return base.WithScheduler(repro.SchedLRR), nil
-	case "rba":
-		return base.WithScheduler(repro.SchedRBA), nil
-	case "srr":
-		return base.WithAssign(repro.AssignSRR), nil
-	case "shuffle":
-		return base.WithAssign(repro.AssignShuffle), nil
-	case "rba+shuffle", "shuffle+rba":
-		return base.WithScheduler(repro.SchedRBA).WithAssign(repro.AssignShuffle), nil
-	case "rba+srr", "srr+rba":
-		return base.WithScheduler(repro.SchedRBA).WithAssign(repro.AssignSRR), nil
-	case "fc":
-		return repro.FullyConnected().WithSMs(sms), nil
-	case "fc+rba":
-		return repro.FullyConnected().WithSMs(sms).WithScheduler(repro.SchedRBA), nil
-	case "steal":
-		return base.WithBankStealing(), nil
-	}
-	if n, ok := strings.CutSuffix(tok, "cu"); ok {
-		v, err := strconv.Atoi(n)
-		if err == nil && v > 0 {
-			return base.WithCUs(v), nil
-		}
-	}
-	if n, ok := strings.CutSuffix(tok, "bank"); ok {
-		v, err := strconv.Atoi(n)
-		if err == nil && v > 0 {
-			return base.WithBanks(v), nil
-		}
-	}
-	return repro.Config{}, fmt.Errorf("unknown config token %q", tok)
 }
 
 func fatal(err error) {

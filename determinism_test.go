@@ -51,10 +51,9 @@ func TestDeterministicTelemetry(t *testing.T) {
 	}
 	capture := func() (events []trace.Event, counters *trace.Counters, chrome []byte) {
 		cfg := VoltaV100().WithSMs(2).WithAssign(AssignShuffle).WithScheduler(SchedRBA)
-		cfg.TraceSamplePeriod = 32
 		sink := trace.NewMemorySink()
 		opt := trace.OptionsFor(&cfg, 0)
-		opt.Sink = sink
+		opt.RingCap, opt.SamplePeriod, opt.Sink = trace.DefaultRingCap, 32, sink
 		tr := trace.New(opt)
 		g, err := NewGPU(cfg)
 		if err != nil {

@@ -78,14 +78,15 @@ func main() {
 		{"SRR (paper)", base.WithAssign(repro.AssignSRR)},
 		{"Shuffle (paper)", base.WithAssign(repro.AssignShuffle)},
 	} {
-		// The tracer's counter sampler (internal/trace) records SM 0's
-		// per-sub-core issue counts every 32 cycles.
-		d.cfg.TraceSamplePeriod = 32
 		g, err := repro.NewGPU(d.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr := trace.New(trace.OptionsFor(&d.cfg, 0))
+		// The tracer's counter sampler (internal/trace) records SM 0's
+		// per-sub-core issue counts every 32 cycles; no event ring.
+		sampler := trace.OptionsFor(&d.cfg, 0)
+		sampler.SamplePeriod = 32
+		tr := trace.New(sampler)
 		g.SetTracer(tr)
 		if err := g.RunKernel(kernel, 0); err != nil {
 			log.Fatal(err)

@@ -2,9 +2,32 @@
 // parameters. The defaults reproduce Table II of the paper (the Accel-Sim
 // Volta V100 configuration with 4 sub-cores per SM, 2 register-file banks
 // and 2 collector units per sub-core).
+//
+// A GPU value is the machine: how a run is watched is set where the tracer
+// is built (internal/trace), and the run mode is no part of Machine.
+//
+// # Design grammar
+//
+// Both binaries spell a design point the same way (design.go): an optional
+// preset, then modifiers joined by "+", at most one of each row, any order.
+//
+//	preset    v100 (the default; also base)   Table II baseline
+//	          fc                              fully-connected SM (Fig 1)
+//	modifier  gto | lrr | rba                 warp scheduler
+//	          rr | srr | shuffle              warp-to-sub-core assignment
+//	          steal                           register bank stealing
+//	          <N>cu                           collector units per sub-core
+//	          <N>bank                         register banks per sub-core
+//	          lat<N>                          RBA score-update latency, cycles
+//
+// So rba+4cu, fc+srr+steal and lat5+rba are designs; gto+rba, 2cu+4cu and
+// rba+fc are errors. Each modifier calls the With* helper below it, so the
+// Name a design prints is the one the helpers compose (V100+4SM+RBA+4CU).
 package config
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -161,17 +184,6 @@ type GPU struct {
 	// every 16 warps, 16 ⇒ unique assignment for all 64 warps).
 	HashTableEntries int
 
-	// TraceSamplePeriod is the observability layer's counter-sampling
-	// period in cycles (register-file read rate, per-bank arbiter queue
-	// depth, per-sub-core occupancy/issue rate, LSU queue depth). 0
-	// disables counter sampling.
-	TraceSamplePeriod int
-	// TraceRingCap is the per-SM capacity of the structured-event ring
-	// buffers, in events (0 selects the trace package default). Without a
-	// sink attached the ring is a flight recorder holding the last
-	// TraceRingCap events.
-	TraceRingCap int
-
 	// AuditEvery arms the runtime invariant auditor (internal/audit): the
 	// run loop re-derives the device's conservation laws — scoreboard vs
 	// in-flight writers, collector leases vs bank reservations, MSHR
@@ -186,7 +198,7 @@ type GPU struct {
 	// twice. Audits run at heartbeat boundaries (every 1024 device cycles),
 	// so the cadence rounds up to the next one. 0 disables auditing (the
 	// production fast path). Auditing never mutates state: results are
-	// byte-identical on or off.
+	// byte-identical on or off, so the field is not part of Machine.
 	AuditEvery int64
 
 	// NoFastForward disables the run loop's idle-cycle fast-forward: the
@@ -194,7 +206,7 @@ type GPU struct {
 	// dispatch, or write back. Fast-forward is provably inert — results
 	// are byte-identical either way (TestFastForwardInert) — so
 	// the flag exists only as a debugging escape hatch and for
-	// differential testing; leave it false for speed.
+	// differential testing; leave it false for speed. Not part of Machine.
 	NoFastForward bool
 
 	// Seed drives every stochastic choice (shuffle permutations, random
@@ -364,6 +376,13 @@ func (g GPU) WithBankStealing() GPU {
 	return g
 }
 
+// WithRBALatency returns a copy with the RBA score-update latency set.
+func (g GPU) WithRBALatency(cycles int) GPU {
+	g.RBAScoreLatency = cycles
+	g.Name = fmt.Sprintf("%s+lat%d", g.Name, cycles)
+	return g
+}
+
 // WithNoFastForward returns a copy with idle-cycle fast-forward disabled
 // (the differential-testing escape hatch; results are byte-identical,
 // only wall-clock changes). The Name is deliberately untouched: the
@@ -382,6 +401,23 @@ func (g GPU) WithAudit(everyCycles int64) GPU {
 	return g
 }
 
+// Machine returns the canonical device: g without its label and the two
+// run-mode fields, which change how a run is executed and checked but, by
+// the byte-identity oracles, nothing it computes. Two configurations
+// simulate the same machine exactly when their Machine values are equal;
+// checkpoint records, snapshot frames and the experiments' memo ask here.
+func (g GPU) Machine() GPU {
+	g.Name, g.AuditEvery, g.NoFastForward = "", 0, false
+	return g
+}
+
+// MachineID returns a short digest of Machine (every field by name, so a
+// new field is part of it): the identity as it is written to disk.
+func (g GPU) MachineID() string {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%+v", g.Machine()))
+	return hex.EncodeToString(sum[:8])
+}
+
 // WarpsPerSubCore returns the resident-warp capacity of one sub-core.
 func (g GPU) WarpsPerSubCore() int {
 	n := g.MaxWarpsPerSM / g.SubCoresPerSM
@@ -389,16 +425,6 @@ func (g GPU) WarpsPerSubCore() int {
 		n = 1
 	}
 	return n
-}
-
-// RegsPerSubCore returns the 32-bit register count one sub-core's file
-// holds across all lanes (capacity / 4 bytes).
-func (g GPU) RegsPerSubCore() int { return g.RegFileKBPerSubCore * 1024 / 4 }
-
-// RegSlotsPerWarp returns how many per-warp architectural registers the
-// sub-core file can hold if all its warp slots are occupied.
-func (g GPU) RegSlotsPerWarp() int {
-	return g.RegsPerSubCore() / (g.WarpSize * g.WarpsPerSubCore())
 }
 
 // Validate checks structural invariants and returns a descriptive error
@@ -427,8 +453,6 @@ func (g GPU) Validate() error {
 		{g.RBAScoreLatency >= 0, "RBAScoreLatency must be >= 0"},
 		{g.MaxBlocksPerSM >= 1, "MaxBlocksPerSM must be >= 1"},
 		{g.SharedMemKBPerSM >= 0, "SharedMemKBPerSM must be >= 0"},
-		{g.TraceSamplePeriod >= 0, "TraceSamplePeriod must be >= 0"},
-		{g.TraceRingCap >= 0, "TraceRingCap must be >= 0"},
 		{g.AuditEvery >= 0, "AuditEvery must be >= 0"},
 	}
 	for _, c := range checks {

@@ -97,13 +97,8 @@ func TestDerived(t *testing.T) {
 	if got := g.WarpsPerSubCore(); got != 16 {
 		t.Errorf("WarpsPerSubCore = %d, want 16", got)
 	}
-	// 64 KB / 4 B = 16384 registers per sub-core; 16 warps x 32 lanes
-	// => 32 architectural registers per warp at full occupancy.
-	if got := g.RegsPerSubCore(); got != 16384 {
-		t.Errorf("RegsPerSubCore = %d, want 16384", got)
-	}
-	if got := g.RegSlotsPerWarp(); got != 32 {
-		t.Errorf("RegSlotsPerWarp = %d, want 32", got)
+	if got := FullyConnected().WarpsPerSubCore(); got != 64 {
+		t.Errorf("fully-connected WarpsPerSubCore = %d, want 64", got)
 	}
 }
 

@@ -26,6 +26,11 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 	if _, err := FromJSON(strings.NewReader(`{"NoSuchField": 1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	// The observer's knobs left the configuration: a file that still names
+	// one is refused, not silently ignored.
+	if _, err := FromJSON(strings.NewReader(`{"TraceSamplePeriod": 32}`)); err == nil || !strings.Contains(err.Error(), `unknown field "TraceSamplePeriod"`) {
+		t.Errorf("TraceSamplePeriod in a config file: %v, want the decoder's unknown-field error", err)
+	}
 	if _, err := FromJSON(strings.NewReader(`{bad json`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}

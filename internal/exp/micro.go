@@ -240,9 +240,10 @@ func fig14(id string) (*Table, error) {
 		}
 		for _, c := range []config.GPU{Base(), rba.cfg, FC()} {
 			// The tracer's counter sampler at period 1 is the per-cycle
-			// series: granted (warp-wide) reads on SM 0 each cycle.
-			c.TraceSamplePeriod = 1
-			tr := trace.New(trace.OptionsFor(&c, 0))
+			// series: granted (warp-wide) reads on SM 0 each cycle (no ring).
+			sampler := trace.OptionsFor(&c, 0)
+			sampler.SamplePeriod = 1
+			tr := trace.New(sampler)
 			if _, err := runKernels(c, tr, app.Kernels...); err != nil {
 				return nil, err
 			}

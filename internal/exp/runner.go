@@ -71,9 +71,7 @@ func runKernels(cfg config.GPU, tr *trace.Tracer, ks ...*gpu.Kernel) (*stats.Run
 	if err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		g.SetTracer(tr)
-	}
+	g.SetTracer(tr)
 	if err := g.RunKernels(ks, 0); err != nil {
 		return nil, err
 	}
@@ -106,19 +104,17 @@ type design struct {
 	cfg  config.GPU
 }
 
-// cellKey identifies what a sweep cell simulates: the device the cell
-// runs on (after DeviceFor, Name cleared) and the application. Two
-// designs that differ in any modelled field have different keys; two
-// that differ only in label share one.
+// cellKey identifies what a sweep cell simulates: the machine the cell
+// runs on (after DeviceFor) and the application. Two designs that differ
+// in any modelled field have different keys; two that differ only in
+// label share one.
 type cellKey struct {
-	cfg config.GPU
-	app string
+	machine config.GPU
+	app     string
 }
 
 func keyOf(cfg config.GPU, app workloads.App) cellKey {
-	cfg = DeviceFor(cfg, app)
-	cfg.Name = ""
-	return cellKey{cfg, app.Name}
+	return cellKey{DeviceFor(cfg, app).Machine(), app.Name}
 }
 
 // memo holds every sweep cell completed in this process. The simulator

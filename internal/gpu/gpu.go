@@ -213,9 +213,6 @@ func (g *GPU) flushMetrics() {
 	m.lastCycle, m.lastInstr = g.cycle, g.run.Instructions
 }
 
-// Config returns the device configuration.
-func (g *GPU) Config() config.GPU { return g.cfg }
-
 // Run returns the accumulated statistics.
 func (g *GPU) Run() *stats.Run { return g.run }
 

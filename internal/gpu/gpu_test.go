@@ -58,12 +58,13 @@ func tinyCfg() config.GPU {
 // sampler runs every period cycles (0 = events only, no sampler).
 func tracedGPU(tb testing.TB, cfg config.GPU, period int) *GPU {
 	tb.Helper()
-	cfg.TraceSamplePeriod = period
 	g, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g.SetTracer(trace.New(trace.OptionsFor(&cfg, 0)))
+	opt := trace.OptionsFor(&cfg, 0)
+	opt.RingCap, opt.SamplePeriod = trace.DefaultRingCap, period
+	g.SetTracer(trace.New(opt))
 	return g
 }
 

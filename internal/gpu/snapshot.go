@@ -32,17 +32,14 @@ func (g *GPU) WriteSnapshot(w io.Writer) error {
 	g.syncSMs()
 	e := &g.enc // one per device: only its first frame grows the buffer
 	e.Reset()
-	cfgJSON, err := json.Marshal(g.cfg)
-	if err != nil {
-		return fmt.Errorf("gpu: snapshot config: %w", err)
-	}
 	runJSON, err := json.Marshal(g.run)
 	if err != nil {
 		return fmt.Errorf("gpu: snapshot stats: %w", err)
 	}
-	// What the restore target is compared against comes first: the
-	// configuration fingerprint.
-	e.Bytes(cfgJSON)
+	// What the restore target is compared against comes first: the machine
+	// the frame was taken on, not its label or run mode — a frame written
+	// under the auditor or without fast-forward continues without either.
+	e.Bytes([]byte(g.cfg.MachineID()))
 	e.State(&g.gpuState)
 	e.Bytes(runJSON)
 	// The in-flight batch's size, 0 between launches; the kernels
@@ -61,7 +58,8 @@ func (g *GPU) WriteSnapshot(w io.Writer) error {
 }
 
 // Restore loads a snapshot into a freshly built device of the identical
-// configuration. ks is the application's full kernel sequence — the same
+// machine (config.GPU.Machine: the label, the auditor and fast-forward may
+// differ). ks is the application's full kernel sequence — the same
 // workload the snapshot was taken under; mid-kernel snapshots rebind
 // their warps' instruction streams through it (programs are
 // deterministic workload artifacts, rebuilt rather than serialized, and
@@ -72,15 +70,11 @@ func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	if err != nil {
 		return err
 	}
-	wantCfg, err := json.Marshal(g.cfg)
-	if err != nil {
-		return fmt.Errorf("gpu: restore config: %w", err)
-	}
-	gotCfg := d.Bytes()
+	machine := d.Bytes()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if string(gotCfg) != string(wantCfg) {
+	if string(machine) != g.cfg.MachineID() {
 		return fmt.Errorf("gpu: snapshot was taken on a different configuration than this device's (%s)", g.cfg.Name)
 	}
 	d.State(&g.gpuState)

@@ -315,7 +315,10 @@ func TestAuditedRunIsCleanAndUnperturbed(t *testing.T) {
 // container assembled by snapshot.Frame's copy — wrote for them, a second
 // frame from the same, now used, Encoder must be the same bytes, and the
 // container must still be snapshot.Frame's. Re-pin the hashes with any change
-// that moves snapshot.Version or the stats/config JSON a frame carries.
+// that moves snapshot.Version, the frame header or the stats JSON a frame
+// carries. (Version 7 re-pinned them for the header alone — the 16-byte
+// MachineID where the configuration's 743 bytes of JSON were; everything
+// after the header hashed the same on both sides of that change.)
 func TestFrameBytesUnchanged(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 4
@@ -340,8 +343,8 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		name, want string
 		frame      []byte
 	}{
-		{"mid-kernel", "eff787e9c874e2624fc6bc047716b0eaacbee0b38b58499746c3549f6f9828e3", mid},
-		{"drained", "ea62874ec7f1218cd5d0475ea2266c5ad7f09420ca4e2c3ad3849ff48f6f4b00", frameOf(t, g)},
+		{"mid-kernel", "948d500059e659e74be646721ce4803c502ed03a997f7babe418785ce6d84762", mid},
+		{"drained", "ca472fd12cc8b70e54ddbb7da9168e32244b1aa3f141ebd0524748fd1685f24c", frameOf(t, g)},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.frame)); got != tc.want {
 			t.Errorf("%s frame (%d bytes) hashes to %s, the parent's to %s", tc.name, len(tc.frame), got, tc.want)

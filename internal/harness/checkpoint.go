@@ -3,15 +3,12 @@ package harness
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
-	"repro/internal/config"
 	"repro/internal/stats"
 )
 
@@ -21,9 +18,10 @@ import (
 // the loader tolerates a torn final line — and a resumed sweep can keep
 // appending to the same file. Only successful cells are recorded, so
 // resume re-runs exactly the faulted/killed/missing ones. A record is
-// resumed only into the cell it was simulated for: it carries a
-// fingerprint of the device configuration it ran on, so the same app and
-// config label at another -sms, -config-file or flag set re-runs.
+// resumed only into the cell it was simulated for: it carries the machine
+// it ran on (config.GPU.MachineID), so the same app and config label at
+// another -sms, -config-file or design re-runs — and the same machine
+// watched differently (-audit, -no-fastforward) does not.
 
 // ckptRecord is one checkpoint line.
 type ckptRecord struct {
@@ -32,31 +30,20 @@ type ckptRecord struct {
 	// App and Config name the cell.
 	App    string `json:"app"`
 	Config string `json:"config"`
-	// Cfg is cfgFingerprint of the device configuration the cell ran on.
+	// Cfg is the config.GPU.MachineID of the device the cell ran on (after
+	// Options.Adapt): the identity a snapshot frame carries too.
 	Cfg string `json:"cfg"`
 	// Run is the cell's full statistics.
 	Run *stats.Run `json:"run"`
 }
 
-// ckptVersion 2 added Cfg; a v1 record says nothing about the device it
-// ran on and is refused like any other unknown version.
-const ckptVersion = 2
+// ckptVersion 2 added Cfg, a digest of the whole configuration; 3 made it
+// the machine's alone. Records of any other version are refused.
+const ckptVersion = 3
 
 // ckptKey keys completed cells by identity: the labels and what was
 // simulated under them.
-func ckptKey(app, config, cfgFP string) string { return app + "\x00" + config + "\x00" + cfgFP }
-
-// cfgFingerprint digests a cell's device configuration (after
-// Options.Adapt): a hash of the same JSON a snapshot frame is compared
-// against in gpu.Restore, so records stay small.
-func cfgFingerprint(cfg config.GPU) (string, error) {
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("harness: checkpoint config fingerprint: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8]), nil
-}
+func ckptKey(app, config, machine string) string { return app + "\x00" + config + "\x00" + machine }
 
 // checkpointWriter streams completed cells to the checkpoint file.
 // Safe for concurrent use by sweep workers.
@@ -126,10 +113,10 @@ func repairTail(f *os.File) error {
 
 // Write appends one completed cell. Encoder output ends with a newline,
 // so each call emits exactly one JSONL record.
-func (w *checkpointWriter) Write(app, config, cfgFP string, run *stats.Run) error {
+func (w *checkpointWriter) Write(app, config, machineID string, run *stats.Run) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.enc.Encode(ckptRecord{V: ckptVersion, App: app, Config: config, Cfg: cfgFP, Run: run})
+	return w.enc.Encode(ckptRecord{V: ckptVersion, App: app, Config: config, Cfg: machineID, Run: run})
 }
 
 // Close closes the underlying file.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -116,6 +117,16 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	_, err := loadCheckpoint(path)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version error, got %v", err)
+	}
+	// A record as the previous format wrote it: its cfg digests the whole
+	// configuration, run mode included, and must not be matched against a
+	// MachineID.
+	v2 := `{"v":2,"app":"pb-mriq","config":"gto","cfg":"5f1c0e6f3a9d2b47","run":{"Cycles":1}}` + "\n"
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "unsupported version 2 (this build reads and writes 3; start a new file)") {
+		t.Fatalf("v2 record: %v, want the version refusal", err)
 	}
 }
 
@@ -274,5 +285,25 @@ func TestCheckpointResumesByDeviceNotLabel(t *testing.T) {
 	}
 	if got := run(2).Runs[0][0].Cycles; got != two.Runs[0][0].Cycles {
 		t.Errorf("2-SM cell resumed as %d cycles, simulated %d", got, two.Runs[0][0].Cycles)
+	}
+
+	// How the run is watched is not the device: toggling the auditor or
+	// the fast-forward (`sweep -audit`, `-no-fastforward`) finds the same
+	// record and appends no second one.
+	before, err := os.ReadFile(opt.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched := testCfg("gto")
+	watched.NumSMs = 2
+	for _, cfg := range []config.GPU{watched.WithAudit(4096), watched.WithNoFastForward(), watched.WithAudit(1).WithNoFastForward()} {
+		res, err := Run(context.Background(), []config.GPU{cfg}, nil, apps, opt)
+		if err != nil || res.Resumed != 1 || res.Executed != 0 {
+			t.Errorf("audit %d, no-fastforward %v: %v, resumed %d, executed %d; want 1, 0",
+				cfg.AuditEvery, cfg.NoFastForward, err, res.Resumed, res.Executed)
+		}
+	}
+	if after, err := os.ReadFile(opt.CheckpointPath); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("resuming under another run mode rewrote the checkpoint (%v): %d bytes, were %d", err, len(after), len(before))
 	}
 }

@@ -168,6 +168,19 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 	if len(names) != len(cfgs) {
 		return nil, fmt.Errorf("harness: %d config names for %d configs", len(names), len(cfgs))
 	}
+	// Outside this process a cell is its label — checkpoint key, snapshot
+	// frame, fault dump: two under one label would share all three.
+	labelled := map[string]Cell{}
+	for i := range apps {
+		for j := range cfgs {
+			l := cellLabel(apps[i].Name, names[j])
+			if c, dup := labelled[l]; dup {
+				return nil, fmt.Errorf("harness: cells (app %d %q, config %d %q) and (app %d %q, config %d %q) share the label %s; every cell needs its own",
+					c.App, apps[c.App].Name, c.Cfg, names[c.Cfg], i, apps[i].Name, j, names[j], l)
+			}
+			labelled[l] = Cell{App: i, Cfg: j}
+		}
+	}
 	res := &Result{
 		Runs: make([][]*stats.Run, len(apps)),
 		Wall: make([][]float64, len(apps)),
@@ -187,22 +200,20 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 	}
 
 	// Checkpoint: restore completed cells, then append new ones. A record
-	// is restored only into a cell with its device fingerprint.
+	// is restored only into a cell that simulates its machine.
 	var ckpt *checkpointWriter
-	var cfgFP [][]string // [app][config], set when checkpointing
+	var machine [][]string // MachineID by [app][config], set when checkpointing
 	if opt.CheckpointPath != "" {
 		done, err := loadCheckpoint(opt.CheckpointPath)
 		if err != nil {
 			return nil, err
 		}
-		cfgFP = make([][]string, len(apps))
+		machine = make([][]string, len(apps))
 		for i, app := range apps {
-			cfgFP[i] = make([]string, len(cfgs))
+			machine[i] = make([]string, len(cfgs))
 			for j := range cfgs {
-				if cfgFP[i][j], err = cfgFingerprint(adapt(Cell{App: i, Cfg: j})); err != nil {
-					return nil, err
-				}
-				if run, ok := done[ckptKey(app.Name, names[j], cfgFP[i][j])]; ok {
+				machine[i][j] = adapt(Cell{App: i, Cfg: j}).MachineID()
+				if run, ok := done[ckptKey(app.Name, names[j], machine[i][j])]; ok {
 					res.Runs[i][j] = run
 					res.Resumed++
 				}
@@ -272,7 +283,7 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 				res.Wall[c.App][c.Cfg] = wall
 				mu.Unlock()
 				if ckpt != nil {
-					if err := ckpt.Write(apps[c.App].Name, names[c.Cfg], cfgFP[c.App][c.Cfg], run); err != nil {
+					if err := ckpt.Write(apps[c.App].Name, names[c.Cfg], machine[c.App][c.Cfg], run); err != nil {
 						mu.Lock()
 						if ckptErr == nil {
 							ckptErr = err
@@ -366,15 +377,12 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 	// scrape time, and goes away with the cell.
 	defer opt.sm.watchCell(app.Name, cfgName, mon)()
 
-	// Flight recorder: a small SM-0 ring whose tail is dumped on fault.
+	// Flight recorder: an SM-0 ring (no sampler) whose tail is dumped on fault.
 	tr := opt.Tracer
 	if tr == nil && opt.DiagDir != "" {
-		tr = trace.New(trace.Options{
-			SMs:      cfg.NumSMs,
-			SubCores: cfg.SubCoresPerSM,
-			Banks:    cfg.BanksPerSubCore,
-			SM:       0,
-		})
+		ring := trace.OptionsFor(&cfg, 0)
+		ring.RingCap = trace.DefaultRingCap
+		tr = trace.New(ring)
 	}
 
 	// Panic isolation: a simulator invariant violation becomes a
@@ -457,9 +465,7 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 
 	g.SetMonitor(mon)
 	g.SetMetrics(opt.Metrics)
-	if tr != nil {
-		g.SetTracer(tr)
-	}
+	g.SetTracer(tr)
 	if snap != nil {
 		g.SetSnapshotHook(snap.hook)
 	}
@@ -592,7 +598,7 @@ func writeDump(opt Options, app, cfgName string, f *SimFault, tr *trace.Tracer) 
 	if opt.DiagDir == "" {
 		return ""
 	}
-	base := filepath.Join(opt.DiagDir, sanitize(app)+"__"+sanitize(cfgName))
+	base := filepath.Join(opt.DiagDir, cellLabel(app, cfgName))
 	tracePath := ""
 	if tr != nil {
 		if tf, err := os.Create(base + ".trace.json"); err == nil {
@@ -646,6 +652,9 @@ func writeDump(opt Options, app, cfgName string, f *SimFault, tr *trace.Tracer) 
 	}
 	return path
 }
+
+// cellLabel names a cell's files.
+func cellLabel(app, cfgName string) string { return sanitize(app) + "__" + sanitize(cfgName) }
 
 // sanitize makes a cell label filesystem-safe.
 func sanitize(s string) string {

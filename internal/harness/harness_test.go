@@ -59,6 +59,46 @@ func TestRunArgValidation(t *testing.T) {
 	}
 }
 
+// Two cells under one label would share a checkpoint key, a snapshot frame
+// (and its .tmp) and a fault-dump name: refused before any cell starts, with
+// both positions named. Labels are compared as the files are named.
+func TestRunRefusesDuplicateLabels(t *testing.T) {
+	ctx := context.Background()
+	rba := testCfg("rba").WithScheduler(config.SchedRBA)
+	for _, tc := range []struct {
+		name  string
+		cfgs  []config.GPU
+		names []string
+		apps  []workloads.App
+		want  string
+	}{
+		{"config tokens", []config.GPU{testCfg("gto"), rba, rba}, []string{"gto", "rba", "rba"},
+			[]workloads.App{testApp("a", 10)}, `(app 0 "a", config 1 "rba") and (app 0 "a", config 2 "rba")`},
+		{"config names", []config.GPU{rba, rba}, nil,
+			[]workloads.App{testApp("a", 10)}, "config 0 " + `"` + rba.Name + `"` + ") and (app 0"},
+		{"sanitized", []config.GPU{testCfg("x"), rba}, []string{"a/b", "a:b"},
+			[]workloads.App{testApp("a", 10)}, `config 0 "a/b") and (app 0 "a", config 1 "a:b") share the label a__a-b`},
+		{"apps", []config.GPU{rba}, nil,
+			[]workloads.App{testApp("a", 10), testApp("b", 10), testApp("a", 20)}, `(app 0 "a", config 0 "rba+RBA") and (app 2 "a", config 0 "rba+RBA")`},
+		// What collides is the pair, which is what names the files.
+		{"pair", []config.GPU{testCfg("x"), rba}, []string{"c", "b__c"},
+			[]workloads.App{testApp("a__b", 10), testApp("a", 10)}, `(app 0 "a__b", config 0 "c") and (app 1 "a", config 1 "b__c")`},
+	} {
+		dir := t.TempDir()
+		res, err := Run(ctx, tc.cfgs, tc.names, tc.apps, Options{
+			SnapshotDir: filepath.Join(dir, "snaps"), CheckpointPath: filepath.Join(dir, "c.jsonl")})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
+		if res != nil {
+			t.Errorf("%s: cells ran (executed %d) before the refusal", tc.name, res.Executed)
+		}
+		if left := dirEntries(t, dir); len(left) != 0 {
+			t.Errorf("%s: the refused sweep left %v", tc.name, left)
+		}
+	}
+}
+
 // The wall-clock timeout kills a cell that simulates too long, and the
 // fault records the kind and the budget.
 func TestTimeoutKill(t *testing.T) {

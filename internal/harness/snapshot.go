@@ -31,7 +31,7 @@ import (
 
 // snapPath names a cell's snapshot file.
 func snapPath(dir, app, cfgName string) string {
-	return filepath.Join(dir, sanitize(app)+"__"+sanitize(cfgName)+".snap")
+	return filepath.Join(dir, cellLabel(app, cfgName)+".snap")
 }
 
 // cellSnapshotter is one cell's snapshot policy, driven from the gpu

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,6 +82,76 @@ func TestCanceledCellResumesFromFinalSnapshot(t *testing.T) {
 	}
 	if _, err := os.Stat(snapFile); !os.IsNotExist(err) {
 		t.Errorf("completed cell did not discard its snapshot frame: %v", err)
+	}
+}
+
+// How a run is executed and checked is not part of the machine a frame
+// belongs to: a cell canceled at a random heartbeat under fast-forward with
+// the auditor armed resumes with fast-forward off and no auditor — and the
+// reverse — from that one frame, to the uninterrupted run's statistics. The
+// cell sleeps on DRAM most of the time, so the two modes walk very different
+// host paths over the same simulated cycles.
+func TestResumeAcrossRunModes(t *testing.T) {
+	b := program.NewBuilder()
+	b.Loop(250, func(lb *program.Builder) {
+		lb.LDG(4, 1, isa.MemTrait{Pattern: isa.PatRandom, Footprint: 1 << 26, Divergence: 4})
+		lb.FMA(5, 4, 4, 5)
+		lb.FMA(6, 5, 4, 6)
+	})
+	chain := b.MustBuild()
+	app := workloads.App{Name: "modes", Suite: "test", Kernels: []*gpu.Kernel{{
+		Name: "chain", Blocks: 3, WarpsPerBlock: 3, RegsPerThread: 8,
+		WarpProgram: func(b, w int) *program.Program { return chain }}}}
+	cfg := testCfg("base").WithScheduler(config.SchedRBA)
+
+	golden, fault := RunOne(context.Background(), cfg, app, Options{})
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	want := runStatsJSON(t, golden)
+	beats := golden.Cycles / 1024
+	if beats < 40 {
+		t.Fatalf("the cell has %d heartbeats; too short to cut at a random one", beats)
+	}
+
+	rng := rand.New(rand.NewSource(22))
+	for _, tc := range []struct {
+		name          string
+		write, resume config.GPU
+	}{
+		{"fast-forward+audit -> no-fast-forward", cfg.WithAudit(1), cfg.WithNoFastForward()},
+		{"no-fast-forward -> fast-forward+audit", cfg.WithNoFastForward(), cfg.WithAudit(1)},
+	} {
+		dir := t.TempDir()
+		reg := metrics.New()
+		m := newSweepMetrics(reg)
+		cut := 2 + rng.Int63n(beats/2) // frames before the cancel: a frame per heartbeat that did any work
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			for m.snapWrites.Value() < cut && ctx.Err() == nil {
+				time.Sleep(20 * time.Microsecond)
+			}
+			cancel()
+		}()
+		opt := Options{SnapshotDir: dir, SnapshotInterval: 1, Metrics: reg, Logf: t.Logf}
+		run, fault := RunOne(ctx, tc.write, app, opt)
+		cancel()
+		if run != nil || fault == nil || fault.Kind != FaultCanceled {
+			t.Fatalf("%s: run=%v fault=%v, want a canceled fault", tc.name, run, fault)
+		}
+		if fault.Cycle == 0 || fault.Cycle >= golden.Cycles {
+			t.Fatalf("%s: canceled at cycle %d of %d, not mid-run", tc.name, fault.Cycle, golden.Cycles)
+		}
+		run, fault = RunOne(context.Background(), tc.resume, app, opt)
+		if fault != nil {
+			t.Fatalf("%s: resumed cell faulted: %v", tc.name, fault)
+		}
+		if got := m.snapResumes.Value(); got != 1 {
+			t.Errorf("%s: sweep_snapshot_resumes_total = %d, want 1 (the frame was refused?)", tc.name, got)
+		}
+		if got := runStatsJSON(t, run); got != want {
+			t.Errorf("%s: cut at cycle %d, the resumed run diverged from the uninterrupted one\nwant %s\ngot  %s", tc.name, fault.Cycle, want, got)
+		}
 	}
 }
 

@@ -140,9 +140,6 @@ func (o Op) UnitOf() Class {
 	}
 }
 
-// IsMemory reports whether the op accesses a memory space.
-func (o Op) IsMemory() bool { return o.UnitOf() == ClassMEM }
-
 // IsBarrier reports whether the op is a block-wide barrier.
 func (o Op) IsBarrier() bool { return o == OpBAR }
 

@@ -48,9 +48,6 @@ func TestSpaceOf(t *testing.T) {
 }
 
 func TestPredicates(t *testing.T) {
-	if !OpLDG.IsMemory() || OpFMA.IsMemory() {
-		t.Error("IsMemory misclassifies")
-	}
 	if !OpBAR.IsBarrier() || OpEXIT.IsBarrier() {
 		t.Error("IsBarrier misclassifies")
 	}

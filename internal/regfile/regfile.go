@@ -26,12 +26,13 @@ import (
 )
 
 // warpSwizzle scrambles a warp slot into a per-warp bank offset for the
-// optional swizzled mapping (see BankOf). The scramble keeps the low bit
+// optional swizzled mapping (see SlotOffset). The scramble keeps the low bit
 // (so 2-bank sub-cores stay balanced across slots) and permutes the next
 // three bits.
 var warpSwizzle = [8]int{0, 5, 3, 6, 1, 4, 7, 2}
 
-// BankOf maps an architectural register of a warp to a bank.
+// SlotOffset returns a warp slot's bank offset under the chosen mapping;
+// precompute it once per warp and map its registers with BankWithOffset.
 //
 // The default (swizzle = false) is the mapping microbenchmarked out of
 // Volta silicon [Jia et al.]: bank = register index mod banks, identical
@@ -42,12 +43,6 @@ var warpSwizzle = [8]int{0, 5, 3, 6, 1, 4, 7, 2}
 //
 // The swizzled variant adds a scrambled per-slot offset, modeling a
 // hypothetical hardware remapping that decorrelates co-resident warps.
-func BankOf(warpSlot int, reg isa.Reg, banks int, swizzle bool) int {
-	return BankWithOffset(SlotOffset(warpSlot, swizzle), reg, banks)
-}
-
-// SlotOffset returns a warp slot's bank offset under the chosen mapping;
-// precompute it once per warp and use BankWithOffset in hot paths.
 func SlotOffset(warpSlot int, swizzle bool) int {
 	if !swizzle {
 		return 0

@@ -14,20 +14,26 @@ import (
 // offOf returns the swizzled bank offset for a slot (test helper).
 func offOf(slot int) int { return SlotOffset(slot, true) }
 
+// bankOf maps a warp's register to a bank the way the simulator does:
+// the slot's offset once, then the register.
+func bankOf(warpSlot int, reg isa.Reg, banks int, swizzle bool) int {
+	return BankWithOffset(SlotOffset(warpSlot, swizzle), reg, banks)
+}
+
 func TestBankOfPlain(t *testing.T) {
 	// Volta's silicon mapping: bank = reg mod banks, slot-independent.
-	if BankOf(0, 0, 2, false) != 0 || BankOf(0, 1, 2, false) != 1 || BankOf(0, 2, 2, false) != 0 {
+	if bankOf(0, 0, 2, false) != 0 || bankOf(0, 1, 2, false) != 1 || bankOf(0, 2, 2, false) != 0 {
 		t.Error("register interleaving wrong")
 	}
 	for slot := 0; slot < 16; slot++ {
-		if BankOf(slot, 5, 2, false) != 1 {
+		if bankOf(slot, 5, 2, false) != 1 {
 			t.Error("plain mapping must ignore the warp slot")
 		}
 	}
-	if BankOf(5, 9, 1, false) != 0 || BankOf(5, 9, 1, true) != 0 {
+	if bankOf(5, 9, 1, false) != 0 || bankOf(5, 9, 1, true) != 0 {
 		t.Error("single bank must map everything to 0")
 	}
-	if BankOf(0, 7, 8, false) != 7 {
+	if bankOf(0, 7, 8, false) != 7 {
 		t.Error("8-bank plain mapping wrong")
 	}
 }
@@ -35,18 +41,18 @@ func TestBankOfPlain(t *testing.T) {
 func TestBankOfSwizzled(t *testing.T) {
 	// Swizzled mapping keeps the low bit so 2-bank sub-cores stay
 	// balanced: adjacent slots flip parity.
-	if BankOf(0, 0, 2, true) != 0 || BankOf(1, 0, 2, true) != 1 {
+	if bankOf(0, 0, 2, true) != 0 || bankOf(1, 0, 2, true) != 1 {
 		t.Error("slot parity must flip the 2-bank mapping")
 	}
 	// Registers still alternate banks within a slot.
-	if BankOf(0, 0, 2, true) == BankOf(0, 1, 2, true) {
+	if bankOf(0, 0, 2, true) == bankOf(0, 1, 2, true) {
 		t.Error("adjacent registers must alternate banks")
 	}
 	// Stride-4 slots must not share one bank class on 8 banks (the
 	// degenerate pattern a plain (reg+slot) offset would produce).
 	seen := map[int]bool{}
 	for _, slot := range []int{0, 4, 8, 12} {
-		seen[BankOf(slot, 4, 8, true)] = true
+		seen[bankOf(slot, 4, 8, true)] = true
 	}
 	if len(seen) < 3 {
 		t.Errorf("stride-4 slots cover only %d banks", len(seen))

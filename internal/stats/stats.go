@@ -159,18 +159,6 @@ func (r *Run) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// IssuePerSubCore returns the per-sub-core issued-instruction totals
-// across all SMs, concatenated SM-major.
-func (r *Run) IssuePerSubCore() []int64 {
-	var out []int64
-	for i := range r.SMs {
-		for j := range r.SMs[i].SubCores {
-			out = append(out, r.SMs[i].SubCores[j].Issued)
-		}
-	}
-	return out
-}
-
 // IssueCoV returns the mean over SMs of the coefficient of variation of
 // instructions issued per sub-core — Fig 17's metric. SMs that issued
 // nothing are skipped.
@@ -331,24 +319,4 @@ func Percentile(vals []float64, p float64) float64 {
 		rank = 0
 	}
 	return cp[rank]
-}
-
-// Histogram buckets vals into n equal-width bins over [min, max] and
-// returns the counts. Used to summarize Fig 14's read distribution.
-func Histogram(vals []uint16, nbins int, maxVal int) []int64 {
-	if nbins < 1 {
-		nbins = 1
-	}
-	bins := make([]int64, nbins)
-	if maxVal < 1 {
-		maxVal = 1
-	}
-	for _, v := range vals {
-		b := int(v) * nbins / (maxVal + 1)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		bins[b]++
-	}
-	return bins
 }

@@ -90,10 +90,6 @@ func TestRunAggregates(t *testing.T) {
 	if got := r.TotalStalls(StallNoCU); got != 16 {
 		t.Errorf("TotalStalls = %d, want 16", got)
 	}
-	issue := r.IssuePerSubCore()
-	if len(issue) != 8 || issue[0] != 100 || issue[7] != 400 {
-		t.Errorf("IssuePerSubCore = %v", issue)
-	}
 	// Per-SM issue {100,200,300,400}: mean 250, stddev sqrt(12500)
 	wantCov := math.Sqrt(12500) / 250
 	if got := r.IssueCoV(); !almost(got, wantCov) {
@@ -119,26 +115,6 @@ func TestZeroCycleIPC(t *testing.T) {
 	var r Run
 	if r.IPC() != 0 {
 		t.Error("IPC of empty run must be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]uint16{0, 1, 2, 3, 255, 128}, 4, 255)
-	var total int64
-	for _, c := range h {
-		total += c
-	}
-	if total != 6 {
-		t.Errorf("histogram total = %d, want 6", total)
-	}
-	if h[0] != 4 {
-		t.Errorf("bin0 = %d, want 4", h[0])
-	}
-	if h[3] != 1 {
-		t.Errorf("bin3 = %d, want 1", h[3])
-	}
-	if got := Histogram(nil, 0, 0); len(got) != 1 {
-		t.Errorf("degenerate histogram len = %d", len(got))
 	}
 }
 
@@ -196,45 +172,6 @@ func TestPercentileEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := Percentile(tc.vals, tc.p); got != tc.want && !almost(got, tc.want) {
 				t.Errorf("Percentile(%v, %v) = %v, want %v", tc.vals, tc.p, got, tc.want)
-			}
-		})
-	}
-}
-
-// TestHistogramEdgeCases pins the guards on degenerate bin shapes.
-func TestHistogramEdgeCases(t *testing.T) {
-	cases := []struct {
-		name         string
-		vals         []uint16
-		nbins, maxV  int
-		wantLen      int
-		wantLastBin  int64
-		wantFirstBin int64
-	}{
-		{"empty", nil, 4, 100, 4, 0, 0},
-		{"zero-bins-clamped", []uint16{1, 2}, 0, 100, 1, 2, 2},
-		{"negative-bins-clamped", []uint16{1}, -3, 100, 1, 1, 1},
-		{"zero-max-clamped", []uint16{0, 1, 9}, 2, 0, 2, 2, 1},
-		{"overflow-clamps-to-top", []uint16{500}, 4, 100, 4, 1, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			h := Histogram(tc.vals, tc.nbins, tc.maxV)
-			if len(h) != tc.wantLen {
-				t.Fatalf("len = %d, want %d", len(h), tc.wantLen)
-			}
-			if h[len(h)-1] != tc.wantLastBin {
-				t.Errorf("last bin = %d, want %d", h[len(h)-1], tc.wantLastBin)
-			}
-			if h[0] != tc.wantFirstBin && tc.wantLen > 1 {
-				t.Errorf("first bin = %d, want %d", h[0], tc.wantFirstBin)
-			}
-			var total int64
-			for _, c := range h {
-				total += c
-			}
-			if total != int64(len(tc.vals)) {
-				t.Errorf("total = %d, want %d (no value may be dropped)", total, len(tc.vals))
 			}
 		})
 	}

@@ -70,6 +70,12 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 	banks := t.opt.Banks
 	for _, sm := range t.TracedSMs() {
 		cw.meta("process_name", sm, 0, fmt.Sprintf("SM %d", sm))
+		if lost := t.Overwritten(sm); lost > 0 {
+			// A tail, not the run: say so where the viewer shows it.
+			kept := int64(t.opt.RingCap)
+			cw.eventf(`{"name":"process_labels","ph":"M","pid":%d,"tid":0,"args":{"labels":"kept the last %d of %d events","overwritten":%d}}`,
+				sm, kept, kept+lost, lost)
+		}
 		for s := 0; s < t.opt.SubCores; s++ {
 			cw.meta("thread_name", sm, s, fmt.Sprintf("sub-core %d", s))
 			for b := 0; b < banks; b++ {

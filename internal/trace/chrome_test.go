@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/gpu"
@@ -32,10 +33,9 @@ func TestWriteChromePBMriq(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallCfg()
-	cfg.TraceSamplePeriod = 64
 	sink := trace.NewMemorySink()
 	opt := trace.OptionsFor(&cfg, 0)
-	opt.Sink = sink
+	opt.RingCap, opt.SamplePeriod, opt.Sink = trace.DefaultRingCap, 64, sink
 	tr := trace.New(opt)
 
 	g, err := gpu.New(cfg)
@@ -103,7 +103,7 @@ func TestWriteChromePBMriq(t *testing.T) {
 		t.Error("no process/thread metadata emitted")
 	}
 	if byPhase["C"] == 0 {
-		t.Error("no counter samples emitted despite TraceSamplePeriod")
+		t.Error("no counter samples emitted despite SamplePeriod")
 	}
 	if byPhase["X"] == 0 || byPhase["i"] == 0 {
 		t.Errorf("missing duration/instant events: phases %v", byPhase)
@@ -111,13 +111,27 @@ func TestWriteChromePBMriq(t *testing.T) {
 }
 
 // TestWriteChromeFlightRecorder: export also works straight from the
-// ring (no sink), the subcoresim default.
+// ring (no sink), the subcoresim default — and a ring that lapped says how
+// much of the run the export is missing.
 func TestWriteChromeFlightRecorder(t *testing.T) {
 	cfg := smallCfg()
 	opt := trace.OptionsFor(&cfg, 0)
 	opt.RingCap = 1024
 	tr := trace.New(opt)
 	runTraced(t, cfg, "pb-stencil", tr)
+
+	full := trace.OptionsFor(&cfg, 0)
+	sink := trace.NewMemorySink()
+	full.RingCap, full.Sink = 1024, sink
+	trFull := trace.New(full)
+	runTraced(t, cfg, "pb-stencil", trFull)
+	emitted := int64(len(sink.Events(0)))
+	if lost := tr.Overwritten(0); lost <= 0 || lost != emitted-1024 {
+		t.Fatalf("recorder overwrote %d events, want %d emitted - 1024 kept", lost, emitted)
+	}
+	if lost := trFull.Overwritten(0); lost != 0 {
+		t.Errorf("a sink loses nothing, Overwritten = %d", lost)
+	}
 
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf, tr); err != nil {
@@ -130,5 +144,17 @@ func TestWriteChromeFlightRecorder(t *testing.T) {
 	// metadata + 1024 ring events.
 	if len(events) < 1024 {
 		t.Fatalf("expected >= 1024 events, got %d", len(events))
+	}
+	var labels map[string]any
+	for _, e := range events {
+		if e["name"] == "process_labels" {
+			labels, _ = e["args"].(map[string]any)
+		}
+	}
+	if got, _ := labels["overwritten"].(float64); int64(got) != emitted-1024 {
+		t.Errorf("process metadata carries overwritten = %v, want %d", labels["overwritten"], emitted-1024)
+	}
+	if want := fmt.Sprintf("kept the last 1024 of %d events", emitted); labels["labels"] != want {
+		t.Errorf("process label %q, want %q", labels["labels"], want)
 	}
 }

@@ -11,9 +11,10 @@
 //     receiver, so a missing guard is a nil panic in every untraced test.
 //  2. Enabled tracing must not allocate per event. Events are fixed-size
 //     structs appended to per-SM ring buffers. With no Sink attached the
-//     ring is a flight recorder (the last RingCap events survive); with a
-//     Sink, full batches are handed off and the ring reused, so the full
-//     stream reaches the sink with bounded buffering.
+//     ring is a flight recorder (the last RingCap events survive, and the
+//     ring counts what it overwrote); with a Sink, full batches are handed
+//     off and the ring reused, so the full stream reaches the sink with
+//     bounded buffering.
 //  3. Telemetry must be deterministic: identical (config, app, seed) runs
 //     produce byte-identical event streams and counter samples
 //     (TestDeterministicTelemetry).
@@ -24,6 +25,10 @@
 // depths. It is the simulator's only time-series path: Fig. 14's
 // reads-per-cycle series is the RFReads column at period 1, the
 // sub-core issue timeline the IssueBySub columns.
+//
+// Whoever builds the tracer arms the halves separately: RingCap > 0 the
+// event rings, SamplePeriod > 0 the sampler. A counters-only tracer has no
+// ring and hands every SM a nil handle: the simulator runs its untraced path.
 //
 // WriteChrome (chrome.go) exports both streams as Chrome trace-event JSON
 // (SM -> process, sub-core -> thread) loadable in ui.perfetto.dev.
@@ -138,8 +143,8 @@ func (m *MemorySink) Flush(sm int, batch []Event) error {
 // Events returns the collected stream for one SM.
 func (m *MemorySink) Events(sm int) []Event { return m.bySM[sm] }
 
-// DefaultRingCap is the per-SM event ring capacity when Options.RingCap
-// is zero: a flight recorder deep enough for ~10k cycles of a busy SM.
+// DefaultRingCap is the per-SM event ring capacity the binaries ask for: a
+// flight recorder deep enough for ~10k cycles of a busy SM.
 const DefaultRingCap = 1 << 16
 
 // Options configures a Tracer.
@@ -152,54 +157,48 @@ type Options struct {
 	// Event volume is proportional, so whole-device tracing is best
 	// combined with a Sink.
 	SM int
-	// RingCap is the per-SM ring capacity in events (0 = DefaultRingCap).
+	// RingCap is the per-SM ring capacity in events; 0 records no events
+	// (no ring is allocated and ForSM returns nil for every SM).
 	RingCap int
 	// Sink, when non-nil, receives full batches as rings fill, so the
 	// complete stream is preserved. When nil the ring keeps only the most
 	// recent RingCap events (flight-recorder mode).
 	Sink Sink
 	// SamplePeriod enables counter sampling every that many cycles
-	// (0 disables sampling).
+	// (0 disables sampling), on SM (SM 0 when every SM is traced).
 	SamplePeriod int
-	// CounterSM is the SM whose counters are sampled (default 0).
-	CounterSM int
 }
 
-// OptionsFor derives tracer options from a validated configuration,
-// tracing events and counters on SM sm only (-1 = all SMs).
+// OptionsFor fills in what a configuration determines — the topology —
+// for a tracer watching SM sm (-1 = all SMs). Nothing is armed: the caller
+// sets RingCap, SamplePeriod and Sink to what it needs.
 func OptionsFor(cfg *config.GPU, sm int) Options {
-	counterSM := sm
-	if counterSM < 0 {
-		counterSM = 0
-	}
 	return Options{
-		SMs:          cfg.NumSMs,
-		SubCores:     cfg.SubCoresPerSM,
-		Banks:        cfg.BanksPerSubCore,
-		SM:           sm,
-		RingCap:      cfg.TraceRingCap,
-		SamplePeriod: cfg.TraceSamplePeriod,
-		CounterSM:    counterSM,
+		SMs:      cfg.NumSMs,
+		SubCores: cfg.SubCoresPerSM,
+		Banks:    cfg.BanksPerSubCore,
+		SM:       sm,
 	}
 }
 
 // ring is one SM's event buffer.
 type ring struct {
-	buf     []Event
-	n       int  // next write position
-	wrapped bool // flight-recorder mode: buffer has lapped
+	buf  []Event
+	n    int   // next write position
+	laps int64 // flight-recorder mode: times the buffer filled and started over
 }
 
 // Tracer is the central telemetry collector for one device run. Build
 // with New, attach with gpu.SetTracer, and Close before exporting when a
 // Sink is attached.
 type Tracer struct {
-	opt      Options
-	now      int64
-	rings    []*ring // indexed by SM id; nil = SM not traced
-	handles  []SMT
-	counters *Counters
-	sinkErr  error
+	opt       Options
+	now       int64
+	rings     []*ring // indexed by SM id; nil = SM not traced
+	handles   []SMT
+	counterSM int // the SM the sampler reads: opt.SM, or 0 when every SM is traced
+	counters  *Counters
+	sinkErr   error
 
 	// scratch is the reused counter-snapshot buffer.
 	scratch CounterSample
@@ -208,26 +207,22 @@ type Tracer struct {
 	lastReads  int64
 }
 
-// New builds a tracer. Topology fields of opt must be positive;
-// RingCap 0 selects DefaultRingCap.
+// New builds a tracer. Topology fields of opt must be positive.
 func New(opt Options) *Tracer {
 	if opt.SMs < 1 || opt.SubCores < 1 || opt.Banks < 1 {
 		panic(fmt.Sprintf("trace: invalid topology %d SMs, %d sub-cores, %d banks",
 			opt.SMs, opt.SubCores, opt.Banks))
 	}
-	if opt.RingCap <= 0 {
-		opt.RingCap = DefaultRingCap
-	}
-	if opt.CounterSM < 0 || opt.CounterSM >= opt.SMs {
-		opt.CounterSM = 0
-	}
 	t := &Tracer{
 		opt:   opt,
 		rings: make([]*ring, opt.SMs),
 	}
+	if opt.SM >= 0 && opt.SM < opt.SMs {
+		t.counterSM = opt.SM
+	}
 	t.handles = make([]SMT, opt.SMs)
 	for i := 0; i < opt.SMs; i++ {
-		if opt.SM >= 0 && i != opt.SM {
+		if opt.RingCap <= 0 || opt.SM >= 0 && i != opt.SM {
 			continue
 		}
 		t.rings[i] = &ring{buf: make([]Event, opt.RingCap)}
@@ -237,7 +232,7 @@ func New(opt Options) *Tracer {
 		nb := opt.SubCores * opt.Banks
 		t.counters = &Counters{
 			Period:     opt.SamplePeriod,
-			SM:         opt.CounterSM,
+			SM:         t.counterSM,
 			IssueBySub: make([][]int32, opt.SubCores),
 			OccBySub:   make([][]int32, opt.SubCores),
 			QLenByBank: make([][]int32, nb),
@@ -249,9 +244,6 @@ func New(opt Options) *Tracer {
 	}
 	return t
 }
-
-// Options returns the tracer's options (after defaulting).
-func (t *Tracer) Options() Options { return t.opt }
 
 // SetNow publishes the current global cycle; the device loop calls it
 // once per cycle before ticking SMs so emitted events carry the cycle
@@ -295,7 +287,7 @@ func (h *SMT) Emit(k Kind, sub int8, warp, a, b int32) {
 				h.t.sinkErr = err
 			}
 		} else {
-			r.wrapped = true
+			r.laps++
 		}
 		r.n = 0
 	}
@@ -327,13 +319,24 @@ func (t *Tracer) Events(sm int) []Event {
 		return nil
 	}
 	r := t.rings[sm]
-	if !r.wrapped {
+	if r.laps == 0 {
 		return append([]Event(nil), r.buf[:r.n]...)
 	}
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.n:]...)
 	out = append(out, r.buf[:r.n]...)
 	return out
+}
+
+// Overwritten returns how many of SM sm's events the flight recorder lost
+// to lapping: Events(sm) holds the last RingCap of RingCap + Overwritten(sm)
+// emitted. 0 while the stream still fits the ring, and always with a Sink.
+func (t *Tracer) Overwritten(sm int) int64 {
+	if sm < 0 || sm >= len(t.rings) || t.rings[sm] == nil || t.rings[sm].laps == 0 {
+		return 0
+	}
+	r := t.rings[sm]
+	return (r.laps-1)*int64(len(r.buf)) + int64(r.n)
 }
 
 // TracedSMs lists the SM ids with event rings.
@@ -405,7 +408,7 @@ func (t *Tracer) Counters() *Counters {
 }
 
 // CounterSM returns the SM whose counters are sampled.
-func (t *Tracer) CounterSM() int { return t.opt.CounterSM }
+func (t *Tracer) CounterSM() int { return t.counterSM }
 
 // SampleRange records the counter samples falling in cycles [from, to):
 // the device loop calls it once per iteration, over the one cycle it ticked

@@ -48,7 +48,7 @@ func TestEventStream(t *testing.T) {
 	cfg := smallCfg()
 	sink := trace.NewMemorySink()
 	opt := trace.OptionsFor(&cfg, 0)
-	opt.Sink = sink
+	opt.RingCap, opt.Sink = trace.DefaultRingCap, sink
 	tr := trace.New(opt)
 	runTraced(t, cfg, "pb-stencil", tr)
 
@@ -114,8 +114,9 @@ func TestFlightRecorder(t *testing.T) {
 // with issue deltas summing to the run's issued instructions on that SM.
 func TestCounterSampling(t *testing.T) {
 	cfg := smallCfg()
-	cfg.TraceSamplePeriod = 16
-	tr := trace.New(trace.OptionsFor(&cfg, 0))
+	opt := trace.OptionsFor(&cfg, 0)
+	opt.SamplePeriod = 16
+	tr := trace.New(opt)
 
 	app, err := workloads.ByName("pb-stencil")
 	if err != nil {
@@ -174,7 +175,7 @@ func TestSinkBatches(t *testing.T) {
 	cfg := smallCfg()
 	sinkBig := trace.NewMemorySink()
 	optBig := trace.OptionsFor(&cfg, 0)
-	optBig.Sink = sinkBig
+	optBig.RingCap, optBig.Sink = trace.DefaultRingCap, sinkBig
 	trBig := trace.New(optBig)
 	runTraced(t, cfg, "pb-stencil", trBig)
 
@@ -195,9 +196,11 @@ func TestSinkBatches(t *testing.T) {
 // tracer is safe — the contract every emission site relies on.
 func TestNilHandle(t *testing.T) {
 	cfg := smallCfg()
-	tr := trace.New(trace.OptionsFor(&cfg, 0))
-	if tr.ForSM(1) != nil {
-		t.Error("untraced SM returned a handle")
+	opt := trace.OptionsFor(&cfg, 0)
+	opt.RingCap = 64
+	tr := trace.New(opt)
+	if tr.ForSM(0) == nil || tr.ForSM(1) != nil {
+		t.Error("want a handle for the traced SM and none for the other")
 	}
 	if tr.ForSM(-3) != nil || tr.ForSM(99) != nil {
 		t.Error("out-of-range SM returned a handle")
@@ -227,5 +230,58 @@ func TestKindNames(t *testing.T) {
 	}
 	if got := trace.Kind(200).String(); got != "kind(200)" {
 		t.Errorf("out-of-range kind name = %q", got)
+	}
+}
+
+// countersOf runs app on cfg under a tracer built from opt and returns its
+// sampled columns.
+func countersOf(t *testing.T, cfg config.GPU, app string, opt trace.Options) *trace.Counters {
+	t.Helper()
+	tr := trace.New(opt)
+	runTraced(t, cfg, app, tr)
+	return tr.Counters()
+}
+
+// TestCountersOnlyTracer: a tracer asked for counters alone allocates no
+// ring and hands every SM a nil handle — the simulator runs its untraced
+// path — and samples exactly what a ring-armed tracer samples, at a period
+// that sees every cycle and one that divides nothing, fast-forward on and
+// off.
+func TestCountersOnlyTracer(t *testing.T) {
+	cfg := smallCfg()
+	for _, sm := range []int{0, -1} {
+		opt := trace.OptionsFor(&cfg, sm)
+		opt.SamplePeriod = 8
+		tr := trace.New(opt)
+		for i := 0; i < cfg.NumSMs; i++ {
+			if tr.ForSM(i) != nil || tr.Events(i) != nil {
+				t.Errorf("counters-only tracer (SM %d) traces SM %d", sm, i)
+			}
+		}
+		if got := tr.TracedSMs(); len(got) != 0 {
+			t.Errorf("counters-only tracer (SM %d) holds rings for %v", sm, got)
+		}
+	}
+	const app = "pb-stencil"
+	for _, period := range []int{1, 37} {
+		var want *trace.Counters
+		for _, c := range []config.GPU{cfg, cfg.WithNoFastForward()} {
+			bare := trace.OptionsFor(&c, 0)
+			bare.SamplePeriod = period
+			ringed := bare
+			ringed.RingCap = 256
+			got := countersOf(t, c, app, bare)
+			if got.Samples() == 0 {
+				t.Fatalf("period %d: no samples", period)
+			}
+			if !reflect.DeepEqual(got, countersOf(t, c, app, ringed)) {
+				t.Errorf("period %d (no fast-forward %v): the ring changed the sampled columns", period, c.NoFastForward)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("period %d: fast-forward changed the counters-only columns", period)
+			}
+		}
 	}
 }
