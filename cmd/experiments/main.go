@@ -10,10 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro"
@@ -48,14 +50,10 @@ func main() {
 		return
 	}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [-list] <id>... | all")
+	ids, err := resolveIDs(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	ids := args
-	if len(args) == 1 && args[0] == "all" {
-		ids = repro.ExperimentIDs()
 	}
 	// Each experiment runs under panic isolation (harness.Guard): a bug
 	// in one figure's driver reports a structured fault and a non-zero
@@ -86,4 +84,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %d/%d experiment(s) failed\n", failed, len(ids))
 		os.Exit(1)
 	}
+}
+
+// resolveIDs checks every id before anything simulates, as the format is;
+// "all", alone, is every experiment in paper order.
+func resolveIDs(args []string) ([]string, error) {
+	if len(args) == 0 {
+		return nil, errors.New("usage: experiments [-list] <id>... | all")
+	}
+	known := repro.ExperimentIDs()
+	if len(args) == 1 && args[0] == "all" {
+		return known, nil
+	}
+	for _, id := range args {
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (-list names them; \"all\" stands alone)", id)
+		}
+	}
+	return args, nil
 }

@@ -9,7 +9,7 @@
 //	subcoresim -app rod-srad -config rba+4cu
 //	subcoresim -app rod-srad -config-file dev.json -config lat5+rba
 //	subcoresim -app pb-mriq -chrome-trace out.json   # open in ui.perfetto.dev
-//	subcoresim -app pb-mriq -json > run.json         # full stats for scripting
+//	subcoresim -app pb-mriq -json > run.json         # the run record (harness.Record)
 //	subcoresim -list
 //
 // -config is a design in the grammar of internal/config's package comment
@@ -33,8 +33,10 @@ package main
 import (
 	"cmp"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -43,11 +45,9 @@ import (
 
 	"repro"
 	"repro/internal/config"
-	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/plot"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -99,45 +99,53 @@ func (f *cfgFlags) config() (config.GPU, error) {
 }
 
 func main() {
-	cf := registerCfgFlags(flag.CommandLine)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "subcoresim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: args are the command line, stdout and stderr the
+// process's.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("subcoresim", flag.ExitOnError)
+	cf := registerCfgFlags(fs)
 	var (
-		appName  = flag.String("app", "pb-mriq", "application name (see -list)")
-		list     = flag.Bool("list", false, "list applications and exit")
-		trc      = flag.Bool("trace", false, "trace register-file reads/cycle on SM 0 and print a sparkline")
-		timeline = flag.Bool("timeline", false, "print per-sub-core issue timelines for SM 0 (imbalance view)")
-		chrome   = flag.String("chrome-trace", "", "write SM 0's event stream as Chrome trace-event JSON to this file")
-		jsonOut  = flag.Bool("json", false, "dump the full run statistics as JSON instead of the text report")
-		sample   = flag.Int("sample", 0, "counter sampling period in cycles (0 = per flag defaults)")
-		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
-		maxCyc   = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
-		metAddr  = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
-		snapDir  = flag.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory; a run whose frame is already there resumes from it, with byte-identical results")
-		snapEvr  = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in cycles of work: one is every sub-core of the device awake for a cycle, so sleeping sub-cores and slept cycles do not count (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
+		appName  = fs.String("app", "pb-mriq", "application name (see -list)")
+		list     = fs.Bool("list", false, "list applications and exit")
+		trc      = fs.Bool("trace", false, "trace register-file reads/cycle on SM 0 and print a sparkline")
+		timeline = fs.Bool("timeline", false, "print per-sub-core issue timelines for SM 0 (imbalance view)")
+		chrome   = fs.String("chrome-trace", "", "write SM 0's event stream as Chrome trace-event JSON to this file")
+		jsonOut  = fs.Bool("json", false, "print the run record (summary and full statistics, the shape of a sweep -checkpoint line) as JSON instead of the text report; everything else the flags print goes to stderr")
+		sample   = fs.Int("sample", 0, "counter sampling period in cycles (0 = per flag defaults)")
+		timeout  = fs.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
+		maxCyc   = fs.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
+		metAddr  = fs.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
+		snapDir  = fs.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory; a run whose frame is already there resumes from it, with byte-identical results")
+		snapEvr  = fs.Int64("snapshot-interval", 0, "period between periodic snapshots, in cycles of work: one is every sub-core of the device awake for a cycle, so sleeping sub-cores and slept cycles do not count (0 = only the final frame on SIGTERM/Ctrl-C; refused without -snapshot-dir)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *list {
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "name\tsuite\tsensitive\tkernels\tinstructions")
 		apps, err := repro.Workloads()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, a := range apps {
 			fmt.Fprintf(w, "%s\t%s\t%v\t%d\t%d\n", a.Name, a.Suite, a.Sensitive, len(a.Kernels), a.Instructions())
 		}
-		w.Flush()
-		return
+		return w.Flush()
 	}
 
 	app, err := repro.AppByName(*appName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
 	cfg, err := cf.config()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// The sampled counter time-series (internal/trace) drives -trace,
@@ -170,7 +178,7 @@ func main() {
 		SnapshotDir:      *snapDir,
 		SnapshotInterval: *snapEvr,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		},
 	}
 	var tr *trace.Tracer
@@ -182,47 +190,53 @@ func main() {
 		reg := metrics.New()
 		srv, err := metrics.Serve(*metAddr, reg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer srv.Close()
 		hopt.Metrics = reg
-		fmt.Fprintf(os.Stderr, "subcoresim: telemetry at http://%s/metrics\n", srv.Addr())
+		fmt.Fprintf(stderr, "subcoresim: telemetry at http://%s/metrics\n", srv.Addr())
 	}
 	r, fault := harness.RunOne(ctx, cfg, app, hopt)
 	if needTracer {
 		if err := tr.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if fault != nil {
-		fatal(fault)
+		return fault
 	}
 
+	// Under -json stdout is the record and nothing else: the notices and
+	// sparklines the other flags print move to stderr.
+	rec := harness.NewRecord(app.Name, cfg.Name, cfg.MachineID(), r)
+	side := stdout
 	if *jsonOut {
-		if err := exp.WriteRunJSON(os.Stdout, app.Name, cfg.Name, r); err != nil {
-			fatal(err)
+		side = stderr
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rec); err != nil {
+			return err
 		}
 	} else {
-		report(cfg.Name, app.Name, r)
+		fmt.Fprintf(stdout, "app:            %s\nconfig:         %s\n", rec.App, rec.Config)
+		rec.WriteText(stdout)
 	}
 
 	if *chrome != "" {
 		f, err := os.Create(*chrome)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := trace.WriteChrome(f, tr); err != nil {
 			f.Close()
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		if !*jsonOut {
-			fmt.Printf("\nwrote Chrome trace to %s (open in ui.perfetto.dev)\n", *chrome)
-		}
+		fmt.Fprintf(side, "\nwrote Chrome trace to %s (open in ui.perfetto.dev)\n", *chrome)
 		if lost := tr.Overwritten(0); lost > 0 {
-			fmt.Fprintf(os.Stderr, "subcoresim: %s kept the last %d of %d events of SM 0 (the ring lapped; the counter tracks cover the whole run)\n",
+			fmt.Fprintf(stderr, "subcoresim: %s kept the last %d of %d events of SM 0 (the ring lapped; the counter tracks cover the whole run)\n",
 				*chrome, topt.RingCap, int64(topt.RingCap)+lost)
 		}
 	}
@@ -235,8 +249,8 @@ func main() {
 			// reads per cycle (Fig 14's unit) and normalize by the period.
 			vals[i] = float64(v) * float64(cfg.WarpSize) / float64(c.Period)
 		}
-		fmt.Println("\nSM0 register reads per cycle (Fig 14 style):")
-		fmt.Println(plot.Series(appNameShort(*appName), vals, 100))
+		fmt.Fprintln(side, "\nSM0 register reads per cycle (Fig 14 style):")
+		fmt.Fprintln(side, plot.Series(appNameShort(*appName), vals, 100))
 	}
 	if *timeline && c != nil {
 		// Aggregate samples into display buckets of >= 32 cycles so the
@@ -245,7 +259,7 @@ func main() {
 		if c.Period < 32 {
 			bucket = (32 + c.Period - 1) / c.Period
 		}
-		fmt.Printf("\nSM0 per-sub-core instructions issued (buckets of %d cycles):\n", bucket*c.Period)
+		fmt.Fprintf(side, "\nSM0 per-sub-core instructions issued (buckets of %d cycles):\n", bucket*c.Period)
 		for sc, series := range c.IssueBySub {
 			vals := make([]float64, 0, len(series)/bucket+1)
 			for i := 0; i < len(series); i += bucket {
@@ -255,9 +269,10 @@ func main() {
 				}
 				vals = append(vals, s)
 			}
-			fmt.Println(plot.Series(fmt.Sprintf("sub-core %d", sc), vals, 100))
+			fmt.Fprintln(side, plot.Series(fmt.Sprintf("sub-core %d", sc), vals, 100))
 		}
 	}
+	return nil
 }
 
 func appNameShort(s string) string {
@@ -265,45 +280,4 @@ func appNameShort(s string) string {
 		return s[:20]
 	}
 	return s
-}
-
-func report(cfgName, appName string, r *repro.Result) {
-	fmt.Printf("app:            %s\n", appName)
-	fmt.Printf("config:         %s\n", cfgName)
-	fmt.Printf("cycles:         %d\n", r.Cycles)
-	fmt.Printf("instructions:   %d\n", r.Instructions)
-	fmt.Printf("IPC:            %.3f\n", r.IPC())
-	fmt.Printf("issue CoV:      %.3f (per-sub-core imbalance, Fig 17 metric)\n", r.IssueCoV())
-	fmt.Printf("bank conflicts: %d (%.3f per read)\n", r.TotalBankConflicts(),
-		safeDiv(r.TotalBankConflicts(), r.TotalRegReads()))
-	fmt.Println("stalls (sub-core cycles):")
-	for reason := stats.StallReason(1); reason < stats.NumStallReasons; reason++ {
-		fmt.Printf("  %-12s %d\n", reason, r.TotalStalls(reason))
-	}
-	var hits, misses int64
-	for i := range r.SMs {
-		hits += r.SMs[i].L1Hits
-		misses += r.SMs[i].L1Misses
-	}
-	if hits+misses > 0 {
-		fmt.Printf("L1 hit rate:    %.3f\n", float64(hits)/float64(hits+misses))
-	}
-	st := r.CPIStack()
-	shares := st.Shares()
-	fmt.Println("CPI stack (top-down, every sub-core cycle attributed once):")
-	for c := stats.CPIComponent(0); c < stats.NumCPIComponents; c++ {
-		fmt.Printf("  %-14s %12d  %5.1f%%\n", c, st[c], shares[c]*100)
-	}
-}
-
-func safeDiv(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "subcoresim:", err)
-	os.Exit(1)
 }

@@ -25,7 +25,9 @@
 // re-running only the missing/faulted cells; how the run is watched
 // (-audit, -no-fastforward, -timeout, …) may differ between the two
 // (docs/ROBUSTNESS.md). Interrupting with Ctrl-C or SIGTERM checkpoints
-// cleanly.
+// cleanly. The file is also the sweep's full machine-readable result:
+// each line is the run record (harness.Record) `subcoresim -json` prints
+// for that cell.
 //
 // With -snapshot-dir, each in-flight cell additionally persists its full
 // mid-kernel device state — periodically under -snapshot-interval, and
@@ -55,6 +57,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -74,7 +77,7 @@ func main() {
 		metricsAt = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
 		noFF      = flag.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)")
 		snapDir   = flag.String("snapshot-dir", "", "persist per-cell mid-kernel device snapshots to this directory; cells whose frame is already there resume from it, with results byte-identical to uninterrupted runs")
-		snapEvery = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in cycles of work: one is every sub-core of the device awake for a cycle, so sleeping sub-cores and slept cycles do not count (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
+		snapEvery = flag.Int64("snapshot-interval", 0, "period between periodic snapshots, in cycles of work: one is every sub-core of the device awake for a cycle, so sleeping sub-cores and slept cycles do not count (0 = only the final frame on SIGTERM/Ctrl-C; refused without -snapshot-dir)")
 		auditEv   = flag.Int64("audit", 0, "run the runtime invariant auditor on the first heartbeat and then every N cycles of work (one is every sub-core of the device awake for a cycle); violations fault the cell as a structured audit fault (0 = off)")
 	)
 	flag.Parse()
@@ -135,16 +138,15 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Print("app,config,cycles,instructions,ipc,bank_conflicts,issue_cov\n")
+	fmt.Println("app,config," + stats.CSVHeader)
 	for i, app := range apps {
 		for j := range cfgs {
 			r := res.Runs[i][j]
 			if r == nil {
 				continue // faulted; reported via Logf and the summary
 			}
-			fmt.Printf("%s,%s,%d,%d,%.4f,%d,%.4f\n",
-				app.Name, names[j], r.Cycles, r.Instructions, r.IPC(),
-				r.TotalBankConflicts(), r.IssueCoV())
+			sum := stats.Summarize(r)
+			fmt.Printf("%s,%s,%s\n", app.Name, names[j], sum.CSVRow())
 		}
 	}
 	if !res.Complete() {

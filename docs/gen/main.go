@@ -8,7 +8,11 @@ import (
 )
 
 func main() {
-	f, _ := os.Create("docs/WORKLOADS.md")
+	f, err := os.Create("docs/WORKLOADS.md")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gen:", err, "(run from the repository root)")
+		os.Exit(1)
+	}
 	defer f.Close()
 	fmt.Fprintln(f, "# Workload catalog")
 	fmt.Fprintln(f)

@@ -22,7 +22,8 @@ import (
 // Schema identifies the document format version.
 const Schema = "subcoresim-bench/1"
 
-// Cell is one (application, configuration) measurement.
+// Cell is one (application, configuration) measurement: a projection of
+// the cell's stats.Summary.
 type Cell struct {
 	App    string `json:"app"`
 	Config string `json:"config"`
@@ -54,17 +55,11 @@ func FromResult(res *harness.Result, apps []workloads.App, names []string, creat
 			if r == nil {
 				continue
 			}
-			c := Cell{
-				App:          apps[i].Name,
-				Config:       names[j],
-				Cycles:       r.Cycles,
-				Instructions: r.Instructions,
-				IPC:          r.IPC(),
-				CPIShares:    map[string]float64{},
-			}
-			st := r.CPIStack()
-			for k, s := range st.Shares() {
-				c.CPIShares[stats.CPIComponent(k).String()] = s
+			s := stats.Summarize(r)
+			c := Cell{App: apps[i].Name, Config: names[j], Cycles: s.Cycles,
+				Instructions: s.Instructions, IPC: s.IPC, CPIShares: map[string]float64{}}
+			for name, e := range s.CPI {
+				c.CPIShares[name] = e.Share
 			}
 			b.Cells = append(b.Cells, c)
 		}

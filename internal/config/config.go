@@ -446,6 +446,9 @@ func (g GPU) Validate() error {
 		{g.DispatchPortsPerSubCore >= 1, "DispatchPortsPerSubCore must be >= 1"},
 		{g.FP32LanesPerSubCore >= 1, "FP32LanesPerSubCore must be >= 1"},
 		{g.LSUWidthPerSM >= 1, "LSUWidthPerSM must be >= 1"},
+		{g.LSUQueue >= 1, "LSUQueue must be >= 1 (no memory instruction could ever enter the LSU)"},
+		{g.SharedMemBanks >= 1, "SharedMemBanks must be >= 1"},
+		{g.L1Assoc >= 1 && g.L2Assoc >= 1, "L1Assoc and L2Assoc must be >= 1"},
 		{g.LineBytes > 0 && g.LineBytes&(g.LineBytes-1) == 0, "LineBytes must be a power of two"},
 		{g.L1KBPerSM >= 1, "L1KBPerSM must be >= 1"},
 		{g.L2KB >= 1, "L2KB must be >= 1"},

@@ -118,6 +118,11 @@ func TestValidateCatchesViolations(t *testing.T) {
 		func(g *GPU) { g.LineBytes = 100 },
 		func(g *GPU) { g.HashTableEntries = 5 },
 		func(g *GPU) { g.RBAScoreLatency = -1 },
+		func(g *GPU) { g.LSUQueue = 0 }, // no memory instruction ever enters the LSU: the cell ran to the cycle cap
+		// Each of these was clamped to 1 where it is used: two MachineIDs, one machine.
+		func(g *GPU) { g.L1Assoc = 0 },
+		func(g *GPU) { g.L2Assoc = -1 },
+		func(g *GPU) { g.SharedMemBanks = 0 },
 	}
 	for i, m := range mut {
 		g := VoltaV100()

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/stats"
 )
 
 // RenderCSV writes the table as CSV: a header of "name" plus the value
@@ -69,46 +67,6 @@ func (t *Table) RenderMarkdown(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// RunJSON is the stable JSON shape of one simulated run: identification,
-// the derived headline metrics, and the full per-SM statistics.
-type RunJSON struct {
-	App    string `json:"app"`
-	Config string `json:"config"`
-	// Derived headline metrics.
-	IPC           float64 `json:"ipc"`
-	IssueCoV      float64 `json:"issue_cov"`
-	BankConflicts int64   `json:"bank_conflicts"`
-	RegReads      int64   `json:"reg_reads"`
-	MeanOccupancy float64 `json:"mean_occupancy"`
-	// Stalls maps each stall reason's name to its summed sub-core cycles.
-	Stalls map[string]int64 `json:"stalls"`
-	// Run embeds the complete statistics (cycles, instructions, per-SM
-	// and per-sub-core counters, kernel breakdown, traced series).
-	Run *stats.Run `json:"run"`
-}
-
-// WriteRunJSON writes one run's full statistics as indented JSON — the
-// machinery behind `subcoresim -json`.
-func WriteRunJSON(w io.Writer, appName, cfgName string, r *stats.Run) error {
-	stalls := make(map[string]int64, int(stats.NumStallReasons)-1)
-	for reason := stats.StallReason(1); reason < stats.NumStallReasons; reason++ {
-		stalls[reason.String()] = r.TotalStalls(reason)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(RunJSON{
-		App:           appName,
-		Config:        cfgName,
-		IPC:           r.IPC(),
-		IssueCoV:      r.IssueCoV(),
-		BankConflicts: r.TotalBankConflicts(),
-		RegReads:      r.TotalRegReads(),
-		MeanOccupancy: r.MeanOccupancy(),
-		Stalls:        stalls,
-		Run:           r,
-	})
 }
 
 // RenderAs dispatches on format: "text" (default), "csv", "json", or

@@ -118,24 +118,3 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkCycleAllocs is the CI gate form: it asserts the same property,
-// reports allocs/cycle as a metric, and then times full runs for the perf
-// baselines.
-func BenchmarkCycleAllocs(b *testing.B) {
-	p := allocGateProgram(allocGateLong)
-	for _, bc := range allocGateConfigs() {
-		b.Run(bc.name, func(b *testing.B) {
-			extra, cycles := extraAllocs(b, bc.cfg)
-			if extra > allocGateSlack {
-				b.Fatalf("%s: simulated work allocates (%.1f more allocations over %d more cycles)", bc.name, extra, cycles)
-			}
-			b.ReportMetric(extra/float64(cycles), "allocs/cycle")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				allocGateRun(b, bc.cfg, p)
-			}
-		})
-	}
-}

@@ -413,39 +413,3 @@ func TestConcurrentNoHeadOfLineBlocking(t *testing.T) {
 			cle.BlocksLaunched)
 	}
 }
-
-// BenchmarkFastForward measures the wall-clock effect of the idle-cycle
-// fast-forward on the regime it targets: a low-occupancy latency-bound
-// kernel (dependent divergent loads, 2 blocks x 4 warps on 2 SMs) whose
-// device spends >90% of its cycles with nothing issuable anywhere. The
-// "off" sub-benchmark ticks every cycle; "on" skips quiescent spans.
-// Both simulate the identical cycle count (TestFastForwardByteIdentity
-// proves the statistics bit-equal) — only host time differs.
-func BenchmarkFastForward(b *testing.B) {
-	base := config.VoltaV100()
-	base.NumSMs = 2
-	p := memLatencyProgram(4096)
-	mk := func() *Kernel {
-		return &Kernel{Name: "mem-idle", Blocks: 2, WarpsPerBlock: 4, RegsPerThread: 16,
-			WarpProgram: func(blk, w int) *program.Program { return p }}
-	}
-	for _, bc := range []struct {
-		name string
-		cfg  config.GPU
-	}{{"on", base}, {"off", base.WithNoFastForward()}} {
-		b.Run(bc.name, func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				g, err := New(bc.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := g.RunKernel(mk(), 0); err != nil {
-					b.Fatal(err)
-				}
-				cycles = g.Run().Cycles
-			}
-			b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-		})
-	}
-}

@@ -98,7 +98,7 @@ type GPU struct {
 
 	tracer *trace.Tracer
 	mon    *Monitor
-	met    *devMetrics
+	met    devMetrics
 
 	// auditEvery/auditNext drive the runtime invariant auditor, in
 	// WorkCycles (config.AuditEvery; audit.go). snapFn is the harness's
@@ -124,11 +124,10 @@ type gpuState struct {
 	ffCycles int64
 }
 
-// devMetrics holds the device's live-telemetry handles plus the
-// last-published watermarks. Counters are flushed as deltas at
-// heartbeat granularity (monitorPeriod cycles), never per cycle, so the
-// enabled path stays off the critical loop and the disabled path is one
-// nil check per heartbeat.
+// devMetrics holds the device's live-telemetry handles (nil, and so
+// no-ops, without a registry) plus the last-published watermarks. Counters
+// are flushed as deltas at heartbeat granularity (monitorPeriod cycles),
+// never per cycle, so telemetry stays off the critical loop.
 type devMetrics struct {
 	cycles  *metrics.Counter
 	instrs  *metrics.Counter
@@ -166,8 +165,9 @@ func (g *GPU) reset() {
 // SetTracer attaches an observability tracer (see internal/trace) to the
 // device, wiring each SM's emission handle through its sub-cores, operand
 // collectors, and LSU. Call before RunKernel; pass nil to detach. With no
-// tracer attached every emission site reduces to one nil-check — the
-// disabled fast path measured by BenchmarkTracingOverhead.
+// tracer attached every emission site reduces to one nil-check
+// (`go run ./benchmark` reports an armed tracer's cost as
+// trace.enabled_overhead_pct).
 func (g *GPU) SetTracer(t *trace.Tracer) {
 	g.tracer = t
 	for _, sm := range g.sms {
@@ -182,14 +182,10 @@ func (g *GPU) Tracer() *trace.Tracer { return g.tracer }
 // issued instructions, and completed kernels stream to it at heartbeat
 // granularity. The handles are shared device-wide aggregates — several
 // concurrent GPUs (a sweep's workers) feed the same counters through
-// atomic adds. Pass nil to detach (the nil-guarded fast path measured
-// by BenchmarkMetricsOverhead).
+// atomic adds. Pass nil to detach (`go run ./benchmark` reports the cost
+// of an attached registry as metrics.enabled_overhead_pct).
 func (g *GPU) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		g.met = nil
-		return
-	}
-	g.met = &devMetrics{
+	g.met = devMetrics{
 		cycles:  reg.Counter("sim_cycles_total", "simulated device cycles across all runs feeding this registry"),
 		instrs:  reg.Counter("sim_instructions_total", "warp instructions issued across all runs feeding this registry"),
 		kernels: reg.Counter("sim_kernels_total", "kernel launches completed"),
@@ -204,10 +200,7 @@ func (g *GPU) SetMetrics(reg *metrics.Registry) {
 // the previous flush. Called at heartbeat boundaries and at kernel
 // completion — never per cycle.
 func (g *GPU) flushMetrics() {
-	m := g.met
-	if m == nil {
-		return
-	}
+	m := &g.met
 	m.cycles.Add(g.cycle - m.lastCycle)
 	m.instrs.Add(g.run.Instructions - m.lastInstr)
 	m.lastCycle, m.lastInstr = g.cycle, g.run.Instructions
@@ -268,10 +261,8 @@ func (g *GPU) runLaunch(ls *launch) error {
 		Cycles:       g.cycle - ls.startCycles,
 		Instructions: g.run.Instructions - ls.startInstr,
 	})
-	if g.met != nil {
-		g.met.kernels.Inc()
-		g.flushMetrics()
-	}
+	g.met.kernels.Inc()
+	g.flushMetrics()
 	return nil
 }
 

@@ -1,14 +1,12 @@
 package gpu
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/program"
 	"repro/internal/smcore"
 	"repro/internal/snapshot"
-	"repro/internal/stats"
 )
 
 // SetSnapshotHook attaches fn to the run loop's heartbeat: every
@@ -32,16 +30,13 @@ func (g *GPU) WriteSnapshot(w io.Writer) error {
 	g.syncSMs()
 	e := &g.enc // one per device: only its first frame grows the buffer
 	e.Reset()
-	runJSON, err := json.Marshal(g.run)
-	if err != nil {
-		return fmt.Errorf("gpu: snapshot stats: %w", err)
-	}
 	// What the restore target is compared against comes first: the machine
 	// the frame was taken on, not its label or run mode — a frame written
 	// under the auditor or without fast-forward continues without either.
 	e.Bytes([]byte(g.cfg.MachineID()))
-	e.State(&g.gpuState)
-	e.Bytes(runJSON)
+	// The statistics decode in place (snap:"fixed"): every SM counts into
+	// &run.SMs[i] and its SubCores, which keep their identity.
+	e.State(&g.gpuState, g.run)
 	// The in-flight batch's size, 0 between launches; the kernels
 	// themselves are workload artifacts, rebound by Restore.
 	if ls := g.curLaunch; ls != nil {
@@ -77,12 +72,9 @@ func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	if string(machine) != g.cfg.MachineID() {
 		return fmt.Errorf("gpu: snapshot was taken on a different configuration than this device's (%s)", g.cfg.Name)
 	}
-	d.State(&g.gpuState)
-	runJSON, nk := d.Bytes(), d.Len()
+	d.State(&g.gpuState, g.run)
+	nk := d.Len()
 	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := g.restoreRun(runJSON); err != nil {
 		return err
 	}
 	g.pending = nil
@@ -115,38 +107,8 @@ func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	}
 	// Telemetry deltas restart from the restored state: the process that
 	// wrote the snapshot already published everything before it.
-	if g.met != nil {
-		g.met.lastCycle, g.met.lastInstr = g.cycle, g.run.Instructions
-	}
+	g.met.lastCycle, g.met.lastInstr = g.cycle, g.run.Instructions
 	g.auditNext = 0
-	return nil
-}
-
-// restoreRun decodes the statistics JSON element-wise into the existing
-// stats.Run: the SMs hold pointers into run.SMs[i] and its SubCores
-// slice, so those arrays must keep their identity while every counter is
-// overwritten.
-func (g *GPU) restoreRun(runJSON []byte) error {
-	var tmp stats.Run
-	if err := json.Unmarshal(runJSON, &tmp); err != nil {
-		return fmt.Errorf("gpu: restore stats: %w", err)
-	}
-	if len(tmp.SMs) != len(g.run.SMs) {
-		return fmt.Errorf("gpu: snapshot stats cover %d SMs, this device has %d", len(tmp.SMs), len(g.run.SMs))
-	}
-	for i := range tmp.SMs {
-		if len(tmp.SMs[i].SubCores) != len(g.run.SMs[i].SubCores) {
-			return fmt.Errorf("gpu: snapshot stats SM %d covers %d sub-cores, this device has %d",
-				i, len(tmp.SMs[i].SubCores), len(g.run.SMs[i].SubCores))
-		}
-		sub := g.run.SMs[i].SubCores
-		copy(sub, tmp.SMs[i].SubCores)
-		tmp.SMs[i].SubCores = sub
-	}
-	subs := g.run.SMs
-	copy(subs, tmp.SMs)
-	tmp.SMs = subs
-	*g.run = tmp
 	return nil
 }
 

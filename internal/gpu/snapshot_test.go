@@ -249,6 +249,52 @@ func TestSnapshotRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsStatsIdentity: every SM counts into &run.SMs[i] and its
+// SubCores, pointers taken when the device was built, so Restore must
+// overwrite the statistics where they lie (snap:"fixed" on both slices). The
+// resume-identity tests would fail on a Restore that reallocated either; this
+// one says which invariant broke.
+func TestRestoreKeepsStatsIdentity(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 2
+	ks := snapApp()
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := captureAt(g, 2048)
+	if err := g.RunKernels(ks, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	h, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := h.Run()
+	sm1, sub := &run.SMs[1], &run.SMs[1].SubCores[3]
+	if err := h.Restore(bytes.NewReader(*snap), ks); err != nil {
+		t.Fatal(err)
+	}
+	if h.Run() != run || &h.Run().SMs[1] != sm1 || &h.Run().SMs[1].SubCores[3] != sub {
+		t.Fatal("Restore moved the statistics the SMs hold pointers into")
+	}
+	issued, blocks, kernels := sub.Issued, sm1.BlocksCompleted, len(run.Kernels)
+	if issued == 0 || run.Cycles == 0 {
+		t.Fatalf("the frame at cycle %d restored no statistics (sub-core issued %d)", h.Cycle(), issued)
+	}
+	if err := h.ContinueKernels(ks, 0); err != nil {
+		t.Fatal(err)
+	}
+	if sub.Issued <= issued || sm1.BlocksCompleted <= blocks || len(run.Kernels) <= kernels {
+		t.Errorf("after the resume SM 1 did not keep counting into the restored statistics: issued %d -> %d, blocks %d -> %d, kernels %d -> %d",
+			issued, sub.Issued, blocks, sm1.BlocksCompleted, kernels, len(run.Kernels))
+	}
+	if !bytes.Equal(runJSON(t, h), runJSON(t, g)) {
+		t.Error("the resumed run's statistics differ from the uninterrupted run's")
+	}
+}
+
 func TestSnapshotRejectsWorkloadMismatch(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 2
@@ -315,10 +361,14 @@ func TestAuditedRunIsCleanAndUnperturbed(t *testing.T) {
 // container assembled by snapshot.Frame's copy — wrote for them, a second
 // frame from the same, now used, Encoder must be the same bytes, and the
 // container must still be snapshot.Frame's. Re-pin the hashes with any change
-// that moves snapshot.Version, the frame header or the stats JSON a frame
+// that moves snapshot.Version, the frame header or the statistics a frame
 // carries. (Version 7 re-pinned them for the header alone — the 16-byte
-// MachineID where the configuration's 743 bytes of JSON were; everything
-// after the header hashed the same on both sides of that change.)
+// MachineID where the configuration's 743 bytes of JSON were. Version 8
+// re-pinned them for the statistics section alone: stats.Run walked like
+// every other state struct, 404 and 515 bytes, where its JSON was, 3,783
+// and 4,116 — 116,261 → 112,882 and 120,213 → 116,612 bytes a frame. The
+// 21 and 23 bytes before that section and the 112,441 and 116,058 after it
+// hashed the same on both sides of the change.)
 func TestFrameBytesUnchanged(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 4
@@ -343,8 +393,8 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		name, want string
 		frame      []byte
 	}{
-		{"mid-kernel", "948d500059e659e74be646721ce4803c502ed03a997f7babe418785ce6d84762", mid},
-		{"drained", "ca472fd12cc8b70e54ddbb7da9168e32244b1aa3f141ebd0524748fd1685f24c", frameOf(t, g)},
+		{"mid-kernel", "1c9050053a41b5a756f4beb6b461dd62d1101dea0c68d1308ddd0318b5100ce7", mid},
+		{"drained", "a43448e83f06a424d3ffb46352ffb9d4fd8100a9fe34d604e6b4a6997411b6ca", frameOf(t, g)},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.frame)); got != tc.want {
 			t.Errorf("%s frame (%d bytes) hashes to %s, the parent's to %s", tc.name, len(tc.frame), got, tc.want)
@@ -438,37 +488,6 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 			}
 			if ae.Cycle == 0 || ae.Error() == "" {
 				t.Fatalf("fault lost context: %v", ae)
-			}
-		})
-	}
-}
-
-// BenchmarkAuditOverhead quantifies the auditor's cost: disabled it is
-// one comparison per heartbeat; enabled it re-derives every conservation
-// law each audit period. docs/ROBUSTNESS.md records the measured ratio.
-func BenchmarkAuditOverhead(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		every int64
-	}{
-		{"disabled", 0},
-		{"enabled-4k", 4096},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := config.VoltaV100()
-			cfg.NumSMs = 1
-			cfg.AuditEvery = tc.every
-			p := fmaProgram(256, 2)
-			for i := 0; i < b.N; i++ {
-				g, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				k := &Kernel{Name: "bench", Blocks: 4, WarpsPerBlock: 16, RegsPerThread: 8,
-					WarpProgram: func(bk, w int) *program.Program { return p }}
-				if err := g.RunKernel(k, 0); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -23,23 +23,37 @@ import (
 // another -sms, -config-file or design re-runs — and the same machine
 // watched differently (-audit, -no-fastforward) does not.
 
-// ckptRecord is one checkpoint line.
-type ckptRecord struct {
+// Record is a run written down: the one shape behind every checkpoint line,
+// `subcoresim -json`, and — through its Summary — the text report and the
+// sweep's CSV row. A checkpoint file is therefore a sweep's full
+// machine-readable result, each line what -json prints for that cell.
+type Record struct {
 	// V is the record format version.
 	V int `json:"v"`
 	// App and Config name the cell.
 	App    string `json:"app"`
 	Config string `json:"config"`
-	// Cfg is the config.GPU.MachineID of the device the cell ran on (after
-	// Options.Adapt): the identity a snapshot frame carries too.
-	Cfg string `json:"cfg"`
+	// Machine is the config.GPU.MachineID of the device the cell ran on
+	// (after Options.Adapt): the identity a snapshot frame carries too.
+	Machine string `json:"machine"`
+	// Summary is derived from Run when the record is built; a loaded
+	// record's is never read, so editing it in the file changes nothing.
+	stats.Summary
 	// Run is the cell's full statistics.
 	Run *stats.Run `json:"run"`
 }
 
-// ckptVersion 2 added Cfg, a digest of the whole configuration; 3 made it
-// the machine's alone. Records of any other version are refused.
-const ckptVersion = 3
+// NewRecord writes down run, simulated for the cell (app, config) on the
+// machine with that MachineID.
+func NewRecord(app, config, machineID string, run *stats.Run) Record {
+	return Record{V: ckptVersion, App: app, Config: config, Machine: machineID,
+		Summary: stats.Summarize(run), Run: run}
+}
+
+// ckptVersion 2 added a digest of the whole configuration; 3 made it the
+// machine's alone; 4 renamed it "machine" and added the summary. Records of
+// any other version are refused.
+const ckptVersion = 4
 
 // ckptKey keys completed cells by identity: the labels and what was
 // simulated under them.
@@ -113,10 +127,10 @@ func repairTail(f *os.File) error {
 
 // Write appends one completed cell. Encoder output ends with a newline,
 // so each call emits exactly one JSONL record.
-func (w *checkpointWriter) Write(app, config, machineID string, run *stats.Run) error {
+func (w *checkpointWriter) Write(rec Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.enc.Encode(ckptRecord{V: ckptVersion, App: app, Config: config, Cfg: machineID, Run: run})
+	return w.enc.Encode(rec)
 }
 
 // Close closes the underlying file.
@@ -159,7 +173,7 @@ func readCheckpoint(r io.Reader) (map[string]*stats.Run, error) {
 		if pendingErr != nil {
 			return nil, pendingErr
 		}
-		var rec ckptRecord
+		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			pendingErr = fmt.Errorf("harness: checkpoint line %d: %w", lineNo, err)
 			continue
@@ -173,7 +187,7 @@ func readCheckpoint(r io.Reader) (map[string]*stats.Run, error) {
 		}
 		// Last record wins: a cell re-run after a fault overwrites the
 		// earlier entry.
-		out[ckptKey(rec.App, rec.Config, rec.Cfg)] = rec.Run
+		out[ckptKey(rec.App, rec.Config, rec.Machine)] = rec.Run
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("harness: read checkpoint: %w", err)

@@ -25,10 +25,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100, Instructions: 400}); err != nil {
+	if err := w.Write(NewRecord("appA", "gto", "fp", &stats.Run{Cycles: 100, Instructions: 400})); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appB", "rba", "fp", &stats.Run{Cycles: 200}); err != nil {
+	if err := w.Write(NewRecord("appB", "rba", "fp", &stats.Run{Cycles: 200})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -69,7 +69,7 @@ func TestCheckpointTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100}); err != nil {
+	if err := w.Write(NewRecord("appA", "gto", "fp", &stats.Run{Cycles: 100})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -118,16 +118,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version error, got %v", err)
 	}
-	// A record as the previous format wrote it: its cfg digests the whole
-	// configuration, run mode included, and must not be matched against a
-	// MachineID.
-	v2 := `{"v":2,"app":"pb-mriq","config":"gto","cfg":"5f1c0e6f3a9d2b47","run":{"Cycles":1}}` + "\n"
-	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "unsupported version 2 (this build reads and writes 3; start a new file)") {
-		t.Fatalf("v2 record: %v, want the version refusal", err)
-	}
+	// TestParentCheckpointRefused holds a file the previous format wrote.
 }
 
 // A crash mid-append leaves a torn final line; a later sweep that opens
@@ -140,7 +131,7 @@ func TestCheckpointAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100}); err != nil {
+	if err := w.Write(NewRecord("appA", "gto", "fp", &stats.Run{Cycles: 100})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -161,7 +152,7 @@ func TestCheckpointAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appB", "rba", "fp", &stats.Run{Cycles: 200}); err != nil {
+	if err := w.Write(NewRecord("appB", "rba", "fp", &stats.Run{Cycles: 200})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -221,7 +212,7 @@ func TestCheckpointLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 100}); err != nil {
+	if err := w.Write(NewRecord("appA", "gto", "fp", &stats.Run{Cycles: 100})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -232,7 +223,7 @@ func TestCheckpointLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("appA", "gto", "fp", &stats.Run{Cycles: 300}); err != nil {
+	if err := w.Write(NewRecord("appA", "gto", "fp", &stats.Run{Cycles: 300})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -105,11 +105,11 @@ type Options struct {
 	// heartbeat gauges (a hung cell shows as a stalled
 	// sweep_cell_heartbeat_cycle), completion/fault/checkpoint/snapshot
 	// counters, aggregated CPI-stack cycles, and the devices' cycle and
-	// instruction totals (nil = no telemetry, the guarded fast path).
+	// instruction totals (nil = no telemetry).
 	Metrics *metrics.Registry
 
 	// sm carries the registered handles; built once per Run/RunOne from
-	// Metrics, nil when telemetry is off.
+	// Metrics, every handle nil when telemetry is off.
 	sm *sweepMetrics
 }
 
@@ -123,6 +123,21 @@ func (o *Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
+}
+
+// snapshotDir makes SnapshotDir, and refuses a SnapshotInterval without one
+// rather than ignore it.
+func (o *Options) snapshotDir() error {
+	if o.SnapshotDir == "" {
+		if o.SnapshotInterval != 0 {
+			return errors.New("harness: a snapshot interval (-snapshot-interval) needs a snapshot directory (-snapshot-dir) to write frames to")
+		}
+		return nil
+	}
+	if err := os.MkdirAll(o.SnapshotDir, 0o755); err != nil {
+		return fmt.Errorf("harness: snapshot dir: %w", err)
+	}
+	return nil
 }
 
 // Result is the outcome of a sweep: the per-cell statistics, the faults,
@@ -181,6 +196,9 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 			labelled[l] = Cell{App: i, Cfg: j}
 		}
 	}
+	if err := opt.snapshotDir(); err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Runs: make([][]*stats.Run, len(apps)),
 		Wall: make([][]float64, len(apps)),
@@ -202,18 +220,14 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 	// Checkpoint: restore completed cells, then append new ones. A record
 	// is restored only into a cell that simulates its machine.
 	var ckpt *checkpointWriter
-	var machine [][]string // MachineID by [app][config], set when checkpointing
 	if opt.CheckpointPath != "" {
 		done, err := loadCheckpoint(opt.CheckpointPath)
 		if err != nil {
 			return nil, err
 		}
-		machine = make([][]string, len(apps))
 		for i, app := range apps {
-			machine[i] = make([]string, len(cfgs))
 			for j := range cfgs {
-				machine[i][j] = adapt(Cell{App: i, Cfg: j}).MachineID()
-				if run, ok := done[ckptKey(app.Name, names[j], machine[i][j])]; ok {
+				if run, ok := done[ckptKey(app.Name, names[j], adapt(Cell{App: i, Cfg: j}).MachineID())]; ok {
 					res.Runs[i][j] = run
 					res.Resumed++
 				}
@@ -233,11 +247,6 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 			return nil, fmt.Errorf("harness: diagnostics dir: %w", err)
 		}
 	}
-	if opt.SnapshotDir != "" {
-		if err := os.MkdirAll(opt.SnapshotDir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: snapshot dir: %w", err)
-		}
-	}
 
 	var cells []Cell
 	for i := range apps {
@@ -247,7 +256,8 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 			}
 		}
 	}
-	opt.sm.sweepShape(len(apps)*len(cfgs), res.Resumed)
+	opt.sm.cellsTotal.Set(float64(len(apps) * len(cfgs)))
+	opt.sm.cellsResumed.Add(int64(res.Resumed))
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -268,7 +278,8 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 		go func() {
 			defer wg.Done()
 			for c := range jobs {
-				run, wall, fault := runCell(ctx, adapt(c), apps[c.App], names[c.Cfg], opt)
+				cfg := adapt(c)
+				run, wall, fault := runCell(ctx, cfg, apps[c.App], names[c.Cfg], opt)
 				mu.Lock()
 				res.Executed++
 				if fault != nil {
@@ -283,14 +294,14 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 				res.Wall[c.App][c.Cfg] = wall
 				mu.Unlock()
 				if ckpt != nil {
-					if err := ckpt.Write(apps[c.App].Name, names[c.Cfg], machine[c.App][c.Cfg], run); err != nil {
+					if err := ckpt.Write(NewRecord(apps[c.App].Name, names[c.Cfg], cfg.MachineID(), run)); err != nil {
 						mu.Lock()
 						if ckptErr == nil {
 							ckptErr = err
 						}
 						mu.Unlock()
 					} else {
-						opt.sm.checkpointWrote()
+						opt.sm.ckptWrites.Inc()
 					}
 				}
 			}
@@ -335,14 +346,11 @@ func RunOne(ctx context.Context, cfg config.GPU, app workloads.App, opt Options)
 	if opt.Adapt != nil {
 		cfg = opt.Adapt(cfg, app)
 	}
-	if opt.SnapshotDir != "" {
-		if err := os.MkdirAll(opt.SnapshotDir, 0o755); err != nil {
-			return nil, &SimFault{App: app.Name, Config: cfg.Name, Kind: FaultError,
-				Err: fmt.Errorf("harness: snapshot dir: %w", err)}
-		}
+	if err := opt.snapshotDir(); err != nil {
+		return nil, &SimFault{App: app.Name, Config: cfg.Name, Kind: FaultError, Err: err}
 	}
 	opt.sm = newSweepMetrics(opt.Metrics)
-	opt.sm.sweepShape(1, 0)
+	opt.sm.cellsTotal.Set(1)
 	run, _, fault := runCell(ctx, cfg, app, cfg.Name, opt)
 	if fault != nil {
 		fault.App, fault.Config = app.Name, cfg.Name
@@ -359,7 +367,7 @@ func runCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName str
 	run, fault := superviseCell(ctx, cfg, app, cfgName, opt)
 	wall := time.Since(start).Seconds()
 	if fault != nil {
-		opt.sm.cellFaulted(fault.Kind)
+		opt.sm.faults[fault.Kind].Inc()
 	} else {
 		opt.sm.cellDone(run)
 	}
@@ -458,7 +466,7 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 			}
 		} else if ok {
 			resumed = true
-			opt.sm.snapshotResumed()
+			opt.sm.snapResumes.Inc()
 			opt.logf("harness: %s on %s: resumed from snapshot at cycle %d", app.Name, cfgName, g.Cycle())
 		}
 	}

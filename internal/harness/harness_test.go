@@ -348,33 +348,3 @@ func TestChaosSweep(t *testing.T) {
 			res3.Resumed, res3.Executed, res3.Complete())
 	}
 }
-
-// The two benchmarks quantify the harness tax on an un-faulted cell
-// (supervisor goroutine + monitor heartbeat). The acceptance bar is <2%
-// over the direct loop.
-func BenchmarkCellDirect(b *testing.B) {
-	cfg, app := testCfg("bench"), testApp("bench", 2000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, err := gpu.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := g.RunKernels(app.Kernels, 0); err != nil {
-			b.Fatal(err)
-		}
-		g.Run()
-	}
-}
-
-func BenchmarkCellHarness(b *testing.B) {
-	cfg, app := testCfg("bench"), testApp("bench", 2000)
-	opt := Options{Timeout: time.Minute, WatchdogInterval: time.Second}
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if run, fault := RunOne(ctx, cfg, app, opt); fault != nil || run == nil {
-			b.Fatal(fault)
-		}
-	}
-}

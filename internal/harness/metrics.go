@@ -6,9 +6,9 @@ import (
 	"repro/internal/stats"
 )
 
-// sweepMetrics bundles the harness's registered telemetry handles. A
-// nil *sweepMetrics is the disabled state; every use site guards on it
-// (the same nil-guard contract as trace emission).
+// sweepMetrics bundles the harness's registered telemetry handles. Without
+// a registry every handle is nil and updating one does nothing, so use sites
+// update them unguarded.
 type sweepMetrics struct {
 	reg *metrics.Registry
 
@@ -22,12 +22,9 @@ type sweepMetrics struct {
 	cpi          [stats.NumCPIComponents]*metrics.Counter
 }
 
-// newSweepMetrics registers the harness metric families on reg; nil reg
-// yields nil (telemetry off).
+// newSweepMetrics registers the harness metric families on reg; a nil reg
+// yields nil handles (telemetry off).
 func newSweepMetrics(reg *metrics.Registry) *sweepMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &sweepMetrics{reg: reg}
 	m.cellsTotal = reg.Gauge("sweep_cells_total",
 		"cells (application x configuration) in the sweep matrix")
@@ -59,7 +56,7 @@ func newSweepMetrics(reg *metrics.Registry) *sweepMetrics {
 // series; the caller runs it when the cell ends, so the registry holds
 // one series per in-flight cell and no closure outlives its monitor.
 func (m *sweepMetrics) watchCell(app, cfgName string, mon *gpu.Monitor) (unwatch func()) {
-	if m == nil {
+	if m.reg == nil {
 		return func() {}
 	}
 	return m.reg.GaugeFunc("sweep_cell_heartbeat_cycle",
@@ -72,53 +69,9 @@ func (m *sweepMetrics) watchCell(app, cfgName string, mon *gpu.Monitor) (unwatch
 // counter, and its CPI stack folded into the device-wide attribution
 // totals.
 func (m *sweepMetrics) cellDone(run *stats.Run) {
-	if m == nil {
-		return
-	}
 	m.cellsDone.Inc()
-	st := run.CPIStack()
-	for c, v := range st {
-		m.cpi[c].Add(v)
+	sum := stats.Summarize(run)
+	for c, h := range m.cpi {
+		h.Add(sum.CPI[stats.CPIComponent(c).String()].Cycles)
 	}
-}
-
-// cellFaulted accounts one terminally faulted cell by kind.
-func (m *sweepMetrics) cellFaulted(k FaultKind) {
-	if m == nil {
-		return
-	}
-	m.faults[k].Inc()
-}
-
-// checkpointWrote accounts one checkpoint append.
-func (m *sweepMetrics) checkpointWrote() {
-	if m == nil {
-		return
-	}
-	m.ckptWrites.Inc()
-}
-
-// snapshotWrote accounts one persisted snapshot frame.
-func (m *sweepMetrics) snapshotWrote() {
-	if m == nil {
-		return
-	}
-	m.snapWrites.Inc()
-}
-
-// snapshotResumed accounts one cell continued from a snapshot frame.
-func (m *sweepMetrics) snapshotResumed() {
-	if m == nil {
-		return
-	}
-	m.snapResumes.Inc()
-}
-
-// sweepShape publishes the matrix size and resumed-cell count.
-func (m *sweepMetrics) sweepShape(total, resumed int) {
-	if m == nil {
-		return
-	}
-	m.cellsTotal.Set(float64(total))
-	m.cellsResumed.Add(int64(resumed))
 }

@@ -119,7 +119,7 @@ func (c *cellSnapshotter) settle() {
 		c.fail(c.cycle, err)
 		return
 	}
-	c.sm.snapshotWrote()
+	c.sm.snapWrites.Inc()
 }
 
 func (c *cellSnapshotter) fail(cycle int64, err error) {

@@ -29,6 +29,11 @@ func TestNilRegistry(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("nil registry scrape not empty: %q", buf.String())
 	}
+	// The handles a nil registry hands out take updates and drop them: no
+	// call site needs a guard.
+	r.Counter("a_total", "h").Inc()
+	r.Counter("a_total", "h").Add(3)
+	r.Gauge("b", "h").Set(1.5)
 }
 
 // TestRegistrationIdempotent: same (name, labels) yields the same

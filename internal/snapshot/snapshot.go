@@ -24,7 +24,7 @@ import (
 // Version is the snapshot format version. Bump it whenever the set, order
 // or type of the fields in any state struct changes; decoding rejects every
 // other version.
-const Version = 7
+const Version = 8
 
 // magic identifies a snapshot stream; the trailing byte leaves room to
 // change the container (not the payload schema) without colliding.

@@ -16,9 +16,10 @@ import (
 //     plain varints;
 //   - arrays and structs are their elements or fields in order (every
 //     field, exported or not);
-//   - a slice is its length then its elements.
+//   - a slice is its length then its elements, a string its length then its
+//     bytes.
 //
-// Anything else — pointer, func, interface, chan, map, string, float — is
+// Anything else — pointer, func, interface, chan, map, float — is
 // refused with the field's path: a state struct holds plain data only, so
 // wiring, scratch buffers behind pointers and callbacks cannot sit in one,
 // and neither can a map, whose iteration order would make equal states give
@@ -131,7 +132,8 @@ func compile(t reflect.Type, seen map[reflect.Type]*plan) *plan {
 	switch p.kind {
 	case reflect.Bool,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.String:
 	case reflect.Array, reflect.Slice:
 		if p.kind == reflect.Array {
 			p.n = t.Len()
@@ -228,6 +230,12 @@ func (w *walker) walk(p *plan, ptr unsafe.Pointer, fixed int) {
 		unsignedInt[uint32](w, p, ptr)
 	case reflect.Uint64:
 		unsignedInt[uint64](w, p, ptr)
+	case reflect.String:
+		if w.e != nil {
+			w.e.Bytes([]byte(*(*string)(ptr)))
+		} else {
+			*(*string)(ptr) = string(w.d.Bytes())
+		}
 	case reflect.Array:
 		w.elems(p.elem, ptr, p.n, fixed)
 	case reflect.Struct:

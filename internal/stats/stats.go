@@ -57,8 +57,9 @@ type SubCore struct {
 	Cycles int64
 	// StallCycles[r] counts cycles lost to each reason.
 	StallCycles [NumStallReasons]int64
-	// BankConflicts counts read requests that waited >= 1 extra cycle in
-	// a bank queue.
+	// BankConflicts sums, over every bank grant, the requests left waiting
+	// behind it in that bank's queue: request wait-cycles, not requests —
+	// one read that waits three cycles counts three.
 	BankConflicts int64
 	// RegReads counts 32-wide register reads granted.
 	RegReads int64
@@ -96,7 +97,7 @@ type SubCore struct {
 
 // SM aggregates an SM's sub-cores plus SM-level memory counters.
 type SM struct {
-	SubCores []SubCore
+	SubCores []SubCore `snap:"fixed"`
 	// BlocksCompleted counts thread blocks retired by this SM.
 	BlocksCompleted int64
 	// L1Hits, L1Misses count data-cache outcomes.
@@ -124,7 +125,7 @@ type Run struct {
 	Cycles int64
 	// Instructions is total warp instructions issued.
 	Instructions int64
-	SMs          []SM
+	SMs          []SM `snap:"fixed"`
 	// Kernels breaks the run down per kernel launch.
 	Kernels []KernelStats
 	// OccupancySamples/OccupancySum track mean resident warps per SM,
@@ -193,17 +194,6 @@ func (r *Run) IssueCoV() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// TotalStalls sums a stall reason across every sub-core.
-func (r *Run) TotalStalls(reason StallReason) int64 {
-	var t int64
-	for i := range r.SMs {
-		for j := range r.SMs[i].SubCores {
-			t += r.SMs[i].SubCores[j].StallCycles[reason]
-		}
-	}
-	return t
 }
 
 // TotalBankConflicts sums register bank conflicts across the GPU.

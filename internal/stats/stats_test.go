@@ -87,8 +87,8 @@ func TestRunAggregates(t *testing.T) {
 	if got := r.TotalRegReads(); got != 56 {
 		t.Errorf("TotalRegReads = %d, want 56", got)
 	}
-	if got := r.TotalStalls(StallNoCU); got != 16 {
-		t.Errorf("TotalStalls = %d, want 16", got)
+	if got := Summarize(r).Stalls["no-cu"]; got != 16 {
+		t.Errorf("summed no-cu stalls = %d, want 16", got)
 	}
 	// Per-SM issue {100,200,300,400}: mean 250, stddev sqrt(12500)
 	wantCov := math.Sqrt(12500) / 250

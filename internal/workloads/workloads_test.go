@@ -304,13 +304,3 @@ func TestProfileProgramsMemoized(t *testing.T) {
 }
 
 var sinkProg *program.Program
-
-func BenchmarkBuildAll(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		apps, err := All()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkProg = apps[0].Kernels[0].WarpProgram(0, 0)
-	}
-}
