@@ -141,7 +141,9 @@ type GPU struct {
 	// SharedMemBanks is the scratchpad bank count (32).
 	SharedMemBanks int
 	// LSUWidthPerSM is memory instructions the SM-shared LSU accepts per
-	// cycle.
+	// cycle. It must be 1: the LSU's one coalescer port is busy past the
+	// cycle of every instruction it admits, so no second one could start.
+	// The field stays because it is part of every MachineID.
 	LSUWidthPerSM int
 	// LSUQueue is the LSU input queue depth per SM.
 	LSUQueue int
@@ -445,13 +447,15 @@ func (g GPU) Validate() error {
 		{g.CollectorUnitsPerSubCore >= 1 && g.CollectorUnitsPerSubCore <= 64, "CollectorUnitsPerSubCore must be in [1, 64] (the collector's free-unit set is one 64-bit mask)"},
 		{g.DispatchPortsPerSubCore >= 1, "DispatchPortsPerSubCore must be >= 1"},
 		{g.FP32LanesPerSubCore >= 1, "FP32LanesPerSubCore must be >= 1"},
-		{g.LSUWidthPerSM >= 1, "LSUWidthPerSM must be >= 1"},
+		{g.LSUWidthPerSM == 1, "LSUWidthPerSM must be 1: the LSU has one coalescer port, busy past the cycle of every instruction it admits, so a wider LSU would admit no more"},
 		{g.LSUQueue >= 1, "LSUQueue must be >= 1 (no memory instruction could ever enter the LSU)"},
 		{g.SharedMemBanks >= 1, "SharedMemBanks must be >= 1"},
 		{g.L1Assoc >= 1 && g.L2Assoc >= 1, "L1Assoc and L2Assoc must be >= 1"},
 		{g.LineBytes > 0 && g.LineBytes&(g.LineBytes-1) == 0, "LineBytes must be a power of two"},
 		{g.L1KBPerSM >= 1, "L1KBPerSM must be >= 1"},
 		{g.L2KB >= 1, "L2KB must be >= 1"},
+		{g.L2BytesPerCycle >= 1 && g.DRAMBytesPerCycle >= 1, "L2BytesPerCycle and DRAMBytesPerCycle must be >= 1"},
+		{g.L2Latency >= 0 && g.DRAMLatency >= 0, "L2Latency and DRAMLatency must be >= 0 (a fill would complete before it was requested)"},
 		{g.HashTableEntries == 4 || g.HashTableEntries == 16, "HashTableEntries must be 4 or 16"},
 		{g.RBAScoreLatency >= 0, "RBAScoreLatency must be >= 0"},
 		{g.MaxBlocksPerSM >= 1, "MaxBlocksPerSM must be >= 1"},

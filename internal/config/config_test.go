@@ -123,6 +123,14 @@ func TestValidateCatchesViolations(t *testing.T) {
 		func(g *GPU) { g.L1Assoc = 0 },
 		func(g *GPU) { g.L2Assoc = -1 },
 		func(g *GPU) { g.SharedMemBanks = 0 },
+		func(g *GPU) { g.L2BytesPerCycle = 0 },
+		func(g *GPU) { g.DRAMBytesPerCycle = -8 },
+		// A fill would complete before it was requested.
+		func(g *GPU) { g.L2Latency = -1 },
+		func(g *GPU) { g.DRAMLatency = -1 },
+		// The LSU admits one instruction a cycle whatever the width: at 4 it
+		// printed the same run as at 1.
+		func(g *GPU) { g.LSUWidthPerSM = 4 },
 	}
 	for i, m := range mut {
 		g := VoltaV100()

@@ -24,8 +24,8 @@ import (
 // a fixed amount, so any difference between the runs is allocation
 // attributable to the extra simulated instructions and cycles alone. The
 // comparison tolerates allocGateSlack one-off allocations: the longer run
-// measures 2–5 more (a queue, the MSHR map or its completion heap reaching
-// a higher high-water mark; a GC cycle's runtime-internal mallocs). The
+// measures 2–5 more (a queue or an MSHR table reaching a higher high-water
+// mark; a GC cycle's runtime-internal mallocs). The
 // rarest genuine signal, an allocation per barrier release, measures 144;
 // one per instruction or per cycle, thousands.
 

@@ -78,7 +78,7 @@ func (g *GPU) applyCorruption() {
 		g.sms[0].CorruptReadySetForTest()
 		g.corruptKind = ""
 	case "mshr":
-		g.hier.CorruptMSHRForTest(g.cycle)
+		g.hier.CorruptMSHRForTest()
 		g.corruptKind = ""
 	case "config":
 		g.cfg.RBAScoreLatency++

@@ -2,13 +2,14 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/audit"
 )
 
 // Audit re-derives the memory system's conservation laws and reports every
 // breach (docs/ROBUSTNESS.md). It is read-only: in particular it inspects
-// MSHR pending maps directly rather than through nextEvent, which retires.
+// MSHR tables directly rather than through nextEvent, which retires.
 func (h *Hierarchy) Audit() []audit.Violation {
 	var vs []audit.Violation
 	for i, m := range h.l1m {
@@ -23,31 +24,27 @@ func (h *Hierarchy) Audit() []audit.Violation {
 	return h.l2.auditInto(vs, "l2")
 }
 
-// auditInto checks the MSHR's next-event bound: the completion heap may
-// carry stale rows (they only make its top early), but every pending fill
-// must have its row — a heap whose top lies above the earliest pending
-// fill, or that is empty while fills are pending, would have NextEvent
-// report past a completion and insert never retire it. The min over the
-// map is order-independent, so the direct iteration stays deterministic.
+// auditInto checks the MSHR table's probe law: every occupied slot is the
+// one its line's probe stops at — reached from the home slot without
+// crossing a never-used slot, and no earlier slot holding the line too —
+// and used counts the occupied slots (the load that triggers a rehash, so
+// that a never-used slot ends every probe).
 func (m *mshr) auditInto(vs []audit.Violation, where string) []audit.Violation {
-	if len(m.pending) == 0 {
-		return vs
-	}
-	min := NeverCycle
-	//simlint:allow determinism -- min over the map is order-independent
-	for _, done := range m.pending {
-		if done < min {
-			min = done
+	occupied := 0
+	for i, k := range m.keys {
+		if k == 0 {
+			continue
+		}
+		occupied++
+		if j := m.slot(k - 1); j != i {
+			vs = append(vs, audit.Violationf("mshr", where,
+				"line %d sits in slot %d, but its probe stops at slot %d — a lookup misses it, or the line is held twice",
+				k-1, i, j))
 		}
 	}
-	top := NeverCycle
-	if len(m.byDone) > 0 {
-		top = m.byDone[0].done
-	}
-	if top > min {
+	if occupied != m.used {
 		vs = append(vs, audit.Violationf("mshr", where,
-			"completion heap top %d exceeds earliest pending fill %d across %d entries — NextEvent would overshoot a completion",
-			top, min, len(m.pending)))
+			"%d occupied slots but used counts %d", occupied, m.used))
 	}
 	return vs
 }
@@ -92,11 +89,15 @@ func (ch *bwChannel) auditInto(vs []audit.Violation, where string) []audit.Viola
 }
 
 // CorruptMSHRForTest seeds a guaranteed-detectable MSHR inconsistency (a
-// pending fill with no row in the completion heap, due before every fill
-// that has one) for the auditor's injected-corruption tests. Never
-// call outside tests.
-func (h *Hierarchy) CorruptMSHRForTest(now int64) {
+// live fill in a never-used slot that its line's probe cannot reach: the
+// probe stops at another never-used slot first) for the auditor's
+// injected-corruption tests. Never call outside tests.
+func (h *Hierarchy) CorruptMSHRForTest() {
 	m := h.l1m[0]
-	m.nextEvent(now)
-	m.pending[^uint64(0)] = now
+	slot, line := slices.Index(m.keys, 0), uint64(1<<62)
+	for m.slot(line) == slot {
+		line++
+	}
+	m.keys[slot], m.done[slot] = line+1, NeverCycle
+	m.used++
 }

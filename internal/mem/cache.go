@@ -86,23 +86,3 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	}
 	return false
 }
-
-// Flush invalidates every line and clears counters.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.use[i] = 0
-	}
-	c.clock = 0
-	c.Hits = 0
-	c.Misses = 0
-}
-
-// HitRate returns read hits / lookups, 0 when idle.
-func (c *Cache) HitRate() float64 {
-	t := c.Hits + c.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(t)
-}

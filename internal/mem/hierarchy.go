@@ -25,11 +25,9 @@ type bwState struct {
 	fracPending int64
 }
 
+// newBWChannel takes a validated rate: config.Validate refuses one below 1.
 func newBWChannel(bytesPerCycle, lineBytes int) *bwChannel {
 	ch := &bwChannel{}
-	if bytesPerCycle <= 0 {
-		bytesPerCycle = 1
-	}
 	if lineBytes >= bytesPerCycle {
 		ch.cycPerLine = int64(lineBytes / bytesPerCycle)
 		if lineBytes%bytesPerCycle != 0 {
@@ -73,109 +71,128 @@ func (ch *bwChannel) serve(now int64) int64 {
 }
 
 // mshr tracks outstanding line fills so that misses to an in-flight line
-// merge instead of consuming bandwidth twice.
+// merge instead of consuming bandwidth twice. It is an open-addressed,
+// linear-probing table that drops a fill exactly when the fill stops
+// pending: at a lookup that finds it complete, or at an insert or
+// nextEvent whose now reaches it, through the watermark retired. A fill
+// inserted at or below the watermark — the shared L2's same-cycle nows
+// come from line offsets 0…31 of one SM after another — is early: stored
+// negated, out of the watermark's reach, until a retire reaches earlyLo.
 type mshr struct {
-	pending map[uint64]int64 // line -> completion cycle
-	// byDone orders the fills by completion so retiring the completed ones
-	// and NextEvent read the earliest off the top instead of walking the
-	// map. It holds a row for every pending entry, plus stale rows — the
-	// entry was deleted by lookup or overwritten by a later fill — which
-	// are dropped when they surface. Derived from pending: rebuilt on
-	// restore.
-	byDone fillHeap
+	keys, spareKeys []uint64 // line+1, 0 = never used; spare: the next rehash's target
+	done, spareDone []int64  // completion cycle; 0 = dead; < 0 = early, negated
+	used            int      // slots with a key
+	retired         int64
+	earlyLo         int64 // no early fill completes before it
 }
 
-// fill is one scheduled line-fill completion.
+// fill is one scheduled line-fill completion: a frame's MSHR row.
 type fill struct {
 	done int64
 	line uint64
 }
 
-// fillHeap is a typed binary min-heap on done, the shape of smcore's
-// wbHeap and for the same reason: push and pop run on the per-access path.
-type fillHeap []fill
-
-func (h *fillHeap) push(f fill) {
-	q := append(*h, f)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent].done <= q[i].done {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *fillHeap) pop() {
-	q := *h
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && q[l].done < q[small].done {
-			small = l
-		}
-		if r := 2*i + 2; r < n && q[r].done < q[small].done {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	*h = q
-}
-
 func newMSHR() *mshr {
-	return &mshr{pending: make(map[uint64]int64)}
+	return &mshr{keys: make([]uint64, 16), done: make([]int64, 16), earlyLo: NeverCycle}
 }
 
-// nextEvent returns the earliest pending completion strictly after now,
-// or NeverCycle, retiring every fill that completed at or before now on
-// the way — so neither the map nor the heap accumulates dead lines.
-func (m *mshr) nextEvent(now int64) int64 {
-	for len(m.byDone) > 0 {
-		top := m.byDone[0]
-		done, ok := m.pending[top.line]
-		switch {
-		case !ok || done != top.done:
-			// stale row
-		case done <= now:
-			delete(m.pending, top.line)
-		default:
-			return done
-		}
-		m.byDone.pop()
+// slot returns line's slot, or the never-used slot that ends its probe
+// from the home slot Fibonacci hashing gives it.
+func (m *mshr) slot(line uint64) int {
+	i := int(line*0x9E3779B97F4A7C15>>32) & (len(m.keys) - 1)
+	for m.keys[i] != line+1 && m.keys[i] != 0 {
+		i = (i + 1) & (len(m.keys) - 1)
 	}
-	return NeverCycle
+	return i
+}
+
+// at returns slot i's completion cycle if its fill is pending, else 0.
+func (m *mshr) at(i int) int64 {
+	if d := m.done[i]; d < 0 || d > m.retired {
+		return max(d, -d)
+	}
+	return 0
+}
+
+func (m *mshr) retire(now int64) {
+	m.retired = max(m.retired, now)
+	if now >= m.earlyLo {
+		m.earlyLo = NeverCycle
+		for i, d := range m.done {
+			if d < 0 && -d <= now {
+				m.done[i] = 0
+			} else if d < 0 {
+				m.earlyLo = min(m.earlyLo, -d)
+			}
+		}
+	}
+}
+
+// nextEvent retires every fill done by now and returns the earliest pending
+// completion, or NeverCycle: a table scan, for the benchmark and the tests.
+func (m *mshr) nextEvent(now int64) int64 {
+	m.retire(now)
+	next := NeverCycle
+	for i := range m.done {
+		if d := m.at(i); d > 0 {
+			next = min(next, d)
+		}
+	}
+	return next
 }
 
 func (m *mshr) lookup(line uint64, now int64) (int64, bool) {
-	done, ok := m.pending[line]
-	if !ok {
-		return 0, false
+	i := m.slot(line)
+	if done := m.at(i); done > now {
+		return done, true
 	}
-	if done <= now {
-		delete(m.pending, line)
-		return 0, false
-	}
-	return done, true
+	m.done[i] = 0 // complete, dead already, or a never-used slot
+	return 0, false
 }
 
 // insert records a fill issued at now. It retires completed fills first —
-// the device loop never probes nextEvent, so this is where the map and the
-// heap shed the misses that have landed, at cycles that depend on the
-// access stream alone and not on which cycles any SM slept through.
+// the device loop never probes nextEvent, so this is where the table sheds
+// the misses that have landed, at cycles that depend on the access stream
+// alone and not on which cycles any SM slept through.
 func (m *mshr) insert(line uint64, done, now int64) {
-	m.nextEvent(now)
-	m.pending[line] = done
-	m.byDone.push(fill{done: done, line: line})
+	m.retire(now)
+	if done <= m.retired {
+		m.earlyLo, done = min(m.earlyLo, done), -done
+	}
+	m.put(line, done)
+	if m.used*4 > len(m.keys)*3 {
+		m.rehash(len(m.keys))
+	}
+}
+
+func (m *mshr) put(line uint64, d int64) {
+	i := m.slot(line)
+	if m.keys[i] == 0 {
+		m.used++
+	}
+	m.keys[i], m.done[i] = line+1, d
+}
+
+// rehash rebuilds the table, n slots, from its pending fills alone, doubling
+// it while they fill over a quarter, into the spare arrays; the old become
+// the next spare, so only a new high-water mark allocates.
+func (m *mshr) rehash(n int) {
+	keys, done := m.keys, m.done
+	if cap(m.spareKeys) < n {
+		m.spareKeys, m.spareDone = make([]uint64, n), make([]int64, n)
+	}
+	m.keys, m.spareKeys, m.done, m.spareDone = m.spareKeys[:n], keys, m.spareDone[:n], done
+	clear(m.keys)
+	clear(m.done)
+	m.used = 0
+	for i, k := range keys {
+		if d := done[i]; d < 0 || d > m.retired {
+			m.put(k-1, d)
+		}
+	}
+	if m.used*4 > n {
+		m.rehash(2 * n)
+	}
 }
 
 // Hierarchy is the full memory system: one L1 per SM, a shared L2, and

@@ -1,6 +1,10 @@
 package mem
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,9 +25,6 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 	if c.Hits != 2 || c.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", c.Hits, c.Misses)
-	}
-	if got := c.HitRate(); got < 0.66 || got > 0.67 {
-		t.Errorf("HitRate = %v", got)
 	}
 }
 
@@ -52,18 +53,6 @@ func TestCacheWriteNoAllocate(t *testing.T) {
 	}
 	if c.Hits+c.Misses != 1 {
 		t.Error("writes must not count in read hit/miss stats")
-	}
-}
-
-func TestCacheFlush(t *testing.T) {
-	c := NewCache(1, 2, 128)
-	c.Access(0, false)
-	c.Flush()
-	if c.Access(0, false) {
-		t.Error("flush did not invalidate")
-	}
-	if c.Misses != 1 {
-		t.Error("flush did not clear counters")
 	}
 }
 
@@ -257,5 +246,215 @@ func TestHierarchyCausalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refMSHR is the map+heap MSHR the table replaced, kept verbatim as the
+// reference TestMSHRMatchesReference holds the table to.
+type refMSHR struct {
+	pending map[uint64]int64 // line -> completion cycle
+	// byDone orders the fills by completion so retiring the completed ones
+	// and NextEvent read the earliest off the top instead of walking the
+	// map. It holds a row for every pending entry, plus stale rows — the
+	// entry was deleted by lookup or overwritten by a later fill — which
+	// are dropped when they surface. Derived from pending: rebuilt on
+	// restore.
+	byDone fillHeap
+}
+
+// fillHeap is a typed binary min-heap on done, the shape of smcore's
+// wbHeap and for the same reason: push and pop run on the per-access path.
+type fillHeap []fill
+
+func (h *fillHeap) push(f fill) {
+	q := append(*h, f)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if q[parent].done <= q[i].done {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *fillHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	i := 0
+	for {
+		small := i
+		if l := 2*i + 1; l < n && q[l].done < q[small].done {
+			small = l
+		}
+		if r := 2*i + 2; r < n && q[r].done < q[small].done {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		q[i], q[small] = q[small], q[i]
+		i = small
+	}
+	*h = q
+}
+
+func newRefMSHR() *refMSHR {
+	return &refMSHR{pending: make(map[uint64]int64)}
+}
+
+// nextEvent returns the earliest pending completion strictly after now,
+// or NeverCycle, retiring every fill that completed at or before now on
+// the way — so neither the map nor the heap accumulates dead lines.
+func (m *refMSHR) nextEvent(now int64) int64 {
+	for len(m.byDone) > 0 {
+		top := m.byDone[0]
+		done, ok := m.pending[top.line]
+		switch {
+		case !ok || done != top.done:
+			// stale row
+		case done <= now:
+			delete(m.pending, top.line)
+		default:
+			return done
+		}
+		m.byDone.pop()
+	}
+	return NeverCycle
+}
+
+func (m *refMSHR) lookup(line uint64, now int64) (int64, bool) {
+	done, ok := m.pending[line]
+	if !ok {
+		return 0, false
+	}
+	if done <= now {
+		delete(m.pending, line)
+		return 0, false
+	}
+	return done, true
+}
+
+// insert records a fill issued at now. It retires completed fills first —
+// the device loop never probes nextEvent, so this is where the map and the
+// heap shed the misses that have landed, at cycles that depend on the
+// access stream alone and not on which cycles any SM slept through.
+func (m *refMSHR) insert(line uint64, done, now int64) {
+	m.nextEvent(now)
+	m.pending[line] = done
+	m.byDone.push(fill{done: done, line: line})
+}
+
+// fills appends to rows the pending fills as a frame carries them: one row per
+// line, ascending, so equal MSHR states give equal bytes whatever order
+// their misses arrived in. The rows are read off the completion heap —
+// every pending fill has one there; stale rows and duplicates are dropped —
+// because ranging over the map would visit them in no fixed order.
+func (m *refMSHR) fills(rows []fill) []fill {
+	for _, r := range m.byDone {
+		if done, ok := m.pending[r.line]; ok && done == r.done {
+			rows = append(rows, r)
+		}
+	}
+	slices.SortFunc(rows, func(a, b fill) int { return cmp.Compare(a.line, b.line) })
+	return slices.Compact(rows) // same line and both live: identical rows
+}
+
+// TestMSHRMatchesReference drives the table and the map+heap reference with
+// the stream the device gives them: each cycle, four SMs in order, each
+// admitting one warp-wide access whose line transactions run at offsets
+// 0…n-1; a transaction probes its SM's L1 MSHR at its cycle and, on a miss,
+// the shared L2 MSHR 28 cycles later, and inserts into both at its cycle —
+// so the L2's same-cycle nows are not in time order. Latencies include 0,
+// where a fill can land before an earlier same-cycle insert's now. Every
+// return value, and the frame rows, must match after every step; a
+// restore from those rows must keep matching.
+func TestMSHRMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		lat, lineSpan int64
+	}{
+		{"v100-latency", 410, 1 << 10},
+		{"zero-latency", 0, 1 << 9},
+		{"zero-latency-hot", 0, 48},
+		{"short-latency", 3, 1 << 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(tc.lat), uint64(tc.lineSpan)))
+			const sms = 4
+			var tab [sms + 1]*mshr
+			var ref [sms + 1]*refMSHR
+			for i := range tab {
+				tab[i], ref[i] = newMSHR(), newRefMSHR()
+			}
+			step, early := 0, 0
+			check := func(m int, what string, got, want any) {
+				t.Helper()
+				step++
+				if got != want {
+					t.Fatalf("step %d, mshr %d, %s: table %v, reference %v", step, m, what, got, want)
+				}
+				if g, w := tab[m].fills(nil), ref[m].fills(nil); !slices.Equal(g, w) {
+					t.Fatalf("step %d, mshr %d, after %s: table rows %v, reference %v", step, m, what, g, w)
+				}
+			}
+			probe := func(m int, line uint64, at int64) (int64, bool) {
+				d, ok := tab[m].lookup(line, at)
+				rd, rok := ref[m].lookup(line, at)
+				check(m, fmt.Sprintf("lookup(%d, %d)", line, at), [2]any{d, ok}, [2]any{rd, rok})
+				return d, ok
+			}
+			var portFree [sms]int64
+			for cycle := int64(0); cycle < 1500; cycle++ {
+				for sm := range sms {
+					if portFree[sm] > cycle {
+						continue // the LSU's coalescer port is still busy
+					}
+					n := int64(1 + rng.IntN(32))
+					portFree[sm] = cycle + n
+					for i := range n {
+						now := cycle + i
+						line := uint64(rng.Int64N(tc.lineSpan))
+						if _, hit := probe(sm, line, now); hit {
+							continue
+						}
+						done, merged := probe(sms, line, now+28)
+						if !merged {
+							done = now + 30 + tc.lat + rng.Int64N(8)
+							if done <= tab[sms].retired {
+								early++
+							}
+							tab[sms].insert(line, done, now)
+							ref[sms].insert(line, done, now)
+							check(sms, "l2 insert", true, true)
+						}
+						tab[sm].insert(line, done, now)
+						ref[sm].insert(line, done, now)
+						check(sm, "l1 insert", true, true)
+					}
+				}
+				if rng.IntN(8) == 0 {
+					m, at := rng.IntN(sms+1), cycle+rng.Int64N(40)
+					check(m, fmt.Sprintf("nextEvent(%d)", at), tab[m].nextEvent(at), ref[m].nextEvent(at))
+					if vs := tab[m].auditInto(nil, "t"); len(vs) != 0 {
+						t.Fatalf("step %d: %v", step, vs)
+					}
+				}
+				if rng.IntN(60) == 0 {
+					m := rng.IntN(sms + 1)
+					if err := tab[m].restore(ref[m].fills(nil)); err != nil {
+						t.Fatal(err)
+					}
+					check(m, "restore", true, true)
+				}
+			}
+			if tc.lat == 0 && early == 0 {
+				t.Error("no fill landed below the L2's watermark: the stream never left time order")
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/snapshot"
@@ -26,13 +27,13 @@ func (h *Hierarchy) EncodeState(e *snapshot.Encoder) {
 // different machine fails loudly.
 func (h *Hierarchy) RestoreState(d *snapshot.Decoder) error {
 	var fills []fill
+	var err error
 	for i, c := range h.l1 {
 		d.State(&c.cacheState, &fills)
-		h.l1m[i].restore(fills)
+		err = cmp.Or(err, h.l1m[i].restore(fills))
 	}
 	d.State(&h.l2.cacheState, &fills, &h.l2ch.bwState, &h.drch.bwState)
-	h.l2m.restore(fills)
-	if err := d.Err(); err != nil {
+	if err := cmp.Or(d.Err(), err, h.l2m.restore(fills)); err != nil {
 		return err
 	}
 	for _, ch := range []*bwChannel{h.l2ch, h.drch} {
@@ -45,27 +46,29 @@ func (h *Hierarchy) RestoreState(d *snapshot.Decoder) error {
 }
 
 // fills appends to rows the pending fills as a frame carries them: one row per
-// line, ascending, so equal MSHR states give equal bytes whatever order
-// their misses arrived in. The rows are read off the completion heap —
-// every pending fill has one there; stale rows and duplicates are dropped —
-// because ranging over the map would visit them in no fixed order.
+// line, ascending, so equal MSHR states give equal bytes whatever slots
+// their misses took.
 func (m *mshr) fills(rows []fill) []fill {
-	for _, r := range m.byDone {
-		if done, ok := m.pending[r.line]; ok && done == r.done {
-			rows = append(rows, r)
+	for i, k := range m.keys {
+		if done := m.at(i); done > 0 {
+			rows = append(rows, fill{done: done, line: k - 1})
 		}
 	}
 	slices.SortFunc(rows, func(a, b fill) int { return cmp.Compare(a.line, b.line) })
-	return slices.Compact(rows) // same line and both live: identical rows
+	return rows
 }
 
-// restore replaces the MSHR's contents with decoded rows, rebuilding the
-// map and the completion heap together.
-func (m *mshr) restore(rows []fill) {
-	m.pending = make(map[uint64]int64, len(rows))
-	m.byDone = m.byDone[:0]
+// restore replaces the MSHR's contents with decoded rows. No watermark
+// travels: every row is pending, and the next retirement reaches it.
+func (m *mshr) restore(rows []fill) error {
+	clear(m.keys)
+	clear(m.done)
+	m.used, m.retired, m.earlyLo = 0, 0, NeverCycle
 	for _, r := range rows {
-		m.pending[r.line] = r.done
-		m.byDone.push(r)
+		if r.done < 1 || r.line == math.MaxUint64 {
+			return fmt.Errorf("mem: snapshot MSHR row (line %d, done %d) is no fill this hierarchy can hold", r.line, r.done)
+		}
+		m.insert(r.line, r.done, 0)
 	}
+	return nil
 }

@@ -72,19 +72,19 @@ func TestHierarchyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMSHRFrameIsCanonical pins what replaced the sorted map walk: two
-// MSHRs holding the same fills encode to the same bytes whatever order the
-// misses arrived in, and whatever stale rows their heaps still carry.
+// TestMSHRFrameIsCanonical: two MSHRs holding the same fills encode to the
+// same bytes whatever order the misses arrived in, and whatever dead slots
+// their tables still carry.
 func TestMSHRFrameIsCanonical(t *testing.T) {
 	a, b := newMSHR(), newMSHR()
 	for line := uint64(1); line <= 40; line++ {
 		a.insert(line, int64(1000-7*line), 0)
 	}
-	b.insert(99, 5, 0) // completes before the rest arrive: a stale row in b only
+	b.insert(99, 5, 0) // completes before the rest arrive: a dead slot in b only
 	for line := uint64(40); line >= 1; line-- {
 		b.insert(line, int64(1000-7*line), 10)
 	}
-	b.insert(7, 1000-7*7, 10) // re-inserted with the same completion: a duplicate row
+	b.insert(7, 1000-7*7, 10) // re-inserted with the same completion
 	a.nextEvent(10)
 	encode := func(m *mshr) []byte {
 		e := snapshot.NewEncoder()
@@ -96,8 +96,8 @@ func TestMSHRFrameIsCanonical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	if len(a.pending) != 40 || len(b.pending) != 40 {
-		t.Fatalf("setup: %d and %d pending fills, want 40 each", len(a.pending), len(b.pending))
+	if len(a.fills(nil)) != 40 || len(b.fills(nil)) != 40 {
+		t.Fatalf("setup: %d and %d pending fills, want 40 each", len(a.fills(nil)), len(b.fills(nil)))
 	}
 	if !bytes.Equal(encode(a), encode(b)) {
 		t.Fatal("equal MSHR states encoded to different bytes")
@@ -135,7 +135,7 @@ func TestAuditCatchesSeededMSHRCorruption(t *testing.T) {
 	if vs := h.Audit(); len(vs) != 0 {
 		t.Fatalf("healthy hierarchy reported %v", vs)
 	}
-	h.CorruptMSHRForTest(100)
+	h.CorruptMSHRForTest()
 	vs := h.Audit()
 	if len(vs) == 0 {
 		t.Fatal("seeded MSHR inconsistency not detected")

@@ -16,17 +16,18 @@ type lsuEntry struct {
 
 // LSU is the SM-shared load/store unit. All four sub-cores feed one LSU
 // (as on Volta), making it a shared resource the partitioning does not
-// split. It admits cfg.LSUWidthPerSM instructions per cycle, serializes
-// their line transactions through a single coalescer port, and schedules
-// writebacks for loads.
+// split. It admits one instruction per cycle, serializes its line
+// transactions through a single coalescer port, and schedules writebacks
+// for loads.
 type LSU struct {
 	sm *SM
 	lsuState
 	capacity int
-	tr       *trace.SMT
+	// backing is what queue is a window over: twice capacity, so that a
+	// queue kept full slides once per capacity admissions, not per one.
+	backing []lsuEntry
+	tr      *trace.SMT
 
-	// sharedBase sequences synthetic shared-memory "addresses" only for
-	// conflict-degree modeling.
 	lat struct {
 		shared   int64
 		constant int64
@@ -36,40 +37,41 @@ type LSU struct {
 // lsuState is the LSU's mutable state: plain data only, walked whole by
 // snapshot.State (snapshot.go).
 type lsuState struct {
-	queue    []lsuEntry
-	portFree int64 // coalescer occupancy (1 transaction per cycle)
+	queue    []lsuEntry // the FIFO, oldest first
+	portFree int64      // coalescer occupancy (1 transaction per cycle)
 }
 
 func newLSU(sm *SM, capacity int) *LSU {
-	l := &LSU{sm: sm, capacity: capacity}
+	l := &LSU{sm: sm, capacity: capacity, backing: make([]lsuEntry, 2*capacity)}
+	l.queue = l.backing[:0]
 	l.lat.shared = 24
 	l.lat.constant = 8
 	return l
 }
 
 // enqueue accepts a memory instruction from a sub-core dispatch port;
-// false when the queue is full (the collector unit stays staged).
+// false when the queue is full (the collector unit stays staged). The
+// window slides back to the front of backing only when it reaches the end.
 func (l *LSU) enqueue(warpIdx int32, subCore int, in isa.Instr) bool {
 	if len(l.queue) >= l.capacity {
 		return false
+	}
+	if len(l.queue) == cap(l.queue) {
+		l.queue = l.backing[:copy(l.backing, l.queue)]
 	}
 	l.queue = append(l.queue, lsuEntry{warpIdx: warpIdx, subCore: int8(subCore), in: in})
 	return true
 }
 
-// tick admits up to width instructions whose transactions the coalescer
-// port can start this cycle.
+// tick admits the oldest instruction when the coalescer port is free. One
+// per cycle is all it can be: serve holds the port past now.
 func (l *LSU) tick(now int64) {
-	width := l.sm.cfg.LSUWidthPerSM
-	for n := 0; n < width && len(l.queue) > 0; n++ {
-		if l.portFree > now {
-			return // coalescer still busy with a previous burst
-		}
-		e := l.queue[0]
-		copy(l.queue, l.queue[1:])
-		l.queue = l.queue[:len(l.queue)-1]
-		l.serve(&e, now)
+	if len(l.queue) == 0 || l.portFree > now {
+		return
 	}
+	e := &l.queue[0] // stays put until an enqueue, and serve enqueues nothing
+	l.queue = l.queue[1:]
+	l.serve(e, now)
 }
 
 // serve executes one memory instruction: synthesizes its line addresses,
@@ -88,16 +90,12 @@ func (l *LSU) serve(e *lsuEntry, now int64) {
 		if l.tr != nil {
 			l.tr.Emit(trace.KCoalesce, e.subCore, e.warpIdx, int32(n), 0)
 		}
-		start := now
-		if l.portFree > start {
-			start = l.portFree
-		}
-		l.portFree = start + int64(n)
+		l.portFree = now + int64(n) // tick admits only onto a free port
 		write := in.Op == isa.OpSTG
-		done := start
-		for i := 0; i < n; i++ {
-			addr := l.address(w, in, i)
-			d := l.sm.hier.AccessGlobal(l.sm.id, addr, write, start+int64(i))
+		done := now
+		var addrs [isa.WarpSize]uint64
+		for i, addr := range lineAddrs(addrs[:n], w, in, l.sm.cfg.LineBytes) {
+			d := l.sm.hier.AccessGlobal(l.sm.id, addr, write, now+int64(i))
 			if d > done {
 				done = d
 			}
@@ -131,34 +129,35 @@ func (l *LSU) scheduleLoadWB(e *lsuEntry, done int64) {
 	l.sm.scheduleWriteback(done, e.warpIdx, e.in.Dst, bank, int(e.subCore))
 }
 
-// address synthesizes the i-th line address of a warp-wide access. The
-// scheme gives each warp a private region (spaced 16 MB apart) unless the
-// trait marks the footprint kernel-shared, in which case all warps walk a
-// common region — producing realistic L1/L2 reuse without traces.
-func (l *LSU) address(w *Warp, in *isa.Instr, i int) uint64 {
-	line := uint64(l.sm.cfg.LineBytes)
-	foot := uint64(in.Mem.Footprint)
-	if foot < line {
-		foot = line
-	}
-	lines := foot / line
-	var base uint64
-	if in.Mem.Shared {
-		base = 1 << 40
-	} else {
+// lineAddrs fills dst with the first len(dst) line addresses of a
+// warp-wide access and returns it. The scheme gives each warp a private
+// region (spaced 16 MB apart) unless the trait marks the footprint
+// kernel-shared, in which case all warps walk a common region — producing
+// realistic L1/L2 reuse without traces. Address i is line (idx+i) mod
+// lines of the region: idx streams from the warp's access count, or is
+// drawn afresh per line for a random pattern.
+func lineAddrs(dst []uint64, w *Warp, in *isa.Instr, lineBytes int) []uint64 {
+	line := uint64(lineBytes)
+	lines := max(uint64(in.Mem.Footprint), line) / line
+	base := uint64(1) << 40
+	if !in.Mem.Shared {
 		base = (uint64(w.GID) + 1) << 24
 	}
-	var idx uint64
-	switch in.Mem.Pattern {
-	case isa.PatRandom:
-		idx = w.NextRand() % lines
-	case isa.PatBroadcast:
-		idx = uint64(w.MemCounter) % lines
-	default:
-		// Streaming: consecutive accesses walk consecutive lines.
-		idx = uint64(w.MemCounter) % lines
+	idx, off := uint64(w.MemCounter)%lines, uint64(0) // off = i mod lines
+	for i := range dst {
+		if in.Mem.Pattern == isa.PatRandom {
+			idx = w.NextRand() % lines
+		}
+		k := idx + off
+		if k >= lines {
+			k -= lines
+		}
+		dst[i] = base + k*line
+		if off++; off == lines {
+			off = 0
+		}
 	}
-	return base + (idx+uint64(i))%lines*line
+	return dst
 }
 
 // sharedConflictDegree models scratchpad bank conflicts: the number of

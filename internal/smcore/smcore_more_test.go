@@ -210,7 +210,7 @@ func TestPrivateFootprintAddressing(t *testing.T) {
 		runToDrain(t, sm, 500000)
 		_ = runStats
 		l1 := sm.hier.L1(0)
-		return l1.HitRate()
+		return float64(l1.Hits) / float64(l1.Hits+l1.Misses)
 	}
 	sharedRate := run(true)
 	privateRate := run(false)

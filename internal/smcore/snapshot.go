@@ -90,6 +90,7 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 	if n := len(sm.lsu.queue); n > sm.lsu.capacity {
 		return fmt.Errorf("smcore: snapshot LSU queue holds %d entries, capacity is %d", n, sm.lsu.capacity)
 	}
+	sm.lsu.queue = sm.lsu.backing[:copy(sm.lsu.backing, sm.lsu.queue)]
 	for _, sc := range sm.subcores {
 		var sched uint64
 		d.State(&sched, &sc.subCoreState)
