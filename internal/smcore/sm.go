@@ -62,7 +62,9 @@ type wbEvent struct {
 // typed binary heap rather than container/heap because push/pop run on
 // the per-cycle path: container/heap's interface{} Push/Pop boxes every
 // wbEvent (one allocation per scheduled writeback, which fails
-// TestCycleLoopZeroAlloc).
+// TestCycleLoopZeroAlloc). Sifts move entries through a hole; on a tie push
+// stops and pop keeps the left child or stops. The array's order decides
+// write-port order among same-cycle writebacks, and a frame carries it.
 type wbHeap []wbEvent
 
 func (h *wbHeap) push(e wbEvent) {
@@ -70,12 +72,13 @@ func (h *wbHeap) push(e wbEvent) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if q[parent].cycle <= q[i].cycle {
+		if q[parent].cycle <= e.cycle {
 			break
 		}
-		q[parent], q[i] = q[i], q[parent]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = e
 	*h = q
 }
 
@@ -83,22 +86,20 @@ func (h *wbHeap) pop() wbEvent {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q = q[:n]
 	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && q[l].cycle < q[small].cycle {
-			small = l
+	for n > 0 {
+		c := 2*i + 1
+		if r := c + 1; r < n && q[r].cycle < q[c].cycle {
+			c = r
 		}
-		if r := 2*i + 2; r < n && q[r].cycle < q[small].cycle {
-			small = r
-		}
-		if small == i {
+		if c >= n || q[c].cycle >= last.cycle {
+			q[i] = last
 			break
 		}
-		q[i], q[small] = q[small], q[i]
-		i = small
+		q[i] = q[c]
+		i = c
 	}
 	*h = q
 	return top

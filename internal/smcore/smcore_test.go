@@ -243,6 +243,70 @@ func TestBarrierReleasesOnlyWhenAllArrive(t *testing.T) {
 	runToDrain(t, sm, 10000)
 }
 
+// TestParkedWarpKeepsItsBuffer runs a block whose warps reach each of two
+// barriers cycles apart. Issuing BAR pops it and nothing else: the warp parks
+// with the rest of its buffer and its cursor where they were, and neither
+// moves until the release — a frame carries both. Every active warp ends
+// each cycle with a full buffer or a spent program, which is all the issue
+// stage reads of it.
+func TestParkedWarpKeepsItsBuffer(t *testing.T) {
+	sm, _ := testSM(t, nil)
+	progs := make([]*program.Program, 8)
+	for i := range progs {
+		b := program.NewBuilder()
+		b.Loop(int64(1+3*i), func(lb *program.Builder) { lb.FMA(4, 4, 2, 3) })
+		b.Bar().FMA(5, 1, 2, 3).Bar().IADD(6, 5, 1)
+		progs[i] = b.MustBuild()
+	}
+	if err := sm.Allocate(specOf(progs, 16, 0)); err != nil {
+		t.Fatal(err)
+	}
+	type frontEnd struct {
+		state WarpState
+		ibuf  [2]isa.Instr
+		n     int8
+		pos   program.Pos
+	}
+	of := func(w *Warp) frontEnd { return frontEnd{w.State, w.IBuf, w.IBufN, w.Cursor.Pos()} }
+	before := make([]frontEnd, len(sm.warps))
+	parks, parkedCycles := 0, 0
+	for c := int64(0); !sm.Drained(); c++ {
+		if c > 10000 {
+			t.Fatal("SM did not drain")
+		}
+		for i := range sm.warps {
+			before[i] = of(&sm.warps[i])
+		}
+		sm.Tick(c)
+		for i := range sm.warps {
+			w, was := &sm.warps[i], before[i]
+			switch w.State {
+			case WarpActive:
+				if w.IBufN < 2 && !w.Cursor.Done() {
+					t.Fatalf("cycle %d warp %d: active with %d buffered and program left", c, i, w.IBufN)
+				}
+			case WarpAtBarrier:
+				want := was
+				if was.state == WarpActive {
+					if !was.ibuf[0].Op.IsBarrier() {
+						t.Fatalf("cycle %d warp %d: parked without issuing BAR", c, i)
+					}
+					want = frontEnd{WarpAtBarrier, [2]isa.Instr{was.ibuf[1], was.ibuf[1]}, was.n - 1, was.pos}
+					parks++
+				} else {
+					parkedCycles++
+				}
+				if got := of(w); got != want {
+					t.Fatalf("cycle %d warp %d: parked front end %+v, want %+v", c, i, got, want)
+				}
+			}
+		}
+	}
+	if parks < len(progs) || parkedCycles < 10*len(progs) {
+		t.Fatalf("%d parks over %d parked warp-cycles: the warps did not wait at their barriers", parks, parkedCycles)
+	}
+}
+
 func TestBarrierWithExitedWarps(t *testing.T) {
 	// One warp exits immediately; the other hits a barrier. The barrier
 	// must release without the exited warp.

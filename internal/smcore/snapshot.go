@@ -87,6 +87,16 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			return fmt.Errorf("smcore: sm%d warp %d: %w", sm.id, wf.Slot, err)
 		}
 	}
+	for i, e := range sm.wb {
+		switch {
+		case i > 0 && sm.wb[(i-1)/2].cycle > e.cycle:
+			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d (cycle %d) precedes its parent", sm.id, i, e.cycle)
+		case e.subCore < 0 || int(e.subCore) >= len(sm.subcores) || e.bank < 0 || int(e.bank) >= sm.cfg.BanksPerSubCore:
+			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d names sub-core %d bank %d", sm.id, i, e.subCore, e.bank)
+		case e.warpIdx < 0 || int(e.warpIdx) >= len(sm.warps) || sm.warps[e.warpIdx].State == WarpEmpty:
+			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d names warp slot %d, which holds no warp", sm.id, i, e.warpIdx)
+		}
+	}
 	if n := len(sm.lsu.queue); n > sm.lsu.capacity {
 		return fmt.Errorf("smcore: snapshot LSU queue holds %d entries, capacity is %d", n, sm.lsu.capacity)
 	}

@@ -243,6 +243,53 @@ func TestSMRestoreRefusesHostileLengths(t *testing.T) {
 	}
 }
 
+// TestSMRestoreRefusesBadWritebackHeap tampers one entry of a mid-kernel SM's
+// writeback heap per case, encodes the SM, and expects RestoreState to refuse
+// the frame by naming the heap. Each frame is CRC-valid; restored, it would
+// run until the entry came due and then panic indexing a sub-core, a bank or
+// a warp slot, or (out of heap order) deliver writebacks out of time.
+func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	prog := memMixProg(6)
+	progFor := func(int64) (*program.Program, error) { return prog, nil }
+	for _, tc := range []struct {
+		name   string
+		tamper func(wb wbHeap)
+	}{
+		{"out of heap order", func(wb wbHeap) { wb[len(wb)-1].cycle = wb[0].cycle - 1 }},
+		{"sub-core past the last", func(wb wbHeap) { wb[0].subCore = int8(cfg.SubCoresPerSM) }},
+		{"negative sub-core", func(wb wbHeap) { wb[0].subCore = -1 }},
+		{"bank past the last", func(wb wbHeap) { wb[0].bank = int8(cfg.BanksPerSubCore) }},
+		{"empty warp slot", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM - 1) }},
+		{"warp slot past the table", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hier := mem.NewHierarchy(cfg)
+			sm := NewSM(0, &cfg, hier, stats.NewRun(1, cfg.SubCoresPerSM))
+			if err := sm.Allocate(specOf([]*program.Program{prog, prog, prog, prog}, 16, 0)); err != nil {
+				t.Fatal(err)
+			}
+			c := int64(0)
+			for ; len(sm.wb) < 2; c++ {
+				if c > 1000 {
+					t.Fatal("the writeback heap never held two entries")
+				}
+				sm.Tick(c)
+			}
+			tc.tamper(sm.wb)
+			fresh := NewSM(0, &cfg, mem.NewHierarchy(cfg), stats.NewRun(1, cfg.SubCoresPerSM))
+			err := restoreSMState(t, fresh, mem.NewHierarchy(cfg), snapSMState(t, sm, hier), progFor)
+			if err == nil || !strings.Contains(err.Error(), "writeback heap") {
+				t.Fatalf("restoring a frame whose heap was tampered at cycle %d: err %v, want a refusal naming the writeback heap", c, err)
+			}
+		})
+	}
+}
+
 func TestSMRestoreWorkloadMismatch(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1

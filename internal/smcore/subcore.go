@@ -79,7 +79,8 @@ type readySet struct {
 	// the scheduler's candidates. hazard warps have a decoded head blocked
 	// by the scoreboard (or an EXIT/BAR draining outstanding writes).
 	ready, hazard uint64
-	// decode warps are active with instruction-buffer room and program left.
+	// decode warps are active with instruction-buffer room and program left:
+	// placed this cycle or released from a barrier (consume refills the rest).
 	decode uint64
 	// needCU marks ready warps whose head can only issue into a free
 	// collector unit: it reads registers and holds no stolen CU.
@@ -603,11 +604,25 @@ func (sc *SubCore) issueDirect(w *Warp, in *isa.Instr, now int64) (ok, noCU, euB
 // slotIndex returns the warp's index in the SM warp table.
 func (sc *SubCore) slotIndex(w *Warp) int32 { return sc.slots[w.SchedSlot] }
 
-// consume pops IBuf[0].
+// consume pops IBuf[0] and refills the buffer now, the warp being spent for
+// the cycle — unless EXIT or BAR parks it: a frame carries what is left.
 func (sc *SubCore) consume(w *Warp) {
+	parks := w.IBuf[0].Op.IsExit() || w.IBuf[0].Op.IsBarrier()
 	w.IBuf[0] = w.IBuf[1]
 	w.IBufN--
+	if !parks {
+		fill(w)
+	}
 	sc.reclass(int(w.SchedSlot))
+}
+
+// fill decodes into the warp's buffer until it is full or the program spent
+// (ideal front-end: the paper's effects are all in the back-end).
+func fill(w *Warp) {
+	for w.IBufN < 2 && !w.Cursor.Done() {
+		w.IBuf[w.IBufN], _ = w.Cursor.Next()
+		w.IBufN++
+	}
 }
 
 // leftovers lists, into out, the slots of issuable the scheduler did not
@@ -660,17 +675,12 @@ func (sc *SubCore) stealTick() {
 	}
 }
 
-// decodeTick refills instruction buffers (ideal front-end: the paper's
-// effects are entirely in the issue/operand/execute back-end).
+// decodeTick fills the buffers consume did not: warps placed this cycle or
+// released from a barrier, which must not issue before the next cycle.
 func (sc *SubCore) decodeTick() {
 	for m := sc.rs.decode; m != 0; m &= m - 1 {
 		slot := bits.TrailingZeros64(m)
-		w := &sc.sm.warps[sc.slots[slot]]
-		for w.IBufN < 2 && !w.Cursor.Done() {
-			in, _ := w.Cursor.Next()
-			w.IBuf[w.IBufN] = in
-			w.IBufN++
-		}
+		fill(&sc.sm.warps[sc.slots[slot]])
 		sc.reclass(slot)
 	}
 }
