@@ -454,6 +454,8 @@ func (g GPU) Validate() error {
 		{g.LineBytes > 0 && g.LineBytes&(g.LineBytes-1) == 0, "LineBytes must be a power of two"},
 		{g.L1KBPerSM >= 1, "L1KBPerSM must be >= 1"},
 		{g.L2KB >= 1, "L2KB must be >= 1"},
+		{g.LineBytes < 1 || (g.L1Assoc <= g.L1KBPerSM*1024/g.LineBytes && g.L2Assoc <= g.L2KB*1024/g.LineBytes),
+			"L1Assoc and L2Assoc must not exceed their cache's lines (the cache would be one set of more ways than it has lines)"},
 		{g.L2BytesPerCycle >= 1 && g.DRAMBytesPerCycle >= 1, "L2BytesPerCycle and DRAMBytesPerCycle must be >= 1"},
 		{g.L2Latency >= 0 && g.DRAMLatency >= 0, "L2Latency and DRAMLatency must be >= 0 (a fill would complete before it was requested)"},
 		{g.HashTableEntries == 4 || g.HashTableEntries == 16, "HashTableEntries must be 4 or 16"},

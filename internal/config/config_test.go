@@ -122,6 +122,10 @@ func TestValidateCatchesViolations(t *testing.T) {
 		// Each of these was clamped to 1 where it is used: two MachineIDs, one machine.
 		func(g *GPU) { g.L1Assoc = 0 },
 		func(g *GPU) { g.L2Assoc = -1 },
+		// More ways than lines: built as one set of that many ways, so a
+		// 1 KB, 24-way L2 simulated 3 KB.
+		func(g *GPU) { g.L1KBPerSM, g.L1Assoc = 1, 9 },
+		func(g *GPU) { g.L2KB = 1 },
 		func(g *GPU) { g.SharedMemBanks = 0 },
 		func(g *GPU) { g.L2BytesPerCycle = 0 },
 		func(g *GPU) { g.DRAMBytesPerCycle = -8 },

@@ -18,7 +18,7 @@ func fuzzCfg() config.GPU {
 	cfg.MaxWarpsPerSM = 16
 	cfg.MaxBlocksPerSM = 4
 	cfg.L1KBPerSM = 1
-	cfg.L2KB = 1
+	cfg.L2KB, cfg.L2Assoc = 1, 8
 	return cfg.WithScheduler(config.SchedRBA).WithBankStealing()
 }
 

@@ -54,11 +54,10 @@ func (c *Cache) auditInto(vs []audit.Violation, where string) []audit.Violation 
 		if tag == 0 {
 			continue
 		}
-		set := i / c.assoc
-		if int((tag-1)%uint64(c.sets)) != set {
+		if set, home := i/c.assoc, c.setOf(tag-1); home != set {
 			vs = append(vs, audit.Violationf("cache", where,
 				"way %d holds line %d, which maps to set %d not set %d — tag array corrupt",
-				i, tag-1, (tag-1)%uint64(c.sets), set))
+				i, tag-1, home, set))
 		}
 	}
 	for i, u := range c.use {

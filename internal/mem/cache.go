@@ -57,32 +57,44 @@ func NewCache(capacityKB, assoc, lineBytes int) *Cache {
 // LineOf returns the line address (byte address >> lineShift).
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
 
+// setOf returns the set line maps to: line mod sets, a mask when sets is a
+// power of two (every L1; the scaled L2's 102 sets divide).
+func (c *Cache) setOf(line uint64) int {
+	n := uint64(c.sets)
+	if n&(n-1) == 0 {
+		return int(line & (n - 1))
+	}
+	return int(line % n)
+}
+
 // Access looks up the line containing addr, allocating it on a miss
 // (reads) and returns whether it hit. Writes update LRU on hit and bypass
-// allocation (no-write-allocate).
+// allocation (no-write-allocate). A read miss evicts the first way with the
+// strictly smallest stamp, found in the same pass that looks for the tag.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	line := c.LineOf(addr)
-	set := int(line % uint64(c.sets))
-	base := set * c.assoc
+	base := c.setOf(line) * c.assoc
+	tags := c.tags[base : base+c.assoc]
+	use := c.use[base:][:len(tags)]
 	c.clock++
 	stored := line + 1
-	victim := base
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == stored {
-			c.use[i] = c.clock
+	victim, oldest := 0, use[0]
+	for i, tag := range tags {
+		if tag == stored {
+			use[i] = c.clock
 			if !write {
 				c.Hits++
 			}
 			return true
 		}
-		if c.use[i] < c.use[victim] {
-			victim = i
+		if u := use[i]; u < oldest {
+			victim, oldest = i, u
 		}
 	}
 	if !write {
 		c.Misses++
-		c.tags[victim] = stored
-		c.use[victim] = c.clock
+		tags[victim] = stored
+		use[victim] = c.clock
 	}
 	return false
 }

@@ -141,32 +141,35 @@ func (m *mshr) nextEvent(now int64) int64 {
 	return next
 }
 
-func (m *mshr) lookup(line uint64, now int64) (int64, bool) {
+// lookup returns the slot line's probe stops at, and line's completion
+// cycle if its fill is still pending at now. The slot is insert's target
+// for line until this table's next insert: retiring rewrites no key.
+func (m *mshr) lookup(line uint64, now int64) (slot int, done int64, ok bool) {
 	i := m.slot(line)
 	if done := m.at(i); done > now {
-		return done, true
+		return i, done, true
 	}
 	m.done[i] = 0 // complete, dead already, or a never-used slot
-	return 0, false
+	return i, 0, false
 }
 
-// insert records a fill issued at now. It retires completed fills first —
-// the device loop never probes nextEvent, so this is where the table sheds
-// the misses that have landed, at cycles that depend on the access stream
-// alone and not on which cycles any SM slept through.
-func (m *mshr) insert(line uint64, done, now int64) {
+// insert records line's fill, issued at now, in slot i: the one lookup or
+// slot gave for line. It retires completed fills first — the device loop
+// never probes nextEvent, so this is where the table sheds the misses that
+// have landed, at cycles that depend on the access stream alone and not on
+// which cycles any SM slept through.
+func (m *mshr) insert(i int, line uint64, done, now int64) {
 	m.retire(now)
 	if done <= m.retired {
 		m.earlyLo, done = min(m.earlyLo, done), -done
 	}
-	m.put(line, done)
+	m.put(i, line, done)
 	if m.used*4 > len(m.keys)*3 {
 		m.rehash(len(m.keys))
 	}
 }
 
-func (m *mshr) put(line uint64, d int64) {
-	i := m.slot(line)
+func (m *mshr) put(i int, line uint64, d int64) {
 	if m.keys[i] == 0 {
 		m.used++
 	}
@@ -187,7 +190,7 @@ func (m *mshr) rehash(n int) {
 	m.used = 0
 	for i, k := range keys {
 		if d := done[i]; d < 0 || d > m.retired {
-			m.put(k-1, d)
+			m.put(m.slot(k-1), k-1, d)
 		}
 	}
 	if m.used*4 > n {
@@ -253,15 +256,17 @@ func (h *Hierarchy) AccessGlobal(sm int, addr uint64, write bool, now int64) int
 	}
 	// A line with an in-flight fill reads as present in the tag array
 	// (allocate-on-miss) but its data arrives with the fill: merge first.
-	if done, ok := h.l1m[sm].lookup(line, now); ok {
+	m := h.l1m[sm]
+	slot, done, ok := m.lookup(line, now)
+	if ok {
 		l1.Access(addr, false) // touch LRU; counts as a hit-under-miss
 		return done
 	}
 	if l1.Access(addr, false) {
 		return now + h.L1HitLatency
 	}
-	done := h.accessL2(addr, now)
-	h.l1m[sm].insert(line, done, now)
+	done = h.accessL2(addr, now) // touches no L1 MSHR: slot stays line's
+	m.insert(slot, line, done, now)
 	return done
 }
 
@@ -274,12 +279,12 @@ func (h *Hierarchy) accessL2(addr uint64, now int64) int64 {
 	if h.l2.Access(addr, false) {
 		return serveDone + int64(h.cfg.L2Latency)
 	}
-	if done, ok := h.l2m.lookup(line, at); ok {
+	slot, done, ok := h.l2m.lookup(line, at)
+	if ok {
 		return done
 	}
-	dramDone := h.drch.serve(serveDone + int64(h.cfg.L2Latency))
-	done := dramDone + int64(h.cfg.DRAMLatency)
-	h.l2m.insert(line, done, now)
+	done = h.drch.serve(serveDone+int64(h.cfg.L2Latency)) + int64(h.cfg.DRAMLatency)
+	h.l2m.insert(slot, line, done, now)
 	return done
 }
 

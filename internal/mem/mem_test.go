@@ -369,10 +369,12 @@ func (m *refMSHR) fills(rows []fill) []fill {
 // admitting one warp-wide access whose line transactions run at offsets
 // 0…n-1; a transaction probes its SM's L1 MSHR at its cycle and, on a miss,
 // the shared L2 MSHR 28 cycles later, and inserts into both at its cycle —
-// so the L2's same-cycle nows are not in time order. Latencies include 0,
-// where a fill can land before an earlier same-cycle insert's now. Every
-// return value, and the frame rows, must match after every step; a
-// restore from those rows must keep matching.
+// so the L2's same-cycle nows are not in time order. As in AccessGlobal,
+// each insert writes the slot its table's lookup returned, the L2's insert
+// falling between the L1's lookup and insert. Latencies include 0, where a
+// fill can land before an earlier same-cycle insert's now. Every return
+// value, and the frame rows, must match after every step; a restore from
+// those rows must keep matching.
 func TestMSHRMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -402,11 +404,11 @@ func TestMSHRMatchesReference(t *testing.T) {
 					t.Fatalf("step %d, mshr %d, after %s: table rows %v, reference %v", step, m, what, g, w)
 				}
 			}
-			probe := func(m int, line uint64, at int64) (int64, bool) {
-				d, ok := tab[m].lookup(line, at)
+			probe := func(m int, line uint64, at int64) (int, int64, bool) {
+				slot, d, ok := tab[m].lookup(line, at)
 				rd, rok := ref[m].lookup(line, at)
 				check(m, fmt.Sprintf("lookup(%d, %d)", line, at), [2]any{d, ok}, [2]any{rd, rok})
-				return d, ok
+				return slot, d, ok
 			}
 			var portFree [sms]int64
 			for cycle := int64(0); cycle < 1500; cycle++ {
@@ -419,20 +421,21 @@ func TestMSHRMatchesReference(t *testing.T) {
 					for i := range n {
 						now := cycle + i
 						line := uint64(rng.Int64N(tc.lineSpan))
-						if _, hit := probe(sm, line, now); hit {
+						l1slot, _, hit := probe(sm, line, now)
+						if hit {
 							continue
 						}
-						done, merged := probe(sms, line, now+28)
+						l2slot, done, merged := probe(sms, line, now+28)
 						if !merged {
 							done = now + 30 + tc.lat + rng.Int64N(8)
 							if done <= tab[sms].retired {
 								early++
 							}
-							tab[sms].insert(line, done, now)
+							tab[sms].insert(l2slot, line, done, now)
 							ref[sms].insert(line, done, now)
 							check(sms, "l2 insert", true, true)
 						}
-						tab[sm].insert(line, done, now)
+						tab[sm].insert(l1slot, line, done, now)
 						ref[sm].insert(line, done, now)
 						check(sm, "l1 insert", true, true)
 					}

@@ -68,7 +68,7 @@ func (m *mshr) restore(rows []fill) error {
 		if r.done < 1 || r.line == math.MaxUint64 {
 			return fmt.Errorf("mem: snapshot MSHR row (line %d, done %d) is no fill this hierarchy can hold", r.line, r.done)
 		}
-		m.insert(r.line, r.done, 0)
+		m.insert(m.slot(r.line), r.line, r.done, 0)
 	}
 	return nil
 }

@@ -78,13 +78,13 @@ func TestHierarchyRoundTrip(t *testing.T) {
 func TestMSHRFrameIsCanonical(t *testing.T) {
 	a, b := newMSHR(), newMSHR()
 	for line := uint64(1); line <= 40; line++ {
-		a.insert(line, int64(1000-7*line), 0)
+		a.insert(a.slot(line), line, int64(1000-7*line), 0)
 	}
-	b.insert(99, 5, 0) // completes before the rest arrive: a dead slot in b only
+	b.insert(b.slot(99), 99, 5, 0) // completes before the rest arrive: a dead slot in b only
 	for line := uint64(40); line >= 1; line-- {
-		b.insert(line, int64(1000-7*line), 10)
+		b.insert(b.slot(line), line, int64(1000-7*line), 10)
 	}
-	b.insert(7, 1000-7*7, 10) // re-inserted with the same completion
+	b.insert(b.slot(7), 7, 1000-7*7, 10) // re-inserted with the same completion
 	a.nextEvent(10)
 	encode := func(m *mshr) []byte {
 		e := snapshot.NewEncoder()
