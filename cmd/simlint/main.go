@@ -9,9 +9,7 @@
 //
 //	go run ./cmd/simlint ./...                 # whole module
 //	go run ./cmd/simlint ./internal/smcore     # one package
-//	go run ./cmd/simlint -analyzers determinism ./...
-//	go run ./cmd/simlint -json ./...           # machine-readable findings
-//	go run ./cmd/simlint -strict-allow ./...   # also flag stale //simlint:allow
+//	go run ./cmd/simlint -list                 # describe the analyzers
 //	go run ./cmd/simlint internal/analysis/testdata/src/faultflow
 //
 // A directory argument under a testdata tree (which the go tool
@@ -23,10 +21,10 @@
 // tree is clean, 1 means the analyzers produced findings, 2 means the
 // run itself failed (bad flags, unloadable packages, internal error) —
 // so a wrapper can distinguish "fix your code" from "fix the linter".
+// Every analyzer always runs, and no comment waives a finding.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,16 +34,6 @@ import (
 
 	"repro/internal/analysis"
 )
-
-// jsonDiag is one finding in -json output, one object per line
-// (JSON Lines), stable fields for CI problem matchers and tooling.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
 
 // Exit codes, documented in the package comment and asserted by
 // main_test.go.
@@ -65,10 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	only := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as JSON Lines on stdout")
-	strictAllow := fs.Bool("strict-allow", false,
-		"report stale //simlint:allow directives (suppressing nothing) as findings")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: simlint [flags] [packages or fixture dirs]\n")
 		fs.PrintDefaults()
@@ -82,15 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return exitClean
-	}
-	analyzers := analysis.All
-	if *only != "" {
-		var err error
-		analyzers, err = analysis.ByName(*only)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitError
-		}
 	}
 
 	rest := fs.Args()
@@ -120,34 +95,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkgs = append(pkgs, loaded...)
 	}
 
-	runFn := analysis.RunAnalyzers
-	if *strictAllow {
-		runFn = analysis.RunAnalyzersStrict
-	}
-	diags, err := runFn(pkgs, analyzers)
+	diags, err := analysis.RunAnalyzers(pkgs, analysis.All)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitError
 	}
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		for _, d := range diags {
-			jd := jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			}
-			if err := enc.Encode(jd); err != nil {
-				fmt.Fprintln(stderr, err)
-				return exitError
-			}
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "simlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

@@ -48,6 +48,11 @@ func TestExitErrorIsTwo(t *testing.T) {
 		{"unknown analyzer", []string{"-analyzers", "nosuch", "testdata/clean"}},
 		{"deleted analyzer", []string{"-analyzers", "traceguard", "testdata/clean"}},
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
+		// The flags of the waiver era: an old command line must fail
+		// loudly, not run as a gate that passes.
+		{"strict-allow", []string{"-strict-allow", "testdata/clean"}},
+		{"json", []string{"-json", "testdata/clean"}},
+		{"analyzers subset", []string{"-analyzers", "determinism", "testdata/clean"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,18 +61,6 @@ func TestExitErrorIsTwo(t *testing.T) {
 				t.Fatalf("exit %d, want %d (stderr: %s)", code, exitError, stderr)
 			}
 		})
-	}
-}
-
-// TestJSONFindingsStillExitOne pins that -json changes the format, not
-// the contract.
-func TestJSONFindingsStillExitOne(t *testing.T) {
-	code, stdout, _ := runDriver(t, "-json", "testdata/dirty")
-	if code != exitFindings {
-		t.Fatalf("exit %d, want %d", code, exitFindings)
-	}
-	if !strings.Contains(stdout, `"analyzer":"determinism"`) {
-		t.Errorf("JSON output missing analyzer field: %q", stdout)
 	}
 }
 

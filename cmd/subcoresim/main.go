@@ -197,11 +197,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "subcoresim: telemetry at http://%s/metrics\n", srv.Addr())
 	}
 	r, fault := harness.RunOne(ctx, cfg, app, hopt)
-	if needTracer {
-		if err := tr.Close(); err != nil {
-			return err
-		}
-	}
 	if fault != nil {
 		return fault
 	}

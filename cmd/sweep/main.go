@@ -12,7 +12,7 @@
 // Each -configs entry is a design in the grammar of internal/config's
 // package comment (subcoresim's -config reads the same). The entry, as
 // typed, labels the design in the CSV, the checkpoint and the snapshot
-// files, so each must be unique.
+// files, so each must be unique and non-empty.
 //
 // The matrix executes on the fault-tolerant harness (internal/harness,
 // docs/ROBUSTNESS.md): cells run in parallel under panic isolation, a
@@ -86,10 +86,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	designs, err := entries("configs", *cfgsFlag)
+	if err != nil {
+		fatal(err)
+	}
 	var cfgs []repro.Config
 	var names []string
-	for _, tok := range strings.Split(*cfgsFlag, ",") {
-		tok = strings.TrimSpace(tok)
+	for _, tok := range designs {
 		c, err := config.Design(tok, *sms)
 		if err != nil {
 			fatal(err)
@@ -163,9 +166,13 @@ func main() {
 func selectApps(list, suite string, sensitive bool) ([]repro.App, error) {
 	switch {
 	case list != "":
+		names, err := entries("apps", list)
+		if err != nil {
+			return nil, err
+		}
 		var out []repro.App
-		for _, name := range strings.Split(list, ",") {
-			a, err := repro.AppByName(strings.TrimSpace(name))
+		for _, name := range names {
+			a, err := repro.AppByName(name)
 			if err != nil {
 				return nil, err
 			}
@@ -190,6 +197,19 @@ func selectApps(list, suite string, sensitive bool) ([]repro.App, error) {
 	default:
 		return repro.Workloads()
 	}
+}
+
+// entries splits a comma-separated flag value into its trimmed entries and
+// refuses an empty one: in -configs it would be the baseline design under
+// the label "", a cell nobody asked for.
+func entries(flagName, list string) ([]string, error) {
+	out := strings.Split(list, ",")
+	for i, e := range out {
+		if out[i] = strings.TrimSpace(e); out[i] == "" {
+			return nil, fmt.Errorf("-%s entry %d of %d is empty", flagName, i+1, len(out))
+		}
+	}
+	return out, nil
 }
 
 func fatal(err error) {

@@ -51,9 +51,10 @@ func TestDeterministicTelemetry(t *testing.T) {
 	}
 	capture := func() (events []trace.Event, counters *trace.Counters, chrome []byte) {
 		cfg := VoltaV100().WithSMs(2).WithAssign(AssignShuffle).WithScheduler(SchedRBA)
-		sink := trace.NewMemorySink()
 		opt := trace.OptionsFor(&cfg, 0)
-		opt.RingCap, opt.SamplePeriod, opt.Sink = trace.DefaultRingCap, 32, sink
+		// A ring deep enough for the whole run (~350k events on SM 0), so
+		// the streams compared are complete, not tails.
+		opt.RingCap, opt.SamplePeriod = 1<<19, 32
 		tr := trace.New(opt)
 		g, err := NewGPU(cfg)
 		if err != nil {
@@ -65,14 +66,14 @@ func TestDeterministicTelemetry(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
+		if lost := tr.Overwritten(0); lost != 0 {
+			t.Fatalf("the ring lapped (%d events overwritten): raise RingCap", lost)
 		}
 		var buf bytes.Buffer
 		if err := trace.WriteChrome(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
-		return sink.Events(0), tr.Counters(), buf.Bytes()
+		return tr.Events(0), tr.Counters(), buf.Bytes()
 	}
 
 	ev1, c1, chrome1 := capture()

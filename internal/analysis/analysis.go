@@ -10,13 +10,8 @@
 // rule, and the dynamic oracle that stands in for each guard deleted
 // under it, is the table in docs/STATIC_ANALYSIS.md.
 //
-// One comment directive tunes the suite:
-//
-//	//simlint:allow <analyzer>[,<analyzer>...] -- <reason>
-//	    suppresses findings. On its own line (or trailing the offending
-//	    line) it covers that line and the next; inside a function's doc
-//	    comment it covers the whole function. The "-- reason" tail is
-//	    required: a directive without one is itself a finding.
+// No comment waives a finding. It is fixed in the code, or, for a
+// package outside the simulation, its path joins determinismExempt.
 package analysis
 
 import (
@@ -30,8 +25,7 @@ import (
 
 // Analyzer is one named per-package pass.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in reports and in
-	// //simlint:allow directives.
+	// Name is the analyzer's identifier, used in reports and by -list.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -41,32 +35,6 @@ type Analyzer struct {
 
 // All is the registry of simlint's analyzers, in report order.
 var All = []*Analyzer{Determinism, Faultflow}
-
-// ByName resolves a subset of All from comma-separated names.
-func ByName(names string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		found := false
-		for _, a := range All {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("analysis: unknown analyzer %q", n)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analysis: no analyzers selected")
-	}
-	return out, nil
-}
 
 // Diagnostic is one finding, positioned for file:line:col reporting.
 type Diagnostic struct {
@@ -101,68 +69,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunAnalyzers runs the analyzers over the packages, drops suppressed
-// findings (//simlint:allow), and returns the rest sorted by position.
+// RunAnalyzers runs each analyzer over each package and returns the
+// findings sorted by position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runAnalyzers(pkgs, analyzers, false)
-}
-
-// RunAnalyzersStrict additionally reports, as findings of the pseudo-
-// analyzer "allow", every //simlint:allow directive that suppressed
-// nothing — a stale suppression is a waived rule nobody is breaking,
-// and deleting it restores coverage. Only meaningful when the named
-// analyzers actually run: directives for analyzers outside the
-// selection are never reported stale.
-func RunAnalyzersStrict(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runAnalyzers(pkgs, analyzers, true)
-}
-
-func runAnalyzers(pkgs []*Package, analyzers []*Analyzer, strict bool) ([]Diagnostic, error) {
-	sup := buildSuppressions(pkgs)
-	ran := map[string]bool{}
 	var out []Diagnostic
-	keep := func(diags []Diagnostic) {
-		for _, d := range diags {
-			if !sup.suppressed(d.Analyzer, d.Pos) {
-				out = append(out, d)
-			}
-		}
-	}
 	for _, a := range analyzers {
-		ran[a.Name] = true
 		for _, pkg := range pkgs {
 			pass := &Pass{Analyzer: a, Pkg: pkg}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
-			keep(pass.diags)
-		}
-	}
-	// A waiver without its justification is rejected outright (not just
-	// under -strict-allow): the "-- reason" tail is the audit trail the
-	// whole suppression scheme exists for. One report per comment, even
-	// when it names several analyzers.
-	reasonless := map[token.Position]bool{}
-	for _, d := range sup.directives {
-		if ran[d.name] && d.reason == "" && !reasonless[d.pos] {
-			reasonless[d.pos] = true
-			out = append(out, Diagnostic{
-				Pos:      d.pos,
-				Analyzer: "allow",
-				Message:  `//simlint:allow without a reason: append " -- <why>" so the waiver carries its justification`,
-			})
-		}
-	}
-	if strict {
-		for _, d := range sup.directives {
-			if ran[d.name] && !d.used {
-				out = append(out, Diagnostic{
-					Pos:      d.pos,
-					Analyzer: "allow",
-					Message: fmt.Sprintf("stale //simlint:allow %s: no %s finding fires here any more; delete the suppression",
-						d.name, d.name),
-				})
-			}
+			out = append(out, pass.diags...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -14,8 +14,9 @@ import (
 // comments (several quoted regexes per line are allowed). The runner
 // loads the fixture, runs exactly that analyzer, and requires a perfect
 // bipartite match: every diagnostic must satisfy a want on its line, and
-// every want must be satisfied. Suppressed sites (//simlint:allow)
-// carry no want, so a broken suppression layer fails the test too.
+// every want must be satisfied. The determinism fixture's old-style
+// waiver comment carries a want, so a suppression layer brought back
+// fails the test.
 
 var (
 	wantRe  = regexp.MustCompile(`//\s*want\s+(".*)$`)
@@ -118,23 +119,6 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestByName covers the driver's -analyzers selector.
-func TestByName(t *testing.T) {
-	got, err := ByName("determinism, faultflow")
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	if len(got) != 2 || got[0] != Determinism || got[1] != Faultflow {
-		t.Fatalf("ByName returned %v", got)
-	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer")
-	}
-	if _, err := ByName(" ,"); err == nil {
-		t.Fatal("ByName accepted an empty selection")
 	}
 }
 

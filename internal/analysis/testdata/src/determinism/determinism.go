@@ -5,7 +5,6 @@ package determinism
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -24,15 +23,13 @@ func (s *simState) collectTotals() int64 {
 	return total
 }
 
-// sortedKeys is the sanctioned pattern: the range only collects keys and
-// the caller sorts before use, so the site is suppressed with a reason.
-func (s *simState) sortedKeys() []int {
-	keys := make([]int, 0, len(s.scoreboard))
-	for k := range s.scoreboard { //simlint:allow determinism -- keys are sorted before any order-dependent use
-		keys = append(keys, k)
+// waived carries an old-style waiver. simlint reads no directive, so the
+// comment hides nothing and the finding stands.
+func (s *simState) waived() (n int) {
+	for range s.scoreboard { //simlint:allow determinism -- a waiver is just a comment // want "map iteration order is nondeterministic"
+		n++
 	}
-	sort.Ints(keys)
-	return keys
+	return n
 }
 
 // stamp reads the wall clock twice; both reads diverge between runs.

@@ -37,8 +37,3 @@ func badRecover() {
 		}
 	}()
 }
-
-// bestEffort is a deliberate, justified suppression.
-func bestEffort() {
-	runCell() //simlint:allow faultflow -- smoke path; the caller's aggregate check re-detects the fault
-}

@@ -156,49 +156,3 @@ func (s *Shuffle) State() uint64 { return uint64(s.w) }
 
 // SetState implements Assigner.
 func (s *Shuffle) SetState(st uint64) { s.w = int(st) }
-
-// Table exposes the assignment table for tests and for EncodeEntry.
-func (s *Shuffle) Table() []uint8 { return s.table }
-
-// EncodeEntry packs the assignments of 4 consecutive warps into the 1-byte
-// hash-function-table entry format of Fig. 7: the upper 4 bits drive
-// select line 0 of the sub-core multiplexer and the lower 4 bits drive
-// select line 1. Only meaningful for N = 4 sub-cores (2 select bits).
-func EncodeEntry(assign [4]uint8) uint8 {
-	var b uint8
-	for i, a := range assign {
-		if a > 3 {
-			panic(fmt.Sprintf("core: sub-core %d does not fit a 2-bit select", a))
-		}
-		sel0 := (a >> 1) & 1 // high select bit
-		sel1 := a & 1        // low select bit
-		b |= sel0 << (7 - i)
-		b |= sel1 << (3 - i)
-	}
-	return b
-}
-
-// DecodeEntry unpacks a 1-byte hash-function-table entry into the 4 warp
-// assignments it encodes.
-func DecodeEntry(b uint8) [4]uint8 {
-	var out [4]uint8
-	for i := 0; i < 4; i++ {
-		sel0 := (b >> (7 - i)) & 1
-		sel1 := (b >> (3 - i)) & 1
-		out[i] = sel0<<1 | sel1
-	}
-	return out
-}
-
-// EncodeTable renders a Shuffle table (N=4) as hardware bytes; the table
-// length must be a multiple of 4.
-func EncodeTable(table []uint8) ([]uint8, error) {
-	if len(table)%4 != 0 {
-		return nil, fmt.Errorf("core: table length %d is not a multiple of 4", len(table))
-	}
-	out := make([]uint8, 0, len(table)/4)
-	for i := 0; i < len(table); i += 4 {
-		out = append(out, EncodeEntry([4]uint8{table[i], table[i+1], table[i+2], table[i+3]}))
-	}
-	return out, nil
-}

@@ -140,11 +140,20 @@ func TestShuffleTableWraps(t *testing.T) {
 			t.Fatalf("4-entry table did not wrap at warp 16: %v vs %v", first, second)
 		}
 	}
-	// 16-entry table holds 64 unique assignments: the first 16 need not
-	// repeat at warp 16.
-	b := NewShuffle(4, 16, 7, 0)
-	if len(b.Table()) != 64 {
-		t.Errorf("16-entry table holds %d assignments, want 64", len(b.Table()))
+	// A 16-entry table holds 64 assignments: its sequence repeats every
+	// 64 warps, and (for this seed) not every 16.
+	b := take(NewShuffle(4, 16, 7, 0), 128)
+	for i := 0; i < 64; i++ {
+		if b[i] != b[i+64] {
+			t.Fatalf("16-entry table did not wrap at warp 64: %v", b)
+		}
+	}
+	short := true
+	for i := 0; i < 48; i++ {
+		short = short && b[i] == b[i+16]
+	}
+	if short {
+		t.Errorf("16-entry table repeats every 16 warps: %v", b[:64])
 	}
 }
 
@@ -176,58 +185,6 @@ func TestShuffleResetRestartsSequence(t *testing.T) {
 		if first[i] != again[i] {
 			t.Fatal("Reset did not restart the shuffle sequence")
 		}
-	}
-}
-
-func TestEncodeDecodeEntryRoundTrip(t *testing.T) {
-	f := func(a, b, c, d uint8) bool {
-		in := [4]uint8{a % 4, b % 4, c % 4, d % 4}
-		return DecodeEntry(EncodeEntry(in)) == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeEntryBitLayout(t *testing.T) {
-	// Fig 7: upper 4 bits drive select line 0 (high bit of each sub-core
-	// id), lower 4 bits drive select line 1 (low bit), one bit per warp
-	// in order.
-	b := EncodeEntry([4]uint8{3, 0, 2, 1})
-	// sel0 bits: 1,0,1,0 -> 1010; sel1 bits: 1,0,0,1 -> 1001.
-	if b != 0b1010_1001 {
-		t.Errorf("EncodeEntry = %08b, want 10101001", b)
-	}
-}
-
-func TestEncodeEntryPanicsOnBigSubCore(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	EncodeEntry([4]uint8{4, 0, 0, 0})
-}
-
-func TestEncodeTable(t *testing.T) {
-	s := NewShuffle(4, 4, 11, 0)
-	enc, err := EncodeTable(s.Table())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != 4 {
-		t.Fatalf("encoded table = %d bytes, want 4 (the paper's 4-byte table)", len(enc))
-	}
-	for i, e := range enc {
-		dec := DecodeEntry(e)
-		for j := 0; j < 4; j++ {
-			if dec[j] != s.Table()[i*4+j] {
-				t.Fatal("encoded table does not round-trip")
-			}
-		}
-	}
-	if _, err := EncodeTable([]uint8{0, 1, 2}); err == nil {
-		t.Error("non-multiple-of-4 table accepted")
 	}
 }
 

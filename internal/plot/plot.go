@@ -1,6 +1,5 @@
-// Package plot renders small terminal visualizations — sparklines,
-// histograms and density strips — used by the CLI tools to show Fig. 14
-// style per-cycle traces without leaving the terminal.
+// Package plot renders terminal sparklines, used by the CLI tools to
+// show Fig. 14 style per-cycle traces without leaving the terminal.
 package plot
 
 import (
@@ -70,53 +69,6 @@ func bucketMeans(vals []float64, n int) []float64 {
 		out[i] = s / float64(hi-lo)
 	}
 	return out
-}
-
-// Histogram renders a horizontal-bar histogram of vals over nbins bins in
-// [0, max], one line per bin, bars scaled to barWidth characters.
-func Histogram(vals []float64, nbins int, max float64, barWidth int) string {
-	if nbins < 1 || len(vals) == 0 {
-		return ""
-	}
-	if max <= 0 || math.IsNaN(max) || math.IsInf(max, 0) {
-		max = 0
-		for _, v := range vals {
-			if v := finite(v); v > max {
-				max = v
-			}
-		}
-		if max <= 0 {
-			max = 1
-		}
-	}
-	counts := make([]int, nbins)
-	for _, v := range vals {
-		b := int(finite(v) / max * float64(nbins))
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	peak := 0
-	for _, c := range counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var sb strings.Builder
-	for i, c := range counts {
-		lo := max * float64(i) / float64(nbins)
-		hi := max * float64(i+1) / float64(nbins)
-		bar := 0
-		if peak > 0 {
-			bar = c * barWidth / peak
-		}
-		fmt.Fprintf(&sb, "%8.0f-%-8.0f |%s %d\n", lo, hi, strings.Repeat("█", bar), c)
-	}
-	return sb.String()
 }
 
 // Series renders a labeled sparkline with its min/mean/max.

@@ -55,27 +55,6 @@ func TestSparklineAllZero(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	out := Histogram([]float64{1, 1, 1, 9}, 2, 10, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
-	}
-	if !strings.Contains(lines[0], "██████████ 3") {
-		t.Errorf("first bin wrong: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], " 1") {
-		t.Errorf("second bin wrong: %q", lines[1])
-	}
-	if Histogram(nil, 4, 1, 10) != "" {
-		t.Error("empty input must render empty")
-	}
-	// Auto max.
-	if Histogram([]float64{5, 10}, 2, 0, 4) == "" {
-		t.Error("auto-max failed")
-	}
-}
-
 func TestSparklineSingleValue(t *testing.T) {
 	s := Sparkline([]float64{3.5}, 10)
 	if utf8.RuneCountInString(s) != 1 {
@@ -102,24 +81,6 @@ func TestSparklineNonFinite(t *testing.T) {
 				t.Errorf("Sparkline(%v) produced non-spark rune %q", vals, r)
 			}
 		}
-	}
-}
-
-func TestHistogramNonFinite(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, vals := range [][]float64{
-		{nan, 1, 2},
-		{inf, 1, 2},
-		{nan, inf, math.Inf(-1)},
-	} {
-		out := Histogram(vals, 4, 0, 10) // auto-max path; must not panic
-		if out == "" {
-			t.Errorf("Histogram(%v) rendered empty", vals)
-		}
-	}
-	// Non-finite explicit max must fall back to auto-max, not poison bins.
-	if out := Histogram([]float64{1, 2}, 2, nan, 10); out == "" {
-		t.Error("Histogram with NaN max rendered empty")
 	}
 }
 

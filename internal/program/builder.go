@@ -13,7 +13,6 @@ import (
 type Builder struct {
 	segs    []Segment
 	pending []isa.Instr
-	maxReg  isa.Reg
 	err     error
 }
 
@@ -21,14 +20,6 @@ type Builder struct {
 func NewBuilder() *Builder { return &Builder{} }
 
 func (b *Builder) track(in isa.Instr) {
-	if in.Dst.Valid() && in.Dst > b.maxReg {
-		b.maxReg = in.Dst
-	}
-	for _, s := range in.Srcs {
-		if s.Valid() && s > b.maxReg {
-			b.maxReg = s
-		}
-	}
 	b.pending = append(b.pending, in)
 }
 
@@ -149,9 +140,6 @@ func (b *Builder) Loop(trips int64, fn func(*Builder)) *Builder {
 		b.err = fmt.Errorf("program: empty loop body")
 		return b
 	}
-	if inner.maxReg > b.maxReg {
-		b.maxReg = inner.maxReg
-	}
 	if len(inner.segs) == 1 {
 		s := inner.segs[0]
 		s.Trips *= trips
@@ -166,9 +154,6 @@ func (b *Builder) Loop(trips int64, fn func(*Builder)) *Builder {
 	}
 	return b
 }
-
-// MaxReg returns the highest register index referenced so far.
-func (b *Builder) MaxReg() isa.Reg { return b.maxReg }
 
 // Build finalizes the program. An Exit is appended if the program does not
 // already end with one, so every warp stream terminates.

@@ -88,10 +88,3 @@ func TestBuilderLoopNestedError(t *testing.T) {
 		t.Error("nested loop error not propagated")
 	}
 }
-
-func TestBuilderMaxRegTracksLoopBody(t *testing.T) {
-	b := NewBuilder().Loop(2, func(lb *Builder) { lb.FMA(42, 1, 2, 3) })
-	if b.MaxReg() != 42 {
-		t.Errorf("MaxReg = %d, want 42", b.MaxReg())
-	}
-}

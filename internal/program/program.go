@@ -46,16 +46,6 @@ func New(segs ...Segment) (*Program, error) {
 	return p, nil
 }
 
-// MustNew is New, panicking on error. For use by workload generators whose
-// inputs are static.
-func MustNew(segs ...Segment) *Program {
-	p, err := New(segs...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Len returns the total dynamic instruction count.
 func (p *Program) Len() int64 { return p.n }
 
@@ -97,24 +87,7 @@ func (c *Cursor) Next() (in isa.Instr, ok bool) {
 	return in, true
 }
 
-// Peek returns the next instruction without advancing.
-func (c *Cursor) Peek() (isa.Instr, bool) {
-	cp := *c
-	return cp.Next()
-}
-
 // Done reports whether the stream is exhausted.
 func (c *Cursor) Done() bool {
 	return c.prog == nil || c.seg >= len(c.prog.segs)
-}
-
-// Fetched returns the number of instructions consumed so far.
-func (c *Cursor) Fetched() int64 { return c.fetched }
-
-// Remaining returns the number of instructions left in the stream.
-func (c *Cursor) Remaining() int64 {
-	if c.prog == nil {
-		return 0
-	}
-	return c.prog.n - c.fetched
 }

@@ -18,10 +18,13 @@ func TestNewRejectsBadSegments(t *testing.T) {
 }
 
 func TestCursorWalksExpandedStream(t *testing.T) {
-	p := MustNew(
+	p, err := New(
 		Segment{Body: []isa.Instr{isa.MakeFMA(1, 2, 3, 4), isa.Make2(isa.OpFADD, 5, 1, 1)}, Trips: 3},
 		Segment{Body: []isa.Instr{isa.MakeExit()}, Trips: 1},
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", p.Len())
 	}
@@ -46,24 +49,8 @@ func TestCursorWalksExpandedStream(t *testing.T) {
 	if !c.Done() {
 		t.Error("cursor should be done")
 	}
-	if c.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", c.Remaining())
-	}
-}
-
-func TestCursorPeekDoesNotAdvance(t *testing.T) {
-	p := MustNew(Segment{Body: []isa.Instr{isa.MakeFMA(1, 2, 3, 4), isa.MakeExit()}, Trips: 1})
-	c := p.Cursor()
-	in1, ok := c.Peek()
-	if !ok || in1.Op != isa.OpFMA {
-		t.Fatalf("Peek = %v, %v", in1, ok)
-	}
-	in2, _ := c.Peek()
-	if in2.Op != isa.OpFMA {
-		t.Error("second Peek advanced the cursor")
-	}
-	if c.Fetched() != 0 {
-		t.Errorf("Fetched = %d after Peek, want 0", c.Fetched())
+	if c.fetched != p.Len() {
+		t.Errorf("fetched = %d, want %d", c.fetched, p.Len())
 	}
 }
 
@@ -74,9 +61,6 @@ func TestZeroCursorIsExhausted(t *testing.T) {
 	}
 	if _, ok := c.Next(); ok {
 		t.Error("zero cursor returned an instruction")
-	}
-	if c.Remaining() != 0 {
-		t.Error("zero cursor has remaining instructions")
 	}
 }
 
@@ -146,19 +130,9 @@ func TestBuilderLoopErrors(t *testing.T) {
 	}
 }
 
-func TestBuilderMaxReg(t *testing.T) {
-	b := NewBuilder().FMA(9, 1, 2, 3)
-	if b.MaxReg() != 9 {
-		t.Errorf("MaxReg = %d, want 9", b.MaxReg())
-	}
-	b.LDG(40, 2, isa.MemTrait{Pattern: isa.PatCoalesced})
-	if b.MaxReg() != 40 {
-		t.Errorf("MaxReg = %d, want 40", b.MaxReg())
-	}
-}
-
 // Property: for any random segment structure, the cursor yields exactly
-// Len() instructions and Fetched/Remaining stay consistent at every step.
+// Len() instructions and its fetched count (a frame's Pos.Fetched) stays
+// consistent at every step.
 func TestCursorCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -172,11 +146,14 @@ func TestCursorCountProperty(t *testing.T) {
 			}
 			segs = append(segs, Segment{Body: body, Trips: int64(1 + r.Intn(7))})
 		}
-		p := MustNew(segs...)
+		p, err := New(segs...)
+		if err != nil {
+			return false
+		}
 		c := p.Cursor()
 		var n int64
 		for {
-			if c.Fetched() != n || c.Remaining() != p.Len()-n {
+			if c.fetched != n {
 				return false
 			}
 			if _, ok := c.Next(); !ok {

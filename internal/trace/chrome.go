@@ -59,9 +59,7 @@ func (cw *chromeWriter) meta(name string, pid, tid int, value string) {
 }
 
 // WriteChrome exports a tracer's event rings and counter samples as
-// Chrome trace-event JSON. Call Tracer.Close first when a Sink is
-// attached; events still buffered in rings are exported directly, and a
-// MemorySink's collected stream is exported in full.
+// Chrome trace-event JSON.
 func WriteChrome(w io.Writer, t *Tracer) error {
 	cw := &chromeWriter{w: bufio.NewWriterSize(w, 1<<16), first: true}
 	if _, err := cw.w.WriteString("[\n"); err != nil {
@@ -86,11 +84,6 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 		cw.meta("thread_name", sm, tidLSU, "LSU")
 		cw.meta("thread_name", sm, tidBlocks, "blocks")
 		events := t.Events(sm)
-		if ms, ok := t.opt.Sink.(*MemorySink); ok {
-			if full := ms.Events(sm); len(full) > 0 {
-				events = full
-			}
-		}
 		for i := range events {
 			writeChromeEvent(cw, &events[i], banks)
 		}

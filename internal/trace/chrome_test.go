@@ -33,9 +33,8 @@ func TestWriteChromePBMriq(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallCfg()
-	sink := trace.NewMemorySink()
 	opt := trace.OptionsFor(&cfg, 0)
-	opt.RingCap, opt.SamplePeriod, opt.Sink = trace.DefaultRingCap, 64, sink
+	opt.RingCap, opt.SamplePeriod = wholeRun, 64
 	tr := trace.New(opt)
 
 	g, err := gpu.New(cfg)
@@ -48,8 +47,8 @@ func TestWriteChromePBMriq(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
+	if lost := tr.Overwritten(0); lost != 0 {
+		t.Fatalf("the ring lapped (%d events overwritten): raise wholeRun", lost)
 	}
 
 	var buf bytes.Buffer
@@ -110,8 +109,8 @@ func TestWriteChromePBMriq(t *testing.T) {
 	}
 }
 
-// TestWriteChromeFlightRecorder: export also works straight from the
-// ring (no sink), the subcoresim default — and a ring that lapped says how
+// TestWriteChromeFlightRecorder: export also works from a ring shorter
+// than the run, the subcoresim default — and a ring that lapped says how
 // much of the run the export is missing.
 func TestWriteChromeFlightRecorder(t *testing.T) {
 	cfg := smallCfg()
@@ -121,16 +120,15 @@ func TestWriteChromeFlightRecorder(t *testing.T) {
 	runTraced(t, cfg, "pb-stencil", tr)
 
 	full := trace.OptionsFor(&cfg, 0)
-	sink := trace.NewMemorySink()
-	full.RingCap, full.Sink = 1024, sink
+	full.RingCap = wholeRun
 	trFull := trace.New(full)
 	runTraced(t, cfg, "pb-stencil", trFull)
-	emitted := int64(len(sink.Events(0)))
+	if lost := trFull.Overwritten(0); lost != 0 {
+		t.Fatalf("the whole-run ring lapped (%d events overwritten): raise wholeRun", lost)
+	}
+	emitted := int64(len(trFull.Events(0)))
 	if lost := tr.Overwritten(0); lost <= 0 || lost != emitted-1024 {
 		t.Fatalf("recorder overwrote %d events, want %d emitted - 1024 kept", lost, emitted)
-	}
-	if lost := trFull.Overwritten(0); lost != 0 {
-		t.Errorf("a sink loses nothing, Overwritten = %d", lost)
 	}
 
 	var buf bytes.Buffer

@@ -11,11 +11,10 @@
 //     dereferences its receiver, so a missing guard is a nil panic in every
 //     untraced test.
 //  2. Enabled tracing must not allocate per event. Events are fixed-size
-//     structs appended to per-SM ring buffers. With no Sink attached the
-//     ring is a flight recorder (the last RingCap events survive, and the
-//     ring counts what it overwrote); with a Sink, full batches are handed
-//     off and the ring reused, so the full stream reaches the sink with
-//     bounded buffering.
+//     structs appended to per-SM ring buffers. Each ring is a flight
+//     recorder: the last RingCap events survive, and the ring counts what
+//     it overwrote. A caller that needs the whole stream sizes RingCap to
+//     hold it and checks Overwritten is 0.
 //  3. Telemetry must be deterministic: identical (config, app, seed) runs
 //     produce byte-identical event streams and counter samples
 //     (TestDeterministicTelemetry).
@@ -120,30 +119,6 @@ type Event struct {
 	Kind Kind
 }
 
-// Sink receives completed event batches from a tracer. Flush is called
-// with events in emission order; the slice is reused after Flush returns,
-// so implementations must copy what they keep.
-type Sink interface {
-	Flush(sm int, batch []Event) error
-}
-
-// MemorySink collects every flushed event in memory, per SM.
-type MemorySink struct {
-	bySM map[int][]Event
-}
-
-// NewMemorySink returns an empty in-memory sink.
-func NewMemorySink() *MemorySink { return &MemorySink{bySM: map[int][]Event{}} }
-
-// Flush implements Sink.
-func (m *MemorySink) Flush(sm int, batch []Event) error {
-	m.bySM[sm] = append(m.bySM[sm], batch...)
-	return nil
-}
-
-// Events returns the collected stream for one SM.
-func (m *MemorySink) Events(sm int) []Event { return m.bySM[sm] }
-
 // DefaultRingCap is the per-SM event ring capacity the binaries ask for: a
 // flight recorder deep enough for ~10k cycles of a busy SM.
 const DefaultRingCap = 1 << 16
@@ -154,17 +129,13 @@ type Options struct {
 	// sub-core). Required for counter sampling and the Chrome export's
 	// thread layout.
 	SMs, SubCores, Banks int
-	// SM selects which SM's events are recorded; -1 records every SM.
-	// Event volume is proportional, so whole-device tracing is best
-	// combined with a Sink.
+	// SM selects which SM's events are recorded; -1 records every SM,
+	// each in a ring of its own.
 	SM int
 	// RingCap is the per-SM ring capacity in events; 0 records no events
-	// (no ring is allocated and ForSM returns nil for every SM).
+	// (no ring is allocated and ForSM returns nil for every SM). The ring
+	// keeps the most recent RingCap events.
 	RingCap int
-	// Sink, when non-nil, receives full batches as rings fill, so the
-	// complete stream is preserved. When nil the ring keeps only the most
-	// recent RingCap events (flight-recorder mode).
-	Sink Sink
 	// SamplePeriod enables counter sampling every that many cycles
 	// (0 disables sampling), on SM (SM 0 when every SM is traced).
 	SamplePeriod int
@@ -172,7 +143,7 @@ type Options struct {
 
 // OptionsFor fills in what a configuration determines — the topology —
 // for a tracer watching SM sm (-1 = all SMs). Nothing is armed: the caller
-// sets RingCap, SamplePeriod and Sink to what it needs.
+// sets RingCap and SamplePeriod to what it needs.
 func OptionsFor(cfg *config.GPU, sm int) Options {
 	return Options{
 		SMs:      cfg.NumSMs,
@@ -186,12 +157,11 @@ func OptionsFor(cfg *config.GPU, sm int) Options {
 type ring struct {
 	buf  []Event
 	n    int   // next write position
-	laps int64 // flight-recorder mode: times the buffer filled and started over
+	laps int64 // times the buffer filled and started over
 }
 
 // Tracer is the central telemetry collector for one device run. Build
-// with New, attach with gpu.SetTracer, and Close before exporting when a
-// Sink is attached.
+// with New and attach with gpu.SetTracer.
 type Tracer struct {
 	opt       Options
 	now       int64
@@ -199,7 +169,6 @@ type Tracer struct {
 	handles   []SMT
 	counterSM int // the SM the sampler reads: opt.SM, or 0 when every SM is traced
 	counters  *Counters
-	sinkErr   error
 
 	// scratch is the reused counter-snapshot buffer.
 	scratch CounterSample
@@ -283,38 +252,13 @@ func (h *SMT) Emit(k Kind, sub int8, warp, a, b int32) {
 	}
 	r.n++
 	if r.n == len(r.buf) {
-		if s := h.t.opt.Sink; s != nil {
-			if err := s.Flush(int(h.sm), r.buf); err != nil && h.t.sinkErr == nil {
-				h.t.sinkErr = err
-			}
-		} else {
-			r.laps++
-		}
+		r.laps++
 		r.n = 0
 	}
 }
 
-// Close flushes partially filled rings to the sink (no-op without one)
-// and returns the first sink error, if any.
-func (t *Tracer) Close() error {
-	if t.opt.Sink != nil {
-		for i, r := range t.rings {
-			if r == nil || r.n == 0 {
-				continue
-			}
-			if err := t.opt.Sink.Flush(i, r.buf[:r.n]); err != nil && t.sinkErr == nil {
-				t.sinkErr = err
-			}
-			r.n = 0
-		}
-	}
-	return t.sinkErr
-}
-
 // Events returns SM sm's buffered events in chronological order: the
-// full stream when it fit the ring (or a Sink drained it — then only the
-// unflushed tail), or the most recent RingCap events in flight-recorder
-// mode.
+// full stream when it fit the ring, else the most recent RingCap events.
 func (t *Tracer) Events(sm int) []Event {
 	if sm < 0 || sm >= len(t.rings) || t.rings[sm] == nil {
 		return nil
@@ -331,7 +275,7 @@ func (t *Tracer) Events(sm int) []Event {
 
 // Overwritten returns how many of SM sm's events the flight recorder lost
 // to lapping: Events(sm) holds the last RingCap of RingCap + Overwritten(sm)
-// emitted. 0 while the stream still fits the ring, and always with a Sink.
+// emitted. 0 while the stream still fits the ring.
 func (t *Tracer) Overwritten(sm int) int64 {
 	if sm < 0 || sm >= len(t.rings) || t.rings[sm] == nil || t.rings[sm].laps == 0 {
 		return 0

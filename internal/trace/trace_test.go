@@ -20,6 +20,11 @@ func smallCfg() config.GPU {
 	return cfg
 }
 
+// wholeRun is a ring deep enough for every event SM 0 emits in the runs
+// below, so Events(0) is the full stream; a test that reads it asserts
+// Overwritten(0) == 0.
+const wholeRun = 1 << 19
+
 // runTraced simulates app on cfg with the given tracer attached.
 func runTraced(t *testing.T, cfg config.GPU, appName string, tr *trace.Tracer) {
 	t.Helper()
@@ -37,22 +42,21 @@ func runTraced(t *testing.T, cfg config.GPU, appName string, tr *trace.Tracer) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestEventStream: a traced run emits every event kind the pipeline can
 // produce, on the traced SM only, with monotone non-negative cycles.
 func TestEventStream(t *testing.T) {
 	cfg := smallCfg()
-	sink := trace.NewMemorySink()
 	opt := trace.OptionsFor(&cfg, 0)
-	opt.RingCap, opt.Sink = trace.DefaultRingCap, sink
+	opt.RingCap = wholeRun
 	tr := trace.New(opt)
 	runTraced(t, cfg, "pb-stencil", tr)
 
-	events := sink.Events(0)
+	if lost := tr.Overwritten(0); lost != 0 {
+		t.Fatalf("the ring lapped (%d events overwritten): raise wholeRun", lost)
+	}
+	events := tr.Events(0)
 	if len(events) == 0 {
 		t.Fatal("no events collected")
 	}
@@ -80,12 +84,12 @@ func TestEventStream(t *testing.T) {
 			t.Errorf("no %v events emitted", k)
 		}
 	}
-	if len(sink.Events(1)) != 0 {
+	if len(tr.Events(1)) != 0 {
 		t.Error("SM 1 traced despite SM filter 0")
 	}
 }
 
-// TestFlightRecorder: without a sink the ring keeps the most recent
+// TestFlightRecorder: a ring shorter than the run keeps the most recent
 // RingCap events, still in chronological order.
 func TestFlightRecorder(t *testing.T) {
 	cfg := smallCfg()
@@ -166,29 +170,6 @@ func TestCounterSampling(t *testing.T) {
 	}
 	if len(c.RFReads) != c.Samples() || len(c.Occupancy) != c.Samples() || len(c.LSUQueue) != c.Samples() {
 		t.Fatal("ragged scalar series")
-	}
-}
-
-// TestSinkBatches: with a tiny ring, every emitted event still reaches
-// the sink exactly once (flush-on-full plus Close of the tail).
-func TestSinkBatches(t *testing.T) {
-	cfg := smallCfg()
-	sinkBig := trace.NewMemorySink()
-	optBig := trace.OptionsFor(&cfg, 0)
-	optBig.RingCap, optBig.Sink = trace.DefaultRingCap, sinkBig
-	trBig := trace.New(optBig)
-	runTraced(t, cfg, "pb-stencil", trBig)
-
-	sinkSmall := trace.NewMemorySink()
-	optSmall := trace.OptionsFor(&cfg, 0)
-	optSmall.RingCap = 64
-	optSmall.Sink = sinkSmall
-	trSmall := trace.New(optSmall)
-	runTraced(t, cfg, "pb-stencil", trSmall)
-
-	if !reflect.DeepEqual(sinkBig.Events(0), sinkSmall.Events(0)) {
-		t.Fatalf("ring capacity changed the sink stream: %d vs %d events",
-			len(sinkBig.Events(0)), len(sinkSmall.Events(0)))
 	}
 }
 
