@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/exp"
 )
 
 func main() {
@@ -30,16 +31,16 @@ func main() {
 		apps = apps[:*queries]
 	}
 
-	// The paper evaluates TPC-H on 20 SMs sharing the full device memory
-	// system; scaled here to 4 SMs with the same per-SM bandwidth share.
-	base := repro.TPCH(repro.VoltaV100()).WithSMs(4)
-	srr := base.WithAssign(repro.AssignSRR)
-	shuffle := base.WithAssign(repro.AssignShuffle)
-
 	fmt.Printf("suite: %s (one long-running warp per four; Fig 15/16/17)\n\n", suite)
 	fmt.Printf("%-10s %9s %9s %9s %8s %8s\n", "query", "RR-cov", "SRR-cov", "Shuf-cov", "SRR-spd", "Shuf-spd")
 	var srrSum, shufSum float64
 	for _, app := range apps {
+		// Fig 15/16's device: the 4-SM scaled V100 with the per-SM memory
+		// bandwidth share the paper gives TPC-H (20 SMs behind the full
+		// device memory system).
+		base := exp.DeviceFor(exp.Base(), app)
+		srr := base.WithAssign(repro.AssignSRR)
+		shuffle := base.WithAssign(repro.AssignShuffle)
 		rBase, err := repro.Run(base, app)
 		if err != nil {
 			log.Fatal(err)

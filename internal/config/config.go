@@ -297,45 +297,6 @@ func FullyConnected() GPU {
 	return g
 }
 
-// RDNALike returns a stand-in for AMD's dual compute unit (Section
-// II-A): two partitions sharing the L1/scratchpad, each with half the
-// monolithic capacity. Useful for studying the 2-way partitioning point
-// between Volta's 4-way split and a monolithic core.
-func RDNALike() GPU {
-	g := VoltaV100()
-	g.Name = "RDNALike"
-	g.SubCoresPerSM = 2
-	g.SchedulersPerSubCore = 2
-	g.RegFileKBPerSubCore = 128
-	g.BanksPerSubCore = 4
-	g.CollectorUnitsPerSubCore = 4
-	g.DispatchPortsPerSubCore = 4
-	g.FP32LanesPerSubCore = 32
-	g.IntLanesPerSubCore = 32
-	g.SFULanesPerSubCore = 8
-	g.TensorPerSubCore = 2
-	return g
-}
-
-// KeplerLike returns a monolithic SM stand-in for the pre-Maxwell
-// generations of Figure 3 (no partitioning; four banks visible to every
-// warp, as in pre-partitioning designs [34]).
-func KeplerLike() GPU {
-	g := FullyConnected()
-	g.Name = "KeplerLike"
-	return g
-}
-
-// TPCH returns the TPC-H evaluation variant of Table II: 20 SMs (with the
-// full device memory system) to model the per-SM load of scale factors
-// beyond the simulated 100 GB — each SM sees 4x the bandwidth share of
-// the 80-SM configuration.
-func TPCH(base GPU) GPU {
-	base.Name = base.Name + "-tpch"
-	base.NumSMs = 20
-	return base
-}
-
 // WithScheduler returns a copy with the warp scheduler replaced.
 func (g GPU) WithScheduler(s WarpSched) GPU {
 	g.WarpScheduler = s

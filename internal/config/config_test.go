@@ -41,16 +41,6 @@ func TestVoltaV100MatchesTableII(t *testing.T) {
 	}
 }
 
-func TestTPCHVariant(t *testing.T) {
-	g := TPCH(VoltaV100())
-	if g.NumSMs != 20 {
-		t.Errorf("TPC-H NumSMs = %d, want 20", g.NumSMs)
-	}
-	if err := g.Validate(); err != nil {
-		t.Errorf("TPC-H variant does not validate: %v", err)
-	}
-}
-
 func TestFullyConnectedCapacityParity(t *testing.T) {
 	v, fc := VoltaV100(), FullyConnected()
 	if fc.SubCoresPerSM != 1 {

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/config"
 )
 
-func take(a Assigner, n int) []int {
+func take(a *Assigner, n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = a.Next()
@@ -23,15 +24,25 @@ func counts(seq []int, n int) []int {
 	return c
 }
 
+// TestNewAssignerFactory pins each policy's table: round robin's N ids,
+// SRR's N² (Equation 1's period), and Shuffle's four assignments per
+// hash-table entry.
 func TestNewAssignerFactory(t *testing.T) {
-	if NewAssigner(config.AssignRR, 4, 4, 1, 0).Name() != "RR" {
-		t.Error("RR factory wrong")
+	for _, c := range []struct {
+		p     config.Assign
+		table string
+	}{
+		{config.AssignRR, "\x00\x01\x02\x03"},
+		{config.AssignSRR, "\x00\x01\x02\x03\x01\x02\x03\x00\x02\x03\x00\x01\x03\x00\x01\x02"},
+	} {
+		if a := NewAssigner(c.p, 4, 4, 1, 0); string(a.table) != c.table || a.w != 0 {
+			t.Errorf("%v factory built %+v, want table %q", c.p, a, c.table)
+		}
 	}
-	if NewAssigner(config.AssignSRR, 4, 4, 1, 0).Name() != "SRR" {
-		t.Error("SRR factory wrong")
-	}
-	if NewAssigner(config.AssignShuffle, 4, 4, 1, 0).Name() != "Shuffle" {
-		t.Error("Shuffle factory wrong")
+	for _, entries := range []int{4, 16} {
+		if a := NewAssigner(config.AssignShuffle, 4, entries, 1, 0); len(a.table) != 4*entries {
+			t.Errorf("Shuffle with %d entries built a %d-assignment table", entries, len(a.table))
+		}
 	}
 }
 
@@ -46,7 +57,7 @@ func TestNewAssignerPanicsOnZeroSubCores(t *testing.T) {
 
 func TestRoundRobinSequence(t *testing.T) {
 	a := NewAssigner(config.AssignRR, 4, 4, 1, 0)
-	got := take(a, 8)
+	got := take(&a, 8)
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -100,7 +111,7 @@ func TestSRRSpreadsEveryFourthWarp(t *testing.T) {
 
 func TestSRRBalanced(t *testing.T) {
 	a := NewAssigner(config.AssignSRR, 4, 4, 1, 0)
-	c := counts(take(a, 64), 4)
+	c := counts(take(&a, 64), 4)
 	for sc, n := range c {
 		if n != 16 {
 			t.Errorf("SRR count[%d] = %d, want 16", sc, n)
@@ -110,7 +121,7 @@ func TestSRRBalanced(t *testing.T) {
 
 func TestShuffleBalancedWithinOne(t *testing.T) {
 	a := NewAssigner(config.AssignShuffle, 4, 4, 99, 3)
-	seq := take(a, 64)
+	seq := take(&a, 64)
 	// Any prefix must be balanced within +/-1 (the paper's guarantee).
 	for p := 1; p <= len(seq); p++ {
 		c := counts(seq[:p], 4)
@@ -132,9 +143,9 @@ func TestShuffleBalancedWithinOne(t *testing.T) {
 func TestShuffleTableWraps(t *testing.T) {
 	// 4-entry table encodes 16 assignments; warp 17 reuses entry 0's
 	// pattern (Section IV-B1).
-	a := NewShuffle(4, 4, 7, 0)
-	first := take(a, 16)
-	second := take(a, 16)
+	a := NewAssigner(config.AssignShuffle, 4, 4, 7, 0)
+	first := take(&a, 16)
+	second := take(&a, 16)
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("4-entry table did not wrap at warp 16: %v vs %v", first, second)
@@ -142,7 +153,8 @@ func TestShuffleTableWraps(t *testing.T) {
 	}
 	// A 16-entry table holds 64 assignments: its sequence repeats every
 	// 64 warps, and (for this seed) not every 16.
-	b := take(NewShuffle(4, 16, 7, 0), 128)
+	shuf16 := NewAssigner(config.AssignShuffle, 4, 16, 7, 0)
+	b := take(&shuf16, 128)
 	for i := 0; i < 64; i++ {
 		if b[i] != b[i+64] {
 			t.Fatalf("16-entry table did not wrap at warp 64: %v", b)
@@ -158,10 +170,10 @@ func TestShuffleTableWraps(t *testing.T) {
 }
 
 func TestShuffleDeterministicPerSeed(t *testing.T) {
-	a := NewShuffle(4, 4, 42, 1)
-	b := NewShuffle(4, 4, 42, 1)
-	c := NewShuffle(4, 4, 42, 2)
-	sa, sb, sc := take(a, 16), take(b, 16), take(c, 16)
+	a := NewAssigner(config.AssignShuffle, 4, 4, 42, 1)
+	b := NewAssigner(config.AssignShuffle, 4, 4, 42, 1)
+	c := NewAssigner(config.AssignShuffle, 4, 4, 42, 2)
+	sa, sb, sc := take(&a, 16), take(&b, 16), take(&c, 16)
 	diff := false
 	for i := range sa {
 		if sa[i] != sb[i] {
@@ -177,10 +189,10 @@ func TestShuffleDeterministicPerSeed(t *testing.T) {
 }
 
 func TestShuffleResetRestartsSequence(t *testing.T) {
-	a := NewShuffle(4, 4, 5, 0)
-	first := take(a, 5)
+	a := NewAssigner(config.AssignShuffle, 4, 4, 5, 0)
+	first := take(&a, 5)
 	a.Reset()
-	again := take(a, 5)
+	again := take(&a, 5)
 	for i := range first {
 		if first[i] != again[i] {
 			t.Fatal("Reset did not restart the shuffle sequence")
@@ -195,7 +207,7 @@ func TestAllPoliciesBalancedProperty(t *testing.T) {
 		p := int(prefix)%64 + 1
 		for _, pol := range []config.Assign{config.AssignRR, config.AssignSRR, config.AssignShuffle} {
 			a := NewAssigner(pol, 4, 4, seed, 0)
-			c := counts(take(a, p), 4)
+			c := counts(take(&a, p), 4)
 			lo, hi := c[0], c[0]
 			for _, v := range c {
 				if v < lo {
@@ -213,5 +225,48 @@ func TestAllPoliciesBalancedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAssignerMatchesReference holds the one table-driven Assigner to the
+// three policy types it replaced (ref_test.go): for N in {1, 2, 3, 4, 8},
+// both Shuffle table sizes, several seeds and SM ids, Next and State agree
+// after every call over at least four periods of each sequence (N for round
+// robin, N² for SRR, the table for Shuffle), with kernel resets and snapshot
+// restores — of the word State wrote, and of an arbitrary warp count far
+// into the sequence — at random points.
+func TestAssignerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range []config.Assign{config.AssignRR, config.AssignSRR, config.AssignShuffle} {
+		for _, n := range []int{1, 2, 3, 4, 8} {
+			for _, entries := range []int{4, 16} {
+				for _, seed := range []int64{1, 2, 99} {
+					for _, sm := range []int{0, 3} {
+						a, ref := NewAssigner(p, n, entries, seed, sm), newRefAssigner(p, n, entries, seed, sm)
+						for call := 0; call < 4*max(n*n, 4*entries)+64; call++ {
+							switch rng.Intn(32) {
+							case 0:
+								a.Reset()
+								ref.Reset()
+							case 1:
+								w := a.State()
+								a.SetState(w)
+								ref.SetState(w)
+							case 2:
+								w := uint64(rng.Intn(1 << 20))
+								a.SetState(w)
+								ref.SetState(w)
+							}
+							if got, want := a.Next(), ref.Next(); got != want {
+								t.Fatalf("%v N=%d entries=%d seed=%d sm=%d call %d: Next = %d, reference %d", p, n, entries, seed, sm, call, got, want)
+							}
+							if got, want := a.State(), ref.State(); got != want {
+								t.Fatalf("%v N=%d entries=%d seed=%d sm=%d call %d: State = %d, reference %d", p, n, entries, seed, sm, call, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

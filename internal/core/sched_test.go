@@ -9,19 +9,15 @@ import (
 )
 
 func TestNewWarpScheduler(t *testing.T) {
-	if NewWarpScheduler(config.SchedGTO).Name() != "GTO" {
-		t.Error("GTO factory wrong")
-	}
-	if NewWarpScheduler(config.SchedLRR).Name() != "LRR" {
-		t.Error("LRR factory wrong")
-	}
-	if NewWarpScheduler(config.SchedRBA).Name() != "RBA" {
-		t.Error("RBA factory wrong")
+	for _, p := range []config.WarpSched{config.SchedGTO, config.SchedLRR, config.SchedRBA} {
+		if s := NewWarpScheduler(p); s.policy != p || s.last != -1 || s.State() != 0 {
+			t.Errorf("%v factory built %+v (state %d), want the policy with no history", p, s, s.State())
+		}
 	}
 }
 
 func TestGTOGreedyThenOldest(t *testing.T) {
-	g := &GTO{}
+	g := NewWarpScheduler(config.SchedGTO)
 	cands := []Candidate{{Slot: 3, Age: 30}, {Slot: 1, Age: 10}, {Slot: 2, Age: 20}}
 	// No history: oldest (age 10, slot 1).
 	if i := g.Pick(cands); cands[i].Slot != 1 {
@@ -48,7 +44,7 @@ func TestGTOGreedyThenOldest(t *testing.T) {
 }
 
 func TestGTOGreedyCandidateFirstPosition(t *testing.T) {
-	g := &GTO{}
+	g := NewWarpScheduler(config.SchedGTO)
 	g.NotifyIssued(7)
 	cands := []Candidate{{Slot: 7, Age: 99}, {Slot: 1, Age: 1}}
 	if i := g.Pick(cands); cands[i].Slot != 7 {
@@ -57,7 +53,7 @@ func TestGTOGreedyCandidateFirstPosition(t *testing.T) {
 }
 
 func TestLRRRotation(t *testing.T) {
-	l := &LRR{}
+	l := NewWarpScheduler(config.SchedLRR)
 	cands := []Candidate{{Slot: 0}, {Slot: 1}, {Slot: 2}}
 	order := []int{}
 	for i := 0; i < 6; i++ {
@@ -86,7 +82,7 @@ func TestLRRRotation(t *testing.T) {
 }
 
 func TestRBALowestScoreThenOldest(t *testing.T) {
-	r := &RBA{}
+	r := NewWarpScheduler(config.SchedRBA)
 	cands := []Candidate{
 		{Slot: 0, Age: 5, Score: 4},
 		{Slot: 1, Age: 9, Score: 2},
@@ -142,33 +138,33 @@ func TestRBAPrefersIdleBanks(t *testing.T) {
 	// Scenario from Section IV-A: two ready warps, one whose operands sit
 	// in congested banks, one whose operands sit in idle banks. RBA must
 	// pick the idle-bank warp even though the other is older.
-	r := &RBA{}
+	r := NewWarpScheduler(config.SchedRBA)
 	congested := Candidate{Slot: 0, Age: 0, Score: 6}
 	idle := Candidate{Slot: 1, Age: 100, Score: 0}
 	if i := r.Pick([]Candidate{congested, idle}); i != 1 {
 		t.Error("RBA picked the congested warp")
 	}
 	// GTO, blind to scores, picks the older congested warp.
-	g := &GTO{}
+	g := NewWarpScheduler(config.SchedGTO)
 	if i := g.Pick([]Candidate{congested, idle}); i != 0 {
 		t.Error("GTO should pick by age")
 	}
 }
 
-// documentedPick is the policies' order as their doc comments state it,
-// written as a ranking over a whole candidate list rather than as a scan:
-// the oracle both entry points are held to.
-func documentedPick(s WarpScheduler, cands []Candidate) int {
+// documentedPick is the policies' order as the WarpScheduler doc comment
+// states it, written as a ranking over a whole candidate list rather than
+// as a scan: the oracle both entry points are held to.
+func documentedPick(s *WarpScheduler, cands []Candidate) int {
 	rank := func(c Candidate) [2]int64 {
-		switch p := s.(type) {
-		case *GTO:
-			if p.haveLast && c.Slot == p.last {
+		switch s.policy {
+		case config.SchedGTO:
+			if c.Slot == s.last {
 				return [2]int64{-1, 0} // greedy: the last issuer, while ready
 			}
 			return [2]int64{0, c.Age} // then oldest
-		case *LRR:
-			if c.Slot >= p.next {
-				return [2]int64{0, int64(c.Slot)} // at or past the pointer, in slot order
+		case config.SchedLRR:
+			if c.Slot > s.last {
+				return [2]int64{0, int64(c.Slot)} // past the last issuer, in slot order
 			}
 			return [2]int64{1, int64(c.Slot)} // then wrapped
 		default:
@@ -184,41 +180,44 @@ func documentedPick(s WarpScheduler, cands []Candidate) int {
 	return best
 }
 
+// randomReady draws a ready set of 1–64 slots with distinct ages (as
+// resident warps have) and random scores, and its candidate list in shuffled
+// order.
+func randomReady(rng *rand.Rand) (ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uint8, cands []Candidate) {
+	age, score = new([MaxSlots]int64), new([MaxSlots]uint8)
+	ages := rng.Perm(4 * MaxSlots)
+	for _, slot := range rng.Perm(MaxSlots)[:1+rng.Intn(MaxSlots)] {
+		ready |= 1 << uint(slot)
+		age[slot] = int64(ages[slot])
+		score[slot] = uint8(rng.Intn(MaxScore + 1))
+		cands = append(cands, Candidate{Slot: slot, Age: age[slot], Score: int(score[slot])})
+	}
+	return ready, age, score, cands
+}
+
 // TestPickReadyMatchesPickOnLists is the differential property behind the
-// single comparator: for random ready sets of 1–64 slots with distinct ages
-// (as resident warps have), random scores and a random issue history, the
-// mask-native PickReady, the list adapter Pick — handed the candidates in
-// shuffled order — and the documented order agree on the slot, and keep
-// agreeing as picked slots are spent one by one (the issue stage's
-// fall-through), some of them issuing and moving the policy's history.
+// single comparator: for random ready sets, random scores and a random
+// issue history, the mask-native PickReady, the list adapter Pick — handed
+// the candidates in shuffled order — and the documented order agree on the
+// slot, and keep agreeing as picked slots are spent one by one (the issue
+// stage's fall-through), some of them issuing and moving the policy's
+// history.
 func TestPickReadyMatchesPickOnLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, policy := range []config.WarpSched{config.SchedGTO, config.SchedLRR, config.SchedRBA} {
 		s := NewWarpScheduler(policy)
 		for trial := 0; trial < 400; trial++ {
-			var (
-				ready uint64
-				age   [MaxSlots]int64
-				score [MaxSlots]uint8
-				cands []Candidate
-			)
-			ages := rng.Perm(4 * MaxSlots)
-			for _, slot := range rng.Perm(MaxSlots)[:1+rng.Intn(MaxSlots)] {
-				ready |= 1 << uint(slot)
-				age[slot] = int64(ages[slot])
-				score[slot] = uint8(rng.Intn(MaxScore + 1))
-				cands = append(cands, Candidate{Slot: slot, Age: age[slot], Score: int(score[slot])})
-			}
+			ready, age, score, cands := randomReady(rng)
 			s.Reset()
 			for n := rng.Intn(3); n > 0; n-- {
 				s.NotifyIssued(rng.Intn(MaxSlots))
 			}
 			for len(cands) > 0 {
-				slot := s.PickReady(ready, &age, &score)
-				i, want := s.Pick(cands), documentedPick(s, cands)
+				slot := s.PickReady(ready, age, score)
+				i, want := s.Pick(cands), documentedPick(&s, cands)
 				if i < 0 || cands[i].Slot != slot || cands[want].Slot != slot {
-					t.Fatalf("%s trial %d, %d candidates left: PickReady chose slot %d, Pick %v, the documented order %v",
-						s.Name(), trial, len(cands), slot, cands[i], cands[want])
+					t.Fatalf("%v trial %d, %d candidates left: PickReady chose slot %d, Pick %v, the documented order %v",
+						policy, trial, len(cands), slot, cands[i], cands[want])
 				}
 				// Spend the pick the way the issue stage and the old list did.
 				ready &^= 1 << uint(slot)
@@ -228,8 +227,63 @@ func TestPickReadyMatchesPickOnLists(t *testing.T) {
 					s.NotifyIssued(slot)
 				}
 			}
-			if s.PickReady(0, &age, &score) != -1 || s.Pick(nil) != -1 {
-				t.Fatalf("%s: an empty ready set must pick -1", s.Name())
+			if s.PickReady(0, age, score) != -1 || s.Pick(nil) != -1 {
+				t.Fatalf("%v: an empty ready set must pick -1", policy)
+			}
+		}
+	}
+}
+
+// TestWarpSchedulerMatchesReference holds the one WarpScheduler to the three
+// policy types it replaced (ref_test.go): over random ready sets, ages and
+// scores, with issues, kernel resets and snapshot restores — of the word
+// State wrote, of a slot-sized word and of an arbitrary one — interleaved at
+// random, both pick the same slot through PickReady and the same index
+// through Pick, and write the same State word after every step.
+func TestWarpSchedulerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, policy := range []config.WarpSched{config.SchedGTO, config.SchedLRR, config.SchedRBA} {
+		s, ref := NewWarpScheduler(policy), newRefWarpScheduler(policy)
+		for step := 0; step < 20000; step++ {
+			switch op := rng.Intn(16); {
+			case op == 0:
+				s.Reset()
+				ref.Reset()
+			case op == 1:
+				w := s.State()
+				s.SetState(w)
+				ref.SetState(w)
+			case op == 2:
+				w := uint64(rng.Intn(4 * MaxSlots))
+				s.SetState(w)
+				ref.SetState(w)
+			case op == 3:
+				w := rng.Uint64()
+				s.SetState(w)
+				ref.SetState(w)
+			case op < 8:
+				slot := rng.Intn(MaxSlots)
+				s.NotifyIssued(slot)
+				ref.NotifyIssued(slot)
+			default:
+				ready, age, score, cands := randomReady(rng)
+				if rng.Intn(4) == 0 {
+					ready, cands = 0, nil
+				}
+				got, want := s.PickReady(ready, age, score), ref.PickReady(ready, age, score)
+				if got != want {
+					t.Fatalf("%v step %d: PickReady(%#x) = %d, reference %d (state %#x)", policy, step, ready, got, want, ref.State())
+				}
+				if got, want := s.Pick(cands), ref.Pick(cands); got != want {
+					t.Fatalf("%v step %d: Pick = %d, reference %d (state %#x)", policy, step, got, want, ref.State())
+				}
+				if got >= 0 && rng.Intn(2) == 0 {
+					s.NotifyIssued(got)
+					ref.NotifyIssued(got)
+				}
+			}
+			if got, want := s.State(), ref.State(); got != want {
+				t.Fatalf("%v step %d: State = %#x, reference %#x", policy, step, got, want)
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"errors"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 	"repro/internal/workloads"
 )
 
@@ -36,13 +38,25 @@ func appsNamed(names ...string) func() ([]workloads.App, error) {
 }
 
 func TestScaledConfigsValidate(t *testing.T) {
-	for _, c := range []config.GPU{Base(), FC(), scale(config.KeplerLike())} {
+	for _, c := range []config.GPU{Base(), FC(), partitioned(2)} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
 		if c.NumSMs != ScaledSMs {
 			t.Errorf("%s: NumSMs = %d, want %d", c.Name, c.NumSMs, ScaledSMs)
 		}
+	}
+}
+
+// TestMaxCyclesCapsMicroFigures: `experiments -max-cycles` reaches the
+// figures that build their own device (fig3 here), not only sweep cells.
+func TestMaxCyclesCapsMicroFigures(t *testing.T) {
+	defer func(saved int64) { SweepOpts.MaxCycles = saved }(SweepOpts.MaxCycles)
+	SweepOpts.MaxCycles = 1000
+	_, err := ByID("fig3")
+	var cle *gpu.CycleLimitError
+	if !errors.As(err, &cle) || cle.MaxCycles != 1000 {
+		t.Fatalf("fig3 under a 1000-cycle cap returned %v, want a *gpu.CycleLimitError at 1000", err)
 	}
 }
 

@@ -22,7 +22,7 @@ func fig3(id string) (*Table, error) {
 	const fmas = 1024
 	devices := []design{
 		{"partitioned(volta/ampere)", Base()},
-		{"monolithic(kepler)", scale(config.KeplerLike())},
+		{"monolithic(kepler)", FC()},
 	}
 	t := &Table{
 		ID:      id,

@@ -66,13 +66,14 @@ func DeviceFor(cfg config.GPU, app workloads.App) config.GPU {
 // runKernels simulates a sequential kernel list on a fresh device, with
 // tr attached when non-nil. With runTogether it is the only place the
 // micro and traced figures build a device; sweep cells go through sweep.
+// Both cap each kernel at SweepOpts.MaxCycles, as the harness caps a cell.
 func runKernels(cfg config.GPU, tr *trace.Tracer, ks ...*gpu.Kernel) (*stats.Run, error) {
 	g, err := gpu.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	g.SetTracer(tr)
-	if err := g.RunKernels(ks, 0); err != nil {
+	if err := g.RunKernels(ks, SweepOpts.MaxCycles); err != nil {
 		return nil, err
 	}
 	return g.Run(), nil
@@ -85,14 +86,14 @@ func runTogether(cfg config.GPU, ks ...*gpu.Kernel) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := g.RunConcurrent(ks, 0); err != nil {
+	if err := g.RunConcurrent(ks, SweepOpts.MaxCycles); err != nil {
 		return nil, err
 	}
 	return g.Run(), nil
 }
 
-// SweepOpts is the harness configuration sweep cells execute under.
-// The zero value runs unsupervised (no timeout, default cycle cap);
+// SweepOpts is the harness configuration sweep cells execute under; its
+// MaxCycles caps the micro figures' kernels too. The zero value runs unsupervised (no timeout, default cycle cap);
 // binaries set it once at startup from their flags (-timeout,
 // -max-cycles) before running experiments.
 var SweepOpts harness.Options

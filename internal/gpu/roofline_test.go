@@ -18,7 +18,15 @@ func TestRooflineBounds(t *testing.T) {
 	cfgs := []config.GPU{
 		func() config.GPU { c := config.VoltaV100(); c.NumSMs = 1; return c }(),
 		func() config.GPU { c := config.FullyConnected(); c.NumSMs = 1; return c }(),
-		func() config.GPU { c := config.RDNALike(); c.NumSMs = 1; return c }(),
+		// The 2-way point between Volta's 4-way split and a monolithic core
+		// (AMD's dual compute unit, Section II-A), at constant total capacity.
+		func() config.GPU {
+			c := config.VoltaV100()
+			c.Name, c.NumSMs, c.SubCoresPerSM, c.SchedulersPerSubCore = "2-way", 1, 2, 2
+			c.RegFileKBPerSubCore, c.BanksPerSubCore, c.CollectorUnitsPerSubCore, c.DispatchPortsPerSubCore = 128, 4, 4, 4
+			c.FP32LanesPerSubCore, c.IntLanesPerSubCore, c.SFULanesPerSubCore, c.TensorPerSubCore = 32, 32, 8, 2
+			return c
+		}(),
 	}
 	for _, cfg := range cfgs {
 		g, err := New(cfg)
@@ -49,25 +57,6 @@ func TestRooflineBounds(t *testing.T) {
 		if ipc < tightest*0.25 {
 			t.Errorf("%s: IPC %.2f below 25%% of roofline %.2f", cfg.Name, ipc, tightest)
 		}
-	}
-}
-
-// TestRDNALikePreset checks the 2-way partitioned preset's shape.
-func TestRDNALikePreset(t *testing.T) {
-	g := config.RDNALike()
-	if g.SubCoresPerSM != 2 {
-		t.Errorf("SubCoresPerSM = %d, want 2", g.SubCoresPerSM)
-	}
-	// Total capacity parity with VoltaV100.
-	v := config.VoltaV100()
-	if g.SubCoresPerSM*g.BanksPerSubCore != v.SubCoresPerSM*v.BanksPerSubCore {
-		t.Error("bank totals differ")
-	}
-	if g.SubCoresPerSM*g.FP32LanesPerSubCore != v.SubCoresPerSM*v.FP32LanesPerSubCore {
-		t.Error("lane totals differ")
-	}
-	if err := g.Validate(); err != nil {
-		t.Error(err)
 	}
 }
 

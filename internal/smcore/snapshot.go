@@ -15,7 +15,7 @@ import (
 type ProgramResolver func(gid int64) (*program.Program, error)
 
 // smFrame is the part of an SM a frame cannot carry in place: the assigner
-// keeps its position behind an interface, and a warp's cursor points into
+// keeps its warp counter in package core, and a warp's cursor points into
 // its program. The state structs (smState, lsuState, and per sub-core
 // subCoreState, euState and the collector's) are walked where they live.
 type smFrame struct {

@@ -92,16 +92,6 @@ func TestFacadeExperimentAPI(t *testing.T) {
 	}
 }
 
-func TestFacadeTPCHConfig(t *testing.T) {
-	cfg := TPCH(VoltaV100())
-	if cfg.NumSMs != 20 {
-		t.Errorf("TPCH NumSMs = %d, want 20", cfg.NumSMs)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFacadeCustomKernel(t *testing.T) {
 	p := WorkloadProfile{
 		Name: "custom", Blocks: 2, WarpsPerBlock: 8, RegsPerThread: 16,
