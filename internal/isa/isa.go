@@ -215,6 +215,11 @@ type MemTrait struct {
 // Instr is a decoded instruction descriptor. Instr is a value type; warp
 // programs are slices of Instr and cursors copy them freely.
 type Instr struct {
+	// _ aligns Instr to 8 bytes, which pads its 28 to 32: a copy is then two
+	// disjoint 16-byte moves, whose reload store forwarding serves, not two
+	// overlapping ones. It must lead — a trailing zero-size field pads the
+	// struct to 40 — and a snapshot writes it as nothing.
+	_ [0]uint64
 	// Op is the opcode.
 	Op Op
 	// Dst is the destination register, or NoReg.

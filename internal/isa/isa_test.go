@@ -3,7 +3,19 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstrLayout pins Instr at 32 bytes, 8-aligned. Every copy of an
+// instruction on the cycle path — the I-buffer fill and shift, a collector
+// unit's staging, an LSU entry — is then two disjoint 16-byte moves. At 28
+// bytes, 4-aligned, a copy is two overlapping 16-byte moves, and the reload
+// that follows misses store forwarding.
+func TestInstrLayout(t *testing.T) {
+	if size, align := unsafe.Sizeof(Instr{}), unsafe.Alignof(Instr{}); size != 32 || align != 8 {
+		t.Fatalf("Instr is %d bytes, %d-aligned; want 32, 8-aligned, so a copy is two disjoint 16-byte moves that store forwarding serves", size, align)
+	}
+}
 
 func TestOpString(t *testing.T) {
 	cases := map[Op]string{

@@ -4,11 +4,14 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/regfile"
 )
 
 // swapHeap is wbHeap as it was before its sifts moved entries into a hole:
-// push and pop verbatim, the reference TestWBHeapMatchesSwapHeap holds the
-// hole sifts to.
+// push and pop verbatim, the reference TestWBHeapMatchesSwapHeap holds
+// wbHeap.push and SM.drain to.
 type swapHeap []wbEvent
 
 func (h *swapHeap) push(e wbEvent) {
@@ -50,39 +53,69 @@ func (h *swapHeap) pop() wbEvent {
 	return top
 }
 
-// TestWBHeapMatchesSwapHeap drives wbHeap and the swap heap with the same
-// seeded streams and compares the two arrays entry for entry after every
-// push and pop. The array is not just a priority queue's storage: among
-// writebacks due in one cycle it decides which reaches a bank's write port
-// first, and a frame carries it. Cycles come from a window a few cycles wide,
-// so most comparisons tie — the only place a hole sift can differ from a swap
-// sift — and the heap grows to 512 entries and drains to none, popped "while
-// the root is due" as SM.Tick's first stage does.
+// TestWBHeapMatchesSwapHeap drives an SM's writeback heap — push, and the
+// drain SM.Tick's first stage runs — and the swap heap with the same seeded
+// streams. After every push and every drained cycle it compares the two
+// arrays entry for entry, and the write queue of each (sub-core, bank) with
+// the order the swap heap pops that cycle's events in. The array is not just
+// a priority queue's storage: among writebacks due in one cycle it decides
+// which reaches a bank's write port first, and a frame carries it. Events
+// spread over four sub-cores and two banks, and their cycles come from a
+// window a few cycles wide, so most comparisons tie — the only place a hole
+// sift can differ from a swap sift. The heap grows to 512 entries and drains
+// to none, one cycle at a time. Every sub-core sleeps before a drain; one
+// that receives a write must wake, and one that receives none must not.
 func TestWBHeapMatchesSwapHeap(t *testing.T) {
+	sm, _ := testSM(t, nil)
+	subs, banks := len(sm.subcores), sm.cfg.BanksPerSubCore
+	if subs != 4 || banks != 2 {
+		t.Fatalf("fixture has %d sub-cores x %d banks, want 4 x 2", subs, banks)
+	}
+	wantQ := make([][]regfile.WriteReq, subs*banks)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		window := 1 + rng.Intn(8)
-		var got wbHeap
+		sm.wb = sm.wb[:0]
 		var want swapHeap
 		now, seq := int64(0), int32(0)
 		same := func(op string) {
-			if !slices.Equal(got, []wbEvent(want)) {
-				t.Fatalf("seed %d, cycle %d, after a %s (%d entries): hole heap %v, swap heap %v", seed, now, op, len(want), got, want)
+			if !slices.Equal(sm.wb, []wbEvent(want)) {
+				t.Fatalf("seed %d, cycle %d, after a %s (%d entries): hole heap %v, swap heap %v", seed, now, op, len(want), sm.wb, want)
 			}
 		}
 		for round := 0; round < 40; round++ {
 			for target := rng.Intn(513); len(want) < target; seq++ {
-				e := wbEvent{cycle: now + int64(rng.Intn(window)), warpIdx: seq, subCore: int8(seq % 4)}
-				got.push(e)
+				e := wbEvent{cycle: now + int64(rng.Intn(window)), warpIdx: seq,
+					subCore: int8(rng.Intn(subs)), bank: int8(rng.Intn(banks)), reg: isa.Reg(seq % 256)}
+				sm.wb.push(e)
 				want.push(e)
 				same("push")
 			}
 			for target := rng.Intn(len(want) + 1); len(want) > target; now++ {
+				for i := range wantQ {
+					wantQ[i] = wantQ[i][:0]
+				}
 				for len(want) > 0 && want[0].cycle <= now {
-					if g, w := got.pop(), want.pop(); g != w {
-						t.Fatalf("seed %d, cycle %d: popped %+v, the swap heap %+v", seed, now, g, w)
+					e := want.pop()
+					q := int(e.subCore)*banks + int(e.bank)
+					wantQ[q] = append(wantQ[q], regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: e.bank})
+				}
+				for _, sc := range sm.subcores {
+					sc.coll = regfile.NewCollector(sm.cfg.CollectorUnitsPerSubCore, banks, 0, sc.st)
+					sc.asleep = true
+				}
+				sm.drain(now)
+				same("drain")
+				for s, sc := range sm.subcores {
+					var got []regfile.WriteReq
+					sc.coll.ForEachQueuedWrite(func(w regfile.WriteReq) { got = append(got, w) })
+					exp := slices.Concat(wantQ[s*banks : (s+1)*banks]...)
+					if !slices.Equal(got, exp) {
+						t.Fatalf("seed %d, cycle %d: sub-core %d's write queues %v, the swap heap's order %v", seed, now, s, got, exp)
 					}
-					same("pop")
+					if sc.asleep != (len(exp) == 0) {
+						t.Fatalf("seed %d, cycle %d: sub-core %d got %d writes and asleep = %v", seed, now, s, len(exp), sc.asleep)
+					}
 				}
 			}
 		}

@@ -86,10 +86,10 @@ func rootPlan(ptr any) (*plan, unsafe.Pointer, error) {
 // precomputed offsets through memory costs 1.3x their time to write a frame
 // and 1.5x to restore one.
 //
-// This file is the only user of unsafe in the tree. Scalars are loaded and
-// stored through typed pointers at offsets reflect reported, inside the
-// object the caller's pointer keeps alive; slice headers are read and
-// written through reflect only.
+// This file is the only non-test user of unsafe in the tree. Scalars are
+// loaded and stored through typed pointers at offsets reflect reported,
+// inside the object the caller's pointer keeps alive; slice headers are read
+// and written through reflect only.
 type plan struct {
 	kind   reflect.Kind
 	typ    reflect.Type

@@ -98,6 +98,42 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// aligned and unaligned are one struct with and without a leading aligner,
+// the field isa.Instr leads with.
+type aligned struct {
+	_   [0]uint64
+	Op  uint8
+	Dst uint16
+	N   uint32
+}
+
+type unaligned struct {
+	Op  uint8
+	Dst uint16
+	N   uint32
+}
+
+// TestStateAlignerIsNoBytes holds a zero-length array to no bytes: a
+// struct that leads with one encodes exactly as the same struct without it,
+// so aligning a state type moves no frame byte, and it round-trips.
+func TestStateAlignerIsNoBytes(t *testing.T) {
+	a := []aligned{{Op: 3, Dst: 0xFFFF, N: 1 << 30}, {Op: 255}}
+	u := []unaligned{{Op: 3, Dst: 0xFFFF, N: 1 << 30}, {Op: 255}}
+	frame := encodeState(t, &a)
+	if want := encodeState(t, &u); !bytes.Equal(frame, want) {
+		t.Fatalf("with the aligner %x, without %x", frame, want)
+	}
+	var back []aligned
+	d := decoderFor(t, frame)
+	d.State(&back)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, a) {
+		t.Fatalf("round trip %+v, want %+v", back, a)
+	}
+}
+
 func TestStateRefusesWhatIsNotPlainData(t *testing.T) {
 	type wiring struct {
 		OK   int
