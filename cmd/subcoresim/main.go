@@ -46,6 +46,7 @@ import (
 	"repro"
 	"repro/internal/config"
 	"repro/internal/harness"
+	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/plot"
 	"repro/internal/trace"
@@ -242,7 +243,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for i, v := range c.RFReads {
 			// Each granted read is warp-wide: scale to 4-byte register
 			// reads per cycle (Fig 14's unit) and normalize by the period.
-			vals[i] = float64(v) * float64(cfg.WarpSize) / float64(c.Period)
+			vals[i] = float64(v) * float64(isa.WarpSize) / float64(c.Period)
 		}
 		fmt.Fprintln(side, "\nSM0 register reads per cycle (Fig 14 style):")
 		fmt.Fprintln(side, plot.Series(appNameShort(*appName), vals, 100))

@@ -110,8 +110,6 @@ type GPU struct {
 	MaxWarpsPerSM int
 	// MaxBlocksPerSM caps resident thread blocks (32 on Volta).
 	MaxBlocksPerSM int
-	// WarpSize is threads per warp (32).
-	WarpSize int
 
 	// RegFileKBPerSubCore is register-file capacity per sub-core (64 KB).
 	RegFileKBPerSubCore int
@@ -140,11 +138,6 @@ type GPU struct {
 	SharedMemKBPerSM int
 	// SharedMemBanks is the scratchpad bank count (32).
 	SharedMemBanks int
-	// LSUWidthPerSM is memory instructions the SM-shared LSU accepts per
-	// cycle. It must be 1: the LSU's one coalescer port is busy past the
-	// cycle of every instruction it admits, so no second one could start.
-	// The field stays because it is part of every MachineID.
-	LSUWidthPerSM int
 	// LSUQueue is the LSU input queue depth per SM.
 	LSUQueue int
 
@@ -244,7 +237,6 @@ func VoltaV100() GPU {
 		SchedulersPerSubCore:     1,
 		MaxWarpsPerSM:            64,
 		MaxBlocksPerSM:           32,
-		WarpSize:                 32,
 		RegFileKBPerSubCore:      64,
 		BanksPerSubCore:          2,
 		CollectorUnitsPerSubCore: 2,
@@ -255,7 +247,6 @@ func VoltaV100() GPU {
 		TensorPerSubCore:         1,
 		SharedMemKBPerSM:         96,
 		SharedMemBanks:           32,
-		LSUWidthPerSM:            1,
 		LSUQueue:                 64,
 		L1KBPerSM:                128,
 		L1Assoc:                  4,
@@ -382,16 +373,13 @@ func (g GPU) MachineID() string {
 }
 
 // WarpsPerSubCore returns the resident-warp capacity of one sub-core.
-func (g GPU) WarpsPerSubCore() int {
-	n := g.MaxWarpsPerSM / g.SubCoresPerSM
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func (g GPU) WarpsPerSubCore() int { return g.MaxWarpsPerSM / g.SubCoresPerSM }
 
 // Validate checks structural invariants and returns a descriptive error
-// for the first violation.
+// for the first violation. It is the one judge of a value: what it accepts
+// is built as given, no constructor clamps or defaults a field, so a value
+// the simulator cannot model is refused here rather than quietly simulated
+// as another (TestKnobLiveness holds every field to changing the machine).
 func (g GPU) Validate() error {
 	checks := []struct {
 		ok  bool
@@ -403,12 +391,13 @@ func (g GPU) Validate() error {
 		{g.MaxWarpsPerSM >= g.SubCoresPerSM, "MaxWarpsPerSM must cover every sub-core"},
 		{g.SubCoresPerSM < 1 || g.MaxWarpsPerSM%g.SubCoresPerSM == 0, "MaxWarpsPerSM must divide evenly among sub-cores"},
 		{g.SubCoresPerSM < 1 || g.MaxWarpsPerSM/g.SubCoresPerSM <= 64, "at most 64 warp slots per sub-core (the scheduler's ready set is one 64-bit mask per class)"},
-		{g.WarpSize == 32, "WarpSize must be 32"},
 		{g.BanksPerSubCore >= 1 && g.BanksPerSubCore <= 256, "BanksPerSubCore must be in [1, 256]"},
 		{g.CollectorUnitsPerSubCore >= 1 && g.CollectorUnitsPerSubCore <= 64, "CollectorUnitsPerSubCore must be in [1, 64] (the collector's free-unit set is one 64-bit mask)"},
 		{g.DispatchPortsPerSubCore >= 1, "DispatchPortsPerSubCore must be >= 1"},
-		{g.FP32LanesPerSubCore >= 1, "FP32LanesPerSubCore must be >= 1"},
-		{g.LSUWidthPerSM == 1, "LSUWidthPerSM must be 1: the LSU has one coalescer port, busy past the cycle of every instruction it admits, so a wider LSU would admit no more"},
+		{g.FP32LanesPerSubCore >= 1 && g.IntLanesPerSubCore >= 1 && g.SFULanesPerSubCore >= 1,
+			"FP32LanesPerSubCore, IntLanesPerSubCore and SFULanesPerSubCore must be >= 1 (a pipe needs a lane)"},
+		{g.TensorPerSubCore >= 1, "TensorPerSubCore must be >= 1"},
+		{g.RegFileKBPerSubCore >= 1, "RegFileKBPerSubCore must be >= 1 (no warp could be resident)"},
 		{g.LSUQueue >= 1, "LSUQueue must be >= 1 (no memory instruction could ever enter the LSU)"},
 		{g.SharedMemBanks >= 1, "SharedMemBanks must be >= 1"},
 		{g.L1Assoc >= 1 && g.L2Assoc >= 1, "L1Assoc and L2Assoc must be >= 1"},
@@ -421,6 +410,8 @@ func (g GPU) Validate() error {
 		{g.L2Latency >= 0 && g.DRAMLatency >= 0, "L2Latency and DRAMLatency must be >= 0 (a fill would complete before it was requested)"},
 		{g.HashTableEntries == 4 || g.HashTableEntries == 16, "HashTableEntries must be 4 or 16"},
 		{g.RBAScoreLatency >= 0, "RBAScoreLatency must be >= 0"},
+		{g.WarpScheduler <= SchedRBA, "WarpScheduler must be 0 (GTO), 1 (LRR) or 2 (RBA)"},
+		{g.SubCoreAssign <= AssignShuffle, "SubCoreAssign must be 0 (RR), 1 (SRR) or 2 (Shuffle)"},
 		{g.MaxBlocksPerSM >= 1, "MaxBlocksPerSM must be >= 1"},
 		{g.SharedMemKBPerSM >= 0, "SharedMemKBPerSM must be >= 0"},
 		{g.AuditEvery >= 0, "AuditEvery must be >= 0"},

@@ -100,7 +100,6 @@ func TestValidateCatchesViolations(t *testing.T) {
 		func(g *GPU) { g.MaxWarpsPerSM = 3 },
 		func(g *GPU) { g.MaxWarpsPerSM = 65 },
 		func(g *GPU) { g.MaxWarpsPerSM = 260 }, // 65 slots per sub-core
-		func(g *GPU) { g.WarpSize = 64 },
 		func(g *GPU) { g.BanksPerSubCore = 0 },
 		func(g *GPU) { g.BanksPerSubCore = 257 },
 		func(g *GPU) { g.CollectorUnitsPerSubCore = 0 },
@@ -122,9 +121,19 @@ func TestValidateCatchesViolations(t *testing.T) {
 		// A fill would complete before it was requested.
 		func(g *GPU) { g.L2Latency = -1 },
 		func(g *GPU) { g.DRAMLatency = -1 },
-		// The LSU admits one instruction a cycle whatever the width: at 4 it
-		// printed the same run as at 1.
-		func(g *GPU) { g.LSUWidthPerSM = 4 },
+		// Each of these was clamped to 1 lane or pipe where it is built, so 0
+		// and -5 simulated the machine 1 does.
+		func(g *GPU) { g.IntLanesPerSubCore = 0 },
+		func(g *GPU) { g.IntLanesPerSubCore = -5 },
+		func(g *GPU) { g.SFULanesPerSubCore = 0 },
+		func(g *GPU) { g.FP32LanesPerSubCore = 0 },
+		func(g *GPU) { g.TensorPerSubCore = 0 },
+		func(g *GPU) { g.TensorPerSubCore = -3 },
+		// Refused at launch alone (gpu.Kernel.Validate), never at New.
+		func(g *GPU) { g.RegFileKBPerSubCore = 0 },
+		// An unknown policy ran as GTO or RR.
+		func(g *GPU) { g.WarpScheduler = SchedRBA + 1 },
+		func(g *GPU) { g.SubCoreAssign = AssignShuffle + 1 },
 	}
 	for i, m := range mut {
 		g := VoltaV100()

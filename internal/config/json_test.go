@@ -31,6 +31,13 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 	if _, err := FromJSON(strings.NewReader(`{"TraceSamplePeriod": 32}`)); err == nil || !strings.Contains(err.Error(), `unknown field "TraceSamplePeriod"`) {
 		t.Errorf("TraceSamplePeriod in a config file: %v, want the decoder's unknown-field error", err)
 	}
+	// So did two constants: the warp size is isa.WarpSize's, and the LSU's
+	// width was never read.
+	for _, f := range []string{"WarpSize", "LSUWidthPerSM"} {
+		if _, err := FromJSON(strings.NewReader(`{"` + f + `": 32}`)); err == nil || !strings.Contains(err.Error(), `unknown field "`+f+`"`) {
+			t.Errorf("%s in a config file: %v, want the decoder's unknown-field error", f, err)
+		}
+	}
 	if _, err := FromJSON(strings.NewReader(`{bad json`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}

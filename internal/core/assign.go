@@ -47,9 +47,6 @@ func NewAssigner(p config.Assign, subCores, tableEntries int, seed int64, smID i
 			t[w] = uint8((w + w/subCores) % subCores)
 		}
 	case config.AssignShuffle:
-		if tableEntries < 1 {
-			tableEntries = 4
-		}
 		slots := tableEntries * 4
 		rng := rand.New(rand.NewSource(seed*1000003 + int64(smID)*7919 + 12345))
 		t = make([]uint8, 0, slots+subCores)

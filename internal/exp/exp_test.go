@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/harness"
 	"repro/internal/workloads"
 )
 
@@ -57,6 +59,19 @@ func TestMaxCyclesCapsMicroFigures(t *testing.T) {
 	var cle *gpu.CycleLimitError
 	if !errors.As(err, &cle) || cle.MaxCycles != 1000 {
 		t.Fatalf("fig3 under a 1000-cycle cap returned %v, want a *gpu.CycleLimitError at 1000", err)
+	}
+}
+
+// TestTimeoutReachesMicroFigures: `experiments -timeout` reaches them too,
+// and a micro figure's cell faults as a sweep cell does, a *SimFault that
+// names it.
+func TestTimeoutReachesMicroFigures(t *testing.T) {
+	defer func(saved time.Duration) { SweepOpts.Timeout = saved }(SweepOpts.Timeout)
+	SweepOpts.Timeout = time.Nanosecond
+	_, err := ByID("fig8")
+	var f *harness.SimFault
+	if !errors.As(err, &f) || f.Kind != harness.FaultTimeout || f.App == "" {
+		t.Fatalf("fig8 under a 1 ns budget returned %v, want a timeout *harness.SimFault naming its cell", err)
 	}
 }
 

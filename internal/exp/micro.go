@@ -261,7 +261,7 @@ func fig14(id string) (*Table, error) {
 			vals := make([]float64, len(reads))
 			for i, v := range reads {
 				// 4-byte register reads, Fig 14's unit.
-				vals[i] = float64(int(v) * c.WarpSize)
+				vals[i] = float64(int(v) * isa.WarpSize)
 				if vals[i] <= 85 {
 					low++
 				}

@@ -64,23 +64,23 @@ func DeviceFor(cfg config.GPU, app workloads.App) config.GPU {
 }
 
 // runKernels simulates a sequential kernel list on a fresh device, with
-// tr attached when non-nil. With runTogether it is the only place the
-// micro and traced figures build a device; sweep cells go through sweep.
-// Both cap each kernel at SweepOpts.MaxCycles, as the harness caps a cell.
+// tr attached when non-nil: one cell, named for its first kernel, under the
+// harness and SweepOpts, so a micro figure is capped, timed out and
+// panic-isolated as a sweep cell is. With runTogether it is the only place
+// the micro and traced figures build a device; sweep cells go through sweep.
 func runKernels(cfg config.GPU, tr *trace.Tracer, ks ...*gpu.Kernel) (*stats.Run, error) {
-	g, err := gpu.New(cfg)
-	if err != nil {
-		return nil, err
+	opt := SweepOpts
+	opt.Tracer = tr
+	run, fault := harness.RunOne(context.Background(), cfg, workloads.App{Name: ks[0].Name, Kernels: ks}, opt)
+	if fault != nil { // not a typed nil *SimFault in a non-nil error
+		return nil, fault
 	}
-	g.SetTracer(tr)
-	if err := g.RunKernels(ks, SweepOpts.MaxCycles); err != nil {
-		return nil, err
-	}
-	return g.Run(), nil
+	return run, nil
 }
 
 // runTogether simulates a concurrent kernel set (separate streams,
-// launched together) on a fresh device.
+// launched together) on a fresh device. It stays outside the harness: a
+// concurrent launch is not a workloads.App, whose kernels run in sequence.
 func runTogether(cfg config.GPU, ks ...*gpu.Kernel) (*stats.Run, error) {
 	g, err := gpu.New(cfg)
 	if err != nil {
@@ -92,10 +92,11 @@ func runTogether(cfg config.GPU, ks ...*gpu.Kernel) (*stats.Run, error) {
 	return g.Run(), nil
 }
 
-// SweepOpts is the harness configuration sweep cells execute under; its
-// MaxCycles caps the micro figures' kernels too. The zero value runs unsupervised (no timeout, default cycle cap);
-// binaries set it once at startup from their flags (-timeout,
-// -max-cycles) before running experiments.
+// SweepOpts is the harness configuration sweep cells and the micro
+// figures' cells (runKernels) execute under; its MaxCycles caps
+// runTogether's launches too. The zero value runs unsupervised (no
+// timeout, default cycle cap); binaries set it once at startup from their
+// flags (-timeout, -max-cycles) before running experiments.
 var SweepOpts harness.Options
 
 // design is one named configuration of a study. The name labels the

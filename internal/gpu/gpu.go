@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/program"
@@ -64,7 +65,7 @@ func (k *Kernel) Validate(cfg *config.GPU) error {
 		return fmt.Errorf("kernel %s: nil WarpProgram", k.Name)
 	}
 	// A single warp must fit one sub-core's register file.
-	perSub := cfg.RegFileKBPerSubCore * 1024 / (k.RegsPerThread * cfg.WarpSize * 4)
+	perSub := cfg.RegFileKBPerSubCore * 1024 / isa.WarpRegBytes(k.RegsPerThread)
 	if perSub == 0 {
 		return fmt.Errorf("kernel %s: %d regs/thread exceeds a sub-core register file", k.Name, k.RegsPerThread)
 	}

@@ -72,9 +72,6 @@ func (m *Monitor) beat(cycle int64) bool {
 // detach. Call before RunKernel.
 func (g *GPU) SetMonitor(m *Monitor) { g.mon = m }
 
-// Monitor returns the attached monitor, or nil.
-func (g *GPU) Monitor() *Monitor { return g.mon }
-
 // CycleLimitError reports a kernel batch that hit its cycle cap — the
 // deadlock/livelock backstop of RunKernel's maxCycles argument. Callers
 // can detect it with errors.As and retry at a raised cap.

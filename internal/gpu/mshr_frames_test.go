@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -74,18 +75,20 @@ func mshrRows(t *testing.T, g *GPU) []int {
 	return counts
 }
 
-// TestParentFramesReencode: the PR 23 build, whose MSHRs were a map and a
-// completion heap, wrote gatherApp's frames at its third and fourth
-// heartbeats (testdata/pr23_v8_gather_hb*.snap). Restoring the first and
+// TestParentFramesReencode: the build whose MSHRs were a map and a
+// completion heap wrote gatherApp's frames at its third and fourth
+// heartbeats (testdata/gather_v8_hb*.snap). Restoring the first and
 // running to the next heartbeat must encode the second byte for byte: the
 // table drops exactly the fills the map and heap dropped, the shared L2's
 // included, whose same-cycle inserts from four SMs arrive out of time order.
+// The frames are read as version 9 wrote them (testdata/gather_v9_hb*.snap,
+// TestV9FixturesAreV8Reheadered): the same payloads under a new header.
 func TestParentFramesReencode(t *testing.T) {
-	first, err := os.ReadFile("testdata/pr23_v8_gather_hb3.snap")
+	first, err := os.ReadFile("testdata/gather_v9_hb3.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile("testdata/pr23_v8_gather_hb4.snap")
+	second, err := os.ReadFile("testdata/gather_v9_hb4.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +124,34 @@ func TestParentFramesReencode(t *testing.T) {
 	}
 	if !bytes.Equal(got, second) {
 		t.Fatalf("the next heartbeat's frame (%d bytes) differs from the parent's (%d bytes)", len(got), len(second))
+	}
+}
+
+// TestV9FixturesAreV8Reheadered: testdata/gather_v9_hb*.snap are the version
+// 8 frames with the header rewritten for version 9 and gatherCfg's MachineID
+// without WarpSize and LSUWidthPerSM, the payload untouched — the one
+// command that made them. The originals are refused with the version
+// message.
+func TestV9FixturesAreV8Reheadered(t *testing.T) {
+	for _, hb := range []string{"3", "4"} {
+		v8, err := os.ReadFile("testdata/gather_v8_hb" + hb + ".snap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v9, err := os.ReadFile("testdata/gather_v9_hb" + hb + ".snap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reheader(t, v8, snapshot.Version, gatherCfg().MachineID()), v9) {
+			t.Errorf("heartbeat %s: the v9 fixture is not the v8 frame reheadered", hb)
+		}
+		g, err := New(gatherCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Restore(bytes.NewReader(v8), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 8, this build reads only 9") {
+			t.Errorf("heartbeat %s: restoring the v8 frame: %v, want the version refusal", hb, err)
+		}
 	}
 }
 

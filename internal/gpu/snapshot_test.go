@@ -3,9 +3,12 @@ package gpu
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -90,6 +93,31 @@ func barrierApp() []*Kernel {
 }
 
 // frameOf serializes the device as it stands.
+// v8MachineID is what version 8 called TestFrameBytesUnchanged's machine,
+// VoltaV100 at four SMs, while it still had WarpSize and LSUWidthPerSM.
+const v8MachineID = "45f474e81736828b"
+
+// reheader returns frame with its header rewritten and its payload as it
+// was: the container's version, the MachineID the payload opens with, and
+// the checksum over both.
+func reheader(t *testing.T, frame []byte, version uint64, machineID string) []byte {
+	t.Helper()
+	const magic = 8
+	body := frame[magic : len(frame)-4]
+	_, n := binary.Uvarint(body) // the old version
+	body = body[n:]
+	plen, n := binary.Uvarint(body)
+	payload := slices.Clone(body[n:])
+	if uint64(len(payload)) != plen || payload[0] != byte(len(machineID)) || len(machineID) != 16 {
+		t.Fatalf("not a frame opening with a 16-byte machine ID: length %d of %d, ID length %d", len(payload), plen, payload[0])
+	}
+	copy(payload[1:], machineID)
+	out := binary.AppendUvarint(slices.Clone(frame[:magic]), version)
+	out = binary.AppendUvarint(out, plen)
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
+}
+
 func frameOf(t *testing.T, g *GPU) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -368,7 +396,10 @@ func TestAuditedRunIsCleanAndUnperturbed(t *testing.T) {
 // every other state struct, 404 and 515 bytes, where its JSON was, 3,783
 // and 4,116 — 116,261 → 112,882 and 120,213 → 116,612 bytes a frame. The
 // 21 and 23 bytes before that section and the 112,441 and 116,058 after it
-// hashed the same on both sides of the change.)
+// hashed the same on both sides of the change. Version 9 re-pinned them for
+// the header alone: the machine lost WarpSize and LSUWidthPerSM, so its ID
+// moved; given version 8's header and ID back, each frame hashes to what
+// version 8 pinned, which the v8 column holds.)
 func TestFrameBytesUnchanged(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 4
@@ -390,14 +421,17 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		t.Error("the same state encoded twice through one Encoder gave different frames")
 	}
 	for _, tc := range []struct {
-		name, want string
-		frame      []byte
+		name, want, v8 string
+		frame          []byte
 	}{
-		{"mid-kernel", "1c9050053a41b5a756f4beb6b461dd62d1101dea0c68d1308ddd0318b5100ce7", mid},
-		{"drained", "a43448e83f06a424d3ffb46352ffb9d4fd8100a9fe34d604e6b4a6997411b6ca", frameOf(t, g)},
+		{"mid-kernel", "ee92b58f84b375903f8e322d91a4c849aad6364b529f98b552062604742eb35a", "1c9050053a41b5a756f4beb6b461dd62d1101dea0c68d1308ddd0318b5100ce7", mid},
+		{"drained", "8cbdeb0a86f93aea1e7368aae1fa13840d6ab7c1603f0de3af9be476d1263f9e", "a43448e83f06a424d3ffb46352ffb9d4fd8100a9fe34d604e6b4a6997411b6ca", frameOf(t, g)},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.frame)); got != tc.want {
 			t.Errorf("%s frame (%d bytes) hashes to %s, the parent's to %s", tc.name, len(tc.frame), got, tc.want)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(reheader(t, tc.frame, 8, v8MachineID))); got != tc.v8 {
+			t.Errorf("%s frame under version 8's header hashes to %s, version 8's to %s: more than the header moved", tc.name, got, tc.v8)
 		}
 		payload, err := snapshot.Payload(tc.frame)
 		if err != nil {

@@ -51,9 +51,10 @@ func NewRecord(app, config, machineID string, run *stats.Run) Record {
 }
 
 // ckptVersion 2 added a digest of the whole configuration; 3 made it the
-// machine's alone; 4 renamed it "machine" and added the summary. Records of
-// any other version are refused.
-const ckptVersion = 4
+// machine's alone; 4 renamed it "machine" and added the summary; 5 hashes a
+// machine without WarpSize and LSUWidthPerSM. Records of any other version
+// are refused.
+const ckptVersion = 5
 
 // ckptKey keys completed cells by identity: the labels and what was
 // simulated under them.

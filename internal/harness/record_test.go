@@ -15,28 +15,23 @@ import (
 	"repro/internal/workloads"
 )
 
-// testdata/pr22_v3.ckpt and testdata/pr22_v7_tpcU-q8__V100.snap were written
-// by the PR 22 build (ckptVersion 3, snapshot.Version 7):
+// testdata/vN.ckpt and testdata/vN_tpcU-q8__V100.snap were each written by
+// the last build of that ckptVersion or snapshot.Version (3 and 7, the first
+// keyed on the MachineID; 4 and 8, whose machine still had WarpSize and
+// LSUWidthPerSM):
 //
-//	sweep -apps pb-mriq -configs gto -sms 1 -checkpoint pr22_v3.ckpt
+//	sweep -apps pb-mriq -configs gto -sms 1 -checkpoint vN.ckpt
 //	subcoresim -app tpcU-q8 -config-file tiny.json -snapshot-dir . -snapshot-interval 1   # SIGTERM at 0.06 s
 //
 // with tiny.json {"NumSMs":1,"L1KBPerSM":1,"L2KB":4}, which keeps the frame
 // under 6 KB.
 
-// A checkpoint the previous format wrote is refused whole, before any cell
-// starts and without touching the file: its records carry the machine under
-// "cfg" and no summary, and resuming from half-read records would silently
-// re-run every cell beside them.
+// A checkpoint an earlier format wrote is refused whole, before any cell
+// starts and without touching the file: a version 3 record carries the
+// machine under "cfg" and no summary, a version 4 one a MachineID no machine
+// has now, and resuming from half-read records would silently re-run every
+// cell beside them.
 func TestParentCheckpointRefused(t *testing.T) {
-	v3, err := os.ReadFile("testdata/pr22_v3.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := ckptPath(t)
-	if err := os.WriteFile(path, v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	app, err := workloads.ByName("pb-mriq")
 	if err != nil {
 		t.Fatal(err)
@@ -45,26 +40,32 @@ func TestParentCheckpointRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), []config.GPU{cfg}, []string{"gto"}, []workloads.App{app}, Options{CheckpointPath: path})
-	if err == nil || !strings.Contains(err.Error(), "checkpoint line 1: unsupported version 3 (this build reads and writes 4; start a new file)") {
-		t.Fatalf("Run on the PR 22 checkpoint: %v, want the version refusal", err)
-	}
-	if res != nil {
-		t.Errorf("the refused sweep returned a result (%d cells executed)", res.Executed)
-	}
-	if after, _ := os.ReadFile(path); !bytes.Equal(after, v3) {
-		t.Error("the refused checkpoint was modified")
+	for _, v := range []struct{ file, version string }{{"v3.ckpt", "3"}, {"v4.ckpt", "4"}} {
+		old, err := os.ReadFile("testdata/" + v.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := ckptPath(t)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), []config.GPU{cfg}, []string{"gto"}, []workloads.App{app}, Options{CheckpointPath: path})
+		if err == nil || !strings.Contains(err.Error(), "checkpoint line 1: unsupported version "+v.version+" (this build reads and writes 5; start a new file)") {
+			t.Fatalf("Run on the version %s checkpoint: %v, want the version refusal", v.version, err)
+		}
+		if res != nil {
+			t.Errorf("the refused sweep returned a result (%d cells executed)", res.Executed)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, old) {
+			t.Errorf("the refused version %s checkpoint was modified", v.version)
+		}
 	}
 }
 
-// A frame the previous format wrote — for this very cell, on this very
+// A frame an earlier format wrote — for this very cell, on this very
 // machine — is discarded with the version message and the cell restarts from
 // cycle zero, with the statistics of an undisturbed run.
 func TestParentFrameRefusedCellRestarts(t *testing.T) {
-	frame, err := os.ReadFile("testdata/pr22_v7_tpcU-q8__V100.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
 	app, err := workloads.ByName("tpcU-q8")
 	if err != nil {
 		t.Fatal(err)
@@ -75,28 +76,33 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 	if fault != nil {
 		t.Fatal(fault)
 	}
-
-	dir := t.TempDir()
-	if err := os.WriteFile(snapPath(dir, app.Name, cfg.Name), frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var logs []string
-	run, fault := RunOne(context.Background(), cfg, app, Options{
-		SnapshotDir: dir,
-		Logf:        func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
-	})
-	if fault != nil {
-		t.Fatal(fault)
-	}
-	if log := strings.Join(logs, "\n"); !strings.Contains(log, "snapshot unusable, restarting fresh") ||
-		!strings.Contains(log, "snapshot: format version 7, this build reads only 8 — re-run from scratch") {
-		t.Errorf("the refusal was not logged with the version message: %q", logs)
-	}
-	if runStatsJSON(t, run) != runStatsJSON(t, golden) {
-		t.Error("the cell restarted after the refused frame diverged from an undisturbed run")
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
-		t.Errorf("the refused frame was not discarded: %v", left)
+	for _, v := range []struct{ file, version string }{{"v7_tpcU-q8__V100.snap", "7"}, {"v8_tpcU-q8__V100.snap", "8"}} {
+		frame, err := os.ReadFile("testdata/" + v.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(snapPath(dir, app.Name, cfg.Name), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logs []string
+		run, fault := RunOne(context.Background(), cfg, app, Options{
+			SnapshotDir: dir,
+			Logf:        func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
+		})
+		if fault != nil {
+			t.Fatal(fault)
+		}
+		if log := strings.Join(logs, "\n"); !strings.Contains(log, "snapshot unusable, restarting fresh") ||
+			!strings.Contains(log, "snapshot: format version "+v.version+", this build reads only 9 — re-run from scratch") {
+			t.Errorf("the version %s refusal was not logged with the version message: %q", v.version, logs)
+		}
+		if runStatsJSON(t, run) != runStatsJSON(t, golden) {
+			t.Errorf("the cell restarted after the refused version %s frame diverged from an undisturbed run", v.version)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+			t.Errorf("the refused version %s frame was not discarded: %v", v.version, left)
+		}
 	}
 }
 

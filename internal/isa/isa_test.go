@@ -128,7 +128,7 @@ func TestLatencyPositive(t *testing.T) {
 
 func TestInitiationInterval(t *testing.T) {
 	cases := []struct{ lanes, want int }{
-		{32, 1}, {16, 2}, {8, 4}, {4, 8}, {64, 1}, {0, 32}, {-1, 32}, {3, 11},
+		{32, 1}, {16, 2}, {8, 4}, {4, 8}, {64, 1}, {1, 32}, {3, 11},
 	}
 	for _, c := range cases {
 		if got := InitiationInterval(c.lanes); got != c.want {

@@ -30,20 +30,12 @@ func (o Op) Latency() int {
 // lock-step. Fixed at 32 across every architecture the paper studies.
 const WarpSize = 32
 
+// WarpRegBytes returns the register-file bytes one warp occupies at the
+// given per-thread register count: a 4-byte register per thread.
+func WarpRegBytes(regsPerThread int) int { return regsPerThread * WarpSize * 4 }
+
 // InitiationInterval returns how many cycles an execution unit with the
-// given number of SIMD lanes is occupied by one warp instruction. A Volta
-// sub-core has 16 FP32 lanes, so a 32-thread warp occupies the FP32 pipe
-// for 2 cycles.
-func InitiationInterval(lanes int) int {
-	if lanes <= 0 {
-		return WarpSize
-	}
-	ii := WarpSize / lanes
-	if WarpSize%lanes != 0 {
-		ii++
-	}
-	if ii < 1 {
-		ii = 1
-	}
-	return ii
-}
+// given number of SIMD lanes (>= 1, config.Validate) is occupied by one warp
+// instruction. A Volta sub-core has 16 FP32 lanes, so a 32-thread warp
+// occupies the FP32 pipe for 2 cycles.
+func InitiationInterval(lanes int) int { return (WarpSize + lanes - 1) / lanes }

@@ -23,17 +23,11 @@ func (b *Builder) track(in isa.Instr) {
 	b.pending = append(b.pending, in)
 }
 
-// Emit appends an arbitrary instruction.
-func (b *Builder) Emit(in isa.Instr) *Builder { b.track(in); return b }
-
 // FMA appends d = a*b+c.
 func (b *Builder) FMA(d, a, c, e isa.Reg) *Builder { b.track(isa.MakeFMA(d, a, c, e)); return b }
 
 // FADD appends d = a+c.
 func (b *Builder) FADD(d, a, c isa.Reg) *Builder { b.track(isa.Make2(isa.OpFADD, d, a, c)); return b }
-
-// FMUL appends d = a*c.
-func (b *Builder) FMUL(d, a, c isa.Reg) *Builder { b.track(isa.Make2(isa.OpFMUL, d, a, c)); return b }
 
 // IADD appends d = a+c on the INT pipe.
 func (b *Builder) IADD(d, a, c isa.Reg) *Builder { b.track(isa.Make2(isa.OpIADD, d, a, c)); return b }
@@ -41,12 +35,6 @@ func (b *Builder) IADD(d, a, c isa.Reg) *Builder { b.track(isa.Make2(isa.OpIADD,
 // IMAD appends d = a*c+e on the INT pipe.
 func (b *Builder) IMAD(d, a, c, e isa.Reg) *Builder {
 	b.track(isa.Instr{Op: isa.OpIMAD, Dst: d, Srcs: [3]isa.Reg{a, c, e}})
-	return b
-}
-
-// ISETP appends a compare writing predicate-as-register d.
-func (b *Builder) ISETP(d, a, c isa.Reg) *Builder {
-	b.track(isa.Make2(isa.OpISETP, d, a, c))
 	return b
 }
 

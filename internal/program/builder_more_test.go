@@ -21,13 +21,10 @@ func opsOf(p *Program) []isa.Op {
 func TestBuilderEveryEmitter(t *testing.T) {
 	trait := isa.MemTrait{Pattern: isa.PatCoalesced, Footprint: 4096}
 	p := NewBuilder().
-		Emit(isa.Make1(isa.OpMOV, 9, 1)).
 		FMA(4, 1, 2, 3).
 		FADD(5, 1, 2).
-		FMUL(6, 1, 2).
 		IADD(7, 1, 2).
 		IMAD(8, 1, 2, 3).
-		ISETP(10, 1, 2).
 		MOV(11, 1).
 		SFU(12, 1).
 		Tensor(13, 1, 2, 3).
@@ -39,8 +36,8 @@ func TestBuilderEveryEmitter(t *testing.T) {
 		Bar().
 		MustBuild()
 	want := []isa.Op{
-		isa.OpMOV, isa.OpFMA, isa.OpFADD, isa.OpFMUL, isa.OpIADD, isa.OpIMAD,
-		isa.OpISETP, isa.OpMOV, isa.OpSFU, isa.OpTensor, isa.OpLDG, isa.OpSTG,
+		isa.OpFMA, isa.OpFADD, isa.OpIADD, isa.OpIMAD,
+		isa.OpMOV, isa.OpSFU, isa.OpTensor, isa.OpLDG, isa.OpSTG,
 		isa.OpLDS, isa.OpSTS, isa.OpLDC, isa.OpBAR, isa.OpEXIT,
 	}
 	got := opsOf(p)

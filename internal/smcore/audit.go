@@ -227,7 +227,7 @@ func (sm *SM) Audit() []audit.Violation {
 			}
 			w := &sm.warps[wi]
 			if int(w.BlockSlot) >= 0 && int(w.BlockSlot) < len(sm.blocks) && sm.blocks[w.BlockSlot].active {
-				regUsed += sc.regBytesPerWarp(sm.blocks[w.BlockSlot].regsPerThread)
+				regUsed += isa.WarpRegBytes(sm.blocks[w.BlockSlot].regsPerThread)
 			}
 		}
 		if used != sc.used {

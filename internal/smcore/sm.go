@@ -214,7 +214,7 @@ func (sm *SM) CanAccept(b *BlockSpec) bool {
 		return false
 	}
 	// First-fit feasibility over per-sub-core slots and register space.
-	perWarp := b.RegsPerThread * sm.cfg.WarpSize * 4
+	perWarp := isa.WarpRegBytes(b.RegsPerThread)
 	rooms := sm.rooms
 	for i, sc := range sm.subcores {
 		rooms[i] = subRoom{slots: len(sc.slots) - sc.used, regs: sc.freeRegBytes}

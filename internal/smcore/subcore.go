@@ -26,19 +26,10 @@ type euState struct {
 	ports []int64 `snap:"fixed"`
 }
 
+// newExecUnit builds a unit of lanes (>= 1, config.Validate) in pipes of
+// pipeWidth; fewer lanes than the pipe width make one narrower pipe.
 func newExecUnit(lanes, pipeWidth int) execUnit {
-	if pipeWidth < 1 {
-		pipeWidth = 1
-	}
-	n := lanes / pipeWidth
-	if n < 1 {
-		n = 1
-	}
-	w := pipeWidth
-	if lanes < pipeWidth {
-		w = lanes
-	}
-	return pipes(int64(isa.InitiationInterval(w)), n)
+	return pipes(int64(isa.InitiationInterval(min(lanes, pipeWidth))), max(lanes/pipeWidth, 1))
 }
 
 // pipes builds a unit of n idle pipes with initiation interval ii.
@@ -232,11 +223,7 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 	sc.eu[isa.ClassFP32] = newExecUnit(cfg.FP32LanesPerSubCore, 16)
 	sc.eu[isa.ClassINT] = newExecUnit(cfg.IntLanesPerSubCore, 16)
 	sc.eu[isa.ClassSFU] = newExecUnit(cfg.SFULanesPerSubCore, 4)
-	tensors := cfg.TensorPerSubCore
-	if tensors < 1 {
-		tensors = 1
-	}
-	sc.eu[isa.ClassTensor] = pipes(4, tensors)
+	sc.eu[isa.ClassTensor] = pipes(4, cfg.TensorPerSubCore)
 	// The MEM "unit" is an issue port into the SM-shared LSU; its real
 	// acceptance check is the LSU queue's, applied at dispatch.
 	sc.eu[isa.ClassMEM] = pipes(1, 1)
@@ -256,16 +243,10 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 	return sc
 }
 
-// regBytesPerWarp returns the register-file bytes a warp of the given
-// per-thread register count occupies.
-func (sc *SubCore) regBytesPerWarp(regsPerThread int) int {
-	return regsPerThread * sc.cfg.WarpSize * 4
-}
-
 // canHost reports whether the sub-core has a free slot and register space
 // for one more warp.
 func (sc *SubCore) canHost(regsPerThread int) bool {
-	return sc.used < len(sc.slots) && sc.freeRegBytes >= sc.regBytesPerWarp(regsPerThread)
+	return sc.used < len(sc.slots) && sc.freeRegBytes >= isa.WarpRegBytes(regsPerThread)
 }
 
 // host places warp index w into a free slot and reserves registers,
@@ -275,7 +256,7 @@ func (sc *SubCore) host(w int32, regsPerThread int) int16 {
 		if sc.slots[i] == -1 {
 			sc.slots[i] = w
 			sc.used++
-			sc.freeRegBytes -= sc.regBytesPerWarp(regsPerThread)
+			sc.freeRegBytes -= isa.WarpRegBytes(regsPerThread)
 			return int16(i)
 		}
 	}
@@ -289,7 +270,7 @@ func (sc *SubCore) release(slot int16, regsPerThread int) {
 	}
 	sc.slots[slot] = -1
 	sc.used--
-	sc.freeRegBytes += sc.regBytesPerWarp(regsPerThread)
+	sc.freeRegBytes += isa.WarpRegBytes(regsPerThread)
 	sc.reclass(int(slot))
 }
 

@@ -22,9 +22,10 @@ import (
 )
 
 // Version is the snapshot format version. Bump it whenever the set, order
-// or type of the fields in any state struct changes; decoding rejects every
-// other version.
-const Version = 8
+// or type of the fields in any state struct changes, or what the machine
+// identity a frame opens with hashes (config.GPU.MachineID); decoding
+// rejects every other version.
+const Version = 9
 
 // magic identifies a snapshot stream; the trailing byte leaves room to
 // change the container (not the payload schema) without colliding.

@@ -171,9 +171,9 @@ func (r *Run) IssueCoV() float64 {
 		if len(subs) == 0 {
 			continue
 		}
-		// Streaming CoV (population stddev / mean), equivalent to CoV()
-		// over the per-sub-core counts but without building a slice —
-		// this accessor rides report loops over full sweep matrices.
+		// Population stddev / mean over the per-sub-core counts, streamed
+		// without building a slice — this accessor rides report loops over
+		// full sweep matrices.
 		var total int64
 		for j := range subs {
 			total += subs[j].Issued
@@ -216,36 +216,6 @@ func (r *Run) TotalRegReads() int64 {
 		}
 	}
 	return t
-}
-
-// CoV returns the coefficient of variation (population stddev / mean)
-// of vals; 0 when the mean is 0, on empty input, and on an all-zero
-// vector. Non-finite values (NaN, ±Inf) are skipped — one poisoned
-// sample must not turn a whole report column into NaN.
-func CoV(vals []float64) float64 {
-	var mean float64
-	var n int
-	for _, v := range vals {
-		if isFinite(v) {
-			mean += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	mean /= float64(n)
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, v := range vals {
-		if isFinite(v) {
-			d := v - mean
-			ss += d * d
-		}
-	}
-	return math.Sqrt(ss/float64(n)) / mean
 }
 
 // GeoMean returns the geometric mean of positive finite values; values

@@ -9,22 +9,6 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestCoV(t *testing.T) {
-	if got := CoV([]float64{5, 5, 5, 5}); !almost(got, 0) {
-		t.Errorf("CoV uniform = %v, want 0", got)
-	}
-	// mean 2, deviations {-2,2,... } => stddev 2 => cov 1
-	if got := CoV([]float64{0, 4, 0, 4}); !almost(got, 1) {
-		t.Errorf("CoV = %v, want 1", got)
-	}
-	if got := CoV(nil); got != 0 {
-		t.Errorf("CoV(nil) = %v", got)
-	}
-	if got := CoV([]float64{0, 0}); got != 0 {
-		t.Errorf("CoV zero-mean = %v", got)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 4}); !almost(got, 2) {
 		t.Errorf("GeoMean = %v, want 2", got)
@@ -177,30 +161,6 @@ func TestPercentileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCoVNonFinite pins that NaN/±Inf samples are excluded from both
-// passes instead of poisoning the mean, and all-zero input yields 0.
-func TestCoVNonFinite(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	cases := []struct {
-		name string
-		vals []float64
-		want float64
-	}{
-		{"all-zero", []float64{0, 0, 0}, 0},
-		{"nan-skipped", []float64{5, nan, 5}, 0},
-		{"inf-skipped", []float64{0, 4, inf, 0, 4, math.Inf(-1)}, 1},
-		{"all-non-finite", []float64{nan, inf}, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := CoV(tc.vals)
-			if math.IsNaN(got) || !almost(got, tc.want) {
-				t.Errorf("CoV(%v) = %v, want %v", tc.vals, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestGeoMeanNonFinite pins that NaN/±Inf are skipped like nonpositive
 // values.
 func TestGeoMeanNonFinite(t *testing.T) {
@@ -213,13 +173,17 @@ func TestGeoMeanNonFinite(t *testing.T) {
 	}
 }
 
-// Property: CoV is scale-invariant (CoV(k*x) == CoV(x) for k > 0).
-func TestCoVScaleInvariantProperty(t *testing.T) {
+// Property: IssueCoV is scale-invariant (k times every sub-core's issue
+// count leaves it unchanged for k > 0).
+func TestIssueCoVScaleInvariantProperty(t *testing.T) {
 	f := func(a, b, c uint8, k uint8) bool {
-		vals := []float64{float64(a) + 1, float64(b) + 1, float64(c) + 1}
-		scale := float64(k%9) + 1
-		scaled := []float64{vals[0] * scale, vals[1] * scale, vals[2] * scale}
-		return math.Abs(CoV(vals)-CoV(scaled)) < 1e-9
+		scale := int64(k%9) + 1
+		r, scaled := NewRun(1, 3), NewRun(1, 3)
+		for j, v := range []uint8{a, b, c} {
+			r.SMs[0].SubCores[j].Issued = int64(v) + 1
+			scaled.SMs[0].SubCores[j].Issued = (int64(v) + 1) * scale
+		}
+		return math.Abs(r.IssueCoV()-scaled.IssueCoV()) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -61,9 +61,8 @@ type Profile struct {
 	OperandMode OperandMode
 
 	// BarrierEvery inserts a block-wide barrier every n iterations
-	// (0 = none); EndBarrier adds one before exit.
+	// (0 = none).
 	BarrierEvery int
-	EndBarrier   bool
 
 	// WarpWork scales a warp's Iters by position in its block (the
 	// inter-warp-divergence knob). nil means uniform 1.0.
@@ -247,9 +246,6 @@ func (p *Profile) build(iters int64, flip bool) *program.Program {
 			b.Loop(groups, body)
 		}
 		tail(iters - groups*unroll)
-	}
-	if p.EndBarrier {
-		b.Bar()
 	}
 	return b.MustBuild()
 }

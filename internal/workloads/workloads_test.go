@@ -264,7 +264,7 @@ func TestProfileValidate(t *testing.T) {
 
 func TestProfileBarrierExpansion(t *testing.T) {
 	p := Profile{Name: "b", Blocks: 1, WarpsPerBlock: 2, RegsPerThread: 8,
-		Iters: 10, FMAs: 1, BarrierEvery: 3, EndBarrier: true}
+		Iters: 10, FMAs: 1, BarrierEvery: 3}
 	k := p.Kernel()
 	prog := k.WarpProgram(0, 0)
 	bars := 0
@@ -279,9 +279,9 @@ func TestProfileBarrierExpansion(t *testing.T) {
 		}
 	}
 	// 10 iters, barrier cadence 3 rounds up to one unrolled group (4
-	// iters): 2 in-loop barriers + 1 end barrier.
-	if bars != 3 {
-		t.Errorf("barriers = %d, want 3", bars)
+	// iters): 2 in-loop barriers.
+	if bars != 2 {
+		t.Errorf("barriers = %d, want 2", bars)
 	}
 }
 
