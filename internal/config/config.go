@@ -386,7 +386,7 @@ func (g GPU) Validate() error {
 		msg string
 	}{
 		{g.NumSMs >= 1, "NumSMs must be >= 1"},
-		{g.SubCoresPerSM >= 1, "SubCoresPerSM must be >= 1"},
+		{g.SubCoresPerSM >= 1 && g.SubCoresPerSM <= 64, "SubCoresPerSM must be in [1, 64] (the SM's awake set is one 64-bit mask)"},
 		{g.SchedulersPerSubCore >= 1, "SchedulersPerSubCore must be >= 1"},
 		{g.MaxWarpsPerSM >= g.SubCoresPerSM, "MaxWarpsPerSM must cover every sub-core"},
 		{g.SubCoresPerSM < 1 || g.MaxWarpsPerSM%g.SubCoresPerSM == 0, "MaxWarpsPerSM must divide evenly among sub-cores"},

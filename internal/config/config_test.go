@@ -96,6 +96,7 @@ func TestValidateCatchesViolations(t *testing.T) {
 	mut := []func(*GPU){
 		func(g *GPU) { g.NumSMs = 0 },
 		func(g *GPU) { g.SubCoresPerSM = 0 },
+		func(g *GPU) { g.SubCoresPerSM, g.MaxWarpsPerSM = 65, 65 }, // sub-cores past the SM's awake mask
 		func(g *GPU) { g.SchedulersPerSubCore = 0 },
 		func(g *GPU) { g.MaxWarpsPerSM = 3 },
 		func(g *GPU) { g.MaxWarpsPerSM = 65 },

@@ -238,16 +238,17 @@ func (sm *SM) Audit() []audit.Violation {
 			vs = append(vs, audit.Violationf("regbudget", sub,
 				"freeRegBytes=%d, hosted warps imply %d", sc.freeRegBytes, want))
 		}
-		// Sleep is derived from the ready set: only a quiescent sub-core may
-		// be skipped, its clock behind the SM's; an awake one keeps step.
-		if sc.asleep && !sc.quiescent(sm.synced) {
+		// Sleep is derived from the ready set: a clear awake bit is a
+		// quiescent sub-core, its clock behind the SM's; a set one keeps step.
+		asleep := sm.sleeps(sc.id)
+		if asleep && !sc.quiescent(sm.synced) {
 			vs = append(vs, audit.Violationf("readyset", sub,
 				"asleep with work to do (ready %#x, decode %#x, collector drained: %t) — Tick would skip it",
 				sc.rs.ready, sc.rs.decode, sc.coll.Drained()))
 		}
-		if c := sc.coll.Cycle(); c > sm.synced || c < sm.synced && !sc.asleep {
+		if c := sc.coll.Cycle(); c > sm.synced || c < sm.synced && !asleep {
 			vs = append(vs, audit.Violationf("readyset", sub,
-				"clock reads cycle %d (asleep: %t), the SM's %d — cycles would be charged twice or never", c, sc.asleep, sm.synced))
+				"clock reads cycle %d (asleep: %t), the SM's %d — cycles would be charged twice or never", c, asleep, sm.synced))
 		}
 		if want := sc.scanReadySet(); want != sc.rs {
 			for _, m := range [...]struct {

@@ -63,21 +63,14 @@ func (l *LSU) enqueue(warpIdx int32, subCore int, in isa.Instr) bool {
 	return true
 }
 
-// tick admits the oldest instruction when the coalescer port is free. One
-// per cycle is all it can be: serve holds the port past now.
-func (l *LSU) tick(now int64) {
-	if len(l.queue) == 0 || l.portFree > now {
-		return
-	}
+// serve admits and executes the oldest instruction: synthesizes its line
+// addresses, charges coalescer occupancy, walks the hierarchy, and
+// schedules the load writeback. SM.Tick calls it only with an instruction
+// queued and the coalescer port free, so one per cycle at most: serve holds
+// the port past now.
+func (l *LSU) serve(now int64) {
 	e := &l.queue[0] // stays put until an enqueue, and serve enqueues nothing
 	l.queue = l.queue[1:]
-	l.serve(e, now)
-}
-
-// serve executes one memory instruction: synthesizes its line addresses,
-// charges coalescer occupancy, walks the hierarchy, and schedules the
-// load writeback.
-func (l *LSU) serve(e *lsuEntry, now int64) {
 	w := &l.sm.warps[e.warpIdx]
 	in := &e.in
 	w.MemCounter++

@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -106,6 +107,11 @@ type SM struct {
 	// a caller may leave the SM unticked until then. Both are derived (the
 	// collectors carry the clock) and rebuilt by RestoreState.
 	synced, wake int64
+	// awake has bit i set while sub-core i takes part in Tick's stages. A
+	// clear bit is a sleeper: quiescent since the tick it rested (SubCore.rest)
+	// until a writeback, Allocate or wakeSleepers sets the bit again, its
+	// collector's clock showing how long. Derived: RestoreState rebuilds it.
+	awake uint64
 	// work counts the sub-cores Tick found awake: what the SM has cost the
 	// host, in sub-core cycles. Derived; a restored SM starts from zero.
 	work int64
@@ -158,6 +164,7 @@ func NewSM(id int, cfg *config.GPU, hier *mem.Hierarchy, run *stats.Run) *SM {
 		sm.subcores = append(sm.subcores, newSubCore(i, cfg, sm, &run.SMs[id].SubCores[i]))
 	}
 	sm.rooms = make([]subRoom, len(sm.subcores))
+	sm.awake = sm.everySubCore()
 	sm.wake = mem.NeverCycle // empty: nothing to do until a block arrives
 	return sm
 }
@@ -368,10 +375,8 @@ func (sm *SM) checkBarrierRelease(blk *block, w *Warp, now int64) {
 // charged, under the state it slept in, its span, this cycle's collector
 // stage and — if its turn to issue is already past — this cycle's stall.
 func (sm *SM) wakeSleepers(w *Warp, now int64) {
-	for _, sc := range sm.subcores {
-		if !sc.asleep {
-			continue
-		}
+	for m := sm.everySubCore() &^ sm.awake; m != 0; m &= m - 1 {
+		sc := sm.subcores[bits.TrailingZeros64(m)]
 		sc.wake(now)
 		sc.coll.FastForward(1)
 		if sc.id < int(w.SubCore) {
@@ -412,37 +417,41 @@ func (sm *SM) retireBlock(blk *block) {
 // Tick runs cycle now, first charging any cycles [synced, now) the caller
 // left unticked. A caller that ticks every cycle and one that ticks only at
 // Wake leave identical state. Stages run back-to-front so results produced
-// this cycle are visible no earlier than the next, and skip a sleeping
-// sub-core until a writeback, Allocate or wakeSleepers wakes it.
+// this cycle are visible no earlier than the next. Stages 3-5 walk the awake
+// mask, so a sleeping sub-core is not visited at all until a writeback,
+// Allocate or wakeSleepers sets its bit; stages 1 and 2 are called only when
+// they have something due.
 func (sm *SM) Tick(now int64) {
 	if now > sm.synced {
 		sm.sync(now, false)
 	}
 	// 1. Writeback events whose time has come enter the bank write ports.
-	sm.drain(now)
-	// 2. The shared LSU admits memory instructions.
-	sm.lsu.tick(now)
-	// 3. Operand collection, dispatch, and write-port grants.
-	for _, sc := range sm.subcores {
-		if !sc.asleep {
-			sc.collectorTick(now)
-		}
+	if len(sm.wb) > 0 && sm.wb[0].cycle <= now {
+		sm.drain(now)
 	}
-	// 4. Issue.
-	for _, sc := range sm.subcores {
-		if sc.asleep {
-			continue
-		}
+	// 2. The shared LSU admits its oldest instruction onto a free port.
+	if l := sm.lsu; len(l.queue) > 0 && l.portFree <= now {
+		l.serve(now)
+	}
+	// 3. Operand collection, dispatch, and write-port grants.
+	for m := sm.awake; m != 0; m &= m - 1 {
+		sm.subcores[bits.TrailingZeros64(m)].collectorTick(now)
+	}
+	// 4. Issue. An issue can wake sleepers mid-cycle (wakeSleepers), so the
+	// mask is re-read past each sub-core: one woken later in the order
+	// issues this cycle.
+	for m := sm.awake; m != 0; {
+		i := bits.TrailingZeros64(m)
+		sc := sm.subcores[i]
 		sc.issueTick(now)
 		if sm.cfg.BankStealing {
 			sc.stealTick()
 		}
+		m = sm.awake &^ (2<<uint(i) - 1)
 	}
 	// 5. Decode/fetch, the active-cycle count, and sleep for the quiescent.
-	for _, sc := range sm.subcores {
-		if sc.asleep {
-			continue
-		}
+	for m := sm.awake; m != 0; m &= m - 1 {
+		sc := sm.subcores[bits.TrailingZeros64(m)]
 		sm.work++
 		sc.decodeTick()
 		if sm.residentWarps > 0 {
@@ -455,13 +464,14 @@ func (sm *SM) Tick(now int64) {
 }
 
 // drain pops every writeback due by now off the heap, in heap order, into
-// its bank's write port, waking a sleeping sub-core first. The pop's hole
-// sift is written out in the routing loop and the heap header stored once:
-// a pop call per event, whose result and header round-trip through memory,
-// cost about 9 % of issue_dense's host time.
+// its bank's write port, waking a sleeping sub-core first. Tick calls it
+// only when the root is due. The pop's hole sift is written out in the
+// routing loop and the heap header stored once: a pop call per event, whose
+// result and header round-trip through memory, cost about 9 % of
+// issue_dense's host time.
 func (sm *SM) drain(now int64) {
 	q := sm.wb
-	for len(q) > 0 && q[0].cycle <= now {
+	for {
 		e := q[0]
 		n := len(q) - 1
 		last := q[n]
@@ -479,12 +489,15 @@ func (sm *SM) drain(now int64) {
 			i = c
 		}
 		sc := sm.subcores[e.subCore]
-		if sc.asleep {
+		if sm.sleeps(int(e.subCore)) {
 			sc.wake(now)
 		}
 		sc.coll.EnqueueWrite(regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: e.bank})
 		if sm.tr != nil {
 			sm.tr.Emit(trace.KWriteback, e.subCore, e.warpIdx, int32(e.reg), int32(e.bank))
+		}
+		if len(q) == 0 || q[0].cycle > now {
+			break
 		}
 	}
 	sm.wb = q
@@ -502,10 +515,12 @@ func (sm *SM) Sync(now int64) { sm.sync(now, true) }
 
 // sync is Sync; Tick's (sleepers false) leaves sleeping sub-cores behind.
 func (sm *SM) sync(now int64, sleepers bool) {
-	for _, sc := range sm.subcores {
-		if sleepers || !sc.asleep {
-			sc.fastForward(now)
-		}
+	m := sm.awake
+	if sleepers {
+		m = sm.everySubCore()
+	}
+	for ; m != 0; m &= m - 1 {
+		sm.subcores[bits.TrailingZeros64(m)].fastForward(now)
 	}
 	if n := now - sm.synced; n > 0 {
 		sm.synced = now
@@ -558,13 +573,19 @@ func (sm *SM) NextEvent(now int64) int64 {
 			next = sm.lsu.portFree
 		}
 	}
-	for _, sc := range sm.subcores {
-		if !sc.asleep && !sc.quiescent(now) {
+	for m := sm.awake; m != 0; m &= m - 1 {
+		if !sm.subcores[bits.TrailingZeros64(m)].quiescent(now) {
 			return now
 		}
 	}
 	return next
 }
+
+// everySubCore is the awake mask with no sub-core asleep.
+func (sm *SM) everySubCore() uint64 { return ^uint64(0) >> (64 - len(sm.subcores)) }
+
+// sleeps reports whether sub-core i is asleep: its awake bit clear.
+func (sm *SM) sleeps(i int) bool { return sm.awake>>uint(i)&1 == 0 }
 
 // Drained reports whether the SM holds no work: no resident warps, no
 // pending writebacks, no queued memory instructions, and empty collectors.

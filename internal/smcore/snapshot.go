@@ -101,6 +101,7 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 		return fmt.Errorf("smcore: snapshot LSU queue holds %d entries, capacity is %d", n, sm.lsu.capacity)
 	}
 	sm.lsu.queue = sm.lsu.backing[:copy(sm.lsu.backing, sm.lsu.queue)]
+	sm.awake = 0 // derived: each sub-core's rest below writes its bit
 	for _, sc := range sm.subcores {
 		var sched uint64
 		d.State(&sched, &sc.subCoreState)

@@ -146,7 +146,8 @@ func (rs *readySet) set(slot int, w *Warp, banks int) {
 
 // SubCore is one partition of an SM: a warp scheduler (or several, for the
 // fully-connected model), a slice of the register file with its operand
-// collector, and private execution units.
+// collector, and private execution units. Whether it sleeps is one bit of
+// its SM's awake mask.
 type SubCore struct {
 	id  int
 	cfg *config.GPU
@@ -156,11 +157,6 @@ type SubCore struct {
 
 	// rs is the event-maintained ready set over slots.
 	rs readySet
-
-	// asleep takes the sub-core out of SM.Tick's loops from a tick it ends
-	// quiescent (rest) until a wake; its collector's clock shows how long.
-	// Derived: asleep implies quiescent.
-	asleep bool
 
 	sched core.WarpScheduler
 	coll  *regfile.Collector
@@ -496,20 +492,25 @@ func (sc *SubCore) fastForward(now int64) {
 		sc.st.Cycles += n
 	}
 	sc.coll.FastForward(n)
-	if sc.tr != nil && sc.asleep {
+	if sc.tr != nil && sc.sm.sleeps(sc.id) {
 		sc.tr.Emit(trace.KFastForward, int8(sc.id), -1, int32(n), int32(reason))
 	}
 }
 
-// wake brings the sub-core's clock to now and puts it back in Tick's loops.
+// wake brings the sub-core's clock to now and sets its awake bit.
 func (sc *SubCore) wake(now int64) {
 	sc.fastForward(now)
-	sc.asleep = false
+	sc.sm.awake |= 1 << uint(sc.id)
 }
 
-// rest lets a quiescent sub-core sleep — never under NoFastForward.
+// rest writes the sub-core's awake bit: clear, asleep, when it is quiescent
+// — never under NoFastForward — and set otherwise.
 func (sc *SubCore) rest(now int64) {
-	sc.asleep = !sc.cfg.NoFastForward && sc.quiescent(now)
+	if bit := uint64(1) << uint(sc.id); sc.cfg.NoFastForward || !sc.quiescent(now) {
+		sc.sm.awake |= bit
+	} else {
+		sc.sm.awake &^= bit
+	}
 }
 
 // tryIssue attempts to issue warp w's IBuf[0]. Returns ok, plus which

@@ -63,8 +63,10 @@ func (h *swapHeap) pop() wbEvent {
 // spread over four sub-cores and two banks, and their cycles come from a
 // window a few cycles wide, so most comparisons tie — the only place a hole
 // sift can differ from a swap sift. The heap grows to 512 entries and drains
-// to none, one cycle at a time. Every sub-core sleeps before a drain; one
-// that receives a write must wake, and one that receives none must not.
+// to none, one cycle at a time. Every sub-core sleeps before a drain, its
+// awake bit cleared; one that receives a write must set its bit, and one
+// that receives none must not. Tick drains only when the heap's root is due,
+// and so does the test.
 func TestWBHeapMatchesSwapHeap(t *testing.T) {
 	sm, _ := testSM(t, nil)
 	subs, banks := len(sm.subcores), sm.cfg.BanksPerSubCore
@@ -102,9 +104,11 @@ func TestWBHeapMatchesSwapHeap(t *testing.T) {
 				}
 				for _, sc := range sm.subcores {
 					sc.coll = regfile.NewCollector(sm.cfg.CollectorUnitsPerSubCore, banks, 0, sc.st)
-					sc.asleep = true
 				}
-				sm.drain(now)
+				sm.awake = 0
+				if len(sm.wb) > 0 && sm.wb[0].cycle <= now {
+					sm.drain(now)
+				}
 				same("drain")
 				for s, sc := range sm.subcores {
 					var got []regfile.WriteReq
@@ -113,8 +117,8 @@ func TestWBHeapMatchesSwapHeap(t *testing.T) {
 					if !slices.Equal(got, exp) {
 						t.Fatalf("seed %d, cycle %d: sub-core %d's write queues %v, the swap heap's order %v", seed, now, s, got, exp)
 					}
-					if sc.asleep != (len(exp) == 0) {
-						t.Fatalf("seed %d, cycle %d: sub-core %d got %d writes and asleep = %v", seed, now, s, len(exp), sc.asleep)
+					if sm.sleeps(s) != (len(exp) == 0) {
+						t.Fatalf("seed %d, cycle %d: sub-core %d got %d writes and asleep = %v (awake mask %#b)", seed, now, s, len(exp), sm.sleeps(s), sm.awake)
 					}
 				}
 			}
