@@ -197,10 +197,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		hopt.Metrics = reg
 		fmt.Fprintf(stderr, "subcoresim: telemetry at http://%s/metrics\n", srv.Addr())
 	}
-	r, fault := harness.RunOne(ctx, cfg, app, hopt)
-	if fault != nil {
-		return fault
+	// One cell is a 1×1 sweep; its fault, when it has one, is the error
+	// (the *SimFault itself), ahead of the sweep's own.
+	res, err := harness.Run(ctx, []config.GPU{cfg}, nil, []repro.App{app}, hopt)
+	if res != nil && res.Errs[harness.Cell{}] != nil {
+		return res.Errs[harness.Cell{}]
 	}
+	if err != nil {
+		return err
+	}
+	r := res.Runs[0][0]
 
 	// Under -json stdout is the record and nothing else: the notices and
 	// sparklines the other flags print move to stderr.

@@ -153,8 +153,8 @@ func main() {
 		}
 	}
 	if !res.Complete() {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells faulted (%d completed", len(res.Faults),
-			len(apps)*len(cfgs), len(apps)*len(cfgs)-len(res.Faults))
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells faulted (%d completed", len(res.Errs),
+			len(apps)*len(cfgs), len(apps)*len(cfgs)-len(res.Errs))
 		if *ckpt != "" {
 			fmt.Fprintf(os.Stderr, "; rerun with -checkpoint %s to retry only the faulted cells", *ckpt)
 		}

@@ -123,7 +123,7 @@ func TestDeterministicCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Complete() || res.Executed != 1 {
-			t.Fatalf("sweep incomplete: executed %d, faults %v", res.Executed, res.Faults)
+			t.Fatalf("sweep incomplete: executed %d, faults %v", res.Executed, res.Errs.Err())
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {

@@ -172,7 +172,8 @@ type GPU struct {
 	// otherwise-idle bank cycles.
 	BankStealing bool
 	// BankSwizzle selects a per-warp-slot scrambled register-to-bank
-	// mapping instead of Volta's plain reg-mod-banks mapping.
+	// mapping instead of Volta's plain reg-mod-banks mapping; both presets
+	// set it (regfile.SlotOffset).
 	BankSwizzle bool
 	// HashTableEntries sizes the hash-function table for Shuffle (each
 	// entry encodes 4 warp assignments; 4 entries ⇒ the pattern repeats

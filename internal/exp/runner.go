@@ -71,11 +71,14 @@ func DeviceFor(cfg config.GPU, app workloads.App) config.GPU {
 func runKernels(cfg config.GPU, tr *trace.Tracer, ks ...*gpu.Kernel) (*stats.Run, error) {
 	opt := SweepOpts
 	opt.Tracer = tr
-	run, fault := harness.RunOne(context.Background(), cfg, workloads.App{Name: ks[0].Name, Kernels: ks}, opt)
-	if fault != nil { // not a typed nil *SimFault in a non-nil error
+	res, err := harness.Run(context.Background(), []config.GPU{cfg}, nil, []workloads.App{{Name: ks[0].Name, Kernels: ks}}, opt)
+	if err != nil {
+		return nil, err
+	}
+	if fault := res.Errs[harness.Cell{}]; fault != nil { // the *SimFault itself, for errors.As
 		return nil, fault
 	}
-	return run, nil
+	return res.Runs[0][0], nil
 }
 
 // runTogether simulates a concurrent kernel set (separate streams,

@@ -13,8 +13,8 @@ const (
 	// FaultPanic: the simulator panicked (an invariant violation in the
 	// model, e.g. regfile/subcore/sm consistency checks).
 	FaultPanic FaultKind = iota
-	// FaultError: the cell returned an ordinary error (bad kernel,
-	// invalid configuration, injected error).
+	// FaultError: the cell returned an ordinary error (a kernel the
+	// configuration cannot hold, an invalid configuration).
 	FaultError
 	// FaultDeadline: the cell hit its simulated-cycle cap.
 	FaultDeadline

@@ -3,7 +3,7 @@
 // matrix, and at that scale one simulator invariant panic, livelocked
 // cell, or runaway kernel must not cost the whole campaign.
 //
-// Five pillars:
+// Four pillars:
 //
 //  1. Panic isolation — every (application, configuration) cell runs
 //     under recover(); a simulator panic becomes a structured *SimFault
@@ -24,9 +24,9 @@
 //     continue a half-finished cell with byte-identical final results.
 //     The runtime invariant auditor (config.AuditEvery) surfaces state
 //     corruption as a structured FaultAudit instead of silent bad data.
-//  5. Fault injection — a test-only Injector hook (inject.go) makes
-//     chosen cells panic, hang, error, or corrupt their own state, so
-//     chaos tests can prove all of the above end to end.
+//
+// Run is the only way in: a single cell is a 1×1 sweep, so every Options
+// field means the same for one cell as for many.
 package harness
 
 import (
@@ -38,7 +38,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -93,11 +92,10 @@ type Options struct {
 	// the sweep configuration and the application (exp.DeviceFor's
 	// per-suite memory scaling).
 	Adapt func(cfg config.GPU, app workloads.App) config.GPU
-	// Tracer attaches an externally owned tracer to single-cell runs
-	// (RunOne); sweeps ignore it.
+	// Tracer attaches an externally owned tracer to the cell's device (the
+	// caller owns Close and export). A tracer records one device, so Run
+	// refuses it for a sweep of more than one cell.
 	Tracer *trace.Tracer
-	// Injector is the test-only fault-injection hook.
-	Injector InjectorFunc
 	// Logf, when non-nil, receives one line per fault and per resume
 	// summary (a sweep is otherwise silent).
 	Logf func(format string, args ...any)
@@ -108,7 +106,7 @@ type Options struct {
 	// instruction totals (nil = no telemetry).
 	Metrics *metrics.Registry
 
-	// sm carries the registered handles; built once per Run/RunOne from
+	// sm carries the registered handles; built once per Run from
 	// Metrics, every handle nil when telemetry is off.
 	sm *sweepMetrics
 }
@@ -149,8 +147,6 @@ type Result struct {
 	Runs [][]*stats.Run
 	// Errs maps each faulted cell to its *SimFault.
 	Errs CellErrors
-	// Faults lists the faults in deterministic (app, config) order.
-	Faults []*SimFault
 	// Resumed counts cells restored from the checkpoint; Executed counts
 	// cells actually simulated this run.
 	Resumed, Executed int
@@ -195,6 +191,9 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 			}
 			labelled[l] = Cell{App: i, Cfg: j}
 		}
+	}
+	if opt.Tracer != nil && len(apps)*len(cfgs) > 1 {
+		return nil, fmt.Errorf("harness: a tracer records one device; a sweep of %d cells cannot share one", len(apps)*len(cfgs))
 	}
 	if err := opt.snapshotDir(); err != nil {
 		return nil, err
@@ -270,7 +269,7 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 	}
 
 	jobs := make(chan Cell)
-	var mu sync.Mutex // guards res.Errs/Faults/Executed and ckptErr
+	var mu sync.Mutex // guards res.Errs/Executed and ckptErr
 	var ckptErr error
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -285,7 +284,6 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 				if fault != nil {
 					fault.App, fault.Config = apps[c.App].Name, names[c.Cfg]
 					res.Errs[c] = fault
-					res.Faults = append(res.Faults, fault)
 					opt.logf("harness: FAULT %v", fault)
 					mu.Unlock()
 					continue
@@ -317,7 +315,6 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-	sortFaults(res.Faults)
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("harness: sweep interrupted: %w", err)
 	}
@@ -325,37 +322,6 @@ dispatch:
 		return res, fmt.Errorf("harness: checkpoint write: %w", ckptErr)
 	}
 	return res, nil
-}
-
-// sortFaults orders faults by (app, config) so reports are deterministic
-// regardless of worker scheduling.
-func sortFaults(fs []*SimFault) {
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].App != fs[j].App {
-			return fs[i].App < fs[j].App
-		}
-		return fs[i].Config < fs[j].Config
-	})
-}
-
-// RunOne executes a single (configuration, application) cell under the
-// harness protections — panic isolation, timeout, watchdog, cycle cap —
-// and returns either the run or its fault. Options.Tracer, when set, is
-// attached to the device (the caller owns Close/export).
-func RunOne(ctx context.Context, cfg config.GPU, app workloads.App, opt Options) (*stats.Run, *SimFault) {
-	if opt.Adapt != nil {
-		cfg = opt.Adapt(cfg, app)
-	}
-	if err := opt.snapshotDir(); err != nil {
-		return nil, &SimFault{App: app.Name, Config: cfg.Name, Kind: FaultError, Err: err}
-	}
-	opt.sm = newSweepMetrics(opt.Metrics)
-	opt.sm.cellsTotal.Set(1)
-	run, _, fault := runCell(ctx, cfg, app, cfg.Name, opt)
-	if fault != nil {
-		fault.App, fault.Config = app.Name, cfg.Name
-	}
-	return run, fault
 }
 
 // runCell runs one cell, accounts its outcome (completion or fault) to
@@ -408,42 +374,9 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 		}
 	}()
 
-	inj := InjectNone
-	if opt.Injector != nil {
-		inj = opt.Injector(app.Name, cfgName)
-		switch inj {
-		case InjectPanic:
-			panic("harness: injected panic")
-		case InjectError:
-			return nil, &SimFault{Kind: FaultError, Err: ErrInjected}
-		case InjectHang:
-			// Spin without publishing progress until a supervisor kills
-			// us — an injectable stand-in for a livelocked simulation.
-			for !mon.Canceled() {
-				select {
-				case <-ctx.Done():
-					mon.Cancel(reasonContext + ": " + ctx.Err().Error())
-				case <-time.After(time.Millisecond):
-				}
-			}
-			f := &SimFault{Kind: kindForReason(mon.Reason()), Err: errors.New(mon.Reason())}
-			f.DumpPath = writeDump(opt, app.Name, cfgName, f, tr)
-			return nil, f
-		case InjectCorrupt:
-			// The corruption is only observable through the auditor; arm it
-			// at heartbeat cadence if the configuration left it off.
-			if cfg.AuditEvery == 0 {
-				cfg.AuditEvery = 1
-			}
-		}
-	}
-
 	g, err := gpu.New(cfg)
 	if err != nil {
 		return nil, &SimFault{Kind: FaultError, Err: err}
-	}
-	if inj == InjectCorrupt {
-		g.ArmCorruptionForTest("scoreboard")
 	}
 
 	// Snapshot resume: a frame left by an interrupted earlier run (final
@@ -460,9 +393,6 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 			snap.discard()
 			if g, err = gpu.New(cfg); err != nil {
 				return nil, &SimFault{Kind: FaultError, Err: err}
-			}
-			if inj == InjectCorrupt {
-				g.ArmCorruptionForTest("scoreboard")
 			}
 		} else if ok {
 			resumed = true
@@ -500,6 +430,9 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 		case errors.As(runErr, &ae):
 			f.Kind = FaultAudit
 			f.Cycle = ae.Cycle
+			// The frame may hold the corruption: resumed, it re-faults under
+			// the auditor and checkpoints bad statistics without it.
+			snap.discard()
 		default:
 			f.Kind = FaultError
 		}

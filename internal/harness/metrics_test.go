@@ -19,37 +19,30 @@ import (
 // Registration is idempotent, so a second newSweepMetrics on the same
 // registry hands back the same series to read from.
 func TestChaosSweepMetrics(t *testing.T) {
-	cfgs := []config.GPU{testCfg("cfgA"), testCfg("cfgB")}
-	apps := []workloads.App{testApp("app0", 300), testApp("app1", 300), testApp("app2", 300)}
+	const wd = 50 * time.Millisecond
+	cfgs, apps, twins := chaosSweep(4 * wd)
 	reg := metrics.New()
 	opt := Options{
 		Workers:          4,
-		WatchdogInterval: 50 * time.Millisecond,
+		WatchdogInterval: wd,
 		CheckpointPath:   filepath.Join(t.TempDir(), "chaos.ckpt"),
 		Metrics:          reg,
-		Injector: InjectFault(map[string]Injection{
-			"app0/cfgA": InjectPanic,
-			"app1/cfgB": InjectHang,
-			"app2/cfgA": InjectError,
-		}),
-		Logf: t.Logf,
+		Logf:             t.Logf,
 	}
 
 	res, err := Run(context.Background(), cfgs, nil, apps, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Faults) != 3 {
-		t.Fatalf("got %d faults, want 3", len(res.Faults))
-	}
+	checkFaults(t, res, chaosFaults)
 	m := newSweepMetrics(reg)
-	if got := m.cellsTotal.Value(); got != 6 {
-		t.Errorf("sweep_cells_total = %v, want 6", got)
+	if got := m.cellsTotal.Value(); got != 8 {
+		t.Errorf("sweep_cells_total = %v, want 8", got)
 	}
 	if got := m.cellsDone.Value(); got != 3 {
 		t.Errorf("sweep_cells_completed_total = %d, want 3", got)
 	}
-	wantFaults := map[FaultKind]int64{FaultPanic: 1, FaultWatchdog: 1, FaultError: 1}
+	wantFaults := map[FaultKind]int64{FaultPanic: 2, FaultWatchdog: 2, FaultError: 1}
 	for k := FaultKind(0); k < numFaultKinds; k++ {
 		if got := m.faults[k].Value(); got != wantFaults[k] {
 			t.Errorf("sweep_faults_total{kind=%q} = %d, want %d", k, got, wantFaults[k])
@@ -71,17 +64,17 @@ func TestChaosSweepMetrics(t *testing.T) {
 		t.Errorf("sim_cpi_cycles_total empty after 3 completed cells (total %d)", cpiTotal)
 	}
 
-	// Resume: the injector already fired, so the 3 faulted cells run
-	// clean. Counters accumulate on the same registry.
-	res2, err := Run(context.Background(), cfgs, nil, apps, opt)
+	// Resume: the healthy twins run under the same names, and the 5 faulted
+	// cells complete. Counters accumulate on the same registry.
+	res2, err := Run(context.Background(), cfgs, nil, twins, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.Complete() || res2.Resumed != 3 {
 		t.Fatalf("resume: complete=%v resumed=%d", res2.Complete(), res2.Resumed)
 	}
-	if got := m.cellsDone.Value(); got != 6 {
-		t.Errorf("after resume: completed = %d, want 6", got)
+	if got := m.cellsDone.Value(); got != 8 {
+		t.Errorf("after resume: completed = %d, want 8", got)
 	}
 	if got := m.cellsResumed.Value(); got != 3 {
 		t.Errorf("after resume: resumed = %d, want 3", got)

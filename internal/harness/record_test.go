@@ -72,7 +72,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 	}
 	cfg := config.VoltaV100()
 	cfg.NumSMs, cfg.L1KBPerSM, cfg.L2KB = 1, 1, 4
-	golden, fault := RunOne(context.Background(), cfg, app, Options{})
+	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -86,7 +86,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 			t.Fatal(err)
 		}
 		var logs []string
-		run, fault := RunOne(context.Background(), cfg, app, Options{
+		run, fault := runOne(t, context.Background(), cfg, app, Options{
 			SnapshotDir: dir,
 			Logf:        func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
 		})
@@ -152,10 +152,6 @@ func TestSnapshotIntervalNeedsDir(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-snapshot-dir") || res != nil {
 		t.Errorf("Run: %v (result %v), want the refusal and no result", err, res)
 	}
-	run, fault := RunOne(context.Background(), cfg, app, opt)
-	if fault == nil || fault.Kind != FaultError || !strings.Contains(fault.Error(), "-snapshot-dir") || run != nil {
-		t.Errorf("RunOne: %v, want an error fault naming -snapshot-dir", fault)
-	}
 }
 
 // ROADMAP aim 3: a scenario Validate accepts never ends in a deadline fault.
@@ -168,7 +164,7 @@ func TestZeroLSUQueueFaultsAtCycleZero(t *testing.T) {
 	}
 	cfg := testCfg("no-lsu-queue")
 	cfg.LSUQueue = 0
-	_, fault := RunOne(context.Background(), cfg, app, Options{MaxCycles: 20_000})
+	_, fault := runOne(t, context.Background(), cfg, app, Options{MaxCycles: 20_000})
 	if fault == nil || fault.Kind != FaultError || fault.Cycle != 0 || !strings.Contains(fault.Error(), "LSUQueue") {
 		t.Fatalf("fault = %v, want an error fault at cycle 0 naming LSUQueue", fault)
 	}

@@ -24,10 +24,12 @@ import (
 // the middle of a snapshot write leaves the previous intact frame, never
 // a torn one. The simulation goroutine only encodes: the file steps run on a
 // writer goroutine, one frame in flight at a time, and every way out of the
-// cell waits for it (settle). A cell that completes deletes its frame; a frame
-// whose restore fails (version/config/workload drift, truncation) is deleted
-// and the cell restarts fresh — a stale snapshot can slow a resume down
-// but can never wedge or corrupt it.
+// cell waits for it (settle). A cell that completes deletes its frame, and so
+// does one that dies on a deadline (resumed, it re-faults at that cycle) or an
+// audit fault (the frame may hold the corruption); a frame whose restore fails
+// (version/config/workload drift, truncation) is deleted and the cell restarts
+// fresh — a stale snapshot can slow a resume down but can never wedge or
+// corrupt it.
 
 // snapPath names a cell's snapshot file.
 func snapPath(dir, app, cfgName string) string {
@@ -172,7 +174,7 @@ func (c *cellSnapshotter) tryResume(g *gpu.GPU, ks []*gpu.Kernel) (bool, error) 
 }
 
 // discard removes the cell's frame: after success, when it does not
-// restore, and after a deadline fault.
+// restore, and after a deadline or an audit fault.
 func (c *cellSnapshotter) discard() {
 	if c == nil {
 		return

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,23 +35,23 @@ func runStatsJSON(t *testing.T, r any) string {
 // and a restarted run on the same directory continues mid-kernel to the
 // exact statistics an uninterrupted run produces. This is the SIGTERM
 // drain path end to end: signal → context cancel → final frame →
-// restart → resume. The context is canceled before the cell starts, so
-// the frame lands on the first 1,024-cycle heartbeat; the app only has
-// to outlast that.
+// restart → resume. The context is canceled as the cell places its warps,
+// so the frame lands on one of the first heartbeats; the app only has to
+// outlast that.
 func TestCanceledCellResumesFromFinalSnapshot(t *testing.T) {
 	cfg, app := testCfg("base"), testApp("snap", 2_000)
 	dir := t.TempDir()
 
-	golden, fault := RunOne(context.Background(), cfg, app, Options{})
+	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
 	want := runStatsJSON(t, golden)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	defer cancel()
 	reg := metrics.New()
-	run, fault := RunOne(ctx, cfg, app, Options{
+	run, fault := runOne(t, ctx, cfg, atPlacement(app, func(int, int) { cancel() }), Options{
 		SnapshotDir: dir,
 		Metrics:     reg,
 		Logf:        t.Logf,
@@ -62,7 +64,7 @@ func TestCanceledCellResumesFromFinalSnapshot(t *testing.T) {
 		t.Fatalf("canceled cell left no final snapshot frame: %v", err)
 	}
 
-	run, fault = RunOne(context.Background(), cfg, app, Options{
+	run, fault = runOne(t, context.Background(), cfg, app, Options{
 		SnapshotDir: dir,
 		Metrics:     reg,
 		Logf:        t.Logf,
@@ -104,7 +106,7 @@ func TestResumeAcrossRunModes(t *testing.T) {
 		WarpProgram: func(b, w int) *program.Program { return chain }}}}
 	cfg := testCfg("base").WithScheduler(config.SchedRBA)
 
-	golden, fault := RunOne(context.Background(), cfg, app, Options{})
+	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -134,7 +136,7 @@ func TestResumeAcrossRunModes(t *testing.T) {
 			cancel()
 		}()
 		opt := Options{SnapshotDir: dir, SnapshotInterval: 1, Metrics: reg, Logf: t.Logf}
-		run, fault := RunOne(ctx, tc.write, app, opt)
+		run, fault := runOne(t, ctx, tc.write, app, opt)
 		cancel()
 		if run != nil || fault == nil || fault.Kind != FaultCanceled {
 			t.Fatalf("%s: run=%v fault=%v, want a canceled fault", tc.name, run, fault)
@@ -142,7 +144,7 @@ func TestResumeAcrossRunModes(t *testing.T) {
 		if fault.Cycle == 0 || fault.Cycle >= golden.Cycles {
 			t.Fatalf("%s: canceled at cycle %d of %d, not mid-run", tc.name, fault.Cycle, golden.Cycles)
 		}
-		run, fault = RunOne(context.Background(), tc.resume, app, opt)
+		run, fault = runOne(t, context.Background(), tc.resume, app, opt)
 		if fault != nil {
 			t.Fatalf("%s: resumed cell faulted: %v", tc.name, fault)
 		}
@@ -189,7 +191,7 @@ func TestPeriodicSnapshotsWrittenAndDiscarded(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		reg := metrics.New()
-		run, fault := RunOne(context.Background(), testCfg("base"), tc.app, Options{
+		run, fault := runOne(t, context.Background(), testCfg("base"), tc.app, Options{
 			SnapshotDir:      dir,
 			SnapshotInterval: interval,
 			Metrics:          reg,
@@ -214,7 +216,7 @@ func TestCorruptSnapshotFallsBackFresh(t *testing.T) {
 	cfg, app := testCfg("base"), testApp("fallback", 5_000)
 	dir := t.TempDir()
 
-	golden, fault := RunOne(context.Background(), cfg, app, Options{})
+	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -223,7 +225,7 @@ func TestCorruptSnapshotFallsBackFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logs []string
-	run, fault := RunOne(context.Background(), cfg, app, Options{
+	run, fault := runOne(t, context.Background(), cfg, app, Options{
 		SnapshotDir: dir,
 		Logf:        func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
 	})
@@ -238,15 +240,48 @@ func TestCorruptSnapshotFallsBackFresh(t *testing.T) {
 	}
 }
 
-// An injected mid-kernel corruption surfaces as a structured FaultAudit
-// carrying the *gpu.AuditError, not as silent bad statistics.
-func TestInjectCorruptBecomesAuditFault(t *testing.T) {
+// writeCorruptFrame leaves in dir the frame a cell of app labelled cfgName
+// resumes from: taken at the first heartbeat of a device whose scoreboard
+// was corrupted just before it, with the auditor off — the state is wrong
+// and nothing has noticed.
+func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App) {
+	t.Helper()
+	g, err := gpu.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ArmCorruptionForTest("scoreboard")
+	written := errors.New("frame written")
+	g.SetSnapshotHook(func(g *gpu.GPU) error {
+		var frame bytes.Buffer
+		if err := g.WriteSnapshot(&frame); err != nil {
+			return err
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(snapPath(dir, app.Name, cfgName), frame.Bytes(), 0o644); err != nil {
+			return err
+		}
+		return written
+	})
+	if err := g.RunKernels(app.Kernels, 0); !errors.Is(err, written) {
+		t.Fatalf("the corrupt device ran to %v, want it stopped after its first frame", err)
+	}
+}
+
+// A cell that resumes a corrupt frame with the auditor armed faults as a
+// structured FaultAudit carrying the *gpu.AuditError, not as silent bad
+// statistics.
+func TestCorruptFrameBecomesAuditFault(t *testing.T) {
 	cfg, app := testCfg("base"), testApp("corrupt", 20_000)
+	dir := t.TempDir()
+	writeCorruptFrame(t, dir, cfg, cfg.Name, app)
 	reg := metrics.New()
-	run, fault := RunOne(context.Background(), cfg, app, Options{
-		Metrics:  reg,
-		Injector: InjectFault(map[string]Injection{"corrupt/base": InjectCorrupt}),
-		Logf:     t.Logf,
+	run, fault := runOne(t, context.Background(), cfg.WithAudit(1), app, Options{
+		SnapshotDir: dir,
+		Metrics:     reg,
+		Logf:        t.Logf,
 	})
 	if run != nil || fault == nil {
 		t.Fatalf("run=%v fault=%v, want an audit fault", run, fault)
@@ -268,72 +303,103 @@ func TestInjectCorruptBecomesAuditFault(t *testing.T) {
 	if got := m.faults[FaultAudit].Value(); got != 1 {
 		t.Errorf("sweep_faults_total{kind=audit} = %d, want 1", got)
 	}
+	if got := m.snapResumes.Value(); got != 1 {
+		t.Errorf("sweep_snapshot_resumes_total = %d, want 1: the fault must come from the frame", got)
+	}
 }
 
-// A sweep with snapshots armed behaves identically to one without: the
-// chaos injections (including state corruption) classify correctly, the
-// healthy cells complete, and the injector's one-shot semantics mean a
-// re-run heals every fault — resuming the corrupt cell's clean frame
-// where one was left, or restarting fresh.
-func TestChaosSweepWithSnapshots(t *testing.T) {
-	cfgs := []config.GPU{testCfg("cfgA"), testCfg("cfgB")}
-	apps := []workloads.App{testApp("app0", 20_000), testApp("app1", 20_000)}
+// An audit fault discards the cell's frame, which may hold the corruption:
+// the re-run starts fresh and completes to an undisturbed run's statistics,
+// and no frame is left to resume the corruption into a checkpoint.
+func TestAuditFaultDiscardsFrame(t *testing.T) {
+	cfg, app := testCfg("base"), testApp("corrupt", 5_000)
+	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
+	if fault != nil {
+		t.Fatal(fault)
+	}
 	dir := t.TempDir()
+	writeCorruptFrame(t, dir, cfg, cfg.Name, app)
+	opt := Options{SnapshotDir: dir, Logf: t.Logf}
+	if _, fault := runOne(t, context.Background(), cfg.WithAudit(1), app, opt); fault == nil || fault.Kind != FaultAudit {
+		t.Fatalf("first pass: fault %v, want an audit fault", fault)
+	}
+	run, fault := runOne(t, context.Background(), cfg.WithAudit(1), app, opt)
+	if fault != nil {
+		t.Fatalf("second pass resumed the corruption: %v", fault)
+	}
+	if runStatsJSON(t, run) != runStatsJSON(t, golden) {
+		t.Error("second pass diverged from an undisturbed run")
+	}
+	if left := dirEntries(t, dir); len(left) != 0 {
+		t.Errorf("frames left after the second pass: %v", left)
+	}
+}
+
+// A sweep with snapshots armed behaves identically to one without: a cell
+// that resumes a corrupt frame classifies as audit and a hung one as
+// watchdog, the healthy cells complete, and a re-run of the healthy twins
+// heals every fault — restarting the audited cell fresh, and resuming each
+// hung cell's cancel frame.
+func TestChaosSweepWithSnapshots(t *testing.T) {
 	// The watchdog is a wall-clock deadline on forward progress, and these
 	// cells fsync a frame every 2048 cycles: 4 workers at 50 ms on a loaded
 	// 2-core box once starved a healthy cell past it. Two workers and 250 ms
 	// (a second under the race detector's slowdown) leave healthy cells
-	// room; the injected hang never beats, so it trips the watchdog at any
-	// interval.
+	// room; the hung cells' heartbeat stays at cycle 0 for four intervals,
+	// so they trip the watchdog at any interval.
 	wd := 250 * time.Millisecond
 	if raceEnabled {
 		wd = time.Second
 	}
+	cfgs := []config.GPU{testCfg("cfgA").WithAudit(1), testCfg("cfgB").WithAudit(1)}
+	twins := []workloads.App{testApp("app0", 20_000), testApp("app1", 20_000)}
+	apps := []workloads.App{twins[0], hangApp("app1", 20_000, 4*wd)}
+	dir := t.TempDir()
+	snaps := filepath.Join(dir, "snaps")
+	writeCorruptFrame(t, snaps, testCfg("cfgA"), "cfgA", twins[0])
+	reg := metrics.New()
 	opt := Options{
 		Workers:          2,
 		WatchdogInterval: wd,
-		SnapshotDir:      filepath.Join(dir, "snaps"),
+		SnapshotDir:      snaps,
 		SnapshotInterval: 2048,
 		CheckpointPath:   filepath.Join(dir, "chaos.ckpt"),
-		Injector: InjectFault(map[string]Injection{
-			"app0/cfgA": InjectCorrupt,
-			"app1/cfgB": InjectHang,
-		}),
-		Logf: t.Logf,
+		Metrics:          reg,
+		Logf:             t.Logf,
 	}
 
 	res, err := Run(context.Background(), cfgs, nil, apps, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Faults) != 2 {
-		t.Fatalf("got %d faults, want the 2 injected: %v", len(res.Faults), res.Faults)
-	}
-	kinds := map[string]FaultKind{}
-	for _, f := range res.Faults {
-		kinds[f.App+"/"+f.Config] = f.Kind
-	}
-	if kinds["app0/cfgA"] != FaultAudit {
-		t.Errorf("corrupt cell fault = %v, want audit", kinds["app0/cfgA"])
-	}
-	if kinds["app1/cfgB"] != FaultWatchdog {
-		t.Errorf("hung cell fault = %v, want watchdog", kinds["app1/cfgB"])
+	checkFaults(t, res, map[string]FaultKind{
+		"app0/cfgA": FaultAudit,
+		"app1/cfgA": FaultWatchdog, "app1/cfgB": FaultWatchdog,
+	})
+	// The audited cell's frame is gone; each hung cell left its cancel frame.
+	want := []string{snapPath(snaps, "app1", "cfgA"), snapPath(snaps, "app1", "cfgB")}
+	if left := dirEntries(t, snaps); !slices.Equal(left, want) {
+		t.Errorf("frames after the first pass: %v, want %v", left, want)
 	}
 
-	// Second pass: injections are spent, so the faulted cells run clean
-	// and the whole matrix completes.
-	res2, err := Run(context.Background(), cfgs, nil, apps, opt)
+	// Second pass: the healthy twins under the same names, and the whole
+	// matrix completes.
+	res2, err := Run(context.Background(), cfgs, nil, twins, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.Complete() {
 		t.Fatalf("resume left faults: %v", res2.Errs.Err())
 	}
-	if res2.Resumed != 2 || res2.Executed != 2 {
-		t.Errorf("resume: resumed %d, executed %d; want 2, 2", res2.Resumed, res2.Executed)
+	if res2.Resumed != 1 || res2.Executed != 3 {
+		t.Errorf("resume: resumed %d, executed %d; want 1, 3", res2.Resumed, res2.Executed)
+	}
+	// The corrupt frame and both cancel frames were resumed.
+	if got := newSweepMetrics(reg).snapResumes.Value(); got != 3 {
+		t.Errorf("sweep_snapshot_resumes_total = %d, want 3", got)
 	}
 	// Completed cells discard their frames; nothing lingers.
-	if left := dirEntries(t, filepath.Join(dir, "snaps")); len(left) != 0 {
+	if left := dirEntries(t, snaps); len(left) != 0 {
 		t.Errorf("snapshot frames left after a complete sweep: %v", left)
 	}
 }

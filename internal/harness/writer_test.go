@@ -53,12 +53,12 @@ func dirEntries(t *testing.T, dir string) []string {
 // A cell canceled while frames are in flight — an interval of one cycle of
 // work hands a frame off at every heartbeat, each waiting for the one before —
 // leaves its cancel frame whole on disk and nothing beside it by the time
-// RunOne returns, and the restart resumes it to the uninterrupted run's
+// Run returns, and the restart resumes it to the uninterrupted run's
 // statistics.
 func TestFrameWriterCanceledInFlightResumes(t *testing.T) {
 	cfg, app := testCfg("base"), testApp("inflight", 6_000)
 	dir := t.TempDir()
-	golden, fault := RunOne(context.Background(), cfg, app, Options{})
+	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -74,7 +74,7 @@ func TestFrameWriterCanceledInFlightResumes(t *testing.T) {
 		cancel()
 	}()
 	opt := Options{SnapshotDir: dir, SnapshotInterval: 1, Metrics: reg, Logf: t.Logf}
-	run, fault := RunOne(ctx, cfg, app, opt)
+	run, fault := runOne(t, ctx, cfg, app, opt)
 	if run != nil || fault == nil || fault.Kind != FaultCanceled {
 		t.Fatalf("run=%v fault=%v, want a canceled fault", run, fault)
 	}
@@ -100,7 +100,7 @@ func TestFrameWriterCanceledInFlightResumes(t *testing.T) {
 		t.Errorf("%d frames counted for %d heartbeats", landed, handed)
 	}
 
-	run, fault = RunOne(context.Background(), cfg, app, opt)
+	run, fault = runOne(t, context.Background(), cfg, app, opt)
 	if fault != nil {
 		t.Fatalf("resumed cell faulted: %v", fault)
 	}
@@ -177,7 +177,7 @@ func TestFrameWriterPersistFailure(t *testing.T) {
 	const failOn = 3
 	app := testApp("failing", 5_000)
 	dir := t.TempDir()
-	golden, fault := RunOne(context.Background(), testCfg("base"), app, Options{})
+	golden, fault := runOne(t, context.Background(), testCfg("base"), app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -227,7 +227,7 @@ func TestFrameWriterRenameFailureLeavesNoTemp(t *testing.T) {
 	}
 	reg := metrics.New()
 	var failures int
-	run, fault := RunOne(context.Background(), cfg, app, Options{
+	run, fault := runOne(t, context.Background(), cfg, app, Options{
 		SnapshotDir: dir, SnapshotInterval: 1, Metrics: reg,
 		Logf: func(f string, args ...any) {
 			if !strings.Contains(f, "snapshots disabled") {

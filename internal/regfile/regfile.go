@@ -32,17 +32,21 @@ import (
 var warpSwizzle = [8]int{0, 5, 3, 6, 1, 4, 7, 2}
 
 // SlotOffset returns a warp slot's bank offset under the chosen mapping;
-// precompute it once per warp and map its registers with BankWithOffset.
+// precompute it once per warp and map its registers with BankWithOffset:
+// bank = (reg + offset) mod banks (DESIGN.md states the whole formula).
 //
-// The default (swizzle = false) is the mapping microbenchmarked out of
-// Volta silicon [Jia et al.]: bank = register index mod banks, identical
-// for every warp. Under it, co-resident warps running the same code press
-// the same banks, so whole-program register-usage asymmetries turn into
-// persistent bank-queue imbalance — the pressure RBA schedules around,
-// and the reason slightly stale RBA scores remain useful (Section VI-B4).
+// The swizzled mapping is what every preset runs (config.VoltaV100 sets
+// BankSwizzle): a scrambled per-slot offset, modeling a hardware remapping
+// that decorrelates co-resident warps. The offset keeps the slot's low
+// bit, so at 2 banks it is (reg + slot) mod 2; at 4 or more it scrambles.
 //
-// The swizzled variant adds a scrambled per-slot offset, modeling a
-// hypothetical hardware remapping that decorrelates co-resident warps.
+// The plain mapping (swizzle = false, offset 0; the abl-swizzle
+// ablation) is the one microbenchmarked out of Volta silicon [Jia et al.]:
+// bank = register index mod banks, identical for every warp. Under it,
+// co-resident warps running the same code press the same banks, so
+// whole-program register-usage asymmetries turn into persistent
+// bank-queue imbalance — the pressure RBA schedules around, and the
+// reason slightly stale RBA scores remain useful (Section VI-B4).
 func SlotOffset(warpSlot int, swizzle bool) int {
 	if !swizzle {
 		return 0
