@@ -6,117 +6,34 @@ import (
 	"strings"
 )
 
-// Faultflow enforces the harness's structured-fault contract (PR 2):
-// *harness.SimFault and harness.CellErrors carry the cell identity,
-// fault class, heartbeat cycle, and diagnostics pointers a paper-scale
-// sweep needs to be trustworthy — a caller that discards one silently
-// converts a classified failure back into a missing result. Likewise,
-// recover() anywhere but inside the harness bypasses the panic-to-fault
-// machinery (stack capture, flight-recorder dump, checkpoint exclusion)
-// and hides invariant violations the sweep should report.
+// Faultflow flags recover() outside internal/harness: a panic recovered
+// anywhere else never reaches the harness's panic-to-fault machinery (stack
+// capture, flight-recorder dump, checkpoint exclusion), so a broken cell
+// would finish on half a run instead of failing as a SimFault.
 var Faultflow = &Analyzer{
 	Name: "faultflow",
-	Doc: "flag dropped harness.SimFault/CellErrors values and recover() " +
-		"outside internal/harness",
-	Run: runFaultflow,
+	Doc:  "flag recover() outside internal/harness",
+	Run:  runFaultflow,
 }
 
 func runFaultflow(p *Pass) error {
-	inHarness := !p.Pkg.Fixture && strings.HasSuffix(p.Pkg.Path, "internal/harness")
+	if !p.Pkg.Fixture && strings.HasSuffix(p.Pkg.Path, "internal/harness") {
+		return nil
+	}
 	info := p.Info()
 	for _, f := range p.Files() {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				call, ok := n.X.(*ast.CallExpr)
-				if !ok || inHarness {
-					return true
-				}
-				if name, ok := faultResult(info, call); ok {
-					p.Reportf(n.Pos(), "call discards its %s result: faulted cells must be reported or aggregated, not dropped", name)
-				}
-			case *ast.AssignStmt:
-				if inHarness {
-					return true
-				}
-				checkBlankFault(p, info, n)
-			case *ast.CallExpr:
-				if inHarness {
-					return true
-				}
-				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "recover" {
-					if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "recover" {
-						p.Reportf(n.Pos(), "recover() outside internal/harness: panics must flow through the harness so they become structured SimFault records with stack and diagnostics")
-					}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "recover" {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "recover" {
+					p.Reportf(call.Pos(), "recover() outside internal/harness: panics must flow through the harness so they become structured SimFault records with stack and diagnostics")
 				}
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// faultResult reports whether any result of the call carries a
-// harness fault type, returning its display name.
-func faultResult(info *types.Info, call *ast.CallExpr) (string, bool) {
-	t := info.TypeOf(call)
-	if t == nil {
-		return "", false
-	}
-	if tup, ok := t.(*types.Tuple); ok {
-		for i := 0; i < tup.Len(); i++ {
-			if name, ok := faultType(tup.At(i).Type()); ok {
-				return name, true
-			}
-		}
-		return "", false
-	}
-	return faultType(t)
-}
-
-// checkBlankFault flags fault-typed values assigned to the blank
-// identifier.
-func checkBlankFault(p *Pass, info *types.Info, as *ast.AssignStmt) {
-	for i, lhs := range as.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name != "_" {
-			continue
-		}
-		var t types.Type
-		if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-			// Multi-value call: pick the tuple element.
-			if tup, ok := info.TypeOf(as.Rhs[0]).(*types.Tuple); ok && i < tup.Len() {
-				t = tup.At(i).Type()
-			}
-		} else if i < len(as.Rhs) {
-			t = info.TypeOf(as.Rhs[i])
-		}
-		if t == nil {
-			continue
-		}
-		if name, ok := faultType(t); ok {
-			p.Reportf(id.Pos(), "%s assigned to _: faulted cells must be reported or aggregated, not dropped", name)
-		}
-	}
-}
-
-// faultType reports whether t is *harness.SimFault or harness.CellErrors.
-func faultType(t types.Type) (string, bool) {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return "", false
-	}
-	if !strings.HasSuffix(n.Obj().Pkg().Path(), "internal/harness") {
-		return "", false
-	}
-	switch n.Obj().Name() {
-	case "SimFault":
-		return "*harness.SimFault", true
-	case "CellErrors":
-		return "harness.CellErrors", true
-	}
-	return "", false
 }

@@ -123,9 +123,25 @@ func (o *Options) logf(format string, args ...any) {
 	}
 }
 
-// snapshotDir makes SnapshotDir, and refuses a SnapshotInterval without one
-// rather than ignore it.
-func (o *Options) snapshotDir() error {
+// prepare refuses the options Run would otherwise read as others — a
+// negative count, duration or interval, which would mean what 0 means, and a
+// SnapshotInterval without a SnapshotDir to write frames to — and then makes
+// SnapshotDir.
+func (o *Options) prepare() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"worker count (-workers)", int64(o.Workers)},
+		{"timeout (-timeout)", int64(o.Timeout)},
+		{"cycle cap (-max-cycles)", o.MaxCycles},
+		{"watchdog interval (-watchdog)", int64(o.WatchdogInterval)},
+		{"snapshot interval (-snapshot-interval)", o.SnapshotInterval},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("harness: a negative %s; 0 is its default or off", f.name)
+		}
+	}
 	if o.SnapshotDir == "" {
 		if o.SnapshotInterval != 0 {
 			return errors.New("harness: a snapshot interval (-snapshot-interval) needs a snapshot directory (-snapshot-dir) to write frames to")
@@ -195,7 +211,7 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 	if opt.Tracer != nil && len(apps)*len(cfgs) > 1 {
 		return nil, fmt.Errorf("harness: a tracer records one device; a sweep of %d cells cannot share one", len(apps)*len(cfgs))
 	}
-	if err := opt.snapshotDir(); err != nil {
+	if err := opt.prepare(); err != nil {
 		return nil, err
 	}
 	res := &Result{

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/workloads"
@@ -151,6 +152,38 @@ func TestSnapshotIntervalNeedsDir(t *testing.T) {
 	res, err := Run(context.Background(), []config.GPU{cfg}, nil, []workloads.App{app}, opt)
 	if err == nil || !strings.Contains(err.Error(), "-snapshot-dir") || res != nil {
 		t.Errorf("Run: %v (result %v), want the refusal and no result", err, res)
+	}
+}
+
+// A negative option used to mean what 0 means (GOMAXPROCS workers, no
+// timeout, the default cycle cap, no watchdog, no periodic frames); Run
+// refuses each before it creates a file or runs a cell.
+func TestRunRefusesNegativeOptions(t *testing.T) {
+	cfg, app := testCfg("base"), testApp("app", 10)
+	for _, c := range []struct {
+		flag string
+		set  func(*Options)
+	}{
+		{"-workers", func(o *Options) { o.Workers = -2 }},
+		{"-timeout", func(o *Options) { o.Timeout = -time.Second }},
+		{"-max-cycles", func(o *Options) { o.MaxCycles = -5 }},
+		{"-watchdog", func(o *Options) { o.WatchdogInterval = -time.Second }},
+		{"-snapshot-interval", func(o *Options) { o.SnapshotInterval = -1 }},
+	} {
+		dir := t.TempDir()
+		opt := Options{
+			CheckpointPath: filepath.Join(dir, "run.ckpt"),
+			DiagDir:        filepath.Join(dir, "diag"),
+			SnapshotDir:    filepath.Join(dir, "snaps"),
+		}
+		c.set(&opt)
+		res, err := Run(context.Background(), []config.GPU{cfg}, nil, []workloads.App{app}, opt)
+		if err == nil || !strings.Contains(err.Error(), c.flag) || res != nil {
+			t.Errorf("%s: Run: %v (result %v), want a refusal naming it and no result", c.flag, err, res)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%s: Run created %v before refusing", c.flag, left)
+		}
 	}
 }
 

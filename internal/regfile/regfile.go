@@ -5,10 +5,12 @@
 // Each sub-core owns a small number of banks (2 on Volta/Ampere) and
 // collector units (2 on Volta). A warp instruction issued by the scheduler
 // is staged in a collector unit; one read request per source operand is
-// queued at the operand's bank; the arbiter grants at most one access per
-// bank per cycle (writebacks take priority over reads, as in GPGPU-Sim);
-// when all operands are collected the instruction dispatches to its
-// execution unit and the collector unit frees.
+// queued at the operand's bank; each bank has one read port and one write
+// port (1R+1W), so in one cycle the arbiter grants a bank one read and
+// drains one writeback into it (Collector.Tick); when all operands are
+// collected the instruction dispatches to its execution unit and the
+// collector unit frees. A single port per bank with writebacks first, as
+// GPGPU-Sim arbitrates, is hypothesis H2 of ROADMAP item 1, not the model.
 //
 // The arbiter exposes its per-bank queue lengths — optionally through a
 // delay line — which is the single piece of information the paper's RBA
