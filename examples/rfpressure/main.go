@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/exp"
 	"repro/internal/power"
 	"repro/internal/workloads"
 )
@@ -58,5 +59,6 @@ func main() {
 			d.name, r.Cycles, float64(baseCycles)/float64(r.Cycles),
 			r.TotalBankConflicts(), area, pw)
 	}
-	fmt.Println("\nRBA buys CU-scaling-class speedup at ~1% of the area/power cost (Fig 10/13).")
+	fmt.Printf("\nRBA buys CU-scaling-class speedup at ~%.0f%% of the area/power cost (Fig 10/13).\n",
+		(exp.Paper("fig13", "rba-area")-1)*100)
 }

@@ -62,5 +62,6 @@ func main() {
 	}
 	n := float64(len(apps))
 	fmt.Printf("\naverage speedup: SRR %.2fx, Shuffle %.2fx\n", srrSum/n, shufSum/n)
-	fmt.Println("(paper: SRR +17.5% uncompressed / +33.1% compressed)")
+	fmt.Printf("(paper: SRR %+.1f%% uncompressed / %+.1f%% compressed)\n",
+		(exp.Paper("fig16", "srr")-1)*100, (exp.Paper("fig15", "srr")-1)*100)
 }

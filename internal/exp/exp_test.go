@@ -175,7 +175,8 @@ func TestFig3Shape(t *testing.T) {
 	}
 	part, mono := tbl.Rows[0], tbl.Rows[1]
 	if part.Values[2] < 2.5 {
-		t.Errorf("partitioned unbalanced = %.2fx, want >= 2.5 (paper 3.5-3.9x)", part.Values[2])
+		t.Errorf("partitioned unbalanced = %.2fx, want >= 2.5 (paper %gx on V100, %gx on A100)",
+			part.Values[2], Paper("fig3", "unbalanced"), Paper("fig3", "unbalanced@a100"))
 	}
 	if part.Values[1] > 1.25 {
 		t.Errorf("partitioned balanced = %.2fx, want ~1", part.Values[1])
@@ -277,10 +278,10 @@ func TestFig17Shape(t *testing.T) {
 	mean := tbl.Rows[len(tbl.Rows)-1]
 	rr, srr, shuf := mean.Values[0], mean.Values[1], mean.Values[2]
 	if rr < 0.5 {
-		t.Errorf("baseline mean CoV = %.2f, want >= 0.5 (paper 0.80)", rr)
+		t.Errorf("baseline mean CoV = %.2f, want >= 0.5 (paper %.2f)", rr, Paper("fig17", "rr"))
 	}
 	if srr > 0.2 {
-		t.Errorf("SRR mean CoV = %.2f, want <= 0.2 (paper 0.11)", srr)
+		t.Errorf("SRR mean CoV = %.2f, want <= 0.2 (paper %.2f)", srr, Paper("fig17", "srr"))
 	}
 	// Shuffle's 4-entry hash table repeats its pattern every 16 warps
 	// (once per block here), so some per-SM issue variation survives; it
@@ -307,11 +308,11 @@ func TestSec6B4Shape(t *testing.T) {
 	gm := tbl.Rows[len(tbl.Rows)-1]
 	lat0, lat20 := gm.Values[0], gm.Values[1]
 	// Our synthetic workloads have more volatile bank pressure than real
-	// SASS traces, so staleness costs more than the paper's <0.1% — but
+	// SASS traces, so staleness costs more than the paper's bound — but
 	// stale RBA must retain part of its benefit and never lose to GTO
 	// (see EXPERIMENTS.md).
 	if lat0-lat20 > 0.08 {
-		t.Errorf("RBA loses %.1f%% from 20-cycle staleness, want < 8%%", (lat0-lat20)*100)
+		t.Errorf("RBA loses %.1f%% from 20-cycle staleness, want < 8%% (paper <%.1f%%)", (lat0-lat20)*100, Paper("sec6b4", "lat0-lat20")*100)
 	}
 	if lat20 < 0.99 {
 		t.Errorf("stale RBA geomean %.3f fell below GTO", lat20)

@@ -36,18 +36,18 @@ var registry = []struct {
 		apps:    workloads.All,
 		designs: []design{base, fc},
 		summary: geomean,
-		notes:   []string{"paper: 13.2% average speedup for the fully-connected SM"},
+		notes:   []string{fmt.Sprintf("paper: %.1f%% average speedup for the fully-connected SM", pct(Paper("fig1", "fully-connected")))},
 	}},
 	{"fig3", coded(fig3)},
 	{"fig8", coded(fig8)},
-	// Figure 9: the combined designs; Shuffle+RBA lands 2.6% below the
-	// fully-connected SM.
+	// Figure 9: the combined designs against the fully-connected SM.
 	{"fig9", study{
 		title:   "Design speedup on all 112 applications vs GTO+RR",
 		apps:    workloads.All,
 		designs: []design{base, shuffleRBA, {"srr+rba", rba.cfg.WithAssign(config.AssignSRR)}, fc},
 		summary: geomean,
-		notes:   []string{"paper: Shuffle+RBA 10.6% vs fully-connected 13.2% average"},
+		notes: []string{fmt.Sprintf("paper: Shuffle+RBA %.1f%% vs fully-connected %.1f%% average",
+			pct(Paper("fig9", "shuffle+rba")), pct(Paper("fig9", "fully-connected")))},
 	}},
 	// Figure 10: the partitioning-sensitive subset (Table III), with
 	// register bank stealing [36] and doubled collector units.
@@ -56,7 +56,8 @@ var registry = []struct {
 		apps:    workloads.Sensitive,
 		designs: []design{base, rba, shuffle, srr, shuffleRBA, cus(4), {"bank-steal", Base().WithBankStealing()}, fc},
 		summary: geomean,
-		notes:   []string{"paper: RBA 11.1%, CU doubling 4.1%, bank stealing <1% average"},
+		notes: []string{fmt.Sprintf("paper: RBA %.1f%%, CU doubling %.1f%%, bank stealing <%.0f%% average",
+			pct(Paper("fig10", "rba")), pct(Paper("fig10", "4cu")), pct(Paper("fig10", "bank-steal")))},
 	}},
 	// Figure 11: RBA *on top of* the fully-connected SM. The fold adds the
 	// paper's selection — the apps where RBA beats fully-connected.
@@ -73,14 +74,14 @@ var registry = []struct {
 		apps:    workloads.Sensitive,
 		designs: []design{cus(2), cus(1), cus(4), cus(8), cus(16), rba, fc},
 		summary: geomean,
-		notes:   []string{"paper: CU scaling +4.1%/+7.1%/+9.6% for 4/8/16 CUs; diminishing beyond 8"},
+		notes: []string{fmt.Sprintf("paper: CU scaling %+.1f%%/%+.1f%%/%+.1f%% for 4/8/16 CUs; diminishing beyond 8",
+			pct(Paper("fig12", "4cu")), pct(Paper("fig12", "8cu")), pct(Paper("fig12", "16cu")))},
 	}},
 	{"fig13", coded(fig13)},
 	{"fig14", coded(fig14)},
-	{"fig15", tpch("tpch-c", "paper: SRR +33.1%, Shuffle +27.4% average (compressed)")},
-	{"fig16", tpch("tpch-u", "paper: SRR +17.5%, Shuffle +13.9% average (uncompressed)")},
-	// Figure 17: issue imbalance itself. Paper: q8 has the largest
-	// baseline CoV (1.01).
+	{"fig15", tpch("fig15", "tpch-c", "compressed")},
+	{"fig16", tpch("fig16", "tpch-u", "uncompressed")},
+	// Figure 17: issue imbalance itself.
 	{"fig17", study{
 		title:   "CoV of per-sub-core issued instructions, uncompressed TPC-H",
 		apps:    suites("tpch-u"),
@@ -91,19 +92,19 @@ var registry = []struct {
 			{name: "shuffle", of: "shuffle", metric: (*stats.Run).IssueCoV},
 		},
 		summary: mean,
-		notes:   []string{"paper: SRR reduces mean CoV from 0.80 to 0.11"},
+		notes:   []string{fmt.Sprintf("paper: SRR reduces mean CoV from %.2f to %.2f", Paper("fig17", "rr"), Paper("fig17", "srr"))},
 	}},
 	{"fig18", fig18()},
 	{"sec5cu", coded(sec5CU)},
 	// Section VI-B4: the arbiter queue-length tap that feeds RBA's scores,
-	// delayed by 0 to 20 cycles. Paper: only ply-2Dcon loses more than 1%.
+	// delayed by 0 to 20 cycles.
 	{"sec6b4", study{
 		title:   "RBA speedup vs GTO as the score-update latency grows",
 		apps:    workloads.RFSensitive,
 		designs: []design{base, scoreLatency(0), scoreLatency(5), scoreLatency(10), scoreLatency(20)},
 		summary: geomean,
 		notes: []string{
-			"paper: <0.1% average degradation from 0 to 20 cycles of staleness",
+			fmt.Sprintf("paper: <%.1f%% average degradation from 0 to 20 cycles of staleness", Paper("sec6b4", "lat0-lat20")*100),
 			"here: synthetic workloads have more volatile bank pressure than SASS traces, so staleness",
 			"costs several points of RBA's gain — but stale RBA stays at or above GTO (partial reproduction)",
 		},
@@ -118,7 +119,8 @@ var registry = []struct {
 			{name: "rba@4banks", of: "rba@4banks", ref: "gto@4banks"},
 		},
 		summary: geomean,
-		notes:   []string{"paper: RBA's average gain shrinks from 19.3% to 15.4% when banks double"},
+		notes: []string{fmt.Sprintf("paper: RBA's average gain shrinks from %.1f%% to %.1f%% when banks double",
+			pct(Paper("sec6b5", "rba@2banks")), pct(Paper("sec6b5", "rba@4banks")))},
 	}},
 	// LRR is the classic alternative baseline: RBA's gain is not an
 	// artifact of a weak one.
@@ -135,7 +137,7 @@ var registry = []struct {
 		apps:    suites("tpch-u", "tpch-c"),
 		designs: []design{base, {"4-entry", shuffle.cfg}, {"16-entry", hash16(shuffle.cfg)}},
 		summary: mean,
-		notes:   []string{"paper: 16-entry within 2% of 4-entry across all suites"},
+		notes:   []string{fmt.Sprintf("paper: 16-entry within %.0f%% of 4-entry across all suites", pct(Paper("abl-table", "16/4-entry")))},
 	}},
 	// Volta's plain reg-mod-banks mapping versus this model's default, a
 	// per-warp-slot scrambled one, which de-correlates co-resident warps'
@@ -175,39 +177,32 @@ func suites(names ...string) func() ([]workloads.App, error) {
 }
 
 // tpch is Figures 15/16: the designs on one TPC-H suite.
-func tpch(suite, paperNote string) study {
+func tpch(id, suite, variant string) study {
 	return study{
 		title:   "TPC-H (" + suite + ") design speedup vs GTO+RR",
 		apps:    suites(suite),
 		designs: []design{base, rba, shuffle, srr, fc},
 		summary: mean,
-		notes:   []string{paperNote},
+		notes: []string{fmt.Sprintf("paper: SRR %+.1f%%, Shuffle %+.1f%% average (%s)",
+			pct(Paper(id, "srr")), pct(Paper(id, "shuffle")), variant)},
 	}
 }
 
 // fig11Fold is the default projection plus the paper's selection: the
 // fully-connected SM's geomean gain, without and with RBA, over the apps
-// where partitioned RBA beats it. Paper: 6.1% rises to 19.6%.
+// where partitioned RBA beats it (rbaWins).
 func fig11Fold(s study, t *Table, apps []workloads.App, runs [][]*stats.Run) {
 	s.rows(t, apps, runs)
-	var fcWins, fcRbaWins []float64
-	for _, r := range t.Rows[:len(apps)] {
-		if fc, fcRba, rba := r.Values[0], r.Values[1], r.Values[2]; rba > fc {
-			fcWins = append(fcWins, fc)
-			fcRbaWins = append(fcRbaWins, fcRba)
-		}
-	}
-	t.Note("apps where RBA beats FC: FC geomean %.3f -> FC+RBA %.3f (paper: 1.061 -> 1.196)",
-		stats.GeoMean(fcWins), stats.GeoMean(fcRbaWins))
+	t.Note("apps where RBA beats FC: FC geomean %.3f -> FC+RBA %.3f (paper: %.3f -> %.3f)",
+		rbaWins(0)(t), rbaWins(1)(t), Paper("fig11", "fc"), Paper("fig11", "fc+rba"))
 }
 
 // fig18 is Figure 18: how many partitioned SMs match a fully-connected
-// device on compute-bound applications. The paper finds 100 partitioned
-// SMs ≈ 80 fully-connected, dropping to 84 with the proposed techniques.
-// Scaled to the 4-SM device the equivalent points are 5 and ~4.2 SMs. The
-// study sweeps partitioned SM counts (total memory bandwidth held
-// constant); its fold prints one row per SM count — the geomean, over the
-// apps, of that count's three speedups against 4 partitioned SMs.
+// device on compute-bound applications (the paper's crossings are targets
+// read by crossing). The study sweeps partitioned SM counts (total memory
+// bandwidth held constant); its fold prints one row per SM count — the
+// geomean, over the apps, of that count's three speedups against 4
+// partitioned SMs.
 func fig18() study {
 	smCounts := []int{4, 5, 6, 7}
 	var designs []design
@@ -239,7 +234,8 @@ func fig18() study {
 			}
 		},
 		notes: []string{
-			"paper: 100 partitioned SMs ≈ 80 fully-connected; 84 with the proposed techniques",
+			fmt.Sprintf("paper: %.0f partitioned SMs ≈ %d fully-connected; %.0f with the proposed techniques",
+				Paper("fig18", "partitioned")*paperSMs, paperSMs, Paper("fig18", "partitioned+ours")*paperSMs),
 			"read: the SM count where a column crosses fully-connected@4 is the equivalence point",
 		},
 	}

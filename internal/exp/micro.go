@@ -16,8 +16,7 @@ import (
 // fig3 reproduces Figure 3: the FMA microbenchmark's slowdown under the
 // three Fig. 4 thread-block layouts, on a partitioned (Volta/Ampere-like)
 // and a monolithic (Kepler-like) SM. Each value is execution time
-// normalized to the baseline layout on the same device. Paper: the
-// unbalanced layout runs 3.9x slower on the A100 and ~1x on Kepler.
+// normalized to the baseline layout on the same device.
 func fig3(id string) (*Table, error) {
 	const fmas = 1024
 	devices := []design{
@@ -40,7 +39,8 @@ func fig3(id string) (*Table, error) {
 		}
 		t.AddRow(d.name, 1.0, times[1]/times[0], times[2]/times[0])
 	}
-	t.Note("paper: unbalanced is 3.9x on A100, ~3.5x on V100, ~1x on Kepler; balanced ~1x everywhere")
+	t.Note("paper: unbalanced is %gx on A100, ~%gx on V100, ~%gx on Kepler; balanced ~%gx everywhere",
+		Paper(id, "unbalanced@a100"), Paper(id, "unbalanced"), Paper(id, "unbalanced@kepler"), Paper(id, "balanced"))
 	return t, nil
 }
 
@@ -116,8 +116,6 @@ func referenceCycles(variant int, cfg config.GPU) float64 {
 // sec5CU reproduces the Section V collector-unit validation: cycle counts
 // of the seven RF-stress microbenchmarks simulated with 1-4 CUs per
 // sub-core, scored by mean absolute error against the silicon stand-in.
-// Paper: 2 CUs/sub-core minimizes MAE at 16.2%; the worst configuration
-// errs by 43%.
 func sec5CU(id string) (*Table, error) {
 	cus := []int{1, 2, 3, 4}
 	t := &Table{
@@ -146,7 +144,8 @@ func sec5CU(id string) (*Table, error) {
 		mae[ci] = stats.Mean(errs[ci])
 	}
 	t.AddRow("MAE", mae...)
-	t.Note("paper: 2 CUs/sub-core gives the lowest MAE (16.2%%) against silicon; worst config 43%%")
+	t.Note("paper: 2 CUs/sub-core gives the lowest MAE (%.1f%%) against silicon; worst config %.0f%%",
+		Paper(id, "2cu-mae")*100, Paper(id, "worst-mae")*100)
 	return t, nil
 }
 
@@ -196,8 +195,7 @@ func sec1Effects(id string) (*Table, error) {
 
 // fig13 reproduces Figure 13: normalized area and power of CU scaling
 // versus the RBA additions (analytical model standing in for the paper's
-// 45nm synthesis — see internal/power). Paper: 4 CUs cost +27% area and
-// +60% power; RBA costs ~1% of each.
+// 45nm synthesis — see internal/power).
 func fig13(id string) (*Table, error) {
 	t := &Table{
 		ID:      id,
@@ -218,7 +216,7 @@ func fig13(id string) (*Table, error) {
 		a, p := power.Relative(d.d)
 		t.AddRow(d.label, a, p)
 	}
-	t.Note("paper: 4 CUs => 1.27x area, 1.60x power; RBA => ~1.01x both")
+	t.Note("paper: 4 CUs => %.2fx area, %.2fx power; RBA => ~%.2fx both", Paper(id, "4cu-area"), Paper(id, "4cu-power"), Paper(id, "rba-area"))
 	return t, nil
 }
 
@@ -273,6 +271,7 @@ func fig14(id string) (*Table, error) {
 			t.AddRow(fmt.Sprintf("%s/%s", name, c.Name), stats.Mean(vals), frac, stats.Percentile(vals, 95))
 		}
 	}
-	t.Note("paper: RBA raises rod-srad mean reads/cycle from 22.2 to 27.1, above fully-connected's 23.4")
+	t.Note("paper: RBA raises rod-srad mean reads/cycle from %.1f to %.1f, above fully-connected's %.1f",
+		Paper(id, "srad-gto"), Paper(id, "srad-rba"), Paper(id, "srad-fc"))
 	return t, nil
 }

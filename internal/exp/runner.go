@@ -1,7 +1,9 @@
 // Package exp reproduces every table and figure of the paper's evaluation
 // (Section VI). The registry (experiments.go) lists them; ByID runs one
-// and returns a Table whose rows mirror the published artifact.
-// EXPERIMENTS.md records paper-vs-measured values.
+// and returns a Table whose rows mirror the published artifact. The paper
+// table (paper.go) holds every number the paper reports; each Table closes
+// with score lines against it, and EXPERIMENTS.md's verdicts are checked
+// against those.
 //
 // Experiments run on a scaled-down device (4 SMs instead of 80, with
 // DRAM/L2 bandwidth scaled proportionally) so that full 112-application

@@ -141,13 +141,18 @@ func lookup(id string) (runner, bool) {
 	return nil, false
 }
 
-// ByID runs one experiment by identifier.
+// ByID runs one experiment by identifier. Its table ends with the score
+// lines that hold it to the paper (paper.go).
 func ByID(id string) (*Table, error) {
 	e, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q", id)
 	}
-	return e.table(id)
+	t, err := e.table(id)
+	if err == nil {
+		t.Notes = append(t.Notes, score(t)...)
+	}
+	return t, err
 }
 
 // IDs lists the experiment identifiers in paper order.

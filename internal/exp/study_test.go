@@ -2,10 +2,7 @@ package exp
 
 import (
 	"math"
-	"os"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -141,34 +138,5 @@ func TestMemo(t *testing.T) {
 	}
 	if keyOf(Base(), app) == keyOf(Base(), tpch) {
 		t.Error("the per-suite device is not part of the cell key")
-	}
-}
-
-// TestExperimentsDocNamesEveryID holds EXPERIMENTS.md's verdict and
-// extension tables to the registry: one row per experiment ID, plus tab2
-// and tab3, which no experiment prints. A row under a name `experiments`
-// does not know is a verdict nobody can regenerate.
-func TestExperimentsDocNamesEveryID(t *testing.T) {
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append(IDs(), "tab2", "tab3")
-	sort.Strings(want)
-	var got []string
-	table := false
-	for _, line := range strings.Split(string(doc), "\n") {
-		switch {
-		case strings.HasPrefix(line, "| ID |"):
-			table = true
-		case !strings.HasPrefix(line, "|"):
-			table = false
-		case table && !strings.HasPrefix(line, "|---"):
-			got = append(got, strings.TrimSpace(strings.Split(line, "|")[1]))
-		}
-	}
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("EXPERIMENTS.md table IDs:\n%v\nwant exp.IDs() plus tab2 and tab3:\n%v", got, want)
 	}
 }

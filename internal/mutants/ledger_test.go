@@ -596,6 +596,27 @@ var ledger = []Mutant{
 		Tests:   map[string][]string{"internal/harness": {"TestChaosSweep"}},
 	},
 
+	// The paper table: a verdict is computed, not typed.
+	{
+		Name:    "doc-verdict-typed",
+		Mistake: "EXPERIMENTS.md's fig10 verdict is hand-edited from 🟡 to ✅",
+		Edits:   []Edit{{"EXPERIMENTS.md", "| 🟡 RBA's gain is ~60% of the paper's", "| ✅ RBA's gain is ~60% of the paper's"}},
+		Tests:   map[string][]string{".": {"TestExperimentVerdictsAreComputed"}},
+	},
+	{
+		Name:    "rule-without-direction",
+		Mistake: "the rule drops its direction check, so a gain opposite to the paper's scores ✅ when its size is within the factor",
+		Edits:   []Edit{{"internal/exp/paper.go", "ok = sameSide && max(", "ok = (sameSide || true) && max("}},
+		Tests:   map[string][]string{"internal/exp": {"TestJudge"}},
+	},
+	{
+		Name:    "paper-values-disagree",
+		Mistake: "sec6b5 scores the paper's 19.3% for the cells fig10 scores with its 11.1%",
+		Edits: []Edit{{"internal/exp/paper.go", `paper: 1.193, kind: gain, why: "open: fig10 reads these cells with the paper's 11.1%; unchecked against the paper text"},`,
+			"paper: 1.193, kind: gain},"}},
+		Tests: map[string][]string{"internal/exp": {"TestPaperTable"}},
+	},
+
 	// simlint's analyzers, each with the mutant it alone (or first) reports.
 	{
 		Name:    "recover-in-run-together",

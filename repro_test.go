@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestFacadeRun(t *testing.T) {
@@ -76,9 +79,8 @@ func TestFacadeWorkloadCatalog(t *testing.T) {
 }
 
 func TestFacadeExperimentAPI(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 21 {
-		t.Fatalf("ExperimentIDs = %d, want 21", len(ids))
+	if ids := ExperimentIDs(); !slices.Equal(ids, exp.IDs()) {
+		t.Fatalf("ExperimentIDs = %v, want exp.IDs() %v", ids, exp.IDs())
 	}
 	var sb strings.Builder
 	if err := RenderExperiment("fig13", &sb); err != nil {
