@@ -9,7 +9,7 @@ import (
 // attribute each elapsed cycle to exactly one cause — the stack sums
 // bit-exactly to the run's cycle count with no negative component
 // (internal/stats.CheckCPI). This is the whole-simulator complement of
-// smcore's FuzzCPIStack.
+// smcore's FuzzSMExecution.
 func TestCPIStackInvariant(t *testing.T) {
 	configs := []struct {
 		name string

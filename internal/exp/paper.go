@@ -158,6 +158,10 @@ func score(t *Table) []string {
 			continue
 		}
 		ours, paper, k, rel := g.read(t), g.paper, g.kind, ""
+		if math.IsInf(ours, 0) {
+			lines = append(lines, fmt.Sprintf("score %s %s: not scored (%s)", g.id, g.name, beyond(t, ours)))
+			continue
+		}
 		if g.over != "" {
 			o, ref := targetOf(g.id, g.over), reference(k)
 			ours, paper, k = (ours-ref)/(o.read(t)-ref), (paper-ref)/(o.paper-ref), gain
@@ -212,9 +216,13 @@ func rbaWins(col int) func(*Table) float64 {
 
 // crossing is Fig. 18's equivalence point per fully-connected SM: the SM
 // count ("SMs=n" rows) at which column col reaches fully-connected@4, by
-// linear interpolation; NaN if it never does.
+// linear interpolation. A column that has reached it at the first row reads
+// -Inf, one that never does +Inf: the sweep does not hold the crossing.
 func crossing(col string) func(*Table) float64 {
 	return func(t *Table) float64 {
+		if t.at(t.Rows[0].Label, col) >= t.at(t.Rows[0].Label, "fully-connected@4") {
+			return math.Inf(-1)
+		}
 		for i := 1; i < len(t.Rows); i++ {
 			lo, hi := t.Rows[i-1].Label, t.Rows[i].Label
 			a, b, fc := t.at(lo, col), t.at(hi, col), t.at(lo, "fully-connected@4")
@@ -223,6 +231,15 @@ func crossing(col string) func(*Table) float64 {
 				return (n + (fc-a)/(b-a)) / ScaledSMs
 			}
 		}
-		return math.NaN()
+		return math.Inf(1)
 	}
+}
+
+// beyond says why an infinite reading is not scored: the crossing lies
+// before t's first row or past its last.
+func beyond(t *Table, v float64) string {
+	if v < 0 {
+		return "crosses below " + t.Rows[0].Label
+	}
+	return "does not cross by " + t.Rows[len(t.Rows)-1].Label
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -61,6 +63,34 @@ func TestScoreLines(t *testing.T) {
 	}
 }
 
+// TestCrossingIsTotal: a fig18 column whose crossing lies outside the
+// sweep is not scored, and says on which side.
+func TestCrossingIsTotal(t *testing.T) {
+	for _, c := range []struct {
+		part, ours []float64
+		want       []string
+	}{
+		{[]float64{1, 1.05, 1.1, 1.12}, []float64{1.2, 1.3, 1.4, 1.5}, []string{
+			"score fig18 partitioned: not scored (does not cross by SMs=7)",
+			"score fig18 partitioned+ours: not scored (crosses below SMs=4)",
+			"score fig18: —",
+		}},
+		{[]float64{1, 1.2, 1.3, 1.4}, []float64{1.2, 1.3, 1.4, 1.5}, []string{
+			"score fig18 partitioned: ours 1.175 paper 1.250 err 7.500pp ratio 0.700 ✅",
+			"score fig18 partitioned+ours: not scored (crosses below SMs=4)",
+			"score fig18: ✅",
+		}},
+	} {
+		tbl := &Table{ID: "fig18", Columns: []string{"partitioned", "partitioned+ours", "fully-connected@4"}}
+		for i := range c.part {
+			tbl.AddRow(fmt.Sprintf("SMs=%d", 4+i), c.part[i], c.ours[i], 1.14)
+		}
+		if got := score(tbl); !slices.Equal(got, c.want) {
+			t.Errorf("score =\n %q\nwant\n %q", got, c.want)
+		}
+	}
+}
+
 // TestPaperTable holds the table together: every target belongs to an
 // experiment (or is an artifact no experiment prints), names are unique
 // per experiment, and over names a target of the same experiment. Each
@@ -116,6 +146,9 @@ func TestPaperTable(t *testing.T) {
 		for _, g := range paperTable {
 			if g.id == e.id && g.read != nil && g.why == "" {
 				v := g.read(tbl)
+				if math.IsNaN(v) {
+					t.Errorf("target %s %s reads NaN", g.id, g.name)
+				}
 				read[v] = append(read[v], reading{g.id + " " + g.name, g.paper})
 			}
 		}

@@ -137,7 +137,7 @@ var ledger = []Mutant{
 		Mistake: "the issue walk steps through the mask it started with instead of re-reading the awake mask",
 		Edits:   []Edit{{"internal/smcore/sm.go", "m = sm.awake &^ (2<<uint(i) - 1)", "m &= m - 1"}},
 		Tests: map[string][]string{
-			"internal/smcore": {"TestSubCoreMidCycleWake", "TestNextEventContractEveryCycle", "FuzzSMExecution", "FuzzCPIStack"},
+			"internal/smcore": {"TestSubCoreMidCycleWake", "TestNextEventContractEveryCycle", "FuzzSMExecution"},
 			"internal/gpu":    {"TestSnapshotResumeInert", "TestFastForwardUnevenSMs"},
 		},
 	},
@@ -358,7 +358,7 @@ var ledger = []Mutant{
 		Edits:   []Edit{{"internal/stats/cpi.go", "\tc[CPIScoreboard] = s.StallCycles[StallScoreboard]\n", ""}},
 		Tests: map[string][]string{
 			"internal/stats":  {"TestCPIMapping"},
-			"internal/smcore": {"FuzzCPIStack"},
+			"internal/smcore": {"FuzzSMExecution"},
 			".":               {"TestCPIStackInvariant"},
 		},
 	},
@@ -370,7 +370,7 @@ var ledger = []Mutant{
 			{"internal/smcore/subcore.go", "\t\tsc.st.IdleAllFinished += n\n\t}\n", "\t\tsc.st.IdleAllFinished += n\n\t\treturn stats.StallDrained\n\t}\n"},
 		},
 		Tests: map[string][]string{
-			"internal/smcore": {"FuzzCPIStack"},
+			"internal/smcore": {"FuzzSMExecution"},
 			".":               {"TestCPIStackInvariant"},
 		},
 	},
@@ -422,7 +422,7 @@ var ledger = []Mutant{
 		Mistake: "a sleeper woken mid-cycle is charged this cycle's stall when its turn is still to come, not when it has passed",
 		Edits:   []Edit{{"internal/smcore/sm.go", "if sc.id < int(w.SubCore) {", "if sc.id > int(w.SubCore) {"}},
 		Tests: map[string][]string{
-			"internal/smcore": {"TestSubCoreMidCycleWake", "TestNextEventContractEveryCycle", "FuzzSMExecution", "FuzzCPIStack"},
+			"internal/smcore": {"TestSubCoreMidCycleWake", "TestNextEventContractEveryCycle", "FuzzSMExecution"},
 			"internal/gpu":    {"TestFastForwardByteIdentity", "TestFastForwardUnevenSMs", "TestSnapshotResumeInert"},
 		},
 	},
@@ -596,12 +596,19 @@ var ledger = []Mutant{
 		Tests:   map[string][]string{"internal/harness": {"TestChaosSweep"}},
 	},
 
-	// The paper table: a verdict is computed, not typed.
+	// The docs and the paper table: a verdict is computed, not typed, and a
+	// doc names only tests and paths the tree has.
 	{
 		Name:    "doc-verdict-typed",
 		Mistake: "EXPERIMENTS.md's fig10 verdict is hand-edited from 🟡 to ✅",
 		Edits:   []Edit{{"EXPERIMENTS.md", "| 🟡 RBA's gain is ~60% of the paper's", "| ✅ RBA's gain is ~60% of the paper's"}},
 		Tests:   map[string][]string{".": {"TestExperimentVerdictsAreComputed"}},
+	},
+	{
+		Name:    "doc-names-deleted-test",
+		Mistake: "README names a fuzz target no _test.go defines",
+		Edits:   []Edit{{"README.md", "-fuzz FuzzCursor -fuzztime 30s", "-fuzz FuzzCursors -fuzztime 30s"}},
+		Tests:   map[string][]string{".": {"TestDocsNameTheTree"}},
 	},
 	{
 		Name:    "rule-without-direction",
@@ -615,6 +622,12 @@ var ledger = []Mutant{
 		Edits: []Edit{{"internal/exp/paper.go", `paper: 1.193, kind: gain, why: "open: fig10 reads these cells with the paper's 11.1%; unchecked against the paper text"},`,
 			"paper: 1.193, kind: gain},"}},
 		Tests: map[string][]string{"internal/exp": {"TestPaperTable"}},
+	},
+	{
+		Name:    "crossing-reads-nan",
+		Mistake: "a fig18 column that never reaches fully-connected@4 reads NaN and is scored",
+		Edits:   []Edit{{"internal/exp/paper.go", "\t\treturn math.Inf(1)\n", "\t\treturn math.NaN()\n"}},
+		Tests:   map[string][]string{"internal/exp": {"TestCrossingIsTotal"}},
 	},
 
 	// simlint's analyzers, each with the mutant it alone (or first) reports.

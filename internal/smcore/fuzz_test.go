@@ -12,17 +12,24 @@ import (
 
 // FuzzSMExecution decodes arbitrary bytes into a program + block shape
 // and asserts the SM's global invariants: it always drains, issues
-// exactly the dynamic instruction count, and restores every resource —
-// and that an SM ticked only at its wake cycles matches one ticked every
-// cycle (wakeTwin). The warp byte's spare bits draw the warp scheduler
-// (GTO, LRR, RBA) and bank stealing, so both checks run the issue stage
-// under every policy.
+// exactly the dynamic instruction count, and restores every resource;
+// every sub-core's CPI stack (internal/stats/cpi.go) is non-negative and
+// sums to the ticks its issue stage ran; and an SM ticked only at its wake
+// cycles matches one ticked every cycle (wakeTwin). The warp byte's spare
+// bits draw the warp scheduler (GTO, LRR, RBA) and bank stealing, so every
+// check runs the issue stage under every policy.
 func FuzzSMExecution(f *testing.F) {
 	f.Add([]byte{4, 8, 1, 2, 3, 0, 1, 2}, uint8(4), uint8(16))
 	f.Add([]byte{2, 0, 0}, uint8(1), uint8(8))
 	f.Add([]byte{9, 4, 4, 4, 2, 2, 1, 3, 0, 1}, uint8(12), uint8(32))
 	f.Add([]byte{0, 4, 0, 6, 1, 8, 0, 4, 5, 0, 0, 6}, uint8(15|1<<4), uint8(16))      // LRR
 	f.Add([]byte{0, 4, 0, 6, 1, 8, 0, 4, 5, 0, 0, 6}, uint8(15|2<<4|1<<6), uint8(16)) // RBA + stealing
+	// The CPI stack's seeds, under GTO and under RBA.
+	for _, rba := range []uint8{0, 2 << 4} {
+		f.Add([]byte{4, 8, 1, 2, 3, 0, 1, 2}, 4|rba, uint8(16))
+		f.Add([]byte{3, 5, 3, 7, 5, 9}, 9|rba, uint8(24))
+		f.Add([]byte{9, 4, 4, 4, 2, 2, 1, 3, 0, 1}, 12|rba, uint8(32))
+	}
 	f.Fuzz(func(t *testing.T, code []byte, warps, regs uint8) {
 		nw := int(warps%16) + 1
 		rpt := int(regs%48) + 8
@@ -69,13 +76,26 @@ func FuzzSMExecution(f *testing.F) {
 		if err := sm.Allocate(spec); err != nil {
 			t.Fatalf("CanAccept/Allocate disagree: %v", err)
 		}
+		var ticks int64
 		for c := int64(0); ; c++ {
 			sm.Tick(c)
+			ticks++
 			if sm.Drained() {
 				break
 			}
 			if c > 500000 {
 				t.Fatalf("SM failed to drain: %d warps, %d regs, prog len %d", nw, rpt, p.Len())
+			}
+		}
+		for j := range run.SMs[0].SubCores {
+			st := run.SMs[0].SubCores[j].CPI()
+			for comp, v := range st {
+				if v < 0 {
+					t.Fatalf("sub-core %d: negative %s = %d", j, stats.CPIComponent(comp), v)
+				}
+			}
+			if st.Total() != ticks {
+				t.Fatalf("sub-core %d: CPI total %d != %d ticks (stack %v)", j, st.Total(), ticks, st)
 			}
 		}
 		var issued int64
