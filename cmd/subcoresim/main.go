@@ -17,6 +17,12 @@
 // modifiers. On top of -config-file the modifiers override what the file
 // says and an absent one changes nothing.
 //
+// Without -config-file, -sms N builds the full V100 memory system behind N
+// SMs: 640 B/cycle of DRAM bandwidth and a 6 MB L2. cmd/experiments runs exp.Base() instead —
+// 4 SMs with 32 B/cycle and a 307 KB L2, plus exp.DeviceFor's TPC-H
+// bandwidth share — so a subcoresim cell is not the experiments' cell of
+// the same design and app.
+//
 // Observability (internal/trace): -chrome-trace records SM 0's structured
 // event stream (issue, stalls, bank grants, LSU, writebacks, block
 // lifecycle) in a ring of the last 65,536 events — stderr says so when the

@@ -9,6 +9,12 @@
 //	sweep -sensitive -configs gto,rba+shuffle,fc+rba,rba+4bank,lat5+rba > rba_study.csv
 //	sweep -sensitive -checkpoint run.ckpt -diag diag/      # fault-tolerant campaign
 //
+// -sms N builds the full V100 memory system behind N SMs: 640 B/cycle of
+// DRAM bandwidth and a 6 MB L2. cmd/experiments runs exp.Base() instead —
+// 4 SMs with 32 B/cycle and a 307 KB L2, plus exp.DeviceFor's TPC-H
+// bandwidth share — so `sweep -sensitive -configs gto,rba` does not
+// reproduce fig10's cells.
+//
 // Each -configs entry is a design in the grammar of internal/config's
 // package comment (subcoresim's -config reads the same). The entry, as
 // typed, labels the design in the CSV, the checkpoint and the snapshot

@@ -13,12 +13,9 @@ import (
 // TestParkedWarpFrameUnchanged pins the frame pb-sgemm writes at its first
 // heartbeat (cycle 1024) on the experiments' device. It holds warps parked at
 // a barrier, and a parked warp's buffer fill and cursor position travel in a
-// frame: the hash is the one the build that still refilled every buffer in
-// the decode stage wrote, and refilling a warp's buffer as it issues BAR
-// moves it, though no statistic moves. Version 9 re-pinned it for the
-// header alone: the payload after the 16-byte machine ID hashes to
-// 6dfbbf2fc70f16bbecc5950b94d55039231fe9e35890de91c023efd45203c505 under
-// both versions (version 8's frame: 382e4ce48405db1b1d3d6f0e86f1b21dc74d690110d05b2ffab3bc921297cd30).
+// frame: the hash pins the state the build that still refilled every buffer
+// in the decode stage wrote, in version 10's layout, and refilling a warp's
+// buffer as it issues BAR moves it, though no statistic moves.
 func TestParkedWarpFrameUnchanged(t *testing.T) {
 	app, err := workloads.ByName("pb-sgemm")
 	if err != nil {
@@ -42,7 +39,7 @@ func TestParkedWarpFrameUnchanged(t *testing.T) {
 	if err := g.RunKernels(app.Kernels, 0); err != nil {
 		t.Fatal(err)
 	}
-	const want = "e733b3db682f48fa41508319db8bb17adc5b7682169ec48cc6d2d4ca78f567b9"
+	const want = "804e8e53ed0941d0405b698d38bfe7913592dfcbed1d828f8054d297e078dcc6"
 	if got := fmt.Sprintf("%x", sha256.Sum256(frame)); at != 1024 || got != want {
 		t.Errorf("the first heartbeat's frame (cycle %d, %d bytes) hashes to %s, the parent's (cycle 1024) to %s", at, len(frame), got, want)
 	}

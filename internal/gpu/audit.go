@@ -50,40 +50,3 @@ func (g *GPU) AuditCheck() []audit.Violation {
 	}
 	return vs
 }
-
-// ArmCorruptionForTest schedules a seeded state corruption of the given
-// kind ("scoreboard", "lease", "readyset", "mshr", or "config") to be applied at the next
-// heartbeat — mid-kernel, exactly where real corruption would strike —
-// so tests can prove the armed auditor turns it into an AuditError.
-// Never call outside tests.
-func (g *GPU) ArmCorruptionForTest(kind string) {
-	g.corruptKind = kind
-}
-
-// applyCorruption performs the armed test corruption. Scoreboard
-// corruption needs an active warp; it stays armed until one exists.
-func (g *GPU) applyCorruption() {
-	switch g.corruptKind {
-	case "scoreboard":
-		for _, sm := range g.sms {
-			if sm.CorruptScoreboardForTest() {
-				g.corruptKind = ""
-				return
-			}
-		}
-	case "lease":
-		g.sms[0].CorruptLeaseForTest()
-		g.corruptKind = ""
-	case "readyset":
-		g.sms[0].CorruptReadySetForTest()
-		g.corruptKind = ""
-	case "mshr":
-		g.hier.CorruptMSHRForTest()
-		g.corruptKind = ""
-	case "config":
-		g.cfg.RBAScoreLatency++
-		g.corruptKind = ""
-	default:
-		panic(fmt.Sprintf("gpu: unknown test corruption kind %q", g.corruptKind))
-	}
-}

@@ -105,15 +105,13 @@ type GPU struct {
 	// WorkCycles (config.AuditEvery; audit.go). snapFn is the harness's
 	// snapshot hook and enc WriteSnapshot's encoder; curLaunch exposes the
 	// active launch to WriteSnapshot; pending carries a restored mid-kernel
-	// launch until ContinueKernels picks it up (snapshot.go). corruptKind
-	// arms a test-only heartbeat corruption.
-	auditEvery  int64
-	auditNext   int64
-	snapFn      func(*GPU) error
-	enc         snapshot.Encoder
-	curLaunch   *launch
-	pending     *resumedLaunch
-	corruptKind string
+	// launch until ContinueKernels picks it up (snapshot.go).
+	auditEvery int64
+	auditNext  int64
+	snapFn     func(*GPU) error
+	enc        snapshot.Encoder
+	curLaunch  *launch
+	pending    *resumedLaunch
 }
 
 // gpuState is the device-level state a snapshot carries: plain data only,
@@ -530,16 +528,11 @@ func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
 	g.syncSMs()
 	g.flushMetrics()
 	canceled := g.mon.beat(g.cycle)
-	if !canceled {
-		if g.corruptKind != "" {
-			g.applyCorruption()
-		}
-		if g.auditEvery > 0 && g.WorkCycles() >= g.auditNext {
-			g.auditNext = g.WorkCycles() + g.auditEvery
-			if vs := g.AuditCheck(); len(vs) > 0 {
-				ls.err = &AuditError{Cycle: g.cycle, Violations: vs}
-				return stopFault, true
-			}
+	if !canceled && g.auditEvery > 0 && g.WorkCycles() >= g.auditNext {
+		g.auditNext = g.WorkCycles() + g.auditEvery
+		if vs := g.AuditCheck(); len(vs) > 0 {
+			ls.err = &AuditError{Cycle: g.cycle, Violations: vs}
+			return stopFault, true
 		}
 	}
 	if g.snapFn != nil {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"slices"
@@ -77,18 +78,17 @@ func mshrRows(t *testing.T, g *GPU) []int {
 
 // TestParentFramesReencode: the build whose MSHRs were a map and a
 // completion heap wrote gatherApp's frames at its third and fourth
-// heartbeats (testdata/gather_v8_hb*.snap). Restoring the first and
-// running to the next heartbeat must encode the second byte for byte: the
-// table drops exactly the fills the map and heap dropped, the shared L2's
-// included, whose same-cycle inserts from four SMs arrive out of time order.
-// The frames are read as version 9 wrote them (testdata/gather_v9_hb*.snap,
-// TestV9FixturesAreV8Reheadered): the same payloads under a new header.
+// heartbeats; their memory hierarchy travels on in testdata/gather_v10_hb*.snap
+// (TestV10FixturesKeepV9Hierarchy). Restoring the first and running to the
+// next heartbeat must encode the second byte for byte: the table drops
+// exactly the fills the map and heap dropped, the shared L2's included,
+// whose same-cycle inserts from four SMs arrive out of time order.
 func TestParentFramesReencode(t *testing.T) {
-	first, err := os.ReadFile("testdata/gather_v9_hb3.snap")
+	first, err := os.ReadFile("testdata/gather_v10_hb3.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile("testdata/gather_v9_hb4.snap")
+	second, err := os.ReadFile("testdata/gather_v10_hb4.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,32 +127,70 @@ func TestParentFramesReencode(t *testing.T) {
 	}
 }
 
-// TestV9FixturesAreV8Reheadered: testdata/gather_v9_hb*.snap are the version
-// 8 frames with the header rewritten for version 9 and gatherCfg's MachineID
-// without WarpSize and LSUWidthPerSM, the payload untouched — the one
-// command that made them. The originals are refused with the version
-// message.
-func TestV9FixturesAreV8Reheadered(t *testing.T) {
+// TestV10FixturesKeepV9Hierarchy: testdata/gather_v10_hb*.snap are the
+// frames this build writes at gatherApp's third and fourth heartbeats, and
+// their payloads are testdata/gather_v9_hb*.snap's byte for byte through the
+// end of the memory hierarchy: version 10 dropped counters from the SMs'
+// state only, so the map-and-heap build's MSHR contents carry over. The
+// version 9 frames are refused with the version message.
+func TestV10FixturesKeepV9Hierarchy(t *testing.T) {
 	for _, hb := range []string{"3", "4"} {
-		v8, err := os.ReadFile("testdata/gather_v8_hb" + hb + ".snap")
-		if err != nil {
-			t.Fatal(err)
-		}
 		v9, err := os.ReadFile("testdata/gather_v9_hb" + hb + ".snap")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(reheader(t, v8, snapshot.Version, gatherCfg().MachineID()), v9) {
-			t.Errorf("heartbeat %s: the v9 fixture is not the v8 frame reheadered", hb)
+		v10, err := os.ReadFile("testdata/gather_v10_hb" + hb + ".snap")
+		if err != nil {
+			t.Fatal(err)
 		}
 		g, err := New(gatherCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Restore(bytes.NewReader(v8), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 8, this build reads only 9") {
-			t.Errorf("heartbeat %s: restoring the v8 frame: %v, want the version refusal", hb, err)
+		if err := g.Restore(bytes.NewReader(v9), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 9, this build reads only 10") {
+			t.Errorf("heartbeat %s: restoring the v9 frame: %v, want the version refusal", hb, err)
+		}
+		if err := g.Restore(bytes.NewReader(v10), gatherApp()); err != nil {
+			t.Fatal(err)
+		}
+		// The SMs' state closes the payload: what precedes it ends with the
+		// memory hierarchy.
+		e := snapshot.NewEncoder()
+		for _, sm := range g.sms {
+			sm.EncodeState(e)
+		}
+		var buf bytes.Buffer
+		if err := e.Finish(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sms, err := snapshot.Payload(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := anyVersionPayload(t, v9)
+		now, err := snapshot.Payload(v10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := len(now) - len(sms)
+		if !bytes.HasSuffix(now, sms) || end > len(old) || !bytes.Equal(now[:end], old[:end]) {
+			t.Errorf("heartbeat %s: the v10 payload's first %d bytes, through the memory hierarchy, differ from the v9 payload's", hb, end)
 		}
 	}
+}
+
+// anyVersionPayload returns the payload of a frame of any format version:
+// magic | uvarint version | uvarint length | payload | checksum.
+func anyVersionPayload(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	body := frame[8 : len(frame)-4]
+	_, n := binary.Uvarint(body)
+	plen, m := binary.Uvarint(body[n:])
+	if payload := body[n+m:]; uint64(len(payload)) == plen {
+		return payload
+	}
+	t.Fatalf("a %d-byte frame whose payload is not the length its header gives", len(frame))
+	return nil
 }
 
 // TestPinnedFramesCarryMSHRRows: both frames TestFrameBytesUnchanged pins

@@ -169,13 +169,14 @@ func resolverFor(ls *launch) smcore.ProgramResolver {
 	}
 }
 
-// ContinueKernels resumes a restored device: it drives the restored
-// mid-kernel launch (if any) to completion without re-running the
-// per-kernel resets — the restored scheduler state must survive — and
-// then runs the remaining kernels of the sequence normally. ks must be
-// the same kernel sequence passed to Restore. The combined
-// pre-snapshot + resumed execution is byte-identical to an uninterrupted
-// run of the same application (TestSnapshotResumeInert).
+// ContinueKernels runs what is left of the kernel sequence ks: on a
+// restored device it drives the restored mid-kernel launch (if any) to
+// completion without re-running the per-kernel resets — the restored
+// scheduler state must survive — and then runs the remaining kernels
+// normally; on a fresh device it is RunKernels. ks must be the same kernel
+// sequence passed to Restore. The combined pre-snapshot + resumed
+// execution is byte-identical to an uninterrupted run of the same
+// application (TestSnapshotResumeInert).
 func (g *GPU) ContinueKernels(ks []*Kernel, maxCycles int64) error {
 	// done counts kernels consumed so far. Between launches it equals the
 	// stats entries (the RunKernels contract: one kernel per launch); a

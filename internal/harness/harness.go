@@ -401,7 +401,6 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 	// half-mutated the device, so the fresh path rebuilds it.
 	snap := newCellSnapshotter(opt, app.Name, cfgName, mon)
 	defer snap.settle() // no way out of the cell leaves a frame half-written
-	resumed := false
 	if snap != nil {
 		ok, rerr := snap.tryResume(g, app.Kernels)
 		if rerr != nil {
@@ -411,7 +410,6 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 				return nil, &SimFault{Kind: FaultError, Err: err}
 			}
 		} else if ok {
-			resumed = true
 			opt.sm.snapResumes.Inc()
 			opt.logf("harness: %s on %s: resumed from snapshot at cycle %d", app.Name, cfgName, g.Cycle())
 		}
@@ -423,13 +421,8 @@ func superviseCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgNa
 	if snap != nil {
 		g.SetSnapshotHook(snap.hook)
 	}
-	runErr := error(nil)
-	if resumed {
-		runErr = g.ContinueKernels(app.Kernels, opt.MaxCycles)
-	} else {
-		runErr = g.RunKernels(app.Kernels, opt.MaxCycles)
-	}
-	if runErr != nil {
+	// On a fresh device ContinueKernels runs the whole sequence.
+	if runErr := g.ContinueKernels(app.Kernels, opt.MaxCycles); runErr != nil {
 		f := &SimFault{Cycle: mon.Cycle(), Err: runErr}
 		var cle *gpu.CycleLimitError
 		var ce *gpu.CancelError

@@ -19,6 +19,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/program"
+	"repro/internal/snapshot"
 	"repro/internal/workloads"
 )
 
@@ -241,33 +242,56 @@ func TestCorruptSnapshotFallsBackFresh(t *testing.T) {
 }
 
 // writeCorruptFrame leaves in dir the frame a cell of app labelled cfgName
-// resumes from: taken at the first heartbeat of a device whose scoreboard
-// was corrupted just before it, with the auditor off — the state is wrong
-// and nothing has noticed.
+// resumes from: the one its device writes at the first heartbeat, with one
+// bit of the payload changed — the first change, in payload order, that
+// restores to a state the auditor flags there and faults on at the next
+// heartbeat. The state is wrong and nothing has noticed.
 func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App) {
 	t.Helper()
 	g, err := gpu.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.ArmCorruptionForTest("scoreboard")
-	written := errors.New("frame written")
+	var frame bytes.Buffer
+	stop := errors.New("stopped at the first heartbeat")
 	g.SetSnapshotHook(func(g *gpu.GPU) error {
-		var frame bytes.Buffer
 		if err := g.WriteSnapshot(&frame); err != nil {
 			return err
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(snapPath(dir, app.Name, cfgName), frame.Bytes(), 0o644); err != nil {
-			return err
-		}
-		return written
+		return stop
 	})
-	if err := g.RunKernels(app.Kernels, 0); !errors.Is(err, written) {
-		t.Fatalf("the corrupt device ran to %v, want it stopped after its first frame", err)
+	if err := g.RunKernels(app.Kernels, 0); !errors.Is(err, stop) {
+		t.Fatalf("the device ran to %v, want it stopped after its first frame", err)
 	}
+	payload, err := snapshot.Payload(frame.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload {
+		changed := slices.Clone(payload)
+		changed[i] ^= 1
+		bad := snapshot.Frame(changed)
+		g, err := gpu.New(cfg.WithAudit(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Restore(bytes.NewReader(bad), app.Kernels) != nil || len(g.AuditCheck()) == 0 {
+			continue
+		}
+		g.SetSnapshotHook(func(*gpu.GPU) error { return stop })
+		var ae *gpu.AuditError
+		if !errors.As(g.ContinueKernels(app.Kernels, 0), &ae) {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapPath(dir, app.Name, cfgName), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatal("no one-bit change of the frame restores to a state the auditor faults on")
 }
 
 // A cell that resumes a corrupt frame with the auditor armed faults as a

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/audit"
 )
@@ -85,18 +84,4 @@ func (ch *bwChannel) auditInto(vs []audit.Violation, where string) []audit.Viola
 			"fractional backlog %d not reduced below denominator %d", ch.fracPending, ch.fracDen))
 	}
 	return vs
-}
-
-// CorruptMSHRForTest seeds a guaranteed-detectable MSHR inconsistency (a
-// live fill in a never-used slot that its line's probe cannot reach: the
-// probe stops at another never-used slot first) for the auditor's
-// injected-corruption tests. Never call outside tests.
-func (h *Hierarchy) CorruptMSHRForTest() {
-	m := h.l1m[0]
-	slot, line := slices.Index(m.keys, 0), uint64(1<<62)
-	for m.slot(line) == slot {
-		line++
-	}
-	m.keys[slot], m.done[slot] = line+1, NeverCycle
-	m.used++
 }

@@ -214,20 +214,19 @@ type Hierarchy struct {
 	drch *bwChannel
 	// fills is EncodeState's reusable MSHR-rows scratch.
 	fills []fill
-
-	// L1HitLatency is the load-use latency on an L1 hit (Volta ~28).
-	L1HitLatency int64
 }
+
+// l1HitLatency is the load-use latency on an L1 hit (Volta ~28).
+const l1HitLatency = 28
 
 // NewHierarchy builds the memory system for a configuration.
 func NewHierarchy(cfg config.GPU) *Hierarchy {
 	h := &Hierarchy{
-		cfg:          cfg,
-		l2:           NewCache(cfg.L2KB, cfg.L2Assoc, cfg.LineBytes),
-		l2m:          newMSHR(),
-		l2ch:         newBWChannel(cfg.L2BytesPerCycle, cfg.LineBytes),
-		drch:         newBWChannel(cfg.DRAMBytesPerCycle, cfg.LineBytes),
-		L1HitLatency: 28,
+		cfg:  cfg,
+		l2:   NewCache(cfg.L2KB, cfg.L2Assoc, cfg.LineBytes),
+		l2m:  newMSHR(),
+		l2ch: newBWChannel(cfg.L2BytesPerCycle, cfg.LineBytes),
+		drch: newBWChannel(cfg.DRAMBytesPerCycle, cfg.LineBytes),
 	}
 	for i := 0; i < cfg.NumSMs; i++ {
 		h.l1 = append(h.l1, NewCache(cfg.L1KBPerSM, cfg.L1Assoc, cfg.LineBytes))
@@ -263,7 +262,7 @@ func (h *Hierarchy) AccessGlobal(sm int, addr uint64, write bool, now int64) int
 		return done
 	}
 	if l1.Access(addr, false) {
-		return now + h.L1HitLatency
+		return now + l1HitLatency
 	}
 	done = h.accessL2(addr, now) // touches no L1 MSHR: slot stays line's
 	m.insert(slot, line, done, now)
@@ -273,7 +272,7 @@ func (h *Hierarchy) AccessGlobal(sm int, addr uint64, write bool, now int64) int
 // accessL2 resolves an L1 miss taken at now; the request reaches the L2
 // one L1 lookup later.
 func (h *Hierarchy) accessL2(addr uint64, now int64) int64 {
-	at := now + h.L1HitLatency
+	at := now + l1HitLatency
 	line := h.l2.LineOf(addr)
 	serveDone := h.l2ch.serve(at)
 	if h.l2.Access(addr, false) {

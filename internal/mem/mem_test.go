@@ -73,12 +73,12 @@ func smallCfg() config.GPU {
 func TestHierarchyL1HitLatency(t *testing.T) {
 	h := NewHierarchy(smallCfg())
 	first := h.AccessGlobal(0, 0, false, 0)
-	if first <= h.L1HitLatency {
+	if first <= l1HitLatency {
 		t.Errorf("cold access done at %d, want beyond L1 latency", first)
 	}
 	hit := h.AccessGlobal(0, 0, false, first)
-	if hit != first+h.L1HitLatency {
-		t.Errorf("hit done at %d, want %d", hit, first+h.L1HitLatency)
+	if hit != first+l1HitLatency {
+		t.Errorf("hit done at %d, want %d", hit, first+l1HitLatency)
 	}
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -135,7 +136,15 @@ func TestAuditCatchesSeededMSHRCorruption(t *testing.T) {
 	if vs := h.Audit(); len(vs) != 0 {
 		t.Fatalf("healthy hierarchy reported %v", vs)
 	}
-	h.CorruptMSHRForTest()
+	// A live fill in a never-used slot that its line's probe cannot reach:
+	// the probe stops at another never-used slot first.
+	m := h.l1m[0]
+	slot, line := slices.Index(m.keys, 0), uint64(1<<62)
+	for m.slot(line) == slot {
+		line++
+	}
+	m.keys[slot], m.done[slot] = line+1, NeverCycle
+	m.used++
 	vs := h.Audit()
 	if len(vs) == 0 {
 		t.Fatal("seeded MSHR inconsistency not detected")

@@ -403,6 +403,12 @@ var ledger = []Mutant{
 		Tests:   map[string][]string{"internal/gpu": {"TestAuditedRunIsCleanAndUnperturbed"}},
 	},
 	{
+		Name:    "audit-skips-hierarchy",
+		Mistake: "the device auditor checks the SMs, the CPI stack and the configuration but not the memory hierarchy",
+		Edits:   []Edit{{"internal/gpu/audit.go", "\tvs = append(vs, g.hier.Audit()...)\n", ""}},
+		Tests:   map[string][]string{"internal/gpu": {"TestAuditCatchesArmedCorruption"}},
+	},
+	{
 		Name:    "nextevent-drops-staged-units",
 		Mistake: "Collector.NextEvent counts queued reads and writebacks but not a staged collector unit",
 		Edits:   []Edit{{"internal/regfile/regfile.go", "\tif c.busy > 0 {\n\t\treturn now\n\t}\n\treturn neverCycle\n", "\tif c.busy > bits.OnesCount64(^c.free&(1<<uint(len(c.cus))-1)) {\n\t\treturn now\n\t}\n\treturn neverCycle\n"}},

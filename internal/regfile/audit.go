@@ -79,15 +79,3 @@ func (c *Collector) ForEachQueuedWrite(fn func(WriteReq)) {
 		}
 	}
 }
-
-// CorruptLeaseForTest seeds a guaranteed-detectable lease inconsistency
-// for the auditor's injected-corruption tests: a phantom bank read. If the
-// referenced unit is occupied, its reference count exceeds Pending; if it
-// is free, the read dangles — either way the audit fires. Never call
-// outside tests.
-func (c *Collector) CorruptLeaseForTest() {
-	c.queues[0] = append(c.queues[0], readReq{cu: 0})
-	// Counted like a real read: the reference counts alone are off.
-	c.busy++
-	c.normal[0]++
-}

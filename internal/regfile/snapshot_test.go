@@ -114,7 +114,10 @@ func TestAuditCatchesSeededLeaseCorruption(t *testing.T) {
 	if vs := c.Audit("t"); len(vs) != 0 {
 		t.Fatalf("healthy collector reported %v", vs)
 	}
-	c.CorruptLeaseForTest()
+	// A phantom bank read.
+	c.queues[0] = append(c.queues[0], readReq{cu: 0})
+	c.busy++
+	c.normal[0]++
 	vs := c.Audit("t")
 	if len(vs) == 0 {
 		t.Fatal("seeded lease inconsistency not detected")

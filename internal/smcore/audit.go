@@ -35,16 +35,6 @@ func sbMark(sb *[sbWords]uint64, r isa.Reg) {
 	sb[idx] |= 1 << bit
 }
 
-func popcount(sb *[sbWords]uint64) int {
-	n := 0
-	for _, w := range sb {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // Audit re-derives the SM's conservation laws from first principles and
 // reports every divergence from the live bookkeeping. It is read-only and
 // safe to call between cycles (never mid-Tick). Rules emitted here:
@@ -52,12 +42,11 @@ func popcount(sb *[sbWords]uint64) int {
 //   - scoreboard: each warp's pending-register bitset must equal the union
 //     of destinations held by in-flight writers (writeback heap, queued
 //     collector writebacks, staged non-stolen collector units, LSU queue
-//     entries that will schedule a writeback), and sbCount must equal the
-//     bitset's popcount.
+//     entries that will schedule a writeback).
 //   - lease: collector-unit reference counting (delegated per sub-core to
 //     regfile.Collector.Audit), plus stolen-CU back-pointer consistency.
 //   - occupancy: sub-core slot tables vs warp back-pointers and used
-//     counts; SM-wide resident/live warp and block tallies.
+//     counts; SM-wide resident warp and block tallies.
 //   - regbudget: per-sub-core free register bytes vs hosted warps' demand.
 //   - shmem: SM shared-memory free space vs active blocks' reservations.
 //   - lsu: queue bound and entry validity.
@@ -131,23 +120,16 @@ func (sm *SM) Audit() []audit.Violation {
 			vs = append(vs, audit.Violationf("scoreboard", where,
 				"warp %d scoreboard %x, but in-flight writers imply %x", i, w.sb, expected[i]))
 		}
-		if got := popcount(&w.sb); got != int(w.sbCount) {
-			vs = append(vs, audit.Violationf("scoreboard", where,
-				"warp %d sbCount=%d, bitset holds %d", i, w.sbCount, got))
-		}
 	}
 
 	// Residency and occupancy tallies.
-	resident, live := 0, 0
+	resident := 0
 	for i := range sm.warps {
 		w := &sm.warps[i]
 		if w.State == WarpEmpty {
 			continue
 		}
 		resident++
-		if w.State == WarpActive || w.State == WarpAtBarrier {
-			live++
-		}
 		if int(w.BlockSlot) < 0 || int(w.BlockSlot) >= len(sm.blocks) || !sm.blocks[w.BlockSlot].active {
 			vs = append(vs, audit.Violationf("residency", where,
 				"warp %d references inactive block slot %d", i, w.BlockSlot))
@@ -162,10 +144,6 @@ func (sm *SM) Audit() []audit.Violation {
 		vs = append(vs, audit.Violationf("occupancy", where,
 			"residentWarps=%d, warp table holds %d", sm.residentWarps, resident))
 	}
-	if live != sm.liveWarps {
-		vs = append(vs, audit.Violationf("occupancy", where,
-			"liveWarps=%d, warp table holds %d", sm.liveWarps, live))
-	}
 
 	activeBlocks, shmemUsed := 0, 0
 	for bi := range sm.blocks {
@@ -175,10 +153,6 @@ func (sm *SM) Audit() []audit.Violation {
 		}
 		activeBlocks++
 		shmemUsed += b.sharedBytes
-		if b.warpsTotal != len(b.warpIdxs) {
-			vs = append(vs, audit.Violationf("residency", where,
-				"block %d warpsTotal=%d but holds %d warp indices", bi, b.warpsTotal, len(b.warpIdxs)))
-		}
 		exited, atBarrier := 0, 0
 		for _, wi := range b.warpIdxs {
 			if int(wi) < 0 || int(wi) >= len(sm.warps) {
@@ -306,39 +280,4 @@ func (sc *SubCore) scanReadySet() readySet {
 		}
 	}
 	return rs
-}
-
-// CorruptReadySetForTest seeds a guaranteed-detectable ready-set
-// inconsistency: slot 0 of sub-core 0 flips in the ready mask, whatever
-// its warp's state. Never call outside tests.
-func (sm *SM) CorruptReadySetForTest() {
-	sm.subcores[0].rs.ready ^= 1
-}
-
-// CorruptLeaseForTest seeds a collector lease inconsistency in sub-core 0
-// (see regfile.Collector.CorruptLeaseForTest). Never call outside tests.
-func (sm *SM) CorruptLeaseForTest() {
-	sm.subcores[0].coll.CorruptLeaseForTest()
-}
-
-// CorruptScoreboardForTest seeds a guaranteed-detectable scoreboard
-// inconsistency — a pending bit with no in-flight writer — in the first
-// active warp. Returns false when the SM has no active warp to corrupt.
-// Never call outside tests.
-func (sm *SM) CorruptScoreboardForTest() bool {
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		if w.State != WarpActive {
-			continue
-		}
-		for r := isa.Reg(0); r < 256; r++ {
-			if !w.SBPending(r) {
-				w.SBSet(r)
-				// Keep the corruption to the one law it targets.
-				sm.subcores[w.SubCore].reclass(int(w.SchedSlot))
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -27,12 +27,14 @@ type LSU struct {
 	// queue kept full slides once per capacity admissions, not per one.
 	backing []lsuEntry
 	tr      *trace.SMT
-
-	lat struct {
-		shared   int64
-		constant int64
-	}
 }
+
+// Load-use latencies of the scratchpad (before bank conflicts) and the
+// constant cache.
+const (
+	sharedLatency = 24
+	constLatency  = 8
+)
 
 // lsuState is the LSU's mutable state: plain data only, walked whole by
 // snapshot.State (snapshot.go).
@@ -44,8 +46,6 @@ type lsuState struct {
 func newLSU(sm *SM, capacity int) *LSU {
 	l := &LSU{sm: sm, capacity: capacity, backing: make([]lsuEntry, 2*capacity)}
 	l.queue = l.backing[:0]
-	l.lat.shared = 24
-	l.lat.constant = 8
 	return l
 }
 
@@ -103,12 +103,12 @@ func (l *LSU) serve(now int64) {
 			l.sm.st.SharedConflicts += int64(d - 1)
 		}
 		if in.Op == isa.OpLDS && in.Dst.Valid() {
-			l.scheduleLoadWB(e, now+l.lat.shared+int64(d))
+			l.scheduleLoadWB(e, now+sharedLatency+int64(d))
 		}
 	case isa.SpaceConst:
 		l.portFree = now + 1
 		if in.Dst.Valid() {
-			l.scheduleLoadWB(e, now+l.lat.constant)
+			l.scheduleLoadWB(e, now+constLatency)
 		}
 	default:
 		l.portFree = now + 1

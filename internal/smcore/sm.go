@@ -37,7 +37,6 @@ func (b *BlockSpec) Warps() int { return len(b.Programs) }
 type block struct {
 	active         bool
 	kernelBlockID  int
-	warpsTotal     int
 	warpsExited    int
 	barrierWaiting int
 	warpIdxs       []int32
@@ -138,9 +137,6 @@ type smState struct {
 	// residentWarps counts occupied warp slots (all states).
 	residentWarps  int
 	residentBlocks int
-	// liveWarps counts warps not yet exited; the SM is drained when 0 and
-	// no writebacks or LSU entries are pending.
-	liveWarps int
 }
 
 // NewSM builds SM id for a validated config, wiring it to the shared
@@ -269,7 +265,6 @@ func (sm *SM) Allocate(b *BlockSpec) error {
 	*blk = block{
 		active:        true,
 		kernelBlockID: b.KernelBlockID,
-		warpsTotal:    b.Warps(),
 		regsPerThread: b.RegsPerThread,
 		sharedBytes:   b.SharedMemBytes,
 	}
@@ -296,7 +291,6 @@ func (sm *SM) Allocate(b *BlockSpec) error {
 		sm.ageCounter++
 		blk.warpIdxs = append(blk.warpIdxs, int32(warpIdx))
 		sm.residentWarps++
-		sm.liveWarps++
 	}
 	sm.residentBlocks++
 	sm.wake = sm.synced
@@ -335,11 +329,10 @@ func (sm *SM) scheduleWriteback(cycle int64, warpIdx int32, reg isa.Reg, bank in
 // slot and registers until the whole block retires.
 func (sm *SM) warpExited(w *Warp, now int64) {
 	sm.setState(w, WarpFinished)
-	sm.liveWarps--
 	blk := &sm.blocks[w.BlockSlot]
 	blk.warpsExited++
 	sm.checkBarrierRelease(blk, w, now)
-	if blk.warpsExited == blk.warpsTotal {
+	if blk.warpsExited == len(blk.warpIdxs) {
 		sm.wakeSleepers(w, now)
 		sm.retireBlock(blk)
 	}
@@ -356,7 +349,7 @@ func (sm *SM) warpAtBarrier(w *Warp, now int64) {
 // checkBarrierRelease opens the barrier once every non-exited warp of the
 // block has arrived (exited warps no longer participate); w just did.
 func (sm *SM) checkBarrierRelease(blk *block, w *Warp, now int64) {
-	alive := blk.warpsTotal - blk.warpsExited
+	alive := len(blk.warpIdxs) - blk.warpsExited
 	if blk.barrierWaiting == 0 || blk.barrierWaiting < alive {
 		return
 	}

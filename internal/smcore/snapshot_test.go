@@ -338,7 +338,24 @@ func TestAuditCatchesSeededScoreboardCorruption(t *testing.T) {
 	if vs := sm.Audit(); len(vs) != 0 {
 		t.Fatalf("healthy SM reported %v", vs)
 	}
-	if !sm.CorruptScoreboardForTest() {
+	// A pending bit with no in-flight writer, in the first active warp; the
+	// ready set is reclassed so only the scoreboard law is broken.
+	corrupted := false
+	for i := range sm.warps {
+		w := &sm.warps[i]
+		if w.State != WarpActive {
+			continue
+		}
+		r := isa.Reg(0)
+		for w.SBPending(r) {
+			r++
+		}
+		w.SBSet(r)
+		sm.subcores[w.SubCore].reclass(int(w.SchedSlot))
+		corrupted = true
+		break
+	}
+	if !corrupted {
 		t.Fatal("no active warp to corrupt")
 	}
 	vs := sm.Audit()

@@ -59,10 +59,8 @@ type warpState struct {
 	// IBuf is the 2-entry instruction buffer; IBufN is its fill level.
 	IBuf  [2]isa.Instr
 	IBufN int8
-	// sb is the pending-destination-register bitset (RAW/WAW scoreboard);
-	// sbCount is the number of set registers.
-	sb      [sbWords]uint64
-	sbCount int16
+	// sb is the pending-destination-register bitset (RAW/WAW scoreboard).
+	sb [sbWords]uint64
 	// StolenCU is the collector unit holding a bank-stealing
 	// pre-allocation for this warp's IBuf[0], or -1.
 	StolenCU int8
@@ -79,10 +77,7 @@ func (w *Warp) SBSet(r isa.Reg) {
 	if idx >= sbWords {
 		idx, bit = sbWords-1, 63 // clamp: workloads stay under 256 regs
 	}
-	if w.sb[idx]&(1<<bit) == 0 {
-		w.sb[idx] |= 1 << bit
-		w.sbCount++
-	}
+	w.sb[idx] |= 1 << bit
 }
 
 // SBClear releases register r (at writeback).
@@ -91,10 +86,7 @@ func (w *Warp) SBClear(r isa.Reg) {
 	if idx >= sbWords {
 		idx, bit = sbWords-1, 63
 	}
-	if w.sb[idx]&(1<<bit) != 0 {
-		w.sb[idx] &^= 1 << bit
-		w.sbCount--
-	}
+	w.sb[idx] &^= 1 << bit
 }
 
 // SBPending reports whether register r has an outstanding write.
@@ -107,7 +99,7 @@ func (w *Warp) SBPending(r isa.Reg) bool {
 }
 
 // SBEmpty reports whether no writes are outstanding.
-func (w *Warp) SBEmpty() bool { return w.sbCount == 0 }
+func (w *Warp) SBEmpty() bool { return w.sb == [sbWords]uint64{} }
 
 // Hazard reports whether instruction in has a RAW or WAW hazard against
 // this warp's outstanding writes.
