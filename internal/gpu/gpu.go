@@ -280,6 +280,8 @@ type launch struct {
 	gidOffset   []int64
 	totalLeft   int
 	totalBlocks int
+	// probe: set at launch and on a retirement, cleared by a failed round.
+	probe bool
 	// err carries a placement fault out of the loop (stopFault).
 	err error
 }
@@ -316,6 +318,7 @@ func (g *GPU) newLaunch(kernels []*Kernel, maxCycles int64) *launch {
 		},
 		specs:     make([]*smcore.BlockSpec, len(kernels)),
 		gidOffset: make([]int64, len(kernels)),
+		probe:     true,
 	}
 	// Kernel-wide warp IDs must not collide across concurrent kernels;
 	// offset each kernel's GID space.
@@ -398,8 +401,8 @@ func (g *GPU) launchError(stop loopStop, ls *launch) error {
 //
 // Only two things wake an SM from outside: a block placed on it, and —
 // for the placement itself — a block retiring anywhere while blocks are
-// pending, which is why placement is retried at the head of every
-// iteration, before the jump is decided: a retire at cycle c frees room the
+// pending, which is why placement is retried (launch.probe) at the head of
+// the next iteration, before the jump: a retire at cycle c frees room the
 // thread-block scheduler must see at c+1, even if every SM then sleeps.
 // Barrier release is intra-SM, and nothing comes from memory: the hierarchy
 // is analytic, and completions already sit in the SM's writeback heap.
@@ -411,14 +414,16 @@ func (g *GPU) cycleLoop(ls *launch) loopStop {
 			// Publish the cycle before any stage emits events.
 			g.tracer.SetNow(now)
 		}
-		if ls.totalLeft > 0 && !g.placeBlocks(ls) {
+		if ls.totalLeft > 0 && ls.probe && !g.placeBlocks(ls) {
 			return stopFault
 		}
 		occ, ticked, wake := 0, false, mem.NeverCycle
 		for _, sm := range g.sms {
 			if allAwake || sm.Wake() <= now {
+				resident := sm.ResidentWarps()
 				sm.Tick(now)
 				ticked = true
+				ls.probe = ls.probe || sm.ResidentWarps() < resident // a block retired
 			}
 			occ += sm.ResidentWarps()
 			wake = min(wake, sm.Wake())
@@ -505,6 +510,7 @@ func (g *GPU) placeBlocks(ls *launch) bool {
 			// Failed rounds leave no trace: restore the kernel cursor the
 			// skip-exhausted walk may have moved.
 			ls.kPtr = startK
+			ls.probe = false
 			break
 		}
 	}

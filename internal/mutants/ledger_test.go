@@ -197,7 +197,7 @@ var ledger = []Mutant{
 	{
 		Name:    "knob-dispatch-ports-fixed",
 		Mistake: "the collector stage gets two dispatch ports whatever the configuration says",
-		Edits:   []Edit{{"internal/smcore/subcore.go", "sc.dispPorts = sc.cfg.DispatchPortsPerSubCore", "sc.dispPorts = 2"}},
+		Edits:   []Edit{{"internal/smcore/subcore.go", "c, ports := sc.coll, sc.cfg.DispatchPortsPerSubCore", "c, ports := sc.coll, 2"}},
 		Tests:   map[string][]string{".": {"TestKnobLiveness"}},
 	},
 	{
@@ -289,7 +289,7 @@ var ledger = []Mutant{
 		Edits: []Edit{
 			{"internal/smcore/sm.go", "func (sm *SM) CanAccept(b *BlockSpec) bool {\n", "func (sm *SM) CanAccept(b *BlockSpec) bool {\n\t_ = fmt.Sprint(sm.synced)\n"},
 		},
-		Tests: map[string][]string{"internal/gpu": {"TestCycleLoopZeroAlloc"}},
+		Tests: map[string][]string{"internal/smcore": {"TestCanAcceptZeroAlloc"}},
 	},
 	{
 		Name:    "alloc-in-pick-ready",
@@ -342,6 +342,22 @@ var ledger = []Mutant{
 			{"internal/regfile/regfile.go", "func (c *Collector) DelayedQueueLen(b, delay int) int {\n", "func (c *Collector) DelayedQueueLen(b, delay int) int {\n\t_ = fmt.Sprint(c.cycle)\n"},
 		},
 		Tests: map[string][]string{"internal/gpu": {"TestCycleLoopZeroAlloc"}},
+	},
+
+	// The per-cycle helpers' inline budget: each mistake computes the same
+	// thing, one call slower.
+	{
+		Name:    "inline-enqueue-write-sprintf",
+		Mistake: "Collector.EnqueueWrite checks the bank with a formatted panic, which puts it over the inline budget",
+		Edits: []Edit{{"internal/regfile/regfile.go", "func (c *Collector) EnqueueWrite(w WriteReq) {\n",
+			"func (c *Collector) EnqueueWrite(w WriteReq) {\n\tif int(w.Bank) < 0 || int(w.Bank) >= c.banks {\n\t\tpanic(fmt.Sprintf(\"regfile: write to bank %d of %d\", w.Bank, c.banks))\n\t}\n"}},
+		Tests: map[string][]string{"internal/smcore": {"TestPerCycleHelpersInline"}},
+	},
+	{
+		Name:    "inline-advance-ring-loop",
+		Mistake: "the queue-length ring's loop is inlined back into Collector.advance, which puts it over the inline budget",
+		Edits:   []Edit{{"internal/regfile/regfile.go", "//\n//go:noinline\nfunc (c *Collector) record(", "func (c *Collector) record("}},
+		Tests:   map[string][]string{"internal/smcore": {"TestPerCycleHelpersInline"}},
 	},
 
 	// The stall accounting behind the CPI stack.
@@ -415,6 +431,27 @@ var ledger = []Mutant{
 		Tests:   map[string][]string{"internal/smcore": {"TestNextEventContractEveryCycle"}},
 	},
 	{
+		Name:    "restore-trusts-warp-slots",
+		Mistake: "a restored warp is not checked against its sub-core's slot table and its block",
+		Edits:   []Edit{{"internal/smcore/snapshot.go", "for _, wf := range f.Warps {", "for _, wf := range f.Warps[:0] {"}},
+		Tests:   map[string][]string{"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp"}},
+	},
+	{
+		Name:    "restore-trusts-slot-tables",
+		Mistake: "a restored sub-core slot or block list is not checked against the warp it names",
+		Edits: []Edit{
+			{"internal/smcore/snapshot.go", "if w := &sm.warps[max(wi, 0)]; wi >= 0 && (", "if w := &sm.warps[max(wi, 0)]; false && wi >= 0 && ("},
+			{"internal/smcore/snapshot.go", "for _, wi := range sm.blocks[b].warpIdxs {", "for _, wi := range sm.blocks[b].warpIdxs[:0] {"},
+		},
+		Tests: map[string][]string{"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp"}},
+	},
+	{
+		Name:    "placement-probe-not-rearmed",
+		Mistake: "the block scheduler is not probed again after a block retires",
+		Edits:   []Edit{{"internal/gpu/gpu.go", "ls.probe = ls.probe || sm.ResidentWarps() < resident // a block retired", "_ = resident"}},
+		Tests:   map[string][]string{"internal/gpu": {"TestFastForwardConcurrentIdentity", "TestCycleLoopZeroAlloc"}},
+	},
+	{
 		Name:    "snapshot-assigner-counter-lost",
 		Mistake: "a restored assigner restarts its warp counter instead of taking the frame's",
 		Edits:   []Edit{{"internal/core/assign.go", "func (a *Assigner) SetState(w uint64) { a.w = int(w) }", "func (a *Assigner) SetState(w uint64) { a.w = 0 }"}},
@@ -483,7 +520,7 @@ var ledger = []Mutant{
 	{
 		Name:    "ready-kept-at-dispatch",
 		Mistake: "a dispatched collector unit keeps its ready bit",
-		Edits:   []Edit{{"internal/regfile/regfile.go", "\t\t\tc.ready &^= 1 << uint(best)\n", ""}},
+		Edits:   []Edit{{"internal/regfile/regfile.go", "\tc.ready &^= 1 << uint(i)\n", ""}},
 		Tests: map[string][]string{
 			"internal/regfile": {"TestCollectorAlwaysDrainsProperty", "TestDualPortedBanks"},
 			"internal/smcore":  {"TestNextEventContractEveryCycle"},
@@ -507,7 +544,7 @@ var ledger = []Mutant{
 	{
 		Name:    "ring-position-not-landed",
 		Mistake: "a fast-forward longer than the queue-length ring leaves its position where it was",
-		Edits:   []Edit{{"internal/regfile/regfile.go", "if n > ring && ring > 0 {", "if false && n > ring && ring > 0 {"}},
+		Edits:   []Edit{{"internal/regfile/regfile.go", "if n > ring {", "if false && n > ring {"}},
 		Tests:   map[string][]string{"internal/smcore": {"TestNextEventContractEveryCycle"}},
 	},
 

@@ -79,8 +79,14 @@ func runTests(t *testing.T, abs string, m Mutant, files map[string]string) {
 	}
 	sort.Strings(pkgs)
 	for _, pkg := range pkgs {
-		out, _ := goCmd(abs, "test", "-overlay", ov, "-count=1", "-vet=off", "-timeout=2m",
+		// The overlay rides GOFLAGS, so that a killer which runs the go
+		// command itself (TestPerCycleHelpersInline) builds the mutant too.
+		cmd := exec.Command("go", "test", "-count=1", "-vet=off", "-timeout=2m",
 			"-run", runPattern(m.Tests[pkg]), "./"+pkg)
+		cmd.Dir = abs
+		cmd.Env = append(os.Environ(), "GOFLAGS="+strings.TrimSpace(os.Getenv("GOFLAGS")+" -overlay="+ov))
+		b, _ := cmd.CombinedOutput()
+		out := string(b)
 		if v := verdict(out, m.Tests[pkg]); v != "" {
 			t.Errorf("%s: %s\n%s", pkg, v, tail(out))
 		}

@@ -7,14 +7,17 @@
 // is staged in a collector unit; one read request per source operand is
 // queued at the operand's bank; each bank has one read port and one write
 // port (1R+1W), so in one cycle the arbiter grants a bank one read and
-// drains one writeback into it (Collector.Tick); when all operands are
+// drains one writeback into it (Collector.Grant); when all operands are
 // collected the instruction dispatches to its execution unit and the
 // collector unit frees. A single port per bank with writebacks first, as
 // GPGPU-Sim arbitrates, is hypothesis H2 of ROADMAP item 1, not the model.
 //
 // The arbiter exposes its per-bank queue lengths — optionally through a
 // delay line — which is the single piece of information the paper's RBA
-// scheduler adds to the baseline design.
+// scheduler adds to the baseline design. A cycle is Grant, Oldest,
+// Dispatched and EndCycle, which the sub-core drives; Tick, their composition
+// around a dispatch callback, is the form the benchmark pins (ROADMAP item 7
+// may retire it).
 package regfile
 
 import (
@@ -270,11 +273,8 @@ func (c *Collector) Unsteal(cu int) {
 
 // EnqueueWrite queues a writeback. Writebacks have priority over reads at
 // their bank; the caller clears the scoreboard entry when the write shows
-// up in GrantedWrites.
+// up in GrantedWrites. A bank outside [0, banks) panics on the index.
 func (c *Collector) EnqueueWrite(w WriteReq) {
-	if int(w.Bank) < 0 || int(w.Bank) >= c.banks {
-		panic(fmt.Sprintf("regfile: write to bank %d of %d", w.Bank, c.banks))
-	}
 	c.writes[w.Bank] = append(c.writes[w.Bank], w)
 	c.busy++
 }
@@ -331,28 +331,28 @@ func (c *Collector) DelayedQueueLen(b, delay int) int {
 	return int(c.qlenHist[idx][b])
 }
 
-// Tick advances the collector one cycle:
-//
-//  1. Each bank's write port drains one writeback and its read port
-//     grants one read (banks are 1R+1W dual-ported, as on Volta): the
-//     oldest normal read first; stolen reads only when the read port
-//     would otherwise idle.
-//  2. Ready collector units attempt dispatch through the dispatch
-//     callback (true = the execution unit accepted); dispatched CUs free.
-//  3. The per-bank queue-length snapshot is recorded for a delayed tap.
-//
-// Requests left waiting behind a granted access on the same port are
-// counted as bank conflicts.
-//
-// With nothing queued and no non-stolen unit staged (busy == 0) none of the
-// three steps can act — a fully collected stolen unit waits for formal
-// issue — so only the clock and the ring advance, without walking banks or
-// collector units.
+// Tick runs one cycle: Grant, each collected unit oldest first through the
+// dispatch callback (true = accepted, then Dispatched), and EndCycle. The
+// benchmark's collector driver pins it; ROADMAP item 7 may retire it.
 func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
+	for m := c.Grant(); m != 0; {
+		i := c.Oldest(m)
+		m &^= 1 << uint(i)
+		if dispatch(&c.cus[i]) {
+			c.Dispatched(i)
+		}
+	}
+	c.EndCycle()
+}
+
+// Grant runs the bank ports (1R+1W, as on Volta) — each drains one writeback
+// and grants one read, the oldest normal read first, stolen reads only onto
+// an idle port; a request left waiting is a bank conflict — and returns the
+// collected units. With busy == 0 it returns none at once.
+func (c *Collector) Grant() uint64 {
 	c.grantedW = c.grantedW[:0]
 	if c.busy == 0 {
-		c.FastForward(1)
-		return
+		return 0
 	}
 	for b := 0; b < c.banks; b++ {
 		// Write port.
@@ -399,35 +399,47 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 			}
 		}
 	}
+	return c.ready
+}
 
-	// Dispatch collected units, oldest allocation first (the priority logic
-	// of the baseline design; the lowest unit on a tie). A unit whose
-	// execution unit cannot accept this cycle stays staged; younger units
-	// bound for other execution units still get their own dispatch ports.
-	for m := c.ready; m != 0; {
-		best := bits.TrailingZeros64(m)
-		for o := m & (m - 1); o != 0; o &= o - 1 {
-			if i := bits.TrailingZeros64(o); c.cus[i].AllocCycle < c.cus[best].AllocCycle {
-				best = i
-			}
-		}
-		m &^= 1 << uint(best)
-		if dispatch(&c.cus[best]) {
-			c.cus[best].Valid = false
-			c.free |= 1 << uint(best)
-			c.ready &^= 1 << uint(best)
-			if !c.cus[best].Stolen {
-				c.busy--
-			}
+// Oldest returns the unit of the non-empty mask m allocated first, the
+// lowest on a tie: the baseline design's dispatch priority.
+func (c *Collector) Oldest(m uint64) int {
+	best := bits.TrailingZeros64(m)
+	for m &= m - 1; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); c.cus[i].AllocCycle < c.cus[best].AllocCycle {
+			best = i
 		}
 	}
-	c.advance(1)
+	return best
 }
+
+// Dispatched frees unit i, whose instruction its execution unit accepted.
+func (c *Collector) Dispatched(i int) {
+	c.cus[i].Valid = false
+	c.free |= 1 << uint(i)
+	c.ready &^= 1 << uint(i)
+	if !c.cus[i].Stolen {
+		c.busy--
+	}
+}
+
+// EndCycle closes the cycle: the clock moves on, and a delayed tap records
+// the queue lengths.
+func (c *Collector) EndCycle() { c.advance(1) }
 
 // advance moves the clock n cycles on and, when a delayed tap exists,
 // records the queue lengths — unchanged over the n cycles — in the ring.
 func (c *Collector) advance(n int64) {
-	c.cycle += n
+	if c.cycle += n; len(c.qlenHist) > 0 {
+		c.record(n)
+	}
+}
+
+// record is advance's ring, out of line: only an RBA score latency has one.
+//
+//go:noinline
+func (c *Collector) record(n int64) {
 	ring := int64(len(c.qlenHist))
 	for i := min(n, ring); i > 0; i-- { // older slots would be overwritten anyway
 		c.histPos++
@@ -438,7 +450,7 @@ func (c *Collector) advance(n int64) {
 			c.qlenHist[c.histPos][b] = int16(q)
 		}
 	}
-	if n > ring && ring > 0 {
+	if n > ring {
 		// Every slot holds the same lengths; land histPos where n
 		// single-cycle advances would have left it.
 		c.histPos = int((int64(c.histPos) + n - ring) % ring)
@@ -510,7 +522,19 @@ func (c *Collector) derive(d *derived) {
 // and — where a delayed tap exists — the queue-length history ring
 // advancing (it feeds RBA's delayed score, so it must stay bit-exact
 // across a sleep). Every queue is empty, so each replayed slot records zeros.
+// Without a ring that is one add, inlined into the sleep path.
 func (c *Collector) FastForward(n int64) {
+	if c.busy == 0 && len(c.qlenHist) == 0 {
+		c.cycle += n
+		return
+	}
+	c.forward(n)
+}
+
+// forward is FastForward's guard and ring, out of line.
+//
+//go:noinline
+func (c *Collector) forward(n int64) {
 	if c.busy != 0 {
 		panic("regfile: fast-forward over a collector with work queued")
 	}

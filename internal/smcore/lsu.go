@@ -26,7 +26,9 @@ type LSU struct {
 	// backing is what queue is a window over: twice capacity, so that a
 	// queue kept full slides once per capacity admissions, not per one.
 	backing []lsuEntry
-	tr      *trace.SMT
+	// addrs is serve's address scratch, in no frame: a local is zeroed per access.
+	addrs [isa.WarpSize]uint64
+	tr    *trace.SMT
 }
 
 // Load-use latencies of the scratchpad (before bank conflicts) and the
@@ -86,8 +88,7 @@ func (l *LSU) serve(now int64) {
 		l.portFree = now + int64(n) // tick admits only onto a free port
 		write := in.Op == isa.OpSTG
 		done := now
-		var addrs [isa.WarpSize]uint64
-		for i, addr := range lineAddrs(addrs[:n], w, in, l.sm.cfg.LineBytes) {
+		for i, addr := range lineAddrs(l.addrs[:n], w, in, l.sm.cfg.LineBytes) {
 			d := l.sm.hier.AccessGlobal(l.sm.id, addr, write, now+int64(i))
 			if d > done {
 				done = d

@@ -45,7 +45,7 @@ type block struct {
 }
 
 // subRoom is CanAccept's per-sub-core feasibility scratch (free warp
-// slots and register bytes), kept on the SM so the per-cycle placement
+// slots and register bytes), kept on the SM so the cycle loop's placement
 // probe never allocates.
 type subRoom struct{ slots, regs int }
 
@@ -203,9 +203,9 @@ func (sm *SM) TraceCounters(s *trace.CounterSample) {
 // (e.g. a concurrent kernel with a different register footprint) strands
 // capacity. This is the paper's fourth partitioning effect (Section I).
 //
-// CanAccept runs on the per-cycle path (the block scheduler probes every
-// SM each cycle while blocks are pending), hence the reusable rooms
-// scratch instead of a per-call allocation.
+// CanAccept runs on the cycle loop's path (while blocks are pending, the
+// block scheduler probes every SM in the cycle after a block retires),
+// hence the reusable rooms scratch instead of a per-call allocation.
 func (sm *SM) CanAccept(b *BlockSpec) bool {
 	if sm.residentBlocks >= len(sm.blocks) {
 		return false

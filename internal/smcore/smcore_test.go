@@ -149,6 +149,35 @@ func TestCanAcceptLimits(t *testing.T) {
 	}
 }
 
+// TestCanAcceptZeroAlloc: the block scheduler probes every SM with
+// CanAccept after each retirement while blocks are pending, so a probe
+// allocates nothing, whether it accepts or refuses in the per-sub-core
+// placement walk. The SM has run a while first, so its state is not the
+// zero values the runtime keeps preallocated.
+func TestCanAcceptZeroAlloc(t *testing.T) {
+	sm, _ := testSM(t, nil)
+	mkProgs := func(n int) []*program.Program {
+		out := make([]*program.Program, n)
+		for i := range out {
+			out[i] = fmaProg(1000)
+		}
+		return out
+	}
+	if err := sm.Allocate(specOf(mkProgs(8), 8, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for c := int64(0); c < 300; c++ {
+		sm.Tick(c)
+	}
+	fits, fat := specOf(mkProgs(32), 8, 0), specOf(mkProgs(29), 64, 0)
+	if !sm.CanAccept(fits) || sm.CanAccept(fat) {
+		t.Fatal("want 32 thin warps accepted and 29 fat warps refused")
+	}
+	if a := testing.AllocsPerRun(100, func() { sm.CanAccept(fits); sm.CanAccept(fat) }); a != 0 {
+		t.Errorf("CanAccept allocates %.1f times per accept+refuse pair, want 0", a)
+	}
+}
+
 func TestRegisterCapacityLimitsPerSubCore(t *testing.T) {
 	// 64 regs/thread: 8 warps per sub-core. Allocate 32 warps (full), all
 	// must be placed without fallback under RR.

@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -117,6 +118,9 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			if wi < -1 || int(wi) >= len(sm.warps) {
 				return fmt.Errorf("smcore: snapshot sub-core slot %d holds warp %d of %d", slot, wi, len(sm.warps))
 			}
+			if w := &sm.warps[max(wi, 0)]; wi >= 0 && (w.State == WarpEmpty || int(w.SubCore) != sc.id || int(w.SchedSlot) != slot) {
+				return fmt.Errorf("smcore: sm%d: snapshot sub-core %d slot %d holds warp %d, whose SubCore/SchedSlot do not name it", sm.id, sc.id, slot, wi)
+			}
 			sc.reclass(slot)
 		}
 		// So is sleep; and a frame is written from a synced SM, so no
@@ -124,6 +128,23 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 		sc.rest(sc.coll.Cycle())
 		if c0, c := sm.subcores[0].coll.Cycle(), sc.coll.Cycle(); c != c0 {
 			return fmt.Errorf("smcore: snapshot sub-core %d's clock reads cycle %d, sub-core 0's %d", sc.id, c, c0)
+		}
+	}
+	// Each occupied warp and the slot and active block holding it name each other.
+	for b := range sm.blocks {
+		for _, wi := range sm.blocks[b].warpIdxs {
+			if wi < 0 || int(wi) >= len(sm.warps) || sm.warps[wi].State == WarpEmpty || int(sm.warps[wi].BlockSlot) != b {
+				return fmt.Errorf("smcore: sm%d: snapshot block %d lists warp %d, whose BlockSlot does not name it", sm.id, b, wi)
+			}
+		}
+	}
+	for _, wf := range f.Warps {
+		slots, blk := sm.subcores[wf.SubCore].slots, wf.BlockSlot
+		switch {
+		case wf.SchedSlot < 0 || int(wf.SchedSlot) >= len(slots) || slots[wf.SchedSlot] != wf.Slot:
+			return fmt.Errorf("smcore: sm%d warp %d: SchedSlot %d of sub-core %d does not name it", sm.id, wf.Slot, wf.SchedSlot, wf.SubCore)
+		case blk < 0 || int(blk) >= len(sm.blocks) || !sm.blocks[blk].active || !slices.Contains(sm.blocks[blk].warpIdxs, wf.Slot):
+			return fmt.Errorf("smcore: sm%d warp %d: BlockSlot %d is not an active block that lists it", sm.id, wf.Slot, blk)
 		}
 	}
 	// The SM's clock is derived too: the collectors carry it, and a frame

@@ -290,6 +290,64 @@ func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 	}
 }
 
+// TestSMRestoreRefusesMisplacedWarp edits a mid-kernel SM per case so that
+// a warp and its slot tables no longer name each other — the warp's
+// SchedSlot or BlockSlot, or a sub-core slot or block list entry — encodes
+// the SM, and expects RestoreState to refuse the frame by naming the field.
+// Each frame is CRC-valid; restored, it would run with a warp its sub-core
+// or block cannot find, or a slot or block holding a warp that is not its.
+func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs = 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	prog := memMixProg(6)
+	progFor := func(int64) (*program.Program, error) { return prog, nil }
+	progs := []*program.Program{prog, prog, prog, prog}
+	for _, tc := range []struct {
+		name, field string
+		edit        func(sm *SM)
+	}{
+		// Warp 0 sits on sub-core 0 in block 0, warp 1 on sub-core 1, warp 4
+		// in block 1; warp 60 is empty.
+		{"both slots -1", "SchedSlot", func(sm *SM) { sm.warps[0].SchedSlot, sm.warps[0].BlockSlot = -1, -1 }},
+		{"sched slot past the table", "SchedSlot", func(sm *SM) { sm.warps[0].SchedSlot = int16(len(sm.subcores[0].slots)) }},
+		{"sched slot of another warp", "SchedSlot", func(sm *SM) { sm.warps[0].SchedSlot++ }},
+		{"block slot -1", "BlockSlot", func(sm *SM) { sm.warps[0].BlockSlot = -1 }},
+		{"inactive block", "BlockSlot", func(sm *SM) { sm.warps[0].BlockSlot = 2 }},
+		{"block that does not list it", "BlockSlot", func(sm *SM) { sm.warps[0].BlockSlot = 1 }},
+		{"no sub-core slot holds it", "SchedSlot", func(sm *SM) { sm.subcores[0].slots[0] = -1 }},
+		{"no block lists it", "BlockSlot", func(sm *SM) { sm.blocks[0].warpIdxs = sm.blocks[0].warpIdxs[1:] }},
+		{"sub-core slot holds an empty warp", "SchedSlot", func(sm *SM) { freeSlot(sm.subcores[0], 60) }},
+		{"sub-core slot holds another sub-core's warp", "SchedSlot", func(sm *SM) { freeSlot(sm.subcores[0], 1) }},
+		{"block lists an empty warp", "BlockSlot", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 60) }},
+		{"block lists another block's warp", "BlockSlot", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hier := mem.NewHierarchy(cfg)
+			sm := NewSM(0, &cfg, hier, stats.NewRun(1, cfg.SubCoresPerSM))
+			for blk := range 2 {
+				if err := sm.Allocate(&BlockSpec{KernelBlockID: blk, Programs: progs, RegsPerThread: 16, FirstWarpGID: int64(4 * blk)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for c := int64(0); c < 20; c++ {
+				sm.Tick(c)
+			}
+			tc.edit(sm)
+			fresh := NewSM(0, &cfg, mem.NewHierarchy(cfg), stats.NewRun(1, cfg.SubCoresPerSM))
+			err := restoreSMState(t, fresh, mem.NewHierarchy(cfg), snapSMState(t, sm, hier), progFor)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("restoring the edited frame: err %v, want a refusal naming %s", err, tc.field)
+			}
+		})
+	}
+}
+
+// freeSlot points sub-core sc's first free slot at warp wi.
+func freeSlot(sc *SubCore, wi int32) { sc.slots[slices.Index(sc.slots, -1)] = wi }
+
 func TestSMRestoreWorkloadMismatch(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1

@@ -177,14 +177,6 @@ type SubCore struct {
 	issuable uint64
 	spent    [maxSlots]uint8
 	nSpent   int
-
-	// dispatchFn is the operand-collector dispatch callback, built once
-	// at construction: allocating a fresh closure in collectorTick would
-	// cost one heap allocation per sub-core per cycle (TestCycleLoopZeroAlloc).
-	// dispNow/dispPorts carry the per-cycle arguments it closes over.
-	dispatchFn func(*regfile.CollectorUnit) bool
-	dispNow    int64
-	dispPorts  int
 }
 
 // subCoreState is the sub-core's own mutable state — the scheduler, the
@@ -223,19 +215,6 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 	// The MEM "unit" is an issue port into the SM-shared LSU; its real
 	// acceptance check is the LSU queue's, applied at dispatch.
 	sc.eu[isa.ClassMEM] = pipes(1, 1)
-	sc.dispatchFn = func(cu *regfile.CollectorUnit) bool {
-		if sc.dispPorts <= 0 {
-			return false
-		}
-		if cu.Stolen {
-			return false // pre-read operands wait for formal issue
-		}
-		if !sc.dispatch(cu, sc.dispNow) {
-			return false
-		}
-		sc.dispPorts--
-		return true
-	}
 	return sc
 }
 
@@ -282,15 +261,22 @@ func (sc *SubCore) reclass(slot int) {
 	sc.rs.set(slot, w, sc.cfg.BanksPerSubCore)
 }
 
-// collectorTick advances the operand collector: bank grants, writeback
-// grants (which clear scoreboards), and dispatch of ready collector units
-// into execution units or the LSU, bounded by the sub-core's dispatch
-// ports per cycle.
+// collectorTick is Collector.Tick with dispatch called directly, bounded by
+// the dispatch ports; a stolen unit's operands wait for formal issue, and a
+// refused unit stays staged while younger ones bound elsewhere dispatch.
+// Granted writebacks clear scoreboards.
 func (sc *SubCore) collectorTick(now int64) {
-	sc.dispNow = now
-	sc.dispPorts = sc.cfg.DispatchPortsPerSubCore
-	sc.coll.Tick(sc.dispatchFn)
-	for _, wr := range sc.coll.GrantedWrites() {
+	c, ports := sc.coll, sc.cfg.DispatchPortsPerSubCore
+	for m := c.Grant(); m != 0 && ports > 0; {
+		i := c.Oldest(m)
+		m &^= 1 << uint(i)
+		if cu := c.CU(i); !cu.Stolen && sc.dispatch(cu, now) {
+			c.Dispatched(i)
+			ports--
+		}
+	}
+	c.EndCycle()
+	for _, wr := range c.GrantedWrites() {
 		w := &sc.sm.warps[wr.WarpIdx]
 		w.SBClear(wr.Reg)
 		// Only a hazard-blocked warp can change class on a cleared bit.
