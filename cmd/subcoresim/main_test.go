@@ -8,7 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,15 +18,26 @@ import (
 	"repro/internal/workloads"
 )
 
-// configFor parses args the way main does and assembles the configuration.
-func configFor(t *testing.T, args ...string) (config.GPU, error) {
+// designsFor parses args the way run does and assembles the configurations
+// and their labels.
+func designsFor(t *testing.T, args ...string) ([]config.GPU, []string, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("subcoresim", flag.ContinueOnError)
 	cf := registerCfgFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return cf.config()
+	return cf.designs()
+}
+
+// configFor is the one configuration args name.
+func configFor(t *testing.T, args ...string) (config.GPU, error) {
+	t.Helper()
+	cfgs, _, err := designsFor(t, args...)
+	if err != nil {
+		return config.GPU{}, err
+	}
+	return cfgs[0], nil
 }
 
 // TestFlagDefaultsDoNotClobberConfigFile: on top of a config file -sms and
@@ -88,53 +99,39 @@ func TestFlagDefaultsDoNotClobberConfigFile(t *testing.T) {
 	}
 }
 
-// TestRecordIsOneShape: the record `subcoresim -json` prints for a cell is
-// the line harness.Run appends to a checkpoint for the same cell on the same
-// machine — the same keys and values throughout, the summary and the full
-// statistics included — modulo indentation and the config label, which is
-// the design's name here and the -configs entry there.
+// TestRecordIsOneShape: under -format json each line subcoresim prints is
+// the line harness.Run appends to the checkpoint for the same cell, byte for
+// byte and labelled alike, the summary and the full statistics included. One
+// worker appends in matrix order, so stdout is the checkpoint file.
 func TestRecordIsOneShape(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-app", "pb-mriq", "-config", "rba", "-sms", "2", "-json"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-app", "pb-mriq,pb-stencil", "-config", "gto,rba", "-sms", "2",
+		"-workers", "1", "-checkpoint", ckpt, "-format", "json"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	var printed map[string]any
-	if err := json.Unmarshal(stdout.Bytes(), &printed); err != nil {
-		t.Fatalf("-json is not one JSON document: %v", err)
-	}
-
-	app, err := workloads.ByName("pb-mriq")
+	file, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), file) {
+		t.Fatalf("-format json and the checkpoint differ:\n%s\n%s", stdout.Bytes(), file)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(file, []byte("\n")), []byte("\n"))
+	if len(lines) != 4 {
+		t.Fatalf("%d records for 2 apps x 2 designs", len(lines))
+	}
+	var printed map[string]any
+	if err := json.Unmarshal(lines[1], &printed); err != nil {
+		t.Fatalf("a -format json line is not one record: %v", err)
 	}
 	cfg, err := config.Design("rba", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	if _, err := harness.Run(context.Background(), []config.GPU{cfg}, []string{"rba"}, []workloads.App{app},
-		harness.Options{CheckpointPath: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-	line, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var appended map[string]any
-	if err := json.Unmarshal(line, &appended); err != nil {
-		t.Fatalf("the checkpoint is not one record: %v", err)
-	}
-
-	if printed["config"] != cfg.Name || appended["config"] != "rba" {
-		t.Errorf("config labels %v and %v, want %q and %q", printed["config"], appended["config"], cfg.Name, "rba")
-	}
-	delete(printed, "config")
-	delete(appended, "config")
-	if !reflect.DeepEqual(printed, appended) {
-		t.Errorf("-json and the checkpoint line differ:\n%v\n%v", printed, appended)
-	}
-	if printed["machine"] != cfg.MachineID() {
-		t.Errorf("machine = %v, want the device's MachineID %s", printed["machine"], cfg.MachineID())
+	if printed["app"] != "pb-mriq" || printed["config"] != "rba" || printed["machine"] != cfg.MachineID() {
+		t.Errorf("the second record is (%v, %v) on machine %v, want (pb-mriq, rba) on %s",
+			printed["app"], printed["config"], printed["machine"], cfg.MachineID())
 	}
 	cpi, _ := printed["cpi"].(map[string]any)
 	for c := stats.CPIComponent(0); c < stats.NumCPIComponents; c++ {
@@ -149,14 +146,102 @@ func TestRecordIsOneShape(t *testing.T) {
 	}
 }
 
-// TestJSONStdoutIsOneDocument: under -json everything else the flags print
-// — the sparklines, the Chrome-trace notice — goes to stderr; they used to
-// follow the document on stdout, so `-json -trace | python3 -m json.tool`
-// failed.
+// TestCSVIsTheMatrix: under -format csv a matrix prints, in matrix order
+// (applications outer, designs inner), the row stats.Summarize gives for
+// each of harness.Run's cells, labelled by the -config entry as typed.
+func TestCSVIsTheMatrix(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-app", "pb-stencil,pb-mriq", "-config", "rba+4cu,gto", "-sms", "2", "-format", "csv"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"rba+4cu", "gto"}
+	var cfgs []config.GPU
+	for _, name := range names {
+		cfg, err := config.Design(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	var apps []workloads.App
+	for _, name := range []string{"pb-stencil", "pb-mriq"} {
+		app, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	res, err := harness.Run(context.Background(), cfgs, names, apps, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "app,config," + stats.CSVHeader + "\n"
+	for i, app := range apps {
+		for j, name := range names {
+			sum := stats.Summarize(res.Runs[i][j])
+			want += app.Name + "," + name + "," + sum.CSVRow() + "\n"
+		}
+	}
+	if got := stdout.String(); got != want {
+		t.Errorf("-format csv:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestTracerIsOneCell: a tracer records one device, so -trace over two cells
+// is refused before any cell runs: nothing printed, no checkpoint written.
+func TestTracerIsOneCell(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-config", "gto,rba", "-sms", "2", "-trace", "-checkpoint", ckpt}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "tracer") || stdout.Len() != 0 {
+		t.Errorf("run: %v, stdout %q; want the harness's tracer refusal and no report", err, stdout.String())
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("a cell ran: the checkpoint is there (%v)", err)
+	}
+}
+
+// TestEntriesRefusesEmpty: an empty list entry is refused with the flag and
+// its position, not read as the baseline design or an app named "". A lone
+// empty -config is the one exception: the preset, or the -config-file, as it
+// is, labelled by its name.
+func TestEntriesRefusesEmpty(t *testing.T) {
+	for _, list := range []string{"gto,", ",gto", "gto,,rba", " "} {
+		if _, _, err := designsFor(t, "-config", list); err == nil || !strings.Contains(err.Error(), "-config entry") {
+			t.Errorf("-config %q: %v, want an empty-entry error", list, err)
+		}
+	}
+	if _, err := selectApps("pb-mriq,", "", false); err == nil || !strings.Contains(err.Error(), "-app entry 2 of 2") {
+		t.Errorf("-app pb-mriq,: %v, want an empty-entry error", err)
+	}
+	got, err := entries("app", "pb-mriq, rod-srad")
+	if err != nil || !slices.Equal(got, []string{"pb-mriq", "rod-srad"}) {
+		t.Errorf("entries = %q, %v", got, err)
+	}
+
+	cfgs, names, err := designsFor(t, "-config", "", "-sms", "2")
+	if err != nil || len(cfgs) != 1 || names[0] != "V100+2SM" || cfgs[0].Name != names[0] {
+		t.Errorf("a lone empty -config: %q (%v), want the baseline labelled V100+2SM", names, err)
+	}
+	file := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(file, []byte(`{"Name": "dev", "NumSMs": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, names, err := designsFor(t, "-config-file", file); err != nil || !slices.Equal(names, []string{"dev"}) {
+		t.Errorf("a lone empty -config on a file: %q (%v), want the file's name", names, err)
+	}
+	if _, names, err := designsFor(t, "-config-file", file, "-config", "gto,rba"); err != nil || !slices.Equal(names, []string{"gto", "rba"}) {
+		t.Errorf("a matrix on a file: %q (%v), want the entries", names, err)
+	}
+}
+
+// TestJSONStdoutIsOneDocument: under -format json everything else the flags
+// print — the sparklines, the Chrome-trace notice — goes to stderr, so
+// stdout parses as the record alone.
 func TestJSONStdoutIsOneDocument(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	chrome := filepath.Join(t.TempDir(), "trace.json")
-	if err := run([]string{"-sms", "2", "-json", "-trace", "-timeline", "-chrome-trace", chrome}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-sms", "2", "-format", "json", "-trace", "-timeline", "-chrome-trace", chrome}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	dec := json.NewDecoder(&stdout)
@@ -173,7 +258,7 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 		}
 	}
 
-	// Without -json they stay on stdout, after the report.
+	// In the text report they stay on stdout, after it.
 	stdout.Reset()
 	stderr.Reset()
 	if err := run([]string{"-sms", "2", "-trace"}, &stdout, &stderr); err != nil {
@@ -191,5 +276,17 @@ func TestSnapshotIntervalNeedsDir(t *testing.T) {
 	err := run([]string{"-sms", "2", "-snapshot-interval", "4096"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "-snapshot-dir") || stdout.Len() != 0 {
 		t.Errorf("run: %v, stdout %q; want a refusal naming -snapshot-dir and no report", err, stdout.String())
+	}
+}
+
+// TestOneAppSelector: -app, -suite and -sensitive each select the
+// applications, so two of them are refused before anything runs rather than
+// one going unread.
+func TestOneAppSelector(t *testing.T) {
+	for _, args := range [][]string{{"-app", "pb-mriq", "-sensitive"}, {"-suite", "cugraph", "-sensitive"}, {"-app", "all", "-suite", "cugraph"}} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "give one") || stdout.Len() != 0 {
+			t.Errorf("%q: %v, stdout %q; want a refusal and no report", args, err, stdout.String())
+		}
 	}
 }

@@ -15,9 +15,11 @@ import (
 // chosen to run every per-cycle path inside the measured difference:
 // issue under each warp scheduler, operand collection with and without
 // bank stealing, the LSU and the memory hierarchy at every level,
-// barriers, warp exit, the block scheduler probing every cycle for room
-// that is not there yet, the fast-forward probe and skip, the heartbeat,
-// and trace emission.
+// barriers, warp exit, the block scheduler's placement probe after a
+// retirement turned away for room that is not there yet, the fast-forward
+// probe and skip, the heartbeat, and trace emission. CanAccept itself, the
+// probe's refusal path included, is held directly by smcore's
+// TestCanAcceptZeroAlloc.
 //
 // Measurement: two complete runs of the same grid whose warps differ only
 // in loop trip count. Construction, launch and each placed block allocate

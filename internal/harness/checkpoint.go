@@ -24,9 +24,10 @@ import (
 // watched differently (-audit, -no-fastforward) does not.
 
 // Record is a run written down: the one shape behind every checkpoint line,
-// `subcoresim -json`, and — through its Summary — the text report and the
-// sweep's CSV row. A checkpoint file is therefore a sweep's full
-// machine-readable result, each line what -json prints for that cell.
+// `subcoresim -format json`, and — through its Summary — the text report and
+// the CSV row. A checkpoint file is therefore a sweep's full
+// machine-readable result, each line what `-format json` prints for that
+// cell.
 type Record struct {
 	// V is the record format version.
 	V int `json:"v"`

@@ -240,8 +240,8 @@ func TestCheckpointLastRecordWins(t *testing.T) {
 }
 
 // A record resumes only into the cell it was simulated for. The same app
-// and config label on a different device (here NumSMs 2, then 4 — `sweep
-// -sms`) must execute, not print the other device's cycles; going back to
+// and config label on a different device (here NumSMs 2, then 4 —
+// `subcoresim -sms`) must execute, not print the other device's cycles; going back to
 // the first device finds its record again.
 func TestCheckpointResumesByDeviceNotLabel(t *testing.T) {
 	opt := Options{CheckpointPath: ckptPath(t)}
@@ -279,7 +279,7 @@ func TestCheckpointResumesByDeviceNotLabel(t *testing.T) {
 	}
 
 	// How the run is watched is not the device: toggling the auditor or
-	// the fast-forward (`sweep -audit`, `-no-fastforward`) finds the same
+	// the fast-forward (`subcoresim -audit`, `-no-fastforward`) finds the same
 	// record and appends no second one.
 	before, err := os.ReadFile(opt.CheckpointPath)
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // keyed on the MachineID; 4 and 8, whose machine still had WarpSize and
 // LSUWidthPerSM; 9, whose SMs still counted live warps):
 //
-//	sweep -apps pb-mriq -configs gto -sms 1 -checkpoint vN.ckpt
+//	subcoresim -app pb-mriq -config gto -sms 1 -checkpoint vN.ckpt
 //	subcoresim -app tpcU-q8 -config-file tiny.json -snapshot-dir . -snapshot-interval 1   # SIGTERM at 0.06 s
 //
 // with tiny.json {"NumSMs":1,"L1KBPerSM":1,"L2KB":4}, which keeps the frame

@@ -639,6 +639,16 @@ var ledger = []Mutant{
 		Tests:   map[string][]string{"internal/harness": {"TestChaosSweep"}},
 	},
 
+	// The front end: what subcoresim prints for a cell is what the harness
+	// writes down for it.
+	{
+		Name:    "record-labelled-by-name",
+		Mistake: "the printed record is labelled with cfg.Name, not the -config entry the checkpoint keys",
+		Edits: []Edit{{"cmd/subcoresim/main.go", "harness.NewRecord(app.Name, names[j], cfgs[j].MachineID(), r)",
+			"harness.NewRecord(app.Name, cfgs[j].Name, cfgs[j].MachineID(), r)"}},
+		Tests: map[string][]string{"cmd/subcoresim": {"TestRecordIsOneShape"}},
+	},
+
 	// The docs and the paper table: a verdict is computed, not typed, and a
 	// doc names only tests and paths the tree has.
 	{

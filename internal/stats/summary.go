@@ -7,9 +7,9 @@ import (
 
 // Summary is everything a report derives from a Run, computed in one place
 // (Summarize) and printed three ways: as JSON in the run record
-// (harness.Record — `subcoresim -json` and every checkpoint line), as the
-// text report (WriteText) and as a CSV row (CSVRow). Two runs therefore
-// print the same fields wherever they were written down.
+// (harness.Record — `subcoresim -format json` and every checkpoint line),
+// as the text report (WriteText) and as a CSV row (CSVRow). Two runs
+// therefore print the same fields wherever they were written down.
 type Summary struct {
 	Cycles       int64   `json:"cycles"`
 	Instructions int64   `json:"instructions"`
