@@ -84,7 +84,7 @@ func (g *GTO) PickReady(ready uint64, age *[MaxSlots]int64, _ *[MaxSlots]uint8) 
 
 // Pick implements WarpScheduler.
 func (g *GTO) Pick(cands []Candidate) int {
-	var l candList
+	var l refCandList
 	return l.index(g.PickReady(l.load(cands)))
 }
 
@@ -132,7 +132,7 @@ func (l *LRR) PickReady(ready uint64, _ *[MaxSlots]int64, _ *[MaxSlots]uint8) in
 
 // Pick implements WarpScheduler.
 func (l *LRR) Pick(cands []Candidate) int {
-	var cl candList
+	var cl refCandList
 	return cl.index(l.PickReady(cl.load(cands)))
 }
 
@@ -171,7 +171,7 @@ func (r *RBA) PickReady(ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uin
 
 // Pick implements WarpScheduler.
 func (r *RBA) Pick(cands []Candidate) int {
-	var l candList
+	var l refCandList
 	return l.index(r.PickReady(l.load(cands)))
 }
 
@@ -186,6 +186,32 @@ func (r *RBA) State() uint64 { return 0 }
 
 // SetState implements WarpScheduler.
 func (r *RBA) SetState(uint64) {}
+
+// refCandList spreads a candidate list into the reference PickReady's
+// arguments and maps the chosen slot back to its list index.
+type refCandList struct {
+	ready uint64
+	age   [MaxSlots]int64
+	score [MaxSlots]uint8
+	at    [MaxSlots]uint8
+}
+
+func (l *refCandList) load(cands []Candidate) (uint64, *[MaxSlots]int64, *[MaxSlots]uint8) {
+	for i, c := range cands {
+		l.ready |= 1 << uint(c.Slot)
+		l.age[c.Slot] = c.Age
+		l.score[c.Slot] = uint8(min(c.Score, MaxScore))
+		l.at[c.Slot] = uint8(i)
+	}
+	return l.ready, &l.age, &l.score
+}
+
+func (l *refCandList) index(slot int) int {
+	if slot < 0 {
+		return -1
+	}
+	return int(l.at[slot])
+}
 
 // rngFor derives a deterministic per-SM random stream.
 func rngFor(seed int64, smID int) *rand.Rand {

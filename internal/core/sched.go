@@ -27,8 +27,8 @@ type Candidate struct {
 	// Slot is the warp's slot in this scheduler's warp PC table, in
 	// [0, MaxSlots) and distinct within one candidate list.
 	Slot int
-	// Age orders warps by allocation time (smaller = older). GTO and RBA
-	// break ties oldest-first.
+	// Age orders warps by allocation time (smaller = older): Pick walks the
+	// candidates oldest first, so GTO and RBA break ties oldest-first.
 	Age int64
 	// Score is the RBA score — the summed (possibly delayed) arbiter
 	// queue lengths of the banks holding the instruction's source
@@ -60,36 +60,38 @@ func NewWarpScheduler(p config.WarpSched) WarpScheduler {
 
 // PickReady returns the slot to issue among the set bits of ready, or -1 if
 // none is set — the comparator beside the ready bits (Fig. 6), and each
-// policy's one definition of its order. age[s] is slot s's allocation order
-// and score[s] its RBA score (read by RBA alone), both read under set bits
-// only; a tie on every field goes to the lowest slot (resident warps never
-// tie: ages are unique per SM).
-func (s *WarpScheduler) PickReady(ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uint8) int {
-	best := -1
-	switch s.policy {
-	case config.SchedLRR:
+// policy's one definition of its order. GTO and RBA walk order, the occupied
+// slots oldest warp first: GTO's fallback is the first ready one, and RBA
+// scores each ready slot s as the walk reaches it (qlen at each of banks[s],
+// summed and saturated), keeping the first strictly lowest score and
+// stopping at 0, the lowest there is. A lone candidate wins unscored.
+func (s *WarpScheduler) PickReady(ready uint64, order []uint8, banks *[MaxSlots][3]uint16, qlen []int) int {
+	switch {
+	case ready&(ready-1) == 0: // none, or a lone candidate
+		return bits.Len64(ready) - 1
+	case s.policy == config.SchedLRR:
 		// A pointer at or beyond MaxSlots shifts the whole mask out: wrap.
 		if ahead := ready &^ (1<<uint(s.last+1) - 1); ahead != 0 {
 			return bits.TrailingZeros64(ahead)
 		}
-		if ready != 0 {
-			return bits.TrailingZeros64(ready)
+		return bits.TrailingZeros64(ready)
+	case s.last >= 0 && ready>>uint(s.last)&1 != 0:
+		return s.last // GTO's greedy pick; RBA keeps no last
+	}
+	best, low := -1, MaxScore+1
+	for _, slot := range order {
+		i := slot & (MaxSlots - 1) // the mask spares the bounds checks
+		if ready>>i&1 == 0 {
+			continue
 		}
-	case config.SchedRBA:
-		for m := ready; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m) & (MaxSlots - 1) // the mask spares the bounds checks
-			if best < 0 || score[i] < score[best] || (score[i] == score[best] && age[i] < age[best]) {
-				best = i
-			}
+		if s.policy != config.SchedRBA {
+			return int(i) // GTO: the oldest ready warp
 		}
-	default: // GTO
-		if s.last >= 0 && ready>>uint(s.last)&1 != 0 {
-			return s.last
-		}
-		for m := ready; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m) & (MaxSlots - 1)
-			if best < 0 || age[i] < age[best] {
-				best = i
+		b := &banks[i]
+		if score := min(qlen[b[0]]+qlen[b[1]]+qlen[b[2]], MaxScore); score < low {
+			best, low = int(i), score
+			if score == 0 {
+				break
 			}
 		}
 	}
@@ -142,23 +144,34 @@ func (s *WarpScheduler) SetState(w uint64) {
 }
 
 // candList spreads a candidate list into PickReady's arguments and maps the
-// chosen slot back to its list index. It lives on the caller's stack: Pick
-// calls PickReady directly, so nothing escapes.
+// chosen slot back to its list index: the slots ordered by {Age, Slot}, and
+// each candidate's Score as the tap entry its first operand names (the
+// other two name an entry that stays zero). It lives on the caller's stack:
+// Pick calls PickReady directly, so nothing escapes.
 type candList struct {
-	ready uint64
-	age   [MaxSlots]int64
-	score [MaxSlots]uint8
+	order [MaxSlots]uint8
+	banks [MaxSlots][3]uint16
+	qlen  [MaxSlots + 1]int
 	at    [MaxSlots]uint8
 }
 
-func (l *candList) load(cands []Candidate) (uint64, *[MaxSlots]int64, *[MaxSlots]uint8) {
+func (l *candList) load(cands []Candidate) (uint64, []uint8, *[MaxSlots][3]uint16, []int) {
+	var ready uint64
 	for i, c := range cands {
-		l.ready |= 1 << uint(c.Slot)
-		l.age[c.Slot] = c.Age
-		l.score[c.Slot] = uint8(min(c.Score, MaxScore))
+		ready |= 1 << uint(c.Slot)
+		l.banks[c.Slot] = [3]uint16{uint16(i), MaxSlots, MaxSlots}
+		l.qlen[i] = min(c.Score, MaxScore)
 		l.at[c.Slot] = uint8(i)
+		j := i // insertion sort: the list is short
+		for ; j > 0; j-- {
+			if o := cands[l.at[l.order[j-1]]]; o.Age < c.Age || o.Age == c.Age && o.Slot < c.Slot {
+				break
+			}
+			l.order[j] = l.order[j-1]
+		}
+		l.order[j] = uint8(c.Slot)
 	}
-	return l.ready, &l.age, &l.score
+	return ready, l.order[:len(cands)], &l.banks, l.qlen[:]
 }
 
 func (l *candList) index(slot int) int {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -180,25 +182,58 @@ func documentedPick(s *WarpScheduler, cands []Candidate) int {
 	return best
 }
 
-// randomReady draws a ready set of 1–64 slots with distinct ages (as
-// resident warps have) and random scores, and its candidate list in shuffled
-// order.
-func randomReady(rng *rand.Rand) (ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uint8, cands []Candidate) {
-	age, score = new([MaxSlots]int64), new([MaxSlots]uint8)
-	ages := rng.Perm(4 * MaxSlots)
-	for _, slot := range rng.Perm(MaxSlots)[:1+rng.Intn(MaxSlots)] {
-		ready |= 1 << uint(slot)
-		age[slot] = int64(ages[slot])
-		score[slot] = uint8(rng.Intn(MaxScore + 1))
-		cands = append(cands, Candidate{Slot: slot, Age: age[slot], Score: int(score[slot])})
+// readyScene is one issue-stage input in both forms: the age walk's
+// (occupied slots oldest first, head source banks, arbiter tap) and the
+// reference comparators' (age and score per slot), with its candidate list.
+type readyScene struct {
+	ready uint64
+	order []uint8
+	banks *[MaxSlots][3]uint16
+	qlen  []int
+	age   *[MaxSlots]int64
+	score *[MaxSlots]uint8
+	cands []Candidate
+}
+
+// randomReady draws a scene: 1–64 occupied slots whose distinct ages follow
+// no slot order (as slots reused after a block retired hold them), a ready
+// subset of at least one, each ready slot's three source banks over a tap of
+// 1–8 banks plus the idle entry past them, and queue lengths that are all
+// zero in a quarter of the draws and can saturate a score. The candidate
+// list comes in shuffled order.
+func randomReady(rng *rand.Rand) (sc readyScene) {
+	sc.banks, sc.age, sc.score = new([MaxSlots][3]uint16), new([MaxSlots]int64), new([MaxSlots]uint8)
+	nb := 1 + rng.Intn(8)
+	sc.qlen = make([]int, nb+1)
+	if rng.Intn(4) != 0 {
+		for b := range sc.qlen[:nb] {
+			sc.qlen[b] = rng.Intn(13)
+		}
 	}
-	return ready, age, score, cands
+	ages := rng.Perm(4 * MaxSlots)
+	for i, slot := range rng.Perm(MaxSlots)[:1+rng.Intn(MaxSlots)] {
+		sc.age[slot] = int64(ages[slot])
+		sc.order = append(sc.order, uint8(slot))
+		if i > 0 && rng.Intn(4) == 0 {
+			continue // occupied, not ready
+		}
+		sc.ready |= 1 << uint(slot)
+		b := &sc.banks[slot]
+		for j := range b {
+			b[j] = uint16(rng.Intn(nb + 1))
+		}
+		sc.score[slot] = uint8(min(sc.qlen[b[0]]+sc.qlen[b[1]]+sc.qlen[b[2]], MaxScore))
+		sc.cands = append(sc.cands, Candidate{Slot: slot, Age: sc.age[slot], Score: int(sc.score[slot])})
+	}
+	slices.SortFunc(sc.order, func(a, b uint8) int { return cmp.Compare(sc.age[a], sc.age[b]) })
+	return sc
 }
 
 // TestPickReadyMatchesPickOnLists is the differential property behind the
-// single comparator: for random ready sets, random scores and a random
-// issue history, the mask-native PickReady, the list adapter Pick — handed
-// the candidates in shuffled order — and the documented order agree on the
+// single comparator: for random ready sets, ages in no slot order, random
+// banks and queue lengths (all zero in a quarter of the draws) and a random
+// issue history, the age walk PickReady, the list adapter Pick — handed the
+// candidates in shuffled order — and the documented order agree on the
 // slot, and keep agreeing as picked slots are spent one by one (the issue
 // stage's fall-through), some of them issuing and moving the policy's
 // history.
@@ -207,13 +242,14 @@ func TestPickReadyMatchesPickOnLists(t *testing.T) {
 	for _, policy := range []config.WarpSched{config.SchedGTO, config.SchedLRR, config.SchedRBA} {
 		s := NewWarpScheduler(policy)
 		for trial := 0; trial < 400; trial++ {
-			ready, age, score, cands := randomReady(rng)
+			sc := randomReady(rng)
+			ready, cands := sc.ready, sc.cands
 			s.Reset()
 			for n := rng.Intn(3); n > 0; n-- {
 				s.NotifyIssued(rng.Intn(MaxSlots))
 			}
 			for len(cands) > 0 {
-				slot := s.PickReady(ready, age, score)
+				slot := s.PickReady(ready, sc.order, sc.banks, sc.qlen)
 				i, want := s.Pick(cands), documentedPick(&s, cands)
 				if i < 0 || cands[i].Slot != slot || cands[want].Slot != slot {
 					t.Fatalf("%v trial %d, %d candidates left: PickReady chose slot %d, Pick %v, the documented order %v",
@@ -227,7 +263,7 @@ func TestPickReadyMatchesPickOnLists(t *testing.T) {
 					s.NotifyIssued(slot)
 				}
 			}
-			if s.PickReady(0, age, score) != -1 || s.Pick(nil) != -1 {
+			if s.PickReady(0, sc.order, sc.banks, sc.qlen) != -1 || s.Pick(nil) != -1 {
 				t.Fatalf("%v: an empty ready set must pick -1", policy)
 			}
 		}
@@ -235,11 +271,13 @@ func TestPickReadyMatchesPickOnLists(t *testing.T) {
 }
 
 // TestWarpSchedulerMatchesReference holds the one WarpScheduler to the three
-// policy types it replaced (ref_test.go): over random ready sets, ages and
-// scores, with issues, kernel resets and snapshot restores — of the word
-// State wrote, of a slot-sized word and of an arbitrary one — interleaved at
-// random, both pick the same slot through PickReady and the same index
-// through Pick, and write the same State word after every step.
+// policy types it replaced (ref_test.go): over random ready sets, ages in no
+// slot order, and scores the walk computes from random banks and queue
+// lengths (all zero in a quarter of the draws) where the reference reads
+// them precomputed, with issues, kernel resets and snapshot restores — of
+// the word State wrote, of a slot-sized word and of an arbitrary one —
+// interleaved at random, both pick the same slot through PickReady and the
+// same index through Pick, and write the same State word after every step.
 func TestWarpSchedulerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, policy := range []config.WarpSched{config.SchedGTO, config.SchedLRR, config.SchedRBA} {
@@ -266,11 +304,12 @@ func TestWarpSchedulerMatchesReference(t *testing.T) {
 				s.NotifyIssued(slot)
 				ref.NotifyIssued(slot)
 			default:
-				ready, age, score, cands := randomReady(rng)
+				sc := randomReady(rng)
+				ready, cands := sc.ready, sc.cands
 				if rng.Intn(4) == 0 {
 					ready, cands = 0, nil
 				}
-				got, want := s.PickReady(ready, age, score), ref.PickReady(ready, age, score)
+				got, want := s.PickReady(ready, sc.order, sc.banks, sc.qlen), ref.PickReady(ready, sc.age, sc.score)
 				if got != want {
 					t.Fatalf("%v step %d: PickReady(%#x) = %d, reference %d (state %#x)", policy, step, ready, got, want, ref.State())
 				}

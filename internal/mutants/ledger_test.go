@@ -91,6 +91,29 @@ var ledger = []Mutant{
 		},
 	},
 	{
+		Name:    "rba-walk-stops-at-first-ready",
+		Mistake: "the RBA walk stops at the first ready warp whatever its score",
+		Edits:   []Edit{{"internal/core/sched.go", "\t\t\tif score == 0 {\n\t\t\t\tbreak\n\t\t\t}\n", "\t\t\tbreak\n"}},
+		Tests: map[string][]string{
+			"internal/core": {"TestWarpSchedulerMatchesReference", "TestPickReadyMatchesPickOnLists", "TestRBALowestScoreThenOldest", "TestRBAPrefersIdleBanks"},
+		},
+	},
+	{
+		Name:    "release-keeps-age-order-slot",
+		Mistake: "release leaves its slot in the age order, so a reused slot is walked at its last warp's age",
+		Edits:   []Edit{{"internal/smcore/subcore.go", "sc.order = slices.Delete(sc.order, i, i+1)", "_ = i"}},
+		Tests: map[string][]string{
+			"internal/smcore": {"TestReadySetMatchesFullScan", "TestReadySetRebuiltOnRestore", "TestHostIntoFreedSlotsZeroAlloc"},
+			"internal/gpu":    {"TestAuditedRunIsCleanAndUnperturbed"},
+		},
+	},
+	{
+		Name:    "audit-skips-age-order",
+		Mistake: "the readyset law does not check the age order the schedulers walk",
+		Edits:   []Edit{{"internal/smcore/audit.go", "if !inOrder {", "if false && !inOrder {"}},
+		Tests:   map[string][]string{"internal/smcore": {"TestAuditCatchesStaleAge"}},
+	},
+	{
 		Name:    "lrr-scans-from-last",
 		Mistake: "LRR scans from the last issuer, not one past it",
 		Edits:   []Edit{{"internal/core/sched.go", "ahead := ready &^ (1<<uint(s.last+1) - 1)", "ahead := ready &^ (1<<uint(s.last) - 1)"}},
@@ -146,7 +169,7 @@ var ledger = []Mutant{
 		Mistake: "the LSU is served only once its port was free before this cycle",
 		Edits:   []Edit{{"internal/smcore/sm.go", "len(l.queue) > 0 && l.portFree <= now {", "len(l.queue) > 0 && l.portFree < now {"}},
 		Tests: map[string][]string{
-			"internal/smcore": {"TestAuditCatchesUnsoundSleep", "TestAuditCatchesStaleAge"},
+			"internal/smcore": {"TestAuditCatchesUnsoundSleep"},
 			"internal/gpu":    {"TestFrameBytesUnchanged", "TestParentFramesReencode"},
 			"internal/exp":    {"TestParkedWarpFrameUnchanged"},
 		},
@@ -296,7 +319,7 @@ var ledger = []Mutant{
 		Mistake: "WarpScheduler.PickReady allocates on every call",
 		Edits: []Edit{
 			{"internal/core/sched.go", "import (\n", "import (\n\t\"fmt\"\n"},
-			{"internal/core/sched.go", "func (s *WarpScheduler) PickReady(ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uint8) int {\n", "func (s *WarpScheduler) PickReady(ready uint64, age *[MaxSlots]int64, score *[MaxSlots]uint8) int {\n\t_ = fmt.Sprint(age[0])\n"},
+			{"internal/core/sched.go", "func (s *WarpScheduler) PickReady(ready uint64, order []uint8, banks *[MaxSlots][3]uint16, qlen []int) int {\n", "func (s *WarpScheduler) PickReady(ready uint64, order []uint8, banks *[MaxSlots][3]uint16, qlen []int) int {\n\t_ = fmt.Sprint(order)\n"},
 		},
 		Tests: map[string][]string{"internal/gpu": {"TestCycleLoopZeroAlloc"}},
 	},

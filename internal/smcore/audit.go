@@ -52,8 +52,9 @@ func sbMark(sb *[sbWords]uint64, r isa.Reg) {
 //   - lsu: queue bound and entry validity.
 //   - residency: per-block warp lifecycle counts (exited, at-barrier).
 //   - readyset: each sub-core's event-maintained ready set — masks, and the
-//     ages and source banks the scheduler reads beside them — must equal
-//     the one a full scan of its slots derives from the warps; a sleeping
+//     source banks the RBA walk reads beside them — must equal the one a
+//     full scan of its slots derives from the warps; its age order must be
+//     the occupied slots sorted by Warp.Age; a sleeping
 //     sub-core must be quiescent, and no sub-core's clock may lead the SM's
 //     or, awake, lag it.
 func (sm *SM) Audit() []audit.Violation {
@@ -246,10 +247,15 @@ func (sm *SM) Audit() []audit.Violation {
 				vs = append(vs, audit.Violationf("readyset", sub,
 					"cached head source banks disagree with the warps' instruction buffers"))
 			}
-			if want.age != sc.rs.age {
-				vs = append(vs, audit.Violationf("readyset", sub,
-					"cached ages disagree with the ready warps' — the scheduler would order them wrongly"))
-			}
+		}
+		// The walk's order is every occupied slot once, oldest warp first.
+		inOrder := len(sc.order) == used
+		for i, s := range sc.order {
+			inOrder = inOrder && int(s) < len(sc.slots) && sc.slots[s] >= 0 && int(sc.slots[s]) < len(sm.warps) &&
+				(i == 0 || sm.warps[sc.slots[sc.order[i-1]]].Age < sm.warps[sc.slots[s]].Age)
+		}
+		if !inOrder {
+			vs = append(vs, audit.Violationf("readyset", sub, "age order %v is not the occupied slots oldest warp first", sc.order))
 		}
 	}
 

@@ -2,8 +2,10 @@ package smcore
 
 import (
 	"bytes"
+	"cmp"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +67,16 @@ func checkReadySets(t *testing.T, sm *SM, cycle int64) {
 		if want := sc.scanReadySet(); want != sc.rs {
 			t.Fatalf("cycle %d sub-core %d: maintained ready set %+v, full scan gives %+v", cycle, sc.id, sc.rs, want)
 		}
+		var byAge []uint8
+		for slot, wi := range sc.slots {
+			if wi >= 0 {
+				byAge = append(byAge, uint8(slot))
+			}
+		}
+		slices.SortFunc(byAge, func(a, b uint8) int { return cmp.Compare(sm.warps[sc.slots[a]].Age, sm.warps[sc.slots[b]].Age) })
+		if !slices.Equal(sc.order, byAge) {
+			t.Fatalf("cycle %d sub-core %d: maintained age order %v, the occupied slots by age %v", cycle, sc.id, sc.order, byAge)
+		}
 		// The collector's maintained counts — busy, the free-unit set, the
 		// per-bank normal reads — are the same kind of derived state: its
 		// audit recounts them (with stealing on, across Unsteal too).
@@ -76,8 +88,8 @@ func checkReadySets(t *testing.T, sm *SM, cycle int64) {
 
 // TestReadySetMatchesFullScan is the differential test behind the
 // event-driven issue stage: after every cycle to drain, each sub-core's
-// maintained masks and cached source banks must equal what a scan of all
-// its slots derives from the warps. A missed reclass at any eligibility
+// maintained masks, cached source banks and age order must equal what a scan
+// of all its slots derives from the warps. A missed reclass at any eligibility
 // event shows up as a mask that disagrees on the cycle it happens.
 func TestReadySetMatchesFullScan(t *testing.T) {
 	for _, tc := range []struct {
@@ -124,36 +136,55 @@ func TestReadySetMatchesFullScan(t *testing.T) {
 }
 
 // TestReadySetRebuiltOnRestore restores a mid-kernel frame into a fresh SM:
-// the masks are not in the frame, so what RestoreState rebuilds must equal
-// the uninterrupted run's — at the restore point and on every cycle after.
+// neither the masks nor the age order are in the frame, so what RestoreState
+// rebuilds must equal the uninterrupted run's — at the restore point and on
+// every cycle after. The frame is written after a block retired and a third
+// took its slots, so a sub-core's oldest warp is not in its lowest slot.
 func TestReadySetRebuiltOnRestore(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1
 	cfg.WarpScheduler = config.SchedRBA
 	cfg.BankStealing = true
-	a, hierA, progFor := readySetSM(t, &cfg, 8)
-	const snapAt = 150
-	for c := int64(0); c < snapAt; c++ {
-		a.Tick(c)
+	const warps = 8
+	a, hierA, progFor := readySetSM(t, &cfg, warps)
+	conflict, _ := progFor(2 * warps)
+	progs := make([]*program.Program, warps)
+	for i := range progs {
+		progs[i] = conflict
 	}
-	if a.Drained() {
-		t.Fatal("SM drained before the snapshot point")
+	c, sc := int64(0), a.subcores[0]
+	// Refill each retired block's slots until sub-core 0's oldest warp sits
+	// above its lowest occupied slot.
+	for id := 2; int(sc.order[0]) == slices.IndexFunc(sc.slots, func(w int32) bool { return w >= 0 }); id++ {
+		for ; a.residentBlocks == 2; c++ {
+			if c > 200000 {
+				t.Fatalf("no block retired, or sub-core 0's age order %v still starts at its lowest slot", sc.order)
+			}
+			a.Tick(c)
+		}
+		if err := a.Allocate(&BlockSpec{KernelBlockID: id, Programs: progs, RegsPerThread: 16, SharedMemBytes: 4096, FirstWarpGID: int64(id * warps)}); err != nil {
+			t.Fatal(err)
+		}
+		for end := c + 50; c < end; c++ {
+			a.Tick(c)
+		}
 	}
 	hierB := mem.NewHierarchy(cfg)
 	b := NewSM(0, &cfg, hierB, stats.NewRun(1, cfg.SubCoresPerSM))
 	if err := restoreSMState(t, b, hierB, snapSMState(t, a, hierA), progFor); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	for c := int64(snapAt); ; c++ {
+	for ; ; c++ {
 		for i, sc := range a.subcores {
-			if sc.rs != b.subcores[i].rs {
-				t.Fatalf("cycle %d sub-core %d: restored run's ready set %+v, uninterrupted run's %+v", c, i, b.subcores[i].rs, sc.rs)
+			if sc.rs != b.subcores[i].rs || !slices.Equal(sc.order, b.subcores[i].order) {
+				t.Fatalf("cycle %d sub-core %d: restored run's ready set %+v and age order %v, uninterrupted run's %+v and %v",
+					c, i, b.subcores[i].rs, b.subcores[i].order, sc.rs, sc.order)
 			}
 		}
 		if a.Drained() {
 			return
 		}
-		if c > 200000 {
+		if c > 400000 {
 			t.Fatal("SM did not drain; raise the cycle bound")
 		}
 		a.Tick(c)
@@ -199,8 +230,9 @@ func TestLeftoversMatchSwapRemoveList(t *testing.T) {
 	}
 }
 
-// TestAuditCatchesStaleAge seeds the one ready-set drift no mask shows: a
-// ready slot's cached age off by one. The readyset law must name it.
+// TestAuditCatchesStaleAge seeds the one ready-set drift no mask shows: two
+// entries of a sub-core's age order swapped, so the walk would reach the
+// younger warp first. The readyset law must name it.
 func TestAuditCatchesStaleAge(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1
@@ -208,13 +240,13 @@ func TestAuditCatchesStaleAge(t *testing.T) {
 	for c := int64(0); c < 20; c++ {
 		sm.Tick(c)
 	}
-	rs := &sm.subcores[0].rs
-	if rs.ready == 0 {
-		t.Fatal("no ready warp to corrupt; move the cycle")
+	order := sm.subcores[0].order
+	if len(order) < 2 {
+		t.Fatal("fewer than two warps to reorder; move the cycle")
 	}
-	rs.age[bits.TrailingZeros64(rs.ready)]++
+	order[0], order[1] = order[1], order[0]
 	vs := sm.Audit()
-	if len(vs) != 1 || vs[0].Rule != "readyset" || !strings.Contains(vs[0].Detail, "ages") {
-		t.Fatalf("want exactly the readyset age violation, got %v", vs)
+	if len(vs) != 1 || vs[0].Rule != "readyset" || !strings.Contains(vs[0].Detail, "age order") {
+		t.Fatalf("want exactly the readyset age-order violation, got %v", vs)
 	}
 }

@@ -178,6 +178,38 @@ func TestCanAcceptZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHostIntoFreedSlotsZeroAlloc holds the age order's upkeep to no
+// allocation: once a block has retired, placing warps into every slot it
+// freed and releasing them again appends to and deletes from the order in
+// its preallocated room.
+func TestHostIntoFreedSlotsZeroAlloc(t *testing.T) {
+	sm, _ := testSM(t, nil)
+	progs := make([]*program.Program, 8)
+	for i := range progs {
+		progs[i] = fmaProg(20)
+	}
+	if err := sm.Allocate(specOf(progs, 8, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for c := int64(0); !sm.Drained(); c++ {
+		sm.Tick(c)
+	}
+	sc := sm.subcores[0]
+	if sc.used != 0 || len(sc.order) != 0 || sm.st.BlocksCompleted != 1 {
+		t.Fatalf("block not retired: %d slots used, age order %v", sc.used, sc.order)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for i := range sc.slots {
+			sc.host(int32(i), 8)
+		}
+		for i := len(sc.slots) - 1; i >= 0; i-- {
+			sc.release(int16(i), 8)
+		}
+	}); a != 0 {
+		t.Errorf("filling and emptying a sub-core's freed slots allocates %.1f times, want 0", a)
+	}
+}
+
 func TestRegisterCapacityLimitsPerSubCore(t *testing.T) {
 	// 64 regs/thread: 8 warps per sub-core. Allocate 32 warps (full), all
 	// must be placed without fallback under RR.

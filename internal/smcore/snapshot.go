@@ -1,6 +1,7 @@
 package smcore
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -113,7 +114,7 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			return err
 		}
 		sc.sched.SetState(sched)
-		// The ready set is derived: rebuild it from the restored slots.
+		// The ready set and the age order are derived: rebuild them.
 		for slot, wi := range sc.slots {
 			if wi < -1 || int(wi) >= len(sm.warps) {
 				return fmt.Errorf("smcore: snapshot sub-core slot %d holds warp %d of %d", slot, wi, len(sm.warps))
@@ -122,7 +123,11 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 				return fmt.Errorf("smcore: sm%d: snapshot sub-core %d slot %d holds warp %d, whose SubCore/SchedSlot do not name it", sm.id, sc.id, slot, wi)
 			}
 			sc.reclass(slot)
+			if wi >= 0 {
+				sc.order = append(sc.order, uint8(slot))
+			}
 		}
+		slices.SortStableFunc(sc.order, func(a, b uint8) int { return cmp.Compare(sm.warps[sc.slots[a]].Age, sm.warps[sc.slots[b]].Age) })
 		// So is sleep; and a frame is written from a synced SM, so no
 		// sub-core's clock lags another's.
 		sc.rest(sc.coll.Cycle())

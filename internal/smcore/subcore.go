@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -53,15 +54,14 @@ func (e *execUnit) tryAccept(now int64) bool {
 const maxSlots = core.MaxSlots
 
 // readySet is a sub-core's issue-stage view of its warp slots: one bit per
-// scheduler slot in each mask, plus what the scheduler's comparator reads
-// of a ready warp — its age, and its head instruction's source banks for
-// the RBA score. It is derived state — a pure function of the slot
-// table and the warps, recomputed one slot at a time by SubCore.reclass at
-// exactly the events that can change a warp's eligibility (issue, a
-// writeback clearing a scoreboard bit, decode refill, barrier arrival and
-// release, exit, and slot host/release) — so the per-cycle stages read
-// masks instead of re-deriving every warp's state. SM.Audit's readyset law
-// recomputes it from scratch; snapshots do not carry it.
+// scheduler slot in each mask, plus what the RBA walk reads of a ready
+// warp: its head instruction's source banks. It is derived state — a pure
+// function of the slot table and the warps, recomputed one slot at a time
+// by SubCore.reclass at exactly the events that can change a warp's
+// eligibility (issue, a writeback clearing a scoreboard bit, decode refill,
+// barrier arrival and release, exit, and slot host/release) — so the
+// per-cycle stages read masks instead of re-deriving every warp's state.
+// SM.Audit's readyset law recomputes it from scratch; no frame carries it.
 type readySet struct {
 	// Lifecycle state of each occupied slot's warp; their union is the
 	// occupied slots.
@@ -76,17 +76,12 @@ type readySet struct {
 	// needCU marks ready warps whose head can only issue into a free
 	// collector unit: it reads registers and holds no stolen CU.
 	needCU uint64
-	// banks caches each ready warp's head source banks, age its Warp.Age:
-	// the scheduler reads these beside the ready bits, not the warp table.
-	banks [maxSlots]srcBanks
-	age   [maxSlots]int64
+	// banks caches each ready warp's head source banks, which the scheduler
+	// reads beside the ready bits, not the warp table. An unused operand
+	// holds the bank count — one past the last bank, whose queue length
+	// reads zero (SubCore.qlenBuf) — so a score is three loads, no branch.
+	banks [maxSlots][3]uint16
 }
-
-// srcBanks holds the register bank of each source operand of an
-// instruction. An unused operand slot holds the sub-core's bank count — one
-// past the last bank, whose queue length reads as zero (SubCore.qlenBuf) —
-// so a score is three loads and no branch.
-type srcBanks [3]uint16
 
 // set recomputes slot's bits from its warp (nil = the slot is empty).
 func (rs *readySet) set(slot int, w *Warp, banks int) {
@@ -98,8 +93,7 @@ func (rs *readySet) set(slot int, w *Warp, banks int) {
 	rs.hazard &^= bit
 	rs.decode &^= bit
 	rs.needCU &^= bit
-	rs.banks[slot] = srcBanks{}
-	rs.age[slot] = 0
+	rs.banks[slot] = [3]uint16{}
 	if w == nil {
 		return
 	}
@@ -128,7 +122,6 @@ func (rs *readySet) set(slot int, w *Warp, banks int) {
 		return
 	}
 	rs.ready |= bit
-	rs.age[slot] = w.Age
 	sb := &rs.banks[slot]
 	for i, src := range in.Srcs {
 		b := banks // no operand: the always-idle bank past the last
@@ -155,8 +148,11 @@ type SubCore struct {
 
 	subCoreState
 
-	// rs is the event-maintained ready set over slots.
-	rs readySet
+	// rs is the event-maintained ready set over slots. order, the occupied
+	// slots oldest warp first, is derived too: host appends (ageCounter only
+	// grows), release removes, RestoreState sorts.
+	rs    readySet
+	order []uint8
 
 	sched core.WarpScheduler
 	coll  *regfile.Collector
@@ -167,13 +163,12 @@ type SubCore struct {
 	// tr is the SM's observability handle (nil = not traced, fast path).
 	tr *trace.SMT
 
-	// Per-cycle scratch of the issue stage. qlenBuf is the arbiter tap: one
-	// entry per bank and a last one that stays zero (srcBanks); score holds
-	// each candidate's RBA score against it (RBA only). issuable is the mask
-	// the scheduler picked from and spent the slots it picked, in order —
-	// what stealTick needs to tell which candidates were left over.
+	// Per-cycle scratch of the issue stage. qlenBuf is the arbiter tap the
+	// RBA walk scores against: one entry per bank and a last one that stays
+	// zero (readySet.banks). issuable is the mask the scheduler picked from
+	// and spent the slots it picked, in order — what stealTick needs to tell
+	// which candidates were left over.
 	qlenBuf  []int
-	score    [maxSlots]uint8
 	issuable uint64
 	spent    [maxSlots]uint8
 	nSpent   int
@@ -202,6 +197,7 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 		coll:    regfile.NewCollector(cfg.CollectorUnitsPerSubCore, cfg.BanksPerSubCore, cfg.RBAScoreLatency, st),
 		st:      st,
 		qlenBuf: make([]int, cfg.BanksPerSubCore+1),
+		order:   make([]uint8, 0, cfg.WarpsPerSubCore()),
 	}
 	for i := range sc.slots {
 		sc.slots[i] = -1
@@ -230,6 +226,7 @@ func (sc *SubCore) host(w int32, regsPerThread int) int16 {
 	for i := range sc.slots {
 		if sc.slots[i] == -1 {
 			sc.slots[i] = w
+			sc.order = append(sc.order, uint8(i))
 			sc.used++
 			sc.freeRegBytes -= isa.WarpRegBytes(regsPerThread)
 			return int16(i)
@@ -244,6 +241,8 @@ func (sc *SubCore) release(slot int16, regsPerThread int) {
 		panic("smcore: releasing an empty slot")
 	}
 	sc.slots[slot] = -1
+	i := slices.Index(sc.order, uint8(slot))
+	sc.order = slices.Delete(sc.order, i, i+1)
 	sc.used--
 	sc.freeRegBytes += isa.WarpRegBytes(regsPerThread)
 	sc.reclass(int(slot))
@@ -313,22 +312,6 @@ func (sc *SubCore) dispatch(cu *regfile.CollectorUnit, now int64) bool {
 	return true
 }
 
-// scoreReady fills sc.score for the slots of m: each source operand adds
-// its bank's arbiter queue length — snapshotted once per cycle, optionally
-// through the delay line — saturating at core.MaxScore.
-func (sc *SubCore) scoreReady(m uint64) {
-	delay := sc.cfg.RBAScoreLatency
-	q := sc.qlenBuf
-	for b := range q[:len(q)-1] {
-		q[b] = sc.coll.DelayedQueueLen(b, delay)
-	}
-	for ; m != 0; m &= m - 1 {
-		slot := bits.TrailingZeros64(m)
-		sb := &sc.rs.banks[slot]
-		sc.score[slot] = uint8(min(q[sb[0]]+q[sb[1]]+q[sb[2]], core.MaxScore))
-	}
-}
-
 // issueTick runs the scheduler(s): up to SchedulersPerSubCore instructions
 // issue per cycle, each from a distinct warp, falling through to
 // lower-priority candidates when the top choice cannot issue (no free
@@ -353,15 +336,18 @@ func (sc *SubCore) issueTick(now int64) {
 		m &^= sc.rs.needCU
 	}
 	sc.issuable, sc.nSpent = m, 0
-	if m&(m-1) != 0 && sc.cfg.WarpScheduler == config.SchedRBA {
-		sc.scoreReady(m) // two or more candidates: a lone one wins unscored
+	if q := sc.qlenBuf; m&(m-1) != 0 && sc.cfg.WarpScheduler == config.SchedRBA {
+		// Tap the arbiter once: issue allocates into the collector as it goes.
+		for b := range q[:len(q)-1] {
+			q[b] = sc.coll.DelayedQueueLen(b, sc.cfg.RBAScoreLatency)
+		}
 	}
 	issued := 0
 	blockedEU := false
 	blockedMem := false
 	for port := 0; port < sc.cfg.SchedulersPerSubCore; port++ {
 		for m != 0 {
-			slot := sc.sched.PickReady(m, &sc.rs.age, &sc.score)
+			slot := sc.sched.PickReady(m, sc.order, &sc.rs.banks, sc.qlenBuf)
 			m &^= 1 << uint(slot)
 			sc.spent[sc.nSpent] = uint8(slot)
 			sc.nSpent++
