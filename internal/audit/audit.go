@@ -38,3 +38,20 @@ func (v Violation) String() string {
 func Violationf(rule, where, format string, args ...any) Violation {
 	return Violation{Rule: rule, Where: where, Detail: fmt.Sprintf(format, args...)}
 }
+
+// Summary formats a non-empty violation list: the first, and how many follow.
+func Summary(vs []Violation) string {
+	if len(vs) == 1 {
+		return vs[0].String()
+	}
+	return fmt.Sprintf("%s (and %d more)", vs[0], len(vs)-1)
+}
+
+// Refusal is the plain error a restore returns for a state that breaks a
+// law, or nil when vs is empty.
+func Refusal(layer string, vs []Violation) error {
+	if len(vs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: snapshot restores to a state that breaks a law: %s", layer, Summary(vs))
+}

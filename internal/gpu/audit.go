@@ -7,10 +7,9 @@ import (
 )
 
 // AuditError reports runtime invariant violations found by the device
-// auditor (config.AuditEvery / AuditCheck). It is a structured,
-// errors.As-able fault: the harness maps it to FaultAudit and dumps the
-// flight recorder, so a corrupted simulation dies loudly at the first
-// audited heartbeat instead of producing silently wrong statistics.
+// auditor (config.AuditEvery / AuditCheck) on a heartbeat: the harness maps
+// it to FaultAudit and dumps the flight recorder. Restore runs the same laws
+// but refuses a frame that breaks one with a plain error: an unusable frame.
 type AuditError struct {
 	// Cycle is the simulation cycle the audit ran at.
 	Cycle int64
@@ -21,32 +20,30 @@ type AuditError struct {
 }
 
 func (e *AuditError) Error() string {
-	if len(e.Violations) == 1 {
-		return fmt.Sprintf("gpu: invariant audit failed at cycle %d: %s", e.Cycle, e.Violations[0])
-	}
-	return fmt.Sprintf("gpu: invariant audit failed at cycle %d: %s (and %d more)",
-		e.Cycle, e.Violations[0], len(e.Violations)-1)
+	return fmt.Sprintf("gpu: invariant audit failed at cycle %d: %s", e.Cycle, audit.Summary(e.Violations))
 }
 
-// AuditCheck re-derives the device's conservation laws and returns every
-// violation: per-SM scoreboard/lease/occupancy/budget invariants, memory
-// hierarchy MSHR/cache/channel invariants, the CPI-stack identity (every
-// sub-core's attributed cycles sum exactly to the device cycles), and the
-// frozen configuration (the config every component reads still equals the
-// one New validated — components size themselves from it at construction,
-// and snapshot/resume identity assumes it never moves).
-// Read-only and safe between cycles; an empty result is a healthy device.
+// AuditCheck re-derives the device's conservation laws (docs/ROBUSTNESS.md,
+// the auditor table) and returns every violation: each SM's, the memory
+// hierarchy's, the CPI stack's and the frozen configuration's. Read-only and
+// safe between cycles; an empty result is a healthy device.
 func (g *GPU) AuditCheck() []audit.Violation {
 	var vs []audit.Violation
 	for _, sm := range g.sms {
 		vs = append(vs, sm.Audit()...)
 	}
 	vs = append(vs, g.hier.Audit()...)
-	if err := g.run.CheckCPI(); err != nil {
-		vs = append(vs, audit.Violationf("cpi", "device", "%v", err))
-	}
+	vs = append(vs, g.cpiLaw()...)
 	if g.cfg != g.cfgAtNew {
 		vs = append(vs, audit.Violationf("config", "device", "the configuration every component reads was written after construction: it no longer equals the one New validated"))
 	}
 	return vs
+}
+
+// cpiLaw is the one law no layer below the device owns.
+func (g *GPU) cpiLaw() []audit.Violation {
+	if err := g.run.CheckCPI(); err != nil {
+		return []audit.Violation{audit.Violationf("cpi", "device", "%v", err)}
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/config"
 	"repro/internal/snapshot"
 )
@@ -27,8 +28,8 @@ func fuzzCfg() config.GPU {
 // fuzzer overwrite or splice payload bytes, re-frames the result with a
 // correct length and checksum — so only Restore's own validation stands
 // between the bytes and the machine state — and restores it into a fresh
-// device. Restore must return an error or a device the auditor can walk:
-// never panic, never allocate more than a small multiple of the frame. The
+// device. Restore must return an error or a device whose AuditCheck is
+// empty: never panic, never allocate more than a small multiple of the frame. The
 // harness feeds frames left by crashed runs straight into this path, and a
 // layout change without a Version bump produces exactly such frames.
 func FuzzRestoreFrame(f *testing.F) {
@@ -77,7 +78,9 @@ func FuzzRestoreFrame(f *testing.F) {
 			t.Fatalf("Restore of a %d-byte frame allocated %d bytes (limit %d)", len(frame), grew, limit)
 		}
 		if err == nil {
-			fresh.AuditCheck() // violations are fine; a panic is not
+			if vs := fresh.AuditCheck(); len(vs) > 0 {
+				t.Fatalf("Restore accepted a machine that breaks a law: %s", audit.Summary(vs))
+			}
 		} else if len(patch) == 0 {
 			t.Fatalf("the unmodified frame did not restore: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/audit"
 	"repro/internal/program"
 	"repro/internal/smcore"
 	"repro/internal/snapshot"
@@ -58,8 +59,9 @@ func (g *GPU) WriteSnapshot(w io.Writer) error {
 // workload the snapshot was taken under; mid-kernel snapshots rebind
 // their warps' instruction streams through it (programs are
 // deterministic workload artifacts, rebuilt rather than serialized, and
-// any mismatch fails loudly). After a successful Restore, run
-// ContinueKernels(ks, ...) to resume the simulation.
+// any mismatch fails loudly). A frame that breaks a law of AuditCheck is
+// refused: each SM and the hierarchy audit themselves, Restore the CPI
+// stack. After a successful Restore, run ContinueKernels(ks, ...).
 func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	d, err := snapshot.NewDecoder(r)
 	if err != nil {
@@ -109,7 +111,7 @@ func (g *GPU) Restore(r io.Reader, ks []*Kernel) error {
 	// wrote the snapshot already published everything before it.
 	g.met.lastCycle, g.met.lastInstr = g.cycle, g.run.Instructions
 	g.auditNext = 0
-	return nil
+	return audit.Refusal("gpu", g.cpiLaw())
 }
 
 // decodeLaunch rebuilds the in-flight launch of nk kernels from the

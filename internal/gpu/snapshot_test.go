@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -453,13 +454,14 @@ func TestAuditPacedByWork(t *testing.T) {
 }
 
 // TestAuditCatchesArmedCorruption: a real mid-kernel frame with one bit of
-// its payload changed, restored and resumed under the auditor, faults with an
-// *AuditError at the first heartbeat. Every change is tried in payload order,
-// and each listed rule must be named by one such fault; some changes that
-// break a law on restore heal before the heartbeat (an LRU stamp the cache
-// clock passes), so a change is resumed only when the auditor flags it on
-// restore. The laws no frame reaches (lease, readyset, mshr, channel,
-// config) are tested in their own packages.
+// its payload changed, each change in turn, restored onto a device armed with
+// WithAudit(1). Restore and the auditor are one judge: a change Restore
+// refuses on a law is one AuditCheck reports on the half-restored device,
+// and a change it accepts AuditCheck passes. Each listed law must refuse
+// some change, and some accepted change must still fault at the next
+// heartbeat: a wrong state that breaks no law yet. The laws this frame's
+// changes do not reach (lease, readyset, mshr, lsu, config) are tested in
+// their own packages.
 func TestAuditCatchesArmedCorruption(t *testing.T) {
 	cfg, ks := fuzzCfg(), snapApp()
 	g, err := New(cfg)
@@ -474,7 +476,7 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caught := map[string]bool{}
+	refused, faulted := map[string]bool{}, false
 	for i := range payload {
 		changed := slices.Clone(payload)
 		changed[i] ^= 1
@@ -482,24 +484,34 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Restore(bytes.NewReader(snapshot.Frame(changed)), ks) != nil ||
-			!slices.ContainsFunc(g.AuditCheck(), func(v audit.Violation) bool { return !caught[v.Rule] }) {
-			continue
-		}
-		heartbeat := g.Cycle() + monitorPeriod
-		g.SetSnapshotHook(func(*GPU) error { return errors.New("past the first heartbeat") })
-		var ae *AuditError
-		if errors.As(g.ContinueKernels(ks, 0), &ae) && ae.Cycle == heartbeat {
-			for _, v := range ae.Violations {
-				caught[v.Rule] = true
+		err = g.Restore(bytes.NewReader(snapshot.Frame(changed)), ks)
+		vs := g.AuditCheck()
+		switch {
+		case err != nil && strings.Contains(err.Error(), "breaks a law"):
+			at := slices.IndexFunc(vs, func(v audit.Violation) bool { return strings.Contains(err.Error(), v.String()) })
+			if at < 0 {
+				t.Errorf("payload byte %d: Restore refused on a law AuditCheck does not report: %v", i, err)
+				continue
 			}
+			refused[vs[at].Rule] = true
+		case err != nil: // the frame does not decode
+		case len(vs) > 0:
+			t.Errorf("payload byte %d: Restore accepted a machine AuditCheck flags: %v", i, audit.Summary(vs))
+		case !faulted:
+			heartbeat := g.Cycle() + monitorPeriod
+			g.SetSnapshotHook(func(*GPU) error { return errors.New("past the first heartbeat") })
+			var ae *AuditError
+			faulted = errors.As(g.ContinueKernels(ks, 0), &ae) && ae.Cycle == heartbeat
 		}
 	}
-	for _, rule := range []string{"scoreboard", "occupancy", "regbudget", "residency", "shmem", "cpi", "cache"} {
+	for _, rule := range []string{"scoreboard", "occupancy", "regbudget", "residency", "shmem", "channel", "cpi", "cache"} {
 		t.Run(rule, func(t *testing.T) {
-			if !caught[rule] {
-				t.Errorf("no one-bit change of the frame faults on the %s law at the first heartbeat", rule)
+			if !refused[rule] {
+				t.Errorf("Restore refuses no one-bit change of the frame on the %s law", rule)
 			}
 		})
+	}
+	if !faulted {
+		t.Error("no one-bit change Restore accepts faults at the next heartbeat")
 	}
 }

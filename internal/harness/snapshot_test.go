@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -241,12 +242,23 @@ func TestCorruptSnapshotFallsBackFresh(t *testing.T) {
 	}
 }
 
-// writeCorruptFrame leaves in dir the frame a cell of app labelled cfgName
+// smallCfg is testCfg on a device small enough that its first-heartbeat
+// frame is about a kilobyte (16 warp slots, 1 KB caches), so that trying
+// every one-bit change of it takes well under a second.
+func smallCfg(name string) config.GPU {
+	g := testCfg(name)
+	g.MaxWarpsPerSM, g.MaxBlocksPerSM = 16, 4
+	g.L1KBPerSM = 1
+	g.L2KB, g.L2Assoc = 1, 8
+	return g
+}
+
+// writeChangedFrame leaves in dir the frame a cell of app labelled cfgName
 // resumes from: the one its device writes at the first heartbeat, with one
-// bit of the payload changed — the first change, in payload order, that
-// restores to a state the auditor flags there and faults on at the next
-// heartbeat. The state is wrong and nothing has noticed.
-func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App) {
+// bit of the payload changed — the first change, in payload order, for
+// which pick holds. pick sees the change restored onto a device armed with
+// WithAudit(1), and the error Restore returned.
+func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App, pick func(*gpu.GPU, error) bool) {
 	t.Helper()
 	g, err := gpu.New(cfg)
 	if err != nil {
@@ -275,12 +287,7 @@ func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Restore(bytes.NewReader(bad), app.Kernels) != nil || len(g.AuditCheck()) == 0 {
-			continue
-		}
-		g.SetSnapshotHook(func(*gpu.GPU) error { return stop })
-		var ae *gpu.AuditError
-		if !errors.As(g.ContinueKernels(app.Kernels, 0), &ae) {
+		if !pick(g, g.Restore(bytes.NewReader(bad), app.Kernels)) {
 			continue
 		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -291,14 +298,29 @@ func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 		}
 		return
 	}
-	t.Fatal("no one-bit change of the frame restores to a state the auditor faults on")
+	t.Fatal("no one-bit change of the frame is the one wanted")
+}
+
+// writeCorruptFrame leaves in dir a frame that restores, every law intact,
+// and faults at the next heartbeat under the auditor: the state is wrong
+// and nothing has noticed.
+func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App) {
+	t.Helper()
+	writeChangedFrame(t, dir, cfg, cfgName, app, func(g *gpu.GPU, err error) bool {
+		if err != nil {
+			return false
+		}
+		g.SetSnapshotHook(func(*gpu.GPU) error { return errors.New("past the next heartbeat") })
+		var ae *gpu.AuditError
+		return errors.As(g.ContinueKernels(app.Kernels, 0), &ae)
+	})
 }
 
 // A cell that resumes a corrupt frame with the auditor armed faults as a
 // structured FaultAudit carrying the *gpu.AuditError, not as silent bad
 // statistics.
 func TestCorruptFrameBecomesAuditFault(t *testing.T) {
-	cfg, app := testCfg("base"), testApp("corrupt", 20_000)
+	cfg, app := smallCfg("base"), testApp("corrupt", 20_000)
 	dir := t.TempDir()
 	writeCorruptFrame(t, dir, cfg, cfg.Name, app)
 	reg := metrics.New()
@@ -336,7 +358,7 @@ func TestCorruptFrameBecomesAuditFault(t *testing.T) {
 // the re-run starts fresh and completes to an undisturbed run's statistics,
 // and no frame is left to resume the corruption into a checkpoint.
 func TestAuditFaultDiscardsFrame(t *testing.T) {
-	cfg, app := testCfg("base"), testApp("corrupt", 5_000)
+	cfg, app := smallCfg("base"), testApp("corrupt", 5_000)
 	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
@@ -359,6 +381,47 @@ func TestAuditFaultDiscardsFrame(t *testing.T) {
 	}
 }
 
+// A frame that breaks a law is refused on restore and discarded, with or
+// without the auditor: the cell starts fresh and completes to its healthy
+// twin's record. The frame's change leaves a CPI-stack counter negative;
+// counters only grow, so a cell that ran on from it would finish with that
+// counter still wrong.
+func TestLawBreakingFrameIsRefused(t *testing.T) {
+	cfg, app := smallCfg("base"), testApp("corrupt", 5_000)
+	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	dir := t.TempDir()
+	writeChangedFrame(t, dir, cfg, cfg.Name, app, func(g *gpu.GPU, _ error) bool {
+		return slices.ContainsFunc(g.AuditCheck(), func(v audit.Violation) bool {
+			return v.Rule == "cpi" && strings.Contains(v.Detail, "negative")
+		})
+	})
+	var logs []string
+	reg := metrics.New()
+	run, fault := runOne(t, context.Background(), cfg, app, Options{
+		SnapshotDir: dir,
+		Metrics:     reg,
+		Logf:        func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) },
+	})
+	if fault != nil {
+		t.Fatalf("the cell faulted: %v", fault)
+	}
+	if runStatsJSON(t, run) != runStatsJSON(t, golden) {
+		t.Error("the cell's record differs from its healthy twin's")
+	}
+	if !strings.Contains(strings.Join(logs, "\n"), "snapshot unusable") {
+		t.Errorf("the refusal was not logged: %q", logs)
+	}
+	if got := newSweepMetrics(reg).snapResumes.Value(); got != 0 {
+		t.Errorf("sweep_snapshot_resumes_total = %d, want 0", got)
+	}
+	if left := dirEntries(t, dir); len(left) != 0 {
+		t.Errorf("frames left: %v", left)
+	}
+}
+
 // A sweep with snapshots armed behaves identically to one without: a cell
 // that resumes a corrupt frame classifies as audit and a hung one as
 // watchdog, the healthy cells complete, and a re-run of the healthy twins
@@ -375,12 +438,12 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 	if raceEnabled {
 		wd = time.Second
 	}
-	cfgs := []config.GPU{testCfg("cfgA").WithAudit(1), testCfg("cfgB").WithAudit(1)}
+	cfgs := []config.GPU{smallCfg("cfgA").WithAudit(1), smallCfg("cfgB").WithAudit(1)}
 	twins := []workloads.App{testApp("app0", 20_000), testApp("app1", 20_000)}
 	apps := []workloads.App{twins[0], hangApp("app1", 20_000, 4*wd)}
 	dir := t.TempDir()
 	snaps := filepath.Join(dir, "snaps")
-	writeCorruptFrame(t, snaps, testCfg("cfgA"), "cfgA", twins[0])
+	writeCorruptFrame(t, snaps, smallCfg("cfgA"), "cfgA", twins[0])
 	reg := metrics.New()
 	opt := Options{
 		Workers:          2,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/audit"
 	"repro/internal/snapshot"
 )
 
@@ -24,7 +25,8 @@ func (h *Hierarchy) EncodeState(e *snapshot.Encoder) {
 
 // RestoreState decodes into a hierarchy freshly built from the same
 // configuration; the walker checks the cache shapes, so a snapshot from a
-// different machine fails loudly.
+// different machine fails loudly. The restored hierarchy must pass its own
+// Audit, or the frame is refused.
 func (h *Hierarchy) RestoreState(d *snapshot.Decoder) error {
 	var fills []fill
 	var err error
@@ -36,13 +38,7 @@ func (h *Hierarchy) RestoreState(d *snapshot.Decoder) error {
 	if err := cmp.Or(d.Err(), err, h.l2m.restore(fills)); err != nil {
 		return err
 	}
-	for _, ch := range []*bwChannel{h.l2ch, h.drch} {
-		if ch.fracPending < 0 || (ch.fracDen > 0 && ch.fracPending >= ch.fracDen) ||
-			(ch.cycPerLine > 0 && ch.fracPending != 0) {
-			return fmt.Errorf("mem: snapshot channel fracPending %d out of range for this config", ch.fracPending)
-		}
-	}
-	return nil
+	return audit.Refusal("mem", h.Audit())
 }
 
 // fills appends to rows the pending fills as a frame carries them: one row per

@@ -108,6 +108,12 @@ var ledger = []Mutant{
 		},
 	},
 	{
+		Name:    "retired-block-slot-zeroed-whole",
+		Mistake: "a retired block slot is zeroed whole, so the next block placed in it grows a new warp list",
+		Edits:   []Edit{{"internal/smcore/sm.go", "*blk = block{warpIdxs: blk.warpIdxs[:0]}", "*blk = block{}"}},
+		Tests:   map[string][]string{"internal/smcore": {"TestAllocateIntoRetiredSlotZeroAlloc"}},
+	},
+	{
 		Name:    "audit-skips-age-order",
 		Mistake: "the readyset law does not check the age order the schedulers walk",
 		Edits:   []Edit{{"internal/smcore/audit.go", "if !inOrder {", "if false && !inOrder {"}},
@@ -455,16 +461,21 @@ var ledger = []Mutant{
 	},
 	{
 		Name:    "restore-trusts-warp-slots",
-		Mistake: "a restored warp is not checked against its sub-core's slot table and its block",
-		Edits:   []Edit{{"internal/smcore/snapshot.go", "for _, wf := range f.Warps {", "for _, wf := range f.Warps[:0] {"}},
-		Tests:   map[string][]string{"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp"}},
+		Mistake: "SM.RestoreState does not hold the restored SM to its Audit, so a frame whose warps and slot tables disagree restores",
+		Edits: []Edit{{"internal/smcore/snapshot.go", "return audit.Refusal(fmt.Sprintf(\"smcore: sm%d\", sm.id), sm.Audit())",
+			"return audit.Refusal(fmt.Sprintf(\"smcore: sm%d\", sm.id), sm.Audit()[:0])"}},
+		Tests: map[string][]string{
+			"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp", "TestSMRestoreRefusesBadWritebackHeap"},
+			"internal/gpu":    {"TestAuditCatchesArmedCorruption"},
+		},
 	},
 	{
 		Name:    "restore-trusts-slot-tables",
-		Mistake: "a restored sub-core slot or block list is not checked against the warp it names",
+		Mistake: "the residency law checks neither that a resident warp's block lists it nor that a block lists only warps that claim it",
 		Edits: []Edit{
-			{"internal/smcore/snapshot.go", "if w := &sm.warps[max(wi, 0)]; wi >= 0 && (", "if w := &sm.warps[max(wi, 0)]; false && wi >= 0 && ("},
-			{"internal/smcore/snapshot.go", "for _, wi := range sm.blocks[b].warpIdxs {", "for _, wi := range sm.blocks[b].warpIdxs[:0] {"},
+			{"internal/smcore/audit.go", "if w := &sm.warps[wi]; w.State == WarpEmpty || int(w.BlockSlot) != bi || listed[wi] {",
+				"if w := &sm.warps[wi]; false && (w.State == WarpEmpty || int(w.BlockSlot) != bi || listed[wi]) {"},
+			{"internal/smcore/audit.go", "} else if !listed[i] {", "} else if false && !listed[i] {"},
 		},
 		Tests: map[string][]string{"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp"}},
 	},

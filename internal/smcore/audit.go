@@ -36,27 +36,10 @@ func sbMark(sb *[sbWords]uint64, r isa.Reg) {
 }
 
 // Audit re-derives the SM's conservation laws from first principles and
-// reports every divergence from the live bookkeeping. It is read-only and
-// safe to call between cycles (never mid-Tick). Rules emitted here:
-//
-//   - scoreboard: each warp's pending-register bitset must equal the union
-//     of destinations held by in-flight writers (writeback heap, queued
-//     collector writebacks, staged non-stolen collector units, LSU queue
-//     entries that will schedule a writeback).
-//   - lease: collector-unit reference counting (delegated per sub-core to
-//     regfile.Collector.Audit), plus stolen-CU back-pointer consistency.
-//   - occupancy: sub-core slot tables vs warp back-pointers and used
-//     counts; SM-wide resident warp and block tallies.
-//   - regbudget: per-sub-core free register bytes vs hosted warps' demand.
-//   - shmem: SM shared-memory free space vs active blocks' reservations.
-//   - lsu: queue bound and entry validity.
-//   - residency: per-block warp lifecycle counts (exited, at-barrier).
-//   - readyset: each sub-core's event-maintained ready set — masks, and the
-//     source banks the RBA walk reads beside them — must equal the one a
-//     full scan of its slots derives from the warps; its age order must be
-//     the occupied slots sorted by Warp.Age; a sleeping
-//     sub-core must be quiescent, and no sub-core's clock may lead the SM's
-//     or, awake, lag it.
+// reports every divergence from the live bookkeeping: the scoreboard, lease,
+// occupancy, regbudget, shmem, lsu, residency and readyset rows of the
+// auditor table (docs/ROBUSTNESS.md). It is read-only and safe to call
+// between cycles (never mid-Tick); RestoreState ends with it.
 func (sm *SM) Audit() []audit.Violation {
 	var vs []audit.Violation
 	where := fmt.Sprintf("sm%d", sm.id)
@@ -66,11 +49,11 @@ func (sm *SM) Audit() []audit.Violation {
 	// device heartbeat and must not allocate per sweep.
 	if cap(sm.auditSB) < len(sm.warps) {
 		sm.auditSB = make([][sbWords]uint64, len(sm.warps))
+		sm.auditListed = make([]bool, len(sm.warps))
 	}
-	expected := sm.auditSB[:len(sm.warps)]
-	for i := range expected {
-		expected[i] = [sbWords]uint64{}
-	}
+	expected, listed := sm.auditSB[:len(sm.warps)], sm.auditListed[:len(sm.warps)]
+	clear(expected)
+	clear(listed)
 	mark := func(warpIdx int32, r isa.Reg, src string) {
 		if int(warpIdx) < 0 || int(warpIdx) >= len(sm.warps) {
 			vs = append(vs, audit.Violationf("scoreboard", where,
@@ -124,28 +107,6 @@ func (sm *SM) Audit() []audit.Violation {
 	}
 
 	// Residency and occupancy tallies.
-	resident := 0
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		if w.State == WarpEmpty {
-			continue
-		}
-		resident++
-		if int(w.BlockSlot) < 0 || int(w.BlockSlot) >= len(sm.blocks) || !sm.blocks[w.BlockSlot].active {
-			vs = append(vs, audit.Violationf("residency", where,
-				"warp %d references inactive block slot %d", i, w.BlockSlot))
-		}
-		sc := sm.subcores[w.SubCore]
-		if int(w.SchedSlot) < 0 || int(w.SchedSlot) >= len(sc.slots) || sc.slots[w.SchedSlot] != int32(i) {
-			vs = append(vs, audit.Violationf("occupancy", where,
-				"warp %d claims sub%d slot %d, slot table disagrees", i, w.SubCore, w.SchedSlot))
-		}
-	}
-	if resident != sm.residentWarps {
-		vs = append(vs, audit.Violationf("occupancy", where,
-			"residentWarps=%d, warp table holds %d", sm.residentWarps, resident))
-	}
-
 	activeBlocks, shmemUsed := 0, 0
 	for bi := range sm.blocks {
 		b := &sm.blocks[bi]
@@ -161,6 +122,11 @@ func (sm *SM) Audit() []audit.Violation {
 					"block %d references warp %d of %d", bi, wi, len(sm.warps)))
 				continue
 			}
+			if w := &sm.warps[wi]; w.State == WarpEmpty || int(w.BlockSlot) != bi || listed[wi] {
+				vs = append(vs, audit.Violationf("residency", where,
+					"block %d lists warp %d, which is empty, claims block %d, or was listed before", bi, wi, w.BlockSlot))
+			}
+			listed[wi] = true
 			switch sm.warps[wi].State {
 			case WarpFinished:
 				exited++
@@ -176,6 +142,30 @@ func (sm *SM) Audit() []audit.Violation {
 			vs = append(vs, audit.Violationf("residency", where,
 				"block %d barrierWaiting=%d, warp table holds %d", bi, b.barrierWaiting, atBarrier))
 		}
+	}
+	resident := 0
+	for i := range sm.warps {
+		w := &sm.warps[i]
+		if w.State == WarpEmpty {
+			continue
+		}
+		resident++
+		if int(w.BlockSlot) < 0 || int(w.BlockSlot) >= len(sm.blocks) || !sm.blocks[w.BlockSlot].active {
+			vs = append(vs, audit.Violationf("residency", where,
+				"warp %d references inactive block slot %d", i, w.BlockSlot))
+		} else if !listed[i] {
+			vs = append(vs, audit.Violationf("residency", where,
+				"warp %d claims block %d, which does not list it", i, w.BlockSlot))
+		}
+		sc := sm.subcores[w.SubCore]
+		if int(w.SchedSlot) < 0 || int(w.SchedSlot) >= len(sc.slots) || sc.slots[w.SchedSlot] != int32(i) {
+			vs = append(vs, audit.Violationf("occupancy", where,
+				"warp %d claims sub%d slot %d, slot table disagrees", i, w.SubCore, w.SchedSlot))
+		}
+	}
+	if resident != sm.residentWarps {
+		vs = append(vs, audit.Violationf("occupancy", where,
+			"residentWarps=%d, warp table holds %d", sm.residentWarps, resident))
 	}
 	if activeBlocks != sm.residentBlocks {
 		vs = append(vs, audit.Violationf("occupancy", where,
@@ -201,6 +191,10 @@ func (sm *SM) Audit() []audit.Violation {
 				continue
 			}
 			w := &sm.warps[wi]
+			if int(w.SubCore) != sc.id || int(w.SchedSlot) != slot {
+				vs = append(vs, audit.Violationf("occupancy", sub,
+					"slot %d holds warp %d, which claims sub%d slot %d", slot, wi, w.SubCore, w.SchedSlot))
+			}
 			if int(w.BlockSlot) >= 0 && int(w.BlockSlot) < len(sm.blocks) && sm.blocks[w.BlockSlot].active {
 				regUsed += isa.WarpRegBytes(sm.blocks[w.BlockSlot].regsPerThread)
 			}

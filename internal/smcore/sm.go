@@ -117,10 +117,11 @@ type SM struct {
 
 	// rooms is CanAccept's reusable feasibility scratch.
 	rooms []subRoom
-	// auditSB is Audit's reusable expected-scoreboard scratch: the
-	// periodic invariant sweep (gpu heartbeat, every monitorPeriod
-	// cycles) must not allocate per visit.
-	auditSB [][sbWords]uint64
+	// auditSB and auditListed are Audit's reusable scratch (expected
+	// scoreboards, warps some block lists): the periodic invariant sweep
+	// (gpu heartbeat, every monitorPeriod cycles) must not allocate per visit.
+	auditSB     [][sbWords]uint64
+	auditListed []bool
 
 	// tr is the observability handle for this SM; nil when the SM is not
 	// traced, which is the fast path every emission site branches on.
@@ -265,6 +266,7 @@ func (sm *SM) Allocate(b *BlockSpec) error {
 	*blk = block{
 		active:        true,
 		kernelBlockID: b.KernelBlockID,
+		warpIdxs:      blk.warpIdxs[:0],
 		regsPerThread: b.RegsPerThread,
 		sharedBytes:   b.SharedMemBytes,
 	}
@@ -404,7 +406,7 @@ func (sm *SM) retireBlock(blk *block) {
 	if sm.tr != nil {
 		sm.tr.Emit(trace.KBlockRetire, -1, -1, int32(blk.kernelBlockID), 0)
 	}
-	*blk = block{}
+	*blk = block{warpIdxs: blk.warpIdxs[:0]} // the slot's next block reuses the list's room
 }
 
 // Tick runs cycle now, first charging any cycles [synced, now) the caller

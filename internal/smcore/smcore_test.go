@@ -210,6 +210,31 @@ func TestHostIntoFreedSlotsZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAllocateIntoRetiredSlotZeroAlloc holds block placement to no
+// allocation once a block slot has been used: placing a block into a
+// retired slot and draining it again reuses the slot's warp list.
+func TestAllocateIntoRetiredSlotZeroAlloc(t *testing.T) {
+	sm, _ := testSM(t, nil)
+	progs := make([]*program.Program, 8)
+	for i := range progs {
+		progs[i] = fmaProg(2)
+	}
+	spec := specOf(progs, 8, 0)
+	c := int64(0)
+	place := func() {
+		if err := sm.Allocate(spec); err != nil {
+			t.Fatal(err)
+		}
+		for ; !sm.Drained(); c++ {
+			sm.Tick(c)
+		}
+	}
+	place()
+	if a := testing.AllocsPerRun(20, place); a != 0 {
+		t.Errorf("placing a block into a retired slot and draining it allocates %.1f times, want 0", a)
+	}
+}
+
 func TestRegisterCapacityLimitsPerSubCore(t *testing.T) {
 	// 64 regs/thread: 8 warps per sub-core. Allocate 32 warps (full), all
 	// must be placed without fallback under RR.

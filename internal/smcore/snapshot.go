@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/audit"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/snapshot"
@@ -69,7 +70,9 @@ func (sm *SM) EncodeState(e *snapshot.Encoder) {
 // RestoreState decodes into an SM freshly built from the same config (the
 // walker checks the table shapes against it), rebinding each warp's program
 // cursor through progFor. It does NOT run ResetForKernel — the restored
-// scheduler and assigner state must survive.
+// scheduler and assigner state must survive. It checks by hand only what
+// Audit needs to walk the state and what no law reads (the clocks); then
+// the restored SM must pass Audit, or the frame is refused.
 func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 	var f smFrame
 	d.State(&f, &sm.smState, &sm.lsu.lsuState)
@@ -95,8 +98,6 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d (cycle %d) precedes its parent", sm.id, i, e.cycle)
 		case e.subCore < 0 || int(e.subCore) >= len(sm.subcores) || e.bank < 0 || int(e.bank) >= sm.cfg.BanksPerSubCore:
 			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d names sub-core %d bank %d", sm.id, i, e.subCore, e.bank)
-		case e.warpIdx < 0 || int(e.warpIdx) >= len(sm.warps) || sm.warps[e.warpIdx].State == WarpEmpty:
-			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d names warp slot %d, which holds no warp", sm.id, i, e.warpIdx)
 		}
 	}
 	if n := len(sm.lsu.queue); n > sm.lsu.capacity {
@@ -119,9 +120,6 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			if wi < -1 || int(wi) >= len(sm.warps) {
 				return fmt.Errorf("smcore: snapshot sub-core slot %d holds warp %d of %d", slot, wi, len(sm.warps))
 			}
-			if w := &sm.warps[max(wi, 0)]; wi >= 0 && (w.State == WarpEmpty || int(w.SubCore) != sc.id || int(w.SchedSlot) != slot) {
-				return fmt.Errorf("smcore: sm%d: snapshot sub-core %d slot %d holds warp %d, whose SubCore/SchedSlot do not name it", sm.id, sc.id, slot, wi)
-			}
 			sc.reclass(slot)
 			if wi >= 0 {
 				sc.order = append(sc.order, uint8(slot))
@@ -135,28 +133,11 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 			return fmt.Errorf("smcore: snapshot sub-core %d's clock reads cycle %d, sub-core 0's %d", sc.id, c, c0)
 		}
 	}
-	// Each occupied warp and the slot and active block holding it name each other.
-	for b := range sm.blocks {
-		for _, wi := range sm.blocks[b].warpIdxs {
-			if wi < 0 || int(wi) >= len(sm.warps) || sm.warps[wi].State == WarpEmpty || int(sm.warps[wi].BlockSlot) != b {
-				return fmt.Errorf("smcore: sm%d: snapshot block %d lists warp %d, whose BlockSlot does not name it", sm.id, b, wi)
-			}
-		}
-	}
-	for _, wf := range f.Warps {
-		slots, blk := sm.subcores[wf.SubCore].slots, wf.BlockSlot
-		switch {
-		case wf.SchedSlot < 0 || int(wf.SchedSlot) >= len(slots) || slots[wf.SchedSlot] != wf.Slot:
-			return fmt.Errorf("smcore: sm%d warp %d: SchedSlot %d of sub-core %d does not name it", sm.id, wf.Slot, wf.SchedSlot, wf.SubCore)
-		case blk < 0 || int(blk) >= len(sm.blocks) || !sm.blocks[blk].active || !slices.Contains(sm.blocks[blk].warpIdxs, wf.Slot):
-			return fmt.Errorf("smcore: sm%d warp %d: BlockSlot %d is not an active block that lists it", sm.id, wf.Slot, blk)
-		}
-	}
 	// The SM's clock is derived too: the collectors carry it, and a frame
 	// is written from a synced SM.
 	sm.synced = sm.subcores[0].coll.Cycle()
 	sm.wake = sm.NextEvent(sm.synced)
-	return nil
+	return audit.Refusal(fmt.Sprintf("smcore: sm%d", sm.id), sm.Audit())
 }
 
 // restoreWarp validates one decoded warp and rebinds its cursor.

@@ -245,9 +245,11 @@ func TestSMRestoreRefusesHostileLengths(t *testing.T) {
 
 // TestSMRestoreRefusesBadWritebackHeap tampers one entry of a mid-kernel SM's
 // writeback heap per case, encodes the SM, and expects RestoreState to refuse
-// the frame by naming the heap. Each frame is CRC-valid; restored, it would
-// run until the entry came due and then panic indexing a sub-core, a bank or
-// a warp slot, or (out of heap order) deliver writebacks out of time.
+// the frame by naming the heap, or the scoreboard law for an entry that names
+// an empty or out-of-range warp. Each frame is CRC-valid; restored, it would run until the
+// entry came due and then panic indexing a sub-core, a bank or a warp slot,
+// clear a bit of a warp that is not there, or (out of heap order) deliver
+// writebacks out of time.
 func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1
@@ -257,15 +259,15 @@ func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 	prog := memMixProg(6)
 	progFor := func(int64) (*program.Program, error) { return prog, nil }
 	for _, tc := range []struct {
-		name   string
-		tamper func(wb wbHeap)
+		name, want string
+		tamper     func(wb wbHeap)
 	}{
-		{"out of heap order", func(wb wbHeap) { wb[len(wb)-1].cycle = wb[0].cycle - 1 }},
-		{"sub-core past the last", func(wb wbHeap) { wb[0].subCore = int8(cfg.SubCoresPerSM) }},
-		{"negative sub-core", func(wb wbHeap) { wb[0].subCore = -1 }},
-		{"bank past the last", func(wb wbHeap) { wb[0].bank = int8(cfg.BanksPerSubCore) }},
-		{"empty warp slot", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM - 1) }},
-		{"warp slot past the table", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM) }},
+		{"out of heap order", "writeback heap", func(wb wbHeap) { wb[len(wb)-1].cycle = wb[0].cycle - 1 }},
+		{"sub-core past the last", "writeback heap", func(wb wbHeap) { wb[0].subCore = int8(cfg.SubCoresPerSM) }},
+		{"negative sub-core", "writeback heap", func(wb wbHeap) { wb[0].subCore = -1 }},
+		{"bank past the last", "writeback heap", func(wb wbHeap) { wb[0].bank = int8(cfg.BanksPerSubCore) }},
+		{"empty warp slot", "scoreboard @", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM - 1) }},
+		{"warp slot past the table", "scoreboard @", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hier := mem.NewHierarchy(cfg)
@@ -283,8 +285,8 @@ func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 			tc.tamper(sm.wb)
 			fresh := NewSM(0, &cfg, mem.NewHierarchy(cfg), stats.NewRun(1, cfg.SubCoresPerSM))
 			err := restoreSMState(t, fresh, mem.NewHierarchy(cfg), snapSMState(t, sm, hier), progFor)
-			if err == nil || !strings.Contains(err.Error(), "writeback heap") {
-				t.Fatalf("restoring a frame whose heap was tampered at cycle %d: err %v, want a refusal naming the writeback heap", c, err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restoring a frame whose heap was tampered at cycle %d: err %v, want a refusal naming %q", c, err, tc.want)
 			}
 		})
 	}
@@ -293,7 +295,8 @@ func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 // TestSMRestoreRefusesMisplacedWarp edits a mid-kernel SM per case so that
 // a warp and its slot tables no longer name each other — the warp's
 // SchedSlot or BlockSlot, or a sub-core slot or block list entry — encodes
-// the SM, and expects RestoreState to refuse the frame by naming the field.
+// the SM, and expects RestoreState to refuse the frame by naming the law
+// the edit breaks first (the auditor's order).
 // Each frame is CRC-valid; restored, it would run with a warp its sub-core
 // or block cannot find, or a slot or block holding a warp that is not its.
 func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
@@ -306,23 +309,29 @@ func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
 	progFor := func(int64) (*program.Program, error) { return prog, nil }
 	progs := []*program.Program{prog, prog, prog, prog}
 	for _, tc := range []struct {
-		name, field string
-		edit        func(sm *SM)
+		name, law string
+		edit      func(sm *SM)
 	}{
 		// Warp 0 sits on sub-core 0 in block 0, warp 1 on sub-core 1, warp 4
 		// in block 1; warp 60 is empty.
-		{"both slots -1", "SchedSlot", func(sm *SM) { sm.warps[0].SchedSlot, sm.warps[0].BlockSlot = -1, -1 }},
-		{"sched slot past the table", "SchedSlot", func(sm *SM) { sm.warps[0].SchedSlot = int16(len(sm.subcores[0].slots)) }},
-		{"sched slot of another warp", "SchedSlot", func(sm *SM) { sm.warps[0].SchedSlot++ }},
-		{"block slot -1", "BlockSlot", func(sm *SM) { sm.warps[0].BlockSlot = -1 }},
-		{"inactive block", "BlockSlot", func(sm *SM) { sm.warps[0].BlockSlot = 2 }},
-		{"block that does not list it", "BlockSlot", func(sm *SM) { sm.warps[0].BlockSlot = 1 }},
-		{"no sub-core slot holds it", "SchedSlot", func(sm *SM) { sm.subcores[0].slots[0] = -1 }},
-		{"no block lists it", "BlockSlot", func(sm *SM) { sm.blocks[0].warpIdxs = sm.blocks[0].warpIdxs[1:] }},
-		{"sub-core slot holds an empty warp", "SchedSlot", func(sm *SM) { freeSlot(sm.subcores[0], 60) }},
-		{"sub-core slot holds another sub-core's warp", "SchedSlot", func(sm *SM) { freeSlot(sm.subcores[0], 1) }},
-		{"block lists an empty warp", "BlockSlot", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 60) }},
-		{"block lists another block's warp", "BlockSlot", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 4) }},
+		{"both slots -1", "residency", func(sm *SM) { sm.warps[0].SchedSlot, sm.warps[0].BlockSlot = -1, -1 }},
+		{"sched slot past the table", "occupancy", func(sm *SM) { sm.warps[0].SchedSlot = int16(len(sm.subcores[0].slots)) }},
+		{"sched slot of another warp", "occupancy", func(sm *SM) { sm.warps[0].SchedSlot++ }},
+		{"block slot -1", "residency", func(sm *SM) { sm.warps[0].BlockSlot = -1 }},
+		{"inactive block", "residency", func(sm *SM) { sm.warps[0].BlockSlot = 2 }},
+		{"block that does not list it", "residency", func(sm *SM) { sm.warps[0].BlockSlot = 1 }},
+		{"no sub-core slot holds it", "occupancy", func(sm *SM) { sm.subcores[0].slots[0] = -1 }},
+		{"no block lists it", "residency", func(sm *SM) { sm.blocks[0].warpIdxs = sm.blocks[0].warpIdxs[1:] }},
+		{"sub-core slot holds an empty warp", "occupancy", func(sm *SM) { freeSlot(sm.subcores[0], 60) }},
+		{"sub-core slot holds another sub-core's warp", "occupancy", func(sm *SM) { freeSlot(sm.subcores[0], 1) }},
+		{"another sub-core's warp, counters agree", "occupancy", func(sm *SM) {
+			sc := sm.subcores[0]
+			freeSlot(sc, 1)
+			sc.used++
+			sc.freeRegBytes -= isa.WarpRegBytes(16)
+		}},
+		{"block lists an empty warp", "residency", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 60) }},
+		{"block lists another block's warp", "residency", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 4) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hier := mem.NewHierarchy(cfg)
@@ -338,8 +347,8 @@ func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
 			tc.edit(sm)
 			fresh := NewSM(0, &cfg, mem.NewHierarchy(cfg), stats.NewRun(1, cfg.SubCoresPerSM))
 			err := restoreSMState(t, fresh, mem.NewHierarchy(cfg), snapSMState(t, sm, hier), progFor)
-			if err == nil || !strings.Contains(err.Error(), tc.field) {
-				t.Fatalf("restoring the edited frame: err %v, want a refusal naming %s", err, tc.field)
+			if err == nil || !strings.Contains(err.Error(), tc.law+" @") {
+				t.Fatalf("restoring the edited frame: err %v, want a refusal naming the %s law", err, tc.law)
 			}
 		})
 	}
