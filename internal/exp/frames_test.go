@@ -12,10 +12,10 @@ import (
 
 // TestParkedWarpFrameUnchanged pins the frame pb-sgemm writes at its first
 // heartbeat (cycle 1024) on the experiments' device. It holds warps parked at
-// a barrier, and a parked warp's buffer fill and cursor position travel in a
-// frame: the hash pins the state the build that still refilled every buffer
-// in the decode stage wrote, in version 10's layout, and refilling a warp's
-// buffer as it issues BAR moves it, though no statistic moves.
+// a barrier, and a parked warp's buffer fill level and cursor position travel
+// in a frame: the hash pins them in version 11's layout (a fill level, no
+// copy of the buffer, and the cursor at the issue point), and refilling a
+// warp's buffer as it issues BAR moves it, though no statistic moves.
 func TestParkedWarpFrameUnchanged(t *testing.T) {
 	app, err := workloads.ByName("pb-sgemm")
 	if err != nil {
@@ -39,7 +39,7 @@ func TestParkedWarpFrameUnchanged(t *testing.T) {
 	if err := g.RunKernels(app.Kernels, 0); err != nil {
 		t.Fatal(err)
 	}
-	const want = "804e8e53ed0941d0405b698d38bfe7913592dfcbed1d828f8054d297e078dcc6"
+	const want = "cf693ff672f9a825da8728bb16c3868a3149d18c4459b862e69a7b56be6e8357"
 	if got := fmt.Sprintf("%x", sha256.Sum256(frame)); at != 1024 || got != want {
 		t.Errorf("the first heartbeat's frame (cycle %d, %d bytes) hashes to %s, the parent's (cycle 1024) to %s", at, len(frame), got, want)
 	}

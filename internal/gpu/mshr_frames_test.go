@@ -78,17 +78,17 @@ func mshrRows(t *testing.T, g *GPU) []int {
 
 // TestParentFramesReencode: the build whose MSHRs were a map and a
 // completion heap wrote gatherApp's frames at its third and fourth
-// heartbeats; their memory hierarchy travels on in testdata/gather_v10_hb*.snap
-// (TestV10FixturesKeepV9Hierarchy). Restoring the first and running to the
+// heartbeats; their memory hierarchy travels on in testdata/gather_v11_hb*.snap
+// (TestV11FixturesKeepV10Hierarchy). Restoring the first and running to the
 // next heartbeat must encode the second byte for byte: the table drops
 // exactly the fills the map and heap dropped, the shared L2's included,
 // whose same-cycle inserts from four SMs arrive out of time order.
 func TestParentFramesReencode(t *testing.T) {
-	first, err := os.ReadFile("testdata/gather_v10_hb3.snap")
+	first, err := os.ReadFile("testdata/gather_v11_hb3.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile("testdata/gather_v10_hb4.snap")
+	second, err := os.ReadFile("testdata/gather_v11_hb4.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,19 +127,20 @@ func TestParentFramesReencode(t *testing.T) {
 	}
 }
 
-// TestV10FixturesKeepV9Hierarchy: testdata/gather_v10_hb*.snap are the
+// TestV11FixturesKeepV10Hierarchy: testdata/gather_v11_hb*.snap are the
 // frames this build writes at gatherApp's third and fourth heartbeats, and
-// their payloads are testdata/gather_v9_hb*.snap's byte for byte through the
-// end of the memory hierarchy: version 10 dropped counters from the SMs'
-// state only, so the map-and-heap build's MSHR contents carry over. The
-// version 9 frames are refused with the version message.
-func TestV10FixturesKeepV9Hierarchy(t *testing.T) {
+// their payloads are testdata/gather_v10_hb*.snap's byte for byte through the
+// end of the memory hierarchy: version 11 dropped fields from the SMs' state
+// only, so the MSHR contents the map-and-heap build wrote, which version 10
+// carried on, carry over. The version 10 frames are refused with the version
+// message.
+func TestV11FixturesKeepV10Hierarchy(t *testing.T) {
 	for _, hb := range []string{"3", "4"} {
-		v9, err := os.ReadFile("testdata/gather_v9_hb" + hb + ".snap")
+		v10, err := os.ReadFile("testdata/gather_v10_hb" + hb + ".snap")
 		if err != nil {
 			t.Fatal(err)
 		}
-		v10, err := os.ReadFile("testdata/gather_v10_hb" + hb + ".snap")
+		v11, err := os.ReadFile("testdata/gather_v11_hb" + hb + ".snap")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +148,10 @@ func TestV10FixturesKeepV9Hierarchy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Restore(bytes.NewReader(v9), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 9, this build reads only 10") {
-			t.Errorf("heartbeat %s: restoring the v9 frame: %v, want the version refusal", hb, err)
+		if err := g.Restore(bytes.NewReader(v10), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 10, this build reads only 11") {
+			t.Errorf("heartbeat %s: restoring the v10 frame: %v, want the version refusal", hb, err)
 		}
-		if err := g.Restore(bytes.NewReader(v10), gatherApp()); err != nil {
+		if err := g.Restore(bytes.NewReader(v11), gatherApp()); err != nil {
 			t.Fatal(err)
 		}
 		// The SMs' state closes the payload: what precedes it ends with the
@@ -167,14 +168,14 @@ func TestV10FixturesKeepV9Hierarchy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := anyVersionPayload(t, v9)
-		now, err := snapshot.Payload(v10)
+		old := anyVersionPayload(t, v10)
+		now, err := snapshot.Payload(v11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		end := len(now) - len(sms)
 		if !bytes.HasSuffix(now, sms) || end > len(old) || !bytes.Equal(now[:end], old[:end]) {
-			t.Errorf("heartbeat %s: the v10 payload's first %d bytes, through the memory hierarchy, differ from the v9 payload's", hb, end)
+			t.Errorf("heartbeat %s: the v11 payload's first %d bytes, through the memory hierarchy, differ from the v10 payload's", hb, end)
 		}
 	}
 }

@@ -390,8 +390,8 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		name, want string
 		frame      []byte
 	}{
-		{"mid-kernel", "979906e70b961cf70fe402d4a45097d054c9c8edd74cabe25f7e8c12b7dcd95f", mid},
-		{"drained", "e9f1773861e0c141c05f9ac75166e2be89951e09a10721c357502e1a6e17a0ad", frameOf(t, g)},
+		{"mid-kernel", "40fe88c274ddbfe2c57b9fc567b347fe9ee16c2927b4e6fb8fe117dabab943c4", mid},
+		{"drained", "460cfe9bcfbe2d82e367ca98c46eabc94eddda267db044e0dca0a6c3e632c90d", frameOf(t, g)},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.frame)); got != tc.want {
 			t.Errorf("%s frame (%d bytes) hashes to %s, the parent's to %s", tc.name, len(tc.frame), got, tc.want)
@@ -454,14 +454,14 @@ func TestAuditPacedByWork(t *testing.T) {
 }
 
 // TestAuditCatchesArmedCorruption: a real mid-kernel frame with one bit of
-// its payload changed, each change in turn, restored onto a device armed with
-// WithAudit(1). Restore and the auditor are one judge: a change Restore
+// its payload changed, each of its bits in turn, restored onto a device armed
+// with WithAudit(1). Restore and the auditor are one judge: a change Restore
 // refuses on a law is one AuditCheck reports on the half-restored device,
 // and a change it accepts AuditCheck passes. Each listed law must refuse
 // some change, and some accepted change must still fault at the next
-// heartbeat: a wrong state that breaks no law yet. The laws this frame's
-// changes do not reach (lease, readyset, mshr, lsu, config) are tested in
-// their own packages.
+// heartbeat: a wrong state that breaks no law yet (a writeback-heap entry
+// naming a sub-core other than its warp's). The laws this frame's changes do
+// not reach (lease, mshr, lsu, config) are tested in their own packages.
 func TestAuditCatchesArmedCorruption(t *testing.T) {
 	cfg, ks := fuzzCfg(), snapApp()
 	g, err := New(cfg)
@@ -477,9 +477,9 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	refused, faulted := map[string]bool{}, false
-	for i := range payload {
+	for i := range len(payload) * 8 {
 		changed := slices.Clone(payload)
-		changed[i] ^= 1
+		changed[i/8] ^= 1 << (i % 8)
 		g, err := New(cfg.WithAudit(1))
 		if err != nil {
 			t.Fatal(err)
@@ -490,13 +490,13 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 		case err != nil && strings.Contains(err.Error(), "breaks a law"):
 			at := slices.IndexFunc(vs, func(v audit.Violation) bool { return strings.Contains(err.Error(), v.String()) })
 			if at < 0 {
-				t.Errorf("payload byte %d: Restore refused on a law AuditCheck does not report: %v", i, err)
+				t.Errorf("payload byte %d bit %d: Restore refused on a law AuditCheck does not report: %v", i/8, i%8, err)
 				continue
 			}
 			refused[vs[at].Rule] = true
 		case err != nil: // the frame does not decode
 		case len(vs) > 0:
-			t.Errorf("payload byte %d: Restore accepted a machine AuditCheck flags: %v", i, audit.Summary(vs))
+			t.Errorf("payload byte %d bit %d: Restore accepted a machine AuditCheck flags: %v", i/8, i%8, audit.Summary(vs))
 		case !faulted:
 			heartbeat := g.Cycle() + monitorPeriod
 			g.SetSnapshotHook(func(*GPU) error { return errors.New("past the first heartbeat") })
@@ -504,7 +504,7 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 			faulted = errors.As(g.ContinueKernels(ks, 0), &ae) && ae.Cycle == heartbeat
 		}
 	}
-	for _, rule := range []string{"scoreboard", "occupancy", "regbudget", "residency", "shmem", "channel", "cpi", "cache"} {
+	for _, rule := range []string{"scoreboard", "occupancy", "regbudget", "residency", "readyset", "shmem", "channel", "cpi", "cache"} {
 		t.Run(rule, func(t *testing.T) {
 			if !refused[rule] {
 				t.Errorf("Restore refuses no one-bit change of the frame on the %s law", rule)

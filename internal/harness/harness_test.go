@@ -22,10 +22,18 @@ import (
 
 // testApp builds a small deterministic FMA workload (milliseconds on the
 // one-SM test config).
-func testApp(name string, iters int) workloads.App {
+func testApp(name string, iters int) workloads.App { return fmaApp(name, iters, 2) }
+
+// chainApp is testApp with one dependent FMA chain per warp, so a warp waits
+// on one writeback at a time and no later writeback reclasses it: a frame
+// change that misroutes that writeback stays wrong until the next audit
+// (writeCorruptFrame).
+func chainApp(name string, iters int) workloads.App { return fmaApp(name, iters, 1) }
+
+func fmaApp(name string, iters, ilp int) workloads.App {
 	p := workloads.Profile{
 		Name: name, Blocks: 2, WarpsPerBlock: 4, RegsPerThread: 8,
-		Iters: iters, ILP: 2, FMAs: 4,
+		Iters: iters, ILP: ilp, FMAs: 4,
 	}
 	if err := p.Validate(); err != nil {
 		panic(err)

@@ -255,9 +255,10 @@ func smallCfg(name string) config.GPU {
 
 // writeChangedFrame leaves in dir the frame a cell of app labelled cfgName
 // resumes from: the one its device writes at the first heartbeat, with one
-// bit of the payload changed — the first change, in payload order, for
-// which pick holds. pick sees the change restored onto a device armed with
-// WithAudit(1), and the error Restore returned.
+// bit of the payload changed — the first change for which pick holds,
+// trying bit 0 of every byte in payload order, then bit 1, and so on. pick
+// sees the change restored onto a device armed with WithAudit(1), and the
+// error Restore returned.
 func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App, pick func(*gpu.GPU, error) bool) {
 	t.Helper()
 	g, err := gpu.New(cfg)
@@ -279,9 +280,9 @@ func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range payload {
+	for i := range len(payload) * 8 {
 		changed := slices.Clone(payload)
-		changed[i] ^= 1
+		changed[i%len(payload)] ^= 1 << (i / len(payload))
 		bad := snapshot.Frame(changed)
 		g, err := gpu.New(cfg.WithAudit(1))
 		if err != nil {
@@ -303,7 +304,8 @@ func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 
 // writeCorruptFrame leaves in dir a frame that restores, every law intact,
 // and faults at the next heartbeat under the auditor: the state is wrong
-// and nothing has noticed.
+// and nothing has noticed. Of chainApp's frame, such a change sends a
+// writeback-heap entry to a sub-core other than its warp's.
 func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App) {
 	t.Helper()
 	writeChangedFrame(t, dir, cfg, cfgName, app, func(g *gpu.GPU, err error) bool {
@@ -320,7 +322,7 @@ func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 // structured FaultAudit carrying the *gpu.AuditError, not as silent bad
 // statistics.
 func TestCorruptFrameBecomesAuditFault(t *testing.T) {
-	cfg, app := smallCfg("base"), testApp("corrupt", 20_000)
+	cfg, app := smallCfg("base"), chainApp("corrupt", 20_000)
 	dir := t.TempDir()
 	writeCorruptFrame(t, dir, cfg, cfg.Name, app)
 	reg := metrics.New()
@@ -358,7 +360,7 @@ func TestCorruptFrameBecomesAuditFault(t *testing.T) {
 // the re-run starts fresh and completes to an undisturbed run's statistics,
 // and no frame is left to resume the corruption into a checkpoint.
 func TestAuditFaultDiscardsFrame(t *testing.T) {
-	cfg, app := smallCfg("base"), testApp("corrupt", 5_000)
+	cfg, app := smallCfg("base"), chainApp("corrupt", 5_000)
 	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
@@ -439,7 +441,7 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 		wd = time.Second
 	}
 	cfgs := []config.GPU{smallCfg("cfgA").WithAudit(1), smallCfg("cfgB").WithAudit(1)}
-	twins := []workloads.App{testApp("app0", 20_000), testApp("app1", 20_000)}
+	twins := []workloads.App{chainApp("app0", 20_000), testApp("app1", 20_000)}
 	apps := []workloads.App{twins[0], hangApp("app1", 20_000, 4*wd)}
 	dir := t.TempDir()
 	snaps := filepath.Join(dir, "snaps")

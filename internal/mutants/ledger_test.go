@@ -202,10 +202,18 @@ var ledger = []Mutant{
 	{
 		Name:    "refill-on-park",
 		Mistake: "a warp issuing BAR or EXIT refills its instruction buffer",
-		Edits:   []Edit{{"internal/smcore/subcore.go", "\tif !parks {\n\t\tfill(w)\n\t}\n", "\t_ = parks\n\tfill(w)\n"}},
+		Edits:   []Edit{{"internal/smcore/subcore.go", "\tif !in.Op.IsExit() && !in.Op.IsBarrier() {\n\t\tfill(w)\n\t}\n", "\t_ = in\n\tfill(w)\n"}},
 		Tests: map[string][]string{
 			"internal/smcore": {"TestParkedWarpKeepsItsBuffer"},
 			"internal/exp":    {"TestParkedWarpFrameUnchanged"},
+		},
+	},
+	{
+		Name:    "consume-reads-head-after-advance",
+		Mistake: "issue steps the cursor before reading the head, so the instruction after BAR or EXIT decides whether the warp parks",
+		Edits:   []Edit{{"internal/smcore/subcore.go", "\tin, _ := w.Cursor.Next()\n", "\tw.Cursor.Next()\n\tin := *w.Cursor.Head()\n"}},
+		Tests: map[string][]string{
+			"internal/smcore": {"TestParkedWarpKeepsItsBuffer"},
 		},
 	},
 
@@ -478,6 +486,32 @@ var ledger = []Mutant{
 			{"internal/smcore/audit.go", "} else if !listed[i] {", "} else if false && !listed[i] {"},
 		},
 		Tests: map[string][]string{"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp"}},
+	},
+	{
+		Name:    "restore-skips-stolen-links",
+		Mistake: "restore does not link a warp to its stolen collector unit, so the warp would issue into a second unit and strand the first",
+		Edits:   []Edit{{"internal/smcore/snapshot.go", "\t\t\t\tsm.warps[u.WarpIdx].StolenCU = int8(i)\n", "\t\t\t\t_ = i\n"}},
+		Tests: map[string][]string{
+			"internal/smcore": {"TestSMRoundTrip"},
+			"internal/gpu":    {"TestSnapshotResumeInert"},
+		},
+	},
+	{
+		Name:    "audit-skips-stolen-head",
+		Mistake: "the lease law holds a stolen unit to its warp's link only, not to that warp's head instruction and sub-core",
+		Edits: []Edit{{"internal/smcore/audit.go", "int(w.StolenCU) != i || int(w.SubCore) != sc.id || w.IBufN == 0 || *w.Cursor.Head() != u.Instr {",
+			"int(w.StolenCU) != i {"}},
+		Tests: map[string][]string{"internal/smcore": {"TestSMRestoreRefusesForeignStolenUnit"}},
+	},
+	{
+		Name:    "freed-unit-keeps-residue",
+		Mistake: "a dispatched collector unit keeps its warp, instruction and allocation cycle, so equal collectors encode to different bytes and a revived unit reissues its last instruction",
+		Edits:   []Edit{{"internal/regfile/regfile.go", "c.cus[i] = CollectorUnit{}", "c.cus[i].Valid = false"}},
+		Tests: map[string][]string{
+			"internal/regfile": {"TestDispatchedUnitIsZero"},
+			"internal/smcore":  {"TestSMRestoreRefusesMisplacedWarp"},
+			"internal/gpu":     {"TestFrameBytesUnchanged", "TestParentFramesReencode"},
+		},
 	},
 	{
 		Name:    "placement-probe-not-rearmed",

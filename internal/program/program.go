@@ -53,13 +53,22 @@ func (p *Program) Len() int64 { return p.n }
 func (p *Program) Segments() []Segment { return p.segs }
 
 // Cursor returns an iterator positioned at the first instruction.
-func (p *Program) Cursor() Cursor { return Cursor{prog: p} }
+func (p *Program) Cursor() Cursor { return Cursor{prog: p, body: p.body(0)} }
+
+// body is segment seg's body, nil past the last segment.
+func (p *Program) body(seg int) []isa.Instr {
+	if seg < len(p.segs) {
+		return p.segs[seg].Body
+	}
+	return nil
+}
 
 // Cursor walks a Program one dynamic instruction at a time. The zero
 // Cursor is exhausted; obtain one from Program.Cursor. Cursor is a small
 // value and is embedded by-value in each simulated warp.
 type Cursor struct {
 	prog    *Program
+	body    []isa.Instr // segs[seg].Body, nil once exhausted: Head's one load
 	seg     int
 	idx     int
 	trip    int64
@@ -69,25 +78,29 @@ type Cursor struct {
 // Next returns the next instruction and advances. ok is false once the
 // stream is exhausted.
 func (c *Cursor) Next() (in isa.Instr, ok bool) {
-	if c.prog == nil || c.seg >= len(c.prog.segs) {
+	if c.body == nil {
 		return isa.Instr{}, false
 	}
-	s := &c.prog.segs[c.seg]
-	in = s.Body[c.idx]
+	in = c.body[c.idx]
 	c.fetched++
 	c.idx++
-	if c.idx == len(s.Body) {
+	if c.idx == len(c.body) {
 		c.idx = 0
 		c.trip++
-		if c.trip == s.Trips {
-			c.trip = 0
-			c.seg++
+		if c.trip == c.prog.segs[c.seg].Trips {
+			c.trip, c.seg, c.body = 0, c.seg+1, c.prog.body(c.seg+1)
 		}
 	}
 	return in, true
 }
 
-// Done reports whether the stream is exhausted.
-func (c *Cursor) Done() bool {
-	return c.prog == nil || c.seg >= len(c.prog.segs)
+// Head is the instruction Next returns next, in place; Left() must be > 0.
+func (c *Cursor) Head() *isa.Instr { return &c.body[c.idx] }
+
+// Left is how many instructions Next has still to return.
+func (c *Cursor) Left() int64 {
+	if c.prog == nil {
+		return 0
+	}
+	return c.prog.n - c.fetched
 }

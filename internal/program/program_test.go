@@ -46,8 +46,8 @@ func TestCursorWalksExpandedStream(t *testing.T) {
 			t.Errorf("op[%d] = %v, want %v", i, ops[i], want[i])
 		}
 	}
-	if !c.Done() {
-		t.Error("cursor should be done")
+	if c.Left() != 0 {
+		t.Errorf("Left = %d at the end, want 0", c.Left())
 	}
 	if c.fetched != p.Len() {
 		t.Errorf("fetched = %d, want %d", c.fetched, p.Len())
@@ -56,8 +56,8 @@ func TestCursorWalksExpandedStream(t *testing.T) {
 
 func TestZeroCursorIsExhausted(t *testing.T) {
 	var c Cursor
-	if !c.Done() {
-		t.Error("zero cursor must be done")
+	if c.Left() != 0 {
+		t.Error("zero cursor must be exhausted")
 	}
 	if _, ok := c.Next(); ok {
 		t.Error("zero cursor returned an instruction")

@@ -55,5 +55,5 @@ func (p *Program) CursorAt(pos Pos) (Cursor, error) {
 	if pos.Fetched != want {
 		return Cursor{}, fmt.Errorf("program: cursor fetch count %d inconsistent with position (want %d) — snapshot does not match this workload", pos.Fetched, want)
 	}
-	return Cursor{prog: p, seg: pos.Seg, idx: pos.Idx, trip: pos.Trip, fetched: pos.Fetched}, nil
+	return Cursor{prog: p, body: s.Body, seg: pos.Seg, idx: pos.Idx, trip: pos.Trip, fetched: pos.Fetched}, nil
 }

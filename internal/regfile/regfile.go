@@ -415,13 +415,14 @@ func (c *Collector) Oldest(m uint64) int {
 }
 
 // Dispatched frees unit i, whose instruction its execution unit accepted.
+// A free unit is the zero unit, so equal collectors encode to equal bytes.
 func (c *Collector) Dispatched(i int) {
-	c.cus[i].Valid = false
-	c.free |= 1 << uint(i)
-	c.ready &^= 1 << uint(i)
 	if !c.cus[i].Stolen {
 		c.busy--
 	}
+	c.cus[i] = CollectorUnit{}
+	c.free |= 1 << uint(i)
+	c.ready &^= 1 << uint(i)
 }
 
 // EndCycle closes the cycle: the clock moves on, and a delayed tap records

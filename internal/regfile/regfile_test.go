@@ -101,6 +101,26 @@ func TestAllocateAndCollect(t *testing.T) {
 	}
 }
 
+// TestDispatchedUnitIsZero: a dispatched unit, stolen or not, is the zero
+// unit again — no warp, instruction or allocation cycle of its last use stays
+// behind for a frame to carry and a flipped Valid bit to revive.
+func TestDispatchedUnitIsZero(t *testing.T) {
+	c := NewCollector(2, 2, 0, nil)
+	c.Allocate(0, 7, 3, isa.MakeFMA(4, 1, 2, 3), offOf(3), false)
+	c.Allocate(1, 5, 2, isa.Make1(isa.OpMOV, 6, 1), offOf(2), true)
+	for range 8 {
+		c.Tick(func(*CollectorUnit) bool { return true })
+	}
+	if !c.Drained() {
+		t.Fatal("the collector did not drain in 8 cycles")
+	}
+	for i := range c.NumCUs() {
+		if u := *c.CU(i); u != (CollectorUnit{}) {
+			t.Errorf("cu%d after dispatch: %+v, want the zero unit", i, u)
+		}
+	}
+}
+
 func TestZeroSourceAllocationIsImmediatelyReady(t *testing.T) {
 	c := NewCollector(1, 2, 0, nil)
 	c.Allocate(0, 0, 0, isa.Make1(isa.OpMOV, 1, isa.NoReg), offOf(0), false)

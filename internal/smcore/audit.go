@@ -86,14 +86,15 @@ func (sm *SM) Audit() []audit.Violation {
 			if !u.Stolen && u.Instr.Dst.Valid() {
 				mark(u.WarpIdx, u.Instr.Dst, "staged collector unit")
 			}
+			// A stolen unit holds its own warp's head, in the warp's sub-core.
 			if u.Stolen {
 				if int(u.WarpIdx) < 0 || int(u.WarpIdx) >= len(sm.warps) {
 					vs = append(vs, audit.Violationf("lease", sub,
 						"stolen cu%d references warp %d of %d", i, u.WarpIdx, len(sm.warps)))
-				} else if int(sm.warps[u.WarpIdx].StolenCU) != i {
+				} else if w := &sm.warps[u.WarpIdx]; int(w.StolenCU) != i || int(w.SubCore) != sc.id || w.IBufN == 0 || *w.Cursor.Head() != u.Instr {
 					vs = append(vs, audit.Violationf("lease", sub,
-						"stolen cu%d held for warp %d, but that warp's StolenCU is %d",
-						i, u.WarpIdx, sm.warps[u.WarpIdx].StolenCU))
+						"stolen cu%d held for warp %d (sub%d, StolenCU %d, %d buffered), which is not that warp's head instruction's unit",
+						i, u.WarpIdx, w.SubCore, w.StolenCU, w.IBufN))
 				}
 			}
 		}
@@ -199,10 +200,6 @@ func (sm *SM) Audit() []audit.Violation {
 				regUsed += isa.WarpRegBytes(sm.blocks[w.BlockSlot].regsPerThread)
 			}
 		}
-		if used != sc.used {
-			vs = append(vs, audit.Violationf("occupancy", sub,
-				"used=%d, slot table holds %d", sc.used, used))
-		}
 		if want := sm.cfg.RegFileKBPerSubCore*1024 - regUsed; want != sc.freeRegBytes {
 			vs = append(vs, audit.Violationf("regbudget", sub,
 				"freeRegBytes=%d, hosted warps imply %d", sc.freeRegBytes, want))
@@ -239,7 +236,7 @@ func (sm *SM) Audit() []audit.Violation {
 			}
 			if want.banks != sc.rs.banks {
 				vs = append(vs, audit.Violationf("readyset", sub,
-					"cached head source banks disagree with the warps' instruction buffers"))
+					"cached head source banks disagree with the warps' head instructions"))
 			}
 		}
 		// The walk's order is every occupied slot once, oldest warp first.

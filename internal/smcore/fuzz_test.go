@@ -109,7 +109,7 @@ func FuzzSMExecution(f *testing.F) {
 			t.Fatal("warps leaked")
 		}
 		for _, sc := range sm.subcores {
-			if sc.used != 0 || sc.freeRegBytes != cfg.RegFileKBPerSubCore*1024 {
+			if len(sc.order) != 0 || sc.freeRegBytes != cfg.RegFileKBPerSubCore*1024 {
 				t.Fatal("sub-core resources leaked")
 			}
 		}

@@ -188,7 +188,7 @@ func (sm *SM) TraceCounters(s *trace.CounterSample) {
 	banks := sm.cfg.BanksPerSubCore
 	for i, sc := range sm.subcores {
 		s.IssuedBySub[i] = sc.st.Issued
-		s.OccBySub[i] = int32(sc.used)
+		s.OccBySub[i] = int32(len(sc.order))
 		s.RFReadsTotal += sc.st.RegReads
 		for b := 0; b < banks; b++ {
 			s.QLenByBank[i*banks+b] = int32(sc.coll.QueueLen(b))
@@ -221,7 +221,7 @@ func (sm *SM) CanAccept(b *BlockSpec) bool {
 	perWarp := isa.WarpRegBytes(b.RegsPerThread)
 	rooms := sm.rooms
 	for i, sc := range sm.subcores {
-		rooms[i] = subRoom{slots: len(sc.slots) - sc.used, regs: sc.freeRegBytes}
+		rooms[i] = subRoom{slots: len(sc.slots) - len(sc.order), regs: sc.freeRegBytes}
 	}
 	for w := 0; w < b.Warps(); w++ {
 		placed := false
@@ -287,8 +287,7 @@ func (sm *SM) Allocate(b *BlockSpec) error {
 		sc := sm.subcores[scID]
 		schedSlot := sc.host(int32(warpIdx), b.RegsPerThread)
 		gid := b.FirstWarpGID + int64(wi)
-		resetWarp(&sm.warps[warpIdx], gid, int32(blkSlot), int8(scID), schedSlot, sm.ageCounter, prog)
-		sm.warps[warpIdx].BankOff = int16(regfile.SlotOffset(int(schedSlot), sm.cfg.BankSwizzle))
+		resetWarp(&sm.warps[warpIdx], gid, int32(blkSlot), int8(scID), schedSlot, sm.ageCounter, prog, sm.bankOffset(schedSlot))
 		sc.reclass(int(schedSlot))
 		sm.ageCounter++
 		blk.warpIdxs = append(blk.warpIdxs, int32(warpIdx))
@@ -311,11 +310,16 @@ func (sm *SM) freeWarpSlot() int {
 	panic("smcore: no free warp slot after CanAccept")
 }
 
+// bankOffset is Warp.BankOff of scheduler slot slot, at placement and restore.
+func (sm *SM) bankOffset(slot int16) int16 {
+	return int16(regfile.SlotOffset(int(slot), sm.cfg.BankSwizzle))
+}
+
 func (sm *SM) fallbackSubCore(regsPerThread int) int {
 	best, bestLoad := -1, 1<<30
 	for i, sc := range sm.subcores {
-		if sc.canHost(regsPerThread) && sc.used < bestLoad {
-			best, bestLoad = i, sc.used
+		if sc.canHost(regsPerThread) && len(sc.order) < bestLoad {
+			best, bestLoad = i, len(sc.order)
 		}
 	}
 	return best

@@ -88,8 +88,8 @@ func TestScoreboardOps(t *testing.T) {
 
 func TestWarpRandDeterministic(t *testing.T) {
 	var a, b Warp
-	resetWarp(&a, 7, 0, 0, 0, 0, fmaProg(1))
-	resetWarp(&b, 7, 0, 0, 0, 0, fmaProg(1))
+	resetWarp(&a, 7, 0, 0, 0, 0, fmaProg(1), 0)
+	resetWarp(&b, 7, 0, 0, 0, 0, fmaProg(1), 0)
 	for i := 0; i < 10; i++ {
 		if a.NextRand() != b.NextRand() {
 			t.Fatal("same-GID warps must have identical random streams")
@@ -195,8 +195,8 @@ func TestHostIntoFreedSlotsZeroAlloc(t *testing.T) {
 		sm.Tick(c)
 	}
 	sc := sm.subcores[0]
-	if sc.used != 0 || len(sc.order) != 0 || sm.st.BlocksCompleted != 1 {
-		t.Fatalf("block not retired: %d slots used, age order %v", sc.used, sc.order)
+	if len(sc.order) != 0 || sm.st.BlocksCompleted != 1 {
+		t.Fatalf("block not retired: age order %v", sc.order)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		for i := range sc.slots {
@@ -251,8 +251,8 @@ func TestRegisterCapacityLimitsPerSubCore(t *testing.T) {
 		t.Errorf("fallbacks = %d, want 0", run.SMs[0].AssignFallbacks)
 	}
 	for _, sc := range sm.subcores {
-		if sc.used != 8 {
-			t.Errorf("sub-core %d hosts %d warps, want 8", sc.id, sc.used)
+		if len(sc.order) != 8 {
+			t.Errorf("sub-core %d hosts %d warps, want 8", sc.id, len(sc.order))
 		}
 		if sc.freeRegBytes != 0 {
 			t.Errorf("sub-core %d has %d free reg bytes, want 0", sc.id, sc.freeRegBytes)
@@ -278,7 +278,7 @@ func TestBlockRetireFreesResources(t *testing.T) {
 		t.Error("shared memory not restored")
 	}
 	for _, sc := range sm.subcores {
-		if sc.used != 0 || sc.freeRegBytes != sc.cfg.RegFileKBPerSubCore*1024 {
+		if len(sc.order) != 0 || sc.freeRegBytes != sc.cfg.RegFileKBPerSubCore*1024 {
 			t.Error("sub-core resources not restored")
 		}
 	}
@@ -330,11 +330,12 @@ func TestBarrierReleasesOnlyWhenAllArrive(t *testing.T) {
 }
 
 // TestParkedWarpKeepsItsBuffer runs a block whose warps reach each of two
-// barriers cycles apart. Issuing BAR pops it and nothing else: the warp parks
-// with the rest of its buffer and its cursor where they were, and neither
-// moves until the release — a frame carries both. Every active warp ends
-// each cycle with a full buffer or a spent program, which is all the issue
-// stage reads of it.
+// barriers cycles apart. Issuing BAR steps the cursor past it and drains one
+// buffer entry, nothing else: the warp parks with its fill level and cursor
+// position where that left them, and neither moves until the release — a
+// frame carries both. Every active warp ends each cycle with a full buffer
+// or the rest of its program decoded, which is all the issue stage reads of
+// it.
 func TestParkedWarpKeepsItsBuffer(t *testing.T) {
 	sm, _ := testSM(t, nil)
 	progs := make([]*program.Program, 8)
@@ -349,35 +350,37 @@ func TestParkedWarpKeepsItsBuffer(t *testing.T) {
 	}
 	type frontEnd struct {
 		state WarpState
-		ibuf  [2]isa.Instr
 		n     int8
 		pos   program.Pos
 	}
-	of := func(w *Warp) frontEnd { return frontEnd{w.State, w.IBuf, w.IBufN, w.Cursor.Pos()} }
+	of := func(w *Warp) frontEnd { return frontEnd{w.State, w.IBufN, w.Cursor.Pos()} }
 	before := make([]frontEnd, len(sm.warps))
+	cursors := make([]program.Cursor, len(sm.warps))
 	parks, parkedCycles := 0, 0
 	for c := int64(0); !sm.Drained(); c++ {
 		if c > 10000 {
 			t.Fatal("SM did not drain")
 		}
 		for i := range sm.warps {
-			before[i] = of(&sm.warps[i])
+			before[i], cursors[i] = of(&sm.warps[i]), sm.warps[i].Cursor
 		}
 		sm.Tick(c)
 		for i := range sm.warps {
 			w, was := &sm.warps[i], before[i]
 			switch w.State {
 			case WarpActive:
-				if w.IBufN < 2 && !w.Cursor.Done() {
-					t.Fatalf("cycle %d warp %d: active with %d buffered and program left", c, i, w.IBufN)
+				if w.IBufN < 2 && int64(w.IBufN) < w.Cursor.Left() {
+					t.Fatalf("cycle %d warp %d: active with %d buffered and more program left", c, i, w.IBufN)
 				}
 			case WarpAtBarrier:
 				want := was
 				if was.state == WarpActive {
-					if !was.ibuf[0].Op.IsBarrier() {
+					cur := cursors[i]
+					if was.n == 0 || !cur.Head().Op.IsBarrier() {
 						t.Fatalf("cycle %d warp %d: parked without issuing BAR", c, i)
 					}
-					want = frontEnd{WarpAtBarrier, [2]isa.Instr{was.ibuf[1], was.ibuf[1]}, was.n - 1, was.pos}
+					cur.Next()
+					want = frontEnd{WarpAtBarrier, was.n - 1, cur.Pos()}
 					parks++
 				} else {
 					parkedCycles++

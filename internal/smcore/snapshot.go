@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/audit"
-	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/snapshot"
 )
@@ -37,7 +36,7 @@ type warpFrame struct {
 }
 
 // EncodeState serializes the SM's full mutable state: every warp context
-// (lifecycle, scoreboard, instruction buffer, cursor position, RNG),
+// (lifecycle, scoreboard, buffer fill level, cursor position, RNG),
 // resident-block bookkeeping, the writeback heap, the LSU queue, and each
 // sub-core (scheduler state, occupancy, execution-port timing, operand
 // collector). Sync first: a frame carries no unticked cycles.
@@ -48,13 +47,7 @@ func (sm *SM) EncodeState(e *snapshot.Encoder) {
 		if w.State == WarpEmpty {
 			continue
 		}
-		wf := warpFrame{Slot: int32(i), warpState: w.warpState, Pos: w.Cursor.Pos()}
-		// Buffer entries past the fill level are dead residue of consumed
-		// instructions; blank them so equal states give equal bytes.
-		for j := int(wf.IBufN); j < len(wf.IBuf); j++ {
-			wf.IBuf[j] = isa.Instr{}
-		}
-		f.Warps = append(f.Warps, wf)
+		f.Warps = append(f.Warps, warpFrame{Slot: int32(i), warpState: w.warpState, Pos: w.Cursor.Pos()})
 	}
 	e.State(&f, &sm.smState, &sm.lsu.lsuState)
 	for _, sc := range sm.subcores {
@@ -114,6 +107,12 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 		if err := sc.coll.RestoreState(d); err != nil {
 			return err
 		}
+		// Relink stolen units; a second one for a warp breaks the lease law.
+		for i := range sc.coll.NumCUs() {
+			if u := sc.coll.CU(i); u.Valid && u.Stolen && u.WarpIdx >= 0 && int(u.WarpIdx) < len(sm.warps) {
+				sm.warps[u.WarpIdx].StolenCU = int8(i)
+			}
+		}
 		sc.sched.SetState(sched)
 		// The ready set and the age order are derived: rebuild them.
 		for slot, wi := range sc.slots {
@@ -140,13 +139,11 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 	return audit.Refusal(fmt.Sprintf("smcore: sm%d", sm.id), sm.Audit())
 }
 
-// restoreWarp validates one decoded warp and rebinds its cursor.
+// restoreWarp validates one decoded warp, rebinds its cursor and derives BankOff.
 func (sm *SM) restoreWarp(w *Warp, wf *warpFrame, progFor ProgramResolver) error {
 	switch {
 	case wf.State == WarpEmpty || wf.State > WarpFinished:
 		return fmt.Errorf("invalid warp state %d", wf.State)
-	case wf.IBufN < 0 || int(wf.IBufN) > len(wf.IBuf):
-		return fmt.Errorf("instruction buffer fill %d out of [0,%d]", wf.IBufN, len(wf.IBuf))
 	case wf.SubCore < 0 || int(wf.SubCore) >= len(sm.subcores):
 		return fmt.Errorf("sub-core %d of %d", wf.SubCore, len(sm.subcores))
 	}
@@ -158,6 +155,9 @@ func (sm *SM) restoreWarp(w *Warp, wf *warpFrame, progFor ProgramResolver) error
 	if err != nil {
 		return err
 	}
-	*w = Warp{warpState: wf.warpState, Cursor: cur}
+	if n := min(2, cur.Left()); wf.IBufN < 0 || int64(wf.IBufN) > n {
+		return fmt.Errorf("instruction buffer fill %d out of [0,%d]", wf.IBufN, n)
+	}
+	*w = Warp{warpState: wf.warpState, Cursor: cur, BankOff: sm.bankOffset(wf.SchedSlot), StolenCU: -1}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
+	"repro/internal/regfile"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
@@ -299,6 +300,9 @@ func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 // the edit breaks first (the auditor's order).
 // Each frame is CRC-valid; restored, it would run with a warp its sub-core
 // or block cannot find, or a slot or block holding a warp that is not its.
+// The last case revives a freed collector unit: a free unit is the zero
+// unit, so it would dispatch a NOP writing warp 0's R0, which no scoreboard
+// holds.
 func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1
@@ -327,11 +331,11 @@ func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
 		{"another sub-core's warp, counters agree", "occupancy", func(sm *SM) {
 			sc := sm.subcores[0]
 			freeSlot(sc, 1)
-			sc.used++
 			sc.freeRegBytes -= isa.WarpRegBytes(16)
 		}},
 		{"block lists an empty warp", "residency", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 60) }},
 		{"block lists another block's warp", "residency", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 4) }},
+		{"freed collector unit revived", "scoreboard", func(sm *SM) { sm.subcores[0].coll.CU(sm.subcores[0].coll.FreeCU()).Valid = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hier := mem.NewHierarchy(cfg)
@@ -349,6 +353,55 @@ func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
 			err := restoreSMState(t, fresh, mem.NewHierarchy(cfg), snapSMState(t, sm, hier), progFor)
 			if err == nil || !strings.Contains(err.Error(), tc.law+" @") {
 				t.Fatalf("restoring the edited frame: err %v, want a refusal naming the %s law", err, tc.law)
+			}
+		})
+	}
+}
+
+// TestSMRestoreRefusesForeignStolenUnit edits a frame's stolen collector
+// unit per case: it holds an instruction other than its warp's head, or it
+// names a warp of another sub-core. Restore relinks the warp to the unit,
+// and the lease law refuses the frame: restored, the warp would issue an
+// instruction whose operands another one read, or free another sub-core's
+// unit.
+func TestSMRestoreRefusesForeignStolenUnit(t *testing.T) {
+	prog := memMixProg(6)
+	progFor := func(int64) (*program.Program, error) { return prog, nil }
+	for _, tc := range []struct {
+		name string
+		edit func(sm *SM, u *regfile.CollectorUnit)
+	}{
+		{"another instruction", func(sm *SM, u *regfile.CollectorUnit) { u.Instr.Dst++ }},
+		{"another sub-core's warp", func(sm *SM, u *regfile.CollectorUnit) {
+			u.WarpIdx = int32(slices.IndexFunc(sm.warps, func(w Warp) bool { return w.State != WarpEmpty && w.SubCore != sm.warps[u.WarpIdx].SubCore }))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sm, _ := testSM(t, func(cfg *config.GPU) { *cfg = cfg.WithScheduler(config.SchedRBA).WithBankStealing() })
+			progs := []*program.Program{prog, prog, prog, prog, prog, prog, prog, prog}
+			if err := sm.Allocate(specOf(progs, 16, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			var stolen *regfile.CollectorUnit
+			for c := int64(0); stolen == nil; c++ {
+				if c > 2000 {
+					t.Fatal("no collector unit was stolen in 2000 cycles")
+				}
+				sm.Tick(c)
+				for _, sc := range sm.subcores {
+					for i := range sc.coll.NumCUs() {
+						if u := sc.coll.CU(i); u.Valid && u.Stolen {
+							stolen = u
+						}
+					}
+				}
+			}
+			tc.edit(sm, stolen)
+			cfg := *sm.cfg
+			fresh := NewSM(0, &cfg, mem.NewHierarchy(cfg), stats.NewRun(1, cfg.SubCoresPerSM))
+			err := restoreSMState(t, fresh, mem.NewHierarchy(cfg), snapSMState(t, sm, sm.hier), progFor)
+			if err == nil || !strings.Contains(err.Error(), "lease @") {
+				t.Fatalf("restoring the edited frame: err %v, want a refusal naming the lease law", err)
 			}
 		})
 	}

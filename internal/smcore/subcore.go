@@ -108,13 +108,13 @@ func (rs *readySet) set(slot int, w *Warp, banks int) {
 		return
 	}
 	rs.active |= bit
-	if w.IBufN < 2 && !w.Cursor.Done() {
+	if w.IBufN < 2 && int64(w.IBufN) < w.Cursor.Left() {
 		rs.decode |= bit
 	}
 	if w.IBufN == 0 {
 		return
 	}
-	in := &w.IBuf[0]
+	in := w.Cursor.Head()
 	// EXIT and BAR drain outstanding writes first.
 	drains := in.Op.IsExit() || in.Op.IsBarrier()
 	if !w.SBEmpty() && (drains || w.Hazard(in)) {
@@ -179,7 +179,6 @@ type SubCore struct {
 // whole by snapshot.State (snapshot.go).
 type subCoreState struct {
 	slots []int32 `snap:"fixed"` // warp indices into sm.warps; -1 = empty
-	used  int
 	// freeRegBytes tracks unallocated register-file capacity.
 	freeRegBytes int
 }
@@ -217,7 +216,7 @@ func newSubCore(id int, cfg *config.GPU, sm *SM, st *stats.SubCore) *SubCore {
 // canHost reports whether the sub-core has a free slot and register space
 // for one more warp.
 func (sc *SubCore) canHost(regsPerThread int) bool {
-	return sc.used < len(sc.slots) && sc.freeRegBytes >= isa.WarpRegBytes(regsPerThread)
+	return len(sc.order) < len(sc.slots) && sc.freeRegBytes >= isa.WarpRegBytes(regsPerThread)
 }
 
 // host places warp index w into a free slot and reserves registers,
@@ -227,7 +226,6 @@ func (sc *SubCore) host(w int32, regsPerThread int) int16 {
 		if sc.slots[i] == -1 {
 			sc.slots[i] = w
 			sc.order = append(sc.order, uint8(i))
-			sc.used++
 			sc.freeRegBytes -= isa.WarpRegBytes(regsPerThread)
 			return int16(i)
 		}
@@ -243,7 +241,6 @@ func (sc *SubCore) release(slot int16, regsPerThread int) {
 	sc.slots[slot] = -1
 	i := slices.Index(sc.order, uint8(slot))
 	sc.order = slices.Delete(sc.order, i, i+1)
-	sc.used--
 	sc.freeRegBytes += isa.WarpRegBytes(regsPerThread)
 	sc.reclass(int(slot))
 }
@@ -355,7 +352,7 @@ func (sc *SubCore) issueTick(now int64) {
 			// clear the slot before the event is emitted.
 			wIdx := sc.slots[slot]
 			w := &sc.sm.warps[wIdx]
-			op := w.IBuf[0].Op
+			op := w.Cursor.Head().Op
 			ok, cu, euBusy, memBusy := sc.tryIssue(w, now)
 			if ok {
 				sc.sched.NotifyIssued(slot)
@@ -485,12 +482,12 @@ func (sc *SubCore) rest(now int64) {
 	}
 }
 
-// tryIssue attempts to issue warp w's IBuf[0]. Returns ok, plus which
+// tryIssue attempts to issue warp w's head instruction. Returns ok, plus which
 // resource blocked the failure: a missing collector unit, a busy
 // compute execution port, or a full LSU queue (the memory path — kept
 // distinct so the CPI stack can attribute the cycle to memory).
 func (sc *SubCore) tryIssue(w *Warp, now int64) (ok, noCU, euBusy, memBusy bool) {
-	in := w.IBuf[0]
+	in := w.Cursor.Head()
 	switch {
 	case in.Op.IsExit():
 		sc.consume(w)
@@ -507,24 +504,18 @@ func (sc *SubCore) tryIssue(w *Warp, now int64) (ok, noCU, euBusy, memBusy bool)
 	if !in.HasSrc() {
 		// Zero-source, register-writing instructions (LDC) bypass the
 		// operand collector and dispatch directly.
-		return sc.issueDirect(w, &in, now)
+		return sc.issueDirect(w, in, now)
 	}
 	// A bank-stealing pre-allocation for this very instruction converts
 	// to a normal issue: operands are already (being) read.
 	if w.StolenCU >= 0 {
 		sc.coll.Unsteal(int(w.StolenCU))
 		w.StolenCU = -1
-		if in.Dst.Valid() {
-			w.SBSet(in.Dst)
-		}
-		sc.consume(w)
-		return true, false, false, false
-	}
-	cuIdx := sc.coll.FreeCU()
-	if cuIdx < 0 {
+	} else if cuIdx := sc.coll.FreeCU(); cuIdx >= 0 {
+		sc.coll.Allocate(cuIdx, sc.slotIndex(w), int32(w.SchedSlot), *in, int(w.BankOff), false)
+	} else {
 		return false, true, false, false
 	}
-	sc.coll.Allocate(cuIdx, sc.slotIndex(w), int32(w.SchedSlot), in, int(w.BankOff), false)
 	if in.Dst.Valid() {
 		w.SBSet(in.Dst)
 	}
@@ -558,26 +549,20 @@ func (sc *SubCore) issueDirect(w *Warp, in *isa.Instr, now int64) (ok, noCU, euB
 // slotIndex returns the warp's index in the SM warp table.
 func (sc *SubCore) slotIndex(w *Warp) int32 { return sc.slots[w.SchedSlot] }
 
-// consume pops IBuf[0] and refills the buffer now, the warp being spent for
-// the cycle — unless EXIT or BAR parks it: a frame carries what is left.
+// consume steps the cursor past the head and refills the buffer now, the warp
+// being spent for the cycle — unless EXIT or BAR parks it with the rest.
 func (sc *SubCore) consume(w *Warp) {
-	parks := w.IBuf[0].Op.IsExit() || w.IBuf[0].Op.IsBarrier()
-	w.IBuf[0] = w.IBuf[1]
+	in, _ := w.Cursor.Next()
 	w.IBufN--
-	if !parks {
+	if !in.Op.IsExit() && !in.Op.IsBarrier() {
 		fill(w)
 	}
 	sc.reclass(int(w.SchedSlot))
 }
 
-// fill decodes into the warp's buffer until it is full or the program spent
+// fill decodes until the buffer is full or holds the rest of the program
 // (ideal front-end: the paper's effects are all in the back-end).
-func fill(w *Warp) {
-	for w.IBufN < 2 && !w.Cursor.Done() {
-		w.IBuf[w.IBufN], _ = w.Cursor.Next()
-		w.IBufN++
-	}
-}
+func fill(w *Warp) { w.IBufN = int8(min(2, w.Cursor.Left())) }
 
 // leftovers lists, into out, the slots of issuable the scheduler did not
 // spend, in the order a candidate list would hold them: ascending slots,
@@ -618,11 +603,11 @@ func (sc *SubCore) stealTick() {
 		if w.StolenCU >= 0 || w.IBufN == 0 {
 			continue
 		}
-		in := w.IBuf[0]
+		in := w.Cursor.Head()
 		if !in.HasSrc() || in.Op.IsExit() || in.Op.IsBarrier() {
 			continue
 		}
-		sc.coll.Allocate(cuIdx, sc.slotIndex(w), int32(w.SchedSlot), in, int(w.BankOff), true)
+		sc.coll.Allocate(cuIdx, sc.slotIndex(w), int32(w.SchedSlot), *in, int(w.BankOff), true)
 		w.StolenCU = int8(cuIdx)
 		sc.reclass(int(slot))
 		return

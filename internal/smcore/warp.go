@@ -31,16 +31,20 @@ const (
 const sbWords = 4 // scoreboard bitset covers 256 architectural registers
 
 // Warp is a resident warp's hardware state on an SM: the plain-data
-// warpState plus the cursor into its program.
+// warpState, plus what restore rebuilds rather than a frame carries.
 type Warp struct {
 	warpState
-	// Cursor walks the warp's program. A snapshot carries its position
-	// only; the program is a workload artifact, rebound on restore.
+	// Cursor stands at the issue point; a frame carries its position only.
 	Cursor program.Cursor
+	// BankOff is the register-bank offset of the warp's slot (bankOffset).
+	BankOff int16
+	// StolenCU is the collector unit stolen for the warp's head instruction,
+	// or -1; restore relinks it from the unit, which names its warp.
+	StolenCU int8
 }
 
-// warpState is a warp's state minus the cursor: plain data only, carried
-// whole by snapshot.State (snapshot.go).
+// warpState is a warp's state minus what Warp keeps beside it: plain data
+// only, carried whole by snapshot.State (snapshot.go).
 type warpState struct {
 	// State is the lifecycle state.
 	State WarpState
@@ -49,21 +53,16 @@ type warpState struct {
 	GID int64
 	// BlockSlot indexes the SM's resident-block table.
 	BlockSlot int32
-	// SubCore and SchedSlot locate the warp in its scheduler's PC table;
-	// BankOff is the precomputed register-bank offset of the slot.
+	// SubCore and SchedSlot locate the warp in its scheduler's PC table.
 	SubCore   int8
 	SchedSlot int16
-	BankOff   int16
 	// Age is the SM-wide allocation order; GTO/RBA tie-break on it.
 	Age int64
-	// IBuf is the 2-entry instruction buffer; IBufN is its fill level.
-	IBuf  [2]isa.Instr
+	// IBufN is the 2-entry instruction buffer's fill level, at most
+	// min(2, Cursor.Left()): the instructions are the program's, in place.
 	IBufN int8
 	// sb is the pending-destination-register bitset (RAW/WAW scoreboard).
 	sb [sbWords]uint64
-	// StolenCU is the collector unit holding a bank-stealing
-	// pre-allocation for this warp's IBuf[0], or -1.
-	StolenCU int8
 	// MemCounter sequences this warp's memory accesses for address
 	// synthesis.
 	MemCounter int64
@@ -126,7 +125,7 @@ func (w *Warp) NextRand() uint64 {
 }
 
 // resetWarp prepares a slot for a new warp.
-func resetWarp(w *Warp, gid int64, blockSlot int32, subCore int8, schedSlot int16, age int64, prog *program.Program) {
+func resetWarp(w *Warp, gid int64, blockSlot int32, subCore int8, schedSlot int16, age int64, prog *program.Program, bankOff int16) {
 	*w = Warp{
 		warpState: warpState{
 			State:     WarpActive,
@@ -135,9 +134,10 @@ func resetWarp(w *Warp, gid int64, blockSlot int32, subCore int8, schedSlot int1
 			SubCore:   subCore,
 			SchedSlot: schedSlot,
 			Age:       age,
-			StolenCU:  -1,
 			rng:       uint64(gid)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 		},
-		Cursor: prog.Cursor(),
+		Cursor:   prog.Cursor(),
+		BankOff:  bankOff,
+		StolenCU: -1,
 	}
 }

@@ -8,10 +8,13 @@
 // plain-data state struct, and one reflective walker (State, walk.go)
 // encodes and decodes those structs field by field in declaration order,
 // so the two directions cannot drift apart and a field added to a state
-// struct is carried without further code. Any change to a state struct must
-// bump Version; old snapshots are rejected, never migrated — a snapshot is a
-// crash-recovery artifact with the lifetime of one sweep, not an archival
-// format.
+// struct is carried without further code. A state struct holds only what
+// restore cannot rebuild: a fact derived from other state (a warp's bank
+// offset, its stolen unit, its next instructions, a sub-core's warp count)
+// lives outside it, so no frame can carry it wrong. Any change to a state
+// struct must bump Version; old snapshots are rejected, never migrated — a
+// snapshot is a crash-recovery artifact with the lifetime of one sweep, not
+// an archival format.
 package snapshot
 
 import (
@@ -25,7 +28,7 @@ import (
 // or type of the fields in any state struct changes, or what the machine
 // identity a frame opens with hashes (config.GPU.MachineID); decoding
 // rejects every other version.
-const Version = 10
+const Version = 11
 
 // magic identifies a snapshot stream; the trailing byte leaves room to
 // change the container (not the payload schema) without colliding.
