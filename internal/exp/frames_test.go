@@ -13,9 +13,10 @@ import (
 // TestParkedWarpFrameUnchanged pins the frame pb-sgemm writes at its first
 // heartbeat (cycle 1024) on the experiments' device. It holds warps parked at
 // a barrier, and a parked warp's buffer fill level and cursor position travel
-// in a frame: the hash pins them in version 11's layout (a fill level, no
-// copy of the buffer, and the cursor at the issue point), and refilling a
-// warp's buffer as it issues BAR moves it, though no statistic moves.
+// in a frame: the hash pins them in the layout version 11 gave them (a fill
+// level, no copy of the buffer, and the cursor at the issue point; version 12
+// moved only the collectors' state), and refilling a warp's buffer as it
+// issues BAR moves it, though no statistic moves.
 func TestParkedWarpFrameUnchanged(t *testing.T) {
 	app, err := workloads.ByName("pb-sgemm")
 	if err != nil {
@@ -39,7 +40,7 @@ func TestParkedWarpFrameUnchanged(t *testing.T) {
 	if err := g.RunKernels(app.Kernels, 0); err != nil {
 		t.Fatal(err)
 	}
-	const want = "cf693ff672f9a825da8728bb16c3868a3149d18c4459b862e69a7b56be6e8357"
+	const want = "ded820ee341658d403d87ee5675092b54e61ec4f69b8df7161ee3c2eaba82159"
 	if got := fmt.Sprintf("%x", sha256.Sum256(frame)); at != 1024 || got != want {
 		t.Errorf("the first heartbeat's frame (cycle %d, %d bytes) hashes to %s, the parent's (cycle 1024) to %s", at, len(frame), got, want)
 	}

@@ -78,17 +78,17 @@ func mshrRows(t *testing.T, g *GPU) []int {
 
 // TestParentFramesReencode: the build whose MSHRs were a map and a
 // completion heap wrote gatherApp's frames at its third and fourth
-// heartbeats; their memory hierarchy travels on in testdata/gather_v11_hb*.snap
-// (TestV11FixturesKeepV10Hierarchy). Restoring the first and running to the
+// heartbeats; their memory hierarchy travels on in testdata/gather_v12_hb*.snap
+// (TestV12FixturesKeepV11Hierarchy). Restoring the first and running to the
 // next heartbeat must encode the second byte for byte: the table drops
 // exactly the fills the map and heap dropped, the shared L2's included,
 // whose same-cycle inserts from four SMs arrive out of time order.
 func TestParentFramesReencode(t *testing.T) {
-	first, err := os.ReadFile("testdata/gather_v11_hb3.snap")
+	first, err := os.ReadFile("testdata/gather_v12_hb3.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile("testdata/gather_v11_hb4.snap")
+	second, err := os.ReadFile("testdata/gather_v12_hb4.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,20 +127,20 @@ func TestParentFramesReencode(t *testing.T) {
 	}
 }
 
-// TestV11FixturesKeepV10Hierarchy: testdata/gather_v11_hb*.snap are the
+// TestV12FixturesKeepV11Hierarchy: testdata/gather_v12_hb*.snap are the
 // frames this build writes at gatherApp's third and fourth heartbeats, and
-// their payloads are testdata/gather_v10_hb*.snap's byte for byte through the
-// end of the memory hierarchy: version 11 dropped fields from the SMs' state
-// only, so the MSHR contents the map-and-heap build wrote, which version 10
-// carried on, carry over. The version 10 frames are refused with the version
-// message.
-func TestV11FixturesKeepV10Hierarchy(t *testing.T) {
+// their payloads are testdata/gather_v11_hb*.snap's byte for byte through the
+// end of the memory hierarchy: version 12 changed the collectors' state
+// only, so the MSHR contents the map-and-heap build wrote, which versions 10
+// and 11 carried on, carry over. The version 11 frames are refused with the
+// version message.
+func TestV12FixturesKeepV11Hierarchy(t *testing.T) {
 	for _, hb := range []string{"3", "4"} {
-		v10, err := os.ReadFile("testdata/gather_v10_hb" + hb + ".snap")
+		v11, err := os.ReadFile("testdata/gather_v11_hb" + hb + ".snap")
 		if err != nil {
 			t.Fatal(err)
 		}
-		v11, err := os.ReadFile("testdata/gather_v11_hb" + hb + ".snap")
+		v12, err := os.ReadFile("testdata/gather_v12_hb" + hb + ".snap")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +148,10 @@ func TestV11FixturesKeepV10Hierarchy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Restore(bytes.NewReader(v10), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 10, this build reads only 11") {
-			t.Errorf("heartbeat %s: restoring the v10 frame: %v, want the version refusal", hb, err)
+		if err := g.Restore(bytes.NewReader(v11), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 11, this build reads only 12") {
+			t.Errorf("heartbeat %s: restoring the v11 frame: %v, want the version refusal", hb, err)
 		}
-		if err := g.Restore(bytes.NewReader(v11), gatherApp()); err != nil {
+		if err := g.Restore(bytes.NewReader(v12), gatherApp()); err != nil {
 			t.Fatal(err)
 		}
 		// The SMs' state closes the payload: what precedes it ends with the
@@ -168,14 +168,14 @@ func TestV11FixturesKeepV10Hierarchy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := anyVersionPayload(t, v10)
-		now, err := snapshot.Payload(v11)
+		old := anyVersionPayload(t, v11)
+		now, err := snapshot.Payload(v12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		end := len(now) - len(sms)
 		if !bytes.HasSuffix(now, sms) || end > len(old) || !bytes.Equal(now[:end], old[:end]) {
-			t.Errorf("heartbeat %s: the v11 payload's first %d bytes, through the memory hierarchy, differ from the v10 payload's", hb, end)
+			t.Errorf("heartbeat %s: the v12 payload's first %d bytes, through the memory hierarchy, differ from the v11 payload's", hb, end)
 		}
 	}
 }

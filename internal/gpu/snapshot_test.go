@@ -390,8 +390,8 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		name, want string
 		frame      []byte
 	}{
-		{"mid-kernel", "40fe88c274ddbfe2c57b9fc567b347fe9ee16c2927b4e6fb8fe117dabab943c4", mid},
-		{"drained", "460cfe9bcfbe2d82e367ca98c46eabc94eddda267db044e0dca0a6c3e632c90d", frameOf(t, g)},
+		{"mid-kernel", "fc98da87ac9563233d2ccb226997b43894c64c60eaa4a2e57dad00d14012574e", mid},
+		{"drained", "591f9930bbefef87836f58b6ebef5900580afc47bf20555ff11e0afb03d766a9", frameOf(t, g)},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.frame)); got != tc.want {
 			t.Errorf("%s frame (%d bytes) hashes to %s, the parent's to %s", tc.name, len(tc.frame), got, tc.want)

@@ -20,10 +20,11 @@ import (
 // the last build of that ckptVersion or snapshot.Version (3 and 7, the first
 // keyed on the MachineID; 4 and 8, whose machine still had WarpSize and
 // LSUWidthPerSM; 9, whose SMs still counted live warps; 10, whose warps
-// still carried a copy of their instruction buffer):
+// still carried a copy of their instruction buffer; 11, whose collectors
+// still queued every operand read):
 //
 //	subcoresim -app pb-mriq -config gto -sms 1 -checkpoint vN.ckpt
-//	subcoresim -app tpcU-q8 -config-file tiny.json -snapshot-dir . -snapshot-interval 1   # SIGTERM at 0.06 s
+//	subcoresim -app tpcU-q8 -config-file tiny.json -snapshot-dir . -snapshot-interval 1   # SIGTERM at 0.03-0.06 s
 //
 // with tiny.json {"NumSMs":1,"L1KBPerSM":1,"L2KB":4}, which keeps the frame
 // under 6 KB.
@@ -78,7 +79,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 	if fault != nil {
 		t.Fatal(fault)
 	}
-	for _, v := range []struct{ file, version string }{{"v7_tpcU-q8__V100.snap", "7"}, {"v8_tpcU-q8__V100.snap", "8"}, {"v9_tpcU-q8__V100.snap", "9"}, {"v10_tpcU-q8__V100.snap", "10"}} {
+	for _, v := range []struct{ file, version string }{{"v7_tpcU-q8__V100.snap", "7"}, {"v8_tpcU-q8__V100.snap", "8"}, {"v9_tpcU-q8__V100.snap", "9"}, {"v10_tpcU-q8__V100.snap", "10"}, {"v11_tpcU-q8__V100.snap", "11"}} {
 		frame, err := os.ReadFile("testdata/" + v.file)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +97,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 			t.Fatal(fault)
 		}
 		if log := strings.Join(logs, "\n"); !strings.Contains(log, "snapshot unusable, restarting fresh") ||
-			!strings.Contains(log, "snapshot: format version "+v.version+", this build reads only 11 — re-run from scratch") {
+			!strings.Contains(log, "snapshot: format version "+v.version+", this build reads only 12 — re-run from scratch") {
 			t.Errorf("the version %s refusal was not logged with the version message: %q", v.version, logs)
 		}
 		if runStatsJSON(t, run) != runStatsJSON(t, golden) {

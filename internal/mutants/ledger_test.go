@@ -87,7 +87,6 @@ var ledger = []Mutant{
 			"internal/core":   {"TestWarpSchedulerMatchesReference"},
 			"internal/gpu":    {"TestFrameBytesUnchanged", "TestParentFramesReencode", "TestSnapshotResumeInert"},
 			"internal/smcore": {"TestSMRoundTrip"},
-			"internal/exp":    {"TestParkedWarpFrameUnchanged"},
 		},
 	},
 	{
@@ -136,7 +135,6 @@ var ledger = []Mutant{
 		Edits:   []Edit{{"internal/smcore/sm.go", "if q[parent].cycle <= e.cycle {", "if q[parent].cycle < e.cycle {"}},
 		Tests: map[string][]string{
 			"internal/smcore": {"TestWBHeapMatchesSwapHeap"},
-			"internal/exp":    {"TestParkedWarpFrameUnchanged"},
 		},
 	},
 	{
@@ -145,7 +143,6 @@ var ledger = []Mutant{
 		Edits:   []Edit{{"internal/smcore/sm.go", "r < n && q[r].cycle < q[c].cycle {", "r < n && q[r].cycle <= q[c].cycle {"}},
 		Tests: map[string][]string{
 			"internal/smcore": {"TestWBHeapMatchesSwapHeap"},
-			"internal/exp":    {"TestParkedWarpFrameUnchanged"},
 		},
 	},
 	{
@@ -155,7 +152,6 @@ var ledger = []Mutant{
 		Tests: map[string][]string{
 			"internal/smcore": {"TestWBHeapMatchesSwapHeap"},
 			"internal/gpu":    {"TestParentFramesReencode"},
-			"internal/exp":    {"TestParkedWarpFrameUnchanged"},
 		},
 	},
 
@@ -177,7 +173,6 @@ var ledger = []Mutant{
 		Tests: map[string][]string{
 			"internal/smcore": {"TestAuditCatchesUnsoundSleep"},
 			"internal/gpu":    {"TestFrameBytesUnchanged", "TestParentFramesReencode"},
-			"internal/exp":    {"TestParkedWarpFrameUnchanged"},
 		},
 	},
 	{
@@ -186,7 +181,6 @@ var ledger = []Mutant{
 		Edits:   []Edit{{"internal/smcore/sm.go", "if len(sm.wb) > 0 && sm.wb[0].cycle <= now {", "if len(sm.wb) > 0 && sm.wb[0].cycle < now {"}},
 		Tests: map[string][]string{
 			"internal/gpu": {"TestFrameBytesUnchanged", "TestParentFramesReencode"},
-			"internal/exp": {"TestParkedWarpFrameUnchanged"},
 		},
 	},
 	{
@@ -390,12 +384,6 @@ var ledger = []Mutant{
 			"func (c *Collector) EnqueueWrite(w WriteReq) {\n\tif int(w.Bank) < 0 || int(w.Bank) >= c.banks {\n\t\tpanic(fmt.Sprintf(\"regfile: write to bank %d of %d\", w.Bank, c.banks))\n\t}\n"}},
 		Tests: map[string][]string{"internal/smcore": {"TestPerCycleHelpersInline"}},
 	},
-	{
-		Name:    "inline-advance-ring-loop",
-		Mistake: "the queue-length ring's loop is inlined back into Collector.advance, which puts it over the inline budget",
-		Edits:   []Edit{{"internal/regfile/regfile.go", "//\n//go:noinline\nfunc (c *Collector) record(", "func (c *Collector) record("}},
-		Tests:   map[string][]string{"internal/smcore": {"TestPerCycleHelpersInline"}},
-	},
 
 	// The stall accounting behind the CPI stack.
 	{
@@ -589,25 +577,31 @@ var ledger = []Mutant{
 		Name:    "ready-kept-at-dispatch",
 		Mistake: "a dispatched collector unit keeps its ready bit",
 		Edits:   []Edit{{"internal/regfile/regfile.go", "\tc.ready &^= 1 << uint(i)\n", ""}},
-		Tests: map[string][]string{
-			"internal/regfile": {"TestCollectorAlwaysDrainsProperty", "TestDualPortedBanks"},
-			"internal/smcore":  {"TestNextEventContractEveryCycle"},
-		},
+		Tests:   map[string][]string{"internal/regfile": {"TestCollectorAlwaysDrainsProperty", "TestDualPortedBanks"}},
 	},
 	{
 		Name:    "ready-not-set-by-grant",
 		Mistake: "the grant that collects a unit's last operand does not mark it ready",
-		Edits:   []Edit{{"internal/regfile/regfile.go", "\t\t\tif u.Pending == 0 {\n\t\t\t\tc.ready |= 1 << uint(r.cu)\n\t\t\t}\n", ""}},
-		Tests: map[string][]string{
-			"internal/regfile": {"TestRingIsInert"},
-			"internal/smcore":  {"TestReadySetMatchesFullScan"},
-		},
+		Edits:   []Edit{{"internal/regfile/regfile.go", "\t\t\tc.ready |= 1 << uint(i)\n\t\t\tc.waiting &^= 1 << uint(i)\n", "\t\t\tc.waiting &^= 1 << uint(i)\n"}},
+		Tests:   map[string][]string{"internal/regfile": {"TestRingIsInert", "TestCollectorMatchesReference"}},
 	},
 	{
 		Name:    "ready-not-set-without-sources",
 		Mistake: "a unit allocated with no source operands is not ready",
-		Edits:   []Edit{{"internal/regfile/regfile.go", "\tif u.Pending == 0 {\n\t\tc.ready |= 1 << uint(cu)\n\t}\n", ""}},
+		Edits:   []Edit{{"internal/regfile/regfile.go", "\tif !in.HasSrc() {\n\t\tc.ready |= 1 << uint(cu)\n\t} else {\n", "\tif !in.HasSrc() {\n\t} else {\n"}},
 		Tests:   map[string][]string{"internal/regfile": {"TestZeroSourceAllocationIsImmediatelyReady"}},
+	},
+	{
+		Name:    "reservation-starts-late",
+		Mistake: "a normal read is reserved one cycle after its bank's next free read cycle",
+		Edits:   []Edit{{"internal/regfile/regfile.go", "at := max(now, c.rfree[b])", "at := max(now+1, c.rfree[b])"}},
+		Tests:   map[string][]string{"internal/regfile": {"TestCollectorMatchesReference"}},
+	},
+	{
+		Name:    "stolen-read-on-reserved-port",
+		Mistake: "a stolen read is granted on a read port a normal read holds that cycle",
+		Edits:   []Edit{{"internal/regfile/regfile.go", "\t\t} else if len(c.stolen[b]) > 0 {\n", "\t\t}\n\t\tif len(c.stolen[b]) > 0 {\n"}},
+		Tests:   map[string][]string{"internal/regfile": {"TestCollectorMatchesReference"}},
 	},
 	{
 		Name:    "ring-position-not-landed",

@@ -4,13 +4,25 @@
 //
 // Each sub-core owns a small number of banks (2 on Volta/Ampere) and
 // collector units (2 on Volta). A warp instruction issued by the scheduler
-// is staged in a collector unit; one read request per source operand is
-// queued at the operand's bank; each bank has one read port and one write
-// port (1R+1W), so in one cycle the arbiter grants a bank one read and
-// drains one writeback into it (Collector.Grant); when all operands are
-// collected the instruction dispatches to its execution unit and the
-// collector unit frees. A single port per bank with writebacks first, as
-// GPGPU-Sim arbitrates, is hypothesis H2 of ROADMAP item 1, not the model.
+// is staged in a collector unit, which reads one register per source
+// operand from the operand's bank. Each bank has one read port and one
+// write port (1R+1W): in one cycle it drains one writeback and grants one
+// read (Collector.Grant). When all operands are collected the instruction
+// dispatches to its execution unit and the collector unit frees.
+//
+// A read port is a reservation, not a queue. A bank serves its normal reads
+// first in first out, one per cycle, and nothing overtakes them, so
+// Allocate fixes a normal read's grant cycle when it queues it: the bank's
+// next free read cycle, max(now, rfree[b]), after which rfree[b] moves one
+// on. A bank-stealing read takes only a cycle no normal read holds: it waits
+// in a per-bank FIFO, and its grant cycle is set when an idle port takes it.
+// The arbiter's queue length at bank b is the reservations still ahead,
+// rfree[b] − now.
+//
+// A single port per bank with writebacks first, as GPGPU-Sim arbitrates, is
+// hypothesis H2 of ROADMAP item 1, not the model. Under it, a write granted
+// at t on bank b moves every reservation at b from t onward one cycle later:
+// a loop over the bank's pending operands and rfree[b]++, no queue.
 //
 // The arbiter exposes its per-bank queue lengths — optionally through a
 // delay line — which is the single piece of information the paper's RBA
@@ -71,12 +83,6 @@ func BankWithOffset(off int, reg isa.Reg, banks int) int {
 	return (int(reg) + off) % banks
 }
 
-// readReq is a pending source-operand read queued at a bank.
-type readReq struct {
-	cu     int8
-	stolen bool
-}
-
 // WriteReq is a pending destination-register writeback. The sub-core
 // enqueues one per completed instruction and learns of the grant via
 // GrantedWrites, at which point the scoreboard entry clears.
@@ -89,6 +95,10 @@ type WriteReq struct {
 	Bank int8
 }
 
+// unread is the grant cycle of a stolen operand read no idle port has
+// taken yet: later than any cycle, so a unit holding one is not collected.
+const unread = math.MaxInt64
+
 // CollectorUnit stages one warp instruction while its operands are read.
 type CollectorUnit struct {
 	// Valid marks the CU occupied.
@@ -99,18 +109,19 @@ type CollectorUnit struct {
 	SchedSlot int32
 	// Instr is the staged instruction.
 	Instr isa.Instr
-	// Pending counts source operands not yet granted.
-	Pending int8
+	// Bank[j] is the bank source operand j reads; 0 for an unused slot.
+	Bank [3]int8
+	// At[j] is the cycle source operand j's read is granted: reserved by
+	// Allocate for a normal read, set when an idle port takes a stolen one
+	// (unread until then); 0 for an unused slot. The operand is collected
+	// once the clock has passed it.
+	At [3]int64
 	// Stolen marks a bank-stealing pre-allocation: its reads only use
 	// otherwise-idle bank cycles and it never blocks normal traffic.
 	Stolen bool
 	// AllocCycle records when the CU was filled: dispatch order.
 	AllocCycle int64
 }
-
-// Ready reports whether all operands are collected and the instruction
-// can dispatch.
-func (c *CollectorUnit) Ready() bool { return c.Valid && c.Pending == 0 }
 
 // Collector is the operand collector + arbitration unit of one sub-core.
 // Its mutable state is the embedded collectorState; the fields declared
@@ -127,9 +138,10 @@ type Collector struct {
 
 	st *stats.SubCore
 
-	// Audit's reusable scratch, per-CU reference counts and the recounted
-	// summary: the periodic invariant sweep must not allocate per visit.
+	// Audit's reusable scratch and recounted summary: the periodic
+	// invariant sweep must not allocate per visit.
 	auditRefs []int
+	auditSeen []bool
 	auditWant derived
 
 	// tr emits bank-grant trace events when the SM is traced (nil
@@ -138,20 +150,24 @@ type Collector struct {
 	trSub int8
 }
 
-// derived answers, in O(1), what the issue stage and Tick ask every cycle.
+// derived answers, in O(1), what the issue stage and Grant ask every cycle.
 // It is a function of collectorState (derive): maintained at every
 // mutation, rebuilt on restore, and re-derived by Audit.
 type derived struct {
-	// busy counts what makes a Tick do work: queued reads, queued
+	// busy counts what makes a Tick do work: pending reads, queued
 	// writebacks and staged non-stolen units.
 	busy int
 	// free has bit i set while collector unit i is unoccupied.
 	free uint64
-	// normal[b] counts the normal (non-stolen) reads queued at bank b: the
-	// arbiter's queue length, RBA's score input.
-	normal []int
-	// ready has bit i set while unit i is Ready: Tick's dispatch candidates.
+	// rfree[b] is one past the latest normal read reserved at bank b: the
+	// next cycle its read port is free. At or below the clock, no normal
+	// read waits there.
+	rfree []int64
+	// ready has bit i set while unit i has collected every operand:
+	// dispatch candidates.
 	ready uint64
+	// waiting has bit i set while occupied unit i still has a read pending.
+	waiting uint64
 }
 
 // collectorState is everything about a collector that changes as it runs
@@ -160,8 +176,9 @@ type derived struct {
 // built: CU count, banks, score-delay ring.
 type collectorState struct {
 	cus []CollectorUnit `snap:"fixed"`
-	// queues[b] holds read requests waiting on bank b, FIFO.
-	queues [][]readReq `snap:"fixed"`
+	// stolen[b] names, first in first out, the unit of each stolen read
+	// waiting at bank b for an idle port.
+	stolen [][]int8 `snap:"fixed"`
 	// writes[b] holds writeback requests for bank b, FIFO, priority.
 	writes [][]WriteReq `snap:"fixed"`
 	// qlenHist is a ring of per-bank normal-read queue lengths, one entry
@@ -183,12 +200,12 @@ func NewCollector(numCUs, numBanks, scoreDelay int, st *stats.SubCore) *Collecto
 	c := &Collector{
 		collectorState: collectorState{
 			cus:    make([]CollectorUnit, numCUs),
-			queues: make([][]readReq, numBanks),
+			stolen: make([][]int8, numBanks),
 			writes: make([][]WriteReq, numBanks),
 		},
 		banks:     numBanks,
-		derived:   derived{free: 1<<uint(numCUs) - 1, normal: make([]int, numBanks)},
-		auditWant: derived{normal: make([]int, numBanks)},
+		derived:   derived{free: 1<<uint(numCUs) - 1, rfree: make([]int64, numBanks)},
+		auditWant: derived{rfree: make([]int64, numBanks)},
 		st:        st,
 	}
 	c.qlenHist = make([][]int16, scoreDelay)
@@ -225,46 +242,49 @@ func (c *Collector) FreeCU() int {
 
 // Allocate fills collector unit cu with an instruction from warpIdx whose
 // registers map to banks with the warp's precomputed bank offset (see
-// SlotOffset). One read request per valid source operand is queued at its
-// bank. Allocate panics if the CU is occupied — the issue stage must
-// check FreeCU first.
+// SlotOffset). Each valid source operand's read is reserved at its bank's
+// next free read cycle, or, for a stolen pre-allocation, queued for an idle
+// port. Allocate panics if the CU is occupied — the issue stage must check
+// FreeCU first.
 func (c *Collector) Allocate(cu int, warpIdx, schedSlot int32, in isa.Instr, bankOff int, stolen bool) {
 	u := &c.cus[cu]
 	if u.Valid {
 		panic("regfile: allocating an occupied collector unit")
 	}
-	*u = CollectorUnit{
-		Valid:      true,
-		WarpIdx:    warpIdx,
-		SchedSlot:  schedSlot,
-		Instr:      in,
-		Stolen:     stolen,
-		AllocCycle: c.cycle,
-	}
+	now := c.cycle
+	// Every field, one by one: a composite literal of the unit, larger than
+	// the compiler moves inline, is a duffcopy call per allocation.
+	u.Valid, u.WarpIdx, u.SchedSlot, u.Instr = true, warpIdx, schedSlot, in
+	u.Bank, u.At, u.Stolen, u.AllocCycle = [3]int8{}, [3]int64{}, stolen, now
 	c.free &^= 1 << uint(cu)
 	if !stolen {
 		c.busy++
 	}
-	for _, s := range in.Srcs {
+	for j, s := range in.Srcs {
 		if !s.Valid() {
 			continue
 		}
 		b := BankWithOffset(bankOff, s, c.banks)
-		u.Pending++
+		u.Bank[j] = int8(b)
 		c.busy++
-		if !stolen {
-			c.normal[b]++
+		if stolen {
+			u.At[j] = unread
+			c.stolen[b] = append(c.stolen[b], int8(cu))
+			continue
 		}
-		c.queues[b] = append(c.queues[b], readReq{cu: int8(cu), stolen: stolen})
+		at := max(now, c.rfree[b])
+		u.At[j], c.rfree[b] = at, at+1
 	}
-	if u.Pending == 0 {
+	if !in.HasSrc() {
 		c.ready |= 1 << uint(cu)
+	} else {
+		c.waiting |= 1 << uint(cu)
 	}
 }
 
 // Unsteal converts collector unit cu's bank-stealing pre-allocation into a
-// normal issue: the operands are already (being) read — reads of it still
-// queued stay stolen, idle-cycle traffic the arbiter tap does not count —
+// normal issue: the operands are already (being) read — its reads still
+// waiting stay stolen, idle-cycle traffic the arbiter tap does not count —
 // and from now on the unit dispatches like any other.
 func (c *Collector) Unsteal(cu int) {
 	c.cus[cu].Stolen = false
@@ -283,17 +303,17 @@ func (c *Collector) EnqueueWrite(w WriteReq) {
 // slice is reused; callers must consume it before the next Tick.
 func (c *Collector) GrantedWrites() []WriteReq { return c.grantedW }
 
-// QueueLen returns the current number of *normal* (non-stolen) read
-// requests waiting at bank b — the quantity summed into RBA scores.
-func (c *Collector) QueueLen(b int) int { return c.normal[b] }
+// QueueLen returns the number of *normal* (non-stolen) reads still waiting
+// at bank b — the quantity summed into RBA scores.
+func (c *Collector) QueueLen(b int) int { return int(max(0, c.rfree[b]-c.cycle)) }
 
-// Backlogged reports whether any bank has a queued normal (non-stolen)
-// read — the signature the issue stage uses to attribute a
+// Backlogged reports whether any bank has a normal (non-stolen) read
+// waiting — the signature the issue stage uses to attribute a
 // no-free-collector-unit stall to bank conflicts rather than plain CU
 // exhaustion (the CPI stack's bank-conflict component).
 func (c *Collector) Backlogged() bool {
-	for _, n := range c.normal {
-		if n > 0 {
+	for _, r := range c.rfree {
+		if r > c.cycle {
 			return true
 		}
 	}
@@ -346,14 +366,16 @@ func (c *Collector) Tick(dispatch func(*CollectorUnit) bool) {
 }
 
 // Grant runs the bank ports (1R+1W, as on Volta) — each drains one writeback
-// and grants one read, the oldest normal read first, stolen reads only onto
-// an idle port; a request left waiting is a bank conflict — and returns the
-// collected units. With busy == 0 it returns none at once.
+// and grants one read: the read reserved for this cycle, or else, the port
+// being idle, the oldest stolen read; a read left waiting is a bank
+// conflict — and returns the collected units. With busy == 0 it returns
+// none at once.
 func (c *Collector) Grant() uint64 {
 	c.grantedW = c.grantedW[:0]
 	if c.busy == 0 {
 		return 0
 	}
+	now := c.cycle
 	for b := 0; b < c.banks; b++ {
 		// Write port.
 		if len(c.writes[b]) > 0 {
@@ -369,37 +391,67 @@ func (c *Collector) Grant() uint64 {
 				c.tr.Emit(trace.KBankWrite, c.trSub, w.WarpIdx, int32(b), 0)
 			}
 		}
-		// Read port: oldest normal read first; with only stolen requests
-		// present the port is idle, and the oldest of them steals it.
-		if q := c.queues[b]; len(q) > 0 {
-			gi := 0
-			if c.normal[b] > 0 {
-				for q[gi].stolen {
-					gi++
-				}
-				c.normal[b]--
-			}
-			r := q[gi]
-			c.queues[b] = popAt(q, gi)
+		// Read port: the normal read reserved for now, the reads reserved
+		// behind it waiting; with none, the oldest stolen read steals it.
+		if r := c.rfree[b]; r > now {
 			c.busy--
-			u := &c.cus[r.cu]
-			u.Pending--
-			if u.Pending < 0 {
-				panic("regfile: operand granted for an empty collector unit")
-			}
-			if u.Pending == 0 {
-				c.ready |= 1 << uint(r.cu)
-			}
 			if c.st != nil {
 				c.st.RegReads++
-				c.st.BankConflicts += int64(c.normal[b])
+				c.st.BankConflicts += r - now - 1
 			}
 			if c.tr != nil {
-				c.tr.Emit(trace.KBankRead, c.trSub, u.WarpIdx, int32(b), int32(r.cu))
+				c.traceRead(b, now)
 			}
+		} else if len(c.stolen[b]) > 0 {
+			c.grantStolen(b, now)
+		}
+	}
+	for m := c.waiting; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); c.cus[i].lands() <= now {
+			c.ready |= 1 << uint(i)
+			c.waiting &^= 1 << uint(i)
 		}
 	}
 	return c.ready
+}
+
+// lands returns the cycle the last operand read of a unit with reads is
+// granted: unread while a stolen read waits.
+func (u *CollectorUnit) lands() int64 { return max(u.At[0], u.At[1], u.At[2]) }
+
+// grantStolen gives bank b's idle read port at cycle now to the oldest
+// stolen read waiting there.
+func (c *Collector) grantStolen(b int, now int64) {
+	cu := int(c.stolen[b][0])
+	c.stolen[b] = popAt(c.stolen[b], 0)
+	c.busy--
+	u := &c.cus[cu]
+	j := 0
+	for u.At[j] != unread || int(u.Bank[j]) != b {
+		j++ // past the operands, a unit with no stolen read here panics
+	}
+	u.At[j] = now
+	if c.st != nil {
+		c.st.RegReads++
+	}
+	if c.tr != nil {
+		c.tr.Emit(trace.KBankRead, c.trSub, u.WarpIdx, int32(b), int32(cu))
+	}
+}
+
+// traceRead emits the grant of the normal read reserved at bank b for
+// cycle now, naming the waiting unit that holds it.
+func (c *Collector) traceRead(b int, now int64) {
+	for m := c.waiting; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		u := &c.cus[i]
+		for j, at := range u.At {
+			if at == now && int(u.Bank[j]) == b && u.Instr.Srcs[j].Valid() {
+				c.tr.Emit(trace.KBankRead, c.trSub, u.WarpIdx, int32(b), int32(i))
+				return
+			}
+		}
+	}
 }
 
 // Oldest returns the unit of the non-empty mask m allocated first, the
@@ -447,8 +499,8 @@ func (c *Collector) record(n int64) {
 		if c.histPos == len(c.qlenHist) {
 			c.histPos = 0
 		}
-		for b, q := range c.normal {
-			c.qlenHist[c.histPos][b] = int16(q)
+		for b := range c.rfree {
+			c.qlenHist[c.histPos][b] = int16(c.QueueLen(b))
 		}
 	}
 	if n > ring {
@@ -462,10 +514,10 @@ func (c *Collector) record(n int64) {
 const neverCycle = int64(math.MaxInt64)
 
 // NextEvent returns the earliest cycle at which a Tick would mutate
-// collector state: now when any bank has a queued read or writeback
-// (grants fire every cycle) or a non-stolen collector unit is staged
-// (it dispatches, or blocks attributably, every cycle), and neverCycle
-// otherwise — one test of the maintained busy count. A *stolen*
+// collector state: now when any bank has a pending read or a queued
+// writeback (grants fire every cycle) or a non-stolen collector unit is
+// staged (it dispatches, or blocks attributably, every cycle), and
+// neverCycle otherwise — one test of the maintained busy count. A *stolen*
 // pre-allocation with all operands collected is inert: it converts only at
 // formal issue, which requires an issuable warp — the sub-core's own
 // quiescence check covers that. This is the contract a sleeping SM relies
@@ -491,28 +543,40 @@ func popAt[T any](q []T, i int) []T {
 }
 
 // derive recounts the maintained summary from collectorState into d: the
-// reference restore installs and Audit compares with.
+// reference restore installs and Audit compares with. A bank with no normal
+// read pending reads rfree = the clock. An operand naming a bank out of
+// range is skipped here and reported by Audit.
 func (c *Collector) derive(d *derived) {
-	d.busy, d.free, d.ready = 0, 0, 0
+	d.busy, d.free, d.ready, d.waiting = 0, 0, 0, 0
 	for b := 0; b < c.banks; b++ {
-		d.busy += len(c.queues[b]) + len(c.writes[b])
-		d.normal[b] = 0
-		for _, r := range c.queues[b] {
-			if !r.stolen {
-				d.normal[b]++
-			}
-		}
+		d.busy += len(c.stolen[b]) + len(c.writes[b])
+		d.rfree[b] = c.cycle
 	}
 	for i := range c.cus {
 		u := &c.cus[i]
-		switch {
-		case !u.Valid:
+		if !u.Valid {
 			d.free |= 1 << uint(i)
-		case !u.Stolen:
+			continue
+		}
+		if !u.Stolen {
 			d.busy++
 		}
-		if u.Ready() {
+		collected := true
+		for j, s := range u.Instr.Srcs {
+			at, b := u.At[j], int(u.Bank[j])
+			if !s.Valid() || at < c.cycle {
+				continue
+			}
+			collected = false
+			if at != unread && b >= 0 && b < c.banks {
+				d.busy++
+				d.rfree[b] = max(d.rfree[b], at+1)
+			}
+		}
+		if collected {
 			d.ready |= 1 << uint(i)
+		} else {
+			d.waiting |= 1 << uint(i)
 		}
 	}
 }
@@ -522,7 +586,7 @@ func (c *Collector) derive(d *derived) {
 // reported no event: no grants, no dispatches, only the cycle counter
 // and — where a delayed tap exists — the queue-length history ring
 // advancing (it feeds RBA's delayed score, so it must stay bit-exact
-// across a sleep). Every queue is empty, so each replayed slot records zeros.
+// across a sleep). No read is pending, so each replayed slot records zeros.
 // Without a ring that is one add, inlined into the sleep path.
 func (c *Collector) FastForward(n int64) {
 	if c.busy == 0 && len(c.qlenHist) == 0 {

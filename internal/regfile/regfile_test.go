@@ -59,6 +59,19 @@ func TestBankOfSwizzled(t *testing.T) {
 	}
 }
 
+// pendingReads counts unit cu's source operands whose read the clock has not
+// passed: reserved ahead, or stolen and waiting for an idle port.
+func pendingReads(c *Collector, cu int) int {
+	n := 0
+	u := c.CU(cu)
+	for j, s := range u.Instr.Srcs {
+		if s.Valid() && u.At[j] >= c.Cycle() {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAllocateAndCollect(t *testing.T) {
 	st := &stats.SubCore{}
 	c := NewCollector(2, 2, 0, st)
@@ -74,11 +87,16 @@ func TestAllocateAndCollect(t *testing.T) {
 	if c.QueueLen(0) != 1 || c.QueueLen(1) != 2 {
 		t.Errorf("queue lengths = %d,%d want 1,2", c.QueueLen(0), c.QueueLen(1))
 	}
+	// Each read is reserved at its bank's next free cycle: R1 and R2 now,
+	// R3 behind R1.
+	if got := c.CU(0).At; got != [3]int64{0, 0, 1} {
+		t.Errorf("grant cycles = %v, want [0 0 1]", got)
+	}
 	dispatched := 0
 	dispatch := func(cu *CollectorUnit) bool { dispatched++; return true }
-	// Cycle 1: bank0 grants R2, bank1 grants R1 (or R3) -> pending 1.
+	// Cycle 1: bank0 grants R2, bank1 grants R1 -> pending 1.
 	c.Tick(dispatch)
-	if got := c.CU(0).Pending; got != 1 {
+	if got := pendingReads(c, 0); got != 1 {
 		t.Fatalf("pending after tick1 = %d, want 1", got)
 	}
 	if dispatched != 0 {
@@ -124,8 +142,11 @@ func TestDispatchedUnitIsZero(t *testing.T) {
 func TestZeroSourceAllocationIsImmediatelyReady(t *testing.T) {
 	c := NewCollector(1, 2, 0, nil)
 	c.Allocate(0, 0, 0, isa.Make1(isa.OpMOV, 1, isa.NoReg), offOf(0), false)
-	if !c.CU(0).Ready() {
+	if c.ready != 1 {
 		t.Error("zero-source CU must be ready at allocation")
+	}
+	if vs := c.Audit("t"); len(vs) != 0 {
+		t.Errorf("a zero-source unit at cycle 0: %v", vs)
 	}
 	n := 0
 	c.Tick(func(cu *CollectorUnit) bool { n++; return true })
@@ -173,8 +194,8 @@ func TestStolenReadsOnlyUseIdleBanks(t *testing.T) {
 	noDispatch := func(cu *CollectorUnit) bool { return true }
 	c.Tick(noDispatch) // normal op 1 granted
 	c.Tick(noDispatch) // normal op 2 granted; normal CU dispatches
-	if c.CU(1).Pending != 1 {
-		t.Fatalf("stolen read granted while normal traffic pending (pending=%d)", c.CU(1).Pending)
+	if got := pendingReads(c, 1); got != 1 {
+		t.Fatalf("stolen read granted while normal traffic pending (pending=%d)", got)
 	}
 	c.Tick(noDispatch) // bank idle: stolen read granted
 	if c.CU(1).Valid {

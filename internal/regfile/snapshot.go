@@ -7,8 +7,9 @@ import (
 )
 
 // EncodeState serializes the collector's full mutable state: every staged
-// collector unit, the per-bank read and write queues, and — when a delayed
-// tap exists — the queue-length history ring that feeds it.
+// collector unit with its operands' banks and grant cycles, the per-bank
+// stolen-read and write queues, and — when a delayed tap exists — the
+// queue-length history ring that feeds it.
 func (c *Collector) EncodeState(e *snapshot.Encoder) { e.State(&c.collectorState) }
 
 // RestoreState decodes into a collector freshly built with the same shape
@@ -23,8 +24,8 @@ func (c *Collector) RestoreState(d *snapshot.Decoder) error {
 	}
 	// Granted writes never outlive the cycle that granted them.
 	c.grantedW = c.grantedW[:0]
-	// The maintained counts are derived: rebuild them from the restored
-	// queues and units.
+	// The reservations' ends, the masks and the counts are derived: rebuild
+	// them from the restored units and queues.
 	c.derive(&c.derived)
 	return nil
 }

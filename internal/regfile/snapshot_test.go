@@ -65,8 +65,8 @@ func TestCollectorRoundTrip(t *testing.T) {
 		t.Errorf("cus diverge:\n%+v\n%+v", a.cus, b.cus)
 	}
 	// %v folds nil and drained-empty queues together — equivalent states.
-	if fmt.Sprintf("%v%v", a.queues, a.writes) != fmt.Sprintf("%v%v", b.queues, b.writes) {
-		t.Errorf("queues diverge:\n%v %v\n%v %v", a.queues, a.writes, b.queues, b.writes)
+	if fmt.Sprintf("%v%v", a.stolen, a.writes) != fmt.Sprintf("%v%v", b.stolen, b.writes) {
+		t.Errorf("queues diverge:\n%v %v\n%v %v", a.stolen, a.writes, b.stolen, b.writes)
 	}
 	if !reflect.DeepEqual(a.qlenHist, b.qlenHist) || a.histPos != b.histPos || a.cycle != b.cycle {
 		t.Errorf("history ring diverges: pos %d/%d cycle %d/%d", a.histPos, b.histPos, a.cycle, b.cycle)
@@ -108,42 +108,58 @@ func TestCollectorRestoreShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesSeededLeaseCorruption: the lease law names each way the
+// reservations can break — a gap, two reads granted in one cycle, a stale
+// end of the reservations, a grant before the unit's allocation, a stolen
+// read with no unread operand behind it — and each maintained count drifting
+// by itself.
 func TestAuditCatchesSeededLeaseCorruption(t *testing.T) {
-	c := NewCollector(2, 2, 0, nil)
-	loadCollector(c, 7)
-	if vs := c.Audit("t"); len(vs) != 0 {
-		t.Fatalf("healthy collector reported %v", vs)
-	}
-	// A phantom bank read.
-	c.queues[0] = append(c.queues[0], readReq{cu: 0})
-	c.busy++
-	c.normal[0]++
-	vs := c.Audit("t")
-	if len(vs) == 0 {
-		t.Fatal("seeded lease inconsistency not detected")
-	}
-	// The phantom read is counted like a real one, so it is the law it was
-	// written for — reference counts against Pending — that fires.
-	for _, v := range vs {
-		if v.Rule != "lease" || !strings.Contains(v.Detail, "bank reads") {
-			t.Fatalf("violation %v, want only lease reference-count violations", v)
+	// A collector with normal reads pending at both banks: units 0 and 1
+	// hold FMAs (three reads each over two banks), one grant cycle run.
+	loaded := func() *Collector {
+		c := NewCollector(4, 2, 0, nil)
+		c.Allocate(0, 0, 0, isa.MakeFMA(4, 1, 2, 3), 0, false)
+		c.Allocate(1, 1, 1, isa.MakeFMA(5, 1, 3, 5), 0, false)
+		c.Allocate(2, 2, 2, isa.Make1(isa.OpMOV, 6, 7), 0, true)
+		c.Tick(func(*CollectorUnit) bool { return true })
+		c.EnqueueWrite(WriteReq{WarpIdx: 3, Reg: 2, Bank: 0})
+		if vs := c.Audit("t"); len(vs) != 0 {
+			t.Fatalf("healthy collector reported %v", vs)
 		}
+		return c
 	}
-	// Each maintained count drifting by itself is caught, by name.
+	// last returns unit 1's operand reserved last at bank 1.
+	last := func(c *Collector) *int64 {
+		u := c.CU(1)
+		return &u.At[2]
+	}
 	for _, tc := range []struct {
-		drift func(*Collector)
-		want  string
+		name    string
+		corrupt func(*Collector)
+		want    string
 	}{
-		{func(c *Collector) { c.busy-- }, "busy count"}, // the idle tick path would skip a request
-		{func(c *Collector) { c.free ^= 1 }, "free-unit set"},
-		{func(c *Collector) { c.normal[1]++ }, "normal-read count"},
-		{func(c *Collector) { c.ready ^= 1 }, "ready mask"}, // a unit would dispatch uncollected, or never
+		{"gap", func(c *Collector) { *last(c)++; c.rfree[1]++ }, "a gap in the reservations"},
+		{"two reads in one cycle", func(c *Collector) { *last(c)--; c.rfree[1]-- }, "two reads reserved for cycle"},
+		{"stale rfree", func(c *Collector) { c.rfree[1]++ }, "bank 1's reservations end at cycle"},
+		{"granted before allocation", func(c *Collector) { c.CU(1).AllocCycle = 3 }, "before the unit was allocated"},
+		{"phantom stolen read", func(c *Collector) { c.stolen[0] = append(c.stolen[0], 2); c.busy++ }, "more stolen reads queued at bank 0"},
+		{"busy", func(c *Collector) { c.busy-- }, "busy count"}, // the idle tick path would skip a request
+		{"free", func(c *Collector) { c.free ^= 1 }, "free-unit set"},
+		{"ready", func(c *Collector) { c.ready ^= 1 }, "ready mask"}, // a unit would dispatch uncollected, or never
+		{"waiting", func(c *Collector) { c.waiting ^= 2 }, "waiting mask"},
 	} {
-		c = NewCollector(2, 2, 0, nil)
-		loadCollector(c, 7)
-		tc.drift(c)
-		if vs := c.Audit("t"); len(vs) != 1 || !strings.Contains(vs[0].Detail, tc.want) {
-			t.Fatalf("want exactly the %s violation, got %v", tc.want, vs)
+		c := loaded()
+		tc.corrupt(c)
+		vs := c.Audit("t")
+		found := false
+		for _, v := range vs {
+			if v.Rule != "lease" {
+				t.Errorf("%s: violation %v, want only lease violations", tc.name, v)
+			}
+			found = found || strings.Contains(v.Detail, tc.want)
+		}
+		if !found {
+			t.Errorf("%s: want a %q violation, got %v", tc.name, tc.want, vs)
 		}
 	}
 }

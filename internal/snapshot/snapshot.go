@@ -28,7 +28,7 @@ import (
 // or type of the fields in any state struct changes, or what the machine
 // identity a frame opens with hashes (config.GPU.MachineID); decoding
 // rejects every other version.
-const Version = 11
+const Version = 12
 
 // magic identifies a snapshot stream; the trailing byte leaves room to
 // change the container (not the payload schema) without colliding.
