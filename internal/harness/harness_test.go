@@ -22,18 +22,18 @@ import (
 
 // testApp builds a small deterministic FMA workload (milliseconds on the
 // one-SM test config).
-func testApp(name string, iters int) workloads.App { return fmaApp(name, iters, 2) }
+func testApp(name string, iters int) workloads.App { return fmaApp(name, iters, 0) }
 
-// chainApp is testApp with one dependent FMA chain per warp, so a warp waits
-// on one writeback at a time and no later writeback reclasses it: a frame
-// change that misroutes that writeback stays wrong until the next audit
-// (writeCorruptFrame).
-func chainApp(name string, iters int) workloads.App { return fmaApp(name, iters, 1) }
+// sharedApp is testApp with one scratchpad load per iteration, so a frame
+// holds collector units staging LDS: a frame change that makes one read STS
+// leaves its destination reserved with no writeback coming, which the
+// auditor sees only at the next heartbeat (writeCorruptFrame).
+func sharedApp(name string, iters int) workloads.App { return fmaApp(name, iters, 1) }
 
-func fmaApp(name string, iters, ilp int) workloads.App {
+func fmaApp(name string, iters, sharedOps int) workloads.App {
 	p := workloads.Profile{
 		Name: name, Blocks: 2, WarpsPerBlock: 4, RegsPerThread: 8,
-		Iters: iters, ILP: ilp, FMAs: 4,
+		Iters: iters, ILP: 2, FMAs: 4, SharedOps: sharedOps,
 	}
 	if err := p.Validate(); err != nil {
 		panic(err)

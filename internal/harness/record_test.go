@@ -79,7 +79,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 	if fault != nil {
 		t.Fatal(fault)
 	}
-	for _, v := range []struct{ file, version string }{{"v7_tpcU-q8__V100.snap", "7"}, {"v8_tpcU-q8__V100.snap", "8"}, {"v9_tpcU-q8__V100.snap", "9"}, {"v10_tpcU-q8__V100.snap", "10"}, {"v11_tpcU-q8__V100.snap", "11"}} {
+	for _, v := range []struct{ file, version string }{{"v7_tpcU-q8__V100.snap", "7"}, {"v8_tpcU-q8__V100.snap", "8"}, {"v9_tpcU-q8__V100.snap", "9"}, {"v10_tpcU-q8__V100.snap", "10"}, {"v11_tpcU-q8__V100.snap", "11"}, {"v12_tpcU-q8__V100.snap", "12"}} {
 		frame, err := os.ReadFile("testdata/" + v.file)
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 			t.Fatal(fault)
 		}
 		if log := strings.Join(logs, "\n"); !strings.Contains(log, "snapshot unusable, restarting fresh") ||
-			!strings.Contains(log, "snapshot: format version "+v.version+", this build reads only 12 — re-run from scratch") {
+			!strings.Contains(log, "snapshot: format version "+v.version+", this build reads only 13 — re-run from scratch") {
 			t.Errorf("the version %s refusal was not logged with the version message: %q", v.version, logs)
 		}
 		if runStatsJSON(t, run) != runStatsJSON(t, golden) {

@@ -304,8 +304,10 @@ func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 
 // writeCorruptFrame leaves in dir a frame that restores, every law intact,
 // and faults at the next heartbeat under the auditor: the state is wrong
-// and nothing has noticed. Of chainApp's frame, such a change sends a
-// writeback-heap entry to a sub-core other than its warp's.
+// and nothing has noticed. Of sharedApp's frame, such a change turns a
+// collector unit's staged LDS into an STS (bit 0 of its opcode): the
+// scoreboard law counts a staged unit's destination whatever its opcode, so
+// the frame restores, and the store never writes the register back.
 func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App) {
 	t.Helper()
 	writeChangedFrame(t, dir, cfg, cfgName, app, func(g *gpu.GPU, err error) bool {
@@ -322,7 +324,7 @@ func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 // structured FaultAudit carrying the *gpu.AuditError, not as silent bad
 // statistics.
 func TestCorruptFrameBecomesAuditFault(t *testing.T) {
-	cfg, app := smallCfg("base"), chainApp("corrupt", 20_000)
+	cfg, app := smallCfg("base"), sharedApp("corrupt", 20_000)
 	dir := t.TempDir()
 	writeCorruptFrame(t, dir, cfg, cfg.Name, app)
 	reg := metrics.New()
@@ -360,7 +362,7 @@ func TestCorruptFrameBecomesAuditFault(t *testing.T) {
 // the re-run starts fresh and completes to an undisturbed run's statistics,
 // and no frame is left to resume the corruption into a checkpoint.
 func TestAuditFaultDiscardsFrame(t *testing.T) {
-	cfg, app := smallCfg("base"), chainApp("corrupt", 5_000)
+	cfg, app := smallCfg("base"), sharedApp("corrupt", 5_000)
 	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
 	if fault != nil {
 		t.Fatal(fault)
@@ -441,7 +443,7 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 		wd = time.Second
 	}
 	cfgs := []config.GPU{smallCfg("cfgA").WithAudit(1), smallCfg("cfgB").WithAudit(1)}
-	twins := []workloads.App{chainApp("app0", 20_000), testApp("app1", 20_000)}
+	twins := []workloads.App{sharedApp("app0", 20_000), testApp("app1", 20_000)}
 	apps := []workloads.App{twins[0], hangApp("app1", 20_000, 4*wd)}
 	dir := t.TempDir()
 	snaps := filepath.Join(dir, "snaps")

@@ -494,7 +494,9 @@ var ledger = []Mutant{
 	{
 		Name:    "freed-unit-keeps-residue",
 		Mistake: "a dispatched collector unit keeps its warp, instruction and allocation cycle, so equal collectors encode to different bytes and a revived unit reissues its last instruction",
-		Edits:   []Edit{{"internal/regfile/regfile.go", "c.cus[i] = CollectorUnit{}", "c.cus[i].Valid = false"}},
+		Edits: []Edit{{"internal/regfile/regfile.go",
+			"u.Valid, u.WarpIdx, u.SchedSlot, u.Instr = false, 0, 0, isa.Instr{}\n\tu.Bank, u.At, u.Stolen, u.AllocCycle = [3]int8{}, [3]int64{}, false, 0\n",
+			"u.Valid = false\n"}},
 		Tests: map[string][]string{
 			"internal/regfile": {"TestDispatchedUnitIsZero"},
 			"internal/smcore":  {"TestSMRestoreRefusesMisplacedWarp"},
@@ -553,9 +555,18 @@ var ledger = []Mutant{
 	{
 		Name:    "wake-none-at-writeback",
 		Mistake: "a writeback into a sleeping sub-core's bank does not wake it",
-		Edits:   []Edit{{"internal/smcore/sm.go", "\t\tif sm.sleeps(int(e.subCore)) {\n\t\t\tsc.wake(now)\n\t\t}\n", ""}},
+		Edits:   []Edit{{"internal/smcore/sm.go", "\t\tif sm.sleeps(int(w.SubCore)) {\n\t\t\tsc.wake(now)\n\t\t}\n", ""}},
 		Tests: map[string][]string{
 			"internal/smcore": {"TestNextEventContractEveryCycle"},
+		},
+	},
+	{
+		Name:    "writeback-bank-ignores-offset",
+		Mistake: "drain derives a writeback's bank from the register alone, not from its warp's bank offset, so a write contends at another bank than the one its operand reads use",
+		Edits:   []Edit{{"internal/smcore/sm.go", "regfile.BankWithOffset(int(w.BankOff), e.reg,", "regfile.BankWithOffset(0, e.reg,"}},
+		Tests: map[string][]string{
+			"internal/smcore": {"TestWBHeapMatchesSwapHeap"},
+			"internal/gpu":    {"TestParentFramesReencode"},
 		},
 	},
 	{

@@ -105,7 +105,9 @@ type CollectorUnit struct {
 	Valid bool
 	// WarpIdx identifies the issuing warp within the SM.
 	WarpIdx int32
-	// SchedSlot is the warp's slot in its scheduler, used for stats.
+	// SchedSlot is the warp's slot in its scheduler. The simulator never
+	// reads it; the benchmark's collector driver does, to find the bank
+	// offset of a dispatched unit's writeback.
 	SchedSlot int32
 	// Instr is the staged instruction.
 	Instr isa.Instr
@@ -468,11 +470,15 @@ func (c *Collector) Oldest(m uint64) int {
 
 // Dispatched frees unit i, whose instruction its execution unit accepted.
 // A free unit is the zero unit, so equal collectors encode to equal bytes.
+// It is zeroed field by field, as Allocate fills it: the whole-unit literal
+// compiles to a runtime.duffzero call on every dispatch.
 func (c *Collector) Dispatched(i int) {
-	if !c.cus[i].Stolen {
+	u := &c.cus[i]
+	if !u.Stolen {
 		c.busy--
 	}
-	c.cus[i] = CollectorUnit{}
+	u.Valid, u.WarpIdx, u.SchedSlot, u.Instr = false, 0, 0, isa.Instr{}
+	u.Bank, u.At, u.Stolen, u.AllocCycle = [3]int8{}, [3]int64{}, false, 0
 	c.free |= 1 << uint(i)
 	c.ready &^= 1 << uint(i)
 }

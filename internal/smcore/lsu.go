@@ -3,14 +3,13 @@ package smcore
 import (
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/regfile"
 	"repro/internal/trace"
 )
 
-// lsuEntry is one memory instruction queued at the SM-shared LSU.
+// lsuEntry is one memory instruction queued at the SM-shared LSU. Its
+// sub-core is its warp's: routing is read from the warp, never carried.
 type lsuEntry struct {
 	warpIdx int32
-	subCore int8
 	in      isa.Instr
 }
 
@@ -54,14 +53,14 @@ func newLSU(sm *SM, capacity int) *LSU {
 // enqueue accepts a memory instruction from a sub-core dispatch port;
 // false when the queue is full (the collector unit stays staged). The
 // window slides back to the front of backing only when it reaches the end.
-func (l *LSU) enqueue(warpIdx int32, subCore int, in isa.Instr) bool {
+func (l *LSU) enqueue(warpIdx int32, in isa.Instr) bool {
 	if len(l.queue) >= l.capacity {
 		return false
 	}
 	if len(l.queue) == cap(l.queue) {
 		l.queue = l.backing[:copy(l.backing, l.queue)]
 	}
-	l.queue = append(l.queue, lsuEntry{warpIdx: warpIdx, subCore: int8(subCore), in: in})
+	l.queue = append(l.queue, lsuEntry{warpIdx: warpIdx, in: in})
 	return true
 }
 
@@ -77,13 +76,13 @@ func (l *LSU) serve(now int64) {
 	in := &e.in
 	w.MemCounter++
 	if l.tr != nil {
-		l.tr.Emit(trace.KLSUAdmit, e.subCore, e.warpIdx, int32(in.Op), 0)
+		l.tr.Emit(trace.KLSUAdmit, w.SubCore, e.warpIdx, int32(in.Op), 0)
 	}
 	switch in.Op.SpaceOf() {
 	case isa.SpaceGlobal:
 		n := mem.Transactions(in.Mem, l.sm.cfg.LineBytes)
 		if l.tr != nil {
-			l.tr.Emit(trace.KCoalesce, e.subCore, e.warpIdx, int32(n), 0)
+			l.tr.Emit(trace.KCoalesce, w.SubCore, e.warpIdx, int32(n), 0)
 		}
 		l.portFree = now + int64(n) // tick admits only onto a free port
 		write := in.Op == isa.OpSTG
@@ -95,7 +94,7 @@ func (l *LSU) serve(now int64) {
 			}
 		}
 		if !write && in.Dst.Valid() {
-			l.scheduleLoadWB(e, done)
+			l.sm.scheduleWriteback(done, e.warpIdx, in.Dst)
 		}
 	case isa.SpaceShared:
 		d := sharedConflictDegree(in.Mem, l.sm.cfg.SharedMemBanks)
@@ -104,23 +103,16 @@ func (l *LSU) serve(now int64) {
 			l.sm.st.SharedConflicts += int64(d - 1)
 		}
 		if in.Op == isa.OpLDS && in.Dst.Valid() {
-			l.scheduleLoadWB(e, now+sharedLatency+int64(d))
+			l.sm.scheduleWriteback(now+sharedLatency+int64(d), e.warpIdx, in.Dst)
 		}
 	case isa.SpaceConst:
 		l.portFree = now + 1
 		if in.Dst.Valid() {
-			l.scheduleLoadWB(e, now+constLatency)
+			l.sm.scheduleWriteback(now+constLatency, e.warpIdx, in.Dst)
 		}
 	default:
 		l.portFree = now + 1
 	}
-}
-
-func (l *LSU) scheduleLoadWB(e *lsuEntry, done int64) {
-	w := &l.sm.warps[e.warpIdx]
-	sc := l.sm.subcores[e.subCore]
-	bank := bankOfWarpReg(sc, w, e.in.Dst)
-	l.sm.scheduleWriteback(done, e.warpIdx, e.in.Dst, bank, int(e.subCore))
 }
 
 // lineAddrs fills dst with the first len(dst) line addresses of a
@@ -181,12 +173,6 @@ func sharedConflictDegree(t isa.MemTrait, banks int) int {
 	default:
 		return 1
 	}
-}
-
-// bankOfWarpReg computes the destination bank for a warp register in its
-// sub-core's file.
-func bankOfWarpReg(sc *SubCore, w *Warp, r isa.Reg) int8 {
-	return int8(regfile.BankWithOffset(int(w.BankOff), r, sc.cfg.BanksPerSubCore))
 }
 
 // pending reports queued entries (for drain checks).

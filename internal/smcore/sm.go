@@ -50,12 +50,12 @@ type block struct {
 type subRoom struct{ slots, regs int }
 
 // wbEvent is a scheduled register writeback (execution or load return).
+// Its sub-core and bank are its warp's (SubCore, and BankOff with the
+// register): drain reads them from the warp, so no entry can misroute.
 type wbEvent struct {
 	cycle   int64
 	warpIdx int32
 	reg     isa.Reg
-	bank    int8
-	subCore int8
 }
 
 // wbHeap is a min-heap of writeback events ordered by cycle. It is a
@@ -327,8 +327,8 @@ func (sm *SM) fallbackSubCore(regsPerThread int) int {
 
 // scheduleWriteback books a register write at the given cycle; the write
 // then contends for its bank's port before clearing the scoreboard.
-func (sm *SM) scheduleWriteback(cycle int64, warpIdx int32, reg isa.Reg, bank int8, subCore int) {
-	sm.wb.push(wbEvent{cycle: cycle, warpIdx: warpIdx, reg: reg, bank: bank, subCore: int8(subCore)})
+func (sm *SM) scheduleWriteback(cycle int64, warpIdx int32, reg isa.Reg) {
+	sm.wb.push(wbEvent{cycle: cycle, warpIdx: warpIdx, reg: reg})
 }
 
 // warpExited handles an EXIT issue: the warp stops fetching but keeps its
@@ -487,13 +487,15 @@ func (sm *SM) drain(now int64) {
 			q[i] = q[c]
 			i = c
 		}
-		sc := sm.subcores[e.subCore]
-		if sm.sleeps(int(e.subCore)) {
+		w := &sm.warps[e.warpIdx]
+		sc := sm.subcores[w.SubCore]
+		if sm.sleeps(int(w.SubCore)) {
 			sc.wake(now)
 		}
-		sc.coll.EnqueueWrite(regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: e.bank})
+		bank := int8(regfile.BankWithOffset(int(w.BankOff), e.reg, sm.cfg.BanksPerSubCore))
+		sc.coll.EnqueueWrite(regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: bank})
 		if sm.tr != nil {
-			sm.tr.Emit(trace.KWriteback, e.subCore, e.warpIdx, int32(e.reg), int32(e.bank))
+			sm.tr.Emit(trace.KWriteback, w.SubCore, e.warpIdx, int32(e.reg), int32(bank))
 		}
 		if len(q) == 0 || q[0].cycle > now {
 			break

@@ -86,11 +86,8 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 		}
 	}
 	for i, e := range sm.wb {
-		switch {
-		case i > 0 && sm.wb[(i-1)/2].cycle > e.cycle:
+		if i > 0 && sm.wb[(i-1)/2].cycle > e.cycle {
 			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d (cycle %d) precedes its parent", sm.id, i, e.cycle)
-		case e.subCore < 0 || int(e.subCore) >= len(sm.subcores) || e.bank < 0 || int(e.bank) >= sm.cfg.BanksPerSubCore:
-			return fmt.Errorf("smcore: sm%d: snapshot writeback heap entry %d names sub-core %d bank %d", sm.id, i, e.subCore, e.bank)
 		}
 	}
 	if n := len(sm.lsu.queue); n > sm.lsu.capacity {

@@ -248,9 +248,9 @@ func TestSMRestoreRefusesHostileLengths(t *testing.T) {
 // writeback heap per case, encodes the SM, and expects RestoreState to refuse
 // the frame by naming the heap, or the scoreboard law for an entry that names
 // an empty or out-of-range warp. Each frame is CRC-valid; restored, it would run until the
-// entry came due and then panic indexing a sub-core, a bank or a warp slot,
-// clear a bit of a warp that is not there, or (out of heap order) deliver
-// writebacks out of time.
+// entry came due and then panic indexing a warp slot, clear a bit of a warp
+// that is not there, or (out of heap order) deliver writebacks out of time.
+// An entry names no sub-core or bank: drain derives both from its warp.
 func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 	cfg := config.VoltaV100()
 	cfg.NumSMs = 1
@@ -264,9 +264,6 @@ func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 		tamper     func(wb wbHeap)
 	}{
 		{"out of heap order", "writeback heap", func(wb wbHeap) { wb[len(wb)-1].cycle = wb[0].cycle - 1 }},
-		{"sub-core past the last", "writeback heap", func(wb wbHeap) { wb[0].subCore = int8(cfg.SubCoresPerSM) }},
-		{"negative sub-core", "writeback heap", func(wb wbHeap) { wb[0].subCore = -1 }},
-		{"bank past the last", "writeback heap", func(wb wbHeap) { wb[0].bank = int8(cfg.BanksPerSubCore) }},
 		{"empty warp slot", "scoreboard @", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM - 1) }},
 		{"warp slot past the table", "scoreboard @", func(wb wbHeap) { wb[0].warpIdx = int32(cfg.MaxWarpsPerSM) }},
 	} {
@@ -291,6 +288,88 @@ func TestSMRestoreRefusesBadWritebackHeap(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSMOneBitChangesRefusedOrSound changes each bit of the SM's part of a
+// mid-kernel frame in turn — the hierarchy's bytes before it are left alone —
+// and restores each change onto a fresh SM. The frame holds a queued memory
+// instruction and a scheduled writeback. Every change must be refused, or
+// run to drain without a panic and with a clean Audit: a queued writeback or
+// load names only its warp, so no change can send one to a sub-core, or a
+// bank, that is not its warp's.
+func TestSMOneBitChangesRefusedOrSound(t *testing.T) {
+	cfg := config.VoltaV100()
+	cfg.NumSMs, cfg.L1KBPerSM, cfg.L2KB = 1, 1, 4
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	prog := memMixProg(2)
+	progFor := func(int64) (*program.Program, error) { return prog, nil }
+	hier := mem.NewHierarchy(cfg)
+	sm := NewSM(0, &cfg, hier, stats.NewRun(1, cfg.SubCoresPerSM))
+	if err := sm.Allocate(specOf([]*program.Program{prog, prog, prog, prog}, 16, 0)); err != nil {
+		t.Fatal(err)
+	}
+	c := int64(0)
+	for ; len(sm.lsu.queue) == 0 || len(sm.wb) == 0; c++ {
+		if c > 1000 {
+			t.Fatal("the LSU queue and the writeback heap never held entries at once")
+		}
+		sm.Tick(c)
+	}
+	sm.Sync(c)
+	payload, err := snapshot.Payload(snapSMState(t, sm, hier))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := snapshot.NewEncoder()
+	hier.EncodeState(e)
+	var h bytes.Buffer
+	if err := e.Finish(&h); err != nil {
+		t.Fatal(err)
+	}
+	hierPayload, err := snapshot.Payload(h.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for i := len(hierPayload) * 8; i < len(payload)*8; i++ {
+		changed := slices.Clone(payload)
+		changed[i/8] ^= 1 << (i % 8)
+		fresh := NewSM(0, &cfg, mem.NewHierarchy(cfg), stats.NewRun(1, cfg.SubCoresPerSM))
+		if restoreSMState(t, fresh, mem.NewHierarchy(cfg), snapshot.Frame(changed), progFor) != nil {
+			continue
+		}
+		accepted++
+		if err := drainChanged(fresh); err != nil {
+			t.Errorf("payload byte %d bit %d (SM byte %d): restored, then %v", i/8, i%8, i/8-len(hierPayload), err)
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("Restore accepted no change of the frame: nothing ran")
+	}
+	t.Logf("%d of %d one-bit changes of the SM's %d bytes restored and ran to drain", accepted, (len(payload)-len(hierPayload))*8, len(payload)-len(hierPayload))
+}
+
+// drainChanged ticks a restored SM at each of its wake-ups until it drains,
+// and reports a panic, a machine that does not drain, or a drained machine
+// Audit flags.
+func drainChanged(sm *SM) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panicked: %v", r)
+		}
+	}()
+	for now := sm.Synced(); !sm.Drained(); now = max(now+1, sm.Wake()) {
+		if now > 100_000 {
+			return fmt.Errorf("not drained by cycle 100000 (last ticked at cycle %d)", sm.Synced()-1)
+		}
+		sm.Tick(now)
+	}
+	if vs := sm.Audit(); len(vs) > 0 {
+		return fmt.Errorf("drained to a machine Audit flags: %v", vs)
+	}
+	return nil
 }
 
 // TestSMRestoreRefusesMisplacedWarp edits a mid-kernel SM per case so that

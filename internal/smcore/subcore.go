@@ -288,7 +288,7 @@ func (sc *SubCore) dispatch(cu *regfile.CollectorUnit, now int64) bool {
 	in := &cu.Instr
 	class := in.Op.UnitOf()
 	if class == isa.ClassMEM {
-		if !sc.sm.lsu.enqueue(cu.WarpIdx, sc.id, *in) {
+		if !sc.sm.lsu.enqueue(cu.WarpIdx, *in) {
 			return false
 		}
 		if sc.tr != nil {
@@ -300,8 +300,7 @@ func (sc *SubCore) dispatch(cu *regfile.CollectorUnit, now int64) bool {
 		return false
 	}
 	if in.Dst.Valid() {
-		w := &sc.sm.warps[cu.WarpIdx]
-		sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), cu.WarpIdx, in.Dst, bankOfWarpReg(sc, w, in.Dst), sc.id)
+		sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), cu.WarpIdx, in.Dst)
 	}
 	if sc.tr != nil {
 		sc.tr.Emit(trace.KDispatch, int8(sc.id), cu.WarpIdx, int32(in.Op), 0)
@@ -528,7 +527,7 @@ func (sc *SubCore) tryIssue(w *Warp, now int64) (ok, noCU, euBusy, memBusy bool)
 func (sc *SubCore) issueDirect(w *Warp, in *isa.Instr, now int64) (ok, noCU, euBusy, memBusy bool) {
 	class := in.Op.UnitOf()
 	if class == isa.ClassMEM {
-		if !sc.sm.lsu.enqueue(sc.slotIndex(w), sc.id, *in) {
+		if !sc.sm.lsu.enqueue(sc.slotIndex(w), *in) {
 			return false, false, false, true
 		}
 	} else if class != isa.ClassNone {
@@ -536,7 +535,7 @@ func (sc *SubCore) issueDirect(w *Warp, in *isa.Instr, now int64) (ok, noCU, euB
 			return false, false, true, false
 		}
 		if in.Dst.Valid() {
-			sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), sc.slotIndex(w), in.Dst, bankOfWarpReg(sc, w, in.Dst), sc.id)
+			sc.sm.scheduleWriteback(now+int64(in.Op.Latency()), sc.slotIndex(w), in.Dst)
 		}
 	}
 	if in.Dst.Valid() {

@@ -60,22 +60,27 @@ func (h *swapHeap) pop() wbEvent {
 // the order the swap heap pops that cycle's events in. The array is not just
 // a priority queue's storage: among writebacks due in one cycle it decides
 // which reaches a bank's write port first, and a frame carries it. Events
-// spread over four sub-cores and two banks, and their cycles come from a
-// window a few cycles wide, so most comparisons tie — the only place a hole
-// sift can differ from a swap sift. The heap grows to 512 entries and drains
+// name warps whose sub-cores and bank offsets are drawn per seed, so they
+// spread over four sub-cores and two banks, and the queue each event is
+// expected in comes from its warp, as drain derives it. Their cycles come
+// from a window a few cycles wide, so most comparisons tie — the only place
+// a hole sift can differ from a swap sift. The heap grows to 512 entries and drains
 // to none, one cycle at a time. Every sub-core sleeps before a drain, its
 // awake bit cleared; one that receives a write must set its bit, and one
 // that receives none must not. Tick drains only when the heap's root is due,
 // and so does the test.
 func TestWBHeapMatchesSwapHeap(t *testing.T) {
 	sm, _ := testSM(t, nil)
-	subs, banks := len(sm.subcores), sm.cfg.BanksPerSubCore
+	subs, banks, nw := len(sm.subcores), sm.cfg.BanksPerSubCore, int32(len(sm.warps))
 	if subs != 4 || banks != 2 {
 		t.Fatalf("fixture has %d sub-cores x %d banks, want 4 x 2", subs, banks)
 	}
 	wantQ := make([][]regfile.WriteReq, subs*banks)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		for i := range sm.warps {
+			sm.warps[i].SubCore, sm.warps[i].BankOff = int8(rng.Intn(subs)), int16(rng.Intn(banks))
+		}
 		window := 1 + rng.Intn(8)
 		sm.wb = sm.wb[:0]
 		var want swapHeap
@@ -87,8 +92,7 @@ func TestWBHeapMatchesSwapHeap(t *testing.T) {
 		}
 		for round := 0; round < 40; round++ {
 			for target := rng.Intn(513); len(want) < target; seq++ {
-				e := wbEvent{cycle: now + int64(rng.Intn(window)), warpIdx: seq,
-					subCore: int8(rng.Intn(subs)), bank: int8(rng.Intn(banks)), reg: isa.Reg(seq % 256)}
+				e := wbEvent{cycle: now + int64(rng.Intn(window)), warpIdx: seq % nw, reg: isa.Reg(seq / nw % 256)}
 				sm.wb.push(e)
 				want.push(e)
 				same("push")
@@ -99,8 +103,10 @@ func TestWBHeapMatchesSwapHeap(t *testing.T) {
 				}
 				for len(want) > 0 && want[0].cycle <= now {
 					e := want.pop()
-					q := int(e.subCore)*banks + int(e.bank)
-					wantQ[q] = append(wantQ[q], regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: e.bank})
+					w := &sm.warps[e.warpIdx]
+					bank := regfile.BankWithOffset(int(w.BankOff), e.reg, banks)
+					q := int(w.SubCore)*banks + bank
+					wantQ[q] = append(wantQ[q], regfile.WriteReq{WarpIdx: e.warpIdx, Reg: e.reg, Bank: int8(bank)})
 				}
 				for _, sc := range sm.subcores {
 					sc.coll = regfile.NewCollector(sm.cfg.CollectorUnitsPerSubCore, banks, 0, sc.st)
