@@ -205,8 +205,9 @@ type GPU struct {
 	// differential testing; leave it false for speed. Not part of Machine.
 	NoFastForward bool
 
-	// Seed drives every stochastic choice (shuffle permutations, random
-	// memory patterns) so runs are reproducible.
+	// Seed drives the shuffle assigner's permutations so runs are
+	// reproducible. A warp's random memory addresses are seeded from its
+	// GID alone, whatever Seed is.
 	Seed int64
 }
 

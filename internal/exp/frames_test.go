@@ -15,9 +15,11 @@ import (
 // a barrier, and a parked warp's buffer fill level and cursor position travel
 // in a frame: the hash pins them in the layout version 11 gave them (a fill
 // level, no copy of the buffer, and the cursor at the issue point; version 12
-// moved only the collectors' state, and version 13 only the writeback heap's
-// and LSU queue's entries), and refilling a warp's buffer as it issues BAR
-// moves it, though no statistic moves.
+// moved only the collectors' state, version 13 only the writeback heap's
+// and LSU queue's entries, and version 14 a warp's xorshift state, now a
+// draw count, and its fill level, now beside its lifecycle state), and
+// refilling a warp's buffer as it issues BAR moves it, though no statistic
+// moves.
 func TestParkedWarpFrameUnchanged(t *testing.T) {
 	app, err := workloads.ByName("pb-sgemm")
 	if err != nil {
@@ -41,7 +43,7 @@ func TestParkedWarpFrameUnchanged(t *testing.T) {
 	if err := g.RunKernels(app.Kernels, 0); err != nil {
 		t.Fatal(err)
 	}
-	const want = "5a1eb3663ec7e853f885db9697b897c4dbd8794a90938b151a67ef8c6cc61742"
+	const want = "90382949db63f6b8451008ba943719c6d3ed473e8f5f58212b788f3cad3970db"
 	if got := fmt.Sprintf("%x", sha256.Sum256(frame)); at != 1024 || got != want {
 		t.Errorf("the first heartbeat's frame (cycle %d, %d bytes) hashes to %s, the parent's (cycle 1024) to %s", at, len(frame), got, want)
 	}

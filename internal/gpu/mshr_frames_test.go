@@ -78,17 +78,17 @@ func mshrRows(t *testing.T, g *GPU) []int {
 
 // TestParentFramesReencode: the build whose MSHRs were a map and a
 // completion heap wrote gatherApp's frames at its third and fourth
-// heartbeats; their memory hierarchy travels on in testdata/gather_v13_hb*.snap
-// (TestV13FixturesKeepV12Hierarchy). Restoring the first and running to the
+// heartbeats; their memory hierarchy travels on in testdata/gather_v14_hb*.snap
+// (TestV14FixturesKeepV13Hierarchy). Restoring the first and running to the
 // next heartbeat must encode the second byte for byte: the table drops
 // exactly the fills the map and heap dropped, the shared L2's included,
 // whose same-cycle inserts from four SMs arrive out of time order.
 func TestParentFramesReencode(t *testing.T) {
-	first, err := os.ReadFile("testdata/gather_v13_hb3.snap")
+	first, err := os.ReadFile("testdata/gather_v14_hb3.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile("testdata/gather_v13_hb4.snap")
+	second, err := os.ReadFile("testdata/gather_v14_hb4.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,20 +127,21 @@ func TestParentFramesReencode(t *testing.T) {
 	}
 }
 
-// TestV13FixturesKeepV12Hierarchy: testdata/gather_v13_hb*.snap are the
+// TestV14FixturesKeepV13Hierarchy: testdata/gather_v14_hb*.snap are the
 // frames this build writes at gatherApp's third and fourth heartbeats, and
-// their payloads are testdata/gather_v12_hb*.snap's byte for byte through the
-// end of the memory hierarchy: version 13 changed the SMs' writeback heap and
-// LSU queue only, so the MSHR contents the map-and-heap build wrote, which
-// versions 10 to 12 carried on, carry over. The version 12 frames are refused
-// with the version message.
-func TestV13FixturesKeepV12Hierarchy(t *testing.T) {
+// their payloads are testdata/gather_v13_hb*.snap's byte for byte through the
+// end of the memory hierarchy: version 14 changed the SMs' warps only (a
+// draw count where the xorshift state was, and the fill level moved beside
+// the lifecycle state), so the MSHR contents the
+// map-and-heap build wrote, which versions 10 to 13 carried on, carry over.
+// The version 13 frames are refused with the version message.
+func TestV14FixturesKeepV13Hierarchy(t *testing.T) {
 	for _, hb := range []string{"3", "4"} {
-		v12, err := os.ReadFile("testdata/gather_v12_hb" + hb + ".snap")
+		v13, err := os.ReadFile("testdata/gather_v13_hb" + hb + ".snap")
 		if err != nil {
 			t.Fatal(err)
 		}
-		v13, err := os.ReadFile("testdata/gather_v13_hb" + hb + ".snap")
+		v14, err := os.ReadFile("testdata/gather_v14_hb" + hb + ".snap")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +149,10 @@ func TestV13FixturesKeepV12Hierarchy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Restore(bytes.NewReader(v12), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 12, this build reads only 13") {
-			t.Errorf("heartbeat %s: restoring the v12 frame: %v, want the version refusal", hb, err)
+		if err := g.Restore(bytes.NewReader(v13), gatherApp()); err == nil || !strings.Contains(err.Error(), "format version 13, this build reads only 14") {
+			t.Errorf("heartbeat %s: restoring the v13 frame: %v, want the version refusal", hb, err)
 		}
-		if err := g.Restore(bytes.NewReader(v13), gatherApp()); err != nil {
+		if err := g.Restore(bytes.NewReader(v14), gatherApp()); err != nil {
 			t.Fatal(err)
 		}
 		// The SMs' state closes the payload: what precedes it ends with the
@@ -168,14 +169,14 @@ func TestV13FixturesKeepV12Hierarchy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := anyVersionPayload(t, v12)
-		now, err := snapshot.Payload(v13)
+		old := anyVersionPayload(t, v13)
+		now, err := snapshot.Payload(v14)
 		if err != nil {
 			t.Fatal(err)
 		}
 		end := len(now) - len(sms)
 		if !bytes.HasSuffix(now, sms) || end > len(old) || !bytes.Equal(now[:end], old[:end]) {
-			t.Errorf("heartbeat %s: the v13 payload's first %d bytes, through the memory hierarchy, differ from the v12 payload's", hb, end)
+			t.Errorf("heartbeat %s: the v14 payload's first %d bytes, through the memory hierarchy, differ from the v13 payload's", hb, end)
 		}
 	}
 }

@@ -390,8 +390,8 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		name, want string
 		frame      []byte
 	}{
-		{"mid-kernel", "951df49f275fb13dfdf10ab9135963c8599c4ba87bd54a5a5ee90219af0296b9", mid},
-		{"drained", "ce5fe202eee80cfa9e19cd77213bfa69f53d5cbcae7ebc03dd9a936d9ee5ac3f", frameOf(t, g)},
+		{"mid-kernel", "1fe37f68d59e4c550da53273b6e39a8e1372682fa7f7bd8f124828dfdf163706", mid},
+		{"drained", "5f87b45b463e68ad3549f986c9f5043e152ef011bb3482dce21e1f308d3bfb9f", frameOf(t, g)},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.frame)); got != tc.want {
 			t.Errorf("%s frame (%d bytes) hashes to %s, the parent's to %s", tc.name, len(tc.frame), got, tc.want)

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -22,23 +24,41 @@ import (
 
 // testApp builds a small deterministic FMA workload (milliseconds on the
 // one-SM test config).
-func testApp(name string, iters int) workloads.App { return fmaApp(name, iters, 0) }
-
-// sharedApp is testApp with one scratchpad load per iteration, so a frame
-// holds collector units staging LDS: a frame change that makes one read STS
-// leaves its destination reserved with no writeback coming, which the
-// auditor sees only at the next heartbeat (writeCorruptFrame).
-func sharedApp(name string, iters int) workloads.App { return fmaApp(name, iters, 1) }
-
-func fmaApp(name string, iters, sharedOps int) workloads.App {
+func testApp(name string, iters int) workloads.App {
 	p := workloads.Profile{
 		Name: name, Blocks: 2, WarpsPerBlock: 4, RegsPerThread: 8,
-		Iters: iters, ILP: 2, FMAs: 4, SharedOps: sharedOps,
+		Iters: iters, ILP: 2, FMAs: 4,
 	}
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	return workloads.App{Name: name, Suite: "test", Kernels: []*gpu.Kernel{p.Kernel()}}
+}
+
+// lawApp is testApp with one STS naming a destination register before each
+// warp's EXIT. Issue reserves that register and no writeback ever clears
+// it, so the auditor flags the first audit after the store, and without the
+// auditor the warps never exit: a broken input, which the kernel's
+// validation accepts (docs/ROBUSTNESS.md). Every frame written before the
+// store is sound.
+func lawApp(name string, iters int) workloads.App {
+	app := testApp(name, iters)
+	k := *app.Kernels[0]
+	prog := k.WarpProgram
+	k.WarpProgram = func(b, w int) *program.Program {
+		segs := slices.Clone(prog(b, w).Segments())
+		last := &segs[len(segs)-1]
+		sts := isa.MakeStore(isa.OpSTS, 3, 4, isa.MemTrait{Pattern: isa.PatCoalesced})
+		sts.Dst = 9
+		last.Body = slices.Insert(slices.Clone(last.Body), len(last.Body)-1, sts)
+		p, err := program.New(segs...)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	app.Kernels = []*gpu.Kernel{&k}
+	return app
 }
 
 func testCfg(name string) config.GPU {

@@ -21,7 +21,9 @@ import (
 // keyed on the MachineID; 4 and 8, whose machine still had WarpSize and
 // LSUWidthPerSM; 9, whose SMs still counted live warps; 10, whose warps
 // still carried a copy of their instruction buffer; 11, whose collectors
-// still queued every operand read):
+// still queued every operand read; 12, whose queued writebacks still named
+// their sub-core and bank; 13, whose warps still carried their xorshift
+// state):
 //
 //	subcoresim -app pb-mriq -config gto -sms 1 -checkpoint vN.ckpt
 //	subcoresim -app tpcU-q8 -config-file tiny.json -snapshot-dir . -snapshot-interval 1   # SIGTERM at 0.03-0.06 s
@@ -79,7 +81,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 	if fault != nil {
 		t.Fatal(fault)
 	}
-	for _, v := range []struct{ file, version string }{{"v7_tpcU-q8__V100.snap", "7"}, {"v8_tpcU-q8__V100.snap", "8"}, {"v9_tpcU-q8__V100.snap", "9"}, {"v10_tpcU-q8__V100.snap", "10"}, {"v11_tpcU-q8__V100.snap", "11"}, {"v12_tpcU-q8__V100.snap", "12"}} {
+	for _, v := range []struct{ file, version string }{{"v7_tpcU-q8__V100.snap", "7"}, {"v8_tpcU-q8__V100.snap", "8"}, {"v9_tpcU-q8__V100.snap", "9"}, {"v10_tpcU-q8__V100.snap", "10"}, {"v11_tpcU-q8__V100.snap", "11"}, {"v12_tpcU-q8__V100.snap", "12"}, {"v13_tpcU-q8__V100.snap", "13"}} {
 		frame, err := os.ReadFile("testdata/" + v.file)
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +99,7 @@ func TestParentFrameRefusedCellRestarts(t *testing.T) {
 			t.Fatal(fault)
 		}
 		if log := strings.Join(logs, "\n"); !strings.Contains(log, "snapshot unusable, restarting fresh") ||
-			!strings.Contains(log, "snapshot: format version "+v.version+", this build reads only 13 — re-run from scratch") {
+			!strings.Contains(log, "snapshot: format version "+v.version+", this build reads only 14 — re-run from scratch") {
 			t.Errorf("the version %s refusal was not logged with the version message: %q", v.version, logs)
 		}
 		if runStatsJSON(t, run) != runStatsJSON(t, golden) {

@@ -253,13 +253,9 @@ func smallCfg(name string) config.GPU {
 	return g
 }
 
-// writeChangedFrame leaves in dir the frame a cell of app labelled cfgName
-// resumes from: the one its device writes at the first heartbeat, with one
-// bit of the payload changed — the first change for which pick holds,
-// trying bit 0 of every byte in payload order, then bit 1, and so on. pick
-// sees the change restored onto a device armed with WithAudit(1), and the
-// error Restore returned.
-func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App, pick func(*gpu.GPU, error) bool) {
+// firstFrame returns the frame a cell of app on cfg writes at its first
+// heartbeat.
+func firstFrame(t *testing.T, cfg config.GPU, app workloads.App) []byte {
 	t.Helper()
 	g, err := gpu.New(cfg)
 	if err != nil {
@@ -276,7 +272,30 @@ func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 	if err := g.RunKernels(app.Kernels, 0); !errors.Is(err, stop) {
 		t.Fatalf("the device ran to %v, want it stopped after its first frame", err)
 	}
-	payload, err := snapshot.Payload(frame.Bytes())
+	return frame.Bytes()
+}
+
+// writeFrame leaves frame in dir as the one a cell of app labelled cfgName
+// resumes from.
+func writeFrame(t *testing.T, dir, cfgName string, app workloads.App, frame []byte) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath(dir, app.Name, cfgName), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeChangedFrame leaves in dir the frame a cell of app labelled cfgName
+// resumes from: the one its device writes at the first heartbeat, with one
+// bit of the payload changed — the first change for which pick holds,
+// trying bit 0 of every byte in payload order, then bit 1, and so on. pick
+// sees the change restored onto a device armed with WithAudit(1), and the
+// error Restore returned.
+func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App, pick func(*gpu.GPU, error) bool) {
+	t.Helper()
+	payload, err := snapshot.Payload(firstFrame(t, cfg, app))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,43 +307,28 @@ func writeChangedFrame(t *testing.T, dir string, cfg config.GPU, cfgName string,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pick(g, g.Restore(bytes.NewReader(bad), app.Kernels)) {
-			continue
+		if pick(g, g.Restore(bytes.NewReader(bad), app.Kernels)) {
+			writeFrame(t, dir, cfgName, app, bad)
+			return
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(snapPath(dir, app.Name, cfgName), bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
 	t.Fatal("no one-bit change of the frame is the one wanted")
 }
 
-// writeCorruptFrame leaves in dir a frame that restores, every law intact,
-// and faults at the next heartbeat under the auditor: the state is wrong
-// and nothing has noticed. Of sharedApp's frame, such a change turns a
-// collector unit's staged LDS into an STS (bit 0 of its opcode): the
-// scoreboard law counts a staged unit's destination whatever its opcode, so
-// the frame restores, and the store never writes the register back.
+// writeCorruptFrame leaves in dir, unchanged, the frame a cell of app (a
+// lawApp) writes at its first heartbeat: it restores, every law intact, and
+// the run resumed from it faults at the first audit after the store. The
+// input is what is broken, not the frame, so the fault is the auditor's.
 func writeCorruptFrame(t *testing.T, dir string, cfg config.GPU, cfgName string, app workloads.App) {
 	t.Helper()
-	writeChangedFrame(t, dir, cfg, cfgName, app, func(g *gpu.GPU, err error) bool {
-		if err != nil {
-			return false
-		}
-		g.SetSnapshotHook(func(*gpu.GPU) error { return errors.New("past the next heartbeat") })
-		var ae *gpu.AuditError
-		return errors.As(g.ContinueKernels(app.Kernels, 0), &ae)
-	})
+	writeFrame(t, dir, cfgName, app, firstFrame(t, cfg, app))
 }
 
-// A cell that resumes a corrupt frame with the auditor armed faults as a
-// structured FaultAudit carrying the *gpu.AuditError, not as silent bad
-// statistics.
+// A cell that resumes a frame of a law-breaking input with the auditor
+// armed faults as a structured FaultAudit carrying the *gpu.AuditError, not
+// as silent bad statistics.
 func TestCorruptFrameBecomesAuditFault(t *testing.T) {
-	cfg, app := smallCfg("base"), sharedApp("corrupt", 20_000)
+	cfg, app := smallCfg("base"), lawApp("corrupt", 20_000)
 	dir := t.TempDir()
 	writeCorruptFrame(t, dir, cfg, cfg.Name, app)
 	reg := metrics.New()
@@ -359,11 +363,12 @@ func TestCorruptFrameBecomesAuditFault(t *testing.T) {
 }
 
 // An audit fault discards the cell's frame, which may hold the corruption:
-// the re-run starts fresh and completes to an undisturbed run's statistics,
-// and no frame is left to resume the corruption into a checkpoint.
+// the re-run, of the healthy app under the same name, starts fresh and
+// completes to an undisturbed run's statistics, and no frame is left to
+// resume the corruption into a checkpoint.
 func TestAuditFaultDiscardsFrame(t *testing.T) {
-	cfg, app := smallCfg("base"), sharedApp("corrupt", 5_000)
-	golden, fault := runOne(t, context.Background(), cfg, app, Options{})
+	cfg, app, healthy := smallCfg("base"), lawApp("corrupt", 5_000), testApp("corrupt", 5_000)
+	golden, fault := runOne(t, context.Background(), cfg, healthy, Options{})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -373,7 +378,12 @@ func TestAuditFaultDiscardsFrame(t *testing.T) {
 	if _, fault := runOne(t, context.Background(), cfg.WithAudit(1), app, opt); fault == nil || fault.Kind != FaultAudit {
 		t.Fatalf("first pass: fault %v, want an audit fault", fault)
 	}
-	run, fault := runOne(t, context.Background(), cfg.WithAudit(1), app, opt)
+	// The healthy app shares every instruction the frame has run, so only
+	// the discard keeps the second pass from resuming it.
+	if left := dirEntries(t, dir); len(left) != 0 {
+		t.Errorf("frames left after the audit fault: %v", left)
+	}
+	run, fault := runOne(t, context.Background(), cfg.WithAudit(1), healthy, opt)
 	if fault != nil {
 		t.Fatalf("second pass resumed the corruption: %v", fault)
 	}
@@ -427,9 +437,9 @@ func TestLawBreakingFrameIsRefused(t *testing.T) {
 }
 
 // A sweep with snapshots armed behaves identically to one without: a cell
-// that resumes a corrupt frame classifies as audit and a hung one as
-// watchdog, the healthy cells complete, and a re-run of the healthy twins
-// heals every fault — restarting the audited cell fresh, and resuming each
+// whose input breaks a law classifies as audit, whether it resumes a frame
+// or starts fresh, a hung one as watchdog, and a re-run of the healthy twins
+// heals every fault — restarting the audited cells fresh, and resuming each
 // hung cell's cancel frame.
 func TestChaosSweepWithSnapshots(t *testing.T) {
 	// The watchdog is a wall-clock deadline on forward progress, and these
@@ -443,11 +453,11 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 		wd = time.Second
 	}
 	cfgs := []config.GPU{smallCfg("cfgA").WithAudit(1), smallCfg("cfgB").WithAudit(1)}
-	twins := []workloads.App{sharedApp("app0", 20_000), testApp("app1", 20_000)}
-	apps := []workloads.App{twins[0], hangApp("app1", 20_000, 4*wd)}
+	twins := []workloads.App{testApp("app0", 20_000), testApp("app1", 20_000)}
+	apps := []workloads.App{lawApp("app0", 20_000), hangApp("app1", 20_000, 4*wd)}
 	dir := t.TempDir()
 	snaps := filepath.Join(dir, "snaps")
-	writeCorruptFrame(t, snaps, smallCfg("cfgA"), "cfgA", twins[0])
+	writeCorruptFrame(t, snaps, smallCfg("cfgA"), "cfgA", apps[0])
 	reg := metrics.New()
 	opt := Options{
 		Workers:          2,
@@ -464,10 +474,10 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFaults(t, res, map[string]FaultKind{
-		"app0/cfgA": FaultAudit,
+		"app0/cfgA": FaultAudit, "app0/cfgB": FaultAudit,
 		"app1/cfgA": FaultWatchdog, "app1/cfgB": FaultWatchdog,
 	})
-	// The audited cell's frame is gone; each hung cell left its cancel frame.
+	// The audited cells' frames are gone; each hung cell left its cancel frame.
 	want := []string{snapPath(snaps, "app1", "cfgA"), snapPath(snaps, "app1", "cfgB")}
 	if left := dirEntries(t, snaps); !slices.Equal(left, want) {
 		t.Errorf("frames after the first pass: %v, want %v", left, want)
@@ -482,10 +492,11 @@ func TestChaosSweepWithSnapshots(t *testing.T) {
 	if !res2.Complete() {
 		t.Fatalf("resume left faults: %v", res2.Errs.Err())
 	}
-	if res2.Resumed != 1 || res2.Executed != 3 {
-		t.Errorf("resume: resumed %d, executed %d; want 1, 3", res2.Resumed, res2.Executed)
+	if res2.Resumed != 0 || res2.Executed != 4 {
+		t.Errorf("resume: resumed %d, executed %d; want 0, 4", res2.Resumed, res2.Executed)
 	}
-	// The corrupt frame and both cancel frames were resumed.
+	// The law-breaking cell's first-heartbeat frame and both cancel frames
+	// were resumed.
 	if got := newSweepMetrics(reg).snapResumes.Value(); got != 3 {
 		t.Errorf("sweep_snapshot_resumes_total = %d, want 3", got)
 	}

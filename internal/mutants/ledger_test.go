@@ -149,10 +149,7 @@ var ledger = []Mutant{
 		Name:    "wbheap-drain-sift-passes-ties",
 		Mistake: "the drain's sift stops on > instead of >=, so a tie lifts the child past the moved last entry",
 		Edits:   []Edit{{"internal/smcore/sm.go", "if c >= n || q[c].cycle >= last.cycle {", "if c >= n || q[c].cycle > last.cycle {"}},
-		Tests: map[string][]string{
-			"internal/smcore": {"TestWBHeapMatchesSwapHeap"},
-			"internal/gpu":    {"TestParentFramesReencode"},
-		},
+		Tests:   map[string][]string{"internal/smcore": {"TestWBHeapMatchesSwapHeap"}},
 	},
 
 	// Sleep: a guard that fires a cycle late makes another consistent
@@ -460,10 +457,7 @@ var ledger = []Mutant{
 		Mistake: "SM.RestoreState does not hold the restored SM to its Audit, so a frame whose warps and slot tables disagree restores",
 		Edits: []Edit{{"internal/smcore/snapshot.go", "return audit.Refusal(fmt.Sprintf(\"smcore: sm%d\", sm.id), sm.Audit())",
 			"return audit.Refusal(fmt.Sprintf(\"smcore: sm%d\", sm.id), sm.Audit()[:0])"}},
-		Tests: map[string][]string{
-			"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp", "TestSMRestoreRefusesBadWritebackHeap"},
-			"internal/gpu":    {"TestAuditCatchesArmedCorruption"},
-		},
+		Tests: map[string][]string{"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp", "TestSMRestoreRefusesBadWritebackHeap"}},
 	},
 	{
 		Name:    "restore-trusts-slot-tables",
@@ -492,6 +486,33 @@ var ledger = []Mutant{
 		Tests: map[string][]string{"internal/smcore": {"TestSMRestoreRefusesForeignStolenUnit"}},
 	},
 	{
+		Name:    "scoreboard-law-counts-staged-store",
+		Mistake: "the scoreboard law counts a staged STS or STG's destination, which no writeback clears, so a frame whose staged load reads as a store restores and its warp never exits",
+		Edits:   []Edit{{"internal/smcore/audit.go", " && (u.Instr.Op.UnitOf() != isa.ClassMEM || willWriteBack(&u.Instr))", ""}},
+		Tests:   map[string][]string{"internal/smcore": {"TestSMRestoreRefusesMisplacedWarp"}},
+	},
+	{
+		Name:    "draw-replay-one-short",
+		Mistake: "restore replays a warp's draws one step short, so its next random line is not the uninterrupted run's",
+		Edits:   []Edit{{"internal/smcore/snapshot.go", "for w.Draws = 0; w.Draws < wf.Draws; {", "for w.Draws = 1; w.Draws < wf.Draws; {"}},
+		Tests: map[string][]string{
+			"internal/smcore": {"TestSMRestoreReplaysDraws"},
+			"internal/gpu":    {"TestParentFramesReencode"},
+		},
+	},
+	{
+		Name:    "draws-unbounded",
+		Mistake: "restore replays whatever draw count a frame gives, so one frame can keep it looping for centuries",
+		Edits:   []Edit{{"internal/smcore/snapshot.go", "wf.Draws > isa.WarpSize*wf.MemCounter:", "wf.Draws > isa.WarpSize*wf.MemCounter && false:"}},
+		Tests:   map[string][]string{"internal/smcore": {"TestSMRestoreReplaysDraws"}},
+	},
+	{
+		Name:    "memcounter-unbounded",
+		Mistake: "restore takes any memory-access count, so the draw bound it scales stops bounding the replay",
+		Edits:   []Edit{{"internal/smcore/snapshot.go", "wf.MemCounter > wf.Pos.Fetched:", "wf.MemCounter > wf.Pos.Fetched && false:"}},
+		Tests:   map[string][]string{"internal/smcore": {"TestSMRestoreReplaysDraws"}},
+	},
+	{
 		Name:    "freed-unit-keeps-residue",
 		Mistake: "a dispatched collector unit keeps its warp, instruction and allocation cycle, so equal collectors encode to different bytes and a revived unit reissues its last instruction",
 		Edits: []Edit{{"internal/regfile/regfile.go",
@@ -500,7 +521,6 @@ var ledger = []Mutant{
 		Tests: map[string][]string{
 			"internal/regfile": {"TestDispatchedUnitIsZero"},
 			"internal/smcore":  {"TestSMRestoreRefusesMisplacedWarp"},
-			"internal/gpu":     {"TestFrameBytesUnchanged", "TestParentFramesReencode"},
 		},
 	},
 	{
@@ -564,10 +584,7 @@ var ledger = []Mutant{
 		Name:    "writeback-bank-ignores-offset",
 		Mistake: "drain derives a writeback's bank from the register alone, not from its warp's bank offset, so a write contends at another bank than the one its operand reads use",
 		Edits:   []Edit{{"internal/smcore/sm.go", "regfile.BankWithOffset(int(w.BankOff), e.reg,", "regfile.BankWithOffset(0, e.reg,"}},
-		Tests: map[string][]string{
-			"internal/smcore": {"TestWBHeapMatchesSwapHeap"},
-			"internal/gpu":    {"TestParentFramesReencode"},
-		},
+		Tests:   map[string][]string{"internal/smcore": {"TestWBHeapMatchesSwapHeap"}},
 	},
 	{
 		Name:    "wake-none-at-allocate",

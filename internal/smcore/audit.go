@@ -82,8 +82,9 @@ func (sm *SM) Audit() []audit.Violation {
 			if !u.Valid {
 				continue
 			}
-			// Stolen CUs pre-allocate before issue: no SBSet yet.
-			if !u.Stolen && u.Instr.Dst.Valid() {
+			// Stolen CUs pre-allocate before issue: no SBSet yet. A staged
+			// memory op holds its reservation only if the LSU will clear it.
+			if !u.Stolen && u.Instr.Dst.Valid() && (u.Instr.Op.UnitOf() != isa.ClassMEM || willWriteBack(&u.Instr)) {
 				mark(u.WarpIdx, u.Instr.Dst, "staged collector unit")
 			}
 			// A stolen unit holds its own warp's head, in the warp's sub-core.

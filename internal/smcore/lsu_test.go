@@ -47,14 +47,14 @@ func TestLSUAddressesUnchanged(t *testing.T) {
 			for _, shared := range []bool{false, true} {
 				for _, count := range []int64{1, 6, 37, 1 << 33} {
 					in := isa.Instr{Mem: isa.MemTrait{Pattern: pat, Footprint: foot, StrideBytes: 256, Divergence: 7, Shared: shared}}
-					w := Warp{warpState: warpState{GID: 5 + count, MemCounter: count, rng: uint64(count)*0x9E3779B97F4A7C15 + 1}}
+					w := Warp{warpState: warpState{GID: 5 + count, MemCounter: count}, rng: uint64(count)*0x9E3779B97F4A7C15 + 1}
 					ref := w
 					want := make([]uint64, isa.WarpSize)
 					for i := range want {
 						want[i] = sm.lsu.address(&ref, &in, i)
 					}
 					got := lineAddrs(make([]uint64, isa.WarpSize), &w, &in, sm.cfg.LineBytes)
-					if !slices.Equal(got, want) || w.rng != ref.rng {
+					if !slices.Equal(got, want) || w.rng != ref.rng || w.Draws != ref.Draws {
 						t.Fatalf("pattern %d, footprint %d, shared %v, access %d:\ngot  %x\nwant %x", pat, foot, shared, count, got, want)
 					}
 				}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/audit"
+	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/snapshot"
 )
@@ -36,7 +37,7 @@ type warpFrame struct {
 }
 
 // EncodeState serializes the SM's full mutable state: every warp context
-// (lifecycle, scoreboard, buffer fill level, cursor position, RNG),
+// (lifecycle, scoreboard, buffer fill level, cursor position, draw count),
 // resident-block bookkeeping, the writeback heap, the LSU queue, and each
 // sub-core (scheduler state, occupancy, execution-port timing, operand
 // collector). Sync first: a frame carries no unticked cycles.
@@ -136,13 +137,19 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 	return audit.Refusal(fmt.Sprintf("smcore: sm%d", sm.id), sm.Audit())
 }
 
-// restoreWarp validates one decoded warp, rebinds its cursor and derives BankOff.
+// restoreWarp validates one decoded warp, rebinds its cursor, derives BankOff
+// and replays its draws: a served access was fetched and draws at most
+// isa.WarpSize lines (mem.Transactions), so the program bounds the replay.
 func (sm *SM) restoreWarp(w *Warp, wf *warpFrame, progFor ProgramResolver) error {
 	switch {
 	case wf.State == WarpEmpty || wf.State > WarpFinished:
 		return fmt.Errorf("invalid warp state %d", wf.State)
 	case wf.SubCore < 0 || int(wf.SubCore) >= len(sm.subcores):
 		return fmt.Errorf("sub-core %d of %d", wf.SubCore, len(sm.subcores))
+	case wf.MemCounter < 0 || wf.MemCounter > wf.Pos.Fetched:
+		return fmt.Errorf("%d memory accesses served of %d instructions fetched", wf.MemCounter, wf.Pos.Fetched)
+	case wf.Draws < 0 || wf.Draws > isa.WarpSize*wf.MemCounter:
+		return fmt.Errorf("%d address draws for %d memory accesses", wf.Draws, wf.MemCounter)
 	}
 	prog, err := progFor(wf.GID)
 	if err != nil {
@@ -155,6 +162,9 @@ func (sm *SM) restoreWarp(w *Warp, wf *warpFrame, progFor ProgramResolver) error
 	if n := min(2, cur.Left()); wf.IBufN < 0 || int64(wf.IBufN) > n {
 		return fmt.Errorf("instruction buffer fill %d out of [0,%d]", wf.IBufN, n)
 	}
-	*w = Warp{warpState: wf.warpState, Cursor: cur, BankOff: sm.bankOffset(wf.SchedSlot), StolenCU: -1}
+	*w = Warp{warpState: wf.warpState, Cursor: cur, rng: warpSeed(wf.GID), BankOff: sm.bankOffset(wf.SchedSlot), StolenCU: -1}
+	for w.Draws = 0; w.Draws < wf.Draws; {
+		w.NextRand()
+	}
 	return nil
 }

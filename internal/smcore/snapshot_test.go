@@ -415,6 +415,8 @@ func TestSMRestoreRefusesMisplacedWarp(t *testing.T) {
 		{"block lists an empty warp", "residency", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 60) }},
 		{"block lists another block's warp", "residency", func(sm *SM) { sm.blocks[0].warpIdxs = append(sm.blocks[0].warpIdxs, 4) }},
 		{"freed collector unit revived", "scoreboard", func(sm *SM) { sm.subcores[0].coll.CU(sm.subcores[0].coll.FreeCU()).Valid = true }},
+		// A staged STS never writes back, so its reservation would never clear.
+		{"staged LDS read as STS", "scoreboard", func(sm *SM) { stagedUnit(sm, isa.OpLDS).Instr.Op = isa.OpSTS }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hier := mem.NewHierarchy(cfg)
@@ -488,6 +490,80 @@ func TestSMRestoreRefusesForeignStolenUnit(t *testing.T) {
 
 // freeSlot points sub-core sc's first free slot at warp wi.
 func freeSlot(sc *SubCore, wi int32) { sc.slots[slices.Index(sc.slots, -1)] = wi }
+
+// stagedUnit ticks sm on, a cycle at a time, until a collector unit stages
+// (not steals) an instruction of op, and returns that unit, sm synced.
+func stagedUnit(sm *SM, op isa.Op) *regfile.CollectorUnit {
+	for c := sm.synced + 1; c < sm.synced+100_000; c++ {
+		for _, sc := range sm.subcores {
+			for i := range sc.coll.NumCUs() {
+				if u := sc.coll.CU(i); u.Valid && !u.Stolen && u.Instr.Op == op {
+					sm.Sync(c)
+					return u
+				}
+			}
+		}
+		sm.Tick(c)
+	}
+	panic(fmt.Sprintf("no collector unit stages %v", op))
+}
+
+// TestSMRestoreReplaysDraws: restore rebuilds each warp's xorshift state by
+// replaying its draw count from the GID's seed, and refuses a count no run
+// reaches before replaying it — more accesses served than instructions
+// fetched, or more draws than a warp's lines for each access — so no frame
+// can make restore loop for long.
+func TestSMRestoreReplaysDraws(t *testing.T) {
+	b := program.NewBuilder()
+	b.Loop(6, func(lb *program.Builder) {
+		lb.LDG(8, 1, isa.MemTrait{Pattern: isa.PatRandom, Footprint: 1 << 16, Divergence: 4})
+		lb.FMA(4, 8, 2, 3)
+	})
+	prog := b.MustBuild()
+	progFor := func(int64) (*program.Program, error) { return prog, nil }
+	for _, tc := range []struct {
+		name, want string
+		edit       func(w *Warp)
+	}{
+		{"unedited", "", func(*Warp) {}},
+		{"more draws than lines", "address draws", func(w *Warp) { w.Draws = isa.WarpSize*w.MemCounter + 1 }},
+		{"more accesses than fetches", "memory accesses served", func(w *Warp) { w.MemCounter = w.Cursor.Pos().Fetched + 1 }},
+		{"negative accesses", "memory accesses served", func(w *Warp) { w.MemCounter = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sm, _ := testSM(t, nil)
+			if err := sm.Allocate(specOf([]*program.Program{prog, prog, prog, prog}, 16, 0)); err != nil {
+				t.Fatal(err)
+			}
+			c := int64(0)
+			for ; sm.warps[0].Draws == 0; c++ {
+				sm.Tick(c)
+			}
+			for range 50 {
+				sm.Tick(c)
+				c++
+			}
+			sm.Sync(c)
+			tc.edit(&sm.warps[0])
+			fresh := NewSM(0, sm.cfg, mem.NewHierarchy(*sm.cfg), stats.NewRun(1, sm.cfg.SubCoresPerSM))
+			err := restoreSMState(t, fresh, mem.NewHierarchy(*sm.cfg), snapSMState(t, sm, sm.hier), progFor)
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("restoring the edited frame: err %v, want a refusal naming %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sm.warps {
+				if w, r := &sm.warps[i], &fresh.warps[i]; w.rng != r.rng || w.Draws != r.Draws {
+					t.Errorf("warp %d restored after %d draws with state %x, the live warp after %d with %x", i, r.Draws, r.rng, w.Draws, w.rng)
+				}
+			}
+		})
+	}
+}
 
 func TestSMRestoreWorkloadMismatch(t *testing.T) {
 	cfg := config.VoltaV100()

@@ -36,6 +36,9 @@ type Warp struct {
 	warpState
 	// Cursor stands at the issue point; a frame carries its position only.
 	Cursor program.Cursor
+	// rng is the xorshift state for PatRandom addresses: warpSeed(GID)
+	// stepped Draws times, which restore replays.
+	rng uint64
 	// BankOff is the register-bank offset of the warp's slot (bankOffset).
 	BankOff int16
 	// StolenCU is the collector unit stolen for the warp's head instruction,
@@ -48,6 +51,10 @@ type Warp struct {
 type warpState struct {
 	// State is the lifecycle state.
 	State WarpState
+	// IBufN is the 2-entry instruction buffer's fill level, at most
+	// min(2, Cursor.Left()): the instructions are the program's, in place.
+	// It sits beside State so the two share one word of the struct.
+	IBufN int8
 	// GID is the kernel-wide warp index (block * warpsPerBlock + lane),
 	// used for address synthesis and reporting.
 	GID int64
@@ -58,16 +65,13 @@ type warpState struct {
 	SchedSlot int16
 	// Age is the SM-wide allocation order; GTO/RBA tie-break on it.
 	Age int64
-	// IBufN is the 2-entry instruction buffer's fill level, at most
-	// min(2, Cursor.Left()): the instructions are the program's, in place.
-	IBufN int8
 	// sb is the pending-destination-register bitset (RAW/WAW scoreboard).
 	sb [sbWords]uint64
 	// MemCounter sequences this warp's memory accesses for address
 	// synthesis.
 	MemCounter int64
-	// rng is the warp-private xorshift state for PatRandom addresses.
-	rng uint64
+	// Draws counts the warp's PatRandom address draws (NextRand).
+	Draws int64
 }
 
 // SBSet reserves register r (at issue).
@@ -114,15 +118,19 @@ func (w *Warp) Hazard(in *isa.Instr) bool {
 	return false
 }
 
-// NextRand steps the warp's xorshift64 PRNG.
+// NextRand steps the warp's xorshift64 PRNG and counts the draw.
 func (w *Warp) NextRand() uint64 {
 	x := w.rng
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
 	w.rng = x
+	w.Draws++
 	return x
 }
+
+// warpSeed is the xorshift state of warp gid before its first draw.
+func warpSeed(gid int64) uint64 { return uint64(gid)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03 }
 
 // resetWarp prepares a slot for a new warp.
 func resetWarp(w *Warp, gid int64, blockSlot int32, subCore int8, schedSlot int16, age int64, prog *program.Program, bankOff int16) {
@@ -134,9 +142,9 @@ func resetWarp(w *Warp, gid int64, blockSlot int32, subCore int8, schedSlot int1
 			SubCore:   subCore,
 			SchedSlot: schedSlot,
 			Age:       age,
-			rng:       uint64(gid)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 		},
 		Cursor:   prog.Cursor(),
+		rng:      warpSeed(gid),
 		BankOff:  bankOff,
 		StolenCU: -1,
 	}

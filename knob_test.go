@@ -32,7 +32,7 @@ var knobAliases = []struct {
 	// The tap of delay d reads the ring slot recorded d-1 cycles back, and
 	// the collector's stage 3 records that slot before stage 4 reads it, so
 	// delay 1 reads the live queue lengths, as delay 0 does.
-	{"RBAScoreLatency", []int64{0, 1}, "the RBA tap is one cycle short (ROADMAP item 1(b))"},
+	{"RBAScoreLatency", []int64{0, 1}, "the RBA tap is one cycle short (ROADMAP item 1(d), H6)"},
 }
 
 // knobProbe is one launch the oracle watches: kernels run in sequence.
